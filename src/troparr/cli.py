@@ -65,7 +65,7 @@ def parse_arrangement_json(data: str) -> Arrangement:
         n, d, apexes = doc["n"], doc["d"], doc["apexes"]
     except KeyError as missing:
         raise ValueError(f"missing key {missing}")
-    if not isinstance(n, int) or not isinstance(d, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, d)):
         raise ValueError("n and d must be integers")
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
@@ -156,10 +156,9 @@ def _cmd_type_of(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     verdict = check_correspondence(arr, args.budget)
-    report = is_generic(arr)
     lines = [f"n: {arr.n}", f"d: {arr.d}", f"generic: {str(verdict.generic).lower()}"]
     apex_results = []
-    for st in report.apexes:
+    for st in verdict.genericity.apexes:
         tail = "ok" if st.generic else f"offending {list(st.offending)}"
         lines.append(f"apex {st.index}: type {st.type.text()} total {st.total} bound {st.bound} {tail}")
         apex_results.append(
@@ -201,7 +200,12 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
-    sub = dual_subdivision(arr, args.budget)
+    verdict = None
+    if args.flips and not is_generic(arr):
+        verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget)
+        sub = verdict.subdivision
+    else:
+        sub = dual_subdivision(arr, args.budget)
     lines = ["cells:"]
     cells_json = []
     for g in sub.sorted_cells():
@@ -210,11 +214,10 @@ def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
         cells_json.append({"edges": [list(e) for e in g.sorted_edges()], "volume": vol})
     results: dict = {"cells": cells_json}
     if args.flips:
-        if is_generic(arr):
+        if verdict is None:
             lines.append("flips: arrangement is generic; subdivision is already a triangulation")
             results["flips"] = None
         else:
-            verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget)
             lines.append("flips:")
             flips_json = []
             for idx, t in enumerate(verdict.refinements, 1):

@@ -16,9 +16,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
-from .geometry import enumerate_realizations, is_generic, realizable
+from .geometry import GenericityReport, enumerate_realizations, is_generic, realizable
 from .axioms import AxiomReport, is_tropical_oriented_matroid
-from .linalg import det_int
 
 
 def type_to_graph(T: TypeVector, n: int | None = None, d: int | None = None) -> CellGraph:
@@ -102,15 +101,20 @@ class Subdivision:
         return tuple(sorted(self.maximal_cells, key=lambda g: g.sorted_edges()))
 
 
-def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
-    """Maximal cells = graphs of the arrangement's 0-dimensional types."""
-    realizations = enumerate_realizations(arr, budget)
+def _subdivision_of(arr: Arrangement, realizations: dict) -> Subdivision:
+    """Maximal cells = graphs of the 0-dimensional types among the
+    realizations of an arrangement's types."""
     cells = frozenset(
         type_to_graph(T, arr.n, arr.d)
         for T, res in realizations.items()
         if res.dimension == 0
     )
     return Subdivision(arr.n, arr.d, cells)
+
+
+def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
+    """The arrangement's dual subdivision of the product of simplices."""
+    return _subdivision_of(arr, enumerate_realizations(arr, budget))
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
@@ -201,53 +205,38 @@ def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:
     return arr.rows()
 
 
-def _chart_vertex(i: int, j: int, n: int, d: int) -> tuple[int, ...]:
-    """Product vertex (i, j) in the integer affine chart that drops the
-    last coordinate of each factor."""
-    left = tuple(1 if i == t else 0 for t in range(1, n))
-    right = tuple(1 if j == t else 0 for t in range(1, d))
-    return left + right
-
-
-def _tree_volume(tree: CellGraph) -> int:
-    pts = [_chart_vertex(i, j, tree.n, tree.d) for i, j in tree.sorted_edges()]
-    base = pts[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    return abs(det_int(rows))
-
-
 def normalized_volume(g: CellGraph) -> int:
     """Normalized lattice volume of a full-dimensional cell.
 
-    The cell's own vertices are lifted by a lexicographic height (powers
-    of 3), whose alternating sums never vanish, so the induced regular
-    subdivision of the cell is a triangulation; the volume is the sum of
-    the simplex determinants.
+    Every simplex of the product of simplices is unimodular (a bipartite
+    incidence matrix is totally unimodular), so a spanning tree has
+    volume 1 and any other cell's volume is the number of pieces of one
+    of its triangulations.  The cell's own vertices are lifted by a
+    lexicographic height (powers of 3), whose alternating sums never
+    vanish, so the induced regular subdivision is such a triangulation.
     """
     if not g.edges:
         raise ValueError("cell graph has no edges")
     if cell_dim(g) != g.n + g.d - 2:
         raise ValueError("normalized volume needs a full-dimensional cell")
+    if len(g.edges) == g.n + g.d - 1:
+        return 1
     lex = [
         [Fraction(3) ** ((i - 1) * g.d + (j - 1)) for j in range(1, g.d + 1)]
         for i in range(1, g.n + 1)
     ]
     pieces = _envelope_cells(g.n, g.d, lex, g.edges)
-    total = 0
-    for piece in pieces:
-        if len(piece.edges) != g.n + g.d - 1:
-            raise RuntimeError("lexicographic lift failed to triangulate a cell")
-        total += _tree_volume(piece)
-    return total
+    if any(len(piece.edges) != g.n + g.d - 1 for piece in pieces):
+        raise RuntimeError("lexicographic lift failed to triangulate a cell")
+    return len(pieces)
 
 
 def is_triangulation(sub: Subdivision) -> bool:
-    """Every maximal cell a spanning tree and the unit volumes summing to
-    the full normalized volume of the product of simplices."""
+    """Every maximal cell a spanning tree (a unit simplex), and as many of
+    them as the full normalized volume of the product of simplices."""
     if not all(is_spanning_tree(g) for g in sub.maximal_cells):
         return False
-    total = sum(normalized_volume(g) for g in sub.maximal_cells)
-    return total == comb(sub.n + sub.d - 2, sub.n - 1)
+    return len(sub.maximal_cells) == comb(sub.n + sub.d - 2, sub.n - 1)
 
 
 @dataclass(frozen=True)
@@ -256,7 +245,7 @@ class CorrespondenceVerdict:
     its types, and whether its dual subdivision is a triangulation,
     together with the two implications they must satisfy."""
 
-    generic: bool
+    genericity: GenericityReport
     axiom_report: AxiomReport
     triangulation: bool
     type_count: int
@@ -264,6 +253,10 @@ class CorrespondenceVerdict:
     expected_simplices: int
     generic_consistent: bool
     nongeneric_consistent: bool
+
+    @property
+    def generic(self) -> bool:
+        return bool(self.genericity)
 
     @property
     def consistent(self) -> bool:
@@ -274,21 +267,17 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     """Genericity, axiom checks and triangulation status, plus whether
     generic => (matroid and triangulation) and non-generic => not a
     triangulation hold for this arrangement."""
-    generic = bool(is_generic(arr))
+    genericity = is_generic(arr)
+    generic = bool(genericity)
     realizations = enumerate_realizations(arr, budget)
     types = frozenset(realizations)
     report = is_tropical_oriented_matroid(types, arr.n, arr.d)
-    cells = frozenset(
-        type_to_graph(T, arr.n, arr.d)
-        for T, res in realizations.items()
-        if res.dimension == 0
-    )
-    sub = Subdivision(arr.n, arr.d, cells)
+    sub = _subdivision_of(arr, realizations)
     triangulation = is_triangulation(sub)
     generic_ok = (not generic) or (report.is_tom and triangulation)
     nongeneric_ok = generic or (not triangulation)
     return CorrespondenceVerdict(
-        generic=generic,
+        genericity=genericity,
         axiom_report=report,
         triangulation=triangulation,
         type_count=len(types),

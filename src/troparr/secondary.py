@@ -69,14 +69,14 @@ class GKZVector:
 
 
 def gkz_vector(t: Subdivision) -> GKZVector:
-    """GKZ vector of a triangulation (rejects non-triangulations)."""
+    """GKZ vector of a triangulation (rejects non-triangulations); every
+    simplex is unimodular, so each adds 1 at each of its vertices."""
     if not is_triangulation(t):
         raise ValueError("GKZ vectors are defined here only for triangulations")
     values = [0] * (t.n * t.d)
     for cell in t.maximal_cells:
-        vol = normalized_volume(cell)
         for i, j in cell.edges:
-            values[(i - 1) * t.d + (j - 1)] += vol
+            values[(i - 1) * t.d + (j - 1)] += 1
     return GKZVector(t.n, t.d, tuple(values))
 
 
@@ -86,10 +86,9 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     if (fine.n, fine.d) != (coarse.n, coarse.d):
         return False
     volumes = {g: 0 for g in coarse.maximal_cells}
+    hosts = coarse.sorted_cells()
     for cell in fine.maximal_cells:
-        host = next(
-            (g for g in coarse.sorted_cells() if cell.edges <= g.edges), None
-        )
+        host = next((g for g in hosts if cell.edges <= g.edges), None)
         if host is None:
             return False
         volumes[host] += normalized_volume(cell)
@@ -107,6 +106,7 @@ def _random_safe_deltas(rng: random.Random, n: int, d: int, radius: Fraction):
 
 def refining_triangulations(
     arr: Arrangement,
+    base: Subdivision,
     samples: int | None = None,
     seed: int = 0,
     budget: int | None = None,
@@ -116,13 +116,12 @@ def refining_triangulations(
     Each apex is nudged by the safe radius along every signed coordinate
     direction, plus ``samples`` joint random safe perturbations of all
     apexes; non-generic results are skipped.  Every triangulation found
-    refines the arrangement's own subdivision.
+    refines ``base``, the arrangement's own subdivision.
     """
     if samples is None:
         samples = 2 * arr.n * arr.d
     if samples < 2 * arr.n * arr.d:
         raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
-    base = dual_subdivision(arr, budget)
     if is_generic(arr):
         return frozenset({base})
     radius = safe_radius(arr)
@@ -206,7 +205,7 @@ def secondary_face_check(
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     sub = dual_subdivision(arr, budget)
     tris = sorted(
-        refining_triangulations(arr, samples, seed, budget),
+        refining_triangulations(arr, sub, samples, seed, budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
     )
     gkz = tuple(gkz_vector(t) for t in tris)

@@ -150,7 +150,7 @@ def test_criterion_5_degenerate_subdivisions_sit_between_triangulations(suite3, 
     assert sub.maximal_cells == {simplex, pyramid}
     assert normalized_volume(simplex) == 1 and normalized_volume(pyramid) == 2
 
-    tris = refining_triangulations(E2)
+    tris = refining_triangulations(E2, sub)
     assert len(tris) == 2
     for t in tris:
         assert is_triangulation(t) and refines(t, sub)
@@ -214,7 +214,7 @@ def test_criterion_8_structural_invariants(suite2, suite3, suite3_face_checks):
         total = sum(normalized_volume(g) for g in sub.maximal_cells)
         assert total == comb(arr.n + arr.d - 2, arr.n - 1)
 
-    triangulations = list(refining_triangulations(E2))
+    triangulations = list(refining_triangulations(E2, dual_subdivision(E2)))
     for arr in suite2:
         triangulations.append(dual_subdivision(arr))
     for verdict in suite3_face_checks:

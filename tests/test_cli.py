@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import troparr.duality
 from troparr import Arrangement
 from troparr.cli import (
     main,
@@ -56,6 +57,7 @@ def test_parse_rejects_bad_documents():
         json.dumps({"n": 2, "d": 2, "apexes": [["0", "0"]]}),
         json.dumps({"n": 1, "d": 2, "apexes": [["0", "1/0"]]}),
         json.dumps({"n": 1, "d": 2, "apexes": [["0", 0.5]]}),
+        json.dumps({"n": True, "d": 3, "apexes": [["0", "0", "0"]]}),
     ]:
         with pytest.raises(ValueError):
             parse_arrangement_json(doc)
@@ -144,6 +146,23 @@ def test_cmd_subdivision_flips_on_generic(tmp_path, capsys):
     code, out = run(capsys, ["subdivision", "--input", str(path), "--flips"])
     assert code == 0
     assert "generic" in out and "flips" in out
+
+
+def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
+    calls = []
+    original = troparr.duality.enumerate_realizations
+
+    def counted(arr, *args, **kwargs):
+        if arr == e2:
+            calls.append(arr)
+        return original(arr, *args, **kwargs)
+
+    monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
+    for argv in (["subdivision", "--flips"], ["check"]):
+        calls.clear()
+        assert main(argv + ["--input", e2_file]) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def test_budget_exit(capsys, e2_file):

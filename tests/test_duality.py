@@ -140,7 +140,7 @@ def test_normalized_volume_examples():
 def test_tree_volumes_match_determinant_oracle():
     rng = random.Random(41)
     for _ in range(10):
-        n, d = rng.choice([(2, 3), (3, 3), (3, 2)])
+        n, d = rng.choice([(2, 3), (3, 3), (3, 2), (2, 4), (4, 2)])
         arr = random_generic_arrangement(rng, n, d)
         for g in dual_subdivision(arr).maximal_cells:
             assert is_spanning_tree(g)

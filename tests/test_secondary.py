@@ -38,23 +38,25 @@ SPLIT_B = tri(2, 3, SIMPLEX, ((1, 1), (1, 2), (2, 1), (2, 3)), ((1, 2), (2, 1), 
 
 
 def test_refining_triangulations_e2(e2):
-    found = refining_triangulations(e2)
+    found = refining_triangulations(e2, dual_subdivision(e2))
     assert found == {SPLIT_A, SPLIT_B}
 
 
 def test_refining_triangulations_oversampling_is_stable(e2):
-    assert refining_triangulations(e2, samples=100) == {SPLIT_A, SPLIT_B}
-    assert refining_triangulations(e2, samples=100, seed=5) == {SPLIT_A, SPLIT_B}
+    base = dual_subdivision(e2)
+    assert refining_triangulations(e2, base, samples=100) == {SPLIT_A, SPLIT_B}
+    assert refining_triangulations(e2, base, samples=100, seed=5) == {SPLIT_A, SPLIT_B}
 
 
 def test_refining_triangulations_generic_is_identity():
     arr = random_generic_arrangement(random.Random(3), 3, 3)
-    assert refining_triangulations(arr) == {dual_subdivision(arr)}
+    base = dual_subdivision(arr)
+    assert refining_triangulations(arr, base) == {base}
 
 
 def test_refining_triangulations_sample_floor(e2):
     with pytest.raises(ValueError):
-        refining_triangulations(e2, samples=3)
+        refining_triangulations(e2, dual_subdivision(e2), samples=3)
 
 
 def test_refinements_match_coordinate_perturbations(e2):
@@ -67,7 +69,7 @@ def test_refinements_match_coordinate_perturbations(e2):
 
 def test_every_refinement_refines_the_coarse_subdivision(e2):
     base = dual_subdivision(e2)
-    for t in refining_triangulations(e2):
+    for t in refining_triangulations(e2, base):
         assert refines(t, base)
     assert not refines(SPLIT_A, SPLIT_B)
 
