@@ -12,14 +12,17 @@ freezing everything else.  Only the former enters the final verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial, reduce
+from itertools import permutations
+from math import comb
+from operator import and_, or_
 from typing import Collection
 
 from .core import ResourceLimitError, TypeVector, enumerate_ordered_partitions
-from .geometry import refine
 
-#: Largest d for which surrounding scans all ordered partitions (the
-#: Fubini numbers explode past this).
-MAX_SURROUNDING_D = 5
+#: Cap on the surrounding check's work, |types| x Fubini(d) refinement
+#: lookups.
+MAX_SURROUNDING_WORK = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,9 @@ class ComparabilityGraph:
     directed_edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        labels = {x for edge in self.directed_edges for x in edge}.union(*self.undirected_edges)
+        if not labels <= set(range(1, self.d + 1)):
+            raise ValueError("edges must join labels in 1..d")
         for j, k in self.directed_edges:
             if j == k:
                 raise ValueError("no self-loops")
@@ -70,10 +76,12 @@ class AxiomReport:
     is_tom: bool
 
 
-def _sorted_types(types: Collection[TypeVector]) -> list[TypeVector]:
+def _sorted_types(types: Collection[TypeVector], d: int | None = None) -> list[TypeVector]:
     ordered = sorted(types, key=lambda t: t.key())
     if ordered and any(t.n != ordered[0].n for t in ordered):
         raise ValueError("collection mixes types of different lengths")
+    if d is not None and any(t.max_label() > d for t in ordered):
+        raise ValueError(f"collection has labels beyond d={d}")
     return ordered
 
 
@@ -89,25 +97,29 @@ def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult
 
 def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     """For each pair (A, B) and position j, some C in the collection must
-    take the union at j and one of A_k, B_k, A_k u B_k everywhere."""
+    take the union at j and one of A_k, B_k, A_k u B_k everywhere.
+
+    Bitset kernel: bit t of ``masks[k][E]`` marks the t-th sorted type
+    whose k-th entry is E.  The types matching (A, B) are the AND over k
+    of the masks of A_k, B_k and A_k u B_k, and j fails when none of them
+    has A_j u B_j: O(T^2 n) operations on T-bit integers for T types
+    (plus one table per position over its pairs of distinct entries).
+    """
     ordered = _sorted_types(types)
-    if not ordered:
-        return CheckResult(True)
-    n = ordered[0].n
-    pool = [t.entries for t in ordered]
+    masks: list[dict] = [{} for _ in ordered[0].entries] if ordered else []
+    for bit, t in enumerate(ordered):
+        for m, entry in zip(masks, t.entries):
+            m[entry] = m.get(entry, 0) | 1 << bit
+    # per position and entry pair (a, b): (masks of a, b or a u b; mask of a u b)
+    cells = [{(a, b): (m[a] | m[b] | m.get(a | b, 0), m.get(a | b, 0)) for a in m for b in m}
+             for m in masks]
     for ia, A in enumerate(ordered):
         for B in ordered[ia:]:
-            a, b = A.entries, B.entries
-            union = tuple(x | y for x, y in zip(a, b))
-            needed = set(range(n))
-            for c in pool:
-                if all(ck in (ak, bk, uk) for ck, ak, bk, uk in zip(c, a, b, union)):
-                    needed -= {j for j in tuple(needed) if c[j] == union[j]}
-                    if not needed:
-                        break
-            if needed:
-                j = min(needed) + 1
-                return CheckResult(False, (A, B, j))
+            pair = [c[ab] for c, ab in zip(cells, zip(A.entries, B.entries))]
+            match = reduce(and_, (either for either, _ in pair))
+            for j, (_, union) in enumerate(pair, 1):
+                if not match & union:
+                    return CheckResult(False, (A, B, j))
     return CheckResult(True)
 
 
@@ -135,6 +147,26 @@ def comparability_graph(A: TypeVector, B: TypeVector, d: int | None = None) -> C
     return ComparabilityGraph(d, frozenset(undirected), frozenset(directed))
 
 
+def _packed(g: ComparabilityGraph) -> int:
+    """The graph as three d x d bit matrices (bit (j-1)*d + k-1 is j -> k),
+    packed into one int: directed edges, their reversals, undirected edges."""
+    edges = [(j, k, 0) for j, k in g.directed_edges] + [(k, j, 1) for j, k in g.directed_edges]
+    edges += [(j, k, 2) for e in g.undirected_edges for j, k in permutations(e)]
+    return sum(1 << field * g.d * g.d + (j - 1) * g.d + k - 1 for j, k, field in edges)
+
+
+def _acyclic(edges: int, d: int) -> bool:
+    """:func:`is_acyclic` on a :func:`_packed` graph, in O(d) operations on
+    d^2-bit ints.  Warshall's closure ORs row m into every row reaching m
+    with one multiplication; an edge j -> k is on a cycle when k reaches j."""
+    directed, reversed_, undirected = (edges >> i * d * d & (1 << d * d) - 1 for i in range(3))
+    reach = directed | (undirected & ~(directed | reversed_))
+    column = sum(1 << a * d for a in range(d))
+    for m in range(d):
+        reach |= (reach >> m & column) * (reach >> m * d & (1 << d) - 1)
+    return not reach & reversed_
+
+
 def is_acyclic(g: ComparabilityGraph) -> bool:
     """No cycle that traverses at least one directed edge forward
     (undirected edges may be walked either way).
@@ -143,51 +175,58 @@ def is_acyclic(g: ComparabilityGraph) -> bool:
     when some genuinely directed edge has its head reaching back to its
     tail through the expanded reachability.
     """
-    nodes = range(1, g.d + 1)
-    reach = {a: {b: False for b in nodes} for a in nodes}
-    for j, k in g.directed_edges:
-        reach[j][k] = True
-    for pair in g.undirected_edges:
-        j, k = tuple(pair)
-        reach[j][k] = True
-        reach[k][j] = True
-    for mid in nodes:
-        for a in nodes:
-            if reach[a][mid]:
-                row_a, row_m = reach[a], reach[mid]
-                for b in nodes:
-                    if row_m[b]:
-                        row_a[b] = True
-    return not any(reach[k][j] for j, k in g.directed_edges)
+    return _acyclic(_packed(g), g.d)
 
 
 def check_comparability(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
-    """Every pair's comparability graph must be acyclic."""
-    ordered = _sorted_types(types)
+    """Every pair's comparability graph must be acyclic.
+
+    Kernel: a pair's graph is the union over positions of its entries'
+    graphs, so each pair of distinct entries is packed once, a pair of
+    types ORs n ints, and :func:`_acyclic` runs once per distinct graph:
+    O(T^2 n + G d) int operations for G distinct graphs.
+    """
+    ordered = _sorted_types(types, d)
+    d = max((t.max_label() for t in ordered), default=1) if d is None else d
+    entries = {e for t in ordered for e in t.entries}
+    packed = {(a, b): _packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
+              for a in entries for b in entries}
+    acyclic = cache(partial(_acyclic, d=d))  # far fewer distinct graphs than pairs
     for ia, A in enumerate(ordered):
         for B in ordered[ia:]:
-            if not is_acyclic(comparability_graph(A, B, d)):
+            if not acyclic(reduce(or_, [packed[ab] for ab in zip(A.entries, B.entries)])):
                 return CheckResult(False, (A, B))
     return CheckResult(True)
 
 
 def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
-    """Every ordered-partition refinement of every type must be present."""
-    ordered = _sorted_types(types)
+    """Every ordered-partition refinement of every type must be present.
+
+    Kernel: each distinct entry is cut once by every ordered partition
+    (its part in the first block it meets, as in
+    :func:`troparr.geometry.refine`), so a type's refinements are the zip
+    of its entries' columns, all looked up by one ``set.issuperset``.
+    The |types| x Fubini(d) lookups are capped at ``MAX_SURROUNDING_WORK``.
+    """
+    ordered = _sorted_types(types, d)
     if not ordered:
         return CheckResult(True)
-    if d is None:
-        d = max(t.max_label() for t in ordered)
-    if d > MAX_SURROUNDING_D:
+    d = max(t.max_label() for t in ordered) if d is None else d
+    # Fubini(d) = sum over k of k! S(d, k), the ordered partitions into k blocks
+    fubini = sum((-1) ** (k - j) * comb(k, j) * j**d for k in range(d + 1) for j in range(k + 1))
+    if len(ordered) * fubini > MAX_SURROUNDING_WORK:
         raise ResourceLimitError(
-            f"surrounding scan over ordered partitions of d={d} exceeds budget"
+            f"surrounding: {len(ordered)} types x {fubini} ordered partitions of d={d} "
+            f"= {len(ordered) * fubini} refinements exceed the cap of {MAX_SURROUNDING_WORK}"
         )
     partitions = enumerate_ordered_partitions(d)
-    present = set(ordered)
+    entries = {e for t in ordered for e in t.entries}
+    cuts = {e: [e & next(b for b in P.blocks if e & b) for P in partitions] for e in entries}
+    present = {t.entries for t in ordered}
     for T in ordered:
-        for P in partitions:
-            if refine(T, P) not in present:
-                return CheckResult(False, (T, P))
+        refined = list(zip(*(cuts[e] for e in T.entries)))
+        if not present.issuperset(refined):
+            return CheckResult(False, (T, next(P for P, r in zip(partitions, refined) if r not in present)))
     return CheckResult(True)
 
 

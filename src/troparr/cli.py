@@ -21,7 +21,7 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .duality import check_correspondence, dual_subdivision, normalized_volume
+from .duality import check_correspondence, dual_subdivision
 from .geometry import is_generic, type_of_point
 from .secondary import secondary_face_check
 
@@ -201,15 +201,16 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     verdict = None
-    if args.flips and not is_generic(arr):
-        verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget)
+    genericity = is_generic(arr) if args.flips else None
+    if args.flips and not genericity:
+        verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget, genericity=genericity)
         sub = verdict.subdivision
     else:
         sub = dual_subdivision(arr, args.budget)
     lines = ["cells:"]
     cells_json = []
     for g in sub.sorted_cells():
-        vol = normalized_volume(g)
+        vol = sub.volumes[g]
         lines.append(f"  {g.text()} vol {vol}")
         cells_json.append({"edges": [list(e) for e in g.sorted_edges()], "volume": vol})
     results: dict = {"cells": cells_json}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -99,6 +100,11 @@ class Subdivision:
 
     def sorted_cells(self) -> tuple[CellGraph, ...]:
         return tuple(sorted(self.maximal_cells, key=lambda g: g.sorted_edges()))
+
+    @cached_property
+    def volumes(self) -> dict[CellGraph, int]:
+        """Normalized volume of each maximal cell, computed on first use."""
+        return {g: normalized_volume(g) for g in self.maximal_cells}
 
 
 def _subdivision_of(arr: Arrangement, realizations: dict) -> Subdivision:

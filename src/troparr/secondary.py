@@ -22,7 +22,7 @@ from .duality import (
     is_triangulation,
     normalized_volume,
 )
-from .geometry import is_generic, perturb, safe_radius
+from .geometry import GenericityReport, is_generic, perturb, safe_radius
 from .linalg import rank
 
 #: Parameter pairs (n, d) for which every triangulation of the product
@@ -73,6 +73,11 @@ def gkz_vector(t: Subdivision) -> GKZVector:
     simplex is unimodular, so each adds 1 at each of its vertices."""
     if not is_triangulation(t):
         raise ValueError("GKZ vectors are defined here only for triangulations")
+    return _gkz(t)
+
+
+def _gkz(t: Subdivision) -> GKZVector:
+    """:func:`gkz_vector` of a subdivision already known to be a triangulation."""
     values = [0] * (t.n * t.d)
     for cell in t.maximal_cells:
         for i, j in cell.edges:
@@ -85,14 +90,14 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     adding up cell by cell."""
     if (fine.n, fine.d) != (coarse.n, coarse.d):
         return False
-    volumes = {g: 0 for g in coarse.maximal_cells}
+    filled = {g: 0 for g in coarse.maximal_cells}
     hosts = coarse.sorted_cells()
     for cell in fine.maximal_cells:
         host = next((g for g in hosts if cell.edges <= g.edges), None)
         if host is None:
             return False
-        volumes[host] += normalized_volume(cell)
-    return all(volumes[g] == normalized_volume(g) for g in coarse.maximal_cells)
+        filled[host] += fine.volumes[cell]
+    return filled == coarse.volumes
 
 
 def _random_safe_deltas(rng: random.Random, n: int, d: int, radius: Fraction):
@@ -116,13 +121,14 @@ def refining_triangulations(
     Each apex is nudged by the safe radius along every signed coordinate
     direction, plus ``samples`` joint random safe perturbations of all
     apexes; non-generic results are skipped.  Every triangulation found
-    refines ``base``, the arrangement's own subdivision.
+    refines ``base``, the arrangement's own subdivision, so a
+    triangulation ``base`` is its own only refinement.
     """
     if samples is None:
         samples = 2 * arr.n * arr.d
     if samples < 2 * arr.n * arr.d:
         raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
-    if is_generic(arr):
+    if is_triangulation(base):
         return frozenset({base})
     radius = safe_radius(arr)
     rng = random.Random(seed)
@@ -197,18 +203,22 @@ def secondary_face_check(
     samples: int | None = None,
     seed: int = 0,
     budget: int | None = None,
+    genericity: GenericityReport | None = None,
 ) -> SecondaryFaceVerdict:
     """For a non-generic arrangement: its subdivision must not be a
     triangulation, at least two refining triangulations must exist, and
-    the affine hull of their GKZ vectors must have positive dimension."""
-    if is_generic(arr):
+    the affine hull of their GKZ vectors must have positive dimension.
+    ``genericity`` is the arrangement's report if the caller has it."""
+    if genericity is None:
+        genericity = is_generic(arr)
+    if genericity:
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     sub = dual_subdivision(arr, budget)
     tris = sorted(
         refining_triangulations(arr, sub, samples, seed, budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
     )
-    gkz = tuple(gkz_vector(t) for t in tris)
+    gkz = tuple(_gkz(t) for t in tris)
     return SecondaryFaceVerdict(
         subdivision=sub,
         coarse_is_triangulation=is_triangulation(sub),

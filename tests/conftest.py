@@ -1,6 +1,7 @@
 """Shared fixtures: the two worked example arrangements, random
 arrangement generators, and independent oracles (sampling, exact rank
-and determinant via sympy) used to cross-check the main code paths."""
+and determinant via sympy, direct scans for the axiom checks) used to
+cross-check the main code paths."""
 
 from __future__ import annotations
 
@@ -13,10 +14,15 @@ import sympy
 from troparr import (
     Arrangement,
     CellGraph,
+    CheckResult,
+    ComparabilityGraph,
     ProjectivePoint,
     TypeVector,
     apex_type,
+    comparability_graph,
+    enumerate_ordered_partitions,
     is_generic,
+    refine,
     type_of_point,
 )
 
@@ -52,14 +58,18 @@ def random_generic_arrangement(rng: random.Random, n: int, d: int) -> Arrangemen
             return arr
 
 
-def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3):
-    """Arrangement whose last apex lies strictly on a 1-dimensional fan
-    face (a ray) of hyperplane 1, all other incidences generic.
+def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3, tries: int = 1000):
+    """Arrangement whose last apex lies strictly on the {j,k}-face of
+    hyperplane 1's fan (a ray when d = 3), all other incidences generic.
 
-    Returns (arrangement, victim_index, host_index, tied_label_pair).
+    For d >= 4 the host apex then lies on the victim's face of the other
+    d-2 labels as well, so that mutual incidence is the one other
+    non-generic apex allowed.  Returns (arrangement, victim_index, host_index,
+    tied_label_pair).
     """
     host = 1
-    while True:
+    expected_bad = {n} if d == 3 else {host, n}
+    for _ in range(tries):
         base = [
             [random_rational(rng) for _ in range(d)] for _ in range(n - 1)
         ]
@@ -70,8 +80,7 @@ def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3):
         victim[k - 1] += t
         arr = Arrangement.from_rows(base + [victim])
         report = is_generic(arr)
-        bad = [st for st in report.apexes if not st.generic]
-        if len(bad) != 1 or bad[0].index != n:
+        if {st.index for st in report.apexes if not st.generic} != expected_bad:
             continue
         T = apex_type(arr, n)
         if T.entry(host) != frozenset((j, k)):
@@ -79,6 +88,7 @@ def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3):
         if any(len(T.entry(i)) != 1 for i in range(1, n) if i != host):
             continue
         return arr, n, host, (j, k)
+    raise RuntimeError(f"no on-ray arrangement found for n={n}, d={d} in {tries} tries")
 
 
 def nongeneric_on_apex(rng: random.Random, n: int, d: int = 3):
@@ -138,3 +148,75 @@ def tree_volume_oracle(g: CellGraph) -> int:
     pts = [chart_vertex(i, j, g.n, g.d) for i, j in g.sorted_edges()]
     rows = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
     return abs(sympy.Matrix(rows).det())
+
+
+def _sorted_types(types) -> list[TypeVector]:
+    ordered = sorted(types, key=lambda t: t.key())
+    if ordered and any(t.n != ordered[0].n for t in ordered):
+        raise ValueError("collection mixes types of different lengths")
+    return ordered
+
+
+def elimination_oracle(types) -> CheckResult:
+    """Elimination by the direct scan: for every pair, every collection
+    member is tested against every position (O(T^3 n))."""
+    ordered = _sorted_types(types)
+    if not ordered:
+        return CheckResult(True)
+    n = ordered[0].n
+    pool = [t.entries for t in ordered]
+    for ia, A in enumerate(ordered):
+        for B in ordered[ia:]:
+            a, b = A.entries, B.entries
+            union = tuple(x | y for x, y in zip(a, b))
+            needed = set(range(n))
+            for c in pool:
+                if all(ck in (ak, bk, uk) for ck, ak, bk, uk in zip(c, a, b, union)):
+                    needed -= {j for j in tuple(needed) if c[j] == union[j]}
+                    if not needed:
+                        break
+            if needed:
+                return CheckResult(False, (A, B, min(needed) + 1))
+    return CheckResult(True)
+
+
+def acyclic_oracle(g: ComparabilityGraph) -> bool:
+    """Acyclicity by a dict-of-dicts transitive closure."""
+    nodes = range(1, g.d + 1)
+    reach = {a: {b: False for b in nodes} for a in nodes}
+    for j, k in g.directed_edges:
+        reach[j][k] = True
+    for pair in g.undirected_edges:
+        j, k = tuple(pair)
+        reach[j][k] = True
+        reach[k][j] = True
+    for mid in nodes:
+        for a in nodes:
+            if reach[a][mid]:
+                row_a, row_m = reach[a], reach[mid]
+                for b in nodes:
+                    if row_m[b]:
+                        row_a[b] = True
+    return not any(reach[k][j] for j, k in g.directed_edges)
+
+
+def comparability_oracle(types, d: int | None = None) -> CheckResult:
+    """Comparability from a validated graph and the dict closure per pair."""
+    ordered = _sorted_types(types)
+    for ia, A in enumerate(ordered):
+        for B in ordered[ia:]:
+            if not acyclic_oracle(comparability_graph(A, B, d)):
+                return CheckResult(False, (A, B))
+    return CheckResult(True)
+
+
+def surrounding_oracle(types, d: int) -> CheckResult:
+    """Surrounding by building every refinement with ``geometry.refine``."""
+    ordered = _sorted_types(types)
+    present = set(ordered)
+    partitions = enumerate_ordered_partitions(d)
+    for T in ordered:
+        for P in partitions:
+            if refine(T, P) not in present:
+                return CheckResult(False, (T, P))
+    return CheckResult(True)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from troparr import (
+    Arrangement,
     ResourceLimitError,
     TypeVector,
     check_boundary,
@@ -16,7 +17,13 @@ from troparr import (
     is_tropical_oriented_matroid,
 )
 
-from conftest import random_generic_arrangement
+from conftest import (
+    comparability_oracle,
+    elimination_oracle,
+    nongeneric_on_apex,
+    random_generic_arrangement,
+    surrounding_oracle,
+)
 
 
 def T(*entries):
@@ -114,8 +121,11 @@ def test_check_surrounding(e1, e2):
     assert check_surrounding({T({j}, {j}) for j in (1, 2, 3)}, 3)
     missing = check_surrounding({T({1, 2}, {1}), T({1}, {1})}, 2)
     assert not missing and missing.counterexample[0] == T({1, 2}, {1})
-    with pytest.raises(ResourceLimitError):
-        check_surrounding({T(*[{1}] * 2)}, 7)
+    # the cap counts |types| x Fubini(d) refinements, not d alone
+    assert check_surrounding({T({1}, {1})}, 6)
+    grid = {T({j}, {k}) for j in range(1, 5) for k in range(1, 4)}
+    with pytest.raises(ResourceLimitError, match=r"surrounding: 12 types x 545835 .* = 6550020 "):
+        check_surrounding(grid, 8)
 
 
 def test_check_local_refinement(e1, e2):
@@ -146,6 +156,10 @@ def test_checks_reject_mixed_length_collections():
         check_elimination({T({1}), T({1}, {2})})
     with pytest.raises(ValueError):
         check_surrounding({T({1}), T({1}, {2})}, 2)
+    with pytest.raises(ValueError):
+        check_surrounding({T({1, 3})}, 2)
+    with pytest.raises(ValueError):
+        check_comparability({T({1, 3})}, 2)
 
 
 def test_generic_arrangements_are_tropical_oriented_matroids():
@@ -157,3 +171,53 @@ def test_generic_arrangements_are_tropical_oriented_matroids():
         report = is_tropical_oriented_matroid(types, n, d)
         assert report.is_tom
         assert report.local_refinement
+
+
+#: The large shapes, with the one kind whose full collection is checked there.
+FULL_LARGE = {(4, 4): "apex", (2, 5): "generic"}
+
+
+def _oracle_collections():
+    """Full and thinned type collections of generic, integer and on-apex
+    arrangements, random type sets, and hand-built failing sets."""
+    rng = random.Random(4242)
+    shapes = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4), (2, 5)]
+    for n, d in shapes:
+        integer = Arrangement.from_rows([[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)])
+        draws = {
+            "generic": random_generic_arrangement(rng, n, d),
+            "integer": integer,
+            "apex": nongeneric_on_apex(rng, n, d)[0],
+        }
+        for kind, arr in draws.items():
+            types = sorted(enumerate_types(arr), key=lambda t: t.key())
+            # the direct elimination scan is cubic: less of it at the large shapes
+            large = (n, d) in FULL_LARGE
+            if not large or FULL_LARGE[n, d] == kind:
+                yield f"{kind} {n}x{d}", types, d
+            for keep in (0.8,) if large else (0.97, 0.8):
+                yield f"{kind} {n}x{d} {keep}", [t for t in types if rng.random() < keep], d
+    for i in range(20):
+        n, d = rng.choice([(2, 3), (3, 3), (3, 4)])
+        yield f"random {i}", {
+            T(*[rng.sample(range(1, d + 1), rng.randint(1, 2)) for _ in range(n)]) for _ in range(8)
+        }, d
+    yield "empty", set(), 3
+    yield "separated", {T({1}, {1}), T({2}, {2})}, 2
+    yield "two-cycle", {T({1}, {2}), T({2}, {1})}, 2
+    yield "semidirected cycle", {T({1}, {2, 3}, {3, 1}), T({2}, {2, 3}, {3, 1})}, 3
+    yield "missing refinement", {T({1, 2}, {1}), T({1}, {1})}, 2
+
+
+def test_kernels_match_direct_scans():
+    failures = {"elimination": 0, "comparability": 0, "surrounding": 0}
+    for label, types, d in _oracle_collections():
+        for name, kernel, oracle in [
+            ("elimination", check_elimination(types), elimination_oracle(types)),
+            ("comparability", check_comparability(types, d), comparability_oracle(types, d)),
+            ("surrounding", check_surrounding(types, d), surrounding_oracle(types, d)),
+        ]:
+            assert kernel == oracle, (label, name)
+            failures[name] += not oracle.passed
+    # the collections exercise both verdicts of every check
+    assert all(count >= 5 for count in failures.values()), failures

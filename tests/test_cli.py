@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import troparr.axioms
 import troparr.duality
 from troparr import Arrangement
 from troparr.cli import (
@@ -165,9 +166,23 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
     capsys.readouterr()
 
 
-def test_budget_exit(capsys, e2_file):
+def test_budget_exit(capsys, e2_file, monkeypatch):
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
     capsys.readouterr()
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 100)
+    assert main(["check", "--input", e2_file]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
+
+
+def test_check_on_six_labels(tmp_path, capsys):
+    # the surrounding scan used to refuse every d > 5 outright
+    arr = random_generic_arrangement(random.Random(3), 2, 6)
+    path = tmp_path / "six.json"
+    path.write_text(serialize_arrangement(arr, "json"))
+    code, out = run(capsys, ["check", "--input", str(path)])
+    assert code == 0
+    assert "surrounding: pass" in out and "is_tom: true" in out and "triangulation: true" in out
 
 
 def _ray_elements(svg_text):

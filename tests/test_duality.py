@@ -25,6 +25,7 @@ from troparr import (
 
 from conftest import (
     graph_dim_oracle,
+    nongeneric_on_ray,
     random_arrangement,
     random_generic_arrangement,
     tree_volume_oracle,
@@ -177,6 +178,13 @@ def test_check_correspondence(e1, e2):
     v3 = check_correspondence(arr)
     assert v3.generic and v3.triangulation and v3.cell_count == 6
     assert v3.consistent
+
+    # d = 4: the victim and host apexes lie on each other's fans
+    degenerate, victim, host, _ = nongeneric_on_ray(rng, 3, 4)
+    v4 = check_correspondence(degenerate)
+    assert [st.index for st in v4.genericity.apexes if not st.generic] == [host, victim]
+    assert not v4.triangulation and v4.cell_count < v4.expected_simplices
+    assert not v4.axiom_report.local_refinement and v4.consistent
 
 
 def test_maximal_cells_are_the_inclusion_maximal_type_graphs(e1, e2):
