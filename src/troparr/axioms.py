@@ -199,6 +199,24 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     return CheckResult(True)
 
 
+@cache
+def _fubini(d: int) -> int:
+    """Fubini(d) = sum over k of k! S(d, k), the ordered partitions of d
+    labels into k blocks."""
+    return sum((-1) ** (k - j) * comb(k, j) * j**d for k in range(d + 1) for j in range(k + 1))
+
+
+def _surrounding_cap(count: int, d: int) -> None:
+    """Raise ResourceLimitError when the surrounding check's count x
+    Fubini(d) refinement lookups exceed ``MAX_SURROUNDING_WORK``."""
+    work = count * _fubini(d)
+    if work > MAX_SURROUNDING_WORK:
+        raise ResourceLimitError(
+            f"surrounding: {count} types x {_fubini(d)} ordered partitions of d={d} "
+            f"= {work} refinements exceed the cap of {MAX_SURROUNDING_WORK}"
+        )
+
+
 def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every ordered-partition refinement of every type must be present.
 
@@ -212,13 +230,7 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
     if not ordered:
         return CheckResult(True)
     d = max(t.max_label() for t in ordered) if d is None else d
-    # Fubini(d) = sum over k of k! S(d, k), the ordered partitions into k blocks
-    fubini = sum((-1) ** (k - j) * comb(k, j) * j**d for k in range(d + 1) for j in range(k + 1))
-    if len(ordered) * fubini > MAX_SURROUNDING_WORK:
-        raise ResourceLimitError(
-            f"surrounding: {len(ordered)} types x {fubini} ordered partitions of d={d} "
-            f"= {len(ordered) * fubini} refinements exceed the cap of {MAX_SURROUNDING_WORK}"
-        )
+    _surrounding_cap(len(ordered), d)
     partitions = enumerate_ordered_partitions(d)
     entries = {e for t in ordered for e in t.entries}
     cuts = {e: [e & next(b for b in P.blocks if e & b) for P in partitions] for e in entries}
@@ -251,7 +263,9 @@ def is_tropical_oriented_matroid(
 ) -> AxiomReport:
     """Run all checks; the verdict is the conjunction of boundary,
     elimination, comparability and surrounding (local refinement is
-    reported alongside but does not enter it)."""
+    reported alongside but does not enter it).  The surrounding work cap
+    is tested before any check runs, so a refused input costs nothing."""
+    _surrounding_cap(len(types), d)
     boundary = check_boundary(types, n, d)
     elimination = check_elimination(types)
     comparability = check_comparability(types, d)

@@ -376,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET
+    except RuntimeError as exc:
+        print(f"error: internal consistency violation: {exc}", file=sys.stderr)
+        return INCONSISTENT
     report = {
         "command": [args.command] + argv[1:],
         "input": _digest(raw),

@@ -6,6 +6,14 @@ cells of its dual subdivision.  Independently, the same subdivision
 arises as the lower-envelope regular subdivision induced by lifting
 product vertex (i,j) to the apex coordinate v_ij; both constructions are
 exposed so they can be checked against each other.
+
+The lower envelope is computed by a pivot walk: lexicographically
+perturbed integer heights give a regular triangulation refining it,
+whose simplices are spanning trees of K_{n,d}; the walk moves from tree
+to tree across shared facets and maps each tree to the coarse cell that
+holds it.  A full triangulation has C(n+d-2, n-1) trees and each costs
+O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
+subsets.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
@@ -132,64 +140,76 @@ def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def _envelope_cells(
-    n: int, d: int, weights: Sequence[Sequence[Fraction]], support: Iterable[tuple[int, int]]
-) -> frozenset[CellGraph]:
-    """Maximal cells of the lower envelope over a support edge set.
+def _side(tree: frozenset[tuple[int, int]], a: int, b: int) -> set[int]:
+    """Nodes joined to node a by the tree's edges other than (a, b)."""
+    adj: dict[int, list[int]] = {}
+    for x, y in tree:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    side, stack = {a, b}, [a]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in side:
+                side.add(w)
+                stack.append(w)
+    side.discard(b)
+    return side
 
-    A spanning connected subgraph h is a cell exactly when potentials
-    u_i, z_j with z_j - u_i = w_ij on h extend consistently over h and
-    satisfy z_j - u_i < w_ij strictly on the rest of the support.
+
+def _pivot_walk(
+    n: int, d: int, weights: Sequence[Sequence[Fraction]], support: Iterable[tuple[int, int]]
+) -> list[frozenset[tuple[int, int]]]:
+    """Coarse cell of every simplex of a fine regular triangulation of the
+    lower envelope over a spanning connected support edge set.
+
+    Nodes are left i -> i-1 and right j -> n+j-1.  The integer heights
+    H_ij = D w_ij 3^(nd) + 3^((i-1)d+(j-1)), D the lcm of the
+    denominators, are generic: an alternating cycle sum of distinct
+    powers of 3 never vanishes.  So every vertex of the polyhedron
+    {z_j - u_i <= H_ij on the support} is tight on a spanning tree, a
+    simplex of the triangulation, and since those powers sum to less
+    than 3^(nd)/2 the simplex lies in the w-cell of its edges with H-slack
+    below 3^(nd)/2 (the edges tight under w).  Each pivot drops a tree
+    edge and raises the side holding its left end until the first
+    support edge into that side turns tight; the walk visits every tree
+    once in O((n+d) nd) each.
     """
-    edges = sorted(support)
-    m = len(edges)
-    all_nodes = n + d
-    # bitmask of nodes covered by each edge: left nodes 0..n-1, right n..n+d-1
-    node_bits = [(1 << (i - 1)) | (1 << (n + j - 1)) for i, j in edges]
-    full = (1 << all_nodes) - 1
-    cells = []
-    for mask in range(1, 1 << m):
-        covered = 0
-        sub = mask
-        while sub:
-            low = sub & -sub
-            covered |= node_bits[low.bit_length() - 1]
-            sub &= sub - 1
-        if covered != full:
-            continue
-        chosen = [edges[b] for b in range(m) if mask >> b & 1]
-        # potentials via traversal; u_i at ('L',i), z_j at ('R',j)
-        adj: dict = {}
-        for i, j in chosen:
-            adj.setdefault(("L", i), []).append((("R", j), weights[i - 1][j - 1]))
-            adj.setdefault(("R", j), []).append((("L", i), weights[i - 1][j - 1]))
-        pot: dict = {("L", 1): Fraction(0)}
-        stack = [("L", 1)]
-        ok = True
-        while stack and ok:
-            node = stack.pop()
-            for other, w in adj[node]:
-                # z_j = u_i + w_ij along either traversal direction
-                value = pot[node] + w if node[0] == "L" else pot[node] - w
-                if other in pot:
-                    if pot[other] != value:
-                        ok = False
-                        break
-                else:
-                    pot[other] = value
-                    stack.append(other)
-        if not ok or len(pot) != all_nodes:
-            continue
-        for b in range(m):
-            if mask >> b & 1:
-                continue
-            i, j = edges[b]
-            if pot[("R", j)] - pot[("L", i)] >= weights[i - 1][j - 1]:
-                ok = False
-                break
-        if ok:
-            cells.append(CellGraph(n, d, frozenset(chosen)))
-    return frozenset(cells)
+    scale = 3 ** (n * d)
+    den = lcm(*(w.denominator for row in weights for w in row))
+    edges = [
+        (i - 1, n + j - 1, int(weights[i - 1][j - 1] * den) * scale + 3 ** ((i - 1) * d + j - 1))
+        for i, j in sorted(support)
+    ]
+    # start vertex: attach one node at a time at its tightest feasible
+    # potential, so each attachment makes exactly one edge tight
+    p = {0: 0}
+    while len(p) < n + d:
+        a, b, _ = next(e for e in edges if (e[0] in p) != (e[1] in p))
+        if a in p:
+            p[b] = min(p[x] + h for x, y, h in edges if y == b and x in p)
+        else:
+            p[a] = max(p[y] - h for x, y, h in edges if x == a and y in p)
+    tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
+    queue, seen, cells = [(tree, p)], {tree}, []
+    for tree, p in queue:
+        slack = {(a, b): h - p[b] + p[a] for a, b, h in edges}
+        cells.append(frozenset((a + 1, b - n + 1) for (a, b), s in slack.items() if 2 * s < scale))
+        for a, b in tree:
+            side = _side(tree, a, b)
+            entering = [(s, e) for e, s in slack.items() if e[0] not in side and e[1] in side]
+            if not entering:
+                continue  # a boundary facet
+            t, e = min(entering)
+            pivot = tree - {(a, b)} | {e}
+            if pivot not in seen:
+                seen.add(pivot)
+                queue.append((pivot, {v: x + t if v in side else x for v, x in p.items()}))
+    expected = comb(n + d - 2, n - 1)
+    if len(edges) == n * d and len(cells) != expected:
+        raise RuntimeError(
+            f"pivot walk visited {len(cells)} of {expected} simplices of a {n}x{d} triangulation"
+        )
+    return cells
 
 
 def regular_subdivision(weights) -> Subdivision:
@@ -203,7 +223,7 @@ def regular_subdivision(weights) -> Subdivision:
     rows = _coerce_weights(weights)
     n, d = len(rows), len(rows[0])
     support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    return Subdivision(n, d, _envelope_cells(n, d, rows, support))
+    return Subdivision(n, d, frozenset(CellGraph(n, d, c) for c in _pivot_walk(n, d, rows, support)))
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:
@@ -219,7 +239,8 @@ def normalized_volume(g: CellGraph) -> int:
     volume 1 and any other cell's volume is the number of pieces of one
     of its triangulations.  The cell's own vertices are lifted by a
     lexicographic height (powers of 3), whose alternating sums never
-    vanish, so the induced regular subdivision is such a triangulation.
+    vanish, so the induced regular subdivision is such a triangulation;
+    the pivot walk counts its simplices.
     """
     if not g.edges:
         raise ValueError("cell graph has no edges")
@@ -227,14 +248,7 @@ def normalized_volume(g: CellGraph) -> int:
         raise ValueError("normalized volume needs a full-dimensional cell")
     if len(g.edges) == g.n + g.d - 1:
         return 1
-    lex = [
-        [Fraction(3) ** ((i - 1) * g.d + (j - 1)) for j in range(1, g.d + 1)]
-        for i in range(1, g.n + 1)
-    ]
-    pieces = _envelope_cells(g.n, g.d, lex, g.edges)
-    if any(len(piece.edges) != g.n + g.d - 1 for piece in pieces):
-        raise RuntimeError("lexicographic lift failed to triangulate a cell")
-    return len(pieces)
+    return len(_pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges))
 
 
 def is_triangulation(sub: Subdivision) -> bool:

@@ -1,7 +1,7 @@
 """Shared fixtures: the two worked example arrangements, random
 arrangement generators, and independent oracles (sampling, exact rank
-and determinant via sympy, direct scans for the axiom checks) used to
-cross-check the main code paths."""
+and determinant via sympy, direct scans for the axiom checks and the
+lower envelope) used to cross-check the main code paths."""
 
 from __future__ import annotations
 
@@ -49,6 +49,11 @@ def random_arrangement(rng: random.Random, n: int, d: int, max_den: int = 100) -
     return Arrangement.from_rows(
         [[random_rational(rng, max_den) for _ in range(d)] for _ in range(n)]
     )
+
+
+def random_integer_arrangement(rng: random.Random, n: int, d: int, span: int = 2) -> Arrangement:
+    """Small-integer grid draw, entries in [-span, span]; often degenerate."""
+    return Arrangement.from_rows([[rng.randint(-span, span) for _ in range(d)] for _ in range(n)])
 
 
 def random_generic_arrangement(rng: random.Random, n: int, d: int) -> Arrangement:
@@ -148,6 +153,72 @@ def tree_volume_oracle(g: CellGraph) -> int:
     pts = [chart_vertex(i, j, g.n, g.d) for i, j in g.sorted_edges()]
     rows = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
     return abs(sympy.Matrix(rows).det())
+
+
+def envelope_oracle(n: int, d: int, weights, support) -> frozenset[CellGraph]:
+    """Maximal cells of the lower envelope over a support edge set, by
+    trying every edge subset (2^|support| masks).
+
+    A spanning connected subgraph h is a cell exactly when potentials
+    u_i, z_j with z_j - u_i = w_ij on h extend consistently over h and
+    satisfy z_j - u_i < w_ij strictly on the rest of the support.
+    """
+    weights = [[Fraction(x) for x in row] for row in weights]
+    edges = sorted(support)
+    m = len(edges)
+    # bitmask of nodes covered by each edge: left nodes 0..n-1, right n..n+d-1
+    node_bits = [(1 << (i - 1)) | (1 << (n + j - 1)) for i, j in edges]
+    full = (1 << (n + d)) - 1
+    cells = []
+    for mask in range(1, 1 << m):
+        covered = 0
+        sub = mask
+        while sub:
+            low = sub & -sub
+            covered |= node_bits[low.bit_length() - 1]
+            sub &= sub - 1
+        if covered != full:
+            continue
+        chosen = [edges[b] for b in range(m) if mask >> b & 1]
+        # potentials via traversal; u_i at ('L',i), z_j at ('R',j)
+        adj: dict = {}
+        for i, j in chosen:
+            adj.setdefault(("L", i), []).append((("R", j), weights[i - 1][j - 1]))
+            adj.setdefault(("R", j), []).append((("L", i), weights[i - 1][j - 1]))
+        pot: dict = {("L", 1): Fraction(0)}
+        stack = [("L", 1)]
+        ok = True
+        while stack and ok:
+            node = stack.pop()
+            for other, w in adj[node]:
+                # z_j = u_i + w_ij along either traversal direction
+                value = pot[node] + w if node[0] == "L" else pot[node] - w
+                if other in pot:
+                    if pot[other] != value:
+                        ok = False
+                        break
+                else:
+                    pot[other] = value
+                    stack.append(other)
+        if not ok or len(pot) != n + d:
+            continue
+        if all(
+            pot[("R", j)] - pot[("L", i)] < weights[i - 1][j - 1]
+            for b, (i, j) in enumerate(edges)
+            if not mask >> b & 1
+        ):
+            cells.append(CellGraph(n, d, frozenset(chosen)))
+    return frozenset(cells)
+
+
+def volume_oracle(g: CellGraph) -> int:
+    """Normalized volume as the number of pieces of the cell's envelope
+    under the lexicographic lift 3^((i-1)d + (j-1)) (every piece a unit
+    simplex)."""
+    lex = [[3 ** ((i - 1) * g.d + (j - 1)) for j in range(1, g.d + 1)] for i in range(1, g.n + 1)]
+    pieces = envelope_oracle(g.n, g.d, lex, g.edges)
+    assert all(len(piece.edges) == g.n + g.d - 1 for piece in pieces)
+    return len(pieces)
 
 
 def _sorted_types(types) -> list[TypeVector]:

@@ -44,6 +44,7 @@ from conftest import (
     nongeneric_on_ray,
     random_arrangement,
     random_generic_arrangement,
+    random_integer_arrangement,
     sampled_types,
 )
 
@@ -170,11 +171,16 @@ def test_criterion_5_degenerate_subdivisions_sit_between_triangulations(suite3, 
 
 
 def test_criterion_6_envelope_oracle_matches_dual_subdivision(suite2, suite3):
-    arrangements = list(suite2) + [arr for arr, *_ in suite3]
+    rng = random.Random(60606)
+    shapes = [(2, 3), (3, 3), (4, 3), (3, 4), (5, 3), (4, 4)]
+    extra = [random_integer_arrangement(rng, *shapes[i % 6]) for i in range(12)]
+    extra += [random_arrangement(rng, 5, 3), random_arrangement(rng, 4, 4)]
+    arrangements = list(suite2) + [arr for arr, *_ in suite3] + extra
     for arr in arrangements:
         assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision(arr)
     print(f"\n[criterion 6] PASS — lower-envelope subdivision equals the "
-          f"type-enumeration subdivision on all {len(arrangements)} suite arrangements")
+          f"type-enumeration subdivision on all {len(arrangements)} suite arrangements "
+          f"(12 integer-grid draws up to (5,3) and (4,4) among them)")
 
 
 def test_criterion_7_sampling_oracle():

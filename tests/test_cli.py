@@ -185,6 +185,38 @@ def test_check_on_six_labels(tmp_path, capsys):
     assert "surrounding: pass" in out and "is_tom: true" in out and "triangulation: true" in out
 
 
+def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monkeypatch):
+    # 769 types x 47293 ordered partitions of d=7: refused before elimination runs
+    calls = []
+    check_elimination = troparr.axioms.check_elimination
+
+    def counted(types):
+        calls.append(len(types))
+        return check_elimination(types)
+
+    monkeypatch.setattr(troparr.axioms, "check_elimination", counted)
+    arr = random_generic_arrangement(random.Random(3), 2, 7)
+    path = tmp_path / "seven.json"
+    path.write_text(serialize_arrangement(arr, "json"))
+    assert main(["check", "--input", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: surrounding: 769 types x 47293 ordered partitions of d=7")
+    assert calls == []
+
+
+def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
+    # the flat arrangement's one cell is the whole product, so its volume
+    # comes from a pivot walk over the full support, which checks its count
+    monkeypatch.setattr(troparr.duality, "_side", lambda tree, a, b: set())
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["0", "0", "0"]]}))
+    assert main(["subdivision", "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency violation: pivot walk visited 1 of 3 simplices of a 2x3 triangulation\n"
+    )
+
+
 def _ray_elements(svg_text):
     root = ET.fromstring(svg_text)
     ns = "{http://www.w3.org/2000/svg}"

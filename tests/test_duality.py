@@ -23,12 +23,19 @@ from troparr import (
     type_to_graph,
 )
 
+import troparr.duality
+from troparr.duality import is_spanning_connected
+
 from conftest import (
+    envelope_oracle,
     graph_dim_oracle,
     nongeneric_on_ray,
     random_arrangement,
     random_generic_arrangement,
+    random_integer_arrangement,
+    random_rational,
     tree_volume_oracle,
+    volume_oracle,
 )
 
 
@@ -116,7 +123,10 @@ def test_regular_subdivision_matches_dual(e1, e2):
     rng = random.Random(29)
     arrangements = [e1, e2] + [
         random_arrangement(rng, *rng.choice([(2, 2), (2, 3), (3, 3)])) for _ in range(8)
-    ]
+    ] + [
+        random_integer_arrangement(rng, n, d)
+        for n, d in [(2, 2), (2, 3), (3, 3), (4, 3), (3, 4), (5, 3), (4, 4)]
+    ] + [random_arrangement(rng, 5, 3), random_arrangement(rng, 4, 4)]
     for arr in arrangements:
         assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision(arr)
 
@@ -127,6 +137,47 @@ def test_regular_subdivision_flat_lift():
         G(2, 3, *[(i, j) for i in (1, 2) for j in (1, 2, 3)])
     }
     assert not is_triangulation(sub)
+
+
+def full_support(n, d):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+
+
+@pytest.mark.parametrize(
+    "n,d", [(1, 1), (1, 4), (3, 1), (2, 3), (3, 3), (4, 3), (3, 4), (2, 5), (4, 4)]
+)
+def test_pivot_walk_matches_envelope_oracle(n, d):
+    rng = random.Random(1000 * n + d)
+    draws = [[[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]]
+    if (n, d) != (4, 4):  # one draw there: the oracle scans 2^16 masks per call
+        draws.append([[0] * d for _ in range(n)])  # the flat lift: one cell, the whole product
+        for _ in range(3):
+            draws.append([[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)])
+            draws.append([[random_rational(rng) for _ in range(d)] for _ in range(n)])
+    for rows in draws:
+        sub = regular_subdivision(rows)
+        assert sub.maximal_cells == envelope_oracle(n, d, rows, full_support(n, d))
+        for g in sub.maximal_cells:
+            assert normalized_volume(g) == volume_oracle(g)
+        assert sum(sub.volumes.values()) == comb(n + d - 2, n - 1)
+
+
+def test_normalized_volume_matches_envelope_oracle_on_random_supports():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 60:
+        n, d = rng.choice([(2, 3), (3, 2), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5)])
+        g = CellGraph(n, d, frozenset(e for e in full_support(n, d) if rng.random() < 0.7))
+        if is_spanning_connected(g):
+            assert normalized_volume(g) == volume_oracle(g)
+            checked += 1
+
+
+def test_pivot_walk_that_loses_simplices_raises(monkeypatch):
+    # a walk that never finds an entering edge stops at its first simplex
+    monkeypatch.setattr(troparr.duality, "_side", lambda tree, a, b: set())
+    with pytest.raises(RuntimeError, match="pivot walk visited 1 of 3 simplices of a 2x3"):
+        regular_subdivision([[0, 1, 2], [2, 0, 1]])
 
 
 def test_normalized_volume_examples():
