@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="arrangement file")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--budget", type=int, default=None, help="candidate enumeration cap")
+        sp.add_argument("--budget", type=int, default=None, help="cap on the type enumeration's feasibility steps")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
 
     sp = sub.add_parser("type-of", help="type of a point")

@@ -18,13 +18,14 @@ from typing import Iterable, Iterator, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-#: Cap on the number of candidate type vectors an enumeration may visit,
-#: (2^d - 1)^n for an n x d arrangement.  Covers n, d <= 4 by default.
+#: Cap on the feasibility steps (candidate entries tried on a feasible
+#: prefix) one type enumeration may take; a generic (5,4) takes about
+#: 5,800.
 DEFAULT_BUDGET = 200_000
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured candidate budget."""
+    """A computation exceeded its configured budget or work cap."""
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+)|\.(\d{1,18}))?$")

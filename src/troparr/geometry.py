@@ -4,10 +4,16 @@ full type enumeration, refinements, and safe perturbations.
 A candidate type imposes, hyperplane by hyperplane, that the listed
 coordinates tie (after subtracting the apex row) and strictly beat the
 rest.  The ties merge coordinates into rigid groups carrying exact
-rational offsets (union-find); the strict part becomes a system of
-strict difference constraints between group representatives, decided by
-an exact all-pairs max-plus closure.  A closed, consistent system always
+offsets (union-find); the strict part becomes a system of strict
+difference constraints between group representatives, decided by an
+exact all-pairs max-plus closure.  A closed, consistent system always
 admits a rational witness, found by greedy interval assignment.
+
+The feasibility kernel runs on ints: the apex matrix is scaled once per
+arrangement by D, the lcm of its denominators, so every offset and
+bound is an integer multiple of 1/D.  Fractions come back only in the
+witness, which divides by D at the end and so is the same point the
+greedy assignment gives on the unscaled rationals.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from .core import (
@@ -53,13 +60,13 @@ class RealizationResult:
 
 class _TieGroups:
     """Union-find over coordinate labels with exact offsets: merged labels
-    carry a fixed rational difference to their root."""
+    carry a fixed integer difference (in scaled units) to their root."""
 
     __slots__ = ("parent", "shift")
 
     def __init__(self, d: int):
         self.parent = list(range(d + 1))
-        self.shift = [Fraction(0)] * (d + 1)
+        self.shift = [0] * (d + 1)
 
     def copy(self) -> "_TieGroups":
         g = _TieGroups.__new__(_TieGroups)
@@ -67,7 +74,7 @@ class _TieGroups:
         g.shift = self.shift[:]
         return g
 
-    def find(self, v: int) -> tuple[int, Fraction]:
+    def find(self, v: int) -> tuple[int, int]:
         """Root of v's group and the exact offset x_v - x_root.
 
         Compresses the path; nodes nearer the root are rewritten first so
@@ -78,15 +85,15 @@ class _TieGroups:
             path.append(v)
             v = self.parent[v]
         root = v
-        acc = Fraction(0)
+        acc = 0
         for node in reversed(path):
             acc += self.shift[node]
             self.parent[node] = root
             self.shift[node] = acc
-        offset = self.shift[path[0]] if path else Fraction(0)
+        offset = self.shift[path[0]] if path else 0
         return root, offset
 
-    def union(self, j: int, k: int, delta: Fraction) -> bool:
+    def union(self, j: int, k: int, delta: int) -> bool:
         """Impose x_j - x_k = delta; False iff it contradicts the state."""
         rj, oj = self.find(j)
         rk, ok = self.find(k)
@@ -100,38 +107,44 @@ class _TieGroups:
 class _Feasibility:
     """Incrementally built feasibility state for one arrangement.
 
+    Coordinates are counted in units of 1/scale, scale the lcm of the
+    apex matrix's denominators, so ``rows`` and every bound are ints.
     ``lower[(a, b)]`` is the tightest known strict bound x_a - x_b > c
     between group roots; it is kept transitively closed, so inconsistency
     surfaces as soon as it exists and witnesses can be read off greedily.
     """
 
-    __slots__ = ("arr", "groups", "lower")
+    __slots__ = ("d", "scale", "rows", "groups", "lower")
 
     def __init__(self, arr: Arrangement):
-        self.arr = arr
+        self.d = arr.d
+        self.scale = lcm(*(c.denominator for p in arr.apexes for c in p.coords))
+        self.rows = tuple(
+            tuple(c.numerator * (self.scale // c.denominator) for c in p.coords)
+            for p in arr.apexes
+        )
         self.groups = _TieGroups(arr.d)
-        self.lower: dict[tuple[int, int], Fraction] = {}
+        self.lower: dict[tuple[int, int], int] = {}
 
     def copy(self) -> "_Feasibility":
         st = _Feasibility.__new__(_Feasibility)
-        st.arr = self.arr
+        st.d, st.scale, st.rows = self.d, self.scale, self.rows
         st.groups = self.groups.copy()
         st.lower = dict(self.lower)
         return st
 
     def add_hyperplane(self, i: int, labels: Iterable[int]) -> bool:
         """Impose entry ``labels`` for hyperplane i; False iff infeasible."""
-        row = self.arr.apex(i).coords
-        d = self.arr.d
+        row = self.rows[i - 1]
         members = sorted(labels)
         base = members[0]
         for j in members[1:]:
             if not self.groups.union(j, base, row[j - 1] - row[base - 1]):
                 return False
 
-        lower: dict[tuple[int, int], Fraction] = {}
+        lower: dict[tuple[int, int], int] = {}
 
-        def put(a: int, b: int, c: Fraction) -> bool:
+        def put(a: int, b: int, c: int) -> bool:
             if a == b:
                 return c < 0
             key = (a, b)
@@ -146,7 +159,7 @@ class _Feasibility:
             if not put(ra, rb, c - oa + ob):
                 return False
         member_set = set(members)
-        outside = [k for k in range(1, d + 1) if k not in member_set]
+        outside = [k for k in range(1, self.d + 1) if k not in member_set]
         for j in members:
             rj, oj = self.groups.find(j)
             for k in outside:
@@ -184,14 +197,19 @@ class _Feasibility:
         return True
 
     def roots(self) -> list[int]:
-        return sorted({self.groups.find(v)[0] for v in range(1, self.arr.d + 1)})
+        return sorted({self.groups.find(v)[0] for v in range(1, self.d + 1)})
 
     def dimension(self) -> int:
         return len(self.roots()) - 1
 
     def witness(self) -> ProjectivePoint:
-        """A rational point satisfying every recorded constraint strictly."""
-        values: dict[int, Fraction] = {}
+        """A rational point satisfying every recorded constraint strictly.
+
+        Roots get 0, lo + 1, hi - 1 or (lo + hi) / 2 in the arrangement's
+        units, that is 0, lo + scale, hi - scale or (lo + hi) / 2 in scaled
+        ones; only the midpoint can leave the integers.
+        """
+        values: dict[int, int | Fraction] = {}
         for r in self.roots():
             lo = hi = None
             for a, val in values.items():
@@ -202,18 +220,18 @@ class _Feasibility:
                 if c is not None and (hi is None or val - c < hi):
                     hi = val - c
             if lo is None and hi is None:
-                values[r] = Fraction(0)
+                values[r] = 0
             elif hi is None:
-                values[r] = lo + 1
+                values[r] = lo + self.scale
             elif lo is None:
-                values[r] = hi - 1
+                values[r] = hi - self.scale
             else:
                 assert lo < hi, "closed strict system must leave an open interval"
-                values[r] = (lo + hi) / 2
+                values[r] = Fraction(lo + hi, 2)
         coords = []
-        for j in range(1, self.arr.d + 1):
+        for j in range(1, self.d + 1):
             root, off = self.groups.find(j)
-            coords.append(values[root] + off)
+            coords.append(Fraction(values[root] + off, self.scale))
         return ProjectivePoint(tuple(coords)).normalized()
 
 
@@ -309,24 +327,39 @@ def enumerate_realizations(
     """Every realizable type with its witness and dimension.
 
     Depth-first over candidate entries, pruning any prefix whose partial
-    constraint system is already infeasible.
+    constraint system is already infeasible.  ``budget`` caps the
+    feasibility steps (one per entry tried on a feasible prefix); the
+    walk raises :class:`ResourceLimitError` as soon as it needs more.
+
+    Every one of the m = 2^d - 1 entries of the first hyperplane is
+    feasible, and each such prefix tries all m entries of the second, so
+    the walk takes at least m + m^2 steps (m if n = 1).  Past the budget
+    it raises at once with the message the walk would reach, before
+    building the m candidate entries.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    candidates = (2 ** arr.d - 1) ** arr.n
-    if candidates > budget:
+    m = 2 ** arr.d - 1
+    if m * (1 + m * (arr.n >= 2)) > budget:
         raise ResourceLimitError(
-            f"(2^d-1)^n = {candidates} candidate types exceed budget {budget}"
+            f"type enumeration: {budget + 1} feasibility steps exceed budget {budget}"
         )
     subsets = _nonempty_subsets(arr.d)
     out: dict[TypeVector, RealizationResult] = {}
+    steps = 0
 
     def walk(i: int, state: _Feasibility, prefix: tuple[frozenset[int], ...]) -> None:
+        nonlocal steps
         if i > arr.n:
             out[TypeVector(prefix)] = RealizationResult(
                 True, state.witness(), state.dimension()
             )
             return
         for entry in subsets:
+            steps += 1
+            if steps > budget:
+                raise ResourceLimitError(
+                    f"type enumeration: {steps} feasibility steps exceed budget {budget}"
+                )
             child = state.copy()
             if child.add_hyperplane(i, entry):
                 walk(i + 1, child, prefix + (entry,))

@@ -21,6 +21,7 @@ from .duality import (
     dual_subdivision,
     is_triangulation,
     normalized_volume,
+    regular_subdivision,
 )
 from .geometry import GenericityReport, is_generic, perturb, safe_radius
 from .linalg import rank
@@ -109,6 +110,27 @@ def _random_safe_deltas(rng: random.Random, n: int, d: int, radius: Fraction):
     ]
 
 
+def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[Arrangement]:
+    """Each apex nudged by the safe radius along every signed coordinate
+    direction, then ``samples`` joint random safe perturbations of all
+    apexes drawn under ``seed``."""
+    radius = safe_radius(arr)
+    rng = random.Random(seed)
+    candidates = []
+    for i in range(1, arr.n + 1):
+        for c in range(arr.d):
+            for sign in (1, -1):
+                delta = [Fraction(0)] * arr.d
+                delta[c] = sign * radius
+                candidates.append(perturb(arr, i, delta))
+    for _ in range(samples):
+        moved = arr
+        for i, delta in enumerate(_random_safe_deltas(rng, arr.n, arr.d, radius), 1):
+            moved = perturb(moved, i, delta)
+        candidates.append(moved)
+    return candidates
+
+
 def refining_triangulations(
     arr: Arrangement,
     base: Subdivision,
@@ -123,6 +145,12 @@ def refining_triangulations(
     apexes; non-generic results are skipped.  Every triangulation found
     refines ``base``, the arrangement's own subdivision, so a
     triangulation ``base`` is its own only refinement.
+
+    Many perturbations land on the same subdivision, so each candidate's
+    subdivision is first read off the lower envelope of its apex matrix
+    (``regular_subdivision``, no type enumeration); only the first
+    candidate giving a new one has its types enumerated, and the dual
+    subdivision found must equal the envelope's.
     """
     if samples is None:
         samples = 2 * arr.n * arr.d
@@ -130,29 +158,18 @@ def refining_triangulations(
         raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
     if is_triangulation(base):
         return frozenset({base})
-    radius = safe_radius(arr)
-    rng = random.Random(seed)
-
-    candidates = []
-    for i in range(1, arr.n + 1):
-        for c in range(arr.d):
-            for sign in (1, -1):
-                delta = [Fraction(0)] * arr.d
-                delta[c] = sign * radius
-                candidates.append(perturb(arr, i, delta))
-    for _ in range(samples):
-        moved = arr
-        for i, delta in enumerate(_random_safe_deltas(rng, arr.n, arr.d, radius), 1):
-            moved = perturb(moved, i, delta)
-        candidates.append(moved)
-
+    seen: set[Subdivision] = set()
     found: set[Subdivision] = set()
-    for cand in candidates:
+    for cand in _perturbations(arr, samples, seed):
         if not is_generic(cand):
             continue
-        t = dual_subdivision(cand, budget)
-        if t in found:
+        envelope = regular_subdivision(cand.rows())
+        if envelope in seen:
             continue
+        seen.add(envelope)
+        t = dual_subdivision(cand, budget)
+        if t != envelope:
+            raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
         # an apex-generic perturbation can still leave non-apex ray
         # coincidences (a residual wall); those are not triangulations
         # and are skipped like the non-generic ones
@@ -194,8 +211,7 @@ def _affine_dimension(vectors) -> int:
     if len(vecs) <= 1:
         return 0
     base = vecs[0]
-    rows = [[Fraction(x - b) for x, b in zip(v, base)] for v in vecs[1:]]
-    return rank(rows)
+    return rank([[x - b for x, b in zip(v, base)] for v in vecs[1:]])
 
 
 def secondary_face_check(

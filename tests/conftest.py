@@ -1,12 +1,14 @@
 """Shared fixtures: the two worked example arrangements, random
 arrangement generators, and independent oracles (sampling, exact rank
 and determinant via sympy, direct scans for the axiom checks and the
-lower envelope) used to cross-check the main code paths."""
+lower envelope, the feasibility DFS on Fraction coordinates, flips
+without the envelope dedupe) used to cross-check the main code paths."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -17,14 +19,19 @@ from troparr import (
     CheckResult,
     ComparabilityGraph,
     ProjectivePoint,
+    RealizationResult,
     TypeVector,
     apex_type,
     comparability_graph,
+    dual_subdivision,
     enumerate_ordered_partitions,
     is_generic,
+    is_triangulation,
     refine,
+    refines,
     type_of_point,
 )
+from troparr.secondary import _perturbations
 
 
 @pytest.fixture
@@ -219,6 +226,167 @@ def volume_oracle(g: CellGraph) -> int:
     pieces = envelope_oracle(g.n, g.d, lex, g.edges)
     assert all(len(piece.edges) == g.n + g.d - 1 for piece in pieces)
     return len(pieces)
+
+
+class _FractionTieGroups:
+    """Union-find over coordinate labels with Fraction offsets to the root."""
+
+    def __init__(self, d: int):
+        self.parent = list(range(d + 1))
+        self.shift = [Fraction(0)] * (d + 1)
+
+    def copy(self) -> "_FractionTieGroups":
+        g = _FractionTieGroups.__new__(_FractionTieGroups)
+        g.parent = self.parent[:]
+        g.shift = self.shift[:]
+        return g
+
+    def find(self, v: int) -> tuple[int, Fraction]:
+        path = []
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        root = v
+        acc = Fraction(0)
+        for node in reversed(path):
+            acc += self.shift[node]
+            self.parent[node] = root
+            self.shift[node] = acc
+        return root, (self.shift[path[0]] if path else Fraction(0))
+
+    def union(self, j: int, k: int, delta: Fraction) -> bool:
+        rj, oj = self.find(j)
+        rk, ok = self.find(k)
+        if rj == rk:
+            return oj - ok == delta
+        self.parent[rj] = rk
+        self.shift[rj] = delta - oj + ok
+        return True
+
+
+class _FractionFeasibility:
+    """The feasibility DFS state on the arrangement's own Fraction
+    coordinates: tie groups plus a closed dict of strict lower bounds
+    x_a - x_b > c between group roots."""
+
+    def __init__(self, arr: Arrangement):
+        self.arr = arr
+        self.groups = _FractionTieGroups(arr.d)
+        self.lower: dict[tuple[int, int], Fraction] = {}
+
+    def copy(self) -> "_FractionFeasibility":
+        st = _FractionFeasibility.__new__(_FractionFeasibility)
+        st.arr = self.arr
+        st.groups = self.groups.copy()
+        st.lower = dict(self.lower)
+        return st
+
+    def add_hyperplane(self, i: int, labels) -> bool:
+        row = self.arr.apex(i).coords
+        members = sorted(labels)
+        for j in members[1:]:
+            if not self.groups.union(j, members[0], row[j - 1] - row[members[0] - 1]):
+                return False
+        lower: dict[tuple[int, int], Fraction] = {}
+
+        def put(a: int, b: int, c: Fraction) -> bool:
+            if a == b:
+                return c < 0
+            if (a, b) not in lower or c > lower[(a, b)]:
+                lower[(a, b)] = c
+            return True
+
+        for (a, b), c in self.lower.items():
+            ra, oa = self.groups.find(a)
+            rb, ob = self.groups.find(b)
+            if not put(ra, rb, c - oa + ob):
+                return False
+        outside = [k for k in range(1, self.arr.d + 1) if k not in set(members)]
+        for j in members:
+            rj, oj = self.groups.find(j)
+            for k in outside:
+                rk, ok = self.groups.find(k)
+                if not put(rj, rk, row[j - 1] - row[k - 1] - oj + ok):
+                    return False
+        nodes = sorted({a for a, _ in lower} | {b for _, b in lower})
+        for mid in nodes:
+            for a in nodes:
+                for b in nodes:
+                    if mid in (a, b) or (a, mid) not in lower or (mid, b) not in lower:
+                        continue
+                    c = lower[(a, mid)] + lower[(mid, b)]
+                    if a == b:
+                        if c >= 0:
+                            return False
+                    elif (a, b) not in lower or c > lower[(a, b)]:
+                        lower[(a, b)] = c
+        self.lower = lower
+        return True
+
+    def roots(self) -> list[int]:
+        return sorted({self.groups.find(v)[0] for v in range(1, self.arr.d + 1)})
+
+    def witness(self) -> ProjectivePoint:
+        values: dict[int, Fraction] = {}
+        for r in self.roots():
+            lo = hi = None
+            for a, val in values.items():
+                c = self.lower.get((r, a))
+                if c is not None and (lo is None or val + c > lo):
+                    lo = val + c
+                c = self.lower.get((a, r))
+                if c is not None and (hi is None or val - c < hi):
+                    hi = val - c
+            if lo is None and hi is None:
+                values[r] = Fraction(0)
+            elif hi is None:
+                values[r] = lo + 1
+            elif lo is None:
+                values[r] = hi - 1
+            else:
+                values[r] = (lo + hi) / 2
+        coords = []
+        for j in range(1, self.arr.d + 1):
+            root, off = self.groups.find(j)
+            coords.append(values[root] + off)
+        return ProjectivePoint(tuple(coords)).normalized()
+
+
+def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]:
+    """Every realizable type with witness and dimension, by the feasibility
+    DFS on Fraction coordinates (no scaling, no budget)."""
+    labels = range(1, arr.d + 1)
+    subsets = [frozenset(c) for size in labels for c in combinations(labels, size)]
+    out: dict[TypeVector, RealizationResult] = {}
+
+    def walk(i: int, state: _FractionFeasibility, prefix: tuple) -> None:
+        if i > arr.n:
+            out[TypeVector(prefix)] = RealizationResult(True, state.witness(), len(state.roots()) - 1)
+            return
+        for entry in subsets:
+            child = state.copy()
+            if child.add_hyperplane(i, entry):
+                walk(i + 1, child, prefix + (entry,))
+
+    walk(1, _FractionFeasibility(arr), ())
+    return out
+
+
+def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed: int = 0) -> frozenset:
+    """Refining triangulations by enumerating the types of every
+    apex-generic safe perturbation, repeated subdivisions included."""
+    if samples is None:
+        samples = 2 * arr.n * arr.d
+    if is_triangulation(base):
+        return frozenset({base})
+    found = set()
+    for cand in _perturbations(arr, samples, seed):
+        if is_generic(cand):
+            t = dual_subdivision(cand)
+            if is_triangulation(t):
+                assert refines(t, base)
+                found.add(t)
+    return frozenset(found)
 
 
 def _sorted_types(types) -> list[TypeVector]:

@@ -6,6 +6,8 @@ import pytest
 
 import troparr.axioms
 import troparr.duality
+import troparr.geometry
+import troparr.secondary
 from troparr import Arrangement
 from troparr.cli import (
     main,
@@ -166,14 +168,61 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
     capsys.readouterr()
 
 
+def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
+    # the input once, then one perturbation per distinct lower envelope
+    enumerations, envelopes = [], []
+    enumerate_realizations = troparr.duality.enumerate_realizations
+    regular_subdivision = troparr.secondary.regular_subdivision
+
+    def counted(arr, *args, **kwargs):
+        enumerations.append(arr)
+        return enumerate_realizations(arr, *args, **kwargs)
+
+    def recorded(weights):
+        envelopes.append(regular_subdivision(weights))
+        return envelopes[-1]
+
+    monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
+    monkeypatch.setattr(troparr.secondary, "regular_subdivision", recorded)
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 0
+    assert "triangulation 2:" in capsys.readouterr().out
+    assert len(enumerations) == 1 + len(set(envelopes))
+    assert len(set(envelopes)) < len(envelopes)
+
+
+def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
+    # a perturbation whose lower envelope is the input's own coarse
+    # subdivision cannot match its dual subdivision
+    coarse = troparr.duality.dual_subdivision(Arrangement.from_rows(E2_DOC["apexes"]))
+    monkeypatch.setattr(troparr.secondary, "regular_subdivision", lambda weights: coarse)
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency violation: "
+        "perturbation's dual subdivision differs from its lower envelope\n"
+    )
+
+
 def test_budget_exit(capsys, e2_file, monkeypatch):
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"
     monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 100)
     assert main(["check", "--input", e2_file]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
 
+
+
+def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
+    # 2 x 30: (2^30-1)(1 + 2^30-1) feasibility steps at least, refused
+    # before the 2^30-1 candidate entries are built
+    monkeypatch.setattr(troparr.geometry, "_nonempty_subsets", None)
+    path = tmp_path / "wide.txt"
+    path.write_text("2 30\n" + " ".join(str(j % 3) for j in range(30)) + "\n" + " ".join(str(j % 5) for j in range(30)) + "\n")
+    for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
+        assert main(argv + ["--format", "text", "--input", str(path)]) == 5
+        assert capsys.readouterr().err == "error: type enumeration: 200001 feasibility steps exceed budget 200000\n"
 
 def test_check_on_six_labels(tmp_path, capsys):
     # the surrounding scan used to refuse every d > 5 outright
@@ -183,6 +232,17 @@ def test_check_on_six_labels(tmp_path, capsys):
     code, out = run(capsys, ["check", "--input", str(path)])
     assert code == 0
     assert "surrounding: pass" in out and "is_tom: true" in out and "triangulation: true" in out
+
+
+def test_check_on_a_generic_five_by_four(tmp_path, capsys):
+    # (2^4-1)^5 = 759375 candidate types used to exceed the default
+    # budget; the enumeration takes a few thousand feasibility steps
+    arr = random_generic_arrangement(random.Random(54), 5, 4)
+    path = tmp_path / "five_by_four.json"
+    path.write_text(serialize_arrangement(arr, "json"))
+    code, out = run(capsys, ["check", "--input", str(path)])
+    assert code == 0
+    assert "is_tom: true" in out and "triangulation: true" in out and "cells: 35" in out
 
 
 def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monkeypatch):

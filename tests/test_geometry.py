@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+import troparr.geometry as geometry
 from troparr import (
     Arrangement,
     OrderedPartition,
     ProjectivePoint,
+    RealizationResult,
     ResourceLimitError,
     TypeVector,
     apex_type,
@@ -22,7 +25,15 @@ from troparr import (
     type_total_size,
 )
 
-from conftest import random_arrangement, random_generic_arrangement, sampled_types
+from conftest import (
+    nongeneric_on_apex,
+    nongeneric_on_ray,
+    random_arrangement,
+    random_generic_arrangement,
+    random_integer_arrangement,
+    realizations_oracle,
+    sampled_types,
+)
 
 
 def T(*entries):
@@ -156,8 +167,113 @@ def test_enumerate_types_single_hyperplane():
 
 def test_enumerate_types_budget():
     arr = Arrangement.from_rows([[0, 0, 0], [1, 1, 0]])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 11 feasibility steps exceed budget 10$"):
         enumerate_types(arr, budget=10)
+
+
+def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
+    # the budget is the number of add_hyperplane calls the walk makes,
+    # not the (2^d-1)^n = 759375 candidate types of a (5,4) input
+    arr = random_arrangement(random.Random(54), 5, 4)
+    calls = []
+    add_hyperplane = geometry._Feasibility.add_hyperplane
+
+    def counted(state, i, labels):
+        calls.append(i)
+        return add_hyperplane(state, i, labels)
+
+    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
+    types = enumerate_types(arr, budget=10**9)
+    steps = len(calls)
+    assert steps < 20_000 < (2 ** 4 - 1) ** 5
+    assert enumerate_types(arr, budget=steps) == types
+    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+        enumerate_types(arr, budget=steps - 1)
+
+
+
+def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):
+    # every first entry is feasible and each tries all m second entries,
+    # so the walk takes at least m + m^2 steps (m if n = 1), m = 2^d - 1;
+    # below that the refusal comes before any step, with the walk's message
+    calls = []
+    add_hyperplane = geometry._Feasibility.add_hyperplane
+
+    def counted(state, i, labels):
+        calls.append(i)
+        return add_hyperplane(state, i, labels)
+
+    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
+    rng = random.Random(2026)
+    for n, d in [(1, 2), (1, 4), (2, 3), (3, 3), (2, 4), (4, 3)]:
+        arr = random_arrangement(rng, n, d)
+        m = 2 ** d - 1
+        floor = m * (1 + m * (n >= 2))
+        calls.clear()
+        enumerate_types(arr, budget=10**9)
+        assert len(calls) >= floor
+        if n == 1:
+            assert len(calls) == floor
+            assert enumerate_types(arr, budget=floor)
+        calls.clear()
+        for budget in (0, floor // 2, floor - 1):
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
+                enumerate_types(arr, budget=budget)
+        assert calls == []
+    # a large d is refused without building its 2^d - 1 candidate entries
+    monkeypatch.setattr(geometry, "_nonempty_subsets", None)
+    for n, d in [(1, 40), (2, 40), (2, 17)]:
+        with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
+            enumerate_types(Arrangement.from_rows([[0] * d] * n))
+
+def _assert_matches_oracle(arr, rng):
+    expected = realizations_oracle(arr)
+    assert enumerate_realizations(arr) == expected
+    for T_, result in expected.items():
+        assert realizable(arr, T_) == result
+    labels = range(1, arr.d + 1)
+    for _ in range(20):
+        T_ = TypeVector(tuple(frozenset(rng.sample(labels, rng.randint(1, arr.d))) for _ in range(arr.n)))
+        assert realizable(arr, T_) == expected.get(T_, RealizationResult(False))
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    # types, witnesses and dimensions of the scaled int kernel equal the
+    # Fraction DFS on every slice kind, degenerate ones included
+    rng = random.Random(5150)
+    shapes = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
+    for n, d in shapes:
+        draws = [
+            random_integer_arrangement(rng, n, d),
+            random_arrangement(rng, n, d),
+            nongeneric_on_apex(rng, n, d)[0],
+            nongeneric_on_ray(rng, n, d)[0],
+        ]
+        for arr in draws:
+            _assert_matches_oracle(arr, rng)
+    _assert_matches_oracle(random_arrangement(rng, 4, 4), rng)
+
+
+def test_integer_kernel_with_large_coprime_denominators():
+    # denominators are distinct primes below 10^4, so the scale D is
+    # their product (up to 36 digits) and the witnesses need every digit
+    primes = iter(p for p in range(9999, 9000, -1) if all(p % q for q in range(2, 100)))
+    rng = random.Random(10007)
+
+    def entry() -> Fraction:
+        p = next(primes)
+        return Fraction(rng.randint(1, p - 1) + p * rng.randint(-3, 2), p)
+
+    for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]:
+        rows = [[entry() for _ in range(d - 1)] + [0] for _ in range(n)]
+        arr = Arrangement.from_rows(rows)
+        assert geometry._Feasibility(arr).scale == prod(x.denominator for row in rows for x in row)
+        _assert_matches_oracle(arr, rng)
+    # an on-apex copy of a large-denominator row ties exactly
+    rows = [[Fraction(1, 9973), Fraction(-2, 9967), 0], [Fraction(5, 9949), Fraction(7, 9941), 0]]
+    arr = Arrangement.from_rows(rows + [rows[0]])
+    assert not is_generic(arr)
+    _assert_matches_oracle(arr, rng)
 
 
 def test_boundary_types_always_present():

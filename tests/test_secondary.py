@@ -18,7 +18,16 @@ from troparr import (
     secondary_face_check,
 )
 
-from conftest import nongeneric_on_ray, random_generic_arrangement
+from troparr.linalg import rank
+
+from conftest import (
+    affine_rank_oracle,
+    nongeneric_on_apex,
+    nongeneric_on_ray,
+    random_generic_arrangement,
+    random_integer_arrangement,
+    refinements_oracle,
+)
 
 
 def G(n, d, *edges):
@@ -67,6 +76,25 @@ def test_refinements_match_coordinate_perturbations(e2):
     assert plus_x != plus_y
 
 
+def test_refinements_match_the_loop_over_every_candidate(e2):
+    # enumerating one candidate per distinct envelope finds the same set
+    # as enumerating every apex-generic candidate
+    rng = random.Random(2718)
+    doubly = Arrangement.from_rows([[0, 0, 0], [3, 1, 0], [1, 1, 0]])
+    cases = [(e2, None, 0), (e2, 100, 5), (doubly, 40, 0), (doubly, 100, 7)]
+    cases += [(nongeneric_on_ray(rng, n)[0], None, 0) for n in (2, 3, 3, 4)]
+    cases += [(nongeneric_on_apex(rng, n)[0], None, 0) for n in (2, 3, 4)]
+    for arr, samples, seed in cases:
+        base = dual_subdivision(arr)
+        found = refining_triangulations(arr, base, samples, seed)
+        assert len(found) >= 2
+        assert found == refinements_oracle(arr, base, samples, seed)
+    integer = [random_integer_arrangement(rng, n, d) for n, d in [(2, 3), (3, 3), (4, 3), (2, 4)] * 3]
+    for arr in integer:
+        base = dual_subdivision(arr)
+        assert refining_triangulations(arr, base) == refinements_oracle(arr, base)
+
+
 def test_every_refinement_refines_the_coarse_subdivision(e2):
     base = dual_subdivision(e2)
     for t in refining_triangulations(e2, base):
@@ -88,6 +116,23 @@ def test_gkz_sums(e2):
         assert gkz_vector(t).total() == 4 * 3  # (n+d-1) * volume
     with pytest.raises(ValueError):
         gkz_vector(dual_subdivision(e2))  # not a triangulation
+
+
+def test_rank_matches_sympy():
+    # int rows (GKZ differences) and Fraction rows, with dependent rows
+    # and all-zero pivot columns mixed in
+    rng = random.Random(4141)
+    for _ in range(300):
+        cols = rng.randint(1, 7)
+        basis = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            rows.append([sum(k * b[c] for k, b in zip(coeffs, basis)) for c in range(cols)])
+        if rng.random() < 0.3:
+            rows = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
+        assert rank(rows) == affine_rank_oracle([[0] * cols] + rows)
+    assert rank([]) == 0
 
 
 def test_secondary_face_check_e2(e2):
