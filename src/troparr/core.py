@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-#: Cap on the feasibility steps (candidate entries tried on a feasible
-#: prefix) one type enumeration may take; a generic (5,4) takes about
-#: 5,800.
+#: Cap on the feasibility steps (candidate entries generated on a
+#: feasible prefix and tested) one type enumeration may take; a generic
+#: (5,4) takes 735, one per realizable prefix.
 DEFAULT_BUDGET = 200_000
 
 

@@ -2,7 +2,8 @@
 arrangement generators, and independent oracles (sampling, exact rank
 and determinant via sympy, direct scans for the axiom checks and the
 lower envelope, the feasibility DFS on Fraction coordinates, flips
-without the envelope dedupe) used to cross-check the main code paths."""
+without the envelope dedupe) used to cross-check the main code paths,
+and the ``--grid`` option that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
@@ -32,6 +33,28 @@ from troparr import (
     type_of_point,
 )
 from troparr.secondary import _perturbations
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--grid",
+        action="store_true",
+        default=False,
+        help="also run the larger exhaustive grids (tests marked large_grid)",
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "large_grid: an exhaustive grid run only under --grid")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--grid", default=False):
+        return
+    skip = pytest.mark.skip(reason="larger grid; run with --grid")
+    for item in items:
+        if "large_grid" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

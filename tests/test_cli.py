@@ -215,9 +215,9 @@ def test_budget_exit(capsys, e2_file, monkeypatch):
 
 
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
-    # 2 x 30: (2^30-1)(1 + 2^30-1) feasibility steps at least, refused
-    # before the 2^30-1 candidate entries are built
-    monkeypatch.setattr(troparr.geometry, "_nonempty_subsets", None)
+    # 2 x 30: 2(2^30-1) feasibility steps at least, refused before any
+    # candidate entry is generated
+    monkeypatch.setattr(troparr.geometry, "_cliques", None)
     path = tmp_path / "wide.txt"
     path.write_text("2 30\n" + " ".join(str(j % 3) for j in range(30)) + "\n" + " ".join(str(j % 5) for j in range(30)) + "\n")
     for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
@@ -236,7 +236,7 @@ def test_check_on_six_labels(tmp_path, capsys):
 
 def test_check_on_a_generic_five_by_four(tmp_path, capsys):
     # (2^4-1)^5 = 759375 candidate types used to exceed the default
-    # budget; the enumeration takes a few thousand feasibility steps
+    # budget; the enumeration takes 735 feasibility steps
     arr = random_generic_arrangement(random.Random(54), 5, 4)
     path = tmp_path / "five_by_four.json"
     path.write_text(serialize_arrangement(arr, "json"))

@@ -171,18 +171,23 @@ def test_enumerate_types_budget():
         enumerate_types(arr, budget=10)
 
 
+def _counted_steps(monkeypatch) -> list[bool]:
+    results = []
+    add_hyperplane = geometry._Feasibility.add_hyperplane
+
+    def counted(state, i, labels):
+        results.append(add_hyperplane(state, i, labels))
+        return results[-1]
+
+    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
+    return results
+
+
 def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
     # the budget is the number of add_hyperplane calls the walk makes,
     # not the (2^d-1)^n = 759375 candidate types of a (5,4) input
     arr = random_arrangement(random.Random(54), 5, 4)
-    calls = []
-    add_hyperplane = geometry._Feasibility.add_hyperplane
-
-    def counted(state, i, labels):
-        calls.append(i)
-        return add_hyperplane(state, i, labels)
-
-    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
+    calls = _counted_steps(monkeypatch)
     types = enumerate_types(arr, budget=10**9)
     steps = len(calls)
     assert steps < 20_000 < (2 ** 4 - 1) ** 5
@@ -192,23 +197,39 @@ def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
 
 
 
+def test_most_feasibility_steps_succeed(monkeypatch):
+    # only entries passing the pairwise tests are tried; scanning all
+    # 2^d - 1 entries per prefix made 13% of the steps feasible at (5,4)
+    # and 6% at (3,6)
+    results = _counted_steps(monkeypatch)
+    for n, d in [(5, 4), (3, 6)]:
+        results.clear()
+        enumerate_types(random_generic_arrangement(random.Random(54), n, d))
+        assert 2 * sum(results) >= len(results)
+
+
+def test_identical_rows_take_one_step_per_entry(monkeypatch):
+    # the second of two equal hyperplanes can only repeat the first
+    # entry, so 4095 types take 2 * 4095 steps; a scan of every entry
+    # per prefix would test 4095^2 of them
+    results = _counted_steps(monkeypatch)
+    types = enumerate_types(Arrangement.from_rows([[0] * 12] * 2))
+    assert len(types) == 4095
+    assert all(A == B for A, B in (t.entries for t in types))
+    assert len(results) == 2 * 4095 and all(results)
+
+
 def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):
-    # every first entry is feasible and each tries all m second entries,
-    # so the walk takes at least m + m^2 steps (m if n = 1), m = 2^d - 1;
-    # below that the refusal comes before any step, with the walk's message
-    calls = []
-    add_hyperplane = geometry._Feasibility.add_hyperplane
-
-    def counted(state, i, labels):
-        calls.append(i)
-        return add_hyperplane(state, i, labels)
-
-    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
+    # every one of the m = 2^d - 1 first entries is feasible and each has
+    # a feasible second entry, so the walk takes at least 2m steps (m if
+    # n = 1); below that the refusal comes before any step, with the
+    # walk's message
+    calls = _counted_steps(monkeypatch)
     rng = random.Random(2026)
     for n, d in [(1, 2), (1, 4), (2, 3), (3, 3), (2, 4), (4, 3)]:
         arr = random_arrangement(rng, n, d)
         m = 2 ** d - 1
-        floor = m * (1 + m * (n >= 2))
+        floor = m * (1 + (n >= 2))
         calls.clear()
         enumerate_types(arr, budget=10**9)
         assert len(calls) >= floor
@@ -220,8 +241,8 @@ def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypat
             with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
                 enumerate_types(arr, budget=budget)
         assert calls == []
-    # a large d is refused without building its 2^d - 1 candidate entries
-    monkeypatch.setattr(geometry, "_nonempty_subsets", None)
+    # a large d is refused before any candidate entry is generated
+    monkeypatch.setattr(geometry, "_cliques", None)
     for n, d in [(1, 40), (2, 40), (2, 17)]:
         with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
             enumerate_types(Arrangement.from_rows([[0] * d] * n))
