@@ -21,8 +21,8 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .duality import check_correspondence, dual_subdivision
-from .geometry import is_generic, type_of_point
+from .duality import check_correspondence, dual_subdivision, is_triangulation
+from .geometry import ApexStatus, is_generic, type_of_point
 from .secondary import secondary_face_check
 
 OK, PARSE, DIMENSION, INCONSISTENT, BUDGET, RENDER_DIM, IO = 0, 2, 3, 4, 5, 6, 7
@@ -200,13 +200,10 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
+    sub = dual_subdivision(arr, args.budget)
     verdict = None
-    genericity = is_generic(arr) if args.flips else None
-    if args.flips and not genericity:
-        verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget, genericity=genericity)
-        sub = verdict.subdivision
-    else:
-        sub = dual_subdivision(arr, args.budget)
+    if args.flips and not is_triangulation(sub):
+        verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)
     lines = ["cells:"]
     cells_json = []
     for g in sub.sorted_cells():
@@ -245,11 +242,11 @@ def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     return OK, lines, results
 
 
-def render_svg(arr: Arrangement) -> str:
+def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
     """SVG picture of a d=3 arrangement: per hyperplane, three rays from
     the planar apex (v_i1 - v_i3, v_i2 - v_i3) in directions (1,1),
-    (0,-1), (-1,0); hyperplanes with a non-generic apex are drawn bold."""
-    report = is_generic(arr)
+    (0,-1), (-1,0); hyperplanes whose apex status (``statuses``, from
+    :func:`is_generic`) is over its bound are drawn bold."""
     pts = [(p[0] - p[2], p[1] - p[2]) for p in arr.apexes]
     xs = [float(x) for x, _ in pts]
     ys = [float(y) for _, y in pts]
@@ -273,7 +270,7 @@ def render_svg(arr: Arrangement) -> str:
     thin = f"{span / 150:.6g}"
     thick = f"{span / 50:.6g}"
     directions = ((1.0, 1.0), (0.0, -1.0), (-1.0, 0.0))
-    for status, (ax, ay) in zip(report.apexes, pts):
+    for status, (ax, ay) in zip(statuses, pts):
         bold = not status.generic
         for dx, dy in directions:
             x2 = float(ax) + ray_len * dx
@@ -291,7 +288,7 @@ def render_svg(arr: Arrangement) -> str:
                     "stroke-width": thick if bold else thin,
                 },
             )
-    for status, (ax, ay) in zip(report.apexes, pts):
+    for ax, ay in pts:
         ET.SubElement(
             svg,
             "circle",
@@ -309,13 +306,14 @@ def render_svg(arr: Arrangement) -> str:
 def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     if arr.d != 3:
         raise CliError(RENDER_DIM, f"rendering needs d=3, got d={arr.d}")
-    svg = render_svg(arr)
+    statuses = is_generic(arr).apexes
+    svg = render_svg(arr, statuses)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
         raise CliError(IO, f"cannot write {args.out}: {exc}")
-    bold = sum(3 for st in is_generic(arr).apexes if not st.generic)
+    bold = sum(3 for st in statuses if not st.generic)
     lines = [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {bold}"]
     return OK, lines, {"svg": args.out, "rays": 3 * arr.n, "bold": bold}
 

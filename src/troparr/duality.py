@@ -13,7 +13,9 @@ whose simplices are spanning trees of K_{n,d}; the walk moves from tree
 to tree across shared facets and maps each tree to the coarse cell that
 holds it.  A full triangulation has C(n+d-2, n-1) trees and each costs
 O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
-subsets.
+subsets.  The walk yields its cells lazily, so
+:func:`regular_triangulation`, which decides genericity, stops at the
+first cell that is not a spanning tree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
 from .geometry import GenericityReport, enumerate_realizations, is_generic, realizable
@@ -158,9 +160,10 @@ def _side(tree: frozenset[tuple[int, int]], a: int, b: int) -> set[int]:
 
 def _pivot_walk(
     n: int, d: int, weights: Sequence[Sequence[Fraction]], support: Iterable[tuple[int, int]]
-) -> list[frozenset[tuple[int, int]]]:
+) -> Iterator[frozenset[tuple[int, int]]]:
     """Coarse cell of every simplex of a fine regular triangulation of the
-    lower envelope over a spanning connected support edge set.
+    lower envelope over a spanning connected support edge set, yielded
+    one simplex at a time, so a caller may stop at any cell.
 
     Nodes are left i -> i-1 and right j -> n+j-1.  The integer heights
     H_ij = D w_ij 3^(nd) + 3^((i-1)d+(j-1)), D the lcm of the
@@ -172,7 +175,8 @@ def _pivot_walk(
     below 3^(nd)/2 (the edges tight under w).  Each pivot drops a tree
     edge and raises the side holding its left end until the first
     support edge into that side turns tight; the walk visits every tree
-    once in O((n+d) nd) each.
+    once in O((n+d) nd) each.  Over the full support, a walk run to its
+    end checks that it visited all C(n+d-2, n-1) simplices.
     """
     scale = 3 ** (n * d)
     den = lcm(*(w.denominator for row in weights for w in row))
@@ -190,10 +194,10 @@ def _pivot_walk(
         else:
             p[a] = max(p[y] - h for x, y, h in edges if x == a and y in p)
     tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
-    queue, seen, cells = [(tree, p)], {tree}, []
+    queue, seen = [(tree, p)], {tree}
     for tree, p in queue:
         slack = {(a, b): h - p[b] + p[a] for a, b, h in edges}
-        cells.append(frozenset((a + 1, b - n + 1) for (a, b), s in slack.items() if 2 * s < scale))
+        yield frozenset((a + 1, b - n + 1) for (a, b), s in slack.items() if 2 * s < scale)
         for a, b in tree:
             side = _side(tree, a, b)
             entering = [(s, e) for e, s in slack.items() if e[0] not in side and e[1] in side]
@@ -205,11 +209,10 @@ def _pivot_walk(
                 seen.add(pivot)
                 queue.append((pivot, {v: x + t if v in side else x for v, x in p.items()}))
     expected = comb(n + d - 2, n - 1)
-    if len(edges) == n * d and len(cells) != expected:
+    if len(edges) == n * d and len(queue) != expected:
         raise RuntimeError(
-            f"pivot walk visited {len(cells)} of {expected} simplices of a {n}x{d} triangulation"
+            f"pivot walk visited {len(queue)} of {expected} simplices of a {n}x{d} triangulation"
         )
-    return cells
 
 
 def regular_subdivision(weights) -> Subdivision:
@@ -224,6 +227,24 @@ def regular_subdivision(weights) -> Subdivision:
     n, d = len(rows), len(rows[0])
     support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
     return Subdivision(n, d, frozenset(CellGraph(n, d, c) for c in _pivot_walk(n, d, rows, support)))
+
+
+def regular_triangulation(weights) -> Subdivision | None:
+    """:func:`regular_subdivision` when it is a triangulation, else None.
+
+    It is one exactly when the heights are tropically generic: every
+    square minor has a min-plus determinant attained by one permutation
+    only.  The walk stops at the first cell that is not a spanning tree.
+    """
+    rows = _coerce_weights(weights)
+    n, d = len(rows), len(rows[0])
+    support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+    cells = []
+    for cell in _pivot_walk(n, d, rows, support):
+        if len(cell) != n + d - 1:
+            return None
+        cells.append(CellGraph(n, d, cell))
+    return Subdivision(n, d, frozenset(cells))
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:
@@ -248,7 +269,7 @@ def normalized_volume(g: CellGraph) -> int:
         raise ValueError("normalized volume needs a full-dimensional cell")
     if len(g.edges) == g.n + g.d - 1:
         return 1
-    return len(_pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges))
+    return sum(1 for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges))
 
 
 def is_triangulation(sub: Subdivision) -> bool:
@@ -286,10 +307,17 @@ class CorrespondenceVerdict:
 def check_correspondence(arr: Arrangement, budget: int | None = None) -> CorrespondenceVerdict:
     """Genericity, axiom checks and triangulation status, plus whether
     generic => (matroid and triangulation) and non-generic => not a
-    triangulation hold for this arrangement."""
+    triangulation hold for this arrangement.
+
+    The budgeted enumeration runs first.  The genericity walk then visits
+    at most one tree per 0-dimensional type found, plus one, before it
+    meets a cell that is not a tree.  Its cells come from the lower
+    envelope, the triangulation status from the types, so the two
+    implications cross-check independent computations.
+    """
+    realizations = enumerate_realizations(arr, budget)
     genericity = is_generic(arr)
     generic = bool(genericity)
-    realizations = enumerate_realizations(arr, budget)
     types = frozenset(realizations)
     report = is_tropical_oriented_matroid(types, arr.n, arr.d)
     sub = _subdivision_of(arr, realizations)

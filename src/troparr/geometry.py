@@ -1,6 +1,14 @@
 """Types of points, exact realizability of candidate types, genericity,
 full type enumeration, refinements, and safe perturbations.
 
+Genericity is tropical: every square minor of the apex matrix has a
+min-plus determinant attained by one permutation only.  It is read off
+the pivot walk over the lower envelope of the apex matrix (see
+:mod:`troparr.duality`).  Apex types are reported beside it as
+diagnostics only: an apex on a proper face of another hyperplane's fan
+ties a 2x2 minor, but a minor can also tie while every apex type keeps
+its minimal size n+d-1.
+
 A candidate type imposes, hyperplane by hyperplane, that the listed
 coordinates tie (after subtracting the apex row) and strictly beat the
 rest.  The ties merge coordinates into rigid groups carrying exact
@@ -389,9 +397,11 @@ def apex_type(arr: Arrangement, i: int) -> TypeVector:
 
 @dataclass(frozen=True)
 class ApexStatus:
-    """Genericity data for one apex: its type, the total label count, the
+    """Diagnostic data for one apex: its type, the total label count, the
     n+d-1 reference bound, and the positions (other hyperplanes) whose
-    entry has 2 or more labels."""
+    entry has 2 or more labels.  An apex over the bound lies on a proper
+    face of another hyperplane's fan, which makes the arrangement
+    non-generic; the converse fails."""
 
     index: int
     type: TypeVector
@@ -406,6 +416,11 @@ class ApexStatus:
 
 @dataclass(frozen=True)
 class GenericityReport:
+    """``generic``: whether the arrangement is tropically generic, that is,
+    whether its lower-envelope subdivision is a triangulation.
+    ``apexes``: the status of each apex, for diagnostics; they do not
+    decide ``generic``."""
+
     generic: bool
     apexes: tuple[ApexStatus, ...]
 
@@ -414,11 +429,18 @@ class GenericityReport:
 
 
 def is_generic(arr: Arrangement) -> GenericityReport:
-    """Whether no apex lies on a proper face of another hyperplane's fan.
+    """Whether every square minor of the apex matrix has a min-plus
+    determinant attained by exactly one permutation, with each apex's
+    status beside it.
 
-    Equivalently, every apex type has total size exactly n+d-1; an apex
-    sitting on a proper fan face picks up extra labels and exceeds it.
+    That holds exactly when the lower-envelope subdivision of the apex
+    matrix is a triangulation (Develin-Sturmfels): a tie puts both
+    optimal matchings of the minor into one cell, which is then no
+    spanning tree.  The pivot walk over the envelope stops at the first
+    cell that is not a tree.
     """
+    from .duality import regular_triangulation  # duality imports this module at load time
+
     bound = arr.n + arr.d - 1
     statuses = []
     for i in range(1, arr.n + 1):
@@ -427,7 +449,7 @@ def is_generic(arr: Arrangement) -> GenericityReport:
             pos for pos, entry in enumerate(T.entries, 1) if pos != i and len(entry) >= 2
         )
         statuses.append(ApexStatus(i, T, type_total_size(T), bound, offending))
-    return GenericityReport(all(s.generic for s in statuses), tuple(statuses))
+    return GenericityReport(regular_triangulation(arr.rows()) is not None, tuple(statuses))
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:

@@ -1,11 +1,14 @@
 """Refinements of a degenerate arrangement's subdivision, flip detection,
 and the vertex-volume (GKZ) vectors spanning secondary-polytope faces.
 
-A non-generic arrangement sits on a wall between generic ones; nudging
-its apexes by less than the safe radius lands on the neighbouring
-generic arrangements, whose triangulations refine the coarse
-subdivision.  The affine span of their GKZ vectors measures the
-dimension of the secondary-polytope face the wall corresponds to.
+A non-generic arrangement, one whose subdivision is not a triangulation,
+sits on a wall between generic ones; nudging its apexes by less than the
+safe radius lands on the neighbouring generic arrangements, whose
+triangulations refine the coarse subdivision.  A nudged arrangement is
+generic exactly when the lower envelope of its apex matrix is a
+triangulation, so reading that envelope is the genericity test.  The affine
+span of the GKZ vectors measures the dimension of the secondary-polytope
+face the wall corresponds to.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .core import Arrangement, CellGraph
 from .duality import (
@@ -21,9 +23,9 @@ from .duality import (
     dual_subdivision,
     is_triangulation,
     normalized_volume,
-    regular_subdivision,
+    regular_triangulation,
 )
-from .geometry import GenericityReport, is_generic, perturb, safe_radius
+from .geometry import perturb, safe_radius
 from .linalg import rank
 
 #: Parameter pairs (n, d) for which every triangulation of the product
@@ -146,9 +148,10 @@ def refining_triangulations(
     refines ``base``, the arrangement's own subdivision, so a
     triangulation ``base`` is its own only refinement.
 
-    Many perturbations land on the same subdivision, so each candidate's
-    subdivision is first read off the lower envelope of its apex matrix
-    (``regular_subdivision``, no type enumeration); only the first
+    Each candidate's triangulation is first read off the lower envelope
+    of its apex matrix (``regular_triangulation``, no type enumeration),
+    which exists exactly when the candidate is generic.  Many
+    perturbations land on the same triangulation, so only the first
     candidate giving a new one has its types enumerated, and the dual
     subdivision found must equal the envelope's.
     """
@@ -158,26 +161,16 @@ def refining_triangulations(
         raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
     if is_triangulation(base):
         return frozenset({base})
-    seen: set[Subdivision] = set()
     found: set[Subdivision] = set()
     for cand in _perturbations(arr, samples, seed):
-        if not is_generic(cand):
+        envelope = regular_triangulation(cand.rows())
+        if envelope is None or envelope in found:
             continue
-        envelope = regular_subdivision(cand.rows())
-        if envelope in seen:
-            continue
-        seen.add(envelope)
-        t = dual_subdivision(cand, budget)
-        if t != envelope:
+        if dual_subdivision(cand, budget) != envelope:
             raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-        # an apex-generic perturbation can still leave non-apex ray
-        # coincidences (a residual wall); those are not triangulations
-        # and are skipped like the non-generic ones
-        if not is_triangulation(t):
-            continue
-        if not refines(t, base):
+        if not refines(envelope, base):
             raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-        found.add(t)
+        found.add(envelope)
     return frozenset(found)
 
 
@@ -187,7 +180,6 @@ class SecondaryFaceVerdict:
     arrangement."""
 
     subdivision: Subdivision
-    coarse_is_triangulation: bool
     refinements: tuple[Subdivision, ...]
     gkz_vectors: tuple[GKZVector, ...]
     face_dimension: int
@@ -199,11 +191,7 @@ class SecondaryFaceVerdict:
 
     @property
     def passes(self) -> bool:
-        return (
-            not self.coarse_is_triangulation
-            and self.refinement_count >= 2
-            and self.face_dimension >= 1
-        )
+        return self.refinement_count >= 2 and self.face_dimension >= 1
 
 
 def _affine_dimension(vectors) -> int:
@@ -216,20 +204,16 @@ def _affine_dimension(vectors) -> int:
 
 def secondary_face_check(
     arr: Arrangement,
+    sub: Subdivision,
     samples: int | None = None,
     seed: int = 0,
     budget: int | None = None,
-    genericity: GenericityReport | None = None,
 ) -> SecondaryFaceVerdict:
-    """For a non-generic arrangement: its subdivision must not be a
-    triangulation, at least two refining triangulations must exist, and
-    the affine hull of their GKZ vectors must have positive dimension.
-    ``genericity`` is the arrangement's report if the caller has it."""
-    if genericity is None:
-        genericity = is_generic(arr)
-    if genericity:
+    """For a non-generic arrangement with subdivision ``sub`` (not a
+    triangulation): at least two refining triangulations must exist, and
+    the affine hull of their GKZ vectors must have positive dimension."""
+    if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
-    sub = dual_subdivision(arr, budget)
     tris = sorted(
         refining_triangulations(arr, sub, samples, seed, budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
@@ -237,7 +221,6 @@ def secondary_face_check(
     gkz = tuple(_gkz(t) for t in tris)
     return SecondaryFaceVerdict(
         subdivision=sub,
-        coarse_is_triangulation=is_triangulation(sub),
         refinements=tuple(tris),
         gkz_vectors=gkz,
         face_dimension=_affine_dimension(gkz),

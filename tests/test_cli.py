@@ -8,7 +8,7 @@ import troparr.axioms
 import troparr.duality
 import troparr.geometry
 import troparr.secondary
-from troparr import Arrangement
+from troparr import Arrangement, CellGraph
 from troparr.cli import (
     main,
     parse_arrangement_json,
@@ -21,11 +21,22 @@ from conftest import nongeneric_on_ray, random_arrangement, random_generic_arran
 
 E2_DOC = {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["1", "1", "0"]]}
 
+# every apex type has total n+d-1, yet the min-plus determinant of the
+# minor on rows 1, 3, 4 is attained twice, so a cell of volume 3 remains
+TIED_MINOR = "4 3\n3 -2 0\n0 -4 0\n-4 -5 0\n-1 1 0\n"
+
 
 @pytest.fixture
 def e2_file(tmp_path):
     path = tmp_path / "e2.json"
     path.write_text(json.dumps(E2_DOC))
+    return str(path)
+
+
+@pytest.fixture
+def tied_minor_file(tmp_path):
+    path = tmp_path / "tied_minor.txt"
+    path.write_text(TIED_MINOR)
     return str(path)
 
 
@@ -105,6 +116,14 @@ def test_cmd_check_e2(capsys, e2_file):
     assert "consistent: true" in out
 
 
+def test_cmd_check_tied_minor_with_generic_apexes(capsys, tied_minor_file):
+    code, out = run(capsys, ["check", "--format", "text", "--input", tied_minor_file])
+    assert code == 0
+    assert out.count(" bound 6 ok") == 4
+    assert "generic: false" in out and "triangulation: false" in out
+    assert "consistent: true" in out
+
+
 def test_cmd_check_json_deterministic(capsys, e2_file):
     code1, out1 = run(capsys, ["check", "--input", e2_file, "--json"])
     code2, out2 = run(capsys, ["check", "--input", e2_file, "--json"])
@@ -141,6 +160,14 @@ def test_cmd_subdivision_flips(capsys, e2_file):
     assert out2.replace(" --seed 0", "") == out  # same content modulo the echo
 
 
+def test_cmd_subdivision_flips_tied_minor_with_generic_apexes(capsys, tied_minor_file):
+    code, out = run(capsys, ["subdivision", "--flips", "--format", "text", "--input", tied_minor_file])
+    assert code == 0
+    assert "] vol 3" in out
+    assert "already a triangulation" not in out
+    assert "triangulation 2:" in out and "face_dimension: 1" in out
+
+
 def test_cmd_subdivision_flips_on_generic(tmp_path, capsys):
     rng = random.Random(77)
     arr = random_generic_arrangement(rng, 2, 3)
@@ -170,31 +197,35 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
 
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
     # the input once, then one perturbation per distinct lower envelope
+    # that is a triangulation
     enumerations, envelopes = [], []
     enumerate_realizations = troparr.duality.enumerate_realizations
-    regular_subdivision = troparr.secondary.regular_subdivision
+    regular_triangulation = troparr.secondary.regular_triangulation
 
     def counted(arr, *args, **kwargs):
         enumerations.append(arr)
         return enumerate_realizations(arr, *args, **kwargs)
 
     def recorded(weights):
-        envelopes.append(regular_subdivision(weights))
+        envelopes.append(regular_triangulation(weights))
         return envelopes[-1]
 
     monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
-    monkeypatch.setattr(troparr.secondary, "regular_subdivision", recorded)
+    monkeypatch.setattr(troparr.secondary, "regular_triangulation", recorded)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
     assert "triangulation 2:" in capsys.readouterr().out
-    assert len(enumerations) == 1 + len(set(envelopes))
-    assert len(set(envelopes)) < len(envelopes)
+    triangulated = {e for e in envelopes if e is not None}
+    assert len(enumerations) == 1 + len(triangulated)
+    assert len(triangulated) < len(envelopes)
 
 
 def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
-    # a perturbation whose lower envelope is the input's own coarse
-    # subdivision cannot match its dual subdivision
-    coarse = troparr.duality.dual_subdivision(Arrangement.from_rows(E2_DOC["apexes"]))
-    monkeypatch.setattr(troparr.secondary, "regular_subdivision", lambda weights: coarse)
+    # every perturbation of E2 refines its simplex [(1,1),(1,2),(1,3),(2,3)],
+    # so a triangulated envelope without that simplex matches no dual
+    # subdivision
+    other = troparr.duality.regular_triangulation([[2, 1, 0], [0, 0, 0]])
+    assert CellGraph(2, 3, frozenset({(1, 1), (1, 2), (1, 3), (2, 3)})) not in other.maximal_cells
+    monkeypatch.setattr(troparr.secondary, "regular_triangulation", lambda weights: other)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -319,7 +350,7 @@ def test_render_unwritable_path(capsys, e2_file, tmp_path):
 
 def test_render_svg_is_well_formed(e2_file):
     arr = Arrangement.from_rows(E2_DOC["apexes"])
-    svg = render_svg(arr)
+    svg = render_svg(arr, troparr.geometry.is_generic(arr).apexes)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     lines, circles, bold = _ray_elements(svg)

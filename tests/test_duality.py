@@ -24,7 +24,7 @@ from troparr import (
 )
 
 import troparr.duality
-from troparr.duality import is_spanning_connected
+from troparr.duality import is_spanning_connected, regular_triangulation
 
 from conftest import (
     envelope_oracle,
@@ -157,6 +157,7 @@ def test_pivot_walk_matches_envelope_oracle(n, d):
     for rows in draws:
         sub = regular_subdivision(rows)
         assert sub.maximal_cells == envelope_oracle(n, d, rows, full_support(n, d))
+        assert regular_triangulation(rows) == (sub if is_triangulation(sub) else None)
         for g in sub.maximal_cells:
             assert normalized_volume(g) == volume_oracle(g)
         assert sum(sub.volumes.values()) == comb(n + d - 2, n - 1)

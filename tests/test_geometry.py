@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+import troparr.duality
 import troparr.geometry as geometry
 from troparr import (
     Arrangement,
@@ -84,6 +85,26 @@ def test_is_generic_reports(e1, e2):
     assert bad.total == 5 and bad.bound == 4 and bad.offending == (1,)
     single = Arrangement.from_rows([[5, 0, 2]])
     assert is_generic(single)
+    # every apex at its bound, but the minor on rows 1, 3, 4 ties
+    tied = Arrangement.from_rows([[3, -2, 0], [0, -4, 0], [-4, -5, 0], [-1, 1, 0]])
+    rep3 = is_generic(tied)
+    assert not rep3 and all(st.generic for st in rep3.apexes)
+
+
+def test_is_generic_stops_at_the_first_cell_that_is_not_a_tree(monkeypatch):
+    # 30 equal rows at d = 4: the first cell is the whole product, where a
+    # full walk would visit C(32, 29) = 4960 trees
+    yields = []
+    walk = troparr.duality._pivot_walk
+
+    def counted(*args):
+        for cell in walk(*args):
+            yields.append(cell)
+            yield cell
+
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    assert not is_generic(Arrangement.from_rows([[0] * 4] * 30))
+    assert len(yields) == 1
 
 
 def test_projective_invariance_of_types():

@@ -2,8 +2,10 @@
 and last column 0, degenerate ones included.
 
 The (2,3) and (3,3) grids run by default.  ``--grid`` adds the larger
-ones: (3,3) and (2,4) against the Fraction oracle, and dual subdivision
-against lower envelope on the 6,561 inputs at (4,3).
+ones: (3,3) and (2,4) against the Fraction oracle, genericity and the
+verdict at (2,4), the secondary-face check on the (3,3) and (2,4) inputs
+whose apexes all look generic although a minor ties, and dual
+subdivision against lower envelope on the 6,561 inputs at (4,3).
 """
 
 from itertools import product
@@ -13,13 +15,18 @@ import pytest
 from troparr import (
     Arrangement,
     arrangement_heights,
+    check_correspondence,
+    dual_subdivision,
     enumerate_realizations,
+    is_generic,
+    is_triangulation,
     realizable,
     regular_subdivision,
+    secondary_face_check,
 )
 from troparr.duality import _subdivision_of
 
-from conftest import realizations_oracle
+from conftest import genericity_oracle, realizations_oracle
 
 
 def grid(n: int, d: int):
@@ -45,3 +52,32 @@ def test_dual_subdivision_matches_envelope_on_grid(n, d):
     for arr in grid(n, d):
         dual = _subdivision_of(arr, enumerate_realizations(arr))
         assert dual == regular_subdivision(arrangement_heights(arr)), arr.rows()
+        assert bool(is_generic(arr)) == genericity_oracle(arr.rows()) == is_triangulation(dual), arr.rows()
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(2, 4, marks=pytest.mark.large_grid)])
+def test_genericity_and_verdict_on_grid(n, d):
+    # generic <=> minors oracle <=> triangulation, generic => TOM, and
+    # local refinement passes exactly on the generic inputs
+    for arr in grid(n, d):
+        verdict = check_correspondence(arr)
+        assert verdict.generic == genericity_oracle(arr.rows()) == verdict.triangulation, arr.rows()
+        assert verdict.consistent, arr.rows()
+        if verdict.generic:
+            assert verdict.axiom_report.is_tom, arr.rows()
+        assert bool(verdict.axiom_report.local_refinement) == verdict.generic, arr.rows()
+
+
+@pytest.mark.large_grid
+def test_secondary_face_on_tied_minors_with_generic_apexes():
+    # every apex type at its bound n+d-1, yet some minor ties
+    checked = 0
+    for n, d in [(3, 3), (2, 4)]:
+        for arr in grid(n, d):
+            report = is_generic(arr)
+            if report or not all(st.generic for st in report.apexes):
+                continue
+            verdict = secondary_face_check(arr, dual_subdivision(arr))
+            assert verdict.passes, arr.rows()
+            checked += 1
+    assert checked == 6 + 186

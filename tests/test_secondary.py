@@ -77,8 +77,8 @@ def test_refinements_match_coordinate_perturbations(e2):
 
 
 def test_refinements_match_the_loop_over_every_candidate(e2):
-    # enumerating one candidate per distinct envelope finds the same set
-    # as enumerating every apex-generic candidate
+    # enumerating one candidate per distinct triangulated envelope finds
+    # the same set as enumerating every candidate
     rng = random.Random(2718)
     doubly = Arrangement.from_rows([[0, 0, 0], [3, 1, 0], [1, 1, 0]])
     cases = [(e2, None, 0), (e2, 100, 5), (doubly, 40, 0), (doubly, 100, 7)]
@@ -136,8 +136,7 @@ def test_rank_matches_sympy():
 
 
 def test_secondary_face_check_e2(e2):
-    verdict = secondary_face_check(e2)
-    assert not verdict.coarse_is_triangulation
+    verdict = secondary_face_check(e2, dual_subdivision(e2))
     assert verdict.refinement_count == 2
     assert verdict.gkz_vectors[0] != verdict.gkz_vectors[1]
     assert verdict.face_dimension == 1
@@ -148,7 +147,7 @@ def test_secondary_face_check_e2(e2):
 def test_secondary_face_check_rejects_generic():
     arr = random_generic_arrangement(random.Random(9), 2, 3)
     with pytest.raises(ValueError):
-        secondary_face_check(arr)
+        secondary_face_check(arr, dual_subdivision(arr))
 
 
 def test_secondary_face_check_doubly_degenerate():
@@ -160,7 +159,8 @@ def test_secondary_face_check_doubly_degenerate():
     assert not is_generic(arr)
     T3 = apex_type(arr, 3)
     assert T3.entry(1) == {1, 2} and T3.entry(2) == {2, 3}
-    verdict = secondary_face_check(arr, samples=40)
+    sub = dual_subdivision(arr)
+    verdict = secondary_face_check(arr, sub, samples=40)
     assert verdict.refinement_count >= 2
     assert verdict.face_dimension >= 1
     assert verdict.conclusive
@@ -169,7 +169,7 @@ def test_secondary_face_check_doubly_degenerate():
     # stable under oversampling and reseeding
     assert verdict.face_dimension == 2
     assert verdict.refinement_count == 5
-    assert secondary_face_check(arr, samples=100, seed=7).refinement_count == 5
+    assert secondary_face_check(arr, sub, samples=100, seed=7).refinement_count == 5
 
 
 def test_secondary_face_check_on_constructed_ray_degeneracies():
@@ -177,7 +177,7 @@ def test_secondary_face_check_on_constructed_ray_degeneracies():
     for _ in range(3):
         n = rng.choice([2, 3])
         arr, victim, host, pair = nongeneric_on_ray(rng, n)
-        verdict = secondary_face_check(arr)
+        verdict = secondary_face_check(arr, dual_subdivision(arr))
         assert verdict.passes
         assert all(refines(t, verdict.subdivision) for t in verdict.refinements)
 
