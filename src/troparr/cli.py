@@ -22,7 +22,7 @@ from .core import (
     parse_rational,
 )
 from .duality import check_correspondence, dual_subdivision, is_triangulation
-from .geometry import ApexStatus, is_generic, type_of_point
+from .geometry import ApexStatus, apex_statuses, type_of_point
 from .secondary import secondary_face_check
 
 OK, PARSE, DIMENSION, INCONSISTENT, BUDGET, RENDER_DIM, IO = 0, 2, 3, 4, 5, 6, 7
@@ -246,7 +246,7 @@ def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
     """SVG picture of a d=3 arrangement: per hyperplane, three rays from
     the planar apex (v_i1 - v_i3, v_i2 - v_i3) in directions (1,1),
     (0,-1), (-1,0); hyperplanes whose apex status (``statuses``, from
-    :func:`is_generic`) is over its bound are drawn bold."""
+    :func:`apex_statuses`) is over its bound are drawn bold."""
     pts = [(p[0] - p[2], p[1] - p[2]) for p in arr.apexes]
     xs = [float(x) for x, _ in pts]
     ys = [float(y) for _, y in pts]
@@ -306,7 +306,7 @@ def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
 def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     if arr.d != 3:
         raise CliError(RENDER_DIM, f"rendering needs d=3, got d={arr.d}")
-    statuses = is_generic(arr).apexes
+    statuses = apex_statuses(arr)
     svg = render_svg(arr, statuses)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

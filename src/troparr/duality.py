@@ -215,6 +215,15 @@ def _pivot_walk(
         )
 
 
+def _envelope_cells(weights) -> tuple[int, int, Iterator[CellGraph]]:
+    """n, d and the coarse cells of the lower envelope of ``weights`` over
+    the full support, walked lazily."""
+    rows = _coerce_weights(weights)
+    n, d = len(rows), len(rows[0])
+    support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+    return n, d, (CellGraph(n, d, c) for c in _pivot_walk(n, d, rows, support))
+
+
 def regular_subdivision(weights) -> Subdivision:
     """Regular subdivision of the product of simplices induced by lifting
     vertex (i, j) to height w_ij (lower envelope).
@@ -223,10 +232,8 @@ def regular_subdivision(weights) -> Subdivision:
     arrangement's dual subdivision; the two computations share no code
     path, which makes the agreement a meaningful cross-check.
     """
-    rows = _coerce_weights(weights)
-    n, d = len(rows), len(rows[0])
-    support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    return Subdivision(n, d, frozenset(CellGraph(n, d, c) for c in _pivot_walk(n, d, rows, support)))
+    n, d, cells = _envelope_cells(weights)
+    return Subdivision(n, d, frozenset(cells))
 
 
 def regular_triangulation(weights) -> Subdivision | None:
@@ -236,15 +243,13 @@ def regular_triangulation(weights) -> Subdivision | None:
     square minor has a min-plus determinant attained by one permutation
     only.  The walk stops at the first cell that is not a spanning tree.
     """
-    rows = _coerce_weights(weights)
-    n, d = len(rows), len(rows[0])
-    support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    cells = []
-    for cell in _pivot_walk(n, d, rows, support):
-        if len(cell) != n + d - 1:
+    n, d, cells = _envelope_cells(weights)
+    simplices = []
+    for cell in cells:
+        if len(cell.edges) != n + d - 1:
             return None
-        cells.append(CellGraph(n, d, cell))
-    return Subdivision(n, d, frozenset(cells))
+        simplices.append(cell)
+    return Subdivision(n, d, frozenset(simplices))
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:

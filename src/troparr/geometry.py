@@ -441,6 +441,11 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     """
     from .duality import regular_triangulation  # duality imports this module at load time
 
+    return GenericityReport(regular_triangulation(arr.rows()) is not None, apex_statuses(arr))
+
+
+def apex_statuses(arr: Arrangement) -> tuple[ApexStatus, ...]:
+    """The status of each apex, in O(n^2 d); no pivot walk runs."""
     bound = arr.n + arr.d - 1
     statuses = []
     for i in range(1, arr.n + 1):
@@ -449,7 +454,7 @@ def is_generic(arr: Arrangement) -> GenericityReport:
             pos for pos, entry in enumerate(T.entries, 1) if pos != i and len(entry) >= 2
         )
         statuses.append(ApexStatus(i, T, type_total_size(T), bound, offending))
-    return GenericityReport(regular_triangulation(arr.rows()) is not None, tuple(statuses))
+    return tuple(statuses)
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:

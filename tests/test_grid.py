@@ -49,10 +49,13 @@ def test_realizations_match_oracle_on_grid(n, d):
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
 def test_dual_subdivision_matches_envelope_on_grid(n, d):
+    # test_genericity_and_verdict_on_grid covers genericity on the other grids
+    with_genericity = (n, d) == (4, 3)
     for arr in grid(n, d):
         dual = _subdivision_of(arr, enumerate_realizations(arr))
         assert dual == regular_subdivision(arrangement_heights(arr)), arr.rows()
-        assert bool(is_generic(arr)) == genericity_oracle(arr.rows()) == is_triangulation(dual), arr.rows()
+        if with_genericity:
+            assert bool(is_generic(arr)) == genericity_oracle(arr.rows()) == is_triangulation(dual), arr.rows()
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(2, 4, marks=pytest.mark.large_grid)])
