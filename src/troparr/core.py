@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -87,11 +87,6 @@ class ProjectivePoint:
         if last == 0:
             return self
         return ProjectivePoint(tuple(c - last for c in self.coords))
-
-    def shifted(self, delta: Sequence[RationalLike]) -> "ProjectivePoint":
-        if len(delta) != self.d:
-            raise ValueError("shift has wrong length")
-        return ProjectivePoint(tuple(c + to_fraction(e) for c, e in zip(self.coords, delta)))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coords)

@@ -1,5 +1,5 @@
 """Types of points, exact realizability of candidate types, genericity,
-full type enumeration, refinements, and safe perturbations.
+full type enumeration and refinements.
 
 Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
@@ -48,7 +48,6 @@ from .core import (
     ResourceLimitError,
     TypeVector,
     _as_point,
-    to_fraction,
     type_total_size,
 )
 
@@ -543,30 +542,3 @@ def refine(T: TypeVector, P: OrderedPartition) -> TypeVector:
         else:
             raise ValueError("partition does not cover the type's labels")
     return TypeVector(tuple(entries))
-
-
-def perturb(arr: Arrangement, i: int, delta: Iterable) -> Arrangement:
-    """New arrangement with apex i translated by delta (then renormalized)."""
-    delta = tuple(to_fraction(x) for x in delta)
-    moved = arr.apex(i).shifted(delta)
-    rows = list(arr.apexes)
-    rows[i - 1] = moved
-    return Arrangement(tuple(rows))
-
-
-def safe_radius(arr: Arrangement) -> Fraction:
-    """A coordinate step small enough that no nonzero incidence quantity
-    can change sign: 1/1000 of the smallest nonzero gap between two
-    hyperplanes' apex coordinate differences (same coordinate pair).
-    """
-    best: Fraction | None = None
-    for j in range(arr.d):
-        for k in range(j + 1, arr.d):
-            vals = sorted(p.coords[j] - p.coords[k] for p in arr.apexes)
-            for a, b in zip(vals, vals[1:]):
-                gap = b - a
-                if gap != 0 and (best is None or gap < best):
-                    best = gap
-    if best is None:
-        best = Fraction(1)
-    return best / 1000

@@ -1,14 +1,15 @@
-"""Refinements of a degenerate arrangement's subdivision, flip detection,
-and the vertex-volume (GKZ) vectors spanning secondary-polytope faces.
+"""Refinements of a degenerate arrangement's subdivision and the
+vertex-volume (GKZ) vectors spanning secondary-polytope faces.
 
 A non-generic arrangement, one whose subdivision is not a triangulation,
-sits on a wall between generic ones; nudging its apexes by less than the
-safe radius lands on the neighbouring generic arrangements, whose
-triangulations refine the coarse subdivision.  A nudged arrangement is
-generic exactly when the lower envelope of its apex matrix is a
-triangulation, so reading that envelope is the genericity test.  The affine
-span of the GKZ vectors measures the dimension of the secondary-polytope
-face the wall corresponds to.
+sits on a wall between generic ones.  Moving its apexes by less than the
+safe radius, which is read off their denominators, crosses no wall, so
+every generic arrangement it lands on has a triangulation refining the
+coarse subdivision.  A moved arrangement is generic exactly when the
+lower envelope of its apex matrix is a triangulation, so reading that
+envelope is the genericity test.  The affine span of the GKZ vectors
+measures the dimension of the secondary-polytope face the wall
+corresponds to.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import Arrangement, CellGraph
+from .core import Arrangement
 from .duality import (
     Subdivision,
     dual_subdivision,
     is_triangulation,
-    normalized_volume,
     regular_triangulation,
 )
-from .geometry import perturb, safe_radius
 from .linalg import rank
 
 #: Parameter pairs (n, d) for which every triangulation of the product
@@ -103,34 +103,35 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     return filled == coarse.volumes
 
 
-def _random_safe_deltas(rng: random.Random, n: int, d: int, radius: Fraction):
-    """One delta per apex; coordinates in radius * [0, 1], so coordinate
-    differences stay inside the safe radius."""
-    return [
-        [radius * Fraction(rng.randint(0, 1000), 1000) for _ in range(d)]
-        for _ in range(n)
-    ]
+def safe_radius(arr: Arrangement) -> Fraction:
+    """A perturbation radius that crosses no wall of the secondary fan.
+
+    The walls lie on the alternating cycles of K_{n,d}, the circuits of
+    Δ_{n-1} × Δ_{d-1} (De Loera–Rambau–Santos, ch. 6.2): a cycle through
+    a k×k minor sets one matching's sum against another's.  Every apex
+    coordinate is a multiple of 1/D, D the lcm of their denominators, so
+    a nonzero cycle sum is at least 1/D.  Deltas in [0, r] move each
+    matching sum by between 0 and k·r, so a cycle sum by at most
+    k·r ≤ min(n, d)·r, which is 1/(2D) for r = 1/(2·min(n, d)·D): every
+    nonzero cycle sum keeps its sign.
+    """
+    D = lcm(*(x.denominator for row in arr.rows() for x in row))
+    return Fraction(1, 2 * min(arr.n, arr.d) * D)
 
 
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[Arrangement]:
-    """Each apex nudged by the safe radius along every signed coordinate
-    direction, then ``samples`` joint random safe perturbations of all
-    apexes drawn under ``seed``."""
+    """``samples`` joint random perturbations of all apexes drawn under
+    ``seed``: every coordinate moves by a random multiple of
+    ``safe_radius``/1000 in [0, safe_radius]."""
     radius = safe_radius(arr)
     rng = random.Random(seed)
-    candidates = []
-    for i in range(1, arr.n + 1):
-        for c in range(arr.d):
-            for sign in (1, -1):
-                delta = [Fraction(0)] * arr.d
-                delta[c] = sign * radius
-                candidates.append(perturb(arr, i, delta))
-    for _ in range(samples):
-        moved = arr
-        for i, delta in enumerate(_random_safe_deltas(rng, arr.n, arr.d, radius), 1):
-            moved = perturb(moved, i, delta)
-        candidates.append(moved)
-    return candidates
+    rows = arr.rows()
+    return [
+        Arrangement.from_rows(
+            [[x + radius * Fraction(rng.randint(0, 1000), 1000) for x in row] for row in rows]
+        )
+        for _ in range(samples)
+    ]
 
 
 def refining_triangulations(
@@ -142,11 +143,11 @@ def refining_triangulations(
 ) -> frozenset[Subdivision]:
     """Distinct triangulations reachable by safe perturbations.
 
-    Each apex is nudged by the safe radius along every signed coordinate
-    direction, plus ``samples`` joint random safe perturbations of all
-    apexes; non-generic results are skipped.  Every triangulation found
-    refines ``base``, the arrangement's own subdivision, so a
-    triangulation ``base`` is its own only refinement.
+    ``samples`` joint random perturbations of all apexes within
+    :func:`safe_radius` are drawn under ``seed``; non-generic results
+    are skipped.  Every triangulation found refines ``base``, the
+    arrangement's own subdivision, so a triangulation ``base`` is its own
+    only refinement.
 
     Each candidate's triangulation is first read off the lower envelope
     of its apex matrix (``regular_triangulation``, no type enumeration),
@@ -226,31 +227,3 @@ def secondary_face_check(
         face_dimension=_affine_dimension(gkz),
         conclusive=all_triangulations_regular(arr.n, arr.d),
     )
-
-
-def flip_related(t1: Subdivision, t2: Subdivision) -> bool:
-    """Whether two triangulations differ by a single flip: some common
-    coarsening, obtained by merging a subset of t1's simplices into one
-    cell, has exactly one non-simplex maximal cell and is refined by
-    both."""
-    if (t1.n, t1.d) != (t2.n, t2.d):
-        raise ValueError("triangulations live in different products of simplices")
-    if not is_triangulation(t1) or not is_triangulation(t2):
-        raise ValueError("flip detection requires triangulations")
-    if t1 == t2:
-        return False
-    cells = t1.sorted_cells()
-    for mask in range(1, 1 << len(cells)):
-        chosen = [cells[b] for b in range(len(cells)) if mask >> b & 1]
-        if len(chosen) < 2:
-            continue
-        merged_edges = frozenset().union(*(g.edges for g in chosen))
-        merged = CellGraph(t1.n, t1.d, merged_edges)
-        # merged cell must be exactly tiled by the chosen simplices
-        if normalized_volume(merged) != len(chosen):
-            continue
-        rest = [cells[b] for b in range(len(cells)) if not (mask >> b & 1)]
-        coarse = Subdivision(t1.n, t1.d, frozenset(rest + [merged]))
-        if refines(t2, coarse):
-            return True
-    return False

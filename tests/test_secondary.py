@@ -9,9 +9,7 @@ from troparr import (
     Subdivision,
     all_triangulations_regular,
     dual_subdivision,
-    flip_related,
     gkz_vector,
-    perturb,
     refines,
     refining_triangulations,
     safe_radius,
@@ -22,8 +20,12 @@ from troparr.linalg import rank
 
 from conftest import (
     affine_rank_oracle,
+    face_dimension_oracle,
+    matching_gaps,
+    move_apex,
     nongeneric_on_apex,
     nongeneric_on_ray,
+    random_arrangement,
     random_generic_arrangement,
     random_integer_arrangement,
     refinements_oracle,
@@ -44,6 +46,12 @@ PYRAMID = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
 # the two triangulations of the pyramid keep opposite diagonal pairs
 SPLIT_A = tri(2, 3, SIMPLEX, ((1, 1), (1, 2), (2, 2), (2, 3)), ((1, 1), (2, 1), (2, 2), (2, 3)))
 SPLIT_B = tri(2, 3, SIMPLEX, ((1, 1), (1, 2), (2, 1), (2, 3)), ((1, 2), (2, 1), (2, 2), (2, 3)))
+
+# the 3x3 minors on rows 1-3 and 2-4 have their two best matchings
+# 1/100000 apart, closer than any 2x2 gap
+SIX_CYCLE = Arrangement.from_rows(
+    [[0, 0, 0], [0, -1, Fraction(-200001, 100000)], [0, 1, -1], [0, 0, 0]]
+)
 
 
 def test_refining_triangulations_e2(e2):
@@ -70,8 +78,8 @@ def test_refining_triangulations_sample_floor(e2):
 
 def test_refinements_match_coordinate_perturbations(e2):
     eps = safe_radius(e2)
-    plus_x = dual_subdivision(perturb(e2, 2, (eps, 0, 0)))
-    plus_y = dual_subdivision(perturb(e2, 2, (0, eps, 0)))
+    plus_x = dual_subdivision(move_apex(e2, 2, (eps, 0, 0)))
+    plus_y = dual_subdivision(move_apex(e2, 2, (0, eps, 0)))
     assert {plus_x, plus_y} == {SPLIT_A, SPLIT_B}
     assert plus_x != plus_y
 
@@ -93,6 +101,30 @@ def test_refinements_match_the_loop_over_every_candidate(e2):
     for arr in integer:
         base = dual_subdivision(arr)
         assert refining_triangulations(arr, base) == refinements_oracle(arr, base)
+
+
+def test_refinements_across_a_six_cycle_wall():
+    # a radius read off the 2x2 minors alone let joint samples cross the
+    # 3x3 minor's wall
+    base = dual_subdivision(SIX_CYCLE)
+    found = refining_triangulations(SIX_CYCLE, base)
+    assert len(found) >= 2
+    assert all(refines(t, base) for t in found)
+    assert found == refinements_oracle(SIX_CYCLE, base)
+
+
+def test_safe_radius_is_below_every_matching_gap():
+    # deltas in [0, r] move a k x k minor's matching sums by at most k*r,
+    # so two matchings with different sums must be more than k*r apart
+    rng = random.Random(8128)
+    arrs = [SIX_CYCLE]
+    arrs += [random_arrangement(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (5, 3)] * 3]
+    arrs += [random_integer_arrangement(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (5, 3)]]
+    for arr in arrs:
+        r = safe_radius(arr)
+        assert r > 0
+        for k, gap in matching_gaps(arr.rows()):
+            assert gap > k * r, (arr.rows(), k, gap)
 
 
 def test_every_refinement_refines_the_coarse_subdivision(e2):
@@ -139,7 +171,7 @@ def test_secondary_face_check_e2(e2):
     verdict = secondary_face_check(e2, dual_subdivision(e2))
     assert verdict.refinement_count == 2
     assert verdict.gkz_vectors[0] != verdict.gkz_vectors[1]
-    assert verdict.face_dimension == 1
+    assert verdict.face_dimension == 1 == face_dimension_oracle(verdict.subdivision)
     assert verdict.conclusive
     assert verdict.passes
 
@@ -167,7 +199,7 @@ def test_secondary_face_check_doubly_degenerate():
     # two unresolved incidences leave a corank-2 cell (7 vertices in
     # dimension 4); observed: a pentagon of 5 triangulations, face dim 2,
     # stable under oversampling and reseeding
-    assert verdict.face_dimension == 2
+    assert verdict.face_dimension == 2 == face_dimension_oracle(sub)
     assert verdict.refinement_count == 5
     assert secondary_face_check(arr, sub, samples=100, seed=7).refinement_count == 5
 
@@ -180,38 +212,6 @@ def test_secondary_face_check_on_constructed_ray_degeneracies():
         verdict = secondary_face_check(arr, dual_subdivision(arr))
         assert verdict.passes
         assert all(refines(t, verdict.subdivision) for t in verdict.refinements)
-
-
-def test_flip_related_squares_and_e2(e2):
-    diag = tri(2, 2, ((1, 1), (2, 1), (2, 2)), ((1, 1), (1, 2), (2, 2)))
-    anti = tri(2, 2, ((1, 2), (2, 1), (2, 2)), ((1, 1), (1, 2), (2, 1)))
-    assert flip_related(diag, anti)
-    assert flip_related(anti, diag)
-    assert not flip_related(diag, diag)
-
-    assert flip_related(SPLIT_A, SPLIT_B)
-    assert flip_related(SPLIT_B, SPLIT_A)
-
-    with pytest.raises(ValueError):
-        flip_related(diag, SPLIT_A)
-    with pytest.raises(ValueError):
-        flip_related(tri(2, 2, ((1, 1), (1, 2), (2, 1), (2, 2))), diag)
-
-
-def test_flip_related_prism_triangulations():
-    # staircase triangulations of the prism; a and b share a simplex and
-    # differ by one genuine diagonal swap, c is the reversed staircase
-    a = tri(2, 3, ((1, 1), (1, 2), (1, 3), (2, 3)), ((1, 1), (1, 2), (2, 2), (2, 3)),
-            ((1, 1), (2, 1), (2, 2), (2, 3)))
-    b = tri(2, 3, ((1, 1), (1, 2), (1, 3), (2, 3)), ((1, 1), (1, 2), (2, 1), (2, 3)),
-            ((1, 2), (2, 1), (2, 2), (2, 3)))
-    c = tri(2, 3, ((1, 1), (1, 2), (1, 3), (2, 1)), ((1, 2), (1, 3), (2, 1), (2, 2)),
-            ((1, 3), (2, 1), (2, 2), (2, 3)))
-    assert flip_related(a, b) and flip_related(b, a)
-    # the single-coarse-cell criterion also accepts (a, c): merging all of
-    # a's simplices into the whole prism leaves exactly one non-simplex
-    # cell that c trivially refines (coarser than circuit-based flips)
-    assert flip_related(a, c) and flip_related(b, c)
 
 
 def test_all_triangulations_regular_catalogue():
