@@ -12,17 +12,22 @@ freezing everything else.  Only the former enters the final verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import permutations
 from math import comb
 from operator import and_, or_
-from typing import Collection
+from typing import Callable, Collection
 
 from .core import ResourceLimitError, TypeVector, enumerate_ordered_partitions
 
 #: Cap on the surrounding check's work, |types| x Fubini(d) refinement
 #: lookups.
 MAX_SURROUNDING_WORK = 5_000_000
+
+#: Partner rows per tile of the bit-sliced pair scans: a strip holds one
+#: field per partner, so the strips of a tile take O(sum_k e_k BLOCK w)
+#: bits for e_k distinct entries at position k and fields of w bits.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -95,32 +100,90 @@ def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult
     return CheckResult(not missing, missing or None)
 
 
+def _first_pair(
+    ordered: list[TypeVector],
+    size: int,
+    fields: Callable[[int, frozenset[int], frozenset[int]], tuple[int, ...]],
+    tester: Callable[[int], Callable[[list], int]],
+) -> tuple[int, int] | None:
+    """The first pair (ia, ib), ia <= ib, that fails in canonical order.
+
+    Partners go in tiles of at most ``BLOCK`` rows, each row one field of
+    ``size`` bytes.  In a tile the strips of entry a at position k hold
+    the components of ``fields(k, a, B_k)`` in field b, one int per
+    component, for the tile's b-th row B; strips are joined from
+    ``to_bytes`` chunks.  ``tester(rep)``, with rep 1 in every field,
+    gives the tile's test: it maps the strips of A's entries to an int
+    that is nonzero in exactly the fields of the partners failing against
+    A.  Later tiles only scan the types before the best pair found so far.
+    """
+    width = 8 * size
+    best = None
+    for start in range(0, len(ordered), BLOCK):
+        tile = ordered[start:start + BLOCK]
+        heads = ordered[:min(start + len(tile), best[0] if best else len(ordered))]
+        failing = tester(int.from_bytes(b"\1".ljust(size, b"\0") * len(tile), "little"))
+        strips = []
+        for k, column in enumerate(zip(*(B.entries for B in tile))):
+            chunks = {}
+            for a in {A.entries[k] for A in heads}:
+                row = {b: [x.to_bytes(size, "little") for x in fields(k, a, b)] for b in set(column)}
+                chunks[a] = [int.from_bytes(b"".join(part), "little") for part in zip(*map(row.get, column))]
+            strips.append(chunks)
+        for ia, A in enumerate(heads):
+            fails = failing([s[a] for s, a in zip(strips, A.entries)]) & -1 << max(ia - start, 0) * width
+            if fails:
+                best = ia, start + ((fails & -fails).bit_length() - 1) // width
+                break
+    return best
+
+
 def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     """For each pair (A, B) and position j, some C in the collection must
     take the union at j and one of A_k, B_k, A_k u B_k everywhere.
 
-    Bitset kernel: bit t of ``masks[k][E]`` marks the t-th sorted type
-    whose k-th entry is E.  The types matching (A, B) are the AND over k
-    of the masks of A_k, B_k and A_k u B_k, and j fails when none of them
-    has A_j u B_j: O(T^2 n) operations on T-bit integers for T types
-    (plus one table per position over its pairs of distinct entries).
+    Bit-sliced kernel: bit t of ``masks[k][E]`` marks the t-th sorted type
+    whose k-th entry is E.  A partner B gets one field of T + 1 bits: the
+    "either" strip of A_k holds the T-bit mask of the C with C_k in
+    {A_k, B_k, A_k u B_k}, the "union" strip the mask of the C with
+    C_k = A_k u B_k.  The AND of A's n either strips matches every
+    partner at once, and j fails for B when B's field of that AND with
+    the union strip at j is zero: adding 2^T - 1 to every field leaves
+    its guard bit T clear exactly then.  That is O(T^2 n / BLOCK)
+    operations on ints of BLOCK (T + 1) bits; :func:`_first_pair` tiles
+    the partners and finds the first failing (A, B), and j is the first
+    failing position of that pair.
     """
     ordered = _sorted_types(types)
-    masks: list[dict] = [{} for _ in ordered[0].entries] if ordered else []
+    if not ordered:
+        return CheckResult(True)
+    masks: list[dict] = [{} for _ in ordered[0].entries]
     for bit, t in enumerate(ordered):
         for m, entry in zip(masks, t.entries):
             m[entry] = m.get(entry, 0) | 1 << bit
-    # per position and entry pair (a, b): (masks of a, b or a u b; mask of a u b)
-    cells = [{(a, b): (m[a] | m[b] | m.get(a | b, 0), m.get(a | b, 0)) for a in m for b in m}
-             for m in masks]
-    for ia, A in enumerate(ordered):
-        for B in ordered[ia:]:
-            pair = [c[ab] for c, ab in zip(cells, zip(A.entries, B.entries))]
-            match = reduce(and_, (either for either, _ in pair))
-            for j, (_, union) in enumerate(pair, 1):
-                if not match & union:
-                    return CheckResult(False, (A, B, j))
-    return CheckResult(True)
+    count = len(ordered)
+    size = count // 8 + 1  # T mask bits and a guard bit
+
+    def fields(k: int, a: frozenset[int], b: frozenset[int]) -> tuple[int, int]:
+        m = masks[k]
+        union = m.get(a | b, 0)
+        return m[a] | m[b] | union, union
+
+    def tester(rep: int):
+        ones, guard = rep * ((1 << count) - 1), rep << count
+
+        def failing(strips: list) -> int:
+            match = reduce(and_, [either for either, _ in strips])
+            return guard & ~reduce(and_, [(match & union) + ones for _, union in strips])
+        return failing
+
+    pair = _first_pair(ordered, size, fields, tester)
+    if pair is None:
+        return CheckResult(True)
+    A, B = (ordered[i] for i in pair)
+    found = [fields(k, a, b) for k, (a, b) in enumerate(zip(A.entries, B.entries))]
+    match = reduce(and_, [either for either, _ in found])
+    return CheckResult(False, (A, B, next(j for j, (_, union) in enumerate(found, 1) if not match & union)))
 
 
 def comparability_graph(A: TypeVector, B: TypeVector, d: int | None = None) -> ComparabilityGraph:
@@ -181,22 +244,43 @@ def is_acyclic(g: ComparabilityGraph) -> bool:
 def check_comparability(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every pair's comparability graph must be acyclic.
 
-    Kernel: a pair's graph is the union over positions of its entries'
-    graphs, so each pair of distinct entries is packed once, a pair of
-    types ORs n ints, and :func:`_acyclic` runs once per distinct graph:
-    O(T^2 n + G d) int operations for G distinct graphs.
+    Bit-sliced kernel: a pair's graph is the union over positions of its
+    entries' graphs, each packed once by :func:`_packed`.  A partner B
+    gets one field of 3d^2 bits, and the strip of A_k holds the packed
+    graph of (A_k, B_k) there, so the OR of A's n strips holds every
+    pair's graph.  :func:`_acyclic` then runs on all fields at once: each
+    of its d Warshall steps multiplies only by small constants (a column
+    spread along its row, a row copied to every row), so no carry leaves
+    a field, and B fails when its field of ``reach & reversed`` is
+    nonzero.  That is O(T^2 (n + d) / BLOCK) operations on ints of
+    BLOCK 3d^2 bits; :func:`_first_pair` tiles the partners and finds the
+    first failing (A, B).
     """
     ordered = _sorted_types(types, d)
-    d = max((t.max_label() for t in ordered), default=1) if d is None else d
-    entries = {e for t in ordered for e in t.entries}
-    packed = {(a, b): _packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
-              for a in entries for b in entries}
-    acyclic = cache(partial(_acyclic, d=d))  # far fewer distinct graphs than pairs
-    for ia, A in enumerate(ordered):
-        for B in ordered[ia:]:
-            if not acyclic(reduce(or_, [packed[ab] for ab in zip(A.entries, B.entries)])):
-                return CheckResult(False, (A, B))
-    return CheckResult(True)
+    if not ordered:
+        return CheckResult(True)
+    d = max(t.max_label() for t in ordered) if d is None else d
+    dd = d * d
+    column, row = sum(1 << a * d for a in range(d)), (1 << d) - 1
+
+    @cache  # one graph per distinct entry pair, at any position
+    def packed(a: frozenset[int], b: frozenset[int]) -> tuple[int]:
+        return (_packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d)),)
+
+    def tester(rep: int):
+        low, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd
+
+        def failing(strips: list) -> int:
+            graph = reduce(or_, [g for g, in strips])
+            directed, reversed_, undirected = graph & low, graph >> dd & low, graph >> 2 * dd & low
+            reach = directed | undirected & ~(directed | reversed_)
+            for m in range(d):
+                reach |= (reach >> m & columns) * row & (reach >> m * d & rows) * column
+            return (reach & reversed_) + low & guard
+        return failing
+
+    pair = _first_pair(ordered, (3 * dd + 7) // 8, lambda _, a, b: packed(a, b), tester)
+    return CheckResult(True) if pair is None else CheckResult(False, tuple(ordered[i] for i in pair))
 
 
 @cache

@@ -318,6 +318,18 @@ def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     return OK, lines, {"svg": args.out, "rays": 3 * arr.n, "bold": bold}
 
 
+def _budget(text: str) -> int:
+    """A non-negative ``--budget``; a non-integer keeps argparse's "invalid
+    int value" message."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="troparr",
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="arrangement file")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--budget", type=int, default=None, help="cap on the type enumeration's feasibility steps")
+        sp.add_argument("--budget", type=_budget, default=None, help="cap on the type enumeration's feasibility steps")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
 
     sp = sub.add_parser("type-of", help="type of a point")

@@ -488,9 +488,11 @@ def enumerate_realizations(
     each such prefix has at least one feasible entry for the second, so
     the walk takes at least 2m steps (m if n = 1).  Past the budget it
     raises at once with the message the walk would reach, before
-    generating any entry.
+    generating any entry.  A negative budget is a ValueError.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     m = 2 ** arr.d - 1
     if m * (1 + (arr.n >= 2)) > budget:
         raise ResourceLimitError(

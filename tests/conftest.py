@@ -1,16 +1,19 @@
 """Shared fixtures: the two worked example arrangements, random
 arrangement generators, and independent oracles (sampling; exact rank,
 determinant and secondary-face dimension via sympy; genericity and
-matching gaps by square minors; direct scans for the axiom checks and
-the lower envelope; the feasibility DFS on Fraction coordinates; flips
-without the envelope dedupe) used to cross-check the main code paths,
+matching gaps by square minors; direct scans and the replaced pairwise
+kernels for the axiom checks; a direct scan for the lower envelope; the
+feasibility DFS on Fraction coordinates; flips without the envelope
+dedupe) used to cross-check the main code paths,
 and the ``--grid`` option that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, partial, reduce
 from itertools import combinations, permutations
+from operator import and_, or_
 
 import pytest
 import sympy
@@ -33,6 +36,7 @@ from troparr import (
     refines,
     type_of_point,
 )
+from troparr.axioms import _acyclic, _packed
 from troparr.secondary import _perturbations
 
 
@@ -524,6 +528,45 @@ def comparability_oracle(types, d: int | None = None) -> CheckResult:
     for ia, A in enumerate(ordered):
         for B in ordered[ia:]:
             if not acyclic_oracle(comparability_graph(A, B, d)):
+                return CheckResult(False, (A, B))
+    return CheckResult(True)
+
+
+def pairwise_elimination_oracle(types) -> CheckResult:
+    """Elimination one pair at a time: bit t of ``masks[k][E]`` marks the
+    t-th sorted type whose k-th entry is E, and a pair ANDs its n masks of
+    A_k, B_k and A_k u B_k (O(T^2 n) operations on T-bit ints)."""
+    ordered = _sorted_types(types)
+    masks: list[dict] = [{} for _ in ordered[0].entries] if ordered else []
+    for bit, t in enumerate(ordered):
+        for m, entry in zip(masks, t.entries):
+            m[entry] = m.get(entry, 0) | 1 << bit
+    # per position and entry pair (a, b): (masks of a, b or a u b; mask of a u b)
+    cells = [{(a, b): (m[a] | m[b] | m.get(a | b, 0), m.get(a | b, 0)) for a in m for b in m}
+             for m in masks]
+    for ia, A in enumerate(ordered):
+        for B in ordered[ia:]:
+            pair = [c[ab] for c, ab in zip(cells, zip(A.entries, B.entries))]
+            match = reduce(and_, (either for either, _ in pair))
+            for j, (_, union) in enumerate(pair, 1):
+                if not match & union:
+                    return CheckResult(False, (A, B, j))
+    return CheckResult(True)
+
+
+def pairwise_comparability_oracle(types, d: int | None = None) -> CheckResult:
+    """Comparability one pair at a time: a pair ORs its n packed entry
+    graphs and ``axioms._acyclic`` closes each distinct graph once."""
+    ordered = _sorted_types(types)
+    if d is None:
+        d = max((t.max_label() for t in ordered), default=1)
+    entries = {e for t in ordered for e in t.entries}
+    packed = {(a, b): _packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
+              for a in entries for b in entries}
+    acyclic = cache(partial(_acyclic, d=d))
+    for ia, A in enumerate(ordered):
+        for B in ordered[ia:]:
+            if not acyclic(reduce(or_, [packed[ab] for ab in zip(A.entries, B.entries)])):
                 return CheckResult(False, (A, B))
     return CheckResult(True)
 

@@ -1,7 +1,9 @@
 import random
+from functools import cache
 
 import pytest
 
+import troparr.axioms
 from troparr import (
     Arrangement,
     ResourceLimitError,
@@ -21,6 +23,8 @@ from conftest import (
     comparability_oracle,
     elimination_oracle,
     nongeneric_on_apex,
+    pairwise_comparability_oracle,
+    pairwise_elimination_oracle,
     random_generic_arrangement,
     surrounding_oracle,
 )
@@ -176,10 +180,36 @@ def test_generic_arrangements_are_tropical_oriented_matroids():
 #: The large shapes, with the one kind whose full collection is checked there.
 FULL_LARGE = {(4, 4): "apex", (2, 5): "generic"}
 
+#: Per d, the n of the generic (n, d) whose full collection seeds the
+#: synthetic ones: 49, 161, 209 and 129 types.
+SYNTHETIC_FULL = {2: 24, 3: 8, 4: 4, 5: 2}
+
+
+def _synthetic_collections(rng: random.Random):
+    """Random type sets of 40-300 types at d = 2..6, and full collections
+    of generic arrangements less one type or plus one random type.  A
+    full collection passes, so the first counterexample involves the
+    added type; of the random ones, the three that sort last are added,
+    so at (8,3) and (4,4) that counterexample lies past the first 128
+    partners."""
+    for d in range(2, 7):
+        draw = lambda length: T(*[rng.sample(range(1, d + 1), rng.randint(1, d)) for _ in range(length)])
+        yield f"synthetic random d={d}", {draw({2: 5, 3: 3}.get(d, 2)) for _ in range(rng.randint(40, 300))}, d
+        if d not in SYNTHETIC_FULL:
+            continue
+        n = SYNTHETIC_FULL[d]
+        full = sorted(enumerate_types(random_generic_arrangement(rng, n, d)), key=lambda t: t.key())
+        drop = rng.randrange(len(full))
+        yield f"synthetic less one d={d}", full[:drop] + full[drop + 1:], d
+        extras = [t for t in (draw(n) for _ in range(40)) if t not in full]
+        for extra in sorted(extras, key=lambda t: t.key())[-3:]:
+            yield f"synthetic plus {extra.text()}", full + [extra], d
+
 
 def _oracle_collections():
     """Full and thinned type collections of generic, integer and on-apex
-    arrangements, random type sets, and hand-built failing sets."""
+    arrangements, random type sets, synthetic ones, and hand-built failing
+    sets."""
     rng = random.Random(4242)
     shapes = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4), (2, 5)]
     for n, d in shapes:
@@ -202,22 +232,45 @@ def _oracle_collections():
         yield f"random {i}", {
             T(*[rng.sample(range(1, d + 1), rng.randint(1, 2)) for _ in range(n)]) for _ in range(8)
         }, d
+    yield from _synthetic_collections(rng)
     yield "empty", set(), 3
     yield "separated", {T({1}, {1}), T({2}, {2})}, 2
     yield "two-cycle", {T({1}, {2}), T({2}, {1})}, 2
     yield "semidirected cycle", {T({1}, {2, 3}, {3, 1}), T({2}, {2, 3}, {3, 1})}, 3
+    # cycles that only the closure finds, away from label 1
+    yield "directed three-cycle", {T({2}, {3}, {4}), T({3}, {4}, {2})}, 4
+    yield "semidirected cycle on 2, 3, 4", {T({2}, {3, 4}, {4, 2}), T({3}, {3, 4}, {4, 2})}, 4
     yield "missing refinement", {T({1, 2}, {1}), T({1}, {1})}, 2
+
+
+@cache
+def _collections_with_pairwise_verdicts():
+    return [(label, types, d, pairwise_elimination_oracle(types), pairwise_comparability_oracle(types, d))
+            for label, types, d in _oracle_collections()]
 
 
 def test_kernels_match_direct_scans():
     failures = {"elimination": 0, "comparability": 0, "surrounding": 0}
-    for label, types, d in _oracle_collections():
-        for name, kernel, oracle in [
-            ("elimination", check_elimination(types), elimination_oracle(types)),
-            ("comparability", check_comparability(types, d), comparability_oracle(types, d)),
-            ("surrounding", check_surrounding(types, d), surrounding_oracle(types, d)),
+    late = {"elimination": 0, "comparability": 0}  # first counterexamples past the first tile
+    for label, types, d, elimination, comparability in _collections_with_pairwise_verdicts():
+        index = {t: i for i, t in enumerate(sorted(types, key=lambda t: t.key()))}
+        for name, kernel, oracles in [
+            ("elimination", check_elimination(types), (elimination, elimination_oracle(types))),
+            ("comparability", check_comparability(types, d), (comparability, comparability_oracle(types, d))),
+            ("surrounding", check_surrounding(types, d), (surrounding_oracle(types, d),)),
         ]:
-            assert kernel == oracle, (label, name)
-            failures[name] += not oracle.passed
+            assert all(kernel == oracle for oracle in oracles), (label, name)
+            failures[name] += not kernel.passed
+            if name in late and not kernel.passed:
+                late[name] += index[kernel.counterexample[1]] >= troparr.axioms.BLOCK
     # the collections exercise both verdicts of every check
     assert all(count >= 5 for count in failures.values()), failures
+    assert all(count >= 2 for count in late.values()), late
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_kernels_match_pairwise_scans_across_tile_edges(monkeypatch, block):
+    monkeypatch.setattr(troparr.axioms, "BLOCK", block)
+    for label, types, d, elimination, comparability in _collections_with_pairwise_verdicts():
+        assert check_elimination(types) == elimination, label
+        assert check_comparability(types, d) == comparability, label

@@ -259,6 +259,14 @@ def test_budget_exit(capsys, e2_file, monkeypatch):
     assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
 
 
+def test_negative_budget_is_a_parse_error(capsys, e2_file):
+    for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
+        assert main(argv + ["--input", e2_file, "--budget", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --budget: must be non-negative, got -5" in err and "feasibility" not in err
+    assert main(["check", "--input", e2_file, "--budget", "0"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 1 feasibility steps exceed budget 0\n"
+
 
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # 2 x 30: 2(2^30-1) feasibility steps at least, refused before any

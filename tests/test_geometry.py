@@ -190,6 +190,8 @@ def test_enumerate_types_budget():
     arr = Arrangement.from_rows([[0, 0, 0], [1, 1, 0]])
     with pytest.raises(ResourceLimitError, match="^type enumeration: 11 feasibility steps exceed budget 10$"):
         enumerate_types(arr, budget=10)
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        enumerate_types(arr, budget=-1)
 
 
 def _counted_steps(monkeypatch) -> list[bool]:

@@ -6,9 +6,12 @@ ones: (3,3) and (2,4) against the Fraction oracle, genericity and the
 verdict at (2,4), the secondary-face check and its exact face dimension
 on the (3,3) and (2,4) inputs whose apexes all look generic although a
 minor ties, and dual subdivision against lower envelope on the 6,561
-inputs at (4,3).
+inputs at (4,3).  It also compares the bit-sliced elimination and
+comparability kernels with the pairwise scans they replaced on full
+type collections at (4,4), (5,4) and (3,6), up to 1,023 types.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -16,9 +19,12 @@ import pytest
 from troparr import (
     Arrangement,
     arrangement_heights,
+    check_comparability,
     check_correspondence,
+    check_elimination,
     dual_subdivision,
     enumerate_realizations,
+    enumerate_types,
     is_generic,
     is_triangulation,
     realizable,
@@ -27,7 +33,15 @@ from troparr import (
 )
 from troparr.duality import _subdivision_of
 
-from conftest import face_dimension_oracle, genericity_oracle, realizations_oracle
+from conftest import (
+    face_dimension_oracle,
+    genericity_oracle,
+    nongeneric_on_apex,
+    pairwise_comparability_oracle,
+    pairwise_elimination_oracle,
+    random_generic_arrangement,
+    realizations_oracle,
+)
 
 
 def grid(n: int, d: int):
@@ -86,3 +100,16 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
             assert verdict.face_dimension == face_dimension_oracle(verdict.subdivision), arr.rows()
             checked += 1
     assert checked == 6 + 186
+
+
+@pytest.mark.large_grid
+@pytest.mark.parametrize("n, d", [(4, 4), (5, 4), (3, 6)])
+def test_pair_kernels_match_pairwise_scans_on_large_shapes(n, d):
+    # full collections pass; one added type makes them fail far past the first tile
+    rng = random.Random(n * 10 + d)
+    for arr in (random_generic_arrangement(rng, n, d), nongeneric_on_apex(rng, n, d)[0]):
+        types = sorted(enumerate_types(arr), key=lambda t: t.key())
+        extra = next(u for u in (t.with_entry(n, (1,)) for t in reversed(types)) if u not in types)
+        for collection in (types, types + [extra]):
+            assert check_elimination(collection) == pairwise_elimination_oracle(collection), arr.rows()
+            assert check_comparability(collection, d) == pairwise_comparability_oracle(collection, d), arr.rows()
