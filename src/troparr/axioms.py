@@ -218,6 +218,25 @@ def _packed(g: ComparabilityGraph) -> int:
     return sum(1 << field * g.d * g.d + (j - 1) * g.d + k - 1 for j, k, field in edges)
 
 
+def _packed_pair(a: frozenset[int], b: frozenset[int], d: int) -> int:
+    """:func:`_packed` of the comparability graph of the one-entry types
+    (a) and (b), built from label masks instead of a validated graph.
+    With C = a n b the directed edges are (a - C) x b and C x (b - C),
+    the undirected ones C x C off the diagonal.  The bits of R x K are
+    mask(R, d) * mask(K): ``mask(R, step)`` sets bit (j-1)*step for each
+    j in R, and mask(K) < 2^d, so no carry crosses a row."""
+
+    def mask(labels, step=1):
+        return sum(1 << (j - 1) * step for j in labels)
+
+    c = a & b
+    a_only, b_only = a - c, b - c
+    directed = mask(a_only, d) * mask(b) | mask(c, d) * mask(b_only)
+    reversed_ = mask(b, d) * mask(a_only) | mask(b_only, d) * mask(c)
+    undirected = mask(c, d) * mask(c) & ~mask(c, d + 1)
+    return directed | reversed_ << d * d | undirected << 2 * d * d
+
+
 def _acyclic(edges: int, d: int) -> bool:
     """:func:`is_acyclic` on a :func:`_packed` graph, in O(d) operations on
     d^2-bit ints.  Warshall's closure ORs row m into every row reaching m
@@ -245,7 +264,7 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     """Every pair's comparability graph must be acyclic.
 
     Bit-sliced kernel: a pair's graph is the union over positions of its
-    entries' graphs, each packed once by :func:`_packed`.  A partner B
+    entries' graphs, each packed once by :func:`_packed_pair`.  A partner B
     gets one field of 3d^2 bits, and the strip of A_k holds the packed
     graph of (A_k, B_k) there, so the OR of A's n strips holds every
     pair's graph.  :func:`_acyclic` then runs on all fields at once: each
@@ -265,7 +284,7 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
 
     @cache  # one graph per distinct entry pair, at any position
     def packed(a: frozenset[int], b: frozenset[int]) -> tuple[int]:
-        return (_packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d)),)
+        return (_packed_pair(a, b, d),)
 
     def tester(rep: int):
         low, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
 from .geometry import GenericityReport, enumerate_realizations, is_generic, realizable
@@ -250,6 +250,52 @@ def regular_triangulation(weights) -> Subdivision | None:
             return None
         simplices.append(cell)
     return Subdivision(n, d, frozenset(simplices))
+
+
+def _cone_test(tri: Subdivision) -> Callable[[Sequence[Sequence[Fraction]]], bool]:
+    """A test of whether the triangulation ``tri`` is
+    :func:`regular_triangulation` of given heights, without a pivot walk.
+
+    It is exactly when, on each simplex (a spanning tree), the affine
+    potentials z_j - u_i equal to the heights on the tree's edges lie
+    strictly below them off the tree (De Loera-Rambau-Santos, ch. 5).
+    Each tree's edges are put in an order that solves the potentials
+    outward from u_1 = 0 once, here; the test scales the heights to ints
+    by the lcm of their denominators and costs O(nd) per tree.  Heights
+    with a tied minor pass for no triangulation: the inequality is strict.
+    Nodes and the flat edge index k are as in :func:`_pivot_walk`.
+    """
+    n, d = tri.n, tri.d
+    plans = []
+    for cell in tri.maximal_cells:
+        tree = [(i - 1, n + j - 1, (i - 1) * d + j - 1) for i, j in cell.edges]
+        steps, known = [], {0}
+        while len(known) < n + d:
+            for a, b, k in tree:
+                if (a in known) != (b in known):
+                    # p_b - p_a = h_k on a tree edge
+                    steps.append((a, b, k, 1) if a in known else (b, a, k, -1))
+                    known |= {a, b}
+        off = [
+            (i, n + j, i * d + j)
+            for i in range(n)
+            for j in range(d)
+            if (i + 1, j + 1) not in cell.edges
+        ]
+        plans.append((steps, off))
+
+    def in_cone(weights: Sequence[Sequence[Fraction]]) -> bool:
+        den = lcm(*(w.denominator for row in weights for w in row))
+        h = [w.numerator * (den // w.denominator) for row in weights for w in row]
+        for steps, off in plans:
+            p = [0] * (n + d)
+            for src, dst, k, sign in steps:
+                p[dst] = p[src] + sign * h[k]
+            if any(h[k] <= p[b] - p[a] for a, b, k in off):
+                return False
+        return True
+
+    return in_cone
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:

@@ -58,6 +58,9 @@ class RealizationResult:
 
     ``dimension`` is the affine dimension of the realization set inside
     projective space (the all-ones direction is already quotiented out).
+    A realizable result from :func:`realizable` or
+    :func:`enumerate_realizations` keeps its type's closed feasibility
+    state and builds ``witness`` from it on first access.
     """
 
     realizable: bool
@@ -71,6 +74,32 @@ class RealizationResult:
             raise ValueError("dimension present iff realizable")
         if self.dimension is not None and self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
+
+    @classmethod
+    def _closed(cls, state: "_Feasibility") -> "RealizationResult":
+        """A realizable result whose witness ``state`` builds when first read."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "realizable", True)
+        object.__setattr__(result, "dimension", state.dimension())
+        object.__setattr__(result, "_state", state)
+        return result
+
+
+class _LazyWitness:
+    """The ``witness`` attribute of :class:`RealizationResult`, installed
+    after the dataclass has taken its default.  A non-data descriptor: a
+    witness stored in the instance shadows it, and a result from
+    :meth:`RealizationResult._closed`, which stores none, builds it from
+    its state on the first read and stores it then."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        witness = result.__dict__["witness"] = result._state.witness()
+        return witness
+
+
+RealizationResult.witness = _LazyWitness()
 
 
 class _TieGroups:
@@ -469,13 +498,14 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     for i, entry in enumerate(T.entries, 1):
         if not state.add_hyperplane(i, entry):
             return RealizationResult(False)
-    return RealizationResult(True, state.witness(), state.dimension())
+    return RealizationResult._closed(state)
 
 
 def enumerate_realizations(
     arr: Arrangement, budget: int | None = None
 ) -> dict[TypeVector, RealizationResult]:
-    """Every realizable type with its witness and dimension.
+    """Every realizable type with its witness and dimension; each
+    witness is built on first access.
 
     Depth-first over the entries of each hyperplane in turn.  On a
     feasible prefix only the entries passing the pairwise tests of
@@ -504,9 +534,7 @@ def enumerate_realizations(
     def walk(i: int, state: _Feasibility, prefix: tuple[frozenset[int], ...]) -> None:
         nonlocal steps
         if i > arr.n:
-            out[TypeVector(prefix)] = RealizationResult(
-                True, state.witness(), state.dimension()
-            )
+            out[TypeVector(prefix)] = RealizationResult._closed(state)
             return
         for entry in state.entries(i):
             steps += 1

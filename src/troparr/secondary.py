@@ -6,8 +6,10 @@ sits on a wall between generic ones.  Moving its apexes by less than the
 safe radius, which is read off their denominators, crosses no wall, so
 every generic arrangement it lands on has a triangulation refining the
 coarse subdivision.  A moved arrangement is generic exactly when the
-lower envelope of its apex matrix is a triangulation, so reading that
-envelope is the genericity test.  The affine span of the GKZ vectors
+lower envelope of its apex matrix is a triangulation, so the pivot walk
+over that envelope is the genericity test.  Most moves land on a
+triangulation already found; an exact cone test on the moved heights
+recognises those without a walk.  The affine span of the GKZ vectors
 measures the dimension of the secondary-polytope face the wall
 corresponds to.
 """
@@ -18,10 +20,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable
 
 from .core import Arrangement
 from .duality import (
     Subdivision,
+    _cone_test,
     dual_subdivision,
     is_triangulation,
     regular_triangulation,
@@ -149,12 +153,17 @@ def refining_triangulations(
     arrangement's own subdivision, so a triangulation ``base`` is its own
     only refinement.
 
-    Each candidate's triangulation is first read off the lower envelope
-    of its apex matrix (``regular_triangulation``, no type enumeration),
-    which exists exactly when the candidate is generic.  Many
-    perturbations land on the same triangulation, so only the first
-    candidate giving a new one has its types enumerated, and the dual
-    subdivision found must equal the envelope's.
+    Many perturbations land on a triangulation already found.  Each
+    candidate is first tested against those: its heights lie in the open
+    secondary cone of a found triangulation exactly when that is its
+    lower envelope (``duality._cone_test``, O(nd) per simplex), and then
+    it is skipped.  Otherwise its envelope is walked
+    (``regular_triangulation``, no type enumeration); it is a
+    triangulation exactly when the candidate is generic, and a new one
+    has the candidate's types enumerated, its dual subdivision checked
+    equal to the envelope and its refinement of ``base`` checked.  So
+    every check runs once per distinct triangulation, and heights with a
+    tied minor, in no open cone, always go to the walk.
     """
     if samples is None:
         samples = 2 * arr.n * arr.d
@@ -162,16 +171,19 @@ def refining_triangulations(
         raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
     if is_triangulation(base):
         return frozenset({base})
-    found: set[Subdivision] = set()
+    found: dict[Subdivision, Callable] = {}  # each with its cone test
     for cand in _perturbations(arr, samples, seed):
-        envelope = regular_triangulation(cand.rows())
-        if envelope is None or envelope in found:
+        heights = cand.rows()
+        if any(in_cone(heights) for in_cone in found.values()):
+            continue
+        envelope = regular_triangulation(heights)
+        if envelope is None:
             continue
         if dual_subdivision(cand, budget) != envelope:
             raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
         if not refines(envelope, base):
             raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-        found.add(envelope)
+        found[envelope] = _cone_test(envelope)
     return frozenset(found)
 
 

@@ -4,8 +4,9 @@ determinant and secondary-face dimension via sympy; genericity and
 matching gaps by square minors; direct scans and the replaced pairwise
 kernels for the axiom checks; a direct scan for the lower envelope; the
 feasibility DFS on Fraction coordinates; flips without the envelope
-dedupe) used to cross-check the main code paths,
-and the ``--grid`` option that adds the larger exhaustive grids."""
+dedupe; the pivot walk against the cone test) used to cross-check the
+main code paths, and the ``--grid`` option that adds the larger
+exhaustive grids."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from troparr import (
     type_of_point,
 )
 from troparr.axioms import _acyclic, _packed
+from troparr.duality import _cone_test, regular_triangulation
 from troparr.secondary import _perturbations
 
 
@@ -470,6 +472,21 @@ def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed:
             assert refines(t, base)
             found.add(t)
     return frozenset(found)
+
+
+def assert_cone_test_matches_walk(arr: Arrangement) -> int:
+    """On each safe perturbation of the non-generic ``arr``, the cone test
+    passes exactly the triangulation the pivot walk gives, among all the
+    triangulations found, and on ``arr``'s own tied heights it passes
+    none.  Returns the number of triangulations found."""
+    heights = [cand.rows() for cand in _perturbations(arr, 2 * arr.n * arr.d, 0)]
+    walked = [regular_triangulation(h) for h in heights]
+    found = {t: _cone_test(t) for t in walked if t is not None}
+    for h, t_walk in zip(heights, walked):
+        for t, in_cone in found.items():
+            assert in_cone(h) == (t == t_walk), (arr.rows(), h)
+    assert not any(in_cone(arr.rows()) for in_cone in found.values()), arr.rows()
+    return len(found)
 
 
 def _sorted_types(types) -> list[TypeVector]:

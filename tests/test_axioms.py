@@ -1,5 +1,6 @@
 import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -89,6 +90,16 @@ def test_comparability_graph_swap_reverses_direction():
         assert h.undirected_edges == g.undirected_edges
         assert h.directed_edges == {(k, j) for j, k in g.directed_edges}
         assert is_acyclic(comparability_graph(A, A, d))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_packed_pair_matches_the_packed_graph(d):
+    # the outer products of the label masks give the validated graph's bits
+    labels = [frozenset(c) for r in range(1, d + 1) for c in combinations(range(1, d + 1), r)]
+    for a in labels:
+        for b in labels:
+            graph = comparability_graph(TypeVector((a,)), TypeVector((b,)), d)
+            assert troparr.axioms._packed_pair(a, b, d) == troparr.axioms._packed(graph), (a, b)
 
 
 def test_is_acyclic():

@@ -211,10 +211,12 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
 
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
     # the input once, then one perturbation per distinct lower envelope
-    # that is a triangulation
-    enumerations, envelopes = [], []
+    # that is a triangulation; a perturbation whose heights lie in the
+    # cone of a triangulation already found is not walked
+    enumerations, envelopes, matches = [], [], []
     enumerate_realizations = troparr.duality.enumerate_realizations
     regular_triangulation = troparr.secondary.regular_triangulation
+    cone_test = troparr.secondary._cone_test
 
     def counted(arr, *args, **kwargs):
         enumerations.append(arr)
@@ -224,14 +226,41 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_f
         envelopes.append(regular_triangulation(weights))
         return envelopes[-1]
 
+    def matched(tri):
+        in_cone = cone_test(tri)
+
+        def recorded_match(weights):
+            matches.append(in_cone(weights))
+            return matches[-1]
+        return recorded_match
+
     monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
     monkeypatch.setattr(troparr.secondary, "regular_triangulation", recorded)
+    monkeypatch.setattr(troparr.secondary, "_cone_test", matched)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
     assert "triangulation 2:" in capsys.readouterr().out
     triangulated = {e for e in envelopes if e is not None}
     assert len(enumerations) == 1 + len(triangulated)
-    # some triangulation is reached more than once and enumerated once
-    assert len(triangulated) < sum(e is not None for e in envelopes)
+    # some perturbation lands on a triangulation already found and the
+    # cone test recognises it; each of the 2nd = 12 is recognised or walked
+    assert any(matches)
+    assert sum(matches) + len(envelopes) == 12
+
+
+def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):
+    # no report prints a witness, so the enumeration leaves every one unbuilt
+    inputs = (["--input", e2_file], ["--format", "text", "--input", tied_minor_file])
+    inputs += (["--format", "text", "--input", e1_file],)  # generic
+    runs = [argv + source for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]) for source in inputs]
+    expected = [run(capsys, argv) for argv in runs]
+
+    def refuse(state):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(troparr.geometry._Feasibility, "witness", refuse)
+    for argv, (code, out) in zip(runs, expected):
+        assert code == 0, argv
+        assert run(capsys, argv) == (0, out), argv
 
 
 def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):

@@ -5,10 +5,12 @@ The (2,3) and (3,3) grids run by default.  ``--grid`` adds the larger
 ones: (3,3) and (2,4) against the Fraction oracle, genericity and the
 verdict at (2,4), the secondary-face check and its exact face dimension
 on the (3,3) and (2,4) inputs whose apexes all look generic although a
-minor ties, and dual subdivision against lower envelope on the 6,561
-inputs at (4,3).  It also compares the bit-sliced elimination and
-comparability kernels with the pairwise scans they replaced on full
-type collections at (4,4), (5,4) and (3,6), up to 1,023 types.
+minor ties, the cone test against the pivot walk on the perturbations
+of every non-generic input at (3,3) and (2,4), and dual subdivision
+against lower envelope on the 6,561 inputs at (4,3).  It also compares
+the bit-sliced elimination and comparability kernels with the pairwise
+scans they replaced on full type collections at (4,4), (5,4) and (3,6),
+up to 1,023 types.
 """
 
 import random
@@ -34,6 +36,7 @@ from troparr import (
 from troparr.duality import _subdivision_of
 
 from conftest import (
+    assert_cone_test_matches_walk,
     face_dimension_oracle,
     genericity_oracle,
     nongeneric_on_apex,
@@ -113,3 +116,16 @@ def test_pair_kernels_match_pairwise_scans_on_large_shapes(n, d):
         for collection in (types, types + [extra]):
             assert check_elimination(collection) == pairwise_elimination_oracle(collection), arr.rows()
             assert check_comparability(collection, d) == pairwise_comparability_oracle(collection, d), arr.rows()
+
+
+@pytest.mark.large_grid
+def test_cone_test_on_tied_minors():
+    # every non-generic input has a tied minor; on its perturbations the
+    # cone test passes exactly the walked triangulation
+    checked = 0
+    for n, d in [(3, 3), (2, 4)]:
+        for arr in grid(n, d):
+            if not genericity_oracle(arr.rows()):
+                assert_cone_test_matches_walk(arr)
+                checked += 1
+    assert checked == 717 + 657

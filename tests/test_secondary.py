@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,10 +17,12 @@ from troparr import (
     secondary_face_check,
 )
 
+from troparr.geometry import apex_statuses
 from troparr.linalg import rank
 
 from conftest import (
     affine_rank_oracle,
+    assert_cone_test_matches_walk,
     face_dimension_oracle,
     matching_gaps,
     move_apex,
@@ -101,6 +104,19 @@ def test_refinements_match_the_loop_over_every_candidate(e2):
     for arr in integer:
         base = dual_subdivision(arr)
         assert refining_triangulations(arr, base) == refinements_oracle(arr, base)
+
+
+def test_cone_test_accepts_exactly_the_walked_triangulation(e2):
+    # the perturbations of E2 and of every flips slice kind at d = 3:
+    # apex on a ray, apex on an apex, integer draws with an incidence
+    rng = random.Random(1618)
+    cases = [e2, SIX_CYCLE]
+    cases += [nongeneric_on_ray(rng, n)[0] for n in (3, 4, 5)]
+    cases += [nongeneric_on_apex(rng, n)[0] for n in (3, 4, 5)]
+    draws = (random_integer_arrangement(rng, n, 3) for n in [3, 4] * 100)
+    cases += islice((arr for arr in draws if not all(st.generic for st in apex_statuses(arr))), 6)
+    for arr in cases:
+        assert assert_cone_test_matches_walk(arr) >= 2, arr.rows()
 
 
 def test_refinements_across_a_six_cycle_wall():
