@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import permutations
 from math import comb
 from operator import and_, or_
 from typing import Callable, Collection
@@ -28,35 +27,6 @@ MAX_SURROUNDING_WORK = 5_000_000
 #: field per partner, so the strips of a tile take O(sum_k e_k BLOCK w)
 #: bits for e_k distinct entries at position k and fields of w bits.
 BLOCK = 128
-
-
-@dataclass(frozen=True)
-class ComparabilityGraph:
-    """Semidirected graph on coordinate labels built from a pair of types.
-
-    A directed edge j -> k records the strict relation "j beats k" forced
-    at some hyperplane; an undirected edge records equality.  Any
-    coordinate contributing a directed orientation overrides undirected
-    contributions for that pair.
-    """
-
-    d: int
-    undirected_edges: frozenset[frozenset[int]]
-    directed_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        labels = {x for edge in self.directed_edges for x in edge}.union(*self.undirected_edges)
-        if not labels <= set(range(1, self.d + 1)):
-            raise ValueError("edges must join labels in 1..d")
-        for j, k in self.directed_edges:
-            if j == k:
-                raise ValueError("no self-loops")
-        for pair in self.undirected_edges:
-            if len(pair) != 2:
-                raise ValueError("undirected edges join two distinct labels")
-            j, k = sorted(pair)
-            if (j, k) in self.directed_edges or (k, j) in self.directed_edges:
-                raise ValueError("a pair may appear in only one edge set")
 
 
 @dataclass(frozen=True)
@@ -186,43 +156,13 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     return CheckResult(False, (A, B, next(j for j, (_, union) in enumerate(found, 1) if not match & union)))
 
 
-def comparability_graph(A: TypeVector, B: TypeVector, d: int | None = None) -> ComparabilityGraph:
-    """Edges j ~ k for j in A_i, k in B_i (j != k): undirected when both
-    labels lie in A_i n B_i, otherwise directed j -> k; a directed
-    contribution from any coordinate overrides undirected ones."""
-    if A.n != B.n:
-        raise ValueError("types must have the same number of entries")
-    if d is None:
-        d = max(A.max_label(), B.max_label())
-    undirected: set[frozenset[int]] = set()
-    directed: set[tuple[int, int]] = set()
-    for ai, bi in zip(A.entries, B.entries):
-        both = ai & bi
-        for j in ai:
-            for k in bi:
-                if j == k:
-                    continue
-                if j in both and k in both:
-                    undirected.add(frozenset((j, k)))
-                else:
-                    directed.add((j, k))
-    undirected -= {frozenset((j, k)) for j, k in directed}
-    return ComparabilityGraph(d, frozenset(undirected), frozenset(directed))
-
-
-def _packed(g: ComparabilityGraph) -> int:
-    """The graph as three d x d bit matrices (bit (j-1)*d + k-1 is j -> k),
-    packed into one int: directed edges, their reversals, undirected edges."""
-    edges = [(j, k, 0) for j, k in g.directed_edges] + [(k, j, 1) for j, k in g.directed_edges]
-    edges += [(j, k, 2) for e in g.undirected_edges for j, k in permutations(e)]
-    return sum(1 << field * g.d * g.d + (j - 1) * g.d + k - 1 for j, k, field in edges)
-
-
 def _packed_pair(a: frozenset[int], b: frozenset[int], d: int) -> int:
-    """:func:`_packed` of the comparability graph of the one-entry types
-    (a) and (b), built from label masks instead of a validated graph.
-    With C = a n b the directed edges are (a - C) x b and C x (b - C),
-    the undirected ones C x C off the diagonal.  The bits of R x K are
+    """The comparability graph of the one-entry types (a) and (b), packed
+    as three d x d bit matrices in one int (bit (j-1)*d + k-1 is j -> k):
+    directed edges, their reversals, undirected edges.  A directed j -> k
+    means j beats k, an undirected edge that they tie.  With C = a n b
+    the directed edges are (a - C) x b and C x (b - C), the undirected
+    ones C x C off the diagonal.  The bits of R x K are
     mask(R, d) * mask(K): ``mask(R, step)`` sets bit (j-1)*step for each
     j in R, and mask(K) < 2^d, so no carry crosses a row."""
 
@@ -238,7 +178,8 @@ def _packed_pair(a: frozenset[int], b: frozenset[int], d: int) -> int:
 
 
 def _acyclic(edges: int, d: int) -> bool:
-    """:func:`is_acyclic` on a :func:`_packed` graph, in O(d) operations on
+    """Whether a graph in :func:`_packed_pair`'s packing has no cycle
+    through a directed edge (undirected edges walked either way), in O(d) operations on
     d^2-bit ints.  Warshall's closure ORs row m into every row reaching m
     with one multiplication; an edge j -> k is on a cycle when k reaches j."""
     directed, reversed_, undirected = (edges >> i * d * d & (1 << d * d) - 1 for i in range(3))
@@ -247,17 +188,6 @@ def _acyclic(edges: int, d: int) -> bool:
     for m in range(d):
         reach |= (reach >> m & column) * (reach >> m * d & (1 << d) - 1)
     return not reach & reversed_
-
-
-def is_acyclic(g: ComparabilityGraph) -> bool:
-    """No cycle that traverses at least one directed edge forward
-    (undirected edges may be walked either way).
-
-    Undirected edges expand to both orientations; the graph fails exactly
-    when some genuinely directed edge has its head reaching back to its
-    tail through the expanded reachability.
-    """
-    return _acyclic(_packed(g), g.d)
 
 
 def check_comparability(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
@@ -324,8 +254,7 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
     """Every ordered-partition refinement of every type must be present.
 
     Kernel: each distinct entry is cut once by every ordered partition
-    (its part in the first block it meets, as in
-    :func:`troparr.geometry.refine`), so a type's refinements are the zip
+    (its part in the first block it meets), so a type's refinements are the zip
     of its entries' columns, all looked up by one ``set.issuperset``.
     The |types| x Fubini(d) lookups are capped at ``MAX_SURROUNDING_WORK``.
     """

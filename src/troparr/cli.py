@@ -22,7 +22,7 @@ from .core import (
     parse_rational,
 )
 from .duality import check_correspondence, dual_subdivision, is_triangulation
-from .geometry import ApexStatus, apex_statuses, type_of_point
+from .geometry import type_of_point
 from .secondary import secondary_face_check
 
 OK, PARSE, DIMENSION, INCONSISTENT, BUDGET, RENDER_DIM, IO = 0, 2, 3, 4, 5, 6, 7
@@ -157,18 +157,14 @@ def _cmd_type_of(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     verdict = check_correspondence(arr, args.budget)
     lines = [f"n: {arr.n}", f"d: {arr.d}", f"generic: {str(verdict.generic).lower()}"]
-    apex_results = []
-    for st in verdict.genericity.apexes:
-        tail = "ok" if st.generic else f"offending {list(st.offending)}"
-        lines.append(f"apex {st.index}: type {st.type.text()} total {st.total} bound {st.bound} {tail}")
-        apex_results.append(
-            {
-                "index": st.index,
-                "type": st.type.text(),
-                "total": st.total,
-                "bound": st.bound,
-                "offending": list(st.offending),
-            }
+    minor = verdict.genericity.minor
+    if minor is None:
+        lines.append("tied_minor: none")
+    else:
+        matchings = " ".join("".join(f"({i},{j})" for i, j in m) for m in minor.matchings)
+        lines.append(
+            f"tied_minor: rows {','.join(map(str, minor.rows))} "
+            f"columns {','.join(map(str, minor.columns))} matchings {matchings}"
         )
     ax = verdict.axiom_report
     lines.append(f"types: {verdict.type_count}")
@@ -187,7 +183,7 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
         "n": arr.n,
         "d": arr.d,
         "generic": verdict.generic,
-        "apexes": apex_results,
+        "tied_minor": None if minor is None else minor._asdict(),
         "type_count": verdict.type_count,
         "axioms": results_ax,
         "is_tom": ax.is_tom,
@@ -242,11 +238,11 @@ def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     return OK, lines, results
 
 
-def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
+def render_svg(arr: Arrangement, bold: set[int]) -> str:
     """SVG picture of a d=3 arrangement: per hyperplane, three rays from
     the planar apex (v_i1 - v_i3, v_i2 - v_i3) in directions (1,1),
-    (0,-1), (-1,0); hyperplanes whose apex status (``statuses``, from
-    :func:`apex_statuses`) is over its bound are drawn bold."""
+    (0,-1), (-1,0); the hyperplanes whose indices (1-based) are in
+    ``bold`` are drawn bold."""
     pts = [(p[0] - p[2], p[1] - p[2]) for p in arr.apexes]
     xs = [float(x) for x, _ in pts]
     ys = [float(y) for _, y in pts]
@@ -270,8 +266,8 @@ def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
     thin = f"{span / 150:.6g}"
     thick = f"{span / 50:.6g}"
     directions = ((1.0, 1.0), (0.0, -1.0), (-1.0, 0.0))
-    for status, (ax, ay) in zip(statuses, pts):
-        bold = not status.generic
+    for i, (ax, ay) in enumerate(pts, 1):
+        thick_rays = i in bold
         for dx, dy in directions:
             x2 = float(ax) + ray_len * dx
             y2 = float(ay) + ray_len * dy
@@ -279,13 +275,13 @@ def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
                 svg,
                 "line",
                 {
-                    "class": "ray bold" if bold else "ray",
+                    "class": "ray bold" if thick_rays else "ray",
                     "x1": f"{float(ax):.6g}",
                     "y1": f"{-float(ay):.6g}",
                     "x2": f"{x2:.6g}",
                     "y2": f"{-y2:.6g}",
                     "stroke": "#000000",
-                    "stroke-width": thick if bold else thin,
+                    "stroke-width": thick if thick_rays else thin,
                 },
             )
     for ax, ay in pts:
@@ -306,16 +302,21 @@ def render_svg(arr: Arrangement, statuses: tuple[ApexStatus, ...]) -> str:
 def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     if arr.d != 3:
         raise CliError(RENDER_DIM, f"rendering needs d=3, got d={arr.d}")
-    statuses = apex_statuses(arr)
-    svg = render_svg(arr, statuses)
+    # hyperplane i is bold when its apex lies on a proper face of another
+    # hyperplane's fan: another entry of the apex's type has two labels
+    bold = {
+        i
+        for i in range(1, arr.n + 1)
+        if any(len(entry) >= 2 for k, entry in enumerate(type_of_point(arr, arr.apex(i)).entries, 1) if k != i)
+    }
+    svg = render_svg(arr, bold)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
         raise CliError(IO, f"cannot write {args.out}: {exc}")
-    bold = sum(3 for st in statuses if not st.generic)
-    lines = [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {bold}"]
-    return OK, lines, {"svg": args.out, "rays": 3 * arr.n, "bold": bold}
+    lines = [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {3 * len(bold)}"]
+    return OK, lines, {"svg": args.out, "rays": 3 * arr.n, "bold": 3 * len(bold)}
 
 
 def _budget(text: str) -> int:
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--budget", type=_budget, default=None, help="cap on the type enumeration's feasibility steps")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
 
     sp = sub.add_parser("type-of", help="type of a point")
     common(sp)
@@ -353,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("subdivision", help="dual subdivision (and flips)")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the perturbations --flips samples")
     sp.add_argument("--flips", action="store_true", help="refining triangulations and GKZ data")
 
     sp = sub.add_parser("render", help="SVG picture (d=3 only)")

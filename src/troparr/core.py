@@ -83,6 +83,7 @@ class ProjectivePoint:
         return len(self.coords)
 
     def normalized(self) -> "ProjectivePoint":
+        """Canonical representative (last coordinate zero).  Idempotent."""
         last = self.coords[-1]
         if last == 0:
             return self
@@ -96,11 +97,6 @@ class ProjectivePoint:
 
     def __getitem__(self, idx: int) -> Fraction:
         return self.coords[idx]
-
-
-def normalize(point: ProjectivePoint) -> ProjectivePoint:
-    """Canonical representative (last coordinate zero).  Idempotent."""
-    return point.normalized()
 
 
 def _as_point(row, d: int | None = None) -> ProjectivePoint:

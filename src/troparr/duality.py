@@ -13,9 +13,10 @@ whose simplices are spanning trees of K_{n,d}; the walk moves from tree
 to tree across shared facets and maps each tree to the coarse cell that
 holds it.  A full triangulation has C(n+d-2, n-1) trees and each costs
 O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
-subsets.  The walk yields its cells lazily, so
-:func:`regular_triangulation`, which decides genericity, stops at the
-first cell that is not a spanning tree.
+subsets.  The walk yields its cells lazily, so the genericity test
+stops at the first cell that is not a spanning tree and names the
+square minor that the cell's first cycle spans: its two alternating
+matchings are both tight, so its min-plus determinant is attained twice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
-from .geometry import GenericityReport, enumerate_realizations, is_generic, realizable
+from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 
@@ -77,15 +78,6 @@ def is_spanning_connected(g: CellGraph) -> bool:
 
 def is_spanning_tree(g: CellGraph) -> bool:
     return is_spanning_connected(g) and len(g.edges) == g.n + g.d - 1
-
-
-def arrangement_cell_dim(arr: Arrangement, T: TypeVector) -> int:
-    """Affine dimension (inside projective space) of a type's realization
-    set; raises if the type is not a cell of the arrangement."""
-    result = realizable(arr, T)
-    if not result.realizable:
-        raise ValueError(f"type {T.text()} is not a cell of the arrangement")
-    return result.dimension
 
 
 @dataclass(frozen=True)
@@ -142,12 +134,9 @@ def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def _side(tree: frozenset[tuple[int, int]], a: int, b: int) -> set[int]:
-    """Nodes joined to node a by the tree's edges other than (a, b)."""
-    adj: dict[int, list[int]] = {}
-    for x, y in tree:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
+def _side(adj: dict[int, list[int]], a: int, b: int) -> set[int]:
+    """Nodes joined to node a by the edges of a tree, given as adjacency
+    lists ``adj``, other than (a, b)."""
     side, stack = {a, b}, [a]
     while stack:
         for w in adj[stack.pop()]:
@@ -198,8 +187,12 @@ def _pivot_walk(
     for tree, p in queue:
         slack = {(a, b): h - p[b] + p[a] for a, b, h in edges}
         yield frozenset((a + 1, b - n + 1) for (a, b), s in slack.items() if 2 * s < scale)
+        adj: dict[int, list[int]] = {}
         for a, b in tree:
-            side = _side(tree, a, b)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for a, b in tree:
+            side = _side(adj, a, b)
             entering = [(s, e) for e, s in slack.items() if e[0] not in side and e[1] in side]
             if not entering:
                 continue  # a boundary facet
@@ -243,13 +236,56 @@ def regular_triangulation(weights) -> Subdivision | None:
     square minor has a min-plus determinant attained by one permutation
     only.  The walk stops at the first cell that is not a spanning tree.
     """
+    return _triangulation_or_tie(weights)[0]
+
+
+def _triangulation_or_tie(weights) -> tuple[Subdivision | None, TiedMinor | None]:
+    """(:func:`regular_subdivision`, None) when it is a triangulation,
+    else (None, the tied minor of the first cell of the walk that is not
+    a spanning tree); the walk stops at that cell."""
     n, d, cells = _envelope_cells(weights)
     simplices = []
     for cell in cells:
         if len(cell.edges) != n + d - 1:
-            return None
+            return None, _tied_minor(cell)
         simplices.append(cell)
-    return Subdivision(n, d, frozenset(simplices))
+    return Subdivision(n, d, frozenset(simplices)), None
+
+
+def _tied_minor(cell: CellGraph) -> TiedMinor:
+    """The minor spanned by the first cycle of a cell that is not a tree.
+
+    The cell's edges join a forest in sorted order; the first edge whose
+    ends the forest already joins closes the cycle with the forest path
+    between them.  The cycle alternates rows and columns, so its edges,
+    taken alternately, are two perfect matchings of the rows and columns
+    it meets.  The cell's potentials have z_j - u_i <= w_ij, with
+    equality on its edges, so every matching of the minor sums to at
+    least sum z - sum u, and both of these reach it.
+    """
+    forest: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for i, j in cell.sorted_edges():
+        a, b = ("L", i), ("R", j)
+        prev, stack = {a: a}, [a]
+        while stack and b not in prev:
+            x = stack.pop()
+            for y in forest.get(x, ()):
+                if y not in prev:
+                    prev[y] = x
+                    stack.append(y)
+        if b in prev:
+            path = [b]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            # the path runs from column j to row i; the edge (i, j) closes it
+            cycle = [(x[1], y[1]) if x[0] == "L" else (y[1], x[1]) for x, y in zip(path, path[1:] + [b])]
+            return TiedMinor(
+                tuple(sorted({r for r, _ in cycle})),
+                tuple(sorted({c for _, c in cycle})),
+                tuple(sorted((tuple(sorted(cycle[0::2])), tuple(sorted(cycle[1::2]))))),
+            )
+        forest.setdefault(a, []).append(b)
+        forest.setdefault(b, []).append(a)
 
 
 def _cone_test(tri: Subdivision) -> Callable[[Sequence[Sequence[Fraction]]], bool]:

@@ -1,13 +1,10 @@
-"""Types of points, exact realizability of candidate types, genericity,
-full type enumeration and refinements.
+"""Types of points, exact realizability of candidate types, genericity
+and full type enumeration.
 
 Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
 the pivot walk over the lower envelope of the apex matrix (see
-:mod:`troparr.duality`).  Apex types are reported beside it as
-diagnostics only: an apex on a proper face of another hyperplane's fan
-ties a 2x2 minor, but a minor can also tie while every apex type keeps
-its minimal size n+d-1.
+:mod:`troparr.duality`), which names a tied minor when there is one.
 
 A candidate type imposes, hyperplane by hyperplane, that the listed
 coordinates tie (after subtracting the apex row) and strictly beat the
@@ -38,17 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
     Arrangement,
-    OrderedPartition,
     ProjectivePoint,
     ResourceLimitError,
     TypeVector,
     _as_point,
-    type_total_size,
 )
 
 
@@ -418,39 +413,26 @@ def type_of_point(arr: Arrangement, point) -> TypeVector:
     return TypeVector(tuple(entries))
 
 
-def apex_type(arr: Arrangement, i: int) -> TypeVector:
-    """Type of hyperplane i's own apex; its i-th entry is all of {1..d}."""
-    return type_of_point(arr, arr.apex(i))
+class TiedMinor(NamedTuple):
+    """A square minor of the apex matrix, rows by columns (1-based,
+    ascending), and two distinct perfect matchings of it, each a sorted
+    tuple of (row, column) pairs, whose sums both reach the minor's
+    min-plus determinant."""
 
-
-@dataclass(frozen=True)
-class ApexStatus:
-    """Diagnostic data for one apex: its type, the total label count, the
-    n+d-1 reference bound, and the positions (other hyperplanes) whose
-    entry has 2 or more labels.  An apex over the bound lies on a proper
-    face of another hyperplane's fan, which makes the arrangement
-    non-generic; the converse fails."""
-
-    index: int
-    type: TypeVector
-    total: int
-    bound: int
-    offending: tuple[int, ...]
-
-    @property
-    def generic(self) -> bool:
-        return self.total == self.bound
+    rows: tuple[int, ...]
+    columns: tuple[int, ...]
+    matchings: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
 class GenericityReport:
     """``generic``: whether the arrangement is tropically generic, that is,
     whether its lower-envelope subdivision is a triangulation.
-    ``apexes``: the status of each apex, for diagnostics; they do not
-    decide ``generic``."""
+    ``minor``: None when it is, else a :class:`TiedMinor` certifying that
+    it is not."""
 
     generic: bool
-    apexes: tuple[ApexStatus, ...]
+    minor: TiedMinor | None
 
     def __bool__(self) -> bool:
         return self.generic
@@ -458,31 +440,21 @@ class GenericityReport:
 
 def is_generic(arr: Arrangement) -> GenericityReport:
     """Whether every square minor of the apex matrix has a min-plus
-    determinant attained by exactly one permutation, with each apex's
-    status beside it.
+    determinant attained by exactly one permutation, with a tied minor
+    when not.
 
     That holds exactly when the lower-envelope subdivision of the apex
     matrix is a triangulation (Develin-Sturmfels): a tie puts both
     optimal matchings of the minor into one cell, which is then no
-    spanning tree.  The pivot walk over the envelope stops at the first
-    cell that is not a tree.
+    spanning tree, and conversely any cycle in a cell alternates between
+    two matchings of one minor that are both tight.  The pivot walk over
+    the envelope stops at the first cell that is not a tree and reads
+    the minor off its first cycle.
     """
-    from .duality import regular_triangulation  # duality imports this module at load time
+    from .duality import _triangulation_or_tie  # duality imports this module at load time
 
-    return GenericityReport(regular_triangulation(arr.rows()) is not None, apex_statuses(arr))
-
-
-def apex_statuses(arr: Arrangement) -> tuple[ApexStatus, ...]:
-    """The status of each apex, in O(n^2 d); no pivot walk runs."""
-    bound = arr.n + arr.d - 1
-    statuses = []
-    for i in range(1, arr.n + 1):
-        T = apex_type(arr, i)
-        offending = tuple(
-            pos for pos, entry in enumerate(T.entries, 1) if pos != i and len(entry) >= 2
-        )
-        statuses.append(ApexStatus(i, T, type_total_size(T), bound, offending))
-    return tuple(statuses)
+    minor = _triangulation_or_tie(arr.rows())[1]
+    return GenericityReport(minor is None, minor)
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
@@ -553,22 +525,3 @@ def enumerate_realizations(
 def enumerate_types(arr: Arrangement, budget: int | None = None) -> frozenset[TypeVector]:
     """The set of all realizable types of the arrangement."""
     return frozenset(enumerate_realizations(arr, budget))
-
-
-def refine(T: TypeVector, P: OrderedPartition) -> TypeVector:
-    """Refinement of a type by an ordered partition: each entry is cut to
-    its intersection with the first block it meets.
-
-    This is the type reached by an infinitesimal move in a direction that
-    is constant on blocks and strictly larger on earlier blocks.
-    """
-    entries = []
-    for A in T.entries:
-        for block in P.blocks:
-            hit = A & block
-            if hit:
-                entries.append(hit)
-                break
-        else:
-            raise ValueError("partition does not cover the type's labels")
-    return TypeVector(tuple(entries))

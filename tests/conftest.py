@@ -1,16 +1,18 @@
 """Shared fixtures: the two worked example arrangements, random
 arrangement generators, and independent oracles (sampling; exact rank,
-determinant and secondary-face dimension via sympy; genericity and
-matching gaps by square minors; direct scans and the replaced pairwise
-kernels for the axiom checks; a direct scan for the lower envelope; the
-feasibility DFS on Fraction coordinates; flips without the envelope
-dedupe; the pivot walk against the cone test) used to cross-check the
-main code paths, and the ``--grid`` option that adds the larger
-exhaustive grids."""
+determinant and secondary-face dimension via sympy; genericity, tied
+minors and matching gaps by square minors; apex types and the fan faces
+apexes lie on; direct scans, the validated comparability graph and the
+replaced pairwise kernels for the axiom checks; a direct scan for the
+lower envelope; the feasibility DFS on Fraction coordinates; flips
+without the envelope dedupe; the pivot walk against the cone test) used
+to cross-check the main code paths, and the ``--grid`` option that adds
+the larger exhaustive grids."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, permutations
@@ -23,21 +25,18 @@ from troparr import (
     Arrangement,
     CellGraph,
     CheckResult,
-    ComparabilityGraph,
+    OrderedPartition,
     ProjectivePoint,
     RealizationResult,
     TypeVector,
-    apex_type,
-    comparability_graph,
     dual_subdivision,
     enumerate_ordered_partitions,
-    is_generic,
     is_triangulation,
-    refine,
+    realizable,
     refines,
     type_of_point,
 )
-from troparr.axioms import _acyclic, _packed
+from troparr.axioms import _acyclic
 from troparr.duality import _cone_test, regular_triangulation
 from troparr.secondary import _perturbations
 
@@ -107,11 +106,43 @@ def genericity_oracle(rows) -> bool:
     return True
 
 
+def minor_ties(rows, minor) -> bool:
+    """Whether ``minor`` names two distinct perfect matchings of its rows
+    and columns (1-based) that both reach the minor's smallest
+    permutation sum, found by trying every permutation."""
+    I, J, matchings = minor
+    if len(I) != len(J) or len(set(matchings)) != 2:
+        return False
+    for m in matchings:
+        if sorted(i for i, _ in m) != list(I) or sorted(j for _, j in m) != list(J):
+            return False
+    least = min(sum(rows[i - 1][j - 1] for i, j in zip(I, p)) for p in permutations(J))
+    return all(sum(rows[i - 1][j - 1] for i, j in m) == least for m in matchings)
+
+
 def random_generic_arrangement(rng: random.Random, n: int, d: int) -> Arrangement:
     while True:
         arr = random_arrangement(rng, n, d)
         if genericity_oracle(arr.rows()):
             return arr
+
+
+def apex_type(arr: Arrangement, i: int) -> TypeVector:
+    """Type of hyperplane i's own apex; its i-th entry is all of {1..d}."""
+    return type_of_point(arr, arr.apex(i))
+
+
+def offending_positions(arr: Arrangement, i: int) -> tuple[int, ...]:
+    """The hyperplanes other than i whose entry in apex i's type has two or
+    more labels: apex i lies on a proper face of each one's fan, which
+    ties a 2x2 minor.  The type's total exceeds n + d - 1 by the extra
+    labels."""
+    return tuple(k for k, entry in enumerate(apex_type(arr, i).entries, 1) if k != i and len(entry) >= 2)
+
+
+def offending_apexes(arr: Arrangement) -> set[int]:
+    """The apexes that lie on a proper face of another hyperplane's fan."""
+    return {i for i in range(1, arr.n + 1) if offending_positions(arr, i)}
 
 
 def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3, tries: int = 1000):
@@ -135,8 +166,7 @@ def nongeneric_on_ray(rng: random.Random, n: int, d: int = 3, tries: int = 1000)
         victim[j - 1] += t
         victim[k - 1] += t
         arr = Arrangement.from_rows(base + [victim])
-        report = is_generic(arr)
-        if {st.index for st in report.apexes if not st.generic} != expected_bad:
+        if offending_apexes(arr) != expected_bad:
             continue
         T = apex_type(arr, n)
         if T.entry(host) != frozenset((j, k)):
@@ -519,6 +549,74 @@ def elimination_oracle(types) -> CheckResult:
     return CheckResult(True)
 
 
+@dataclass(frozen=True)
+class ComparabilityGraph:
+    """Semidirected graph on coordinate labels built from a pair of types.
+
+    A directed edge j -> k records the strict relation "j beats k" forced
+    at some hyperplane; an undirected edge records equality.  Any
+    coordinate contributing a directed orientation overrides undirected
+    contributions for that pair.
+    """
+
+    d: int
+    undirected_edges: frozenset[frozenset[int]]
+    directed_edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        labels = {x for edge in self.directed_edges for x in edge}.union(*self.undirected_edges)
+        if not labels <= set(range(1, self.d + 1)):
+            raise ValueError("edges must join labels in 1..d")
+        for j, k in self.directed_edges:
+            if j == k:
+                raise ValueError("no self-loops")
+        for pair in self.undirected_edges:
+            if len(pair) != 2:
+                raise ValueError("undirected edges join two distinct labels")
+            j, k = sorted(pair)
+            if (j, k) in self.directed_edges or (k, j) in self.directed_edges:
+                raise ValueError("a pair may appear in only one edge set")
+
+
+def comparability_graph(A: TypeVector, B: TypeVector, d: int | None = None) -> ComparabilityGraph:
+    """Edges j ~ k for j in A_i, k in B_i (j != k): undirected when both
+    labels lie in A_i n B_i, otherwise directed j -> k; a directed
+    contribution from any coordinate overrides undirected ones."""
+    if A.n != B.n:
+        raise ValueError("types must have the same number of entries")
+    if d is None:
+        d = max(A.max_label(), B.max_label())
+    undirected: set[frozenset[int]] = set()
+    directed: set[tuple[int, int]] = set()
+    for ai, bi in zip(A.entries, B.entries):
+        both = ai & bi
+        for j in ai:
+            for k in bi:
+                if j == k:
+                    continue
+                if j in both and k in both:
+                    undirected.add(frozenset((j, k)))
+                else:
+                    directed.add((j, k))
+    undirected -= {frozenset((j, k)) for j, k in directed}
+    return ComparabilityGraph(d, frozenset(undirected), frozenset(directed))
+
+
+def packed(g: ComparabilityGraph) -> int:
+    """The graph as three d x d bit matrices (bit (j-1)*d + k-1 is j -> k),
+    packed into one int: directed edges, their reversals, undirected edges."""
+    edges = [(j, k, 0) for j, k in g.directed_edges] + [(k, j, 1) for j, k in g.directed_edges]
+    edges += [(j, k, 2) for e in g.undirected_edges for j, k in permutations(e)]
+    return sum(1 << field * g.d * g.d + (j - 1) * g.d + k - 1 for j, k, field in edges)
+
+
+def is_acyclic(g: ComparabilityGraph) -> bool:
+    """No cycle that traverses at least one directed edge forward
+    (undirected edges may be walked either way), by the library's packed
+    closure ``axioms._acyclic``."""
+    return _acyclic(packed(g), g.d)
+
+
 def acyclic_oracle(g: ComparabilityGraph) -> bool:
     """Acyclicity by a dict-of-dicts transitive closure."""
     nodes = range(1, g.d + 1)
@@ -578,18 +676,46 @@ def pairwise_comparability_oracle(types, d: int | None = None) -> CheckResult:
     if d is None:
         d = max((t.max_label() for t in ordered), default=1)
     entries = {e for t in ordered for e in t.entries}
-    packed = {(a, b): _packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
+    graphs = {(a, b): packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
               for a in entries for b in entries}
     acyclic = cache(partial(_acyclic, d=d))
     for ia, A in enumerate(ordered):
         for B in ordered[ia:]:
-            if not acyclic(reduce(or_, [packed[ab] for ab in zip(A.entries, B.entries)])):
+            if not acyclic(reduce(or_, [graphs[ab] for ab in zip(A.entries, B.entries)])):
                 return CheckResult(False, (A, B))
     return CheckResult(True)
 
 
+def refine(T: TypeVector, P: OrderedPartition) -> TypeVector:
+    """Refinement of a type by an ordered partition: each entry is cut to
+    its intersection with the first block it meets.
+
+    This is the type reached by an infinitesimal move in a direction that
+    is constant on blocks and strictly larger on earlier blocks.
+    """
+    entries = []
+    for A in T.entries:
+        for block in P.blocks:
+            hit = A & block
+            if hit:
+                entries.append(hit)
+                break
+        else:
+            raise ValueError("partition does not cover the type's labels")
+    return TypeVector(tuple(entries))
+
+
+def arrangement_cell_dim(arr: Arrangement, T: TypeVector) -> int:
+    """Affine dimension (inside projective space) of a type's realization
+    set; raises if the type is not a cell of the arrangement."""
+    result = realizable(arr, T)
+    if not result.realizable:
+        raise ValueError(f"type {T.text()} is not a cell of the arrangement")
+    return result.dimension
+
+
 def surrounding_oracle(types, d: int) -> CheckResult:
-    """Surrounding by building every refinement with ``geometry.refine``."""
+    """Surrounding by building every refinement with :func:`refine`."""
     ordered = _sorted_types(types)
     present = set(ordered)
     partitions = enumerate_ordered_partitions(d)

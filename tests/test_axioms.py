@@ -14,16 +14,17 @@ from troparr import (
     check_elimination,
     check_local_refinement,
     check_surrounding,
-    comparability_graph,
     enumerate_types,
-    is_acyclic,
     is_tropical_oriented_matroid,
 )
 
 from conftest import (
+    comparability_graph,
     comparability_oracle,
     elimination_oracle,
+    is_acyclic,
     nongeneric_on_apex,
+    packed,
     pairwise_comparability_oracle,
     pairwise_elimination_oracle,
     random_generic_arrangement,
@@ -99,7 +100,7 @@ def test_packed_pair_matches_the_packed_graph(d):
     for a in labels:
         for b in labels:
             graph = comparability_graph(TypeVector((a,)), TypeVector((b,)), d)
-            assert troparr.axioms._packed_pair(a, b, d) == troparr.axioms._packed(graph), (a, b)
+            assert troparr.axioms._packed_pair(a, b, d) == packed(graph), (a, b)
 
 
 def test_is_acyclic():

@@ -99,7 +99,7 @@ def test_cmd_type_of_errors(capsys, e2_file):
 def test_cmd_check_e1(capsys, e1_file):
     code, out = run(capsys, ["check", "--input", e1_file, "--format", "text"])
     assert code == 0
-    assert "generic: true" in out
+    assert "generic: true\ntied_minor: none\n" in out
     assert "types: 5" in out
     assert "is_tom: true" in out
     assert "triangulation: true" in out
@@ -109,8 +109,7 @@ def test_cmd_check_e1(capsys, e1_file):
 def test_cmd_check_e2(capsys, e2_file):
     code, out = run(capsys, ["check", "--input", e2_file])
     assert code == 0
-    assert "generic: false" in out
-    assert "apex 2: type ({1,2},{1,2,3}) total 5 bound 4 offending [1]" in out
+    assert "generic: false\ntied_minor: rows 1,2 columns 1,2 matchings (1,1)(2,2) (1,2)(2,1)\n" in out
     assert "local_refinement: fail" in out
     assert "triangulation: false" in out
     assert "consistent: true" in out
@@ -119,7 +118,7 @@ def test_cmd_check_e2(capsys, e2_file):
 def test_cmd_check_tied_minor_with_generic_apexes(capsys, tied_minor_file):
     code, out = run(capsys, ["check", "--format", "text", "--input", tied_minor_file])
     assert code == 0
-    assert out.count(" bound 6 ok") == 4
+    assert "tied_minor: rows 1,3,4 columns 1,2,3 matchings (1,2)(3,1)(4,3) (1,3)(3,2)(4,1)\n" in out
     assert "generic: false" in out and "triangulation: false" in out
     assert "consistent: true" in out
 
@@ -133,6 +132,19 @@ def test_cmd_check_json_deterministic(capsys, e2_file):
     assert doc["status"] == "ok"
     assert doc["results"]["type_count"] == 13
     assert doc["results"]["axioms"]["local_refinement"] == "fail"
+    assert doc["results"]["tied_minor"] == {"rows": [1, 2], "columns": [1, 2], "matchings": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]}
+
+
+def test_cmd_check_json_tied_minor(capsys, e1_file, tied_minor_file):
+    code, out = run(capsys, ["check", "--format", "text", "--input", e1_file, "--json"])
+    assert code == 0 and json.loads(out)["results"]["tied_minor"] is None
+    code, out = run(capsys, ["check", "--format", "text", "--input", tied_minor_file, "--json"])
+    assert code == 0
+    assert json.loads(out)["results"]["tied_minor"] == {
+        "rows": [1, 3, 4],
+        "columns": [1, 2, 3],
+        "matchings": [[[1, 2], [3, 1], [4, 3]], [[1, 3], [3, 2], [4, 1]]],
+    }
 
 
 def test_cmd_check_rejects_missing_or_malformed(tmp_path, capsys):
@@ -349,7 +361,7 @@ def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monke
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     # the flat arrangement's one cell is the whole product, so its volume
     # comes from a pivot walk over the full support, which checks its count
-    monkeypatch.setattr(troparr.duality, "_side", lambda tree, a, b: set())
+    monkeypatch.setattr(troparr.duality, "_side", lambda adj, a, b: set())
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["0", "0", "0"]]}))
     assert main(["subdivision", "--input", str(path)]) == 4
@@ -400,14 +412,26 @@ def test_render_unwritable_path(capsys, e2_file, tmp_path):
     capsys.readouterr()
 
 
-def test_render_svg_is_well_formed(e2_file):
+def test_render_svg_is_well_formed(capsys, e2_file, tmp_path):
     arr = Arrangement.from_rows(E2_DOC["apexes"])
-    svg = render_svg(arr, troparr.geometry.is_generic(arr).apexes)
+    svg = render_svg(arr, {2})
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     lines, circles, bold = _ray_elements(svg)
     assert len(lines) == 3 * arr.n and len(circles) == arr.n
-    assert len(bold) == 3  # hyperplane 2 is the non-generic one
+    assert {(el.get("x1"), el.get("y1")) for el in bold} == {("1", "-1")}  # hyperplane 2's apex
+    # apex 2 lies on a ray of hyperplane 1's fan, so render draws it bold
+    out = tmp_path / "e2.svg"
+    code, report = run(capsys, ["render", "--input", e2_file, "--out", str(out)])
+    assert code == 0 and "bold: 3\n" in report
+    assert out.read_text() == svg
+
+
+def test_seed_is_a_subdivision_option(capsys, e2_file, tmp_path):
+    # only subdivision --flips samples perturbations
+    for argv in (["check"], ["type-of", "--point", "1,1,0"], ["render", "--out", str(tmp_path / "x.svg")]):
+        assert main(argv + ["--input", e2_file, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(capsys, e2_file):

@@ -12,7 +12,6 @@ from troparr import (
     TypeVector,
     enumerate_ordered_partitions,
     format_rational,
-    normalize,
     parse_rational,
     type_total_size,
 )
@@ -30,18 +29,18 @@ def fubini(d: int) -> int:
 
 
 def test_normalize_examples():
-    assert normalize(ProjectivePoint((1, 1, 0))).coords == (1, 1, 0)
-    assert normalize(ProjectivePoint((2, 2, 1))).coords == (1, 1, 0)
-    assert normalize(ProjectivePoint((0, 0, 0))).coords == (0, 0, 0)
+    assert ProjectivePoint((1, 1, 0)).normalized().coords == (1, 1, 0)
+    assert ProjectivePoint((2, 2, 1)).normalized().coords == (1, 1, 0)
+    assert ProjectivePoint((0, 0, 0)).normalized().coords == (0, 0, 0)
 
 
 @given(st.lists(rationals, min_size=2, max_size=6), rationals)
 def test_normalize_shift_invariant_and_idempotent(coords, c):
     p = ProjectivePoint(tuple(coords))
     shifted = ProjectivePoint(tuple(x + c for x in coords))
-    assert normalize(p) == normalize(shifted)
-    assert normalize(normalize(p)) == normalize(p)
-    assert normalize(p).coords[-1] == 0
+    assert p.normalized() == shifted.normalized()
+    assert p.normalized().normalized() == p.normalized()
+    assert p.normalized().coords[-1] == 0
 
 
 def test_point_rejects_floats_and_short_vectors():

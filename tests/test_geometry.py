@@ -13,26 +13,29 @@ from troparr import (
     RealizationResult,
     ResourceLimitError,
     TypeVector,
-    apex_type,
     enumerate_ordered_partitions,
     enumerate_realizations,
     enumerate_types,
     is_generic,
     realizable,
-    refine,
     safe_radius,
     type_of_point,
     type_total_size,
 )
 
 from conftest import (
+    apex_type,
+    minor_ties,
     move_apex,
     nongeneric_on_apex,
     nongeneric_on_ray,
+    offending_apexes,
+    offending_positions,
     random_arrangement,
     random_generic_arrangement,
     random_integer_arrangement,
     realizations_oracle,
+    refine,
     sampled_types,
 )
 
@@ -77,18 +80,23 @@ def test_apex_type_examples(e2):
 
 def test_is_generic_reports(e1, e2):
     rep1 = is_generic(e1)
-    assert rep1 and all(st.total == 3 for st in rep1.apexes)
+    assert rep1 and rep1.minor is None
+    assert all(type_total_size(apex_type(e1, i)) == 3 for i in (1, 2))
+    # apex 2 on the {1,2}-ray of hyperplane 1's fan ties the minor on rows
+    # 1, 2 and columns 1, 2
     rep2 = is_generic(e2)
     assert not rep2
-    assert rep2.apexes[0].generic and rep2.apexes[0].total == 4
-    bad = rep2.apexes[1]
-    assert bad.total == 5 and bad.bound == 4 and bad.offending == (1,)
+    assert rep2.minor == ((1, 2), (1, 2), (((1, 1), (2, 2)), ((1, 2), (2, 1))))
+    assert type_total_size(apex_type(e2, 1)) == 4 and offending_positions(e2, 1) == ()
+    assert type_total_size(apex_type(e2, 2)) == 5 and offending_positions(e2, 2) == (1,)
     single = Arrangement.from_rows([[5, 0, 2]])
-    assert is_generic(single)
+    assert is_generic(single) and is_generic(single).minor is None
     # every apex at its bound, but the minor on rows 1, 3, 4 ties
     tied = Arrangement.from_rows([[3, -2, 0], [0, -4, 0], [-4, -5, 0], [-1, 1, 0]])
     rep3 = is_generic(tied)
-    assert not rep3 and all(st.generic for st in rep3.apexes)
+    assert not rep3 and not offending_apexes(tied)
+    assert rep3.minor == ((1, 3, 4), (1, 2, 3), (((1, 2), (3, 1), (4, 3)), ((1, 3), (3, 2), (4, 1))))
+    assert minor_ties(tied.rows(), rep3.minor)
 
 
 def test_is_generic_stops_at_the_first_cell_that_is_not_a_tree(monkeypatch):
@@ -387,11 +395,10 @@ def test_apex_total_lower_bound():
     for _ in range(40):
         n, d = rng.choice([(2, 2), (2, 3), (3, 3), (2, 4), (4, 2)])
         arr = random_arrangement(rng, n, d)
-        report = is_generic(arr)
-        for st in report.apexes:
-            assert st.total >= n + d - 1
-            assert st.generic == (st.total == n + d - 1)
-            assert (st.total > n + d - 1) == bool(st.offending)
+        for i in range(1, n + 1):
+            total = type_total_size(apex_type(arr, i))
+            assert total >= n + d - 1
+            assert (total > n + d - 1) == bool(offending_positions(arr, i))
 
 
 def test_zero_dimensional_types_have_distinct_forced_witnesses():

@@ -1,13 +1,16 @@
 """Exhaustive small grids: every apex matrix with entries in {-1, 0, 1}
 and last column 0, degenerate ones included.
 
-The (2,3) and (3,3) grids run by default.  ``--grid`` adds the larger
-ones: (3,3) and (2,4) against the Fraction oracle, genericity and the
-verdict at (2,4), the secondary-face check and its exact face dimension
+The (2,3) and (3,3) grids run by default, with the tied minor that
+every non-generic input names checked by trying every permutation.
+``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
+oracle, genericity, its tied minor and the verdict at (2,4), the
+secondary-face check and its exact face dimension
 on the (3,3) and (2,4) inputs whose apexes all look generic although a
 minor ties, the cone test against the pivot walk on the perturbations
 of every non-generic input at (3,3) and (2,4), and dual subdivision
-against lower envelope on the 6,561 inputs at (4,3).  It also compares
+against lower envelope, with genericity and its tied minor, on the 6,561
+inputs at (4,3).  It also compares
 the bit-sliced elimination and comparability kernels with the pairwise
 scans they replaced on full type collections at (4,4), (5,4) and (3,6),
 up to 1,023 types.
@@ -39,7 +42,9 @@ from conftest import (
     assert_cone_test_matches_walk,
     face_dimension_oracle,
     genericity_oracle,
+    minor_ties,
     nongeneric_on_apex,
+    offending_apexes,
     pairwise_comparability_oracle,
     pairwise_elimination_oracle,
     random_generic_arrangement,
@@ -73,16 +78,21 @@ def test_dual_subdivision_matches_envelope_on_grid(n, d):
         dual = _subdivision_of(arr, enumerate_realizations(arr))
         assert dual == regular_subdivision(arrangement_heights(arr)), arr.rows()
         if with_genericity:
-            assert bool(is_generic(arr)) == genericity_oracle(arr.rows()) == is_triangulation(dual), arr.rows()
+            report = is_generic(arr)
+            assert bool(report) == genericity_oracle(arr.rows()) == is_triangulation(dual), arr.rows()
+            assert report.minor is None if report else minor_ties(arr.rows(), report.minor), arr.rows()
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(2, 4, marks=pytest.mark.large_grid)])
 def test_genericity_and_verdict_on_grid(n, d):
     # generic <=> minors oracle <=> triangulation, generic => TOM, and
-    # local refinement passes exactly on the generic inputs
+    # local refinement passes exactly on the generic inputs; a non-generic
+    # input names a minor whose two matchings both reach its least sum
     for arr in grid(n, d):
         verdict = check_correspondence(arr)
         assert verdict.generic == genericity_oracle(arr.rows()) == verdict.triangulation, arr.rows()
+        minor = verdict.genericity.minor
+        assert minor is None if verdict.generic else minor_ties(arr.rows(), minor), arr.rows()
         assert verdict.consistent, arr.rows()
         if verdict.generic:
             assert verdict.axiom_report.is_tom, arr.rows()
@@ -95,8 +105,7 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
     checked = 0
     for n, d in [(3, 3), (2, 4)]:
         for arr in grid(n, d):
-            report = is_generic(arr)
-            if report or not all(st.generic for st in report.apexes):
+            if is_generic(arr) or offending_apexes(arr):
                 continue
             verdict = secondary_face_check(arr, dual_subdivision(arr))
             assert verdict.passes, arr.rows()
