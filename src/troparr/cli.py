@@ -342,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="arrangement file")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
+
+    def budget(sp):
         sp.add_argument("--budget", type=_budget, default=None, help="cap on the type enumeration's feasibility steps")
 
     sp = sub.add_parser("type-of", help="type of a point")
@@ -350,9 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="genericity, axioms and correspondence")
     common(sp)
+    budget(sp)
 
     sp = sub.add_parser("subdivision", help="dual subdivision (and flips)")
     common(sp)
+    budget(sp)
     sp.add_argument("--seed", type=int, default=0, help="seed for the perturbations --flips samples")
     sp.add_argument("--flips", action="store_true", help="refining triangulations and GKZ data")
 

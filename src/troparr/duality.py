@@ -17,6 +17,9 @@ subsets.  The walk yields its cells lazily, so the genericity test
 stops at the first cell that is not a spanning tree and names the
 square minor that the cell's first cycle spans: its two alternating
 matchings are both tight, so its min-plus determinant is attained twice.
+Run over the edges of one cell only, the walk gives that cell's own
+regular subdivision under other heights: how a normalized volume is
+counted, and how :mod:`troparr.secondary` refines a coarse subdivision.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, TypeVector, to_fraction
 from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
@@ -229,27 +232,13 @@ def regular_subdivision(weights) -> Subdivision:
     return Subdivision(n, d, frozenset(cells))
 
 
-def regular_triangulation(weights) -> Subdivision | None:
-    """:func:`regular_subdivision` when it is a triangulation, else None.
-
-    It is one exactly when the heights are tropically generic: every
-    square minor has a min-plus determinant attained by one permutation
-    only.  The walk stops at the first cell that is not a spanning tree.
-    """
-    return _triangulation_or_tie(weights)[0]
-
-
-def _triangulation_or_tie(weights) -> tuple[Subdivision | None, TiedMinor | None]:
-    """(:func:`regular_subdivision`, None) when it is a triangulation,
-    else (None, the tied minor of the first cell of the walk that is not
-    a spanning tree); the walk stops at that cell."""
+def _first_tied_minor(weights) -> TiedMinor | None:
+    """The tied minor of the first cell of the lower-envelope walk that is
+    not a spanning tree, where the walk stops, or None when every cell is
+    one: the heights are then tropically generic, every square minor's
+    min-plus determinant attained by one permutation only."""
     n, d, cells = _envelope_cells(weights)
-    simplices = []
-    for cell in cells:
-        if len(cell.edges) != n + d - 1:
-            return None, _tied_minor(cell)
-        simplices.append(cell)
-    return Subdivision(n, d, frozenset(simplices)), None
+    return next((_tied_minor(cell) for cell in cells if len(cell.edges) != n + d - 1), None)
 
 
 def _tied_minor(cell: CellGraph) -> TiedMinor:
@@ -288,52 +277,6 @@ def _tied_minor(cell: CellGraph) -> TiedMinor:
         forest.setdefault(b, []).append(a)
 
 
-def _cone_test(tri: Subdivision) -> Callable[[Sequence[Sequence[Fraction]]], bool]:
-    """A test of whether the triangulation ``tri`` is
-    :func:`regular_triangulation` of given heights, without a pivot walk.
-
-    It is exactly when, on each simplex (a spanning tree), the affine
-    potentials z_j - u_i equal to the heights on the tree's edges lie
-    strictly below them off the tree (De Loera-Rambau-Santos, ch. 5).
-    Each tree's edges are put in an order that solves the potentials
-    outward from u_1 = 0 once, here; the test scales the heights to ints
-    by the lcm of their denominators and costs O(nd) per tree.  Heights
-    with a tied minor pass for no triangulation: the inequality is strict.
-    Nodes and the flat edge index k are as in :func:`_pivot_walk`.
-    """
-    n, d = tri.n, tri.d
-    plans = []
-    for cell in tri.maximal_cells:
-        tree = [(i - 1, n + j - 1, (i - 1) * d + j - 1) for i, j in cell.edges]
-        steps, known = [], {0}
-        while len(known) < n + d:
-            for a, b, k in tree:
-                if (a in known) != (b in known):
-                    # p_b - p_a = h_k on a tree edge
-                    steps.append((a, b, k, 1) if a in known else (b, a, k, -1))
-                    known |= {a, b}
-        off = [
-            (i, n + j, i * d + j)
-            for i in range(n)
-            for j in range(d)
-            if (i + 1, j + 1) not in cell.edges
-        ]
-        plans.append((steps, off))
-
-    def in_cone(weights: Sequence[Sequence[Fraction]]) -> bool:
-        den = lcm(*(w.denominator for row in weights for w in row))
-        h = [w.numerator * (den // w.denominator) for row in weights for w in row]
-        for steps, off in plans:
-            p = [0] * (n + d)
-            for src, dst, k, sign in steps:
-                p[dst] = p[src] + sign * h[k]
-            if any(h[k] <= p[b] - p[a] for a, b, k in off):
-                return False
-        return True
-
-    return in_cone
-
-
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:
     """Lifting heights matching an arrangement (its apex rows)."""
     return arr.rows()
@@ -361,8 +304,10 @@ def normalized_volume(g: CellGraph) -> int:
 
 def is_triangulation(sub: Subdivision) -> bool:
     """Every maximal cell a spanning tree (a unit simplex), and as many of
-    them as the full normalized volume of the product of simplices."""
-    if not all(is_spanning_tree(g) for g in sub.maximal_cells):
+    them as the full normalized volume of the product of simplices.  A
+    :class:`Subdivision` has already checked that each cell spans and is
+    connected, so a cell is a tree exactly when it has n + d - 1 edges."""
+    if any(len(g.edges) != sub.n + sub.d - 1 for g in sub.maximal_cells):
         return False
     return len(sub.maximal_cells) == comb(sub.n + sub.d - 2, sub.n - 1)
 

@@ -451,9 +451,9 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     the envelope stops at the first cell that is not a tree and reads
     the minor off its first cycle.
     """
-    from .duality import _triangulation_or_tie  # duality imports this module at load time
+    from .duality import _first_tied_minor  # duality imports this module at load time
 
-    minor = _triangulation_or_tie(arr.rows())[1]
+    minor = _first_tied_minor(arr.rows())
     return GenericityReport(minor is None, minor)
 
 

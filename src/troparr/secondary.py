@@ -5,13 +5,14 @@ A non-generic arrangement, one whose subdivision is not a triangulation,
 sits on a wall between generic ones.  Moving its apexes by less than the
 safe radius, which is read off their denominators, crosses no wall, so
 every generic arrangement it lands on has a triangulation refining the
-coarse subdivision.  A moved arrangement is generic exactly when the
-lower envelope of its apex matrix is a triangulation, so the pivot walk
-over that envelope is the genericity test.  Most moves land on a
-triangulation already found; an exact cone test on the moved heights
-recognises those without a walk.  The affine span of the GKZ vectors
-measures the dimension of the secondary-polytope face the wall
-corresponds to.
+coarse subdivision.  That triangulation needs no walk over the moved
+envelope: for heights w and a step u, the lower envelope of w + εu at
+such a small ε is the union, over the coarse cells, of each cell's own
+regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and 6.2).
+So a pivot walk over the edges of each cell that is not a tree refines
+it, and the move is generic exactly when every piece is a tree.  The
+affine span of the GKZ vectors measures the dimension of the
+secondary-polytope face the wall corresponds to.
 """
 
 from __future__ import annotations
@@ -20,16 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Sequence
 
-from .core import Arrangement
-from .duality import (
-    Subdivision,
-    _cone_test,
-    dual_subdivision,
-    is_triangulation,
-    regular_triangulation,
-)
+from .core import Arrangement, CellGraph
+from .duality import Subdivision, _pivot_walk, dual_subdivision, is_triangulation
 from .linalg import rank
 
 #: Parameter pairs (n, d) for which every triangulation of the product
@@ -123,19 +118,16 @@ def safe_radius(arr: Arrangement) -> Fraction:
     return Fraction(1, 2 * min(arr.n, arr.d) * D)
 
 
-def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[Arrangement]:
-    """``samples`` joint random perturbations of all apexes drawn under
-    ``seed``: every coordinate moves by a random multiple of
-    ``safe_radius``/1000 in [0, safe_radius]."""
-    radius = safe_radius(arr)
-    rng = random.Random(seed)
-    rows = arr.rows()
-    return [
-        Arrangement.from_rows(
-            [[x + radius * Fraction(rng.randint(0, 1000), 1000) for x in row] for row in rows]
-        )
-        for _ in range(samples)
-    ]
+def _refined_cells(base: Subdivision, step: Sequence[Sequence[int]]) -> frozenset[CellGraph]:
+    """Maximal cells of the lower envelope of ``base``'s heights moved by
+    a small enough positive multiple of ``step``: every cell of ``base``
+    that is a tree, and the pieces of every other one's regular
+    subdivision under ``step``, walked over that cell's own edges."""
+    n, d = base.n, base.d
+    cells = {g for g in base.maximal_cells if len(g.edges) == n + d - 1}
+    for g in base.maximal_cells - cells:
+        cells.update(CellGraph(n, d, piece) for piece in _pivot_walk(n, d, step, g.edges))
+    return frozenset(cells)
 
 
 def refining_triangulations(
@@ -147,44 +139,44 @@ def refining_triangulations(
 ) -> frozenset[Subdivision]:
     """Distinct triangulations reachable by safe perturbations.
 
-    ``samples`` joint random perturbations of all apexes within
-    :func:`safe_radius` are drawn under ``seed``; non-generic results
-    are skipped.  Every triangulation found refines ``base``, the
-    arrangement's own subdivision, so a triangulation ``base`` is its own
-    only refinement.
+    ``samples`` integer steps u, each coordinate drawn from 0..1000 under
+    ``seed``, move all apexes jointly by :func:`safe_radius` · u/1000;
+    steps that leave a piece other than a tree are skipped.  Every
+    triangulation found refines ``base``, the arrangement's own
+    subdivision, so a triangulation ``base`` is its own only refinement.
 
-    Many perturbations land on a triangulation already found.  Each
-    candidate is first tested against those: its heights lie in the open
-    secondary cone of a found triangulation exactly when that is its
-    lower envelope (``duality._cone_test``, O(nd) per simplex), and then
-    it is skipped.  Otherwise its envelope is walked
-    (``regular_triangulation``, no type enumeration); it is a
-    triangulation exactly when the candidate is generic, and a new one
-    has the candidate's types enumerated, its dual subdivision checked
-    equal to the envelope and its refinement of ``base`` checked.  So
-    every check runs once per distinct triangulation, and heights with a
-    tied minor, in no open cone, always go to the walk.
+    A step's triangulation is read off ``base`` by :func:`_refined_cells`,
+    with no type enumeration and no walk over the whole envelope.  Many
+    steps land on a triangulation already found and are skipped.  A new
+    one gets the moved arrangement, whose types are enumerated: its dual
+    subdivision must equal the triangulation and the triangulation must
+    refine ``base``.  So every check runs once per distinct triangulation.
     """
+    n, d = arr.n, arr.d
     if samples is None:
-        samples = 2 * arr.n * arr.d
-    if samples < 2 * arr.n * arr.d:
-        raise ValueError(f"samples must be at least 2*n*d = {2 * arr.n * arr.d}")
+        samples = 2 * n * d
+    if samples < 2 * n * d:
+        raise ValueError(f"samples must be at least 2*n*d = {2 * n * d}")
     if is_triangulation(base):
         return frozenset({base})
-    found: dict[Subdivision, Callable] = {}  # each with its cone test
-    for cand in _perturbations(arr, samples, seed):
-        heights = cand.rows()
-        if any(in_cone(heights) for in_cone in found.values()):
+    radius = safe_radius(arr)
+    rng = random.Random(seed)
+    rows = arr.rows()
+    found: dict[frozenset[CellGraph], Subdivision] = {}
+    for _ in range(samples):
+        step = [[rng.randint(0, 1000) for _ in row] for row in rows]
+        cells = _refined_cells(base, step)
+        if cells in found or any(len(g.edges) != n + d - 1 for g in cells):
             continue
-        envelope = regular_triangulation(heights)
-        if envelope is None:
-            continue
-        if dual_subdivision(cand, budget) != envelope:
+        tri = found[cells] = Subdivision(n, d, cells)
+        moved = Arrangement.from_rows(
+            [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
+        )
+        if dual_subdivision(moved, budget) != tri:
             raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-        if not refines(envelope, base):
+        if not refines(tri, base):
             raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-        found[envelope] = _cone_test(envelope)
-    return frozenset(found)
+    return frozenset(found.values())
 
 
 @dataclass(frozen=True)

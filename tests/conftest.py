@@ -4,10 +4,11 @@ determinant and secondary-face dimension via sympy; genericity, tied
 minors and matching gaps by square minors; apex types and the fan faces
 apexes lie on; direct scans, the validated comparability graph and the
 replaced pairwise kernels for the axiom checks; a direct scan for the
-lower envelope; the feasibility DFS on Fraction coordinates; flips
-without the envelope dedupe; the pivot walk against the cone test) used
-to cross-check the main code paths, and the ``--grid`` option that adds
-the larger exhaustive grids."""
+lower envelope; the feasibility DFS on Fraction coordinates; flips by
+enumerating the types of every perturbation; the per-cell walks against
+the lower envelope of the moved apexes) used to cross-check the main
+code paths, and the ``--grid`` option that adds the larger exhaustive
+grids."""
 
 from __future__ import annotations
 
@@ -34,11 +35,12 @@ from troparr import (
     is_triangulation,
     realizable,
     refines,
+    regular_subdivision,
+    safe_radius,
     type_of_point,
 )
 from troparr.axioms import _acyclic
-from troparr.duality import _cone_test, regular_triangulation
-from troparr.secondary import _perturbations
+from troparr.secondary import _refined_cells
 
 
 def pytest_addoption(parser):
@@ -487,6 +489,21 @@ def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]
     return out
 
 
+def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:
+    """``samples`` joint random perturbations of all apexes drawn under
+    ``seed``, each with its step: every coordinate moves by a random
+    multiple u of ``safe_radius``/1000 with u in 0..1000."""
+    radius = safe_radius(arr)
+    rng = random.Random(seed)
+    rows = arr.rows()
+    out = []
+    for _ in range(samples):
+        step = [[rng.randint(0, 1000) for _ in row] for row in rows]
+        moved = [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
+        out.append((step, Arrangement.from_rows(moved)))
+    return out
+
+
 def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed: int = 0) -> frozenset:
     """Refining triangulations by enumerating the types of every safe
     perturbation, repeated subdivisions included, and keeping the dual
@@ -496,7 +513,7 @@ def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed:
     if is_triangulation(base):
         return frozenset({base})
     found = set()
-    for cand in _perturbations(arr, samples, seed):
+    for _, cand in _perturbations(arr, samples, seed):
         t = dual_subdivision(cand)
         if is_triangulation(t):
             assert refines(t, base)
@@ -504,18 +521,19 @@ def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed:
     return frozenset(found)
 
 
-def assert_cone_test_matches_walk(arr: Arrangement) -> int:
-    """On each safe perturbation of the non-generic ``arr``, the cone test
-    passes exactly the triangulation the pivot walk gives, among all the
-    triangulations found, and on ``arr``'s own tied heights it passes
-    none.  Returns the number of triangulations found."""
-    heights = [cand.rows() for cand in _perturbations(arr, 2 * arr.n * arr.d, 0)]
-    walked = [regular_triangulation(h) for h in heights]
-    found = {t: _cone_test(t) for t in walked if t is not None}
-    for h, t_walk in zip(heights, walked):
-        for t, in_cone in found.items():
-            assert in_cone(h) == (t == t_walk), (arr.rows(), h)
-    assert not any(in_cone(arr.rows()) for in_cone in found.values()), arr.rows()
+def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
+    """On each safe perturbation of ``arr``, the per-cell walks over its
+    coarse cells give the lower envelope of the moved apexes, as whole
+    subdivisions, triangulations or not; a zero step gives the coarse
+    cells themselves.  Returns the number of triangulations found."""
+    base = regular_subdivision(arr.rows())
+    assert _refined_cells(base, [[0] * arr.d] * arr.n) == base.maximal_cells, arr.rows()
+    found = set()
+    for step, cand in _perturbations(arr, 2 * arr.n * arr.d, 0):
+        envelope = regular_subdivision(cand.rows())
+        assert _refined_cells(base, step) == envelope.maximal_cells, (arr.rows(), step)
+        if is_triangulation(envelope):
+            found.add(envelope)
     return len(found)
 
 

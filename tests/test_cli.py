@@ -222,41 +222,30 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
 
 
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
-    # the input once, then one perturbation per distinct lower envelope
-    # that is a triangulation; a perturbation whose heights lie in the
-    # cone of a triangulation already found is not walked
-    enumerations, envelopes, matches = [], [], []
+    # the input once, then one perturbation per distinct triangulation;
+    # E2 has one coarse cell that is not a tree, so each of the 2nd = 12
+    # steps walks it once, and a step that repeats a triangulation already
+    # found is not enumerated
+    enumerations, walks = [], []
     enumerate_realizations = troparr.duality.enumerate_realizations
-    regular_triangulation = troparr.secondary.regular_triangulation
-    cone_test = troparr.secondary._cone_test
+    pivot_walk = troparr.secondary._pivot_walk
 
     def counted(arr, *args, **kwargs):
         enumerations.append(arr)
         return enumerate_realizations(arr, *args, **kwargs)
 
-    def recorded(weights):
-        envelopes.append(regular_triangulation(weights))
-        return envelopes[-1]
-
-    def matched(tri):
-        in_cone = cone_test(tri)
-
-        def recorded_match(weights):
-            matches.append(in_cone(weights))
-            return matches[-1]
-        return recorded_match
+    def recorded(n, d, weights, support):
+        walks.append(frozenset(pivot_walk(n, d, weights, support)))
+        return iter(walks[-1])
 
     monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
-    monkeypatch.setattr(troparr.secondary, "regular_triangulation", recorded)
-    monkeypatch.setattr(troparr.secondary, "_cone_test", matched)
+    monkeypatch.setattr(troparr.secondary, "_pivot_walk", recorded)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
     assert "triangulation 2:" in capsys.readouterr().out
-    triangulated = {e for e in envelopes if e is not None}
+    assert len(walks) == 12
+    triangulated = {w for w in walks if all(len(piece) == 2 + 3 - 1 for piece in w)}
     assert len(enumerations) == 1 + len(triangulated)
-    # some perturbation lands on a triangulation already found and the
-    # cone test recognises it; each of the 2nd = 12 is recognised or walked
-    assert any(matches)
-    assert sum(matches) + len(envelopes) == 12
+    assert len(walks) > len(set(walks))
 
 
 def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):
@@ -276,12 +265,11 @@ def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_fi
 
 
 def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
-    # every perturbation of E2 refines its simplex [(1,1),(1,2),(1,3),(2,3)],
-    # so a triangulated envelope without that simplex matches no dual
-    # subdivision
-    other = troparr.duality.regular_triangulation([[2, 1, 0], [0, 0, 0]])
+    # every refinement of E2 keeps its simplex [(1,1),(1,2),(1,3),(2,3)],
+    # so a dual subdivision without that simplex matches none
+    other = troparr.duality.regular_subdivision([[2, 1, 0], [0, 0, 0]])
     assert CellGraph(2, 3, frozenset({(1, 1), (1, 2), (1, 3), (2, 3)})) not in other.maximal_cells
-    monkeypatch.setattr(troparr.secondary, "regular_triangulation", lambda weights: other)
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", lambda arr, budget=None: other)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -432,6 +420,14 @@ def test_seed_is_a_subdivision_option(capsys, e2_file, tmp_path):
     for argv in (["check"], ["type-of", "--point", "1,1,0"], ["render", "--out", str(tmp_path / "x.svg")]):
         assert main(argv + ["--input", e2_file, "--seed", "1"]) == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_budget_is_an_option_where_types_are_enumerated(capsys, e2_file, tmp_path):
+    # type-of and render enumerate no types
+    for argv in (["type-of", "--point", "1,1,0"], ["render", "--out", str(tmp_path / "x.svg")]):
+        assert main(argv + ["--input", e2_file, "--budget", "0"]) == 2
+        assert "unrecognized arguments: --budget 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_reports_byte_identical_across_runs(capsys, e2_file):

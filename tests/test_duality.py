@@ -15,6 +15,7 @@ from troparr import (
     check_correspondence,
     dual_subdivision,
     enumerate_realizations,
+    is_generic,
     is_spanning_tree,
     is_triangulation,
     normalized_volume,
@@ -23,7 +24,7 @@ from troparr import (
 )
 
 import troparr.duality
-from troparr.duality import is_spanning_connected, regular_triangulation
+from troparr.duality import is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
@@ -158,7 +159,8 @@ def test_pivot_walk_matches_envelope_oracle(n, d):
     for rows in draws:
         sub = regular_subdivision(rows)
         assert sub.maximal_cells == envelope_oracle(n, d, rows, full_support(n, d))
-        assert regular_triangulation(rows) == (sub if is_triangulation(sub) else None)
+        if d > 1:  # a point of an arrangement needs two coordinates
+            assert (is_generic(Arrangement.from_rows(rows)).minor is None) == is_triangulation(sub)
         for g in sub.maximal_cells:
             assert normalized_volume(g) == volume_oracle(g)
         assert sum(sub.volumes.values()) == comb(n + d - 2, n - 1)

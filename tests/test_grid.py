@@ -5,15 +5,15 @@ The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, genericity, its tied minor and the verdict at (2,4), the
-secondary-face check and its exact face dimension
-on the (3,3) and (2,4) inputs whose apexes all look generic although a
-minor ties, the cone test against the pivot walk on the perturbations
-of every non-generic input at (3,3) and (2,4), and dual subdivision
-against lower envelope, with genericity and its tied minor, on the 6,561
-inputs at (4,3).  It also compares
-the bit-sliced elimination and comparability kernels with the pairwise
-scans they replaced on full type collections at (4,4), (5,4) and (3,6),
-up to 1,023 types.
+secondary-face check and its exact face dimension on the (3,3) and
+(2,4) inputs whose apexes all look generic although a minor ties, the
+walks over the coarse cells against the lower envelope on the
+perturbations of every non-generic input at (3,3) and (2,4), and dual
+subdivision against lower envelope, with genericity and its tied minor,
+on the 6,561 inputs at (4,3).  It also compares the bit-sliced
+elimination and comparability kernels with the pairwise scans they
+replaced on full type collections at (4,4), (5,4) and (3,6), up to
+1,023 types.
 """
 
 import random
@@ -39,7 +39,7 @@ from troparr import (
 from troparr.duality import _subdivision_of
 
 from conftest import (
-    assert_cone_test_matches_walk,
+    assert_cell_walks_match_the_envelope,
     face_dimension_oracle,
     genericity_oracle,
     minor_ties,
@@ -128,13 +128,13 @@ def test_pair_kernels_match_pairwise_scans_on_large_shapes(n, d):
 
 
 @pytest.mark.large_grid
-def test_cone_test_on_tied_minors():
+def test_cell_walks_on_tied_minors():
     # every non-generic input has a tied minor; on its perturbations the
-    # cone test passes exactly the walked triangulation
+    # walks over its coarse cells give the moved lower envelope
     checked = 0
     for n, d in [(3, 3), (2, 4)]:
         for arr in grid(n, d):
             if not genericity_oracle(arr.rows()):
-                assert_cone_test_matches_walk(arr)
+                assert_cell_walks_match_the_envelope(arr)
                 checked += 1
     assert checked == 717 + 657

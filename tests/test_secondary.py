@@ -22,7 +22,7 @@ from troparr.linalg import rank
 from conftest import (
     affine_rank_oracle,
     apex_type,
-    assert_cone_test_matches_walk,
+    assert_cell_walks_match_the_envelope,
     face_dimension_oracle,
     matching_gaps,
     move_apex,
@@ -107,7 +107,7 @@ def test_refinements_match_the_loop_over_every_candidate(e2):
         assert refining_triangulations(arr, base) == refinements_oracle(arr, base)
 
 
-def test_cone_test_accepts_exactly_the_walked_triangulation(e2):
+def test_cell_walks_match_the_envelope(e2):
     # the perturbations of E2 and of every flips slice kind at d = 3:
     # apex on a ray, apex on an apex, integer draws with an incidence
     rng = random.Random(1618)
@@ -117,7 +117,7 @@ def test_cone_test_accepts_exactly_the_walked_triangulation(e2):
     draws = (random_integer_arrangement(rng, n, 3) for n in [3, 4] * 100)
     cases += islice((arr for arr in draws if offending_apexes(arr)), 6)
     for arr in cases:
-        assert assert_cone_test_matches_walk(arr) >= 2, arr.rows()
+        assert assert_cell_walks_match_the_envelope(arr) >= 2, arr.rows()
 
 
 def test_refinements_across_a_six_cycle_wall():
