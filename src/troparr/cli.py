@@ -114,7 +114,8 @@ def load_arrangement(path: str, fmt: str) -> tuple[Arrangement, bytes]:
             arr = parse_arrangement_text(text)
         else:
             arr = parse_arrangement_json(text)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level
         raise CliError(PARSE, f"cannot parse {path}: {exc}")
     return arr, raw
 

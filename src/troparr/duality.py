@@ -108,18 +108,17 @@ class Subdivision:
 
     @cached_property
     def volumes(self) -> dict[CellGraph, int]:
-        """Normalized volume of each maximal cell, computed on first use."""
-        return {g: normalized_volume(g) for g in self.maximal_cells}
+        """Normalized volume of each maximal cell, computed on first use.
+        Each cell spans and is connected, so one with n + d - 1 edges is
+        a tree, a unit simplex; only the others are walked."""
+        tree = self.n + self.d - 1
+        return {g: 1 if len(g.edges) == tree else normalized_volume(g) for g in self.maximal_cells}
 
 
-def _subdivision_of(arr: Arrangement, realizations: dict) -> Subdivision:
-    """Maximal cells = graphs of the 0-dimensional types among the
-    realizations of an arrangement's types."""
-    cells = frozenset(
-        type_to_graph(T, arr.n, arr.d)
-        for T, res in realizations.items()
-        if res.dimension == 0
-    )
+def _subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subdivision:
+    """Maximal cells = graphs of the 0-dimensional types among an
+    arrangement's types, each mapped to its dimension."""
+    cells = frozenset(type_to_graph(T, arr.n, arr.d) for T, dim in dimensions.items() if dim == 0)
     return Subdivision(arr.n, arr.d, cells)
 
 
@@ -347,12 +346,12 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     envelope, the triangulation status from the types, so the two
     implications cross-check independent computations.
     """
-    realizations = enumerate_realizations(arr, budget)
+    dimensions = enumerate_realizations(arr, budget)
     genericity = is_generic(arr)
     generic = bool(genericity)
-    types = frozenset(realizations)
+    types = frozenset(dimensions)
     report = is_tropical_oriented_matroid(types, arr.n, arr.d)
-    sub = _subdivision_of(arr, realizations)
+    sub = _subdivision_of(arr, dimensions)
     triangulation = is_triangulation(sub)
     generic_ok = (not generic) or (report.is_tom and triangulation)
     nongeneric_ok = generic or (not triangulation)

@@ -21,7 +21,10 @@ The enumeration of all types generates, on each feasible prefix, only
 the entries that pass pairwise tests read off the closed bounds (every
 two members can still tie, every member can still beat every
 non-member), as cliques of a tie relation closed under the labels each
-member forces in; its work grows with the types, not with 2^d.
+member forces in; its work grows with the types, not with 2^d.  It
+records each type's dimension only; a witness comes from
+:func:`realizable`, which imposes the type's entries in the walk's order
+and so reaches the same closed state.
 
 The feasibility kernel runs on ints: the apex matrix is scaled once per
 arrangement by D, the lcm of its denominators, so every offset and
@@ -53,9 +56,6 @@ class RealizationResult:
 
     ``dimension`` is the affine dimension of the realization set inside
     projective space (the all-ones direction is already quotiented out).
-    A realizable result from :func:`realizable` or
-    :func:`enumerate_realizations` keeps its type's closed feasibility
-    state and builds ``witness`` from it on first access.
     """
 
     realizable: bool
@@ -69,32 +69,6 @@ class RealizationResult:
             raise ValueError("dimension present iff realizable")
         if self.dimension is not None and self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
-
-    @classmethod
-    def _closed(cls, state: "_Feasibility") -> "RealizationResult":
-        """A realizable result whose witness ``state`` builds when first read."""
-        result = cls.__new__(cls)
-        object.__setattr__(result, "realizable", True)
-        object.__setattr__(result, "dimension", state.dimension())
-        object.__setattr__(result, "_state", state)
-        return result
-
-
-class _LazyWitness:
-    """The ``witness`` attribute of :class:`RealizationResult`, installed
-    after the dataclass has taken its default.  A non-data descriptor: a
-    witness stored in the instance shadows it, and a result from
-    :meth:`RealizationResult._closed`, which stores none, builds it from
-    its state on the first read and stores it then."""
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            return None  # the field's default
-        witness = result.__dict__["witness"] = result._state.witness()
-        return witness
-
-
-RealizationResult.witness = _LazyWitness()
 
 
 class _TieGroups:
@@ -460,7 +434,10 @@ def is_generic(arr: Arrangement) -> GenericityReport:
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     """Exact feasibility of a candidate type, with witness and dimension.
 
-    Infeasibility is a normal result, not an error.
+    Infeasibility is a normal result, not an error.  The entries are
+    imposed in the order :func:`enumerate_realizations` imposes them on
+    its way to T, and the closed bounds depend on the bounds alone, so
+    the witness is read off the same closed state the walk reaches.
     """
     if T.n != arr.n:
         raise ValueError(f"type has {T.n} entries, arrangement has n={arr.n}")
@@ -470,16 +447,16 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     for i, entry in enumerate(T.entries, 1):
         if not state.add_hyperplane(i, entry):
             return RealizationResult(False)
-    return RealizationResult._closed(state)
+    return RealizationResult(True, state.witness(), state.dimension())
 
 
-def enumerate_realizations(
-    arr: Arrangement, budget: int | None = None
-) -> dict[TypeVector, RealizationResult]:
-    """Every realizable type with its witness and dimension; each
-    witness is built on first access.
+def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[TypeVector, int]:
+    """Every realizable type, mapped to the affine dimension of its
+    realization set; :func:`realizable` gives a type's witness.
 
-    Depth-first over the entries of each hyperplane in turn.  On a
+    Depth-first over the entries of each hyperplane in turn, on an
+    explicit stack with one frame per hyperplane of the current prefix,
+    so the depth is not bounded by Python's recursion limit.  On a
     feasible prefix only the entries passing the pairwise tests of
     :meth:`_Feasibility.entries` are generated, and each is confirmed
     by :meth:`_Feasibility.add_hyperplane`.  ``budget`` caps those
@@ -500,25 +477,29 @@ def enumerate_realizations(
         raise ResourceLimitError(
             f"type enumeration: {budget + 1} feasibility steps exceed budget {budget}"
         )
-    out: dict[TypeVector, RealizationResult] = {}
+    out: dict[TypeVector, int] = {}
     steps = 0
-
-    def walk(i: int, state: _Feasibility, prefix: tuple[frozenset[int], ...]) -> None:
-        nonlocal steps
-        if i > arr.n:
-            out[TypeVector(prefix)] = RealizationResult._closed(state)
-            return
-        for entry in state.entries(i):
-            steps += 1
-            if steps > budget:
-                raise ResourceLimitError(
-                    f"type enumeration: {steps} feasibility steps exceed budget {budget}"
-                )
-            child = state.copy()
-            if child.add_hyperplane(i, entry):
-                walk(i + 1, child, prefix + (entry,))
-
-    walk(1, _Feasibility(arr), ())
+    root = _Feasibility(arr)
+    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
+    stack = [(1, root, (), iter(root.entries(1)))]
+    while stack:
+        i, state, prefix, entries = stack[-1]
+        entry = next(entries, None)
+        if entry is None:
+            stack.pop()
+            continue
+        steps += 1
+        if steps > budget:
+            raise ResourceLimitError(
+                f"type enumeration: {steps} feasibility steps exceed budget {budget}"
+            )
+        child = state.copy()
+        if not child.add_hyperplane(i, entry):
+            continue
+        if i == arr.n:
+            out[TypeVector(prefix + (entry,))] = child.dimension()
+        else:
+            stack.append((i + 1, child, prefix + (entry,), iter(child.entries(i + 1))))
     return out
 
 

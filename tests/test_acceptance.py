@@ -216,10 +216,9 @@ def test_criterion_8_structural_invariants(suite2, suite3, suite3_face_checks):
     arrangements = [E1, E2] + list(suite2) + [arr for arr, *_ in suite3]
     for arr in arrangements:
         target = arr.n + arr.d - 2
-        realizations = enumerate_realizations(arr)
-        for T, res in realizations.items():
+        for T, dim in enumerate_realizations(arr).items():
             g = type_to_graph(T, arr.n, arr.d)
-            assert res.dimension + cell_dim(g) == target
+            assert dim + cell_dim(g) == target
         sub = dual_subdivision(arr)
         total = sum(normalized_volume(g) for g in sub.maximal_cells)
         assert total == comb(arr.n + arr.d - 2, arr.n - 1)

@@ -288,6 +288,25 @@ def test_budget_exit(capsys, e2_file, monkeypatch):
     assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")
+
+
+def test_a_thousand_hyperplanes_are_no_internal_error(tmp_path, capsys):
+    # the type enumeration once recursed per hyperplane, so 1,100 rows
+    # hit Python's recursion limit and exited 4
+    path = tmp_path / "tall.txt"
+    path.write_text("1100 2\n" + "0 0\n" * 1100)
+    code, out = run(capsys, ["check", "--format", "text", "--input", str(path)])
+    assert code == 0
+    assert "types: 3" in out and "consistent: true" in out
+    assert main(["check", "--format", "text", "--input", str(path), "--budget", "2000"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 2001 feasibility steps exceed budget 2000\n"
+
+
 def test_negative_budget_is_a_parse_error(capsys, e2_file):
     for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
         assert main(argv + ["--input", e2_file, "--budget", "-5"]) == 2

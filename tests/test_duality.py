@@ -90,9 +90,9 @@ def test_dimension_complementarity(e1, e2):
         random_arrangement(rng, *rng.choice([(2, 3), (3, 2), (3, 3)])) for _ in range(6)
     ]
     for arr in arrangements:
-        for Tv, res in enumerate_realizations(arr).items():
+        for Tv, dim in enumerate_realizations(arr).items():
             g = type_to_graph(Tv, arr.n, arr.d)
-            assert res.dimension + cell_dim(g) == arr.n + arr.d - 2
+            assert dim + cell_dim(g) == arr.n + arr.d - 2
 
 
 def test_dual_subdivision_e1(e1):
@@ -250,9 +250,9 @@ def test_maximal_cells_are_the_inclusion_maximal_type_graphs(e1, e2):
         random_arrangement(rng, *rng.choice([(2, 3), (3, 3), (2, 2)])) for _ in range(6)
     ]
     for arr in arrangements:
-        realizations = enumerate_realizations(arr)
-        graphs = {type_to_graph(Tv, arr.n, arr.d): res for Tv, res in realizations.items()}
-        zero_cells = {g for g, res in graphs.items() if res.dimension == 0}
+        dimensions = enumerate_realizations(arr)
+        graphs = {type_to_graph(Tv, arr.n, arr.d): dim for Tv, dim in dimensions.items()}
+        zero_cells = {g for g, dim in graphs.items() if dim == 0}
         maximal = {
             g for g in graphs
             if not any(g.edges < h.edges for h in graphs if h != g)

@@ -278,9 +278,19 @@ def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypat
         with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
             enumerate_types(Arrangement.from_rows([[0] * d] * n))
 
+def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
+    # one stack frame per hyperplane of the prefix, not one Python call
+    arr = Arrangement.from_rows([[0, 0]] * 1100)
+    assert enumerate_realizations(arr) == {
+        TypeVector((frozenset({1}),) * 1100): 1,
+        TypeVector((frozenset({2}),) * 1100): 1,
+        TypeVector((frozenset({1, 2}),) * 1100): 0,
+    }
+
+
 def _assert_matches_oracle(arr, rng):
     expected = realizations_oracle(arr)
-    assert enumerate_realizations(arr) == expected
+    assert enumerate_realizations(arr) == {T_: r.dimension for T_, r in expected.items()}
     for T_, result in expected.items():
         assert realizable(arr, T_) == result
     labels = range(1, arr.d + 1)
@@ -343,8 +353,9 @@ def test_realization_dimensions_match_witnesses():
     for _ in range(6):
         n, d = rng.choice([(2, 3), (3, 2), (3, 3)])
         arr = random_arrangement(rng, n, d)
-        for Tv, res in enumerate_realizations(arr).items():
-            assert res.realizable
+        for Tv, dim in enumerate_realizations(arr).items():
+            res = realizable(arr, Tv)
+            assert res.realizable and res.dimension == dim
             assert type_of_point(arr, res.witness) == Tv
 
 
@@ -408,11 +419,12 @@ def test_zero_dimensional_types_have_distinct_forced_witnesses():
     for _ in range(8):
         n, d = rng.choice([(2, 3), (3, 3), (3, 2)])
         arr = random_arrangement(rng, n, d)
-        zero_cells = {
-            Tv: res.witness
-            for Tv, res in enumerate_realizations(arr).items()
-            if res.dimension == 0
-        }
+        zero_cells = {}
+        for Tv, dim in enumerate_realizations(arr).items():
+            res = realizable(arr, Tv)
+            assert res.dimension == dim
+            if dim == 0:
+                zero_cells[Tv] = res.witness
         witnesses = list(zero_cells.values())
         assert len({w.coords for w in witnesses}) == len(witnesses)
         for Tv, w in zero_cells.items():

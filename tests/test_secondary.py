@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import troparr.duality
 from troparr import (
     Arrangement,
     CellGraph,
@@ -33,6 +34,7 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     refinements_oracle,
+    volume_oracle,
 )
 
 
@@ -149,6 +151,25 @@ def test_every_refinement_refines_the_coarse_subdivision(e2):
     for t in refining_triangulations(e2, base):
         assert refines(t, base)
     assert not refines(SPLIT_A, SPLIT_B)
+
+
+def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch, e2):
+    # the simplices of a triangulation are validated once, by Subdivision
+    calls = []
+    normalized_volume = troparr.duality.normalized_volume
+
+    def counted(g):
+        calls.append(g)
+        return normalized_volume(g)
+
+    monkeypatch.setattr(troparr.duality, "normalized_volume", counted)
+    base = dual_subdivision(e2)
+    for t in (SPLIT_A, SPLIT_B):
+        t = Subdivision(t.n, t.d, t.maximal_cells)  # volumes not yet read
+        assert refines(t, base)
+        assert all(t.volumes[g] == volume_oracle(g) for g in t.maximal_cells)
+    assert calls == [G(2, 3, *PYRAMID)]
+    assert all(base.volumes[g] == volume_oracle(g) for g in base.maximal_cells)
 
 
 def test_gkz_unit_square():
