@@ -332,6 +332,31 @@ def _budget(text: str) -> int:
     return budget
 
 
+def _is_rational_list(text: str) -> bool:
+    try:
+        for part in text.split(","):
+            parse_rational(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_points(argv: list[str]) -> list[str]:
+    """``type-of`` arguments with each ``--point`` whose value starts with
+    "-" and is a comma-separated list of rationals joined into one
+    ``--point=<value>`` argument; argparse would read the value as an
+    option and report it missing."""
+    if argv[:1] != ["type-of"]:
+        return argv
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and arg.startswith("-") and _is_rational_list(arg):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="troparr",
@@ -380,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_points(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

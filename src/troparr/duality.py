@@ -30,9 +30,13 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .core import Arrangement, CellGraph, TypeVector, to_fraction
+from .core import Arrangement, CellGraph, ResourceLimitError, TypeVector, to_fraction
 from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
+
+#: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
+#: walk pays a side search and an entering-edge scan per tree edge.
+MAX_VOLUME_WORK = 20_000_000
 
 
 def type_to_graph(T: TypeVector, n: int | None = None, d: int | None = None) -> CellGraph:
@@ -290,7 +294,8 @@ def normalized_volume(g: CellGraph) -> int:
     of its triangulations.  The cell's own vertices are lifted by a
     lexicographic height (powers of 3), whose alternating sums never
     vanish, so the induced regular subdivision is such a triangulation;
-    the pivot walk counts its simplices.
+    the pivot walk counts its simplices.  It counts its work as it goes,
+    and past ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
     """
     if not g.edges:
         raise ValueError("cell graph has no edges")
@@ -298,7 +303,16 @@ def normalized_volume(g: CellGraph) -> int:
         raise ValueError("normalized volume needs a full-dimensional cell")
     if len(g.edges) == g.n + g.d - 1:
         return 1
-    return sum(1 for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges))
+    per_tree = (g.n + g.d) * len(g.edges)
+    trees = 0
+    for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges):
+        trees += 1
+        if trees * per_tree > MAX_VOLUME_WORK:
+            raise ResourceLimitError(
+                f"normalized volume: {trees} trees x {g.n + g.d} nodes x {len(g.edges)} edges = "
+                f"{trees * per_tree} exceed the cap of {MAX_VOLUME_WORK} on cell {g.text()}"
+            )
+    return trees
 
 
 def is_triangulation(sub: Subdivision) -> bool:

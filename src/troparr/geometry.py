@@ -21,10 +21,11 @@ The enumeration of all types generates, on each feasible prefix, only
 the entries that pass pairwise tests read off the closed bounds (every
 two members can still tie, every member can still beat every
 non-member), as cliques of a tie relation closed under the labels each
-member forces in; its work grows with the types, not with 2^d.  It
-records each type's dimension only; a witness comes from
-:func:`realizable`, which imposes the type's entries in the walk's order
-and so reaches the same closed state.
+member forces in; its work grows with the types, not with 2^d.  Every
+entry the tests pass is feasible, so at the last hyperplane each one is
+a type, recorded with its dimension without imposing it.  A witness
+comes from :func:`realizable`, which imposes all of a type's entries in
+the walk's order.
 
 The feasibility kernel runs on ints: the apex matrix is scaled once per
 arrangement by D, the lcm of its denominators, so every offset and
@@ -458,14 +459,36 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     explicit stack with one frame per hyperplane of the current prefix,
     so the depth is not bounded by Python's recursion limit.  On a
     feasible prefix only the entries passing the pairwise tests of
-    :meth:`_Feasibility.entries` are generated, and each is confirmed
-    by :meth:`_Feasibility.add_hyperplane`.  ``budget`` caps those
-    feasibility steps (one per generated entry); the walk raises
-    :class:`ResourceLimitError` as soon as it needs more.
+    :meth:`_Feasibility.entries` are generated.  Before the last
+    hyperplane each is imposed by :meth:`_Feasibility.add_hyperplane`
+    on a copy of the prefix's state, which the next hyperplane extends.
 
-    All m = 2^d - 1 entries of the first hyperplane are feasible, and
-    each such prefix has at least one feasible entry for the second, so
-    the walk takes at least 2m steps (m if n = 1).  Past the budget it
+    At the last hyperplane every generated entry is a type, and it is
+    recorded without a copy or a closure: merging its k groups removes
+    k - 1 roots, and strict bounds leave the dimension as it is.  That is
+    exact because the pairwise tests are.  The entry adds two kinds of
+    bounds to the closed prefix system.  Its groups tie at fixed
+    differences, and each pair of them ties inside the open interval its
+    closed bounds leave; around any cycle those differences sum to 0.
+    The merged group then strictly beats every other group, and every
+    new strict bound leaves it.  An infeasible system has a simple cycle
+    whose bounds sum to 0 or more, with one strict bound at least.  Its
+    runs of old bounds close to single old bounds.  Old bounds alone are
+    feasible, so it meets the merged group, and being simple, once: it
+    enters at one member and leaves at another.  If it leaves by an old
+    bound, it is a cycle between two members' groups, which the pairwise
+    tie test rules out.  If it leaves by a new strict bound to a label k,
+    it returns at its first entry into the group, so it pits one member
+    against k, which the pairwise win test rules out.  (A path-consistent
+    system of difference constraints is decomposable: Dechter, Meiri and
+    Pearl, "Temporal constraint networks", 1991.)
+
+    ``budget`` caps the feasibility steps, one per generated entry, the
+    last hyperplane's included; the walk raises
+    :class:`ResourceLimitError` as soon as it needs more.  All
+    m = 2^d - 1 entries of the first hyperplane are feasible, and each
+    such prefix has at least one feasible entry for the second, so the
+    walk takes at least 2m steps (m if n = 1).  Past the budget it
     raises at once with the message the walk would reach, before
     generating any entry.  A negative budget is a ValueError.
     """
@@ -493,12 +516,13 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
             raise ResourceLimitError(
                 f"type enumeration: {steps} feasibility steps exceed budget {budget}"
             )
-        child = state.copy()
-        if not child.add_hyperplane(i, entry):
-            continue
         if i == arr.n:
-            out[TypeVector(prefix + (entry,))] = child.dimension()
-        else:
+            # exact without add_hyperplane, as the docstring shows
+            merged = len({state.groups.find(j)[0] for j in entry})
+            out[TypeVector(prefix + (entry,))] = state.dimension() + 1 - merged
+            continue
+        child = state.copy()
+        if child.add_hyperplane(i, entry):
             stack.append((i + 1, child, prefix + (entry,), iter(child.entries(i + 1))))
     return out
 

@@ -10,9 +10,13 @@ envelope: for heights w and a step u, the lower envelope of w + εu at
 such a small ε is the union, over the coarse cells, of each cell's own
 regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and 6.2).
 So a pivot walk over the edges of each cell that is not a tree refines
-it, and the move is generic exactly when every piece is a tree.  The
-affine span of the GKZ vectors measures the dimension of the
-secondary-polytope face the wall corresponds to.
+it, and the move is generic exactly when every piece is a tree.  Once a
+cell's refinement is known, the open cone of the steps that give it is
+known too: one strict inequality per cycle that a cell edge closes in
+one of its trees.  A later step inside that cone gives the same
+refinement without a walk.  The affine span of the GKZ vectors
+measures the dimension of the secondary-polytope face the wall
+corresponds to.
 """
 
 from __future__ import annotations
@@ -118,16 +122,56 @@ def safe_radius(arr: Arrangement) -> Fraction:
     return Fraction(1, 2 * min(arr.n, arr.d) * D)
 
 
-def _refined_cells(base: Subdivision, step: Sequence[Sequence[int]]) -> frozenset[CellGraph]:
-    """Maximal cells of the lower envelope of ``base``'s heights moved by
-    a small enough positive multiple of ``step``: every cell of ``base``
-    that is a tree, and the pieces of every other one's regular
-    subdivision under ``step``, walked over that cell's own edges."""
-    n, d = base.n, base.d
-    cells = {g for g in base.maximal_cells if len(g.edges) == n + d - 1}
-    for g in base.maximal_cells - cells:
-        cells.update(CellGraph(n, d, piece) for piece in _pivot_walk(n, d, step, g.edges))
-    return frozenset(cells)
+def _cone(d: int, cell: frozenset[tuple[int, int]], trees) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The open cone of the steps under which the spanning ``trees`` are
+    the regular subdivision of ``cell``, as strict inequalities
+    (plus, minus): the step's entries at the flat indices
+    (i-1)·d + (j-1) in ``plus`` sum to more than those in ``minus``.
+
+    The potentials a_i, b_j solved along a tree's edges from a step u
+    (b_j - a_i = u_ij on the tree) leave each other edge (i, j) of the
+    cell a slack u_ij - b_j + a_i, the alternating sum of u around the
+    cycle the edge closes in the tree.  When every such slack is
+    positive for every tree, each tree is a strict lower facet of the
+    cell lifted by u, and the trees already fill the cell, so they are
+    its regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and
+    5).  A cycle shared by two trees is one inequality.
+    """
+    cone = set()
+    for tree in trees:
+        adj: dict[tuple[str, int], list] = {}
+        for i, j in tree:
+            flat = (i - 1) * d + j - 1
+            adj.setdefault(("L", i), []).append((("R", j), flat, 1))
+            adj.setdefault(("R", j), []).append((("L", i), flat, -1))
+        # each node's potential as signed flat indices of the step, a_1 = 0
+        potential: dict[tuple[str, int], dict[int, int]] = {("L", 1): {}}
+        stack = [("L", 1)]
+        while stack:
+            node = stack.pop()
+            for other, flat, sign in adj[node]:
+                if other not in potential:
+                    potential[other] = {**potential[node], flat: sign}
+                    stack.append(other)
+        for i, j in cell - tree:
+            slack = {(i - 1) * d + j - 1: 1}
+            for k, c in potential[("R", j)].items():
+                slack[k] = slack.get(k, 0) - c
+            for k, c in potential[("L", i)].items():
+                slack[k] = slack.get(k, 0) + c
+            cone.add((
+                tuple(sorted(k for k, c in slack.items() if c > 0)),
+                tuple(sorted(k for k, c in slack.items() if c < 0)),
+            ))
+    return tuple(sorted(cone))
+
+
+def _in_cone(cone, flat_step: Sequence[int]) -> bool:
+    """Whether a step, flattened row by row, meets every inequality of
+    a :func:`_cone` strictly."""
+    return all(
+        sum(flat_step[k] for k in plus) > sum(flat_step[k] for k in minus) for plus, minus in cone
+    )
 
 
 def refining_triangulations(
@@ -145,10 +189,18 @@ def refining_triangulations(
     triangulation found refines ``base``, the arrangement's own
     subdivision, so a triangulation ``base`` is its own only refinement.
 
-    A step's triangulation is read off ``base`` by :func:`_refined_cells`,
-    with no type enumeration and no walk over the whole envelope.  Many
-    steps land on a triangulation already found and are skipped.  A new
-    one gets the moved arrangement, whose types are enumerated: its dual
+    A step's triangulation is read off ``base``, with no type enumeration
+    and no walk over the whole envelope: it keeps every cell that is a
+    tree and refines every other cell C by C's own regular subdivision
+    under u.  Each such C keeps the refinements found so far, each with
+    its :func:`_cone`; a step inside one reuses it, and only a step that
+    matches none is walked over C's edges, by the pivot walk.  A walk
+    that leaves a piece other than a tree is not kept.  So each cell is
+    walked about once per distinct refinement, not once per step.
+
+    The matched refinements' indices key the triangulation, and a step
+    with a known key is skipped before any cell is built.  A new one
+    gets the moved arrangement, whose types are enumerated: its dual
     subdivision must equal the triangulation and the triangulation must
     refine ``base``.  So every check runs once per distinct triangulation.
     """
@@ -162,20 +214,37 @@ def refining_triangulations(
     radius = safe_radius(arr)
     rng = random.Random(seed)
     rows = arr.rows()
-    found: dict[frozenset[CellGraph], Subdivision] = {}
+    trees = [g for g in base.maximal_cells if len(g.edges) == n + d - 1]
+    coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
+    # per coarse cell: (cone, pieces) of each refinement its walks gave
+    known: list[list[tuple[tuple, list[CellGraph]]]] = [[] for _ in coarse]
+    found: dict[tuple[int, ...], Subdivision] = {}
     for _ in range(samples):
         step = [[rng.randint(0, 1000) for _ in row] for row in rows]
-        cells = _refined_cells(base, step)
-        if cells in found or any(len(g.edges) != n + d - 1 for g in cells):
-            continue
-        tri = found[cells] = Subdivision(n, d, cells)
-        moved = Arrangement.from_rows(
-            [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
-        )
-        if dual_subdivision(moved, budget) != tri:
-            raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-        if not refines(tri, base):
-            raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
+        flat = [u for us in step for u in us]
+        matched = []
+        for cell, refinements in zip(coarse, known):
+            index = next((k for k, (cone, _) in enumerate(refinements) if _in_cone(cone, flat)), None)
+            if index is None:
+                pieces = list(_pivot_walk(n, d, step, cell))
+                if any(len(piece) != n + d - 1 for piece in pieces):
+                    break
+                index = len(refinements)
+                refinements.append((_cone(d, cell, pieces), [CellGraph(n, d, p) for p in pieces]))
+            matched.append(index)
+        else:
+            key = tuple(matched)
+            if key in found:
+                continue
+            cells = trees + [g for refinements, k in zip(known, key) for g in refinements[k][1]]
+            tri = found[key] = Subdivision(n, d, frozenset(cells))
+            moved = Arrangement.from_rows(
+                [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
+            )
+            if dual_subdivision(moved, budget) != tri:
+                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
+            if not refines(tri, base):
+                raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
     return frozenset(found.values())
 
 

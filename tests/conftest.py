@@ -6,7 +6,9 @@ apexes lie on; direct scans, the validated comparability graph and the
 replaced pairwise kernels for the axiom checks; a direct scan for the
 lower envelope; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
-the lower envelope of the moved apexes) used to cross-check the main
+the lower envelope of the moved apexes, with the cone test against the
+walks; every generated entry of the type enumeration imposed) used to
+cross-check the main
 code paths, and the ``--grid`` option that adds the larger exhaustive
 grids."""
 
@@ -40,7 +42,9 @@ from troparr import (
     type_of_point,
 )
 from troparr.axioms import _acyclic
-from troparr.secondary import _refined_cells
+from troparr.geometry import _Feasibility
+from troparr.duality import _pivot_walk
+from troparr.secondary import _cone, _in_cone
 
 
 def pytest_addoption(parser):
@@ -489,6 +493,20 @@ def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]
     return out
 
 
+def assert_every_entry_is_feasible(arr: Arrangement) -> None:
+    """On every prefix state the enumeration reaches, ``add_hyperplane``
+    accepts each entry that ``entries(i)`` yields, so the last
+    hyperplane's entries are types without a closure."""
+    stack = [(1, _Feasibility(arr))]
+    while stack:
+        i, state = stack.pop()
+        for entry in state.entries(i):
+            child = state.copy()
+            assert child.add_hyperplane(i, entry), (arr.rows(), i, sorted(entry))
+            if i < arr.n:
+                stack.append((i + 1, child))
+
+
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:
     """``samples`` joint random perturbations of all apexes drawn under
     ``seed``, each with its step: every coordinate moves by a random
@@ -521,19 +539,67 @@ def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed:
     return frozenset(found)
 
 
+def _refined_cells(base, step) -> frozenset[CellGraph]:
+    """Maximal cells of the lower envelope of ``base``'s heights moved by
+    a small enough positive multiple of ``step``: every cell of ``base``
+    that is a tree, and the pieces of every other one's regular
+    subdivision under ``step``, walked over that cell's own edges."""
+    n, d = base.n, base.d
+    cells = {g for g in base.maximal_cells if len(g.edges) == n + d - 1}
+    for g in base.maximal_cells - cells:
+        cells.update(CellGraph(n, d, piece) for piece in _pivot_walk(n, d, step, g.edges))
+    return frozenset(cells)
+
+
+def _tied_step(d: int, cell, tree, step) -> list[list[int]]:
+    """``step`` lowered at the first edge of ``cell`` outside ``tree`` by
+    that edge's slack under the tree's potentials: the tree and that edge
+    then span one piece, so the step lies on a wall of the cell."""
+    i, j = min(cell - tree)
+    (plus, minus), = _cone(d, tree | {(i, j)}, [tree])
+    flat = [u for us in step for u in us]
+    slack = sum(flat[k] for k in plus) - sum(flat[k] for k in minus)
+    tied = [list(us) for us in step]
+    tied[i - 1][j - 1] -= slack
+    return tied
+
+
 def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
     """On each safe perturbation of ``arr``, the per-cell walks over its
     coarse cells give the lower envelope of the moved apexes, as whole
     subdivisions, triangulations or not; a zero step gives the coarse
-    cells themselves.  Returns the number of triangulations found."""
+    cells themselves.
+
+    Each step also checks the cone test of every refinement of a coarse
+    cell found so far: it accepts the one the cell's walk gives and
+    rejects every other.  A step the walk leaves untriangulated, the zero
+    step and a step lowered onto a wall of the walk's first tree, matches
+    none.  Returns the number of triangulations found."""
+    n, d = arr.n, arr.d
     base = regular_subdivision(arr.rows())
-    assert _refined_cells(base, [[0] * arr.d] * arr.n) == base.maximal_cells, arr.rows()
+    zero = [[0] * d] * n
+    assert _refined_cells(base, zero) == base.maximal_cells, arr.rows()
+    coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
+    known = {cell: {} for cell in coarse}
     found = set()
-    for step, cand in _perturbations(arr, 2 * arr.n * arr.d, 0):
+    for step, cand in _perturbations(arr, 2 * n * d, 0):
         envelope = regular_subdivision(cand.rows())
         assert _refined_cells(base, step) == envelope.maximal_cells, (arr.rows(), step)
         if is_triangulation(envelope):
             found.add(envelope)
+        for cell in coarse:
+            pieces = frozenset(_pivot_walk(n, d, step, cell))
+            if all(len(p) == n + d - 1 for p in pieces):
+                known[cell].setdefault(pieces, _cone(d, cell, pieces))
+                tied = _tied_step(d, cell, min(pieces, key=sorted), step)
+                assert any(len(p) != n + d - 1 for p in _pivot_walk(n, d, tied, cell)), (arr.rows(), step)
+                cases = [(step, pieces), (tied, None), (zero, None)]
+            else:
+                cases = [(step, None), (zero, None)]
+            for u, walked in cases:
+                flat = [x for us in u for x in us]
+                for refinement, cone in known[cell].items():
+                    assert _in_cone(cone, flat) == (refinement == walked), (arr.rows(), u, sorted(cell))
     return len(found)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -88,6 +89,24 @@ def test_cmd_type_of(capsys, e2_file):
     code, out = run(capsys, ["type-of", "--input", e2_file, "--point", "0,0,0"])
     assert code == 0
     assert "type: ({1,2,3},{3})" in out
+
+
+def test_cmd_type_of_negative_point(capsys, e2_file):
+    # a value starting with "-" is the point when it is a list of
+    # rationals, and the report echoes the command as typed
+    for point, expected in [("-138/16,-133/7,0", "({3},{3})"), ("-1,2,-1", "({2},{2})")]:
+        argv = ["type-of", "--input", e2_file, "--point", point]
+        code, out = run(capsys, argv)
+        assert code == 0, point
+        assert out.splitlines()[0] == "command: " + " ".join(argv)
+        assert f"type: {expected}" in out
+        assert run(capsys, ["type-of", "--input", e2_file, f"--point={point}"])[1].splitlines()[1:] == out.splitlines()[1:]
+        code, out = run(capsys, argv + ["--json"])
+        assert code == 0 and json.loads(out)["command"] == argv + ["--json"]
+    # anything else after --point is still argparse's missing value
+    for value in ["--json", "-1,x,0"]:
+        assert main(["type-of", "--input", e2_file, "--point", value]) == 2
+        assert "argument --point: expected one argument" in capsys.readouterr().err
 
 
 def test_cmd_type_of_errors(capsys, e2_file):
@@ -221,11 +240,27 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
     capsys.readouterr()
 
 
+def test_volume_walk_stops_at_its_work_cap(capsys, tmp_path):
+    # one flat cell of volume 1,100: walking all its trees took over a
+    # minute, while check on the same input takes under a second
+    path = tmp_path / "flat.txt"
+    path.write_text("1100 2\n" + "0 0\n" * 1100)
+    start = time.perf_counter()
+    assert main(["subdivision", "--format", "text", "--input", str(path)]) == 5
+    assert time.perf_counter() - start < 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: normalized volume: 9 trees x 1102 nodes x 2200 edges = 21819600 "
+        "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
+    )
+
+
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
     # the input once, then one perturbation per distinct triangulation;
-    # E2 has one coarse cell that is not a tree, so each of the 2nd = 12
-    # steps walks it once, and a step that repeats a triangulation already
-    # found is not enumerated
+    # E2 has one coarse cell that is not a tree, with two refinements, so
+    # of the 2nd = 12 steps only the first to land on each is walked: the
+    # others fall inside a known refinement's cone
     enumerations, walks = [], []
     enumerate_realizations = troparr.duality.enumerate_realizations
     pivot_walk = troparr.secondary._pivot_walk
@@ -242,10 +277,9 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_f
     monkeypatch.setattr(troparr.secondary, "_pivot_walk", recorded)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
     assert "triangulation 2:" in capsys.readouterr().out
-    assert len(walks) == 12
+    assert len(walks) == len(set(walks)) == 2
     triangulated = {w for w in walks if all(len(piece) == 2 + 3 - 1 for piece in w)}
-    assert len(enumerations) == 1 + len(triangulated)
-    assert len(walks) > len(set(walks))
+    assert len(enumerations) == 1 + len(triangulated) == 3
 
 
 def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):

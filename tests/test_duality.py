@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 from troparr import (
     Arrangement,
     CellGraph,
+    ResourceLimitError,
     Subdivision,
     TypeVector,
     arrangement_heights,
@@ -191,6 +193,17 @@ def test_normalized_volume_examples():
     assert normalized_volume(G(3, 3, *[(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])) == 6
     with pytest.raises(ValueError):
         normalized_volume(G(2, 3, (1, 1), (2, 1)))  # not full-dimensional
+
+
+def test_normalized_volume_counts_its_work(monkeypatch):
+    # a flat 10 x 2 cell has volume 10, and each tree costs (n + d) |E| = 240
+    flat = G(10, 2, *[(i, j) for i in range(1, 11) for j in (1, 2)])
+    monkeypatch.setattr(troparr.duality, "MAX_VOLUME_WORK", 2400)
+    assert normalized_volume(flat) == 10
+    monkeypatch.setattr(troparr.duality, "MAX_VOLUME_WORK", 2399)
+    message = f"normalized volume: 10 trees x 12 nodes x 20 edges = 2400 exceed the cap of 2399 on cell {flat.text()}"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        normalized_volume(flat)
 
 
 def test_tree_volumes_match_determinant_oracle():

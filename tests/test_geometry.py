@@ -25,6 +25,7 @@ from troparr import (
 
 from conftest import (
     apex_type,
+    assert_every_entry_is_feasible,
     minor_ties,
     move_apex,
     nongeneric_on_apex,
@@ -202,21 +203,24 @@ def test_enumerate_types_budget():
         enumerate_types(arr, budget=-1)
 
 
-def _counted_steps(monkeypatch) -> list[bool]:
-    results = []
-    add_hyperplane = geometry._Feasibility.add_hyperplane
+def _counted_steps(monkeypatch) -> list[frozenset[int]]:
+    # every entry the walk generates is one step of the budget, the last
+    # hyperplane's included, though only the earlier ones are imposed
+    steps = []
+    entries = geometry._Feasibility.entries
 
-    def counted(state, i, labels):
-        results.append(add_hyperplane(state, i, labels))
-        return results[-1]
+    def counted(state, i):
+        generated = entries(state, i)
+        steps.extend(generated)
+        return generated
 
-    monkeypatch.setattr(geometry._Feasibility, "add_hyperplane", counted)
-    return results
+    monkeypatch.setattr(geometry._Feasibility, "entries", counted)
+    return steps
 
 
 def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
-    # the budget is the number of add_hyperplane calls the walk makes,
-    # not the (2^d-1)^n = 759375 candidate types of a (5,4) input
+    # the budget is the number of entries the walk takes, not the
+    # (2^d-1)^n = 759375 candidate types of a (5,4) input
     arr = random_arrangement(random.Random(54), 5, 4)
     calls = _counted_steps(monkeypatch)
     types = enumerate_types(arr, budget=10**9)
@@ -227,27 +231,30 @@ def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
         enumerate_types(arr, budget=steps - 1)
 
 
-
-def test_most_feasibility_steps_succeed(monkeypatch):
-    # only entries passing the pairwise tests are tried; scanning all
-    # 2^d - 1 entries per prefix made 13% of the steps feasible at (5,4)
-    # and 6% at (3,6)
-    results = _counted_steps(monkeypatch)
-    for n, d in [(5, 4), (3, 6)]:
-        results.clear()
-        enumerate_types(random_generic_arrangement(random.Random(54), n, d))
-        assert 2 * sum(results) >= len(results)
+def test_every_generated_entry_is_feasible():
+    # the tier-1 rational and integer suites at d <= 5, degenerate slices
+    # included; test_grid.py adds the (3,3) and (2,4) grids under --grid
+    rng = random.Random(5150)
+    for n, d in [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4), (5, 4), (2, 5), (3, 5)]:
+        draws = [
+            random_arrangement(rng, n, d),
+            random_integer_arrangement(rng, n, d),
+            nongeneric_on_apex(rng, n, d)[0],
+            nongeneric_on_ray(rng, n, d)[0],
+        ]
+        for arr in draws:
+            assert_every_entry_is_feasible(arr)
 
 
 def test_identical_rows_take_one_step_per_entry(monkeypatch):
     # the second of two equal hyperplanes can only repeat the first
     # entry, so 4095 types take 2 * 4095 steps; a scan of every entry
     # per prefix would test 4095^2 of them
-    results = _counted_steps(monkeypatch)
+    steps = _counted_steps(monkeypatch)
     types = enumerate_types(Arrangement.from_rows([[0] * 12] * 2))
     assert len(types) == 4095
     assert all(A == B for A, B in (t.entries for t in types))
-    assert len(results) == 2 * 4095 and all(results)
+    assert len(steps) == 2 * 4095
 
 
 def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):

@@ -4,11 +4,13 @@ and last column 0, degenerate ones included.
 The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
-oracle, genericity, its tied minor and the verdict at (2,4), the
+oracle, with every entry the enumeration generates imposed on its
+prefix, genericity, its tied minor and the verdict at (2,4), the
 secondary-face check and its exact face dimension on the (3,3) and
 (2,4) inputs whose apexes all look generic although a minor ties, the
-walks over the coarse cells against the lower envelope on the
-perturbations of every non-generic input at (3,3) and (2,4), and dual
+walks over the coarse cells against the lower envelope, and the cone
+test against the walks, on the perturbations of every non-generic
+input at (3,3) and (2,4), and dual
 subdivision against lower envelope, with genericity and its tied minor,
 on the 6,561 inputs at (4,3).  It also compares the bit-sliced
 elimination and comparability kernels with the pairwise scans they
@@ -40,6 +42,7 @@ from troparr.duality import _subdivision_of
 
 from conftest import (
     assert_cell_walks_match_the_envelope,
+    assert_every_entry_is_feasible,
     face_dimension_oracle,
     genericity_oracle,
     minor_ties,
@@ -68,6 +71,7 @@ def test_realizations_match_oracle_on_grid(n, d):
         assert enumerate_realizations(arr) == {T: r.dimension for T, r in expected.items()}, arr.rows()
         for T, result in expected.items():
             assert realizable(arr, T) == result
+        assert_every_entry_is_feasible(arr)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
