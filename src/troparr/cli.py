@@ -3,7 +3,7 @@ and SVG pictures out.
 
 Exit codes: 0 ok, 2 parse error, 3 dimension mismatch, 4 internal
 consistency violation (always an implementation bug, never bad data),
-5 budget exceeded, 6 unsupported render dimension, 7 I/O failure.
+5 budget exceeded, 6 unsupported render input, 7 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .duality import check_correspondence, dual_subdivision, is_triangulation
 from .geometry import type_of_point
 from .secondary import secondary_face_check
 
-OK, PARSE, DIMENSION, INCONSISTENT, BUDGET, RENDER_DIM, IO = 0, 2, 3, 4, 5, 6, 7
+OK, PARSE, DIMENSION, INCONSISTENT, BUDGET, RENDER, IO = 0, 2, 3, 4, 5, 6, 7
 
 
 class CliError(Exception):
@@ -302,7 +302,16 @@ def render_svg(arr: Arrangement, bold: set[int]) -> str:
 
 def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     if arr.d != 3:
-        raise CliError(RENDER_DIM, f"rendering needs d=3, got d={arr.d}")
+        raise CliError(RENDER, f"rendering needs d=3, got d={arr.d}")
+    # rays run 3 spans from their apex, so no number the picture writes
+    # exceeds 7 times the largest planar coordinate: 1/8 of the float
+    # range keeps them all finite
+    limit = Fraction(sys.float_info.max) / 8
+    for i, p in enumerate(arr.apexes, 1):
+        if max(abs(p[0] - p[2]), abs(p[1] - p[2])) > limit:
+            raise CliError(
+                RENDER, f"cannot render hyperplane {i}: a planar apex coordinate exceeds {float(limit):.6g}"
+            )
     # hyperplane i is bold when its apex lies on a proper face of another
     # hyperplane's fan: another entry of the apex's type has two labels
     bold = {

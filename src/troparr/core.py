@@ -99,11 +99,8 @@ class ProjectivePoint:
         return self.coords[idx]
 
 
-def _as_point(row, d: int | None = None) -> ProjectivePoint:
-    point = row if isinstance(row, ProjectivePoint) else ProjectivePoint(tuple(row))
-    if d is not None and point.d != d:
-        raise ValueError(f"expected {d} coordinates, got {point.d}")
-    return point
+def _as_point(row) -> ProjectivePoint:
+    return row if isinstance(row, ProjectivePoint) else ProjectivePoint(tuple(row))
 
 
 @dataclass(frozen=True)

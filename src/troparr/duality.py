@@ -39,32 +39,24 @@ from .axioms import AxiomReport, is_tropical_oriented_matroid
 MAX_VOLUME_WORK = 20_000_000
 
 
-def type_to_graph(T: TypeVector, n: int | None = None, d: int | None = None) -> CellGraph:
+def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
     """Cell graph of a type: edge (i, j) for every label j in entry i."""
-    n = T.n if n is None else n
-    d = T.max_label() if d is None else d
     edges = frozenset((i, j) for i, entry in enumerate(T.entries, 1) for j in entry)
     return CellGraph(n, d, edges)
 
 
 def _components(g: CellGraph) -> dict:
     """Connected components of the support (nodes of degree >= 1); keys are
-    ('L', i) / ('R', j) node tags, values are component roots."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ('L', i) / ('R', j) node tags, values are component labels.  The graph
+    has at most n + d nodes, so each merge relabels one component."""
+    label: dict = {}
     for i, j in g.edges:
-        for node in (("L", i), ("R", j)):
-            parent.setdefault(node, node)
-        a, b = find(("L", i)), find(("R", j))
+        a, b = label.setdefault(("L", i), ("L", i)), label.setdefault(("R", j), ("R", j))
         if a != b:
-            parent[a] = b
-    return {node: find(node) for node in parent}
+            for node, c in label.items():
+                if c == a:
+                    label[node] = b
+    return label
 
 
 def cell_dim(g: CellGraph) -> int:

@@ -9,7 +9,8 @@ the pivot walk over the lower envelope of the apex matrix (see
 A candidate type imposes, hyperplane by hyperplane, that the listed
 coordinates tie (after subtracting the apex row) and strictly beat the
 rest.  The ties merge coordinates into rigid groups carrying exact
-offsets (union-find); the strict part becomes a system of strict
+offsets, kept in two flat arrays: each label's group root and its
+offset to that root; the strict part becomes a system of strict
 difference constraints between group representatives, kept closed
 under max-plus composition (longest paths).  Each hyperplane is added
 incrementally: a merge and the new strict bounds are relaxed through
@@ -72,56 +73,23 @@ class RealizationResult:
             raise ValueError("dimension must be nonnegative")
 
 
-class _TieGroups:
-    """Union-find over coordinate labels with exact offsets: merged labels
-    carry a fixed integer difference (in scaled units) to their root."""
-
-    __slots__ = ("parent", "shift")
-
-    def __init__(self, d: int):
-        self.parent = list(range(d + 1))
-        self.shift = [0] * (d + 1)
-
-    def copy(self) -> "_TieGroups":
-        g = _TieGroups.__new__(_TieGroups)
-        g.parent = self.parent[:]
-        g.shift = self.shift[:]
-        return g
-
-    def find(self, v: int) -> tuple[int, int]:
-        """Root of v's group and the exact offset x_v - x_root.
-
-        Compresses the path; nodes nearer the root are rewritten first so
-        each offset accumulates over still-unmodified parent links.
-        """
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        root = v
-        acc = 0
-        for node in reversed(path):
-            acc += self.shift[node]
-            self.parent[node] = root
-            self.shift[node] = acc
-        offset = self.shift[path[0]] if path else 0
-        return root, offset
-
-
 class _Feasibility:
     """Incrementally built feasibility state for one arrangement.
 
     Coordinates are counted in units of 1/scale, scale the lcm of the
     apex matrix's denominators, so ``rows`` and every bound are ints.
-    ``lower[a * (d + 1) + b]`` is the tightest known strict bound
-    x_a - x_b > c between group roots a != b, or None.  It is kept
-    transitively closed: each entry is the longest path over the bounds
-    imposed so far, which depends on those bounds alone and not on the
-    order they came in.  So inconsistency surfaces as soon as it exists
-    and witnesses can be read off greedily.
+    Labels 1..d tie into groups, kept in two flat arrays: ``root[v]`` is
+    the root of label v's group and ``offset[v]`` the fixed difference
+    x_v - x_root.  A merge relabels every label of one group in O(d), so
+    each lookup is two index reads.  ``lower[a * (d + 1) + b]`` is the
+    tightest known strict bound x_a - x_b > c between group roots
+    a != b, or None.  It is kept transitively closed: each entry is the
+    longest path over the bounds imposed so far, which depends on those
+    bounds alone and not on the order they came in.  So inconsistency
+    surfaces as soon as it exists and witnesses can be read off greedily.
     """
 
-    __slots__ = ("d", "scale", "rows", "groups", "lower")
+    __slots__ = ("d", "scale", "rows", "root", "offset", "lower")
 
     def __init__(self, arr: Arrangement):
         self.d = arr.d
@@ -130,13 +98,14 @@ class _Feasibility:
             tuple(c.numerator * (self.scale // c.denominator) for c in p.coords)
             for p in arr.apexes
         )
-        self.groups = _TieGroups(arr.d)
+        self.root = list(range(arr.d + 1))
+        self.offset = [0] * (arr.d + 1)
         self.lower: list[int | None] = [None] * (arr.d + 1) ** 2
 
     def copy(self) -> "_Feasibility":
         st = _Feasibility.__new__(_Feasibility)
         st.d, st.scale, st.rows = self.d, self.scale, self.rows
-        st.groups = self.groups.copy()
+        st.root, st.offset = self.root[:], self.offset[:]
         st.lower = self.lower[:]
         return st
 
@@ -154,26 +123,25 @@ class _Feasibility:
         row = self.rows[i - 1]
         members = sorted(labels)
         base = members[0]
-        find = self.groups.find
+        root, offset = self.root, self.offset
+        # every merge keeps the base's root, so its root and offset stay put
+        r, o = root[base], offset[base]
         for j in members[1:]:
-            rj, oj = find(j)
-            rb, ob = find(base)
-            # the root difference x_rj - x_rb that gives x_j - x_base = v_ij - v_ib
-            s = row[j - 1] - row[base - 1] - oj + ob
-            if rj == rb:
+            # the root difference x_rj - x_r that gives x_j - x_base = v_ij - v_ib
+            s = row[j - 1] - row[base - 1] - offset[j] + o
+            if root[j] == r:
                 if s != 0:
                     return False
-            elif not self._merge(rj, rb, s):
+            elif not self._merge(root[j], r, s):
                 return False
-        r, o = find(base)
         member_set = set(members)
         new: dict[int, int] = {}
         for k in range(1, self.d + 1):
             if k in member_set:
                 continue
-            rk, ok = find(k)
+            rk = root[k]
             # x_base - x_k > v_ib - v_ik, the same bound for every member
-            c = row[base - 1] - row[k - 1] - o + ok
+            c = row[base - 1] - row[k - 1] - o + offset[k]
             if rk == r:
                 if c >= 0:
                     return False
@@ -209,8 +177,10 @@ class _Feasibility:
                 outs.append((x, c))
         for v in range(w):
             lower[a * w + v] = lower[v * w + a] = None
-        self.groups.parent[a] = b
-        self.groups.shift[a] = s
+        for v in range(1, w):
+            if self.root[v] == a:
+                self.root[v] = b
+                self.offset[v] += s
         self._join(b, ins, outs)
         return True
 
@@ -265,8 +235,7 @@ class _Feasibility:
         d, w, lower, row = self.d, self.d + 1, self.lower, self.rows[i - 1]
         anchor: list[tuple[int, int]] = [(0, 0)]
         for j in range(1, d + 1):
-            r, o = self.groups.find(j)
-            anchor.append((r, o - row[j - 1]))  # y_j = x_r + o - v_ij
+            anchor.append((self.root[j], self.offset[j] - row[j - 1]))  # y_j = x_r + o - v_ij
         tie = [1 << j for j in range(w)]
         force = [0] * w
         for j in range(1, d + 1):
@@ -294,8 +263,7 @@ class _Feasibility:
         ]
 
     def roots(self) -> list[int]:
-        parent = self.groups.parent
-        return [v for v in range(1, self.d + 1) if parent[v] == v]
+        return [v for v in range(1, self.d + 1) if self.root[v] == v]
 
     def dimension(self) -> int:
         return len(self.roots()) - 1
@@ -332,10 +300,7 @@ class _Feasibility:
             else:
                 assert lo < hi, "closed strict system must leave an open interval"
                 values[r] = (lo + hi) // 2
-        shifted = []
-        for j in range(1, self.d + 1):
-            root, off = self.groups.find(j)
-            shifted.append(values[root] + off * m)
+        shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
         last = shifted[-1]
         return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
 
@@ -518,7 +483,7 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
             )
         if i == arr.n:
             # exact without add_hyperplane, as the docstring shows
-            merged = len({state.groups.find(j)[0] for j in entry})
+            merged = len({state.root[j] for j in entry})
             out[TypeVector(prefix + (entry,))] = state.dimension() + 1 - merged
             continue
         child = state.copy()

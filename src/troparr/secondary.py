@@ -14,9 +14,9 @@ it, and the move is generic exactly when every piece is a tree.  Once a
 cell's refinement is known, the open cone of the steps that give it is
 known too: one strict inequality per cycle that a cell edge closes in
 one of its trees.  A later step inside that cone gives the same
-refinement without a walk.  The affine span of the GKZ vectors
-measures the dimension of the secondary-polytope face the wall
-corresponds to.
+refinement without a walk.  The dimension of the secondary-polytope
+face the wall corresponds to is exact: the rank of the coarse cells'
+alternating-cycle vectors, which no sample enters.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ def gkz_vector(t: Subdivision) -> GKZVector:
     simplex is unimodular, so each adds 1 at each of its vertices."""
     if not is_triangulation(t):
         raise ValueError("GKZ vectors are defined here only for triangulations")
-    return _gkz(t)
-
-
-def _gkz(t: Subdivision) -> GKZVector:
-    """:func:`gkz_vector` of a subdivision already known to be a triangulation."""
     values = [0] * (t.n * t.d)
     for cell in t.maximal_cells:
         for i, j in cell.edges:
@@ -135,7 +130,10 @@ def _cone(d: int, cell: frozenset[tuple[int, int]], trees) -> tuple[tuple[tuple[
     positive for every tree, each tree is a strict lower facet of the
     cell lifted by u, and the trees already fill the cell, so they are
     its regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and
-    5).  A cycle shared by two trees is one inequality.
+    5).  A cycle shared by two trees is one inequality, and a tree's own
+    edges, whose slack is identically 0, give none.  Given a connected
+    graph with cycles as its one tree, the potentials follow a search
+    tree of it, so the rows are the graph's fundamental cycles.
     """
     cone = set()
     for tree in trees:
@@ -153,16 +151,17 @@ def _cone(d: int, cell: frozenset[tuple[int, int]], trees) -> tuple[tuple[tuple[
                 if other not in potential:
                     potential[other] = {**potential[node], flat: sign}
                     stack.append(other)
-        for i, j in cell - tree:
+        for i, j in cell:
             slack = {(i - 1) * d + j - 1: 1}
             for k, c in potential[("R", j)].items():
                 slack[k] = slack.get(k, 0) - c
             for k, c in potential[("L", i)].items():
                 slack[k] = slack.get(k, 0) + c
-            cone.add((
-                tuple(sorted(k for k, c in slack.items() if c > 0)),
-                tuple(sorted(k for k, c in slack.items() if c < 0)),
-            ))
+            if any(slack.values()):
+                cone.add((
+                    tuple(sorted(k for k, c in slack.items() if c > 0)),
+                    tuple(sorted(k for k, c in slack.items() if c < 0)),
+                ))
     return tuple(sorted(cone))
 
 
@@ -268,14 +267,6 @@ class SecondaryFaceVerdict:
         return self.refinement_count >= 2 and self.face_dimension >= 1
 
 
-def _affine_dimension(vectors) -> int:
-    vecs = [v.values for v in vectors]
-    if len(vecs) <= 1:
-        return 0
-    base = vecs[0]
-    return rank([[x - b for x, b in zip(v, base)] for v in vecs[1:]])
-
-
 def secondary_face_check(
     arr: Arrangement,
     sub: Subdivision,
@@ -285,18 +276,29 @@ def secondary_face_check(
 ) -> SecondaryFaceVerdict:
     """For a non-generic arrangement with subdivision ``sub`` (not a
     triangulation): at least two refining triangulations must exist, and
-    the affine hull of their GKZ vectors must have positive dimension."""
+    the secondary-polytope face of ``sub`` must have positive dimension.
+
+    That face's dimension is nd - dim L, L the heights affine on every
+    cell of ``sub``.  L is the orthogonal complement of the cells'
+    alternating-cycle vectors, so the dimension is their rank, computed
+    from ``sub`` alone: the fundamental cycles of a spanning tree of each
+    cell span that cell's cycles, and :func:`_cone` of the cell against
+    itself writes them (none for a tree)."""
     if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     tris = sorted(
         refining_triangulations(arr, sub, samples, seed, budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
     )
-    gkz = tuple(_gkz(t) for t in tris)
+    cycles = [
+        [1 if k in plus else -1 if k in minus else 0 for k in range(arr.n * arr.d)]
+        for g in sub.maximal_cells
+        for plus, minus in _cone(arr.d, g.edges, [g.edges])
+    ]
     return SecondaryFaceVerdict(
         subdivision=sub,
         refinements=tuple(tris),
-        gkz_vectors=gkz,
-        face_dimension=_affine_dimension(gkz),
+        gkz_vectors=tuple(gkz_vector(t) for t in tris),
+        face_dimension=rank(cycles),
         conclusive=all_triangulations_regular(arr.n, arr.d),
     )

@@ -1,7 +1,10 @@
 import json
+import math
 import random
+import sys
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -445,6 +448,30 @@ def test_render_generic_and_nongeneric(tmp_path, capsys):
 def test_render_rejects_wrong_dimension(tmp_path, capsys, e1_file):
     assert main(["render", "--input", e1_file, "--format", "text", "--out", str(tmp_path / "x.svg")]) == 6
     capsys.readouterr()
+
+
+def test_render_refuses_coordinates_beyond_float_range(tmp_path, capsys):
+    # 10^400 overflows a float; 10^308 converts, but its rays would reach inf
+    for big in ("1" + "0" * 400, "1" + "0" * 308):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [[big, "0", "0"], ["0", "0", "0"]]}))
+        out = tmp_path / "big.svg"
+        assert main(["render", "--input", str(path), "--out", str(out)]) == 6
+        assert "hyperplane 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["check", "--input", str(path)]) == 0
+        capsys.readouterr()
+    # at the bound, on both sides, every number of the picture is finite
+    limit = str(Fraction(sys.float_info.max) / 8)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [[limit, "-" + limit, "0"], ["-" + limit, limit, "0"]]}))
+    out = tmp_path / "edge.svg"
+    assert main(["render", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    root = ET.fromstring(out.read_text())
+    numbers = [float(x) for x in root.get("viewBox").split()]
+    numbers += [float(el.get(a)) for el in root for a in ("x1", "y1", "x2", "y2", "cx", "cy") if el.get(a)]
+    assert len(numbers) == 4 + 4 * 6 + 2 * 2 and all(math.isfinite(x) for x in numbers)
 
 
 def test_render_unwritable_path(capsys, e2_file, tmp_path):

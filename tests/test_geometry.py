@@ -24,6 +24,7 @@ from troparr import (
 )
 
 from conftest import (
+    _FractionTieGroups,
     apex_type,
     assert_every_entry_is_feasible,
     minor_ties,
@@ -321,6 +322,41 @@ def test_integer_kernel_matches_fraction_oracle():
         for arr in draws:
             _assert_matches_oracle(arr, rng)
     _assert_matches_oracle(random_arrangement(rng, 4, 4), rng)
+
+
+def _arrangement_of_chain(rng, d, chain):
+    """An arrangement on which a random point x has type ``chain``: apex i
+    equals x on the labels of entry i and lies above it on the others."""
+    x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(d)]
+    rows = [
+        [x[j - 1] if j in entry else x[j - 1] + Fraction(rng.randint(1, 30), rng.randint(1, 9)) for j in range(1, d + 1)]
+        for entry in chain
+    ]
+    return Arrangement.from_rows(rows)
+
+
+def test_tie_groups_match_the_fraction_union_find():
+    # every step of each chain is feasible; later entries merge groups
+    # that earlier ones merged, or tie labels already in one group
+    rng = random.Random(2718)
+    cases = []
+    for d in (4, 5, 6):
+        for chain in ([{1, 2}, {3, 4}, {2, 3}], [{3, 4}, {1, 2}, {1, 4}, {2, 3}], [{1, 2}, {d - 1, d}, {3, 4}, {2, 3, d}]):
+            cases.append((_arrangement_of_chain(rng, d, chain), chain))
+    for n in (3, 4):
+        arr = nongeneric_on_apex(rng, n, 4)[0]
+        vertices = sorted(T_.key() for T_, dim in enumerate_realizations(arr).items() if dim == 0)
+        cases += [(arr, key) for key in vertices[:8]]
+    for arr, chain in cases:
+        state, groups = geometry._Feasibility(arr), _FractionTieGroups(arr.d)
+        for i, entry in enumerate(chain, 1):
+            assert state.add_hyperplane(i, entry)
+            base, *rest = sorted(entry)
+            row = arr.apex(i).coords
+            for j in rest:
+                assert groups.union(j, base, row[j - 1] - row[base - 1])
+            for v in range(1, arr.d + 1):
+                assert (state.root[v], Fraction(state.offset[v], state.scale)) == groups.find(v), (arr.rows(), chain, i, v)
 
 
 def test_integer_kernel_with_large_coprime_denominators():

@@ -242,6 +242,16 @@ def test_secondary_face_check_doubly_degenerate():
     assert secondary_face_check(arr, sub, samples=100, seed=7).refinement_count == 5
 
 
+def test_face_dimension_does_not_depend_on_the_sample():
+    # an integer_incident bench draw: seeds 0..4 find 16, 18, 16, 16 and 19
+    # of its refining triangulations, and 400 samples find 40
+    arr = Arrangement.from_rows([[0, -3, 0], [0, -3, 0], [-3, -2, 0], [0, 1, 0]])
+    sub = dual_subdivision(arr)
+    verdicts = [secondary_face_check(arr, sub, seed=seed) for seed in range(5)]
+    assert len({v.refinement_count for v in verdicts}) > 1
+    assert {v.face_dimension for v in verdicts} == {face_dimension_oracle(sub)} == {4}
+
+
 def test_secondary_face_check_on_constructed_ray_degeneracies():
     rng = random.Random(15)
     for _ in range(3):
