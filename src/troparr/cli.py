@@ -15,12 +15,7 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from .core import (
-    Arrangement,
-    ResourceLimitError,
-    format_rational,
-    parse_rational,
-)
+from .core import Arrangement, ResourceLimitError, parse_rational
 from .duality import check_correspondence, dual_subdivision, is_triangulation
 from .geometry import type_of_point
 from .secondary import secondary_face_check
@@ -85,21 +80,6 @@ def parse_arrangement_json(data: str) -> Arrangement:
                 raise ValueError(f"coordinates must be strings or integers, got {x!r}")
         rows.append(coords)
     return Arrangement.from_rows(rows)
-
-
-def serialize_arrangement(arr: Arrangement, fmt: str = "json") -> str:
-    if fmt == "json":
-        doc = {
-            "n": arr.n,
-            "d": arr.d,
-            "apexes": [[format_rational(x) for x in row] for row in arr.rows()],
-        }
-        return json.dumps(doc, sort_keys=True) + "\n"
-    if fmt == "text":
-        lines = [f"{arr.n} {arr.d}"]
-        lines += [" ".join(format_rational(x) for x in row) for row in arr.rows()]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_arrangement(path: str, fmt: str) -> tuple[Arrangement, bytes]:

@@ -19,8 +19,8 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 #: Cap on the feasibility steps (candidate entries generated on a
-#: feasible prefix and tested) one type enumeration may take; a generic
-#: (5,4) takes 735, one per realizable prefix.
+#: feasible prefix and tested) one type walk may take; the enumeration
+#: of a generic (5,4) takes 735, one per realizable prefix.
 DEFAULT_BUDGET = 200_000
 
 
@@ -173,6 +173,15 @@ class TypeVector:
     def of(cls, *entries: Iterable[int]) -> "TypeVector":
         return cls(tuple(frozenset(e) for e in entries))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[frozenset[int], ...]) -> "TypeVector":
+        """A type from entries known to be nonempty frozensets of positive
+        int labels, as the type walk builds them, without re-validating
+        them."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "entries", entries)
+        return T
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -228,11 +237,6 @@ class TypeVector:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def type_total_size(T: TypeVector) -> int:
-    """Total number of labels summed over the entries."""
-    return sum(len(e) for e in T.entries)
 
 
 @dataclass(frozen=True)

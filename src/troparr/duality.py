@@ -1,8 +1,15 @@
 """Dual subdivisions of the product of simplices.
 
 A type becomes a bipartite cell graph (edge (i,j) for each label j in
-entry i); the 0-dimensional cells of an arrangement give the maximal
-cells of its dual subdivision.  Independently, the same subdivision
+entry i); the 0-dimensional cells of an arrangement, its vertices, give
+the maximal cells of its dual subdivision.  :func:`dual_subdivision`
+reads them off the vertex walk of :mod:`troparr.geometry`, which settles
+the last hyperplane of each prefix in closed form, its one candidate
+entry the union of each tie group's labels minimising v_nj - offset_j,
+instead of enumerating every type; each cell's edges come straight
+from the vertex's label masks.  :func:`check_correspondence` needs every
+type for the axioms, so it keeps the full enumeration and takes the
+cells from its 0-dimensional types.  Independently, the same subdivision
 arises as the lower-envelope regular subdivision induced by lifting
 product vertex (i,j) to the apex coordinate v_ij; both constructions are
 exposed so they can be checked against each other.
@@ -31,7 +38,7 @@ from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, ResourceLimitError, TypeVector, to_fraction
-from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
+from .geometry import GenericityReport, TiedMinor, _labels, _vertices, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
@@ -119,8 +126,14 @@ def _subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subd
 
 
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
-    """The arrangement's dual subdivision of the product of simplices."""
-    return _subdivision_of(arr, enumerate_realizations(arr, budget))
+    """The arrangement's dual subdivision of the product of simplices:
+    one maximal cell per vertex of the arrangement, its edges read off the
+    vertex's label masks."""
+    cells = frozenset(
+        CellGraph(arr.n, arr.d, frozenset((i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)))
+        for masks in _vertices(arr, budget)
+    )
+    return Subdivision(arr.n, arr.d, cells)
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:

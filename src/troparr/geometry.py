@@ -1,5 +1,5 @@
-"""Types of points, exact realizability of candidate types, genericity
-and full type enumeration.
+"""Types of points, exact realizability of candidate types, genericity,
+full type enumeration and the vertex walk.
 
 Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
@@ -18,15 +18,32 @@ the closed bounds in O(roots^2), with no all-pairs re-closure.  A
 closed, consistent system always admits a rational witness, found by
 greedy interval assignment.
 
-The enumeration of all types generates, on each feasible prefix, only
-the entries that pass pairwise tests read off the closed bounds (every
-two members can still tie, every member can still beat every
-non-member), as cliques of a tie relation closed under the labels each
-member forces in; its work grows with the types, not with 2^d.  Every
-entry the tests pass is feasible, so at the last hyperplane each one is
-a type, recorded with its dimension without imposing it.  A witness
-comes from :func:`realizable`, which imposes all of a type's entries in
-the walk's order.
+Entries are label masks, bit j for label j, from the pairwise tests
+through :meth:`_Feasibility.add_hyperplane`.  One depth-first walk over
+hyperplanes 1..n-1 generates, on each feasible prefix, only the entries
+that pass pairwise tests read off the closed bounds (every two members
+can still tie, every member can still beat every non-member), as
+cliques of a tie relation closed under the labels each member forces
+in; its work grows with the types, not with 2^d.  Every entry the tests
+pass is feasible.  The walk then settles the last hyperplane in one of
+two ways:
+
+* the enumeration of all types takes every entry the tests pass as a
+  type, recorded with its dimension without imposing it;
+* the vertex walk, which gives the dual subdivision its maximal cells,
+  keeps only the 0-dimensional types, and finds the one a prefix can
+  have in closed form, in O(d + roots^2).  With c_j = v_nj - offset_j,
+  label j's x_j - v_nj is x_r - c_j, r its group's root.  A
+  0-dimensional type's last entry merges every group into one, so it
+  meets each group g, and there it holds exactly the labels minimising
+  c_j, at c_g: any other label of g sits strictly lower.  Those group
+  maxima all tie, which forces the roots to x_r(g) - x_r(h) = c_g - c_h,
+  a single point.  So the union of the minimisers is a type iff these
+  differences meet every closed strict bound of the prefix, and no other
+  last entry closes a 0-dimensional type.
+
+A witness comes from :func:`realizable`, which imposes all of a type's
+entries in the walk's order.
 
 The feasibility kernel runs on ints: the apex matrix is scaled once per
 arrangement by D, the lcm of its denominators, so every offset and
@@ -40,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -109,8 +126,9 @@ class _Feasibility:
         st.lower = self.lower[:]
         return st
 
-    def add_hyperplane(self, i: int, labels: Iterable[int]) -> bool:
-        """Impose entry ``labels`` for hyperplane i; False iff infeasible.
+    def add_hyperplane(self, i: int, mask: int) -> bool:
+        """Impose the entry with label set ``mask`` (bit j for label j)
+        for hyperplane i; False iff infeasible.
 
         The labels tie into one group, whose root then strictly beats
         every other group by the hyperplane's apex differences.  Each
@@ -121,12 +139,16 @@ class _Feasibility:
         system.
         """
         row = self.rows[i - 1]
-        members = sorted(labels)
-        base = members[0]
+        low = mask & -mask
+        base = low.bit_length() - 1
         root, offset = self.root, self.offset
         # every merge keeps the base's root, so its root and offset stay put
         r, o = root[base], offset[base]
-        for j in members[1:]:
+        rest = mask ^ low
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
             # the root difference x_rj - x_r that gives x_j - x_base = v_ij - v_ib
             s = row[j - 1] - row[base - 1] - offset[j] + o
             if root[j] == r:
@@ -134,10 +156,9 @@ class _Feasibility:
                     return False
             elif not self._merge(root[j], r, s):
                 return False
-        member_set = set(members)
         new: dict[int, int] = {}
         for k in range(1, self.d + 1):
-            if k in member_set:
+            if mask >> k & 1:
                 continue
             rk = root[k]
             # x_base - x_k > v_ib - v_ik, the same bound for every member
@@ -222,8 +243,9 @@ class _Feasibility:
         for y, cy in outs:
             lower[r * w + y] = cy
 
-    def entries(self, i: int) -> list[frozenset[int]]:
-        """The entries for hyperplane i that pass every pairwise test.
+    def entries(self, i: int) -> list[int]:
+        """The entries for hyperplane i that pass every pairwise test, as
+        label masks (bit j for label j).
 
         With y_j = x_j - v_ij, an entry S is feasible only if, for each
         j in S, every other label of S can still tie y_j (``tie[j]``) and
@@ -257,10 +279,34 @@ class _Feasibility:
                     force[j] |= 1 << k
                 if not k_wins:
                     force[k] |= 1 << j
-        return [
-            frozenset(j for j in range(1, d + 1) if S >> j & 1)
-            for S in _cliques(tie, force, (1 << w) - 2)
-        ]
+        return _cliques(tie, force, (1 << w) - 2)
+
+    def vertex(self, i: int) -> int:
+        """The one entry for hyperplane i, as a label mask, that closes a
+        0-dimensional type on this prefix, or 0 when none does: the union
+        over the groups of the labels j minimising c_j = v_ij - offset_j,
+        when the root differences x_a - x_b = c_a - c_b it forces meet
+        every closed strict bound (the module docstring has the proof).
+        """
+        d, w, lower, row = self.d, self.d + 1, self.lower, self.rows[i - 1]
+        root, offset = self.root, self.offset
+        least: list[int | None] = [None] * w
+        mask = [0] * w
+        for j in range(1, d + 1):
+            r, c = root[j], row[j - 1] - offset[j]
+            m = least[r]
+            if m is None or c < m:
+                least[r], mask[r] = c, 1 << j
+            elif c == m:
+                mask[r] |= 1 << j
+        roots = [r for r in range(1, w) if least[r] is not None]
+        for a in roots:
+            ca = least[a]
+            for b in roots:
+                c = lower[a * w + b]
+                if c is not None and ca - least[b] <= c:
+                    return 0
+        return sum(mask)
 
     def roots(self) -> list[int]:
         return [v for v in range(1, self.d + 1) if self.root[v] == v]
@@ -411,84 +457,157 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
         raise ValueError(f"type labels exceed d={arr.d}")
     state = _Feasibility(arr)
     for i, entry in enumerate(T.entries, 1):
-        if not state.add_hyperplane(i, entry):
+        if not state.add_hyperplane(i, sum(1 << j for j in entry)):
             return RealizationResult(False)
     return RealizationResult(True, state.witness(), state.dimension())
+
+
+def _labels(mask: int) -> list[int]:
+    """The labels of a label mask (bit j for label j), ascending."""
+    return [j for j in range(1, mask.bit_length()) if mask >> j & 1]
+
+
+class _LabelSets(dict):
+    """Label mask -> frozenset of its labels, each built once."""
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        labels = self[mask] = frozenset(_labels(mask))
+        return labels
+
+
+def _over(budget: int) -> ResourceLimitError:
+    return ResourceLimitError(f"type enumeration: {budget + 1} feasibility steps exceed budget {budget}")
+
+
+def _walk(
+    arr: Arrangement,
+    budget: int | None,
+    floor: int,
+    last: Callable[[_Feasibility, tuple[int, ...]], int],
+) -> None:
+    """Depth first over the entries of hyperplanes 1..n-1, calling
+    ``last(state, prefix)`` on the closed state of every feasible prefix
+    of n - 1 entries, given as label masks; ``last`` settles hyperplane n
+    and returns the feasibility steps it took.
+
+    The walk keeps an explicit stack, one frame per hyperplane of the
+    current prefix, so its depth is not bounded by Python's recursion
+    limit.  On a feasible prefix only the entries passing the pairwise
+    tests of :meth:`_Feasibility.entries` are generated, and each is
+    imposed by :meth:`_Feasibility.add_hyperplane` on a copy of the
+    prefix's state, which the next hyperplane extends.
+
+    ``budget`` caps the feasibility steps: one per entry generated on
+    hyperplanes 1..n-1, plus those ``last`` reports.  The walk raises
+    :class:`ResourceLimitError` as soon as they exceed it, and at once,
+    before generating any entry, when ``floor``, the fewest steps the
+    walk can take on any input of this shape, does.  A negative budget is
+    a ValueError.
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if floor > budget:
+        raise _over(budget)
+    steps = 0
+    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
+    stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
+
+    def reach(state: _Feasibility, prefix: tuple[int, ...]) -> None:
+        nonlocal steps
+        i = len(prefix) + 1
+        if i == arr.n:
+            steps += last(state, prefix)
+        else:
+            entries = state.entries(i)
+            steps += len(entries)
+            stack.append((i, state, prefix, iter(entries)))
+        if steps > budget:
+            raise _over(budget)
+
+    reach(_Feasibility(arr), ())
+    while stack:
+        i, state, prefix, entries = stack[-1]
+        entry = next(entries, 0)
+        if not entry:
+            stack.pop()
+            continue
+        child = state.copy()
+        if child.add_hyperplane(i, entry):
+            reach(child, prefix + (entry,))
 
 
 def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[TypeVector, int]:
     """Every realizable type, mapped to the affine dimension of its
     realization set; :func:`realizable` gives a type's witness.
 
-    Depth-first over the entries of each hyperplane in turn, on an
-    explicit stack with one frame per hyperplane of the current prefix,
-    so the depth is not bounded by Python's recursion limit.  On a
-    feasible prefix only the entries passing the pairwise tests of
-    :meth:`_Feasibility.entries` are generated.  Before the last
-    hyperplane each is imposed by :meth:`_Feasibility.add_hyperplane`
-    on a copy of the prefix's state, which the next hyperplane extends.
-
-    At the last hyperplane every generated entry is a type, and it is
-    recorded without a copy or a closure: merging its k groups removes
-    k - 1 roots, and strict bounds leave the dimension as it is.  That is
-    exact because the pairwise tests are.  The entry adds two kinds of
-    bounds to the closed prefix system.  Its groups tie at fixed
-    differences, and each pair of them ties inside the open interval its
-    closed bounds leave; around any cycle those differences sum to 0.
-    The merged group then strictly beats every other group, and every
-    new strict bound leaves it.  An infeasible system has a simple cycle
-    whose bounds sum to 0 or more, with one strict bound at least.  Its
-    runs of old bounds close to single old bounds.  Old bounds alone are
-    feasible, so it meets the merged group, and being simple, once: it
-    enters at one member and leaves at another.  If it leaves by an old
-    bound, it is a cycle between two members' groups, which the pairwise
-    tie test rules out.  If it leaves by a new strict bound to a label k,
-    it returns at its first entry into the group, so it pits one member
-    against k, which the pairwise win test rules out.  (A path-consistent
-    system of difference constraints is decomposable: Dechter, Meiri and
-    Pearl, "Temporal constraint networks", 1991.)
+    The walk over hyperplanes 1..n-1 is :func:`_walk`'s.  On each of its
+    prefixes every entry the pairwise tests pass for hyperplane n is a
+    type, and it is recorded without a copy or a closure: merging its k
+    groups removes k - 1 roots, and strict bounds leave the dimension as
+    it is.  That is exact because the pairwise tests are.  The entry adds
+    two kinds of bounds to the closed prefix system.  Its groups tie at
+    fixed differences, and each pair of them ties inside the open
+    interval its closed bounds leave; around any cycle those differences
+    sum to 0.  The merged group then strictly beats every other group,
+    and every new strict bound leaves it.  An infeasible system has a
+    simple cycle whose bounds sum to 0 or more, with one strict bound at
+    least.  Its runs of old bounds close to single old bounds.  Old
+    bounds alone are feasible, so it meets the merged group, and being
+    simple, once: it enters at one member and leaves at another.  If it
+    leaves by an old bound, it is a cycle between two members' groups,
+    which the pairwise tie test rules out.  If it leaves by a new strict
+    bound to a label k, it returns at its first entry into the group, so
+    it pits one member against k, which the pairwise win test rules out.
+    (A path-consistent system of difference constraints is decomposable:
+    Dechter, Meiri and Pearl, "Temporal constraint networks", 1991.)
 
     ``budget`` caps the feasibility steps, one per generated entry, the
-    last hyperplane's included; the walk raises
-    :class:`ResourceLimitError` as soon as it needs more.  All
-    m = 2^d - 1 entries of the first hyperplane are feasible, and each
-    such prefix has at least one feasible entry for the second, so the
-    walk takes at least 2m steps (m if n = 1).  Past the budget it
-    raises at once with the message the walk would reach, before
-    generating any entry.  A negative budget is a ValueError.
+    last hyperplane's included.  All m = 2^d - 1 entries of the first
+    hyperplane are feasible, and each such prefix has at least one
+    feasible entry for the second, so the walk takes at least 2m steps
+    (m if n = 1); past the budget it raises at once, before generating
+    any entry.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    m = 2 ** arr.d - 1
-    if m * (1 + (arr.n >= 2)) > budget:
-        raise ResourceLimitError(
-            f"type enumeration: {budget + 1} feasibility steps exceed budget {budget}"
-        )
     out: dict[TypeVector, int] = {}
-    steps = 0
-    root = _Feasibility(arr)
-    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
-    stack = [(1, root, (), iter(root.entries(1)))]
-    while stack:
-        i, state, prefix, entries = stack[-1]
-        entry = next(entries, None)
-        if entry is None:
-            stack.pop()
-            continue
-        steps += 1
-        if steps > budget:
-            raise ResourceLimitError(
-                f"type enumeration: {steps} feasibility steps exceed budget {budget}"
-            )
-        if i == arr.n:
+    sets = _LabelSets()
+
+    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
+        head = tuple(sets[mask] for mask in prefix)
+        root, roots = state.root, state.dimension() + 1
+        entries = state.entries(arr.n)
+        for mask in entries:
+            entry = sets[mask]
             # exact without add_hyperplane, as the docstring shows
-            merged = len({state.root[j] for j in entry})
-            out[TypeVector(prefix + (entry,))] = state.dimension() + 1 - merged
-            continue
-        child = state.copy()
-        if child.add_hyperplane(i, entry):
-            stack.append((i + 1, child, prefix + (entry,), iter(child.entries(i + 1))))
+            out[TypeVector._trusted(head + (entry,))] = roots - len({root[j] for j in entry})
+        return len(entries)
+
+    m = 2 ** arr.d - 1
+    _walk(arr, budget, m * (1 + (arr.n >= 2)), last)
+    return out
+
+
+def _vertices(arr: Arrangement, budget: int | None = None) -> list[tuple[int, ...]]:
+    """The 0-dimensional types, the arrangement's vertices, each as its
+    entries' label masks, by :func:`_walk` with hyperplane n settled by
+    :meth:`_Feasibility.vertex`: at most one vertex per prefix.
+
+    ``budget`` caps the feasibility steps: one per entry generated on
+    hyperplanes 1..n-1 and one per prefix for hyperplane n's candidate.
+    For n >= 2 all m = 2^d - 1 entries of the first hyperplane are
+    feasible, and each such prefix leads to one candidate at least, so
+    the walk takes at least 2m steps, and past the budget it raises at
+    once; for n = 1 it takes one step.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
+        mask = state.vertex(arr.n)
+        if mask:
+            out.append(prefix + (mask,))
+        return 1
+
+    _walk(arr, budget, 2 * (2 ** arr.d - 1) if arr.n >= 2 else 1, last)
     return out
 
 

@@ -63,16 +63,6 @@ class GKZVector:
             raise IndexError(f"vertex ({i},{j}) outside 1..{self.n} x 1..{self.d}")
         return self.values[(i - 1) * self.d + (j - 1)]
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (i, j): self.entry(i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.d + 1)
-        }
-
-    def total(self) -> int:
-        return sum(self.values)
-
 
 def gkz_vector(t: Subdivision) -> GKZVector:
     """GKZ vector of a triangulation (rejects non-triangulations); every
@@ -199,7 +189,7 @@ def refining_triangulations(
 
     The matched refinements' indices key the triangulation, and a step
     with a known key is skipped before any cell is built.  A new one
-    gets the moved arrangement, whose types are enumerated: its dual
+    gets the moved arrangement, whose vertices are walked: its dual
     subdivision must equal the triangulation and the triangulation must
     refine ``base``.  So every check runs once per distinct triangulation.
     """
@@ -261,10 +251,6 @@ class SecondaryFaceVerdict:
     @property
     def refinement_count(self) -> int:
         return len(self.refinements)
-
-    @property
-    def passes(self) -> bool:
-        return self.refinement_count >= 2 and self.face_dimension >= 1
 
 
 def secondary_face_check(

@@ -14,6 +14,7 @@ grids."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from troparr import (
     TypeVector,
     dual_subdivision,
     enumerate_ordered_partitions,
+    format_rational,
     is_triangulation,
     realizable,
     refines,
@@ -42,7 +44,7 @@ from troparr import (
     type_of_point,
 )
 from troparr.axioms import _acyclic
-from troparr.geometry import _Feasibility
+from troparr.geometry import _Feasibility, _labels
 from troparr.duality import _pivot_walk
 from troparr.secondary import _cone, _in_cone
 
@@ -67,6 +69,42 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "large_grid" in item.keywords:
             item.add_marker(skip)
+
+
+def serialize_arrangement(arr: Arrangement, fmt: str = "json") -> str:
+    """An arrangement file in the CLI's JSON or plain text form."""
+    if fmt == "json":
+        doc = {
+            "n": arr.n,
+            "d": arr.d,
+            "apexes": [[format_rational(x) for x in row] for row in arr.rows()],
+        }
+        return json.dumps(doc, sort_keys=True) + "\n"
+    if fmt == "text":
+        lines = [f"{arr.n} {arr.d}"]
+        lines += [" ".join(format_rational(x) for x in row) for row in arr.rows()]
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def type_total_size(T: TypeVector) -> int:
+    """Total number of labels summed over the entries."""
+    return sum(len(e) for e in T.entries)
+
+
+def gkz_as_dict(g) -> dict[tuple[int, int], int]:
+    """A GKZ vector as {(i, j): entry}."""
+    return {(i, j): g.entry(i, j) for i in range(1, g.n + 1) for j in range(1, g.d + 1)}
+
+
+def gkz_total(g) -> int:
+    return sum(g.values)
+
+
+def face_check_passes(verdict) -> bool:
+    """A secondary-face verdict with two refinements at least and a face
+    of positive dimension."""
+    return verdict.refinement_count >= 2 and verdict.face_dimension >= 1
 
 
 @pytest.fixture
@@ -196,6 +234,15 @@ def nongeneric_on_apex(rng: random.Random, n: int, d: int = 3):
         if any(len(T.entry(i)) != 1 for i in range(2, n)):
             continue
         return arr, n, host
+
+
+def integer_incident(rng: random.Random, n: int, d: int, span: int = 2) -> Arrangement:
+    """Small-integer draw, entries in [-span, span], with some apex on a
+    proper face of another hyperplane's fan."""
+    while True:
+        arr = random_integer_arrangement(rng, n, d, span)
+        if offending_apexes(arr):
+            return arr
 
 
 def sample_point(rng: random.Random, arr: Arrangement, den: int = 997) -> ProjectivePoint:
@@ -495,14 +542,14 @@ def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]
 
 def assert_every_entry_is_feasible(arr: Arrangement) -> None:
     """On every prefix state the enumeration reaches, ``add_hyperplane``
-    accepts each entry that ``entries(i)`` yields, so the last
-    hyperplane's entries are types without a closure."""
+    accepts each entry (a label mask) that ``entries(i)`` yields, so the
+    last hyperplane's entries are types without a closure."""
     stack = [(1, _Feasibility(arr))]
     while stack:
         i, state = stack.pop()
         for entry in state.entries(i):
             child = state.copy()
-            assert child.add_hyperplane(i, entry), (arr.rows(), i, sorted(entry))
+            assert child.add_hyperplane(i, entry), (arr.rows(), i, _labels(entry))
             if i < arr.n:
                 stack.append((i + 1, child))
 

@@ -29,19 +29,19 @@ from troparr import (
     is_triangulation,
     is_tropical_oriented_matroid,
     normalized_volume,
-    type_total_size,
     refines,
     refining_triangulations,
     regular_subdivision,
     secondary_face_check,
     type_to_graph,
 )
-from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, serialize_arrangement
+from troparr.cli import main, parse_arrangement_json, parse_arrangement_text
 
 from conftest import (
     affine_rank_oracle,
     apex_type,
     face_dimension_oracle,
+    gkz_total,
     nongeneric_on_apex,
     nongeneric_on_ray,
     offending_positions,
@@ -49,6 +49,8 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     sampled_types,
+    serialize_arrangement,
+    type_total_size,
 )
 
 E1 = Arrangement.from_rows([[0, 0], [-1, 0]])
@@ -230,7 +232,7 @@ def test_criterion_8_structural_invariants(suite2, suite3, suite3_face_checks):
         triangulations.extend(verdict.refinements)
     for t in triangulations:
         expected = (t.n + t.d - 1) * comb(t.n + t.d - 2, t.n - 1)
-        assert gkz_vector(t).total() == expected
+        assert gkz_total(gkz_vector(t)) == expected
     print(f"\n[criterion 8] PASS — dimension complementarity on "
           f"{len(arrangements)} arrangements, volume sums on their "
           f"subdivisions, GKZ sums on {len(triangulations)} triangulations")

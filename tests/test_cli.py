@@ -13,15 +13,9 @@ import troparr.duality
 import troparr.geometry
 import troparr.secondary
 from troparr import Arrangement, CellGraph
-from troparr.cli import (
-    main,
-    parse_arrangement_json,
-    parse_arrangement_text,
-    render_svg,
-    serialize_arrangement,
-)
+from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, render_svg
 
-from conftest import nongeneric_on_ray, random_arrangement, random_generic_arrangement
+from conftest import nongeneric_on_ray, random_arrangement, random_generic_arrangement, serialize_arrangement
 
 E2_DOC = {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["1", "1", "0"]]}
 
@@ -227,19 +221,26 @@ def test_cmd_subdivision_flips_on_generic(tmp_path, capsys):
 
 
 def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
+    # one type walk of the input per command: the full enumeration for
+    # check, the vertex walk for subdivision
     calls = []
-    original = troparr.duality.enumerate_realizations
 
-    def counted(arr, *args, **kwargs):
-        if arr == e2:
-            calls.append(arr)
-        return original(arr, *args, **kwargs)
+    def counted(name):
+        original = getattr(troparr.duality, name)
 
-    monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
-    for argv in (["subdivision", "--flips"], ["check"]):
+        def walk(arr, *args, **kwargs):
+            if arr == e2:
+                calls.append(name)
+            return original(arr, *args, **kwargs)
+
+        monkeypatch.setattr(troparr.duality, name, walk)
+
+    counted("enumerate_realizations")
+    counted("_vertices")
+    for argv, walk in ((["subdivision", "--flips"], "_vertices"), (["check"], "enumerate_realizations")):
         calls.clear()
         assert main(argv + ["--input", e2_file]) == 0
-        assert len(calls) == 1, argv
+        assert calls == [walk], argv
     capsys.readouterr()
 
 
@@ -265,18 +266,18 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_f
     # of the 2nd = 12 steps only the first to land on each is walked: the
     # others fall inside a known refinement's cone
     enumerations, walks = [], []
-    enumerate_realizations = troparr.duality.enumerate_realizations
+    vertices = troparr.duality._vertices
     pivot_walk = troparr.secondary._pivot_walk
 
     def counted(arr, *args, **kwargs):
         enumerations.append(arr)
-        return enumerate_realizations(arr, *args, **kwargs)
+        return vertices(arr, *args, **kwargs)
 
     def recorded(n, d, weights, support):
         walks.append(frozenset(pivot_walk(n, d, weights, support)))
         return iter(walks[-1])
 
-    monkeypatch.setattr(troparr.duality, "enumerate_realizations", counted)
+    monkeypatch.setattr(troparr.duality, "_vertices", counted)
     monkeypatch.setattr(troparr.secondary, "_pivot_walk", recorded)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
     assert "triangulation 2:" in capsys.readouterr().out
@@ -323,6 +324,24 @@ def test_budget_exit(capsys, e2_file, monkeypatch):
     assert main(["check", "--input", e2_file]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
+
+
+def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
+    # E2's vertex walk takes 14 steps and its full enumeration 20, so a
+    # budget of 14 is enough for subdivision, not for check; a single
+    # hyperplane's walk takes one step at any d
+    assert main(["subdivision", "--input", e2_file, "--budget", "14"]) == 0
+    assert main(["subdivision", "--flips", "--input", e2_file, "--budget", "14"]) == 0
+    capsys.readouterr()
+    assert main(["subdivision", "--input", e2_file, "--budget", "13"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 14 feasibility steps exceed budget 13\n"
+    assert main(["check", "--input", e2_file, "--budget", "14"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 15 feasibility steps exceed budget 14\n"
+    path = tmp_path / "one.txt"
+    path.write_text("1 18\n" + " ".join(str(j % 3) for j in range(18)) + "\n")
+    code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(path)])
+    assert code == 0 and out.count(" vol 1") == 1
+    assert main(["check", "--format", "text", "--input", str(path)]) == 5
 
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):

@@ -13,8 +13,9 @@ from troparr import (
     enumerate_ordered_partitions,
     format_rational,
     parse_rational,
-    type_total_size,
 )
+
+from conftest import type_total_size
 
 rationals = st.fractions(max_denominator=50)
 
@@ -104,6 +105,28 @@ def test_type_vector_validation_and_text():
 def test_type_text_round_trip(entries):
     T = TypeVector.of(*entries)
     assert TypeVector.parse(T.text()) == T
+
+
+def test_public_type_construction_still_validates():
+    # the type walk builds its types without re-validating them; every
+    # public way in keeps rejecting empty entries and non-positive labels
+    for entries in [(frozenset(),), (frozenset({1}), frozenset()), (frozenset({0}),), (frozenset({1, -2}),)]:
+        with pytest.raises(ValueError):
+            TypeVector(entries)
+        with pytest.raises(ValueError):
+            TypeVector.of(*entries)
+    for bad in [(frozenset({True}),), (frozenset({"1"}),), ()]:
+        with pytest.raises(ValueError):
+            TypeVector(bad)
+    for bad in ["({1},{})", "({0},{1})", "({-1})"]:
+        with pytest.raises(ValueError):
+            TypeVector.parse(bad)
+    with pytest.raises(ValueError):
+        TypeVector.of({1}, {2}).with_entry(2, ())
+    # a type the walk builds equals and hashes as the validated one
+    walked = TypeVector._trusted((frozenset({1, 2}), frozenset({3})))
+    public = TypeVector.of({2, 1}, {3})
+    assert walked == public and hash(walked) == hash(public) and walked.text() == "({1,2},{3})"
 
 
 def test_type_parse_rejects_garbage():

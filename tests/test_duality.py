@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -26,12 +26,15 @@ from troparr import (
 )
 
 import troparr.duality
-from troparr.duality import is_spanning_connected
+import troparr.geometry
+from troparr.duality import _subdivision_of, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
     envelope_oracle,
     graph_dim_oracle,
+    integer_incident,
+    nongeneric_on_apex,
     nongeneric_on_ray,
     offending_apexes,
     random_arrangement,
@@ -121,6 +124,63 @@ def test_dual_subdivision_single_hyperplane():
     sub = dual_subdivision(arr)
     assert sub.maximal_cells == {G(1, 3, (1, 1), (1, 2), (1, 3))}
     assert is_triangulation(sub)
+
+
+def test_vertex_walk_gives_the_zero_dimensional_types():
+    # the closed-form last entry against the 0-dimensional types of the
+    # full enumeration, on rational and integer draws at n = 1..5,
+    # d = 2..5 and on constructed degeneracies; test_grid.py adds the
+    # (3,3) and (2,4) grids under --grid
+    rng = random.Random(1717)
+    draws = []
+    for n, d, _ in product(range(1, 6), range(2, 6), range(3)):
+        draws += [random_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
+        if n >= 2:
+            draws += [nongeneric_on_apex(rng, n, d)[0], nongeneric_on_ray(rng, n, d)[0]]
+            draws.append(integer_incident(rng, n, d))
+    for arr in draws:
+        assert dual_subdivision(arr) == _subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+
+
+def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
+    # E2: the 7 entries of the first hyperplane, then one candidate for
+    # the second on each of them, 14 steps where the full enumeration,
+    # which takes each of the 13 types' last entry, takes 20
+    assert dual_subdivision(e2, budget=14) == dual_subdivision(e2)
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 14 feasibility steps exceed budget 13$"):
+        dual_subdivision(e2, budget=13)
+    assert len(enumerate_realizations(e2, budget=20)) == 13
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 20 feasibility steps exceed budget 19$"):
+        enumerate_realizations(e2, budget=19)
+    # a single hyperplane takes one step, its apex the one vertex, at any d
+    for d in (2, 40):
+        assert dual_subdivision(Arrangement.from_rows([[0] * d]), budget=1).maximal_cells == {
+            CellGraph(1, d, frozenset((1, j) for j in range(1, d + 1)))
+        }
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
+        dual_subdivision(Arrangement.from_rows([[0, 0]]), budget=0)
+    # in general: the entries generated before the last hyperplane plus
+    # one candidate per prefix
+    counts = []
+    entries, vertex = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.vertex
+
+    def counted_entries(state, i):
+        generated = entries(state, i)
+        counts.extend(generated)
+        return generated
+
+    def counted_vertex(state, i):
+        counts.append(i)
+        return vertex(state, i)
+
+    monkeypatch.setattr(troparr.geometry._Feasibility, "entries", counted_entries)
+    monkeypatch.setattr(troparr.geometry._Feasibility, "vertex", counted_vertex)
+    arr = random_integer_arrangement(random.Random(8), 4, 3)
+    sub = dual_subdivision(arr)
+    steps = len(counts)
+    assert dual_subdivision(arr, budget=steps) == sub
+    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+        dual_subdivision(arr, budget=steps - 1)
 
 
 def test_regular_subdivision_matches_dual(e1, e2):

@@ -20,7 +20,6 @@ from troparr import (
     realizable,
     safe_radius,
     type_of_point,
-    type_total_size,
 )
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     realizations_oracle,
     refine,
     sampled_types,
+    type_total_size,
 )
 
 
@@ -204,9 +204,10 @@ def test_enumerate_types_budget():
         enumerate_types(arr, budget=-1)
 
 
-def _counted_steps(monkeypatch) -> list[frozenset[int]]:
-    # every entry the walk generates is one step of the budget, the last
-    # hyperplane's included, though only the earlier ones are imposed
+def _counted_steps(monkeypatch) -> list[int]:
+    # every entry the walk generates, a label mask, is one step of the
+    # budget, the last hyperplane's included, though only the earlier
+    # ones are imposed
     steps = []
     entries = geometry._Feasibility.entries
 
@@ -350,7 +351,7 @@ def test_tie_groups_match_the_fraction_union_find():
     for arr, chain in cases:
         state, groups = geometry._Feasibility(arr), _FractionTieGroups(arr.d)
         for i, entry in enumerate(chain, 1):
-            assert state.add_hyperplane(i, entry)
+            assert state.add_hyperplane(i, sum(1 << j for j in entry))
             base, *rest = sorted(entry)
             row = arr.apex(i).coords
             for j in rest:

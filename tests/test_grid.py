@@ -5,7 +5,7 @@ The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its
-prefix, genericity, its tied minor and the verdict at (2,4), the
+prefix and the vertex walk against the 0-dimensional types, genericity, its tied minor and the verdict at (2,4), the
 secondary-face check and its exact face dimension on the (3,3) and
 (2,4) inputs whose apexes all look generic although a minor ties, the
 walks over the coarse cells against the lower envelope, and the cone
@@ -43,6 +43,7 @@ from troparr.duality import _subdivision_of
 from conftest import (
     assert_cell_walks_match_the_envelope,
     assert_every_entry_is_feasible,
+    face_check_passes,
     face_dimension_oracle,
     genericity_oracle,
     minor_ties,
@@ -66,12 +67,16 @@ def grid(n: int, d: int):
     [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
 )
 def test_realizations_match_oracle_on_grid(n, d):
+    # the vertex walk's closed-form last entry gives exactly the
+    # 0-dimensional types of the full enumeration
     for arr in grid(n, d):
         expected = realizations_oracle(arr)
-        assert enumerate_realizations(arr) == {T: r.dimension for T, r in expected.items()}, arr.rows()
+        dimensions = enumerate_realizations(arr)
+        assert dimensions == {T: r.dimension for T, r in expected.items()}, arr.rows()
         for T, result in expected.items():
             assert realizable(arr, T) == result
         assert_every_entry_is_feasible(arr)
+        assert dual_subdivision(arr) == _subdivision_of(arr, dimensions), arr.rows()
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
@@ -112,7 +117,7 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
             if is_generic(arr) or offending_apexes(arr):
                 continue
             verdict = secondary_face_check(arr, dual_subdivision(arr))
-            assert verdict.passes, arr.rows()
+            assert face_check_passes(verdict), arr.rows()
             assert verdict.face_dimension == face_dimension_oracle(verdict.subdivision), arr.rows()
             checked += 1
     assert checked == 6 + 186

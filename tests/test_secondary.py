@@ -5,12 +5,14 @@ from itertools import islice
 import pytest
 
 import troparr.duality
+import troparr.secondary
 from troparr import (
     Arrangement,
     CellGraph,
     Subdivision,
     all_triangulations_regular,
     dual_subdivision,
+    enumerate_types,
     gkz_vector,
     refines,
     refining_triangulations,
@@ -24,7 +26,11 @@ from conftest import (
     affine_rank_oracle,
     apex_type,
     assert_cell_walks_match_the_envelope,
+    face_check_passes,
     face_dimension_oracle,
+    gkz_as_dict,
+    gkz_total,
+    integer_incident,
     matching_gaps,
     move_apex,
     nongeneric_on_apex,
@@ -122,6 +128,38 @@ def test_cell_walks_match_the_envelope(e2):
         assert assert_cell_walks_match_the_envelope(arr) >= 2, arr.rows()
 
 
+def _inside(small, big) -> bool:
+    return all(a <= b for a, b in zip(small.entries, big.entries))
+
+
+def test_a_perturbation_only_breaks_ties(monkeypatch, e2):
+    # on every moved arrangement A' that refining_triangulations
+    # certifies, each type of A' lies entrywise inside a type of the
+    # non-generic A, and each type of A contains a type of A'
+    moved = []
+    dual = troparr.secondary.dual_subdivision
+
+    def recorded(arr, budget=None):
+        moved.append(arr)
+        return dual(arr, budget)
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
+    rng = random.Random(3141)
+    cases = [e2, SIX_CYCLE, Arrangement.from_rows([[0, 0, 0], [3, 1, 0], [1, 1, 0]])]
+    cases += [nongeneric_on_ray(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
+    cases += [nongeneric_on_apex(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
+    cases += [integer_incident(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (2, 4)]]
+    for arr in cases:
+        moved.clear()
+        refining_triangulations(arr, dual(arr))
+        assert moved, arr.rows()
+        types = enumerate_types(arr)
+        for other in moved:
+            broken = enumerate_types(other)
+            assert all(any(_inside(t, T) for T in types) for t in broken), (arr.rows(), other.rows())
+            assert all(any(_inside(t, T) for t in broken) for T in types), (arr.rows(), other.rows())
+
+
 def test_refinements_across_a_six_cycle_wall():
     # a radius read off the 2x2 minors alone let joint samples cross the
     # 3x3 minor's wall
@@ -176,14 +214,14 @@ def test_gkz_unit_square():
     diag = tri(2, 2, ((1, 1), (2, 1), (2, 2)), ((1, 1), (1, 2), (2, 2)))
     anti = tri(2, 2, ((1, 2), (2, 1), (2, 2)), ((1, 1), (1, 2), (2, 1)))
     g = gkz_vector(diag)
-    assert g.as_dict() == {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+    assert gkz_as_dict(g) == {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 2}
     h = gkz_vector(anti)
-    assert h.as_dict() == {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}
+    assert gkz_as_dict(h) == {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}
 
 
 def test_gkz_sums(e2):
     for t in (SPLIT_A, SPLIT_B):
-        assert gkz_vector(t).total() == 4 * 3  # (n+d-1) * volume
+        assert gkz_total(gkz_vector(t)) == 4 * 3  # (n+d-1) * volume
     with pytest.raises(ValueError):
         gkz_vector(dual_subdivision(e2))  # not a triangulation
 
@@ -211,7 +249,7 @@ def test_secondary_face_check_e2(e2):
     assert verdict.gkz_vectors[0] != verdict.gkz_vectors[1]
     assert verdict.face_dimension == 1 == face_dimension_oracle(verdict.subdivision)
     assert verdict.conclusive
-    assert verdict.passes
+    assert face_check_passes(verdict)
 
 
 def test_secondary_face_check_rejects_generic():
@@ -258,7 +296,7 @@ def test_secondary_face_check_on_constructed_ray_degeneracies():
         n = rng.choice([2, 3])
         arr, victim, host, pair = nongeneric_on_ray(rng, n)
         verdict = secondary_face_check(arr, dual_subdivision(arr))
-        assert verdict.passes
+        assert face_check_passes(verdict)
         assert all(refines(t, verdict.subdivision) for t in verdict.refinements)
 
 
