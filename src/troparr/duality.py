@@ -3,16 +3,20 @@
 A type becomes a bipartite cell graph (edge (i,j) for each label j in
 entry i); the 0-dimensional cells of an arrangement, its vertices, give
 the maximal cells of its dual subdivision.  :func:`dual_subdivision`
-reads them off the vertex walk of :mod:`troparr.geometry`, which settles
-the last hyperplane of each prefix in closed form, its one candidate
-entry the union of each tie group's labels minimising v_nj - offset_j,
-instead of enumerating every type; each cell's edges come straight
-from the vertex's label masks.  :func:`check_correspondence` needs every
-type for the axioms, so it keeps the full enumeration and takes the
-cells from its 0-dimensional types.  Independently, the same subdivision
-arises as the lower-envelope regular subdivision induced by lifting
-product vertex (i,j) to the apex coordinate v_ij; both constructions are
-exposed so they can be checked against each other.
+reads them off the vertex walk of :mod:`troparr.geometry` instead of
+enumerating every type.  That walk imposes hyperplanes 1..n-2 only; each
+entry e for hyperplane n-1 has one candidate entry for hyperplane n, the
+union of each tie group's labels minimising v_nj - offset_j once e's
+labels tie, and one point, which a single check accepts: it must meet
+the prefix's closed bounds and have e as hyperplane n-1's argmax.  Each
+cell's edges come straight from the vertex's label masks, and a cell's
+spanning test is a flood fill over node bitmasks.
+:func:`check_correspondence` needs every type for the axioms, so it
+keeps the full enumeration and takes the cells from its 0-dimensional
+types.  Independently, the same subdivision arises as the lower-envelope
+regular subdivision induced by lifting product vertex (i,j) to the apex
+coordinate v_ij; both constructions are exposed so they can be checked
+against each other.
 
 The lower envelope is computed by a pivot walk: lexicographically
 perturbed integer heights give a regular triangulation refining it,
@@ -52,18 +56,30 @@ def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
     return CellGraph(n, d, edges)
 
 
-def _components(g: CellGraph) -> dict:
-    """Connected components of the support (nodes of degree >= 1); keys are
-    ('L', i) / ('R', j) node tags, values are component labels.  The graph
-    has at most n + d nodes, so each merge relabels one component."""
-    label: dict = {}
+def _components(g: CellGraph) -> list[int]:
+    """Connected components of the support (nodes of degree >= 1), each a
+    node mask: bit i - 1 for hyperplane node i, bit n + j - 1 for
+    coordinate node j.  Each hyperplane node starts as the mask of its
+    star; a flood fill grows one component at a time by every star that
+    meets it, which only a shared coordinate can, until none does."""
+    n = g.n
+    star: dict[int, int] = {}
     for i, j in g.edges:
-        a, b = label.setdefault(("L", i), ("L", i)), label.setdefault(("R", j), ("R", j))
-        if a != b:
-            for node, c in label.items():
-                if c == a:
-                    label[node] = b
-    return label
+        star[i] = star.get(i, 1 << (i - 1)) | 1 << (n + j - 1)
+    rest, comps = list(star.values()), []
+    while rest:
+        comp, grew = rest.pop(), True
+        while grew:
+            grew, left = False, []
+            for m in rest:
+                if m & comp:
+                    comp |= m
+                    grew = True
+                else:
+                    left.append(m)
+            rest = left
+        comps.append(comp)
+    return comps
 
 
 def cell_dim(g: CellGraph) -> int:
@@ -71,15 +87,12 @@ def cell_dim(g: CellGraph) -> int:
     vertices: (#covered nodes) - (#support components) - 1."""
     if not g.edges:
         raise ValueError("cell graph has no edges")
-    comp = _components(g)
-    return len(comp) - len(set(comp.values())) - 1
+    comps = _components(g)
+    return sum(comps).bit_count() - len(comps) - 1
 
 
 def is_spanning_connected(g: CellGraph) -> bool:
-    if not g.edges:
-        return False
-    comp = _components(g)
-    return len(comp) == g.n + g.d and len(set(comp.values())) == 1
+    return _components(g) == [(1 << (g.n + g.d)) - 1]
 
 
 def is_spanning_tree(g: CellGraph) -> bool:

@@ -19,28 +19,38 @@ closed, consistent system always admits a rational witness, found by
 greedy interval assignment.
 
 Entries are label masks, bit j for label j, from the pairwise tests
-through :meth:`_Feasibility.add_hyperplane`.  One depth-first walk over
-hyperplanes 1..n-1 generates, on each feasible prefix, only the entries
-that pass pairwise tests read off the closed bounds (every two members
-can still tie, every member can still beat every non-member), as
-cliques of a tie relation closed under the labels each member forces
-in; its work grows with the types, not with 2^d.  Every entry the tests
-pass is feasible.  The walk then settles the last hyperplane in one of
-two ways:
+through :meth:`_Feasibility.add_hyperplane`.  One depth-first walk
+generates, on each feasible prefix, only the entries that pass pairwise
+tests read off the closed bounds (every two members can still tie,
+every member can still beat every non-member), as cliques of a tie
+relation closed under the labels each member forces in; its work grows
+with the types, not with 2^d.  Every entry the tests pass is feasible.
+The walk settles the last hyperplanes in one of two ways:
 
-* the enumeration of all types takes every entry the tests pass as a
-  type, recorded with its dimension without imposing it;
+* the enumeration of all types walks hyperplanes 1..n-1 and takes every
+  entry the tests pass for hyperplane n as a type, recorded with its
+  dimension without imposing it;
 * the vertex walk, which gives the dual subdivision its maximal cells,
-  keeps only the 0-dimensional types, and finds the one a prefix can
-  have in closed form, in O(d + roots^2).  With c_j = v_nj - offset_j,
-  label j's x_j - v_nj is x_r - c_j, r its group's root.  A
-  0-dimensional type's last entry merges every group into one, so it
-  meets each group g, and there it holds exactly the labels minimising
-  c_j, at c_g: any other label of g sits strictly lower.  Those group
-  maxima all tie, which forces the roots to x_r(g) - x_r(h) = c_g - c_h,
-  a single point.  So the union of the minimisers is a type iff these
-  differences meet every closed strict bound of the prefix, and no other
-  last entry closes a 0-dimensional type.
+  keeps only the 0-dimensional types.  It walks hyperplanes 1..n-2
+  only; each entry e the tests pass for hyperplane n-1 is settled with
+  hyperplane n by one point, with no copy and no closure.  Let e's
+  labels tie on scratch copies of the group arrays, and let
+  c_j = v_nj - offset_j, so label j's x_j - v_nj is x_r - c_j, r its
+  group's root.  A 0-dimensional type's last entry merges every group
+  into one, so it meets each group g, and there it holds exactly the
+  labels minimising c_j, at c_g: any other label of g sits strictly
+  lower.  Those group maxima all tie, which forces the roots to
+  x_r(g) - x_r(h) = c_g - c_h: one point, x_j = c_g + offset_j, and one
+  candidate, the union of the minimisers, which depends on the groups
+  alone.  The type (prefix, e, candidate) is a vertex iff it holds at
+  that point.  Every tie holds there by construction, and hyperplane
+  n's argmax is the candidate, so it is enough that hyperplane n-1's
+  argmax there is exactly e and that the point meets every closed
+  strict bound of the (n-2)-prefix.  No closure is needed for e's own
+  bounds: a point meets the closure of a set of strict difference
+  bounds iff it meets each of them, since a longest path sums strict
+  inequalities that the point meets.  O(d + roots^2) per entry.  For
+  n = 1 the candidate is read off the empty prefix, with no e.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
@@ -281,31 +291,62 @@ class _Feasibility:
                     force[k] |= 1 << j
         return _cliques(tie, force, (1 << w) - 2)
 
-    def vertex(self, i: int) -> int:
+    def candidate(self, i: int, pending: int = 0) -> int:
         """The one entry for hyperplane i, as a label mask, that closes a
-        0-dimensional type on this prefix, or 0 when none does: the union
-        over the groups of the labels j minimising c_j = v_ij - offset_j,
-        when the root differences x_a - x_b = c_a - c_b it forces meet
-        every closed strict bound (the module docstring has the proof).
+        0-dimensional type on this prefix, or 0 when none does.
+
+        ``pending``, when not 0, is an entry for hyperplane i - 1 that
+        passed :meth:`entries`; it is not imposed, only its labels tied on
+        scratch copies of ``root`` and ``offset``.  The candidate is the
+        union over the groups of the labels j minimising c_j = v_ij -
+        offset_j, and its point puts each label at x_j = c_g + offset_j,
+        c_g its group's least c.  It closes a vertex iff that point meets
+        every closed strict bound of this prefix and hyperplane i - 1's
+        argmax there is exactly ``pending`` (the module docstring has the
+        proof).
         """
-        d, w, lower, row = self.d, self.d + 1, self.lower, self.rows[i - 1]
+        w, lower = self.d + 1, self.lower
         root, offset = self.root, self.offset
+        if pending:
+            root, offset, prev = root[:], offset[:], self.rows[i - 2]
+            low = pending & -pending
+            base = low.bit_length() - 1
+            r, o = root[base], offset[base]
+            rest = pending ^ low
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = bit.bit_length() - 1
+                rj = root[j]
+                if rj != r:
+                    # the shift that gives x_j - x_base = v_(i-1)j - v_(i-1)base
+                    s = prev[j - 1] - prev[base - 1] - offset[j] + o
+                    for v in range(1, w):
+                        if root[v] == rj:
+                            root[v], offset[v] = r, offset[v] + s
+        row = self.rows[i - 1]
         least: list[int | None] = [None] * w
         mask = [0] * w
-        for j in range(1, d + 1):
+        for j in range(1, w):
             r, c = root[j], row[j - 1] - offset[j]
             m = least[r]
             if m is None or c < m:
                 least[r], mask[r] = c, 1 << j
             elif c == m:
                 mask[r] |= 1 << j
-        roots = [r for r in range(1, w) if least[r] is not None]
-        for a in roots:
-            ca = least[a]
-            for b in roots:
-                c = lower[a * w + b]
-                if c is not None and ca - least[b] <= c:
+        x = [0] * w
+        for j in range(1, w):
+            x[j] = least[root[j]] + offset[j]
+        if pending:
+            top = x[base] - prev[base - 1]
+            for k in range(1, w):
+                y = x[k] - prev[k - 1]
+                if y > top or (y == top) != (pending >> k & 1):
                     return 0
+        # every closed bound x_a - x_b > c of the prefix, k = a * w + b
+        for k, c in enumerate(lower):
+            if c is not None and x[k // w] - x[k % w] <= c:
+                return 0
         return sum(mask)
 
     def roots(self) -> list[int]:
@@ -483,12 +524,13 @@ def _walk(
     arr: Arrangement,
     budget: int | None,
     floor: int,
+    depth: int,
     last: Callable[[_Feasibility, tuple[int, ...]], int],
 ) -> None:
-    """Depth first over the entries of hyperplanes 1..n-1, calling
+    """Depth first over the entries of hyperplanes 1..depth, calling
     ``last(state, prefix)`` on the closed state of every feasible prefix
-    of n - 1 entries, given as label masks; ``last`` settles hyperplane n
-    and returns the feasibility steps it took.
+    of ``depth`` entries, given as label masks; ``last`` settles the
+    hyperplanes past ``depth`` and returns the feasibility steps it took.
 
     The walk keeps an explicit stack, one frame per hyperplane of the
     current prefix, so its depth is not bounded by Python's recursion
@@ -498,8 +540,8 @@ def _walk(
     prefix's state, which the next hyperplane extends.
 
     ``budget`` caps the feasibility steps: one per entry generated on
-    hyperplanes 1..n-1, plus those ``last`` reports.  The walk raises
-    :class:`ResourceLimitError` as soon as they exceed it, and at once,
+    hyperplanes 1..depth, plus those ``last`` reports.  The walk raises
+    :class:`ResourceLimitError` once they exceed it, and at once,
     before generating any entry, when ``floor``, the fewest steps the
     walk can take on any input of this shape, does.  A negative budget is
     a ValueError.
@@ -516,7 +558,7 @@ def _walk(
     def reach(state: _Feasibility, prefix: tuple[int, ...]) -> None:
         nonlocal steps
         i = len(prefix) + 1
-        if i == arr.n:
+        if i > depth:
             steps += last(state, prefix)
         else:
             entries = state.entries(i)
@@ -583,31 +625,42 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
         return len(entries)
 
     m = 2 ** arr.d - 1
-    _walk(arr, budget, m * (1 + (arr.n >= 2)), last)
+    _walk(arr, budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
     return out
 
 
 def _vertices(arr: Arrangement, budget: int | None = None) -> list[tuple[int, ...]]:
     """The 0-dimensional types, the arrangement's vertices, each as its
-    entries' label masks, by :func:`_walk` with hyperplane n settled by
-    :meth:`_Feasibility.vertex`: at most one vertex per prefix.
+    entries' label masks, by :func:`_walk` over hyperplanes 1..n-2.  On
+    each of its prefixes every entry the pairwise tests pass for
+    hyperplane n-1 is settled with hyperplane n by one
+    :meth:`_Feasibility.candidate` call, with no copy and no closure: at
+    most one vertex per entry.
 
     ``budget`` caps the feasibility steps: one per entry generated on
-    hyperplanes 1..n-1 and one per prefix for hyperplane n's candidate.
-    For n >= 2 all m = 2^d - 1 entries of the first hyperplane are
-    feasible, and each such prefix leads to one candidate at least, so
-    the walk takes at least 2m steps, and past the budget it raises at
-    once; for n = 1 it takes one step.
+    hyperplanes 1..n-1 and one per hyperplane-n candidate.  For n >= 2
+    all m = 2^d - 1 entries of the first hyperplane are feasible, and
+    each leads to one candidate at least, so the walk takes at least 2m
+    steps, and past the budget it raises at once; for n = 1 it takes one
+    step.
     """
+    n = arr.n
     out: list[tuple[int, ...]] = []
 
     def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
-        mask = state.vertex(arr.n)
-        if mask:
-            out.append(prefix + (mask,))
-        return 1
+        if n == 1:
+            mask = state.candidate(1)
+            if mask:
+                out.append((mask,))
+            return 1
+        entries = state.entries(n - 1)
+        for entry in entries:
+            mask = state.candidate(n, entry)
+            if mask:
+                out.append(prefix + (entry, mask))
+        return 2 * len(entries)
 
-    _walk(arr, budget, 2 * (2 ** arr.d - 1) if arr.n >= 2 else 1, last)
+    _walk(arr, budget, 2 * (2 ** arr.d - 1) if n >= 2 else 1, max(n - 2, 0), last)
     return out
 
 

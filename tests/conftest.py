@@ -7,10 +7,10 @@ replaced pairwise kernels for the axiom checks; a direct scan for the
 lower envelope; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
 the lower envelope of the moved apexes, with the cone test against the
-walks; every generated entry of the type enumeration imposed) used to
-cross-check the main
-code paths, and the ``--grid`` option that adds the larger exhaustive
-grids."""
+walks; every generated entry of the type enumeration imposed; the
+vertex walk's last-hyperplane candidate by imposing the entry before
+it) used to cross-check the main code paths, and the ``--grid`` option
+that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
@@ -552,6 +552,52 @@ def assert_every_entry_is_feasible(arr: Arrangement) -> None:
             assert child.add_hyperplane(i, entry), (arr.rows(), i, _labels(entry))
             if i < arr.n:
                 stack.append((i + 1, child))
+
+
+def two_step_candidate(state: _Feasibility, i: int, entry: int) -> int:
+    """The entry for hyperplane i that closes a vertex after ``entry`` for
+    hyperplane i - 1, or 0, the two-step way: impose ``entry`` on a copy
+    of the prefix's state, merge and closure, then take the union over
+    the closed state's groups of the labels minimising v_ij - offset_j,
+    kept iff the root differences it forces meet every closed bound."""
+    child = state.copy()
+    assert child.add_hyperplane(i - 1, entry)
+    w, lower, row = child.d + 1, child.lower, child.rows[i - 1]
+    least: dict[int, int] = {}
+    mask: dict[int, int] = {}
+    for j in range(1, w):
+        r, c = child.root[j], row[j - 1] - child.offset[j]
+        if r not in least or c < least[r]:
+            least[r], mask[r] = c, 1 << j
+        elif c == least[r]:
+            mask[r] |= 1 << j
+    for a, ca in least.items():
+        for b, cb in least.items():
+            c = lower[a * w + b]
+            if c is not None and ca - cb <= c:
+                return 0
+    return sum(mask.values())
+
+
+def assert_candidates_match_the_two_step_path(arr: Arrangement) -> tuple[int, int]:
+    """On every (n-2)-prefix state the vertex walk reaches, and for every
+    entry ``entries(n - 1)`` yields there, ``candidate(n, entry)`` equals
+    :func:`two_step_candidate`; returns the candidates accepted and
+    rejected."""
+    n, counts = arr.n, [0, 0]
+    stack = [(1, _Feasibility(arr))]
+    while stack:
+        i, state = stack.pop()
+        for entry in state.entries(i):
+            if i == n - 1:
+                fused = state.candidate(n, entry)
+                assert fused == two_step_candidate(state, n, entry), (arr.rows(), i, _labels(entry))
+                counts[not fused] += 1
+            else:
+                child = state.copy()
+                assert child.add_hyperplane(i, entry)
+                stack.append((i + 1, child))
+    return counts[0], counts[1]
 
 
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:

@@ -31,6 +31,7 @@ from troparr.duality import _subdivision_of, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
+    assert_candidates_match_the_two_step_path,
     envelope_oracle,
     graph_dim_oracle,
     integer_incident,
@@ -126,20 +127,39 @@ def test_dual_subdivision_single_hyperplane():
     assert is_triangulation(sub)
 
 
-def test_vertex_walk_gives_the_zero_dimensional_types():
-    # the closed-form last entry against the 0-dimensional types of the
-    # full enumeration, on rational and integer draws at n = 1..5,
-    # d = 2..5 and on constructed degeneracies; test_grid.py adds the
-    # (3,3) and (2,4) grids under --grid
-    rng = random.Random(1717)
+def _vertex_walk_draws(seed, shapes):
+    # rational and integer draws at each shape, three each, and at n >= 2
+    # the constructed degeneracies: apex on an apex, apex on a ray and an
+    # integer draw with an apex on a fan face
+    rng = random.Random(seed)
     draws = []
-    for n, d, _ in product(range(1, 6), range(2, 6), range(3)):
+    for n, d, _ in product(*shapes, range(3)):
         draws += [random_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
         if n >= 2:
             draws += [nongeneric_on_apex(rng, n, d)[0], nongeneric_on_ray(rng, n, d)[0]]
             draws.append(integer_incident(rng, n, d))
-    for arr in draws:
+    return draws
+
+
+def test_vertex_walk_gives_the_zero_dimensional_types():
+    # the vertex walk against the 0-dimensional types of the full
+    # enumeration at n = 1..5, d = 2..5; test_grid.py adds the (3,3) and
+    # (2,4) grids under --grid
+    for arr in _vertex_walk_draws(1717, (range(1, 6), range(2, 6))):
         assert dual_subdivision(arr) == _subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+
+
+def test_fused_candidate_matches_the_two_step_path():
+    # on every (n-2)-prefix and every entry for hyperplane n-1, the
+    # candidate read off one point equals the one found by imposing the
+    # entry and reading the closed state; a mutant without the argmax
+    # test, one without the old-bound test and one accepting a point on
+    # a bound each fail it.  test_grid.py adds the (3,3) and (2,4) grids
+    accepted = rejected = 0
+    for arr in _vertex_walk_draws(1818, (range(2, 6), range(2, 6))):
+        yes, no = assert_candidates_match_the_two_step_path(arr)
+        accepted, rejected = accepted + yes, rejected + no
+    assert accepted and rejected
 
 
 def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
@@ -160,27 +180,62 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
     with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
         dual_subdivision(Arrangement.from_rows([[0, 0]]), budget=0)
     # in general: the entries generated before the last hyperplane plus
-    # one candidate per prefix
+    # one candidate per entry for hyperplane n-1
     counts = []
-    entries, vertex = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.vertex
+    entries, candidate = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.candidate
 
     def counted_entries(state, i):
         generated = entries(state, i)
         counts.extend(generated)
         return generated
 
-    def counted_vertex(state, i):
+    def counted_candidate(state, i, pending=0):
         counts.append(i)
-        return vertex(state, i)
+        return candidate(state, i, pending)
 
     monkeypatch.setattr(troparr.geometry._Feasibility, "entries", counted_entries)
-    monkeypatch.setattr(troparr.geometry._Feasibility, "vertex", counted_vertex)
+    monkeypatch.setattr(troparr.geometry._Feasibility, "candidate", counted_candidate)
     arr = random_integer_arrangement(random.Random(8), 4, 3)
     sub = dual_subdivision(arr)
     steps = len(counts)
     assert dual_subdivision(arr, budget=steps) == sub
     with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
         dual_subdivision(arr, budget=steps - 1)
+
+
+def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_2(monkeypatch, e2):
+    # one copy and one add_hyperplane per entry generated on hyperplanes
+    # 1..n-2; hyperplane n-1's entries are settled without either
+    feasibility = troparr.geometry._Feasibility
+    calls = {"copy": 0, "add_hyperplane": 0}
+    generated = []
+
+    def counted(name):
+        method = getattr(feasibility, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(feasibility, name, wrapper)
+
+    entries = feasibility.entries
+
+    def counted_entries(state, i):
+        out = entries(state, i)
+        generated.extend([i] * len(out))
+        return out
+
+    counted("copy")
+    counted("add_hyperplane")
+    monkeypatch.setattr(feasibility, "entries", counted_entries)
+    dual_subdivision(e2)
+    assert calls == {"copy": 0, "add_hyperplane": 0}
+    arr = random_integer_arrangement(random.Random(8), 4, 3)
+    generated.clear()
+    dual_subdivision(arr)
+    imposable = sum(i <= arr.n - 2 for i in generated)
+    assert imposable and calls == {"copy": imposable, "add_hyperplane": imposable}
 
 
 def test_regular_subdivision_matches_dual(e1, e2):

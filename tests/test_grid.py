@@ -4,18 +4,19 @@ and last column 0, degenerate ones included.
 The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
-oracle, with every entry the enumeration generates imposed on its
-prefix and the vertex walk against the 0-dimensional types, genericity, its tied minor and the verdict at (2,4), the
-secondary-face check and its exact face dimension on the (3,3) and
-(2,4) inputs whose apexes all look generic although a minor ties, the
-walks over the coarse cells against the lower envelope, and the cone
-test against the walks, on the perturbations of every non-generic
-input at (3,3) and (2,4), and dual
+oracle, with every entry the enumeration generates imposed on its prefix
+and the vertex walk against the 0-dimensional types, each
+last-hyperplane candidate against imposing the entry before it, genericity,
+its tied minor and the verdict at (2,4), the secondary-face check and
+its exact face dimension on the (3,3) and (2,4) inputs whose apexes all
+look generic although a minor ties, the walks over the coarse cells
+against the lower envelope, and the cone test against the walks, on the
+perturbations of every non-generic input at (3,3) and (2,4), and dual
 subdivision against lower envelope, with genericity and its tied minor,
 on the 6,561 inputs at (4,3).  It also compares the bit-sliced
 elimination and comparability kernels with the pairwise scans they
-replaced on full type collections at (4,4), (5,4) and (3,6), up to
-1,023 types.
+replaced on full type collections at (4,4), (5,4) and (3,6), up to 1,023
+types.
 """
 
 import random
@@ -41,6 +42,7 @@ from troparr import (
 from troparr.duality import _subdivision_of
 
 from conftest import (
+    assert_candidates_match_the_two_step_path,
     assert_cell_walks_match_the_envelope,
     assert_every_entry_is_feasible,
     face_check_passes,
@@ -67,8 +69,9 @@ def grid(n: int, d: int):
     [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
 )
 def test_realizations_match_oracle_on_grid(n, d):
-    # the vertex walk's closed-form last entry gives exactly the
-    # 0-dimensional types of the full enumeration
+    # the vertex walk gives exactly the 0-dimensional types of the full
+    # enumeration, and each candidate read off one point is the one
+    # found by imposing hyperplane n-1's entry
     for arr in grid(n, d):
         expected = realizations_oracle(arr)
         dimensions = enumerate_realizations(arr)
@@ -77,6 +80,7 @@ def test_realizations_match_oracle_on_grid(n, d):
             assert realizable(arr, T) == result
         assert_every_entry_is_feasible(arr)
         assert dual_subdivision(arr) == _subdivision_of(arr, dimensions), arr.rows()
+        assert_candidates_match_the_two_step_path(arr)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
