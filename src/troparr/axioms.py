@@ -2,6 +2,9 @@
 comparability, surrounding, plus the single-coordinate local-refinement
 probe, aggregated into a verdict with first-counterexample diagnostics.
 
+Every check reads one canonical table of its collection (:class:`_Table`):
+the types sorted once by ``key()``, each as a row of int label masks.
+
 Surrounding and local refinement are deliberately distinct predicates.
 Surrounding quantifies over ordered-partition refinements (a single
 infinitesimal move, which may cut several entries at once); local
@@ -19,8 +22,9 @@ from typing import Callable, Collection
 
 from .core import ResourceLimitError, TypeVector, enumerate_ordered_partitions
 
-#: Cap on the surrounding check's work, |types| x Fubini(d) refinement
-#: lookups.
+#: Cap on the surrounding check's work in refinement lookups: |types| x
+#: (2^d - 2) two-block refinements, plus Fubini(d) ordered partitions for
+#: each type the scan that names a failure reads.
 MAX_SURROUNDING_WORK = 5_000_000
 
 #: Partner rows per tile of the bit-sliced pair scans: a strip holds one
@@ -51,32 +55,56 @@ class AxiomReport:
     is_tom: bool
 
 
-def _sorted_types(types: Collection[TypeVector], d: int | None = None) -> list[TypeVector]:
-    ordered = sorted(types, key=lambda t: t.key())
-    if ordered and any(t.n != ordered[0].n for t in ordered):
+class _Table:
+    """A collection in canonical order, built once and read by every
+    check: the types sorted by ``key()``, each type's entries as a row of
+    int label masks (bit j-1 for label j, as in ``geometry``), and the set
+    of those rows.  A public check handed a table (as
+    :func:`is_tropical_oriented_matroid` does) reads it as it is."""
+
+    __slots__ = ("types", "rows", "present", "top", "mixed")
+
+    def __init__(self, types: Collection[TypeVector]):
+        self.types = sorted(types, key=TypeVector.key)
+        masks: dict[frozenset[int], int] = {}
+        for t in self.types:
+            for e in t.entries:
+                if e not in masks:
+                    masks[e] = sum(1 << j - 1 for j in e)
+        self.rows = [tuple(map(masks.__getitem__, t.entries)) for t in self.types]
+        self.present = set(self.rows)
+        self.top = max(masks.values(), default=0).bit_length()  # the largest label
+        self.mixed = len({len(row) for row in self.rows}) > 1
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+
+def _table(types: Collection[TypeVector], d: int | None = None, checked: bool = True) -> _Table:
+    """``types`` as a table; when ``checked``, refuse a collection mixing
+    type lengths or, given d, with a label beyond d."""
+    table = types if isinstance(types, _Table) else _Table(types)
+    if checked and table.mixed:
         raise ValueError("collection mixes types of different lengths")
-    if d is not None and any(t.max_label() > d for t in ordered):
+    if checked and d is not None and table.top > d:
         raise ValueError(f"collection has labels beyond d={d}")
-    return ordered
+    return table
 
 
 def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult:
     """Every constant type (j, ..., j) must be present."""
-    present = set(types)
-    missing = tuple(
-        j for j in range(1, d + 1)
-        if TypeVector(tuple(frozenset((j,)) for _ in range(n))) not in present
-    )
+    present = _table(types, checked=False).present
+    missing = tuple(j for j in range(1, d + 1) if (1 << j - 1,) * n not in present)
     return CheckResult(not missing, missing or None)
 
 
 def _first_pair(
-    ordered: list[TypeVector],
+    ordered: list[tuple[int, ...]],
     size: int,
-    fields: Callable[[int, frozenset[int], frozenset[int]], tuple[int, ...]],
+    fields: Callable[[int, int, int], tuple[int, ...]],
     tester: Callable[[int], Callable[[list], int]],
 ) -> tuple[int, int] | None:
-    """The first pair (ia, ib), ia <= ib, that fails in canonical order.
+    """The first pair (ia, ib), ia <= ib, of a table's rows that fails.
 
     Partners go in tiles of at most ``BLOCK`` rows, each row one field of
     ``size`` bytes.  In a tile the strips of entry a at position k hold
@@ -94,14 +122,14 @@ def _first_pair(
         heads = ordered[:min(start + len(tile), best[0] if best else len(ordered))]
         failing = tester(int.from_bytes(b"\1".ljust(size, b"\0") * len(tile), "little"))
         strips = []
-        for k, column in enumerate(zip(*(B.entries for B in tile))):
+        for k, column in enumerate(zip(*tile)):
             chunks = {}
-            for a in {A.entries[k] for A in heads}:
+            for a in {A[k] for A in heads}:
                 row = {b: [x.to_bytes(size, "little") for x in fields(k, a, b)] for b in set(column)}
                 chunks[a] = [int.from_bytes(b"".join(part), "little") for part in zip(*map(row.get, column))]
             strips.append(chunks)
         for ia, A in enumerate(heads):
-            fails = failing([s[a] for s, a in zip(strips, A.entries)]) & -1 << max(ia - start, 0) * width
+            fails = failing([s[a] for s, a in zip(strips, A)]) & -1 << max(ia - start, 0) * width
             if fails:
                 best = ia, start + ((fails & -fails).bit_length() - 1) // width
                 break
@@ -113,10 +141,10 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     take the union at j and one of A_k, B_k, A_k u B_k everywhere.
 
     Bit-sliced kernel: bit t of ``masks[k][E]`` marks the t-th sorted type
-    whose k-th entry is E.  A partner B gets one field of T + 1 bits: the
-    "either" strip of A_k holds the T-bit mask of the C with C_k in
-    {A_k, B_k, A_k u B_k}, the "union" strip the mask of the C with
-    C_k = A_k u B_k.  The AND of A's n either strips matches every
+    whose k-th entry has label mask E.  A partner B gets one field of
+    T + 1 bits: the "either" strip of A_k holds the T-bit mask of the C
+    with C_k in {A_k, B_k, A_k u B_k}, the "union" strip the mask of the
+    C with C_k = A_k u B_k.  The AND of A's n either strips matches every
     partner at once, and j fails for B when B's field of that AND with
     the union strip at j is zero: adding 2^T - 1 to every field leaves
     its guard bit T clear exactly then.  That is O(T^2 n / BLOCK)
@@ -124,17 +152,18 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     the partners and finds the first failing (A, B), and j is the first
     failing position of that pair.
     """
-    ordered = _sorted_types(types)
-    if not ordered:
+    table = _table(types)
+    rows = table.rows
+    if not rows:
         return CheckResult(True)
-    masks: list[dict] = [{} for _ in ordered[0].entries]
-    for bit, t in enumerate(ordered):
-        for m, entry in zip(masks, t.entries):
+    masks: list[dict[int, int]] = [{} for _ in rows[0]]
+    for bit, row in enumerate(rows):
+        for m, entry in zip(masks, row):
             m[entry] = m.get(entry, 0) | 1 << bit
-    count = len(ordered)
+    count = len(rows)
     size = count // 8 + 1  # T mask bits and a guard bit
 
-    def fields(k: int, a: frozenset[int], b: frozenset[int]) -> tuple[int, int]:
+    def fields(k: int, a: int, b: int) -> tuple[int, int]:
         m = masks[k]
         union = m.get(a | b, 0)
         return m[a] | m[b] | union, union
@@ -147,34 +176,42 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
             return guard & ~reduce(and_, [(match & union) + ones for _, union in strips])
         return failing
 
-    pair = _first_pair(ordered, size, fields, tester)
+    pair = _first_pair(rows, size, fields, tester)
     if pair is None:
         return CheckResult(True)
-    A, B = (ordered[i] for i in pair)
-    found = [fields(k, a, b) for k, (a, b) in enumerate(zip(A.entries, B.entries))]
+    A, B = (table.types[i] for i in pair)
+    found = [fields(k, a, b) for k, (a, b) in enumerate(zip(*(rows[i] for i in pair)))]
     match = reduce(and_, [either for either, _ in found])
     return CheckResult(False, (A, B, next(j for j, (_, union) in enumerate(found, 1) if not match & union)))
 
 
-def _packed_pair(a: frozenset[int], b: frozenset[int], d: int) -> int:
-    """The comparability graph of the one-entry types (a) and (b), packed
-    as three d x d bit matrices in one int (bit (j-1)*d + k-1 is j -> k):
-    directed edges, their reversals, undirected edges.  A directed j -> k
-    means j beats k, an undirected edge that they tie.  With C = a n b
-    the directed edges are (a - C) x b and C x (b - C), the undirected
-    ones C x C off the diagonal.  The bits of R x K are
-    mask(R, d) * mask(K): ``mask(R, step)`` sets bit (j-1)*step for each
-    j in R, and mask(K) < 2^d, so no carry crosses a row."""
+def _pair_packer(d: int) -> Callable[[int, int], int]:
+    """Packs the comparability graph of the one-entry types (a) and (b),
+    for entries given as label masks, as three d x d bit matrices in one
+    int (bit (j-1)*d + k-1 is j -> k): directed edges, their reversals,
+    undirected edges.  A directed j -> k means j beats k, an undirected
+    edge that they tie.  With C = a n b the directed edges are (a - C) x b
+    and C x (b - C), the undirected ones C x C off the diagonal.  The bits
+    of R x K are spread(R) * K: spread(R) sets bit (j-1)*d for each j in
+    R, and K < 2^d, so no carry crosses a row.  Spreading commutes with n
+    and -, so each distinct entry is spread once and each distinct pair
+    packed once, with no per-label work."""
+    diagonal = sum(1 << j * (d + 1) for j in range(d))
 
-    def mask(labels, step=1):
-        return sum(1 << (j - 1) * step for j in labels)
+    @cache
+    def spread(m: int) -> int:
+        return sum(1 << j * d for j in range(d) if m >> j & 1)
 
-    c = a & b
-    a_only, b_only = a - c, b - c
-    directed = mask(a_only, d) * mask(b) | mask(c, d) * mask(b_only)
-    reversed_ = mask(b, d) * mask(a_only) | mask(b_only, d) * mask(c)
-    undirected = mask(c, d) * mask(c) & ~mask(c, d + 1)
-    return directed | reversed_ << d * d | undirected << 2 * d * d
+    @cache
+    def packed(a: int, b: int) -> int:
+        sa, sb = spread(a), spread(b)
+        c, sc = a & b, sa & sb
+        directed = (sa ^ sc) * b | sc * (b ^ c)
+        reversed_ = sb * (a ^ c) | (sb ^ sc) * c
+        undirected = sc * c & ~diagonal
+        return directed | reversed_ << d * d | undirected << 2 * d * d
+
+    return packed
 
 
 def _acyclic(edges: int, d: int) -> bool:
@@ -194,7 +231,7 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     """Every pair's comparability graph must be acyclic.
 
     Bit-sliced kernel: a pair's graph is the union over positions of its
-    entries' graphs, each packed once by :func:`_packed_pair`.  A partner B
+    entries' graphs, each packed once by :func:`_pair_packer`.  A partner B
     gets one field of 3d^2 bits, and the strip of A_k holds the packed
     graph of (A_k, B_k) there, so the OR of A's n strips holds every
     pair's graph.  :func:`_acyclic` then runs on all fields at once: each
@@ -205,16 +242,13 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     BLOCK 3d^2 bits; :func:`_first_pair` tiles the partners and finds the
     first failing (A, B).
     """
-    ordered = _sorted_types(types, d)
-    if not ordered:
+    table = _table(types, d)
+    if not table.rows:
         return CheckResult(True)
-    d = max(t.max_label() for t in ordered) if d is None else d
+    d = table.top if d is None else d
     dd = d * d
     column, row = sum(1 << a * d for a in range(d)), (1 << d) - 1
-
-    @cache  # one graph per distinct entry pair, at any position
-    def packed(a: frozenset[int], b: frozenset[int]) -> tuple[int]:
-        return (_packed_pair(a, b, d),)
+    packed = _pair_packer(d)  # one graph per distinct entry pair, at any position
 
     def tester(rep: int):
         low, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd
@@ -228,8 +262,8 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
             return (reach & reversed_) + low & guard
         return failing
 
-    pair = _first_pair(ordered, (3 * dd + 7) // 8, lambda _, a, b: packed(a, b), tester)
-    return CheckResult(True) if pair is None else CheckResult(False, tuple(ordered[i] for i in pair))
+    pair = _first_pair(table.rows, (3 * dd + 7) // 8, lambda _, a, b: (packed(a, b),), tester)
+    return CheckResult(True) if pair is None else CheckResult(False, tuple(table.types[i] for i in pair))
 
 
 @cache
@@ -240,53 +274,95 @@ def _fubini(d: int) -> int:
 
 
 def _surrounding_cap(count: int, d: int) -> None:
-    """Raise ResourceLimitError when the surrounding check's count x
-    Fubini(d) refinement lookups exceed ``MAX_SURROUNDING_WORK``."""
-    work = count * _fubini(d)
+    """Raise ResourceLimitError when the two-block stage's count x (2^d - 2)
+    refinement lookups exceed ``MAX_SURROUNDING_WORK``."""
+    work = count * (2**d - 2)
     if work > MAX_SURROUNDING_WORK:
         raise ResourceLimitError(
-            f"surrounding: {count} types x {_fubini(d)} ordered partitions of d={d} "
-            f"= {work} refinements exceed the cap of {MAX_SURROUNDING_WORK}"
+            f"surrounding: {count} types x {2**d - 2} two-block refinements of d={d} "
+            f"= {work} lookups exceed the cap of {MAX_SURROUNDING_WORK}"
         )
 
 
 def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every ordered-partition refinement of every type must be present.
 
-    Kernel: each distinct entry is cut once by every ordered partition
-    (its part in the first block it meets), so a type's refinements are the zip
-    of its entries' columns, all looked up by one ``set.issuperset``.
-    The |types| x Fubini(d) lookups are capped at ``MAX_SURROUNDING_WORK``.
+    Refining by an ordered partition (P1, ..., Pk) cuts each entry to its
+    part in the first block it meets.  That is the same as refining by
+    the two-block partitions (P1, rest), then (P1 u P2, rest), and so on
+    up to (P1 u ... u P(k-1), rest): an entry that first meets Pi keeps
+    all of itself until step i, which cuts it to its part in
+    P1 u ... u Pi, that is in Pi, and from then on it lies inside every
+    prefix and is never cut again.  So a collection closed under the
+    2^d - 2 two-block refinements (P, rest) is closed under all Fubini(d)
+    ordered partitions, since each step starts from a type already
+    present; the converse holds because every (P, rest) is an ordered
+    partition.
+
+    Kernel: the cut of an entry e by (P, rest) is ``e & P or e``, so each
+    distinct entry is cut once by every P, a type's two-block refinements
+    are the zip of its entries' columns, and one ``set.issuperset`` looks
+    them all up.  The |types| x (2^d - 2) lookups are refused past
+    ``MAX_SURROUNDING_WORK``.  Only a failure runs the scan over every
+    ordered partition (:func:`_first_surrounding_failure`), which names
+    the first (T, P) in canonical order.
     """
-    ordered = _sorted_types(types, d)
-    if not ordered:
+    table = _table(types, d)
+    if not table.rows:
         return CheckResult(True)
-    d = max(t.max_label() for t in ordered) if d is None else d
-    _surrounding_cap(len(ordered), d)
-    partitions = enumerate_ordered_partitions(d)
-    entries = {e for t in ordered for e in t.entries}
-    cuts = {e: [e & next(b for b in P.blocks if e & b) for P in partitions] for e in entries}
-    present = {t.entries for t in ordered}
-    for T in ordered:
-        refined = list(zip(*(cuts[e] for e in T.entries)))
-        if not present.issuperset(refined):
-            return CheckResult(False, (T, next(P for P, r in zip(partitions, refined) if r not in present)))
+    d = table.top if d is None else d
+    _surrounding_cap(len(table), d)
+    parts = range(1, (1 << d) - 1)
+    cuts = {e: [e & P or e for P in parts] for e in {e for row in table.rows for e in row}}
+    for checked, row in enumerate(table.rows, 1):
+        if not table.present.issuperset(zip(*map(cuts.__getitem__, row))):
+            return _first_surrounding_failure(table, d, checked)
     return CheckResult(True)
+
+
+def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResult:
+    """The first type T, with the first ordered partition P, whose
+    refinement by P is missing, once the two-block stage has found a
+    missing refinement of the ``checked``-th type; T is at or before that
+    type.  Each type scanned adds Fubini(d) lookups to the two-block
+    stage's, and the scan stops with ResourceLimitError past
+    ``MAX_SURROUNDING_WORK``."""
+    two_block, fubini = checked * (2**d - 2), _fubini(d)
+    partitions = blocks = None  # enumerated once the first type's scan fits the cap
+    cuts: dict[int, list[int]] = {}
+    for scanned, (T, row) in enumerate(zip(table.types[:checked], table.rows), 1):
+        work = two_block + scanned * fubini
+        if work > MAX_SURROUNDING_WORK:
+            raise ResourceLimitError(
+                f"surrounding: naming a failure: {checked} types x {2**d - 2} two-block refinements "
+                f"+ {scanned} types x {fubini} ordered partitions of d={d} = {work} lookups "
+                f"exceed the cap of {MAX_SURROUNDING_WORK}"
+            )
+        if blocks is None:
+            partitions = enumerate_ordered_partitions(d)
+            blocks = [[sum(1 << j - 1 for j in b) for b in P.blocks] for P in partitions]
+        for e in row:
+            if e not in cuts:
+                cuts[e] = [e & next(b for b in bs if e & b) for bs in blocks]
+        refined = list(zip(*map(cuts.__getitem__, row)))
+        if not table.present.issuperset(refined):
+            return CheckResult(False, (T, next(P for P, r in zip(partitions, refined) if r not in table.present)))
+    raise RuntimeError("surrounding: a two-block refinement is missing but no ordered-partition refinement is")
 
 
 def check_local_refinement(types: Collection[TypeVector]) -> CheckResult:
     """For every type, every non-singleton entry, and every label in it,
     the vector with just that entry collapsed to the single label must be
     present."""
-    ordered = _sorted_types(types)
-    present = set(ordered)
-    for T in ordered:
-        for i, entry in enumerate(T.entries, 1):
-            if len(entry) < 2:
+    table = _table(types)
+    for T, row in zip(table.types, table.rows):
+        for i, entry in enumerate(row):
+            if not entry & entry - 1:  # a single label
                 continue
-            for k in sorted(entry):
-                if T.with_entry(i, (k,)) not in present:
-                    return CheckResult(False, (T, i, k))
+            head, tail = row[:i], row[i + 1:]
+            for k in range(1, entry.bit_length() + 1):
+                if entry >> k - 1 & 1 and head + (1 << k - 1,) + tail not in table.present:
+                    return CheckResult(False, (T, i + 1, k))
     return CheckResult(True)
 
 
@@ -296,12 +372,14 @@ def is_tropical_oriented_matroid(
     """Run all checks; the verdict is the conjunction of boundary,
     elimination, comparability and surrounding (local refinement is
     reported alongside but does not enter it).  The surrounding work cap
-    is tested before any check runs, so a refused input costs nothing."""
+    is tested before any check runs, so a refused input costs nothing.
+    The collection's table is built once and handed to every check."""
     _surrounding_cap(len(types), d)
-    boundary = check_boundary(types, n, d)
-    elimination = check_elimination(types)
-    comparability = check_comparability(types, d)
-    surrounding = check_surrounding(types, d)
-    local = check_local_refinement(types)
+    table = _Table(types)
+    boundary = check_boundary(table, n, d)
+    elimination = check_elimination(table)
+    comparability = check_comparability(table, d)
+    surrounding = check_surrounding(table, d)
+    local = check_local_refinement(table)
     is_tom = bool(boundary and elimination and comparability and surrounding)
     return AxiomReport(boundary, elimination, comparability, surrounding, local, is_tom)

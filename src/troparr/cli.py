@@ -14,6 +14,7 @@ import json
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from functools import cache
 
 from .core import Arrangement, ResourceLimitError, parse_rational
 from .duality import check_correspondence, dual_subdivision, is_triangulation
@@ -382,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves no state in it, so
+    :func:`main` builds it on its first call only."""
+    return build_parser()
+
+
 _HANDLERS = {
     "type-of": _cmd_type_of,
     "check": _cmd_check,
@@ -392,9 +400,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_joined_points(argv))
+        args = _parser().parse_args(_joined_points(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

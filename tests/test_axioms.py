@@ -36,6 +36,10 @@ def T(*entries):
     return TypeVector.of(*entries)
 
 
+def label_mask(entry) -> int:
+    return sum(1 << j - 1 for j in entry)
+
+
 def test_boundary(e1, e2):
     assert check_boundary(enumerate_types(e1), 2, 2)
     assert check_boundary(enumerate_types(e2), 2, 3)
@@ -95,12 +99,13 @@ def test_comparability_graph_swap_reverses_direction():
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_packed_pair_matches_the_packed_graph(d):
-    # the outer products of the label masks give the validated graph's bits
+    # the outer products of the spread label masks give the validated graph's bits
     labels = [frozenset(c) for r in range(1, d + 1) for c in combinations(range(1, d + 1), r)]
+    pack = troparr.axioms._pair_packer(d)
     for a in labels:
         for b in labels:
             graph = comparability_graph(TypeVector((a,)), TypeVector((b,)), d)
-            assert troparr.axioms._packed_pair(a, b, d) == packed(graph), (a, b)
+            assert pack(label_mask(a), label_mask(b)) == packed(graph), (a, b)
 
 
 def test_is_acyclic():
@@ -137,11 +142,61 @@ def test_check_surrounding(e1, e2):
     assert check_surrounding({T({j}, {j}) for j in (1, 2, 3)}, 3)
     missing = check_surrounding({T({1, 2}, {1}), T({1}, {1})}, 2)
     assert not missing and missing.counterexample[0] == T({1, 2}, {1})
-    # the cap counts |types| x Fubini(d) refinements, not d alone
+    # the cap counts |types| x (2^d - 2) two-block refinements, not d alone:
+    # 12 x 254 at d = 8 runs, 12 x 1048574 at d = 20 is refused
     assert check_surrounding({T({1}, {1})}, 6)
     grid = {T({j}, {k}) for j in range(1, 5) for k in range(1, 4)}
-    with pytest.raises(ResourceLimitError, match=r"surrounding: 12 types x 545835 .* = 6550020 "):
-        check_surrounding(grid, 8)
+    assert check_surrounding(grid, 8)
+    with pytest.raises(ResourceLimitError, match=r"^surrounding: 12 types x 1048574 two-block refinements of "
+                       r"d=20 = 12582888 lookups exceed the cap of 5000000$"):
+        check_surrounding(grid, 20)
+
+
+def test_surrounding_cap_counts_the_scan_that_names_a_failure(monkeypatch):
+    # the second type fails: 2 x 2 two-block lookups, then 3 ordered
+    # partitions for each of the 2 types the naming scan reads
+    failing = {T({1, 2}, {1}), T({1}, {1})}
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 10)
+    assert check_surrounding(failing, 2).counterexample[1].text() == "({2}|{1})"
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 9)
+    with pytest.raises(ResourceLimitError, match=r"^surrounding: naming a failure: 2 types x 2 two-block "
+                       r"refinements \+ 2 types x 3 ordered partitions of d=2 = 10 lookups exceed the cap of 9$"):
+        check_surrounding(failing, 2)
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 3)
+    with pytest.raises(ResourceLimitError, match=r"^surrounding: 2 types x 2 two-block refinements of d=2 = 4 "):
+        check_surrounding(failing, 2)
+
+
+def _thinned_collections():
+    """Type sets of generic, integer and on-apex arrangements at
+    (2..4, 3..4), each with 0-5 random types deleted."""
+    rng = random.Random(1919)
+    shapes = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4)]
+    for i in range(300):
+        n, d = shapes[i % len(shapes)]
+        kind = ("generic", "integer", "apex")[i // len(shapes) % 3]
+        if kind == "generic":
+            arr = random_generic_arrangement(rng, n, d)
+        elif kind == "apex":
+            arr = nongeneric_on_apex(rng, n, d)[0]
+        else:
+            arr = Arrangement.from_rows([[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)])
+        types = sorted(enumerate_types(arr), key=lambda t: t.key())
+        for _ in range(rng.randint(0, 5)):
+            del types[rng.randrange(len(types))]
+        yield f"{kind} {n}x{d} {i}", types, d
+
+
+def test_two_block_surrounding_matches_the_oracle():
+    # the verdict from two-block refinements and the first (T, P) named by
+    # the ordered-partition scan equal the oracle's, which builds every
+    # refinement of every type
+    failures = 0
+    for label, types, d in _thinned_collections():
+        result = check_surrounding(types, d)
+        assert result == surrounding_oracle(types, d), label
+        failures += not result
+    assert 100 <= failures < 300, failures
 
 
 def test_check_local_refinement(e1, e2):
@@ -187,6 +242,15 @@ def test_generic_arrangements_are_tropical_oriented_matroids():
         report = is_tropical_oriented_matroid(types, n, d)
         assert report.is_tom
         assert report.local_refinement
+
+
+def test_the_verdict_sorts_its_collection_once(monkeypatch):
+    types = enumerate_types(random_generic_arrangement(random.Random(43), 4, 3))
+    calls = []
+    key = TypeVector.key
+    monkeypatch.setattr(TypeVector, "key", lambda t: calls.append(t) or key(t))
+    assert is_tropical_oriented_matroid(types, 4, 3).is_tom
+    assert len(calls) == len(types) == 49
 
 
 #: The large shapes, with the one kind whose full collection is checked there.
@@ -278,6 +342,17 @@ def test_kernels_match_direct_scans():
     # the collections exercise both verdicts of every check
     assert all(count >= 5 for count in failures.values()), failures
     assert all(count >= 2 for count in late.values()), late
+
+
+def test_the_verdict_matches_the_public_checks():
+    # one table handed to every check gives each public check's own result
+    for label, types, d in _oracle_collections():
+        n = next(iter(types)).n if types else 2
+        report = is_tropical_oriented_matroid(types, n, d)
+        assert (report.boundary, report.elimination, report.comparability, report.surrounding,
+                report.local_refinement) == (
+            check_boundary(types, n, d), check_elimination(types), check_comparability(types, d),
+            check_surrounding(types, d), check_local_refinement(types)), label
 
 
 @pytest.mark.parametrize("block", [1, 3])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import troparr.axioms
+import troparr.cli
 import troparr.duality
 import troparr.geometry
 import troparr.secondary
@@ -320,10 +321,44 @@ def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
 def test_budget_exit(capsys, e2_file, monkeypatch):
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
     assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"
-    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 100)
+    # E2's 13 types take 13 x 6 two-block lookups, one more than the cap
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 77)
     assert main(["check", "--input", e2_file]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("error: surrounding: ") and "x 13 ordered partitions of d=3" in err
+    assert capsys.readouterr().err == (
+        "error: surrounding: 13 types x 6 two-block refinements of d=3 = 78 lookups exceed the cap of 77\n"
+    )
+
+
+def test_one_parser_serves_every_call(capsys, e2_file, tied_minor_file, monkeypatch):
+    # a sequence of calls on the process's one parser reports exactly what
+    # calls that each build a fresh parser report
+    sequence = [
+        ["check", "--input", e2_file, "--budget", "x"],
+        ["check", "--input", e2_file, "--budget", "3"],
+        ["check", "--input", e2_file],
+        ["subdivision", "--format", "text", "--input", tied_minor_file, "--flips"],
+        ["subdivision", "--format", "text", "--input", tied_minor_file],
+        ["type-of", "--input", e2_file, "--point", "-1/2,3,0"],
+        ["check", "--input", e2_file, "--seed", "3"],
+        ["subdivision", "--input", e2_file, "--json"],
+    ]
+
+    def reports():
+        out = []
+        for argv in sequence:
+            code = main(list(argv))
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    built = []
+    build_parser = troparr.cli.build_parser
+    monkeypatch.setattr(troparr.cli, "build_parser", lambda: built.append(1) or build_parser())
+    troparr.cli._parser.cache_clear()
+    reused = reports()
+    assert len(built) == 1
+    monkeypatch.setattr(troparr.cli, "_parser", build_parser)
+    assert reports() == reused
+    assert [code for code, _, _ in reused] == [2, 5, 0, 0, 0, 0, 2, 0]
 
 
 def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
@@ -404,7 +439,9 @@ def test_check_on_a_generic_five_by_four(tmp_path, capsys):
 
 
 def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monkeypatch):
-    # 769 types x 47293 ordered partitions of d=7: refused before elimination runs
+    # 769 types x 126 two-block refinements of d=7, one lookup over the
+    # lowered cap: refused before elimination runs
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 96_893)
     calls = []
     check_elimination = troparr.axioms.check_elimination
 
@@ -417,7 +454,9 @@ def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monke
     path = tmp_path / "seven.json"
     path.write_text(serialize_arrangement(arr, "json"))
     assert main(["check", "--input", str(path)]) == 5
-    assert capsys.readouterr().err.startswith("error: surrounding: 769 types x 47293 ordered partitions of d=7")
+    assert capsys.readouterr().err == (
+        "error: surrounding: 769 types x 126 two-block refinements of d=7 = 96894 lookups exceed the cap of 96893\n"
+    )
     assert calls == []
 
 

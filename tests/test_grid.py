@@ -15,8 +15,9 @@ perturbations of every non-generic input at (3,3) and (2,4), and dual
 subdivision against lower envelope, with genericity and its tied minor,
 on the 6,561 inputs at (4,3).  It also compares the bit-sliced
 elimination and comparability kernels with the pairwise scans they
-replaced on full type collections at (4,4), (5,4) and (3,6), up to 1,023
-types.
+replaced, and the two-block surrounding check with the oracle that
+builds every ordered-partition refinement, on type collections at
+(4,4), (5,4) and (3,6), up to 1,023 types.
 """
 
 import random
@@ -30,6 +31,7 @@ from troparr import (
     check_comparability,
     check_correspondence,
     check_elimination,
+    check_surrounding,
     dual_subdivision,
     enumerate_realizations,
     enumerate_types,
@@ -55,6 +57,7 @@ from conftest import (
     pairwise_elimination_oracle,
     random_generic_arrangement,
     realizations_oracle,
+    surrounding_oracle,
 )
 
 
@@ -130,14 +133,22 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
 @pytest.mark.large_grid
 @pytest.mark.parametrize("n, d", [(4, 4), (5, 4), (3, 6)])
 def test_pair_kernels_match_pairwise_scans_on_large_shapes(n, d):
-    # full collections pass; one added type makes them fail far past the first tile
+    # full collections pass; one added type makes the pair kernels fail
+    # far past the first tile.  The added type has singleton entries only,
+    # so surrounding still passes; less one full-dimensional type it fails
     rng = random.Random(n * 10 + d)
     for arr in (random_generic_arrangement(rng, n, d), nongeneric_on_apex(rng, n, d)[0]):
         types = sorted(enumerate_types(arr), key=lambda t: t.key())
         extra = next(u for u in (t.with_entry(n, (1,)) for t in reversed(types)) if u not in types)
-        for collection in (types, types + [extra]):
+        drop = next(t for t in reversed(types) if all(len(e) == 1 for e in t.entries))
+        verdicts = []
+        for collection in (types, types + [extra], [t for t in types if t != drop]):
             assert check_elimination(collection) == pairwise_elimination_oracle(collection), arr.rows()
             assert check_comparability(collection, d) == pairwise_comparability_oracle(collection, d), arr.rows()
+            surrounding = check_surrounding(collection, d)
+            assert surrounding == surrounding_oracle(collection, d), arr.rows()
+            verdicts.append(surrounding.passed)
+        assert verdicts == [True, True, False], arr.rows()
 
 
 @pytest.mark.large_grid
