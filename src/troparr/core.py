@@ -19,8 +19,9 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 #: Cap on the feasibility steps (candidate entries generated on a
-#: feasible prefix and tested) one type walk may take; the enumeration
-#: of a generic (5,4) takes 735, one per realizable prefix.
+#: feasible prefix and tested, plus one per closed-form staircase of the
+#: vertex walk) one type walk may take; the enumeration of a generic
+#: (5,4) takes 735, one per realizable prefix.
 DEFAULT_BUDGET = 200_000
 
 

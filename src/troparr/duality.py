@@ -4,13 +4,15 @@ A type becomes a bipartite cell graph (edge (i,j) for each label j in
 entry i); the 0-dimensional cells of an arrangement, its vertices, give
 the maximal cells of its dual subdivision.  :func:`dual_subdivision`
 reads them off the vertex walk of :mod:`troparr.geometry` instead of
-enumerating every type.  That walk imposes hyperplanes 1..n-2 only; each
-entry e for hyperplane n-1 has one candidate entry for hyperplane n, the
-union of each tie group's labels minimising v_nj - offset_j once e's
-labels tie, and one point, which a single check accepts: it must meet
-the prefix's closed bounds and have e as hyperplane n-1's argmax.  Each
-cell's edges come straight from the vertex's label masks, and a cell's
-spanning test is a flood fill over node bitmasks.
+enumerating every type.  That walk imposes hyperplanes 1..n-3 only; each
+entry e for hyperplane n-2 is settled with the last two hyperplanes by
+a staircase: once e's labels tie, a vertex's last two entries cover the
+tie groups and share one, which leaves one point per distinct
+difference of the groups' least values on those two hyperplanes, and a
+single check accepts a point: it must meet the prefix's closed bounds
+and have e as hyperplane n-2's argmax.  Each cell's edges come straight
+from the vertex's label masks, and a cell's spanning test is a flood
+fill over node bitmasks.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and takes the cells from its 0-dimensional
 types.  Independently, the same subdivision arises as the lower-envelope
@@ -22,7 +24,9 @@ The lower envelope is computed by a pivot walk: lexicographically
 perturbed integer heights give a regular triangulation refining it,
 whose simplices are spanning trees of K_{n,d}; the walk moves from tree
 to tree across shared facets and maps each tree to the coarse cell that
-holds it.  A full triangulation has C(n+d-2, n-1) trees and each costs
+holds it.  One pass rooted at a node gives, for every tree edge, the
+nodes on one side and the support edges entering that side, as
+bitmasks.  A full triangulation has C(n+d-2, n-1) trees and each costs
 O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
 subsets.  The walk yields its cells lazily, so the genericity test
 stops at the first cell that is not a spanning tree and names the
@@ -46,7 +50,8 @@ from .geometry import GenericityReport, TiedMinor, _labels, _vertices, enumerate
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
-#: walk pays a side search and an entering-edge scan per tree edge.
+#: walk pays one rooted pass per tree and, per tree edge, a scan of the
+#: edges entering its side.
 MAX_VOLUME_WORK = 20_000_000
 
 
@@ -158,17 +163,29 @@ def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def _side(adj: dict[int, list[int]], a: int, b: int) -> set[int]:
-    """Nodes joined to node a by the edges of a tree, given as adjacency
-    lists ``adj``, other than (a, b)."""
-    side, stack = {a, b}, [a]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
-    side.discard(b)
-    return side
+def _sides(tree: Iterable[tuple[int, int]], marks: list[int]) -> dict[tuple[int, int], int]:
+    """For each edge (a, b) of a spanning tree on nodes 0..len(marks)-1,
+    the union of the disjoint bitmasks ``marks[v]`` over the nodes v on
+    the side holding a once the edge is dropped.  One pass rooted at
+    node 0 gives each subtree's union: a's side is a's subtree when b is
+    a's parent, else all but b's subtree."""
+    nodes = len(marks)
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    for a, b in tree:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, order = [-1] * nodes, [0]
+    parent[0] = 0
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    below = marks[:]
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    full = below[0]
+    return {(a, b): below[a] if parent[a] == b else full ^ below[b] for a, b in tree}
 
 
 def _pivot_walk(
@@ -207,24 +224,31 @@ def _pivot_walk(
         else:
             p[a] = max(p[y] - h for x, y, h in edges if x == a and y in p)
     tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
-    queue, seen = [(tree, p)], {tree}
+    queue, seen = [(tree, [p[v] for v in range(n + d)])], {tree}
+    # node v's mark: bit v, bit w + k for each edge k ending at v on the
+    # right and bit w + m + k for each edge k starting at v on the left,
+    # so a side's union tells its nodes and the edges entering it
+    w, m = n + d, len(edges)
+    marks = [1 << v for v in range(w)]
+    for k, (a, b, _) in enumerate(edges):
+        marks[b] |= 1 << (w + k)
+        marks[a] |= 1 << (w + m + k)
     for tree, p in queue:
-        slack = {(a, b): h - p[b] + p[a] for a, b, h in edges}
-        yield frozenset((a + 1, b - n + 1) for (a, b), s in slack.items() if 2 * s < scale)
-        adj: dict[int, list[int]] = {}
+        slack = [h - p[b] + p[a] for a, b, h in edges]
+        yield frozenset((a + 1, b - n + 1) for (a, b, _), s in zip(edges, slack) if 2 * s < scale)
+        sides = _sides(tree, marks)
         for a, b in tree:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for a, b in tree:
-            side = _side(adj, a, b)
-            entering = [(s, e) for e, s in slack.items() if e[0] not in side and e[1] in side]
+            side = sides[a, b]
+            # edges whose right end is on the side and whose left end is not
+            entering = side >> w & ~(side >> (w + m)) & ((1 << m) - 1)
             if not entering:
                 continue  # a boundary facet
-            t, e = min(entering)
-            pivot = tree - {(a, b)} | {e}
+            # the least (slack, edge), edge indices in sorted edge order
+            t, k = min((slack[k], k) for k in range(m) if entering >> k & 1)
+            pivot = tree - {(a, b)} | {edges[k][:2]}
             if pivot not in seen:
                 seen.add(pivot)
-                queue.append((pivot, {v: x + t if v in side else x for v, x in p.items()}))
+                queue.append((pivot, [z + t if side >> v & 1 else z for v, z in enumerate(p)]))
     expected = comb(n + d - 2, n - 1)
     if len(edges) == n * d and len(queue) != expected:
         raise RuntimeError(

@@ -31,26 +31,37 @@ The walk settles the last hyperplanes in one of two ways:
   entry the tests pass for hyperplane n as a type, recorded with its
   dimension without imposing it;
 * the vertex walk, which gives the dual subdivision its maximal cells,
-  keeps only the 0-dimensional types.  It walks hyperplanes 1..n-2
-  only; each entry e the tests pass for hyperplane n-1 is settled with
-  hyperplane n by one point, with no copy and no closure.  Let e's
-  labels tie on scratch copies of the group arrays, and let
-  c_j = v_nj - offset_j, so label j's x_j - v_nj is x_r - c_j, r its
-  group's root.  A 0-dimensional type's last entry merges every group
-  into one, so it meets each group g, and there it holds exactly the
-  labels minimising c_j, at c_g: any other label of g sits strictly
-  lower.  Those group maxima all tie, which forces the roots to
-  x_r(g) - x_r(h) = c_g - c_h: one point, x_j = c_g + offset_j, and one
-  candidate, the union of the minimisers, which depends on the groups
-  alone.  The type (prefix, e, candidate) is a vertex iff it holds at
-  that point.  Every tie holds there by construction, and hyperplane
-  n's argmax is the candidate, so it is enough that hyperplane n-1's
-  argmax there is exactly e and that the point meets every closed
-  strict bound of the (n-2)-prefix.  No closure is needed for e's own
-  bounds: a point meets the closure of a set of strict difference
-  bounds iff it meets each of them, since a longest path sums strict
-  inequalities that the point meets.  O(d + roots^2) per entry.  For
-  n = 1 the candidate is read off the empty prefix, with no e.
+  keeps only the 0-dimensional types.  It walks hyperplanes 1..n-3
+  only, and settles each entry e the tests pass for hyperplane n-2
+  together with hyperplanes n-1 and n in closed form, with no copy and
+  no closure.  Let e's labels tie on scratch copies of the group
+  arrays, and for i = n-1, n let c_ig be the least v_ij - offset_j over
+  group g's labels, reached at the label mask M_ig: with y_g the value
+  of g's root, the largest x_j - v_ij over g is y_g - c_ig, reached
+  exactly at M_ig.  A type is 0-dimensional iff its ties merge every
+  group into one.  Entry n-1 meets the groups A where y_g - c_(n-1)g is
+  largest, entry n the groups B where y_g - c_ng is, and they join
+  every group iff A and B cover the groups and share one.  Shift y so
+  that the first largest value is 0 and call the second t: y_g <=
+  c_(n-1)g with equality on A, and y_g <= t + c_ng with equality on B.
+  Covering forces y_g = min(c_(n-1)g, t + c_ng), and a shared group g
+  forces t = δ_g = c_(n-1)g - c_ng.  So every vertex lies at one of
+  these points, one per distinct t among the δ_g, where A = {δ_g <= t}
+  and B = {δ_g >= t}: it is (prefix, e, the union of M_(n-1)g over A,
+  the union of M_ng over B).  These are the staircase triangulations of
+  Δ_1 × Δ_(k-1), k the number of groups (De Loera, Rambau and Santos,
+  "Triangulations", §6.2).  Distinct t give distinct points, so each
+  vertex comes once.  At each point every tie holds by construction,
+  and hyperplanes n-1 and n have A and B as argmax, so the type holds
+  there, and is a vertex, iff hyperplane n-2's argmax is exactly e and
+  the point meets every closed strict bound of the (n-3)-prefix.  That
+  is the point test alone, with no closure: a point meets the closure
+  of a set of strict difference bounds iff it meets each of them, since
+  a longest path sums strict inequalities that the point meets.  Inside
+  one group both tests hold already, as e is feasible, so each is a
+  bound y_a - y_b > c between groups, O(roots^2) of them per point.  For
+  n = 2 the staircase runs on the empty prefix, with no e; for n = 1 the
+  one vertex is the apex, where every label ties.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
@@ -291,22 +302,23 @@ class _Feasibility:
                     force[k] |= 1 << j
         return _cliques(tie, force, (1 << w) - 2)
 
-    def candidate(self, i: int, pending: int = 0) -> int:
-        """The one entry for hyperplane i, as a label mask, that closes a
-        0-dimensional type on this prefix, or 0 when none does.
+    def staircase(self, i: int, pending: int = 0) -> list[tuple[int, int]]:
+        """The pairs of entries for hyperplanes i and i + 1, as label
+        masks, that close a 0-dimensional type on this prefix.
 
         ``pending``, when not 0, is an entry for hyperplane i - 1 that
         passed :meth:`entries`; it is not imposed, only its labels tied on
-        scratch copies of ``root`` and ``offset``.  The candidate is the
-        union over the groups of the labels j minimising c_j = v_ij -
-        offset_j, and its point puts each label at x_j = c_g + offset_j,
-        c_g its group's least c.  It closes a vertex iff that point meets
+        scratch copies of ``root`` and ``offset``.  Each group g then has
+        least values c_g and c'_g of v_ij - offset_j for hyperplanes i and
+        i + 1, at label masks M_g and M'_g.  One point is tried per
+        distinct t among the δ_g = c_g - c'_g: root values y_g = min(c_g,
+        t + c'_g), which close the pair (the union of M_g over δ_g <= t,
+        the union of M'_g over δ_g >= t).  A point is accepted iff it meets
         every closed strict bound of this prefix and hyperplane i - 1's
         argmax there is exactly ``pending`` (the module docstring has the
         proof).
         """
-        w, lower = self.d + 1, self.lower
-        root, offset = self.root, self.offset
+        w, root, offset = self.d + 1, self.root, self.offset
         if pending:
             root, offset, prev = root[:], offset[:], self.rows[i - 2]
             low = pending & -pending
@@ -324,30 +336,42 @@ class _Feasibility:
                     for v in range(1, w):
                         if root[v] == rj:
                             root[v], offset[v] = r, offset[v] + s
-        row = self.rows[i - 1]
-        least: list[int | None] = [None] * w
-        mask = [0] * w
-        for j in range(1, w):
-            r, c = root[j], row[j - 1] - offset[j]
-            m = least[r]
-            if m is None or c < m:
-                least[r], mask[r] = c, 1 << j
-            elif c == m:
-                mask[r] |= 1 << j
-        x = [0] * w
-        for j in range(1, w):
-            x[j] = least[root[j]] + offset[j]
+        least, mask = _least(self.rows[i - 1], root, offset)
+        least2, mask2 = _least(self.rows[i], root, offset)
+        groups = [r for r in range(1, w) if root[r] == r]
+        # strict bounds y_a - y_b > c between group roots; those inside one
+        # group hold, as pending is feasible
+        bounds = []
+        for k, c in enumerate(self.lower):
+            if c is not None:
+                a, b = root[k // w], root[k % w]
+                if a != b:
+                    bounds.append((a, b, c - offset[k // w] + offset[k % w]))
         if pending:
-            top = x[base] - prev[base - 1]
-            for k in range(1, w):
-                y = x[k] - prev[k - 1]
-                if y > top or (y == top) != (pending >> k & 1):
-                    return 0
-        # every closed bound x_a - x_b > c of the prefix, k = a * w + b
-        for k, c in enumerate(lower):
-            if c is not None and x[k // w] - x[k % w] <= c:
-                return 0
-        return sum(mask)
+            # pending's group beats every other one on hyperplane i - 1;
+            # inside it, pending's labels are the least, as it is feasible
+            top = _least(prev, root, offset)[0]
+            r = root[base]
+            bounds += [(r, g, top[r] - top[g]) for g in groups if g != r]
+        delta = {g: least[g] - least2[g] for g in groups}
+        out = []
+        y = [0] * w
+        for t in set(delta.values()):
+            for g in groups:
+                c = t + least2[g]
+                y[g] = c if c < least[g] else least[g]
+            for a, b, c in bounds:
+                if y[a] - y[b] <= c:
+                    break
+            else:
+                first = second = 0
+                for g, dg in delta.items():
+                    if dg <= t:
+                        first |= mask[g]
+                    if dg >= t:
+                        second |= mask2[g]
+                out.append((first, second))
+        return out
 
     def roots(self) -> list[int]:
         return [v for v in range(1, self.d + 1) if self.root[v] == v]
@@ -390,6 +414,21 @@ class _Feasibility:
         shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
         last = shifted[-1]
         return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
+
+
+def _least(row: tuple[int, ...], root: list[int], offset: list[int]) -> tuple[list, list[int]]:
+    """Each group root's least v_j - offset_j over its labels j, row v,
+    and the mask of the labels reaching it; None and 0 off the roots."""
+    least: list[int | None] = [None] * len(root)
+    mask = [0] * len(root)
+    for j in range(1, len(root)):
+        r, c = root[j], row[j - 1] - offset[j]
+        m = least[r]
+        if m is None or c < m:
+            least[r], mask[r] = c, 1 << j
+        elif c == m:
+            mask[r] |= 1 << j
+    return least, mask
 
 
 def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
@@ -631,36 +670,35 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
 
 def _vertices(arr: Arrangement, budget: int | None = None) -> list[tuple[int, ...]]:
     """The 0-dimensional types, the arrangement's vertices, each as its
-    entries' label masks, by :func:`_walk` over hyperplanes 1..n-2.  On
-    each of its prefixes every entry the pairwise tests pass for
-    hyperplane n-1 is settled with hyperplane n by one
-    :meth:`_Feasibility.candidate` call, with no copy and no closure: at
-    most one vertex per entry.
+    entries' label masks, by :func:`_walk` over hyperplanes 1..n-3.  On
+    each of its prefixes every entry e the pairwise tests pass for
+    hyperplane n-2 is settled with hyperplanes n-1 and n by one
+    :meth:`_Feasibility.staircase` call, with no copy and no closure.
+    For n = 2 the staircase runs on the empty prefix; for n = 1 the one
+    vertex is the apex, where every label ties.
 
     ``budget`` caps the feasibility steps: one per entry generated on
-    hyperplanes 1..n-1 and one per hyperplane-n candidate.  For n >= 2
-    all m = 2^d - 1 entries of the first hyperplane are feasible, and
-    each leads to one candidate at least, so the walk takes at least 2m
-    steps, and past the budget it raises at once; for n = 1 it takes one
-    step.
+    hyperplanes 1..n-2 and one per staircase.  For n >= 3 all m = 2^d - 1
+    entries of the first hyperplane are feasible, and each leads to one
+    staircase at least, so the walk takes at least 2m steps, and past the
+    budget it raises at once; for n <= 2 it takes one step.
     """
     n = arr.n
     out: list[tuple[int, ...]] = []
 
     def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
         if n == 1:
-            mask = state.candidate(1)
-            if mask:
-                out.append((mask,))
+            out.append(((1 << (arr.d + 1)) - 2,))
             return 1
-        entries = state.entries(n - 1)
+        if n == 2:
+            out.extend(state.staircase(1))
+            return 1
+        entries = state.entries(n - 2)
         for entry in entries:
-            mask = state.candidate(n, entry)
-            if mask:
-                out.append(prefix + (entry, mask))
+            out.extend(prefix + (entry,) + pair for pair in state.staircase(n - 1, entry))
         return 2 * len(entries)
 
-    _walk(arr, budget, 2 * (2 ** arr.d - 1) if n >= 2 else 1, max(n - 2, 0), last)
+    _walk(arr, budget, 2 * (2 ** arr.d - 1) if n >= 3 else 1, max(n - 3, 0), last)
     return out
 
 

@@ -8,9 +8,9 @@ lower envelope; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
 the lower envelope of the moved apexes, with the cone test against the
 walks; every generated entry of the type enumeration imposed; the
-vertex walk's last-hyperplane candidate by imposing the entry before
-it) used to cross-check the main code paths, and the ``--grid`` option
-that adds the larger exhaustive grids."""
+vertex walk's closed-form last two hyperplanes by imposing every entry
+of the last three) used to cross-check the main code paths, and the
+``--grid`` option that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
@@ -554,45 +554,51 @@ def assert_every_entry_is_feasible(arr: Arrangement) -> None:
                 stack.append((i + 1, child))
 
 
-def two_step_candidate(state: _Feasibility, i: int, entry: int) -> int:
-    """The entry for hyperplane i that closes a vertex after ``entry`` for
-    hyperplane i - 1, or 0, the two-step way: impose ``entry`` on a copy
-    of the prefix's state, merge and closure, then take the union over
-    the closed state's groups of the labels minimising v_ij - offset_j,
-    kept iff the root differences it forces meet every closed bound."""
+def imposed_staircase(state: _Feasibility, i: int, pending: int = 0) -> set[tuple[int, int]]:
+    """The pairs of entries for hyperplanes i and i + 1 that close a
+    0-dimensional type after ``pending`` for hyperplane i - 1 (none when
+    0), the imposed way: ``pending`` imposed on a copy of the prefix's
+    state, then each entry ``entries(i)`` yields imposed on a copy of
+    that, then each entry ``entries(i + 1)`` yields imposed, kept iff the
+    closed state has dimension 0."""
     child = state.copy()
-    assert child.add_hyperplane(i - 1, entry)
-    w, lower, row = child.d + 1, child.lower, child.rows[i - 1]
-    least: dict[int, int] = {}
-    mask: dict[int, int] = {}
-    for j in range(1, w):
-        r, c = child.root[j], row[j - 1] - child.offset[j]
-        if r not in least or c < least[r]:
-            least[r], mask[r] = c, 1 << j
-        elif c == least[r]:
-            mask[r] |= 1 << j
-    for a, ca in least.items():
-        for b, cb in least.items():
-            c = lower[a * w + b]
-            if c is not None and ca - cb <= c:
-                return 0
-    return sum(mask.values())
+    if pending:
+        assert child.add_hyperplane(i - 1, pending)
+    out = set()
+    for first in child.entries(i):
+        middle = child.copy()
+        assert middle.add_hyperplane(i, first)
+        for second in middle.entries(i + 1):
+            closed = middle.copy()
+            assert closed.add_hyperplane(i + 1, second)
+            if closed.dimension() == 0:
+                out.add((first, second))
+    return out
 
 
-def assert_candidates_match_the_two_step_path(arr: Arrangement) -> tuple[int, int]:
-    """On every (n-2)-prefix state the vertex walk reaches, and for every
-    entry ``entries(n - 1)`` yields there, ``candidate(n, entry)`` equals
-    :func:`two_step_candidate`; returns the candidates accepted and
-    rejected."""
+def assert_staircases_match_the_imposed_path(arr: Arrangement) -> tuple[int, int]:
+    """On every (n-3)-prefix state the vertex walk reaches, and for every
+    entry e ``entries(n - 2)`` yields there, ``staircase(n - 1, e)``
+    lists each pair of :func:`imposed_staircase` once and nothing else;
+    for n = 2 ``staircase(1)`` on the empty prefix does.  Returns the
+    pairs found and the staircases that found none."""
     n, counts = arr.n, [0, 0]
-    stack = [(1, _Feasibility(arr))]
+
+    def compare(state: _Feasibility, i: int, pending: int = 0) -> None:
+        pairs = state.staircase(i, pending)
+        assert len(set(pairs)) == len(pairs), (arr.rows(), i, _labels(pending))
+        assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), i, _labels(pending))
+        counts[0] += len(pairs)
+        counts[1] += not pairs
+
+    if n == 2:
+        compare(_Feasibility(arr), 1)
+    stack = [(1, _Feasibility(arr))] if n >= 3 else []
     while stack:
         i, state = stack.pop()
         for entry in state.entries(i):
-            if i == n - 1:
-                fused = state.candidate(n, entry)
-                assert fused == two_step_candidate(state, n, entry), (arr.rows(), i, _labels(entry))
-                counts[not fused] += 1
+            if i == n - 2:
+                compare(state, n - 1, entry)
             else:
                 child = state.copy()
                 assert child.add_hyperplane(i, entry)

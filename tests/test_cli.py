@@ -1,4 +1,5 @@
 import json
+import re
 import math
 import random
 import sys
@@ -362,16 +363,25 @@ def test_one_parser_serves_every_call(capsys, e2_file, tied_minor_file, monkeypa
 
 
 def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
-    # E2's vertex walk takes 14 steps and its full enumeration 20, so a
-    # budget of 14 is enough for subdivision, not for check; a single
-    # hyperplane's walk takes one step at any d
-    assert main(["subdivision", "--input", e2_file, "--budget", "14"]) == 0
-    assert main(["subdivision", "--flips", "--input", e2_file, "--budget", "14"]) == 0
+    # E2 has n = 2, so its vertex walk takes 1 step, one staircase, and
+    # its full enumeration 20: a budget of 1 is enough for subdivision,
+    # not for check, which refuses it at once
+    assert main(["subdivision", "--input", e2_file, "--budget", "1"]) == 0
+    assert main(["subdivision", "--flips", "--input", e2_file, "--budget", "1"]) == 0
     capsys.readouterr()
-    assert main(["subdivision", "--input", e2_file, "--budget", "13"]) == 5
+    assert main(["subdivision", "--input", e2_file, "--budget", "0"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 1 feasibility steps exceed budget 0\n"
+    assert main(["check", "--input", e2_file, "--budget", "1"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 2 feasibility steps exceed budget 1\n"
+    # n = 3 takes the 7 entries of the first hyperplane and one staircase
+    # on each, and is refused at once below those 14 steps
+    path = tmp_path / "three.txt"
+    path.write_text("3 3\n0 1 2\n2 0 1\n1 2 0\n")
+    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "14"]) == 0
+    capsys.readouterr()
+    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "13"]) == 5
     assert capsys.readouterr().err == "error: type enumeration: 14 feasibility steps exceed budget 13\n"
-    assert main(["check", "--input", e2_file, "--budget", "14"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 15 feasibility steps exceed budget 14\n"
+    # a single hyperplane's walk takes one step at any d
     path = tmp_path / "one.txt"
     path.write_text("1 18\n" + " ".join(str(j % 3) for j in range(18)) + "\n")
     code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(path)])
@@ -408,14 +418,22 @@ def test_negative_budget_is_a_parse_error(capsys, e2_file):
 
 
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
-    # 2 x 30: 2(2^30-1) feasibility steps at least, refused before any
-    # candidate entry is generated
+    # 2(2^30-1) feasibility steps at least, refused before any candidate
+    # entry is generated: check on 2 x 30, and subdivision on 3 x 30
     monkeypatch.setattr(troparr.geometry, "_cliques", None)
-    path = tmp_path / "wide.txt"
-    path.write_text("2 30\n" + " ".join(str(j % 3) for j in range(30)) + "\n" + " ".join(str(j % 5) for j in range(30)) + "\n")
-    for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
-        assert main(argv + ["--format", "text", "--input", str(path)]) == 5
+    rows = [" ".join(str(j % k) for j in range(30)) for k in (3, 5, 7)]
+    wide, tall = tmp_path / "wide.txt", tmp_path / "tall.txt"
+    wide.write_text("2 30\n" + "\n".join(rows[:2]) + "\n")
+    tall.write_text("3 30\n" + "\n".join(rows) + "\n")
+    for argv in (["check", "--input", str(wide)], ["subdivision", "--input", str(tall)], ["subdivision", "--flips", "--input", str(tall)]):
+        assert main(argv + ["--format", "text"]) == 5
         assert capsys.readouterr().err == "error: type enumeration: 200001 feasibility steps exceed budget 200000\n"
+    # subdivision on 2 x 30 is one staircase, with no entry generated; its
+    # cells' volumes sum to the normalized volume C(30, 1) of the product
+    code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(wide)])
+    assert code == 0
+    assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(30, 1)
+
 
 def test_check_on_six_labels(tmp_path, capsys):
     # the surrounding scan used to refuse every d > 5 outright
@@ -463,7 +481,7 @@ def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monke
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     # the flat arrangement's one cell is the whole product, so its volume
     # comes from a pivot walk over the full support, which checks its count
-    monkeypatch.setattr(troparr.duality, "_side", lambda adj, a, b: set())
+    monkeypatch.setattr(troparr.duality, "_sides", lambda tree, marks: dict.fromkeys(tree, 0))
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["0", "0", "0"]]}))
     assert main(["subdivision", "--input", str(path)]) == 4

@@ -31,7 +31,7 @@ from troparr.duality import _subdivision_of, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
-    assert_candidates_match_the_two_step_path,
+    assert_staircases_match_the_imposed_path,
     envelope_oracle,
     graph_dim_oracle,
     integer_incident,
@@ -149,26 +149,38 @@ def test_vertex_walk_gives_the_zero_dimensional_types():
         assert dual_subdivision(arr) == _subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
 
 
-def test_fused_candidate_matches_the_two_step_path():
-    # on every (n-2)-prefix and every entry for hyperplane n-1, the
-    # candidate read off one point equals the one found by imposing the
-    # entry and reading the closed state; a mutant without the argmax
-    # test, one without the old-bound test and one accepting a point on
-    # a bound each fail it.  test_grid.py adds the (3,3) and (2,4) grids
-    accepted = rejected = 0
-    for arr in _vertex_walk_draws(1818, (range(2, 6), range(2, 6))):
-        yes, no = assert_candidates_match_the_two_step_path(arr)
-        accepted, rejected = accepted + yes, rejected + no
-    assert accepted and rejected
+def test_staircase_matches_the_imposed_path():
+    # on every (n-3)-prefix and every entry for hyperplane n-2, the pairs
+    # the staircase reads off its points equal those found by imposing
+    # the entry, every entry for hyperplane n-1 and every entry for
+    # hyperplane n; a mutant without the argmax test, one without the
+    # prefix-bound test and one with δ_g < t for δ_g <= t each fail it.
+    # test_grid.py adds the (3,3) and (2,4) grids
+    found = empty = 0
+    for arr in _vertex_walk_draws(1818, (range(2, 7), range(2, 6))):
+        pairs, none = assert_staircases_match_the_imposed_path(arr)
+        found, empty = found + pairs, empty + none
+    assert found and empty
+
+
+def test_dual_subdivision_commutes_with_transposition():
+    # the lower envelope of the apex matrix is symmetric in rows and
+    # columns, so the walk over the transposed matrix's hyperplanes gives
+    # the transposed cells
+    for arr in _vertex_walk_draws(1919, (range(2, 7), range(2, 6))):
+        flipped = Arrangement.from_rows(list(zip(*arr.rows())))
+        cells = dual_subdivision(flipped).maximal_cells
+        back = {CellGraph(arr.n, arr.d, frozenset((i, j) for j, i in g.edges)) for g in cells}
+        assert dual_subdivision(arr).maximal_cells == back, arr.rows()
 
 
 def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
-    # E2: the 7 entries of the first hyperplane, then one candidate for
-    # the second on each of them, 14 steps where the full enumeration,
-    # which takes each of the 13 types' last entry, takes 20
-    assert dual_subdivision(e2, budget=14) == dual_subdivision(e2)
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 14 feasibility steps exceed budget 13$"):
-        dual_subdivision(e2, budget=13)
+    # E2 has n = 2: one staircase on the empty prefix, 1 step where the
+    # full enumeration, which takes each of the 13 types' last entry,
+    # takes 20
+    assert dual_subdivision(e2, budget=1) == dual_subdivision(e2)
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
+        dual_subdivision(e2, budget=0)
     assert len(enumerate_realizations(e2, budget=20)) == 13
     with pytest.raises(ResourceLimitError, match="^type enumeration: 20 feasibility steps exceed budget 19$"):
         enumerate_realizations(e2, budget=19)
@@ -179,33 +191,43 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
         }
     with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
         dual_subdivision(Arrangement.from_rows([[0, 0]]), budget=0)
-    # in general: the entries generated before the last hyperplane plus
-    # one candidate per entry for hyperplane n-1
+    # n = 3: the 7 entries of the first hyperplane and one staircase on
+    # each, the 14-step floor, refused at once below it
+    arr = random_integer_arrangement(random.Random(8), 3, 3)
+    assert dual_subdivision(arr, budget=14) == dual_subdivision(arr)
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 14 feasibility steps exceed budget 13$"):
+        dual_subdivision(arr, budget=13)
+    # in general: the entries generated on hyperplanes 1..n-2 plus one
+    # staircase per entry for hyperplane n-2; on this (4,3) input 41
+    # steps, where one per entry for hyperplane n-1 and one candidate
+    # each took 70
     counts = []
-    entries, candidate = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.candidate
+    entries, staircase = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.staircase
 
     def counted_entries(state, i):
         generated = entries(state, i)
         counts.extend(generated)
         return generated
 
-    def counted_candidate(state, i, pending=0):
+    def counted_staircase(state, i, pending=0):
         counts.append(i)
-        return candidate(state, i, pending)
+        return staircase(state, i, pending)
 
     monkeypatch.setattr(troparr.geometry._Feasibility, "entries", counted_entries)
-    monkeypatch.setattr(troparr.geometry._Feasibility, "candidate", counted_candidate)
+    monkeypatch.setattr(troparr.geometry._Feasibility, "staircase", counted_staircase)
     arr = random_integer_arrangement(random.Random(8), 4, 3)
     sub = dual_subdivision(arr)
     steps = len(counts)
+    assert steps == 41
     assert dual_subdivision(arr, budget=steps) == sub
     with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
         dual_subdivision(arr, budget=steps - 1)
 
 
-def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_2(monkeypatch, e2):
+def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_3(monkeypatch, e2):
     # one copy and one add_hyperplane per entry generated on hyperplanes
-    # 1..n-2; hyperplane n-1's entries are settled without either
+    # 1..n-3; hyperplane n-2's entries are settled with the last two
+    # hyperplanes without either
     feasibility = troparr.geometry._Feasibility
     calls = {"copy": 0, "add_hyperplane": 0}
     generated = []
@@ -230,11 +252,12 @@ def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_2(monkeypatch, e2):
     counted("add_hyperplane")
     monkeypatch.setattr(feasibility, "entries", counted_entries)
     dual_subdivision(e2)
+    dual_subdivision(random_integer_arrangement(random.Random(8), 3, 3))
     assert calls == {"copy": 0, "add_hyperplane": 0}
-    arr = random_integer_arrangement(random.Random(8), 4, 3)
+    arr = random_integer_arrangement(random.Random(8), 5, 3)
     generated.clear()
     dual_subdivision(arr)
-    imposable = sum(i <= arr.n - 2 for i in generated)
+    imposable = sum(i <= arr.n - 3 for i in generated)
     assert imposable and calls == {"copy": imposable, "add_hyperplane": imposable}
 
 
@@ -296,7 +319,7 @@ def test_normalized_volume_matches_envelope_oracle_on_random_supports():
 
 def test_pivot_walk_that_loses_simplices_raises(monkeypatch):
     # a walk that never finds an entering edge stops at its first simplex
-    monkeypatch.setattr(troparr.duality, "_side", lambda adj, a, b: set())
+    monkeypatch.setattr(troparr.duality, "_sides", lambda tree, marks: dict.fromkeys(tree, 0))
     with pytest.raises(RuntimeError, match="pivot walk visited 1 of 3 simplices of a 2x3"):
         regular_subdivision([[0, 1, 2], [2, 0, 1]])
 

@@ -5,8 +5,9 @@ The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its prefix
-and the vertex walk against the 0-dimensional types, each
-last-hyperplane candidate against imposing the entry before it, genericity,
+and the vertex walk against the 0-dimensional types, each closed-form
+staircase over the last two hyperplanes against imposing every entry of
+the last three (at (3,3) after a pending entry, at (2,4) bare), genericity,
 its tied minor and the verdict at (2,4), the secondary-face check and
 its exact face dimension on the (3,3) and (2,4) inputs whose apexes all
 look generic although a minor ties, the walks over the coarse cells
@@ -44,7 +45,7 @@ from troparr import (
 from troparr.duality import _subdivision_of
 
 from conftest import (
-    assert_candidates_match_the_two_step_path,
+    assert_staircases_match_the_imposed_path,
     assert_cell_walks_match_the_envelope,
     assert_every_entry_is_feasible,
     face_check_passes,
@@ -73,8 +74,8 @@ def grid(n: int, d: int):
 )
 def test_realizations_match_oracle_on_grid(n, d):
     # the vertex walk gives exactly the 0-dimensional types of the full
-    # enumeration, and each candidate read off one point is the one
-    # found by imposing hyperplane n-1's entry
+    # enumeration, and each staircase the pairs found by imposing every
+    # entry of hyperplanes n-2 (at n = 3), n-1 and n
     for arr in grid(n, d):
         expected = realizations_oracle(arr)
         dimensions = enumerate_realizations(arr)
@@ -83,7 +84,7 @@ def test_realizations_match_oracle_on_grid(n, d):
             assert realizable(arr, T) == result
         assert_every_entry_is_feasible(arr)
         assert dual_subdivision(arr) == _subdivision_of(arr, dimensions), arr.rows()
-        assert_candidates_match_the_two_step_path(arr)
+        assert_staircases_match_the_imposed_path(arr)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
