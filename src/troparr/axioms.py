@@ -58,8 +58,8 @@ class AxiomReport:
 class _Table:
     """A collection in canonical order, built once and read by every
     check: the types sorted by ``key()``, each type's entries as a row of
-    int label masks (bit j-1 for label j, as in ``geometry``), and the set
-    of those rows.  A public check handed a table (as
+    int label masks (bit j-1 for label j; ``geometry``'s masks use bit
+    j), and the set of those rows.  A public check handed a table (as
     :func:`is_tropical_oriented_matroid` does) reads it as it is."""
 
     __slots__ = ("types", "rows", "present", "top", "mixed")

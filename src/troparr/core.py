@@ -43,11 +43,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical text form, ``p`` or ``p/q`` in lowest terms."""
-    return str(value)
-
-
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce an exact input to Fraction; floats are rejected outright."""
     if isinstance(value, Fraction):

@@ -11,8 +11,11 @@ tie groups and share one, which leaves one point per distinct
 difference of the groups' least values on those two hyperplanes, and a
 single check accepts a point: it must meet the prefix's closed bounds
 and have e as hyperplane n-2's argmax.  Each cell's edges come straight
-from the vertex's label masks, and a cell's spanning test is a flood
-fill over node bitmasks.
+from the vertex's label masks.  Every question about one cell is
+answered by a spanning forest of its edges, grown by a union-find, and
+by the fundamental cycles of that forest: whether it spans and its
+dimension come from the forest's size, and its cycles from one rooted
+pass.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and takes the cells from its 0-dimensional
 types.  Independently, the same subdivision arises as the lower-envelope
@@ -29,9 +32,11 @@ nodes on one side and the support edges entering that side, as
 bitmasks.  A full triangulation has C(n+d-2, n-1) trees and each costs
 O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
 subsets.  The walk yields its cells lazily, so the genericity test
-stops at the first cell that is not a spanning tree and names the
-square minor that the cell's first cycle spans: its two alternating
-matchings are both tight, so its min-plus determinant is attained twice.
+stops at the first cell that is not a spanning tree.  The first of
+that cell's sorted edges that closes a cycle in the forest grown by the
+edges before it names a square minor: the edge's fundamental cycle
+alternates between two perfect matchings of the minor, both tight, so
+its min-plus determinant is attained twice.
 Run over the edges of one cell only, the walk gives that cell's own
 regular subdivision under other heights: how a normalized volume is
 counted, and how :mod:`troparr.secondary` refines a coarse subdivision.
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, ResourceLimitError, TypeVector, to_fraction
 from .geometry import GenericityReport, TiedMinor, _labels, _vertices, enumerate_realizations, is_generic
@@ -61,43 +66,41 @@ def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
     return CellGraph(n, d, edges)
 
 
-def _components(g: CellGraph) -> list[int]:
-    """Connected components of the support (nodes of degree >= 1), each a
-    node mask: bit i - 1 for hyperplane node i, bit n + j - 1 for
-    coordinate node j.  Each hyperplane node starts as the mask of its
-    star; a flood fill grows one component at a time by every star that
-    meets it, which only a shared coordinate can, until none does."""
-    n = g.n
-    star: dict[int, int] = {}
-    for i, j in g.edges:
-        star[i] = star.get(i, 1 << (i - 1)) | 1 << (n + j - 1)
-    rest, comps = list(star.values()), []
-    while rest:
-        comp, grew = rest.pop(), True
-        while grew:
-            grew, left = False, []
-            for m in rest:
-                if m & comp:
-                    comp |= m
-                    grew = True
-                else:
-                    left.append(m)
-            rest = left
-        comps.append(comp)
-    return comps
+def _forest(
+    n: int, d: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+    """The spanning forest that ``edges`` grow in their given order, and
+    the first edge whose ends that forest already joins (None when no
+    edge closes a cycle).  Nodes are hyperplane i -> i-1 and coordinate
+    j -> n+j-1, joined by a union-find over a list of all n+d nodes."""
+    root = list(range(n + d))
+    forest, closing = [], None
+    for i, j in edges:
+        a, b = i - 1, n + j - 1
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a == b:
+            if closing is None:
+                closing = (i, j)
+        else:
+            root[a] = b
+            forest.append((i, j))
+    return forest, closing
 
 
 def cell_dim(g: CellGraph) -> int:
     """Affine dimension of the cell spanned by the graph's product
-    vertices: (#covered nodes) - (#support components) - 1."""
+    vertices: (#covered nodes) - (#support components) - 1, which is
+    the size of a spanning forest of the support, less one."""
     if not g.edges:
         raise ValueError("cell graph has no edges")
-    comps = _components(g)
-    return sum(comps).bit_count() - len(comps) - 1
+    return len(_forest(g.n, g.d, g.edges)[0]) - 1
 
 
 def is_spanning_connected(g: CellGraph) -> bool:
-    return _components(g) == [(1 << (g.n + g.d)) - 1]
+    return len(_forest(g.n, g.d, g.edges)[0]) == g.n + g.d - 1
 
 
 def is_spanning_tree(g: CellGraph) -> bool:
@@ -186,6 +189,35 @@ def _sides(tree: Iterable[tuple[int, int]], marks: list[int]) -> dict[tuple[int,
         below[parent[v]] |= below[v]
     full = below[0]
     return {(a, b): below[a] if parent[a] == b else full ^ below[b] for a, b in tree}
+
+
+def _cycles(
+    n: int, tree: Collection[tuple[int, int]], edges: Iterable[tuple[int, int]]
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """The fundamental cycle that each edge (i, j) of ``edges`` off the
+    spanning ``tree`` closes in it, in order, as (plus, minus) edge lists.
+
+    With one bit per node, :func:`_sides` gives each tree edge's side
+    that holds its hyperplane end; the edge is on the cycle exactly when
+    that side holds one end of (i, j).  Walked from hyperplane i to
+    coordinate j and back along (i, j), the cycle alternates: ``plus``
+    holds (i, j) and the tree edges walked from their coordinate end,
+    ``minus`` those walked from their hyperplane end, two perfect
+    matchings of the rows and columns the cycle meets."""
+    sides = _sides([(i - 1, n + j - 1) for i, j in tree], [1 << v for v in range(len(tree) + 1)])
+    cycles = []
+    for i, j in edges:
+        if (i - 1, n + j - 1) in sides:
+            continue
+        left, right = 1 << i - 1, 1 << n + j - 1
+        plus, minus = [(i, j)], []
+        for (a, b), side in sides.items():
+            if side & left and not side & right:
+                minus.append((a + 1, b - n + 1))
+            elif side & right and not side & left:
+                plus.append((a + 1, b - n + 1))
+        cycles.append((plus, minus))
+    return cycles
 
 
 def _pivot_walk(
@@ -289,37 +321,22 @@ def _first_tied_minor(weights) -> TiedMinor | None:
 def _tied_minor(cell: CellGraph) -> TiedMinor:
     """The minor spanned by the first cycle of a cell that is not a tree.
 
-    The cell's edges join a forest in sorted order; the first edge whose
-    ends the forest already joins closes the cycle with the forest path
-    between them.  The cycle alternates rows and columns, so its edges,
-    taken alternately, are two perfect matchings of the rows and columns
-    it meets.  The cell's potentials have z_j - u_i <= w_ij, with
-    equality on its edges, so every matching of the minor sums to at
-    least sum z - sum u, and both of these reach it.
+    The cell's edges grow a forest in sorted order; the first edge whose
+    ends the forest already joins closes a cycle with the forest path
+    between them.  The forest goes on to span the cell and keeps that
+    path, so the cycle is that edge's fundamental cycle in it, and its
+    two alternating halves are perfect matchings of the rows and
+    columns it meets.  The cell's potentials have z_j - u_i <= w_ij,
+    with equality on its edges, so every matching of the minor sums to
+    at least sum z - sum u, and both of these reach it.
     """
-    forest: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, j in cell.sorted_edges():
-        a, b = ("L", i), ("R", j)
-        prev, stack = {a: a}, [a]
-        while stack and b not in prev:
-            x = stack.pop()
-            for y in forest.get(x, ()):
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if b in prev:
-            path = [b]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            # the path runs from column j to row i; the edge (i, j) closes it
-            cycle = [(x[1], y[1]) if x[0] == "L" else (y[1], x[1]) for x, y in zip(path, path[1:] + [b])]
-            return TiedMinor(
-                tuple(sorted({r for r, _ in cycle})),
-                tuple(sorted({c for _, c in cycle})),
-                tuple(sorted((tuple(sorted(cycle[0::2])), tuple(sorted(cycle[1::2]))))),
-            )
-        forest.setdefault(a, []).append(b)
-        forest.setdefault(b, []).append(a)
+    forest, closing = _forest(cell.n, cell.d, cell.sorted_edges())
+    (plus, minus), = _cycles(cell.n, forest, [closing])
+    return TiedMinor(
+        tuple(sorted(i for i, _ in plus)),
+        tuple(sorted(j for _, j in plus)),
+        tuple(sorted((tuple(sorted(plus)), tuple(sorted(minus))))),
+    )
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:

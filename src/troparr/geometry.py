@@ -700,8 +700,3 @@ def _vertices(arr: Arrangement, budget: int | None = None) -> list[tuple[int, ..
 
     _walk(arr, budget, 2 * (2 ** arr.d - 1) if n >= 3 else 1, max(n - 3, 0), last)
     return out
-
-
-def enumerate_types(arr: Arrangement, budget: int | None = None) -> frozenset[TypeVector]:
-    """The set of all realizable types of the arrangement."""
-    return frozenset(enumerate_realizations(arr, budget))

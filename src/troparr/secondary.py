@@ -28,7 +28,7 @@ from math import lcm
 from typing import Sequence
 
 from .core import Arrangement, CellGraph
-from .duality import Subdivision, _pivot_walk, dual_subdivision, is_triangulation
+from .duality import Subdivision, _cycles, _forest, _pivot_walk, dual_subdivision, is_triangulation
 from .linalg import rank
 
 #: Parameter pairs (n, d) for which every triangulation of the product
@@ -107,7 +107,9 @@ def safe_radius(arr: Arrangement) -> Fraction:
     return Fraction(1, 2 * min(arr.n, arr.d) * D)
 
 
-def _cone(d: int, cell: frozenset[tuple[int, int]], trees) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _cone(
+    n: int, d: int, cell: frozenset[tuple[int, int]], trees
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The open cone of the steps under which the spanning ``trees`` are
     the regular subdivision of ``cell``, as strict inequalities
     (plus, minus): the step's entries at the flat indices
@@ -116,43 +118,19 @@ def _cone(d: int, cell: frozenset[tuple[int, int]], trees) -> tuple[tuple[tuple[
     The potentials a_i, b_j solved along a tree's edges from a step u
     (b_j - a_i = u_ij on the tree) leave each other edge (i, j) of the
     cell a slack u_ij - b_j + a_i, the alternating sum of u around the
-    cycle the edge closes in the tree.  When every such slack is
-    positive for every tree, each tree is a strict lower facet of the
-    cell lifted by u, and the trees already fill the cell, so they are
-    its regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and
-    5).  A cycle shared by two trees is one inequality, and a tree's own
-    edges, whose slack is identically 0, give none.  Given a connected
-    graph with cycles as its one tree, the potentials follow a search
-    tree of it, so the rows are the graph's fundamental cycles.
+    fundamental cycle the edge closes in the tree: :func:`_cycles` reads
+    it off one rooted pass, with (i, j) on its plus side.  When every
+    such slack is positive for every tree, each tree is a strict lower
+    facet of the cell lifted by u, and the trees already fill the cell,
+    so they are its regular subdivision under u (De Loera-Rambau-Santos,
+    ch. 2 and 5).  A cycle shared by two trees is one inequality, and a
+    tree's own edges, whose slack is identically 0, give none.
     """
-    cone = set()
-    for tree in trees:
-        adj: dict[tuple[str, int], list] = {}
-        for i, j in tree:
-            flat = (i - 1) * d + j - 1
-            adj.setdefault(("L", i), []).append((("R", j), flat, 1))
-            adj.setdefault(("R", j), []).append((("L", i), flat, -1))
-        # each node's potential as signed flat indices of the step, a_1 = 0
-        potential: dict[tuple[str, int], dict[int, int]] = {("L", 1): {}}
-        stack = [("L", 1)]
-        while stack:
-            node = stack.pop()
-            for other, flat, sign in adj[node]:
-                if other not in potential:
-                    potential[other] = {**potential[node], flat: sign}
-                    stack.append(other)
-        for i, j in cell:
-            slack = {(i - 1) * d + j - 1: 1}
-            for k, c in potential[("R", j)].items():
-                slack[k] = slack.get(k, 0) - c
-            for k, c in potential[("L", i)].items():
-                slack[k] = slack.get(k, 0) + c
-            if any(slack.values()):
-                cone.add((
-                    tuple(sorted(k for k, c in slack.items() if c > 0)),
-                    tuple(sorted(k for k, c in slack.items() if c < 0)),
-                ))
-    return tuple(sorted(cone))
+
+    def flat(edges):
+        return tuple(sorted((i - 1) * d + j - 1 for i, j in edges))
+
+    return tuple(sorted({(flat(plus), flat(minus)) for tree in trees for plus, minus in _cycles(n, tree, cell)}))
 
 
 def _in_cone(cone, flat_step: Sequence[int]) -> bool:
@@ -219,7 +197,7 @@ def refining_triangulations(
                 if any(len(piece) != n + d - 1 for piece in pieces):
                     break
                 index = len(refinements)
-                refinements.append((_cone(d, cell, pieces), [CellGraph(n, d, p) for p in pieces]))
+                refinements.append((_cone(n, d, cell, pieces), [CellGraph(n, d, p) for p in pieces]))
             matched.append(index)
         else:
             key = tuple(matched)
@@ -269,22 +247,23 @@ def secondary_face_check(
     alternating-cycle vectors, so the dimension is their rank, computed
     from ``sub`` alone: the fundamental cycles of a spanning tree of each
     cell span that cell's cycles, and :func:`_cone` of the cell against
-    itself writes them (none for a tree)."""
+    the forest its sorted edges grow writes them (none for a tree)."""
     if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
+    n, d = arr.n, arr.d
     tris = sorted(
         refining_triangulations(arr, sub, samples, seed, budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
     )
     cycles = [
-        [1 if k in plus else -1 if k in minus else 0 for k in range(arr.n * arr.d)]
+        [1 if k in plus else -1 if k in minus else 0 for k in range(n * d)]
         for g in sub.maximal_cells
-        for plus, minus in _cone(arr.d, g.edges, [g.edges])
+        for plus, minus in _cone(n, d, g.edges, [_forest(n, d, g.sorted_edges())[0]])
     ]
     return SecondaryFaceVerdict(
         subdivision=sub,
         refinements=tuple(tris),
         gkz_vectors=tuple(gkz_vector(t) for t in tris),
         face_dimension=rank(cycles),
-        conclusive=all_triangulations_regular(arr.n, arr.d),
+        conclusive=all_triangulations_regular(n, d),
     )

@@ -7,10 +7,14 @@ replaced pairwise kernels for the axiom checks; a direct scan for the
 lower envelope; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
 the lower envelope of the moved apexes, with the cone test against the
-walks; every generated entry of the type enumeration imposed; the
-vertex walk's closed-form last two hyperplanes by imposing every entry
-of the last three) used to cross-check the main code paths, and the
-``--grid`` option that adds the larger exhaustive grids."""
+walks; the replaced cell traversals, a flood fill for components, a
+dict-forest search for tied minors and a potential search for cones,
+against the union-find forest and its fundamental cycles; every
+generated entry of the type enumeration imposed; the vertex walk's
+closed-form last two hyperplanes by imposing every entry of the last
+three) used to cross-check the main code paths, the set of all types as
+a helper over ``enumerate_realizations``, and the ``--grid`` option that
+adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
@@ -32,10 +36,12 @@ from troparr import (
     OrderedPartition,
     ProjectivePoint,
     RealizationResult,
+    TiedMinor,
     TypeVector,
+    cell_dim,
     dual_subdivision,
     enumerate_ordered_partitions,
-    format_rational,
+    enumerate_realizations,
     is_triangulation,
     realizable,
     refines,
@@ -45,7 +51,8 @@ from troparr import (
 )
 from troparr.axioms import _acyclic
 from troparr.geometry import _Feasibility, _labels
-from troparr.duality import _pivot_walk
+from troparr.duality import _forest, _pivot_walk, _tied_minor, is_spanning_connected
+from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone
 
 
@@ -77,14 +84,19 @@ def serialize_arrangement(arr: Arrangement, fmt: str = "json") -> str:
         doc = {
             "n": arr.n,
             "d": arr.d,
-            "apexes": [[format_rational(x) for x in row] for row in arr.rows()],
+            "apexes": [[str(x) for x in row] for row in arr.rows()],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
     if fmt == "text":
         lines = [f"{arr.n} {arr.d}"]
-        lines += [" ".join(format_rational(x) for x in row) for row in arr.rows()]
+        lines += [" ".join(str(x) for x in row) for row in arr.rows()]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def enumerate_types(arr: Arrangement, budget: int | None = None) -> frozenset[TypeVector]:
+    """The set of all realizable types of the arrangement."""
+    return frozenset(enumerate_realizations(arr, budget))
 
 
 def type_total_size(T: TypeVector) -> int:
@@ -396,6 +408,138 @@ def volume_oracle(g: CellGraph) -> int:
     return len(pieces)
 
 
+def components_oracle(g: CellGraph) -> list[int]:
+    """Connected components of the support (nodes of degree >= 1), each a
+    node mask: bit i - 1 for hyperplane node i, bit n + j - 1 for
+    coordinate node j.  Each hyperplane node starts as the mask of its
+    star; a flood fill grows one component at a time by every star that
+    meets it, which only a shared coordinate can, until none does."""
+    n = g.n
+    star: dict[int, int] = {}
+    for i, j in g.edges:
+        star[i] = star.get(i, 1 << (i - 1)) | 1 << (n + j - 1)
+    rest, comps = list(star.values()), []
+    while rest:
+        comp, grew = rest.pop(), True
+        while grew:
+            grew, left = False, []
+            for m in rest:
+                if m & comp:
+                    comp |= m
+                    grew = True
+                else:
+                    left.append(m)
+            rest = left
+        comps.append(comp)
+    return comps
+
+
+def tied_minor_oracle(cell: CellGraph) -> TiedMinor:
+    """The minor spanned by the first cycle of a cell that is not a tree:
+    the cell's edges join a dict forest over ("L", i) / ("R", j) nodes in
+    sorted order, and a depth-first search of that forest finds the path
+    that the first edge joining two of its nodes closes."""
+    forest: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for i, j in cell.sorted_edges():
+        a, b = ("L", i), ("R", j)
+        prev, stack = {a: a}, [a]
+        while stack and b not in prev:
+            x = stack.pop()
+            for y in forest.get(x, ()):
+                if y not in prev:
+                    prev[y] = x
+                    stack.append(y)
+        if b in prev:
+            path = [b]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            # the path runs from column j to row i; the edge (i, j) closes it
+            cycle = [(x[1], y[1]) if x[0] == "L" else (y[1], x[1]) for x, y in zip(path, path[1:] + [b])]
+            return TiedMinor(
+                tuple(sorted({r for r, _ in cycle})),
+                tuple(sorted({c for _, c in cycle})),
+                tuple(sorted((tuple(sorted(cycle[0::2])), tuple(sorted(cycle[1::2]))))),
+            )
+        forest.setdefault(a, []).append(b)
+        forest.setdefault(b, []).append(a)
+    raise ValueError(f"cell {cell.text()} has no cycle")
+
+
+def cone_oracle(d: int, cell, trees) -> tuple:
+    """The open cone of the steps under which the spanning ``trees`` are
+    the regular subdivision of ``cell``, by potentials: each tree's
+    potentials, solved by a depth-first search from hyperplane 1 as dicts
+    of signed flat step indices (one copied dict per node), give each
+    cell edge's slack, and each nonzero slack is one (plus, minus) row.
+    Handed a connected graph with cycles as its one tree, the potentials
+    follow a search tree of it, so the rows are fundamental cycles of
+    the graph."""
+    cone = set()
+    for tree in trees:
+        adj: dict[tuple[str, int], list] = {}
+        for i, j in tree:
+            flat = (i - 1) * d + j - 1
+            adj.setdefault(("L", i), []).append((("R", j), flat, 1))
+            adj.setdefault(("R", j), []).append((("L", i), flat, -1))
+        potential: dict[tuple[str, int], dict[int, int]] = {("L", 1): {}}
+        stack = [("L", 1)]
+        while stack:
+            node = stack.pop()
+            for other, flat, sign in adj[node]:
+                if other not in potential:
+                    potential[other] = {**potential[node], flat: sign}
+                    stack.append(other)
+        for i, j in cell:
+            slack = {(i - 1) * d + j - 1: 1}
+            for k, c in potential[("R", j)].items():
+                slack[k] = slack.get(k, 0) - c
+            for k, c in potential[("L", i)].items():
+                slack[k] = slack.get(k, 0) + c
+            if any(slack.values()):
+                cone.add((
+                    tuple(sorted(k for k, c in slack.items() if c > 0)),
+                    tuple(sorted(k for k, c in slack.items() if c < 0)),
+                ))
+    return tuple(sorted(cone))
+
+
+def _cone_rank(n: int, d: int, rows) -> int:
+    return rank([[1 if k in plus else -1 if k in minus else 0 for k in range(n * d)] for plus, minus in rows])
+
+
+def assert_cell_questions_match_the_oracles(arr: Arrangement) -> int:
+    """On every maximal cell of ``arr``'s dual subdivision, and on every
+    edge set left by dropping one of its edges: ``cell_dim`` and
+    ``is_spanning_connected`` from the union-find forest agree with
+    :func:`components_oracle`.  On each cell, the forest's fundamental
+    cycles are :func:`cone_oracle`'s rows for that tree, and on each cell
+    that is not a tree ``_tied_minor`` is :func:`tied_minor_oracle`'s.
+    The face dimension, the rank of the rows of every cell against its
+    forest, equals the rank of the rows of every cell against itself.
+    Returns the number of cells that are not trees."""
+    n, d = arr.n, arr.d
+    full = (1 << (n + d)) - 1
+    cells = dual_subdivision(arr).maximal_cells
+    rows, oracle_rows, coarse = [], [], 0
+    for g in cells:
+        for edges in [g.edges] + [g.edges - {e} for e in g.edges]:
+            h = CellGraph(n, d, edges)
+            comps = components_oracle(h)
+            assert is_spanning_connected(h) == (comps == [full]), (arr.rows(), h.text())
+            if edges:
+                assert cell_dim(h) == sum(comps).bit_count() - len(comps) - 1, (arr.rows(), h.text())
+        tree = _forest(n, d, g.sorted_edges())[0]
+        cone = _cone(n, d, g.edges, [tree])
+        assert cone == cone_oracle(d, g.edges, [tree]), (arr.rows(), g.text())
+        rows += cone
+        oracle_rows += cone_oracle(d, g.edges, [g.edges])
+        if len(g.edges) != n + d - 1:
+            coarse += 1
+            assert _tied_minor(g) == tied_minor_oracle(g), (arr.rows(), g.text())
+    assert _cone_rank(n, d, rows) == _cone_rank(n, d, oracle_rows), arr.rows()
+    return coarse
+
+
 class _FractionTieGroups:
     """Union-find over coordinate labels with Fraction offsets to the root."""
 
@@ -650,12 +794,12 @@ def _refined_cells(base, step) -> frozenset[CellGraph]:
     return frozenset(cells)
 
 
-def _tied_step(d: int, cell, tree, step) -> list[list[int]]:
+def _tied_step(n: int, d: int, cell, tree, step) -> list[list[int]]:
     """``step`` lowered at the first edge of ``cell`` outside ``tree`` by
     that edge's slack under the tree's potentials: the tree and that edge
     then span one piece, so the step lies on a wall of the cell."""
     i, j = min(cell - tree)
-    (plus, minus), = _cone(d, tree | {(i, j)}, [tree])
+    (plus, minus), = _cone(n, d, tree | {(i, j)}, [tree])
     flat = [u for us in step for u in us]
     slack = sum(flat[k] for k in plus) - sum(flat[k] for k in minus)
     tied = [list(us) for us in step]
@@ -669,8 +813,9 @@ def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
     subdivisions, triangulations or not; a zero step gives the coarse
     cells themselves.
 
-    Each step also checks the cone test of every refinement of a coarse
-    cell found so far: it accepts the one the cell's walk gives and
+    Each refinement's cone rows are :func:`cone_oracle`'s, and each step
+    also checks the cone test of every refinement of a coarse cell found
+    so far: it accepts the one the cell's walk gives and
     rejects every other.  A step the walk leaves untriangulated, the zero
     step and a step lowered onto a wall of the walk's first tree, matches
     none.  Returns the number of triangulations found."""
@@ -689,8 +834,10 @@ def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
         for cell in coarse:
             pieces = frozenset(_pivot_walk(n, d, step, cell))
             if all(len(p) == n + d - 1 for p in pieces):
-                known[cell].setdefault(pieces, _cone(d, cell, pieces))
-                tied = _tied_step(d, cell, min(pieces, key=sorted), step)
+                cone = _cone(n, d, cell, pieces)
+                assert cone == cone_oracle(d, cell, pieces), (arr.rows(), step, sorted(cell))
+                known[cell].setdefault(pieces, cone)
+                tied = _tied_step(n, d, cell, min(pieces, key=sorted), step)
                 assert any(len(p) != n + d - 1 for p in _pivot_walk(n, d, tied, cell)), (arr.rows(), step)
                 cases = [(step, pieces), (tied, None), (zero, None)]
             else:

@@ -22,7 +22,6 @@ from troparr import (
     check_surrounding,
     dual_subdivision,
     enumerate_realizations,
-    enumerate_types,
     gkz_vector,
     is_generic,
     is_spanning_tree,
@@ -40,6 +39,7 @@ from troparr.cli import main, parse_arrangement_json, parse_arrangement_text
 from conftest import (
     affine_rank_oracle,
     apex_type,
+    enumerate_types,
     face_dimension_oracle,
     gkz_total,
     nongeneric_on_apex,

@@ -14,7 +14,6 @@ from troparr import (
     check_elimination,
     check_local_refinement,
     check_surrounding,
-    enumerate_types,
     is_tropical_oriented_matroid,
 )
 
@@ -22,6 +21,7 @@ from conftest import (
     comparability_graph,
     comparability_oracle,
     elimination_oracle,
+    enumerate_types,
     is_acyclic,
     nongeneric_on_apex,
     packed,

@@ -11,7 +11,6 @@ from troparr import (
     ProjectivePoint,
     TypeVector,
     enumerate_ordered_partitions,
-    format_rational,
     parse_rational,
 )
 
@@ -150,7 +149,7 @@ def test_format_parse_round_trip():
     rng = random.Random(7)
     for _ in range(200):
         q = Fraction(rng.randint(-500, 500), rng.randint(1, 400))
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
 
 def test_arrangement_normalizes_rows_and_validates():

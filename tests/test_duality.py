@@ -31,7 +31,9 @@ from troparr.duality import _subdivision_of, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
+    assert_cell_questions_match_the_oracles,
     assert_staircases_match_the_imposed_path,
+    components_oracle,
     envelope_oracle,
     graph_dim_oracle,
     integer_incident,
@@ -80,6 +82,44 @@ def test_cell_dim_matches_rank_oracle_on_all_subgraphs(n, d):
         for chosen in combinations(all_edges, size):
             g = CellGraph(n, d, frozenset(chosen))
             assert cell_dim(g) == graph_dim_oracle(g)
+
+
+def test_cell_dim_and_spanning_match_components_oracle_on_random_edge_sets():
+    # edge sets that skip nodes, split the support or are empty; the
+    # union-find is sized by n + d whatever columns the edges use
+    rng = random.Random(89)
+    for _ in range(400):
+        n, d = rng.randint(1, 6), rng.randint(1, 6)
+        g = CellGraph(n, d, frozenset(e for e in full_support(n, d) if rng.random() < rng.random()))
+        comps = components_oracle(g)
+        assert is_spanning_connected(g) == (comps == [(1 << (n + d)) - 1]), g.text()
+        if g.edges:
+            assert cell_dim(g) == sum(comps).bit_count() - len(comps) - 1, g.text()
+
+
+def test_edgeless_and_node_missing_cells():
+    for n, d in [(1, 1), (2, 3), (4, 2)]:
+        empty = CellGraph(n, d, frozenset())
+        assert not is_spanning_connected(empty)
+        with pytest.raises(ValueError, match="^cell graph has no edges$"):
+            cell_dim(empty)
+    # coordinate 3 is missing, though the other nodes are joined
+    missing = G(2, 3, (1, 1), (1, 2), (2, 1), (2, 2))
+    with pytest.raises(ValueError, match=re.escape(f"maximal cell {missing.text()} must span and be connected")):
+        Subdivision(2, 3, frozenset({missing}))
+
+
+def test_cell_questions_match_the_replaced_traversals():
+    # spanning, dimension, tied minors, cone rows and face-dimension rank
+    # against the flood fill, the dict-forest search and the potential search
+    rng = random.Random(97)
+    cases = [Arrangement.from_rows(rows) for rows in ([[0, 0, 0], [1, 1, 0]], [[3, -2, 0], [0, -4, 0], [-4, -5, 0], [-1, 1, 0]])]
+    shapes = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (5, 3)]
+    cases += [random_integer_arrangement(rng, n, d, span=1) for n, d in shapes * 5]
+    cases += [random_integer_arrangement(rng, n, d) for n, d in [(3, 3), (4, 4), (3, 5), (6, 2)] * 3]
+    cases += [nongeneric_on_ray(rng, n)[0] for n in (3, 4, 5)] + [nongeneric_on_apex(rng, n)[0] for n in (3, 4)]
+    cases += [random_arrangement(rng, 3, 3) for _ in range(3)]
+    assert sum(assert_cell_questions_match_the_oracles(arr) for arr in cases) > 50
 
 
 def test_arrangement_cell_dim(e1, e2):

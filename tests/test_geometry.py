@@ -15,7 +15,6 @@ from troparr import (
     TypeVector,
     enumerate_ordered_partitions,
     enumerate_realizations,
-    enumerate_types,
     is_generic,
     realizable,
     safe_radius,
@@ -26,6 +25,7 @@ from conftest import (
     _FractionTieGroups,
     apex_type,
     assert_every_entry_is_feasible,
+    enumerate_types,
     minor_ties,
     move_apex,
     nongeneric_on_apex,

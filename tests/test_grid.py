@@ -11,10 +11,14 @@ the last three (at (3,3) after a pending entry, at (2,4) bare), genericity,
 its tied minor and the verdict at (2,4), the secondary-face check and
 its exact face dimension on the (3,3) and (2,4) inputs whose apexes all
 look generic although a minor ties, the walks over the coarse cells
-against the lower envelope, and the cone test against the walks, on the
-perturbations of every non-generic input at (3,3) and (2,4), and dual
-subdivision against lower envelope, with genericity and its tied minor,
-on the 6,561 inputs at (4,3).  It also compares the bit-sliced
+against the lower envelope, and the cone test and cone rows against the
+walks and the potential search, on the perturbations of every
+non-generic input at (3,3) and (2,4), the union-find forest's spanning
+test, dimension, tied minor, cone rows and face-dimension rank against
+the flood fill, dict-forest search and potential search they replaced
+on every cell of every (3,3) and (2,4) input, and dual subdivision
+against lower envelope, with genericity and its tied minor, on the
+6,561 inputs at (4,3).  It also compares the bit-sliced
 elimination and comparability kernels with the pairwise scans they
 replaced, and the two-block surrounding check with the oracle that
 builds every ordered-partition refinement, on type collections at
@@ -35,7 +39,6 @@ from troparr import (
     check_surrounding,
     dual_subdivision,
     enumerate_realizations,
-    enumerate_types,
     is_generic,
     is_triangulation,
     realizable,
@@ -46,8 +49,10 @@ from troparr.duality import _subdivision_of
 
 from conftest import (
     assert_staircases_match_the_imposed_path,
+    assert_cell_questions_match_the_oracles,
     assert_cell_walks_match_the_envelope,
     assert_every_entry_is_feasible,
+    enumerate_types,
     face_check_passes,
     face_dimension_oracle,
     genericity_oracle,
@@ -163,3 +168,16 @@ def test_cell_walks_on_tied_minors():
                 assert_cell_walks_match_the_envelope(arr)
                 checked += 1
     assert checked == 717 + 657
+
+
+@pytest.mark.large_grid
+def test_cell_questions_match_the_replaced_traversals_on_grid():
+    # on every cell of every input, and every cell less one edge: spanning
+    # and dimension against the flood fill; cone rows against the
+    # potential search, tied minors against the dict-forest search, and
+    # the face-dimension rank against each cell's rows against itself
+    coarse = 0
+    for n, d in [(3, 3), (2, 4)]:
+        for arr in grid(n, d):
+            coarse += assert_cell_questions_match_the_oracles(arr)
+    assert coarse == 1260 + 747

@@ -12,7 +12,6 @@ from troparr import (
     Subdivision,
     all_triangulations_regular,
     dual_subdivision,
-    enumerate_types,
     gkz_vector,
     refines,
     refining_triangulations,
@@ -26,6 +25,7 @@ from conftest import (
     affine_rank_oracle,
     apex_type,
     assert_cell_walks_match_the_envelope,
+    enumerate_types,
     face_check_passes,
     face_dimension_oracle,
     gkz_as_dict,
