@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def budget(sp):
-        sp.add_argument("--budget", type=_budget, default=None, help="cap on the type enumeration's feasibility steps")
+    def budget(sp, text="cap on the type enumeration's feasibility steps"):
+        sp.add_argument("--budget", type=_budget, default=None, help=text)
 
     sp = sub.add_parser("type-of", help="type of a point")
     common(sp)
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("subdivision", help="dual subdivision (and flips)")
     common(sp)
-    budget(sp)
+    budget(sp, "cap on the vertex walk's feasibility steps, counted on the side of the apex matrix it walks")
     sp.add_argument("--seed", type=int, default=0, help="seed for the perturbations --flips samples")
     sp.add_argument("--flips", action="store_true", help="refining triangulations and GKZ data")
 

@@ -10,12 +10,21 @@ a staircase: once e's labels tie, a vertex's last two entries cover the
 tie groups and share one, which leaves one point per distinct
 difference of the groups' least values on those two hyperplanes, and a
 single check accepts a point: it must meet the prefix's closed bounds
-and have e as hyperplane n-2's argmax.  Each cell's edges come straight
-from the vertex's label masks.  Every question about one cell is
-answered by a spanning forest of its edges, grown by a union-find, and
-by the fundamental cycles of that forest: whether it spans and its
-dimension come from the forest's size, and its cycles from one rooted
-pass.
+and have e as hyperplane n-2's argmax.  What those checks read of the
+prefix is set up once per prefix, so each entry only joins the values
+of the groups it ties.  The walk runs on whichever side of the apex
+matrix takes fewer steps on a generic input of its shape: the given
+n x d matrix, or its d x n transpose, whose subdivision is the
+transpose.  The step count W(n, d) sums the type counts of the generic
+sub-arrangements the walk passes through (see :mod:`troparr.geometry`),
+so the choice depends on (n, d) alone and every report is the same
+whichever side was walked; ``budget`` counts the steps of the side
+walked.  Each cell's edges come straight from the vertex's label
+masks, read back as (i, j) from a transposed walk's (j, i).  Every
+question about one cell is answered by a spanning forest of its edges,
+grown by a union-find, and by the fundamental cycles of that forest:
+whether it spans and its dimension come from the forest's size, and its
+cycles from one rooted pass.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and takes the cells from its 0-dimensional
 types.  Independently, the same subdivision arises as the lower-envelope
@@ -51,7 +60,15 @@ from math import comb, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import Arrangement, CellGraph, ResourceLimitError, TypeVector, to_fraction
-from .geometry import GenericityReport, TiedMinor, _labels, _vertices, enumerate_realizations, is_generic
+from .geometry import (
+    GenericityReport,
+    TiedMinor,
+    _labels,
+    _transposes,
+    _vertices,
+    enumerate_realizations,
+    is_generic,
+)
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
@@ -149,10 +166,18 @@ def _subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subd
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
     """The arrangement's dual subdivision of the product of simplices:
     one maximal cell per vertex of the arrangement, its edges read off the
-    vertex's label masks."""
+    vertex's label masks.  When :func:`~troparr.geometry._transposes`
+    says the transposed apex matrix walks in fewer steps, the vertices are
+    those of the transpose, each edge (j, i) of theirs read as (i, j),
+    and ``budget`` caps the steps of that walk."""
+    flip = _transposes(arr.n, arr.d)
     cells = frozenset(
-        CellGraph(arr.n, arr.d, frozenset((i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)))
-        for masks in _vertices(arr, budget)
+        CellGraph(
+            arr.n,
+            arr.d,
+            frozenset((j, i) if flip else (i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)),
+        )
+        for masks in _vertices(arr, budget, flip)
     )
     return Subdivision(arr.n, arr.d, cells)
 

@@ -34,16 +34,16 @@ The walk settles the last hyperplanes in one of two ways:
   keeps only the 0-dimensional types.  It walks hyperplanes 1..n-3
   only, and settles each entry e the tests pass for hyperplane n-2
   together with hyperplanes n-1 and n in closed form, with no copy and
-  no closure.  Let e's labels tie on scratch copies of the group
-  arrays, and for i = n-1, n let c_ig be the least v_ij - offset_j over
-  group g's labels, reached at the label mask M_ig: with y_g the value
-  of g's root, the largest x_j - v_ij over g is y_g - c_ig, reached
-  exactly at M_ig.  A type is 0-dimensional iff its ties merge every
-  group into one.  Entry n-1 meets the groups A where y_g - c_(n-1)g is
-  largest, entry n the groups B where y_g - c_ng is, and they join
-  every group iff A and B cover the groups and share one.  Shift y so
-  that the first largest value is 0 and call the second t: y_g <=
-  c_(n-1)g with equality on A, and y_g <= t + c_ng with equality on B.
+  no closure.  Let e's labels tie, and for i = n-1, n let c_ig be the
+  least v_ij - offset_j over group g's labels, reached at the label
+  mask M_ig: with y_g the value of g's root, the largest x_j - v_ij
+  over g is y_g - c_ig, reached exactly at M_ig.  A type is
+  0-dimensional iff its ties merge every group into one.  Entry n-1
+  meets the groups A where y_g - c_(n-1)g is largest, entry n the
+  groups B where y_g - c_ng is, and they join every group iff A and B
+  cover the groups and share one.  Shift y so that the first largest
+  value is 0 and call the second t: y_g <= c_(n-1)g with equality on A,
+  and y_g <= t + c_ng with equality on B.
   Covering forces y_g = min(c_(n-1)g, t + c_ng), and a shared group g
   forces t = δ_g = c_(n-1)g - c_ng.  So every vertex lies at one of
   these points, one per distinct t among the δ_g, where A = {δ_g <= t}
@@ -62,6 +62,30 @@ The walk settles the last hyperplanes in one of two ways:
   bound y_a - y_b > c between groups, O(roots^2) of them per point.  For
   n = 2 the staircase runs on the empty prefix, with no e; for n = 1 the
   one vertex is the apex, where every label ties.
+
+Everything the staircases read but e lives on the (n-3)-prefix, so
+:class:`_Staircases` sets it up once per prefix: its groups' least
+values and masks on hyperplanes n-2, n-1 and n, and its closed strict
+bounds between roots.  Each group g is read through z_g = y_g -
+c_(n-2)g, its largest x_j - v_(n-2)j.  Tying e's labels then leaves
+the bounds as they are and only joins the groups e meets into one, at a
+common z, whose least values on hyperplanes n-1 and n are the least of
+theirs: O(groups + bounds) per entry, with no scan of the closed bounds
+and no scratch copy.
+
+The dual subdivision is the lower envelope of the apex matrix as heights
+on the vertices (i, j) of Δ_(n-1) × Δ_(d-1), and swapping the factors
+keeps each height, so the transposed matrix's subdivision is the
+transpose and the vertex walk may run on either side.  Its steps on a
+generic n x d input are W(n, d) = T(1, d) + ... + T(n-3, d) +
+2 T(n-2, d) for n >= 3 and 1 for n <= 2, where T(k, d), the number of
+types of a generic arrangement of k hyperplanes with d coordinates, is
+1 at k = 0 or d = 1 and T(k - 1, d) + 2 T(k, d - 1) otherwise: every
+entry the tests pass is feasible, so the walk generates one entry per
+type of each of its prefixes' sub-arrangements.  :func:`_transposes`
+walks the transpose iff n >= 2 and W(d, n) < W(n, d), a rule on the
+shape alone.  The enumeration of all types keeps the given side, as
+its types belong to the given arrangement.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
@@ -129,16 +153,22 @@ class _Feasibility:
 
     __slots__ = ("d", "scale", "rows", "root", "offset", "lower")
 
-    def __init__(self, arr: Arrangement):
-        self.d = arr.d
+    def __init__(self, arr: Arrangement, transpose: bool = False):
+        """The empty prefix of ``arr``, or with ``transpose`` of the
+        arrangement whose apex rows are the columns of ``arr``'s scaled
+        matrix: d and n swap, and the columns are read as they are, since
+        the walk does not depend on each row's projective normalization."""
         self.scale = lcm(*(c.denominator for p in arr.apexes for c in p.coords))
         self.rows = tuple(
             tuple(c.numerator * (self.scale // c.denominator) for c in p.coords)
             for p in arr.apexes
         )
-        self.root = list(range(arr.d + 1))
-        self.offset = [0] * (arr.d + 1)
-        self.lower: list[int | None] = [None] * (arr.d + 1) ** 2
+        if transpose:
+            self.rows = tuple(zip(*self.rows))
+        self.d = d = len(self.rows[0])
+        self.root = list(range(d + 1))
+        self.offset = [0] * (d + 1)
+        self.lower: list[int | None] = [None] * (d + 1) ** 2
 
     def copy(self) -> "_Feasibility":
         st = _Feasibility.__new__(_Feasibility)
@@ -302,77 +332,6 @@ class _Feasibility:
                     force[k] |= 1 << j
         return _cliques(tie, force, (1 << w) - 2)
 
-    def staircase(self, i: int, pending: int = 0) -> list[tuple[int, int]]:
-        """The pairs of entries for hyperplanes i and i + 1, as label
-        masks, that close a 0-dimensional type on this prefix.
-
-        ``pending``, when not 0, is an entry for hyperplane i - 1 that
-        passed :meth:`entries`; it is not imposed, only its labels tied on
-        scratch copies of ``root`` and ``offset``.  Each group g then has
-        least values c_g and c'_g of v_ij - offset_j for hyperplanes i and
-        i + 1, at label masks M_g and M'_g.  One point is tried per
-        distinct t among the δ_g = c_g - c'_g: root values y_g = min(c_g,
-        t + c'_g), which close the pair (the union of M_g over δ_g <= t,
-        the union of M'_g over δ_g >= t).  A point is accepted iff it meets
-        every closed strict bound of this prefix and hyperplane i - 1's
-        argmax there is exactly ``pending`` (the module docstring has the
-        proof).
-        """
-        w, root, offset = self.d + 1, self.root, self.offset
-        if pending:
-            root, offset, prev = root[:], offset[:], self.rows[i - 2]
-            low = pending & -pending
-            base = low.bit_length() - 1
-            r, o = root[base], offset[base]
-            rest = pending ^ low
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                j = bit.bit_length() - 1
-                rj = root[j]
-                if rj != r:
-                    # the shift that gives x_j - x_base = v_(i-1)j - v_(i-1)base
-                    s = prev[j - 1] - prev[base - 1] - offset[j] + o
-                    for v in range(1, w):
-                        if root[v] == rj:
-                            root[v], offset[v] = r, offset[v] + s
-        least, mask = _least(self.rows[i - 1], root, offset)
-        least2, mask2 = _least(self.rows[i], root, offset)
-        groups = [r for r in range(1, w) if root[r] == r]
-        # strict bounds y_a - y_b > c between group roots; those inside one
-        # group hold, as pending is feasible
-        bounds = []
-        for k, c in enumerate(self.lower):
-            if c is not None:
-                a, b = root[k // w], root[k % w]
-                if a != b:
-                    bounds.append((a, b, c - offset[k // w] + offset[k % w]))
-        if pending:
-            # pending's group beats every other one on hyperplane i - 1;
-            # inside it, pending's labels are the least, as it is feasible
-            top = _least(prev, root, offset)[0]
-            r = root[base]
-            bounds += [(r, g, top[r] - top[g]) for g in groups if g != r]
-        delta = {g: least[g] - least2[g] for g in groups}
-        out = []
-        y = [0] * w
-        for t in set(delta.values()):
-            for g in groups:
-                c = t + least2[g]
-                y[g] = c if c < least[g] else least[g]
-            for a, b, c in bounds:
-                if y[a] - y[b] <= c:
-                    break
-            else:
-                first = second = 0
-                for g, dg in delta.items():
-                    if dg <= t:
-                        first |= mask[g]
-                    if dg >= t:
-                        second |= mask2[g]
-                out.append((first, second))
-        return out
-
     def roots(self) -> list[int]:
         return [v for v in range(1, self.d + 1) if self.root[v] == v]
 
@@ -429,6 +388,113 @@ def _least(row: tuple[int, ...], root: list[int], offset: list[int]) -> tuple[li
         elif c == m:
             mask[r] |= 1 << j
     return least, mask
+
+
+class _Staircases:
+    """The staircases over hyperplanes i and i + 1 on one prefix state,
+    set up once for every entry of hyperplane i - 1 they settle.
+
+    For each group g of the prefix and h = i - 1, i, i + 1, let c_hg be
+    the least v_hj - offset_j over g's labels, reached at the mask M_hg
+    (c_(i-1)g = 0 and M_(i-1)g empty when i = 1).  Group g is read
+    through z_g = y_g - c_(i-1)g, its largest x_j - v_(i-1)j.  The set-up
+    keeps a_g = c_ig - c_(i-1)g and b_g = c_(i+1)g - c_(i-1)g with their
+    masks M_ig and M_(i+1)g, the mask M_(i-1)g, and each closed strict
+    bound of the prefix between two roots as a bound on z.  The module
+    docstring has the proof.
+    """
+
+    __slots__ = ("groups", "a", "b", "first", "second", "top", "bounds", "high")
+
+    def __init__(self, state: _Feasibility, i: int):
+        root, offset, lower, w = state.root, state.offset, state.lower, state.d + 1
+        self.groups = groups = state.roots()
+        self.a, self.first = _least(state.rows[i - 1], root, offset)
+        self.b, self.second = _least(state.rows[i], root, offset)
+        a, b = self.a, self.b
+        if i > 1:
+            prev, self.top = _least(state.rows[i - 2], root, offset)
+            for g in groups:
+                a[g] -= prev[g]
+                b[g] -= prev[g]
+            # z_p - z_q > c for each closed bound y_p - y_q > c between roots
+            self.bounds = [
+                (p, q, lower[p * w + q] - prev[p] + prev[q])
+                for p in groups
+                for q in groups
+                if lower[p * w + q] is not None
+            ]
+        else:
+            self.top, self.bounds = [0] * w, []
+        # above every z_g, as z_g <= a_g
+        self.high = max(a[g] for g in groups) + 1
+
+    def pairs(self, pending: int = 0) -> list[tuple[int, int]]:
+        """The pairs of entries for hyperplanes i and i + 1, as label masks,
+        that close a 0-dimensional type after ``pending``, an entry for
+        hyperplane i - 1 that passed :meth:`_Feasibility.entries` (0 when
+        i = 1).
+
+        Pending's labels are the M_(i-1)g of the groups it meets, which tie
+        into one group E at a common z: E's a and b are the least of theirs,
+        at the union of their masks.  One point is tried per distinct t
+        among the δ_g = a_g - b_g of E and the other groups: z_g = min(a_g,
+        t + b_g), shared by every group of E.  It is accepted iff every
+        other group's z is below E's, so that hyperplane i - 1's argmax is
+        pending, and it meets every prefix bound; the bounds inside E hold,
+        as pending is feasible.
+        """
+        a, b, top, firsts, seconds = self.a, self.b, self.top, self.first, self.second
+        tied, rest = [], []
+        for g in self.groups:
+            if top[g] & pending:
+                tied.append(g)
+            else:
+                rest.append(g)
+        # (δ_g, M_ig, M_(i+1)g) of every group but E's, then E's
+        parts = [(a[g] - b[g], firsts[g], seconds[g]) for g in rest]
+        if tied:
+            g = tied[0]
+            ae, be, first, second = a[g], b[g], firsts[g], seconds[g]
+            for g in tied[1:]:
+                if a[g] < ae:
+                    ae, first = a[g], firsts[g]
+                elif a[g] == ae:
+                    first |= firsts[g]
+                if b[g] < be:
+                    be, second = b[g], seconds[g]
+                elif b[g] == be:
+                    second |= seconds[g]
+            parts.append((ae - be, first, second))
+        ze, bounds = self.high, self.bounds
+        z = [0] * len(a)
+        out = []
+        for t in {part[0] for part in parts}:
+            if tied:
+                c = t + be
+                ze = c if c < ae else ae
+                for g in tied:
+                    z[g] = ze
+            for g in rest:
+                c = t + b[g]
+                if c > a[g]:
+                    c = a[g]
+                if c >= ze:
+                    break  # E does not beat g on hyperplane i - 1
+                z[g] = c
+            else:
+                for p, q, c in bounds:
+                    if z[p] - z[q] <= c:
+                        break
+                else:
+                    first = second = 0
+                    for dg, m, m2 in parts:
+                        if dg <= t:
+                            first |= m
+                        if dg >= t:
+                            second |= m2
+                    out.append((first, second))
+        return out
 
 
 def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
@@ -560,16 +626,17 @@ def _over(budget: int) -> ResourceLimitError:
 
 
 def _walk(
-    arr: Arrangement,
+    start: _Feasibility,
     budget: int | None,
     floor: int,
     depth: int,
     last: Callable[[_Feasibility, tuple[int, ...]], int],
 ) -> None:
-    """Depth first over the entries of hyperplanes 1..depth, calling
-    ``last(state, prefix)`` on the closed state of every feasible prefix
-    of ``depth`` entries, given as label masks; ``last`` settles the
-    hyperplanes past ``depth`` and returns the feasibility steps it took.
+    """Depth first from the empty prefix ``start`` over the entries of
+    hyperplanes 1..depth, calling ``last(state, prefix)`` on the closed
+    state of every feasible prefix of ``depth`` entries, given as label
+    masks; ``last`` settles the hyperplanes past ``depth`` and returns
+    the feasibility steps it took.
 
     The walk keeps an explicit stack, one frame per hyperplane of the
     current prefix, so its depth is not bounded by Python's recursion
@@ -606,7 +673,7 @@ def _walk(
         if steps > budget:
             raise _over(budget)
 
-    reach(_Feasibility(arr), ())
+    reach(start, ())
     while stack:
         i, state, prefix, entries = stack[-1]
         entry = next(entries, 0)
@@ -664,39 +731,75 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
         return len(entries)
 
     m = 2 ** arr.d - 1
-    _walk(arr, budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
+    _walk(_Feasibility(arr), budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
     return out
 
 
-def _vertices(arr: Arrangement, budget: int | None = None) -> list[tuple[int, ...]]:
+def _vertices(arr: Arrangement, budget: int | None = None, transpose: bool = False) -> list[tuple[int, ...]]:
     """The 0-dimensional types, the arrangement's vertices, each as its
-    entries' label masks, by :func:`_walk` over hyperplanes 1..n-3.  On
-    each of its prefixes every entry e the pairwise tests pass for
-    hyperplane n-2 is settled with hyperplanes n-1 and n by one
-    :meth:`_Feasibility.staircase` call, with no copy and no closure.
-    For n = 2 the staircase runs on the empty prefix; for n = 1 the one
-    vertex is the apex, where every label ties.
+    entries' label masks, by :func:`_walk` over hyperplanes 1..n-3.  With
+    ``transpose`` the walk runs on the arrangement whose apex rows are the
+    columns of the apex matrix, n and d swapped, and gives its vertices.
+    On each prefix of the walk one :class:`_Staircases` set-up settles
+    every entry e the pairwise tests pass for hyperplane n-2 with
+    hyperplanes n-1 and n, with no copy and no closure.  For n = 2 the
+    staircase runs on the empty prefix; for n = 1 the one vertex is the
+    apex, where every label ties.
 
-    ``budget`` caps the feasibility steps: one per entry generated on
-    hyperplanes 1..n-2 and one per staircase.  For n >= 3 all m = 2^d - 1
-    entries of the first hyperplane are feasible, and each leads to one
-    staircase at least, so the walk takes at least 2m steps, and past the
-    budget it raises at once; for n <= 2 it takes one step.
+    ``budget`` caps the feasibility steps, counted on the side walked:
+    one per entry generated on hyperplanes 1..n-2 and one per staircase.
+    For n >= 3 all m = 2^d - 1 entries of the first hyperplane are
+    feasible, and each leads to one staircase at least, so the walk takes
+    at least 2m steps, and past the budget it raises at once; for n <= 2
+    it takes one step.  On a generic input it takes exactly
+    :func:`_walk_steps` (n, d).
     """
-    n = arr.n
+    start = _Feasibility(arr, transpose)
+    n, d = len(start.rows), start.d
     out: list[tuple[int, ...]] = []
 
     def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
         if n == 1:
-            out.append(((1 << (arr.d + 1)) - 2,))
+            out.append(((1 << (d + 1)) - 2,))
             return 1
         if n == 2:
-            out.extend(state.staircase(1))
+            out.extend(_Staircases(state, 1).pairs())
             return 1
         entries = state.entries(n - 2)
+        stairs = _Staircases(state, n - 1)
         for entry in entries:
-            out.extend(prefix + (entry,) + pair for pair in state.staircase(n - 1, entry))
+            out.extend(prefix + (entry,) + pair for pair in stairs.pairs(entry))
         return 2 * len(entries)
 
-    _walk(arr, budget, 2 * (2 ** arr.d - 1) if n >= 3 else 1, max(n - 3, 0), last)
+    _walk(start, budget, 2 * (2 ** d - 1) if n >= 3 else 1, max(n - 3, 0), last)
     return out
+
+
+def _type_counts(m: int, d: int) -> list[int]:
+    """T(0, d), ..., T(m, d): T(k, d) is the number of types of a generic
+    arrangement of k hyperplanes with d coordinates, the feasible
+    k-prefixes the walks reach on one.  T(0, d) = T(k, 1) = 1 and
+    T(k, d) = T(k - 1, d) + 2 T(k, d - 1), computed one d at a time."""
+    counts = [1] * (m + 1)
+    for _ in range(d - 1):
+        for k in range(1, m + 1):
+            counts[k] = counts[k - 1] + 2 * counts[k]
+    return counts
+
+
+def _walk_steps(n: int, d: int) -> int:
+    """W(n, d), the steps :func:`_vertices` takes on a generic n x d input:
+    T(k, d) entries for each hyperplane k <= n - 3, and for hyperplane
+    n - 2 its T(n - 2, d) entries and one staircase each; 1 for n <= 2."""
+    if n <= 2:
+        return 1
+    counts = _type_counts(n - 2, d)
+    return sum(counts[1 : n - 2]) + 2 * counts[n - 2]
+
+
+def _transposes(n: int, d: int) -> bool:
+    """Whether the vertex walk of an n x d apex matrix runs on its
+    transpose: iff n >= 2 and W(d, n) < W(n, d).  It reads the shape
+    alone, so the side walked, and the steps ``budget`` counts, follow
+    from the input; the cells are the same on either side."""
+    return n >= 2 and _walk_steps(d, n) < _walk_steps(n, d)

@@ -50,7 +50,7 @@ from troparr import (
     type_of_point,
 )
 from troparr.axioms import _acyclic
-from troparr.geometry import _Feasibility, _labels
+from troparr.geometry import _Feasibility, _labels, _Staircases, _vertices
 from troparr.duality import _forest, _pivot_walk, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone
@@ -720,34 +720,69 @@ def imposed_staircase(state: _Feasibility, i: int, pending: int = 0) -> set[tupl
     return out
 
 
-def assert_staircases_match_the_imposed_path(arr: Arrangement) -> tuple[int, int]:
-    """On every (n-3)-prefix state the vertex walk reaches, and for every
-    entry e ``entries(n - 2)`` yields there, ``staircase(n - 1, e)``
-    lists each pair of :func:`imposed_staircase` once and nothing else;
-    for n = 2 ``staircase(1)`` on the empty prefix does.  Returns the
-    pairs found and the staircases that found none."""
-    n, counts = arr.n, [0, 0]
+def assert_staircases_match_the_imposed_path(arr: Arrangement, transpose: bool = False) -> tuple[int, int]:
+    """On every (n-3)-prefix state the vertex walk reaches, one
+    :class:`_Staircases` set-up, and for every entry e ``entries(n - 2)``
+    yields there, its ``pairs(e)`` lists each pair of
+    :func:`imposed_staircase` once and nothing else; for n = 2
+    ``pairs()`` on the empty prefix does.  With ``transpose`` the walk is
+    that of the transposed apex matrix.  Returns the pairs found and the
+    staircases that found none."""
+    start = _Feasibility(arr, transpose)
+    n, counts = len(start.rows), [0, 0]
 
-    def compare(state: _Feasibility, i: int, pending: int = 0) -> None:
-        pairs = state.staircase(i, pending)
-        assert len(set(pairs)) == len(pairs), (arr.rows(), i, _labels(pending))
-        assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), i, _labels(pending))
+    def compare(state: _Feasibility, stairs: _Staircases, i: int, pending: int = 0) -> None:
+        pairs = stairs.pairs(pending)
+        assert len(set(pairs)) == len(pairs), (arr.rows(), transpose, i, _labels(pending))
+        assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), transpose, i, _labels(pending))
         counts[0] += len(pairs)
         counts[1] += not pairs
 
     if n == 2:
-        compare(_Feasibility(arr), 1)
-    stack = [(1, _Feasibility(arr))] if n >= 3 else []
+        compare(start, _Staircases(start, 1), 1)
+    stack = [(1, start)] if n >= 3 else []
     while stack:
         i, state = stack.pop()
+        if i == n - 2:
+            stairs = _Staircases(state, n - 1)
         for entry in state.entries(i):
             if i == n - 2:
-                compare(state, n - 1, entry)
+                compare(state, stairs, n - 1, entry)
             else:
                 child = state.copy()
                 assert child.add_hyperplane(i, entry)
                 stack.append((i + 1, child))
     return counts[0], counts[1]
+
+
+def transposed(sub) -> frozenset[CellGraph]:
+    """The maximal cells of ``sub`` with every edge (i, j) read as (j, i)."""
+    return frozenset(CellGraph(sub.d, sub.n, frozenset((j, i) for i, j in g.edges)) for g in sub.maximal_cells)
+
+
+def walked_cells(arr: Arrangement, transpose: bool) -> frozenset[CellGraph]:
+    """The cells of the vertex walk on one side of the apex matrix, each
+    read back as a cell of ``arr``'s own n x d subdivision."""
+    cells = set()
+    for masks in _vertices(arr, None, transpose):
+        edges = {(i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)}
+        cells.add(CellGraph(arr.n, arr.d, frozenset((j, i) for i, j in edges) if transpose else frozenset(edges)))
+    return frozenset(cells)
+
+
+def assert_both_sides_match_the_envelope(arr: Arrangement) -> None:
+    """The vertex walks of the apex matrix and of its transpose give the
+    same cells up to transposition, both the lower envelope's, and so does
+    :func:`dual_subdivision` of the arrangement and of its transpose,
+    whichever side the orientation rule walks; on both sides every
+    staircase matches the imposed path."""
+    envelope = regular_subdivision(arr.rows()).maximal_cells
+    flipped = Arrangement.from_rows([list(column) for column in zip(*arr.rows())])
+    assert dual_subdivision(arr).maximal_cells == envelope, arr.rows()
+    assert transposed(dual_subdivision(flipped)) == envelope, arr.rows()
+    for transpose in (False, True):
+        assert walked_cells(arr, transpose) == envelope, (arr.rows(), transpose)
+        assert_staircases_match_the_imposed_path(arr, transpose)
 
 
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:

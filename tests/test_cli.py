@@ -419,13 +419,16 @@ def test_negative_budget_is_a_parse_error(capsys, e2_file):
 
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # 2(2^30-1) feasibility steps at least, refused before any candidate
-    # entry is generated: check on 2 x 30, and subdivision on 3 x 30
+    # entry is generated: check on 2 x 30, and subdivision on 30 x 30,
+    # over that floor on either side
     monkeypatch.setattr(troparr.geometry, "_cliques", None)
     rows = [" ".join(str(j % k) for j in range(30)) for k in (3, 5, 7)]
-    wide, tall = tmp_path / "wide.txt", tmp_path / "tall.txt"
+    square = [" ".join(str((i * j) % 7) for j in range(30)) for i in range(30)]
+    wide, tall, big = tmp_path / "wide.txt", tmp_path / "tall.txt", tmp_path / "big.txt"
     wide.write_text("2 30\n" + "\n".join(rows[:2]) + "\n")
     tall.write_text("3 30\n" + "\n".join(rows) + "\n")
-    for argv in (["check", "--input", str(wide)], ["subdivision", "--input", str(tall)], ["subdivision", "--flips", "--input", str(tall)]):
+    big.write_text("30 30\n" + "\n".join(square) + "\n")
+    for argv in (["check", "--input", str(wide)], ["subdivision", "--input", str(big)], ["subdivision", "--flips", "--input", str(big)]):
         assert main(argv + ["--format", "text"]) == 5
         assert capsys.readouterr().err == "error: type enumeration: 200001 feasibility steps exceed budget 200000\n"
     # subdivision on 2 x 30 is one staircase, with no entry generated; its
@@ -433,6 +436,12 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(wide)])
     assert code == 0
     assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(30, 1)
+    # 3 x 30 is walked as 30 x 3, whose entries are few, so it runs; its
+    # volumes sum to C(31, 2)
+    monkeypatch.undo()
+    code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(tall)])
+    assert code == 0
+    assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(31, 2)
 
 
 def test_check_on_six_labels(tmp_path, capsys):

@@ -28,9 +28,11 @@ from troparr import (
 import troparr.duality
 import troparr.geometry
 from troparr.duality import _subdivision_of, is_spanning_connected
+from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
     arrangement_cell_dim,
+    assert_both_sides_match_the_envelope,
     assert_cell_questions_match_the_oracles,
     assert_staircases_match_the_imposed_path,
     components_oracle,
@@ -214,6 +216,46 @@ def test_dual_subdivision_commutes_with_transposition():
         assert dual_subdivision(arr).maximal_cells == back, arr.rows()
 
 
+def test_type_counts_match_the_enumeration():
+    # T(m, d) is the number of types of a generic m x d arrangement
+    rng = random.Random(2222)
+    for m, d in product(range(1, 6), range(2, 6)):
+        arr = random_generic_arrangement(rng, m, d)
+        assert len(enumerate_realizations(arr)) == _type_counts(m, d)[m], (m, d)
+
+
+def test_walk_steps_are_the_budget_boundary_on_generic_inputs():
+    # on a generic input W(n, d) steps walk the given side and W(d, n)
+    # the transposed one, exactly: one step fewer is refused
+    rng = random.Random(2323)
+    for n, d in product(range(1, 6), range(2, 6)):
+        arr = random_generic_arrangement(rng, n, d)
+        for transpose, steps in ((False, _walk_steps(n, d)), (True, _walk_steps(d, n))):
+            assert len(_vertices(arr, steps, transpose)) == comb(n + d - 2, n - 1), (n, d, transpose)
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+                _vertices(arr, steps - 1, transpose)
+        cheaper = min(_walk_steps(n, d), _walk_steps(d, n))
+        assert is_triangulation(dual_subdivision(arr, cheaper)), (n, d)
+        with pytest.raises(ResourceLimitError):
+            dual_subdivision(arr, cheaper - 1)
+
+
+def test_orientation_rule_walks_the_cheaper_side():
+    assert all(_transposes(n, d) for n, d in [(5, 3), (4, 3), (12, 2), (60, 2)])
+    assert not any(_transposes(n, d) for n, d in [(10, 3), (8, 4), (3, 4), (4, 4)])
+    assert not any(_transposes(1, d) for d in range(1, 41))
+
+
+def test_both_sides_of_the_walk_match_the_envelope():
+    # on-ray, on-apex and integer-incident draws: the walks of both sides
+    # agree up to transposition, with the lower envelope and with the
+    # imposed path; test_grid.py adds the (3,3) and (2,4) grids
+    rng = random.Random(2424)
+    for n, d, _ in product(range(2, 7), range(3, 6), range(2)):
+        for arr in (nongeneric_on_ray(rng, n, d)[0], nongeneric_on_apex(rng, n, d)[0], integer_incident(rng, n, d)):
+            assert_both_sides_match_the_envelope(arr)
+
+
 def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
     # E2 has n = 2: one staircase on the empty prefix, 1 step where the
     # full enumeration, which takes each of the 13 types' last entry,
@@ -238,27 +280,35 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
     with pytest.raises(ResourceLimitError, match="^type enumeration: 14 feasibility steps exceed budget 13$"):
         dual_subdivision(arr, budget=13)
     # in general: the entries generated on hyperplanes 1..n-2 plus one
-    # staircase per entry for hyperplane n-2; on this (4,3) input 41
-    # steps, where one per entry for hyperplane n-1 and one candidate
-    # each took 70
+    # staircase per entry for hyperplane n-2; on this (4,3) input walked
+    # as given 41 steps, where one per entry for hyperplane n-1 and one
+    # candidate each took 70.  dual_subdivision walks its transpose,
+    # (3,4), and counts the steps of that side
     counts = []
-    entries, staircase = troparr.geometry._Feasibility.entries, troparr.geometry._Feasibility.staircase
+    entries, pairs = troparr.geometry._Feasibility.entries, troparr.geometry._Staircases.pairs
 
     def counted_entries(state, i):
         generated = entries(state, i)
         counts.extend(generated)
         return generated
 
-    def counted_staircase(state, i, pending=0):
-        counts.append(i)
-        return staircase(state, i, pending)
+    def counted_pairs(stairs, pending=0):
+        counts.append(pending)
+        return pairs(stairs, pending)
 
     monkeypatch.setattr(troparr.geometry._Feasibility, "entries", counted_entries)
-    monkeypatch.setattr(troparr.geometry._Feasibility, "staircase", counted_staircase)
+    monkeypatch.setattr(troparr.geometry._Staircases, "pairs", counted_pairs)
     arr = random_integer_arrangement(random.Random(8), 4, 3)
-    sub = dual_subdivision(arr)
+    vertices = _vertices(arr)
     steps = len(counts)
     assert steps == 41
+    assert _vertices(arr, budget=steps) == vertices
+    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+        _vertices(arr, budget=steps - 1)
+    counts.clear()
+    sub = dual_subdivision(arr)
+    steps = len(counts)
+    assert steps == 30
     assert dual_subdivision(arr, budget=steps) == sub
     with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
         dual_subdivision(arr, budget=steps - 1)
@@ -294,11 +344,16 @@ def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_3(monkeypatch, e2):
     dual_subdivision(e2)
     dual_subdivision(random_integer_arrangement(random.Random(8), 3, 3))
     assert calls == {"copy": 0, "add_hyperplane": 0}
+    # this (5,3) input walked as given; dual_subdivision walks it as
+    # (3,5), with no hyperplane past n-3 to impose
     arr = random_integer_arrangement(random.Random(8), 5, 3)
     generated.clear()
-    dual_subdivision(arr)
+    _vertices(arr)
     imposable = sum(i <= arr.n - 3 for i in generated)
     assert imposable and calls == {"copy": imposable, "add_hyperplane": imposable}
+    calls.update(copy=0, add_hyperplane=0)
+    dual_subdivision(arr)
+    assert calls == {"copy": 0, "add_hyperplane": 0}
 
 
 def test_regular_subdivision_matches_dual(e1, e2):

@@ -7,7 +7,9 @@ every non-generic input names checked by trying every permutation.
 oracle, with every entry the enumeration generates imposed on its prefix
 and the vertex walk against the 0-dimensional types, each closed-form
 staircase over the last two hyperplanes against imposing every entry of
-the last three (at (3,3) after a pending entry, at (2,4) bare), genericity,
+the last three (at (3,3) after a pending entry, at (2,4) bare), the same
+walk and staircases on the transposed apex matrix, both sides against the
+lower envelope and each other up to transposition, genericity,
 its tied minor and the verdict at (2,4), the secondary-face check and
 its exact face dimension on the (3,3) and (2,4) inputs whose apexes all
 look generic although a minor ties, the walks over the coarse cells
@@ -48,6 +50,7 @@ from troparr import (
 from troparr.duality import _subdivision_of
 
 from conftest import (
+    assert_both_sides_match_the_envelope,
     assert_staircases_match_the_imposed_path,
     assert_cell_questions_match_the_oracles,
     assert_cell_walks_match_the_envelope,
@@ -90,6 +93,18 @@ def test_realizations_match_oracle_on_grid(n, d):
         assert_every_entry_is_feasible(arr)
         assert dual_subdivision(arr) == _subdivision_of(arr, dimensions), arr.rows()
         assert_staircases_match_the_imposed_path(arr)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
+)
+def test_both_sides_of_the_vertex_walk_on_grid(n, d):
+    # the walks of the apex matrix and of its transpose give the same
+    # cells up to transposition, the lower envelope's, and on both sides
+    # each staircase the pairs found by imposing every entry
+    for arr in grid(n, d):
+        assert_both_sides_match_the_envelope(arr)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
