@@ -214,19 +214,6 @@ def _pair_packer(d: int) -> Callable[[int, int], int]:
     return packed
 
 
-def _acyclic(edges: int, d: int) -> bool:
-    """Whether a graph in :func:`_packed_pair`'s packing has no cycle
-    through a directed edge (undirected edges walked either way), in O(d) operations on
-    d^2-bit ints.  Warshall's closure ORs row m into every row reaching m
-    with one multiplication; an edge j -> k is on a cycle when k reaches j."""
-    directed, reversed_, undirected = (edges >> i * d * d & (1 << d * d) - 1 for i in range(3))
-    reach = directed | (undirected & ~(directed | reversed_))
-    column = sum(1 << a * d for a in range(d))
-    for m in range(d):
-        reach |= (reach >> m & column) * (reach >> m * d & (1 << d) - 1)
-    return not reach & reversed_
-
-
 def check_comparability(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every pair's comparability graph must be acyclic.
 
@@ -234,13 +221,14 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     entries' graphs, each packed once by :func:`_pair_packer`.  A partner B
     gets one field of 3d^2 bits, and the strip of A_k holds the packed
     graph of (A_k, B_k) there, so the OR of A's n strips holds every
-    pair's graph.  :func:`_acyclic` then runs on all fields at once: each
-    of its d Warshall steps multiplies only by small constants (a column
-    spread along its row, a row copied to every row), so no carry leaves
-    a field, and B fails when its field of ``reach & reversed`` is
-    nonzero.  That is O(T^2 (n + d) / BLOCK) operations on ints of
-    BLOCK 3d^2 bits; :func:`_first_pair` tiles the partners and finds the
-    first failing (A, B).
+    pair's graph.  A Warshall closure then runs on all fields at once:
+    it ORs row m into every row reaching m, and an edge j -> k lies on a
+    cycle when k reaches j.  Each of its d steps multiplies only by
+    small constants (a column spread along its row, a row copied to
+    every row), so no carry leaves a field, and B fails when its field
+    of ``reach & reversed`` is nonzero.  That is O(T^2 (n + d) / BLOCK)
+    operations on ints of BLOCK 3d^2 bits; :func:`_first_pair` tiles the
+    partners and finds the first failing (A, B).
     """
     table = _table(types, d)
     if not table.rows:

@@ -26,8 +26,9 @@ grown by a union-find, and by the fundamental cycles of that forest:
 whether it spans and its dimension come from the forest's size, and its
 cycles from one rooted pass.
 :func:`check_correspondence` needs every type for the axioms, so it
-keeps the full enumeration and takes the cells from its 0-dimensional
-types.  Independently, the same subdivision arises as the lower-envelope
+keeps the full enumeration and counts the cells from its 0-dimensional
+types, each a tree exactly when it holds n + d - 1 labels, with no cell
+graph built.  Independently, the same subdivision arises as the lower-envelope
 regular subdivision induced by lifting product vertex (i,j) to the apex
 coordinate v_ij; both constructions are exposed so they can be checked
 against each other.
@@ -154,13 +155,6 @@ class Subdivision:
         a tree, a unit simplex; only the others are walked."""
         tree = self.n + self.d - 1
         return {g: 1 if len(g.edges) == tree else normalized_volume(g) for g in self.maximal_cells}
-
-
-def _subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subdivision:
-    """Maximal cells = graphs of the 0-dimensional types among an
-    arrangement's types, each mapped to its dimension."""
-    cells = frozenset(type_to_graph(T, arr.n, arr.d) for T, dim in dimensions.items() if dim == 0)
-    return Subdivision(arr.n, arr.d, cells)
 
 
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
@@ -313,13 +307,13 @@ def _pivot_walk(
         )
 
 
-def _envelope_cells(weights) -> tuple[int, int, Iterator[CellGraph]]:
-    """n, d and the coarse cells of the lower envelope of ``weights`` over
-    the full support, walked lazily."""
+def _envelope_cells(weights) -> tuple[int, int, Iterator[frozenset[tuple[int, int]]]]:
+    """n, d and the edge sets of the lower envelope's coarse cells over
+    the full support of ``weights``, walked lazily."""
     rows = _coerce_weights(weights)
     n, d = len(rows), len(rows[0])
     support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    return n, d, (CellGraph(n, d, c) for c in _pivot_walk(n, d, rows, support))
+    return n, d, _pivot_walk(n, d, rows, support)
 
 
 def regular_subdivision(weights) -> Subdivision:
@@ -331,16 +325,17 @@ def regular_subdivision(weights) -> Subdivision:
     path, which makes the agreement a meaningful cross-check.
     """
     n, d, cells = _envelope_cells(weights)
-    return Subdivision(n, d, frozenset(cells))
+    return Subdivision(n, d, frozenset(CellGraph(n, d, c) for c in cells))
 
 
 def _first_tied_minor(weights) -> TiedMinor | None:
     """The tied minor of the first cell of the lower-envelope walk that is
     not a spanning tree, where the walk stops, or None when every cell is
     one: the heights are then tropically generic, every square minor's
-    min-plus determinant attained by one permutation only."""
+    min-plus determinant attained by one permutation only.  Only that
+    cell becomes a :class:`CellGraph`."""
     n, d, cells = _envelope_cells(weights)
-    return next((_tied_minor(cell) for cell in cells if len(cell.edges) != n + d - 1), None)
+    return next((_tied_minor(CellGraph(n, d, c)) for c in cells if len(c) != n + d - 1), None)
 
 
 def _tied_minor(cell: CellGraph) -> TiedMinor:
@@ -443,23 +438,30 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     meets a cell that is not a tree.  Its cells come from the lower
     envelope, the triangulation status from the types, so the two
     implications cross-check independent computations.
+
+    The maximal cells are the graphs of the 0-dimensional types, one
+    per type.  A vertex's labels tie every coordinate into one group, so
+    its graph spans and is connected, and it is a tree exactly when its
+    entries hold n + d - 1 labels in all: the test of
+    :func:`is_triangulation`, read off the types with no graph built.
     """
     dimensions = enumerate_realizations(arr, budget)
     genericity = is_generic(arr)
     generic = bool(genericity)
-    types = frozenset(dimensions)
-    report = is_tropical_oriented_matroid(types, arr.n, arr.d)
-    sub = _subdivision_of(arr, dimensions)
-    triangulation = is_triangulation(sub)
+    report = is_tropical_oriented_matroid(dimensions, arr.n, arr.d)
+    vertices = [T for T, dim in dimensions.items() if dim == 0]
+    expected = comb(arr.n + arr.d - 2, arr.n - 1)
+    tree = arr.n + arr.d - 1
+    triangulation = len(vertices) == expected and all(sum(map(len, T.entries)) == tree for T in vertices)
     generic_ok = (not generic) or (report.is_tom and triangulation)
     nongeneric_ok = generic or (not triangulation)
     return CorrespondenceVerdict(
         genericity=genericity,
         axiom_report=report,
         triangulation=triangulation,
-        type_count=len(types),
-        cell_count=len(sub.maximal_cells),
-        expected_simplices=comb(arr.n + arr.d - 2, arr.n - 1),
+        type_count=len(dimensions),
+        cell_count=len(vertices),
+        expected_simplices=expected,
         generic_consistent=generic_ok,
         nongeneric_consistent=nongeneric_ok,
     )

@@ -558,13 +558,15 @@ class TiedMinor(NamedTuple):
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """``generic``: whether the arrangement is tropically generic, that is,
-    whether its lower-envelope subdivision is a triangulation.
-    ``minor``: None when it is, else a :class:`TiedMinor` certifying that
-    it is not."""
+    """``minor``: None when the arrangement is tropically generic, that
+    is, when its lower-envelope subdivision is a triangulation, else a
+    :class:`TiedMinor` certifying that it is not."""
 
-    generic: bool
     minor: TiedMinor | None
+
+    @property
+    def generic(self) -> bool:
+        return self.minor is None
 
     def __bool__(self) -> bool:
         return self.generic
@@ -585,8 +587,7 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     """
     from .duality import _first_tied_minor  # duality imports this module at load time
 
-    minor = _first_tied_minor(arr.rows())
-    return GenericityReport(minor is None, minor)
+    return GenericityReport(_first_tied_minor(arr.rows()))
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:

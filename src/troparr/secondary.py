@@ -14,9 +14,15 @@ it, and the move is generic exactly when every piece is a tree.  Once a
 cell's refinement is known, the open cone of the steps that give it is
 known too: one strict inequality per cycle that a cell edge closes in
 one of its trees.  A later step inside that cone gives the same
-refinement without a walk.  The dimension of the secondary-polytope
-face the wall corresponds to is exact: the rank of the coarse cells'
-alternating-cycle vectors, which no sample enters.
+refinement without a walk.  A new triangulation is the moved
+arrangement's own dual subdivision, read off its vertex walk and
+checked against the trees of the coarse subdivision and the pieces its
+cells' walks gave.  Every triangulation listed is regular, whatever
+(n, d): it is the regular subdivision under the step that found it,
+and that step lies strictly inside each of its cells' cones.  The
+dimension of the secondary-polytope face the wall corresponds to is
+exact: the rank of the coarse cells' alternating-cycle vectors, which no
+sample enters.
 """
 
 from __future__ import annotations
@@ -27,20 +33,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import Arrangement, CellGraph
+from .core import Arrangement
 from .duality import Subdivision, _cycles, _forest, _pivot_walk, dual_subdivision, is_triangulation
 from .linalg import rank
-
-#: Parameter pairs (n, d) for which every triangulation of the product
-#: of simplices is regular, so secondary-polytope conclusions are
-#: unconditional.  Beyond these the checks still run but are
-#: informational only.
-FULLY_REGULAR_PARAMS = frozenset({(3, 3), (4, 3), (5, 3), (3, 4), (3, 5)})
-
-
-def all_triangulations_regular(n: int, d: int) -> bool:
-    return min(n, d) <= 2 or (n, d) in FULLY_REGULAR_PARAMS
-
 
 @dataclass(frozen=True)
 class GKZVector:
@@ -167,9 +162,11 @@ def refining_triangulations(
 
     The matched refinements' indices key the triangulation, and a step
     with a known key is skipped before any cell is built.  A new one
-    gets the moved arrangement, whose vertices are walked: its dual
-    subdivision must equal the triangulation and the triangulation must
-    refine ``base``.  So every check runs once per distinct triangulation.
+    gets the moved arrangement, whose vertices are walked: that walk's
+    dual subdivision is the triangulation returned, its cells' edge sets
+    must be the trees of ``base`` and the matched pieces, and it must
+    refine ``base``.  So every check runs once per distinct
+    triangulation, and each triangulation is built once.
     """
     n, d = arr.n, arr.d
     if samples is None:
@@ -181,10 +178,10 @@ def refining_triangulations(
     radius = safe_radius(arr)
     rng = random.Random(seed)
     rows = arr.rows()
-    trees = [g for g in base.maximal_cells if len(g.edges) == n + d - 1]
+    trees = [g.edges for g in base.maximal_cells if len(g.edges) == n + d - 1]
     coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
     # per coarse cell: (cone, pieces) of each refinement its walks gave
-    known: list[list[tuple[tuple, list[CellGraph]]]] = [[] for _ in coarse]
+    known: list[list[tuple[tuple, list[frozenset[tuple[int, int]]]]]] = [[] for _ in coarse]
     found: dict[tuple[int, ...], Subdivision] = {}
     for _ in range(samples):
         step = [[rng.randint(0, 1000) for _ in row] for row in rows]
@@ -197,21 +194,22 @@ def refining_triangulations(
                 if any(len(piece) != n + d - 1 for piece in pieces):
                     break
                 index = len(refinements)
-                refinements.append((_cone(n, d, cell, pieces), [CellGraph(n, d, p) for p in pieces]))
+                refinements.append((_cone(n, d, cell, pieces), pieces))
             matched.append(index)
         else:
             key = tuple(matched)
             if key in found:
                 continue
-            cells = trees + [g for refinements, k in zip(known, key) for g in refinements[k][1]]
-            tri = found[key] = Subdivision(n, d, frozenset(cells))
+            cells = trees + [p for refinements, k in zip(known, key) for p in refinements[k][1]]
             moved = Arrangement.from_rows(
                 [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
             )
-            if dual_subdivision(moved, budget) != tri:
+            tri = dual_subdivision(moved, budget)
+            if {g.edges for g in tri.maximal_cells} != set(cells):
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
             if not refines(tri, base):
                 raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
+            found[key] = tri
     return frozenset(found.values())
 
 
@@ -224,7 +222,6 @@ class SecondaryFaceVerdict:
     refinements: tuple[Subdivision, ...]
     gkz_vectors: tuple[GKZVector, ...]
     face_dimension: int
-    conclusive: bool
 
     @property
     def refinement_count(self) -> int:
@@ -265,5 +262,4 @@ def secondary_face_check(
         refinements=tuple(tris),
         gkz_vectors=tuple(gkz_vector(t) for t in tris),
         face_dimension=rank(cycles),
-        conclusive=all_triangulations_regular(n, d),
     )

@@ -3,8 +3,10 @@ arrangement generators, and independent oracles (sampling; exact rank,
 determinant and secondary-face dimension via sympy; genericity, tied
 minors and matching gaps by square minors; apex types and the fan faces
 apexes lie on; direct scans, the validated comparability graph and the
-replaced pairwise kernels for the axiom checks; a direct scan for the
-lower envelope; the feasibility DFS on Fraction coordinates; flips by
+replaced pairwise kernels for the axiom checks with the packed
+Warshall closure they share; a direct scan for the lower envelope; the
+dual subdivision as a validated subdivision of the enumeration's
+0-dimensional types; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
 the lower envelope of the moved apexes, with the cone test against the
 walks; the replaced cell traversals, a flood fill for components, a
@@ -36,9 +38,11 @@ from troparr import (
     OrderedPartition,
     ProjectivePoint,
     RealizationResult,
+    Subdivision,
     TiedMinor,
     TypeVector,
     cell_dim,
+    check_correspondence,
     dual_subdivision,
     enumerate_ordered_partitions,
     enumerate_realizations,
@@ -48,8 +52,8 @@ from troparr import (
     regular_subdivision,
     safe_radius,
     type_of_point,
+    type_to_graph,
 )
-from troparr.axioms import _acyclic
 from troparr.geometry import _Feasibility, _labels, _Staircases, _vertices
 from troparr.duality import _forest, _pivot_walk, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
@@ -328,6 +332,23 @@ def matching_gaps(rows):
                 sums = sorted({sum(rows[i][j] for i, j in zip(I, p)) for p in permutations(J)})
                 if len(sums) > 1:
                     yield k, min(b - a for a, b in zip(sums, sums[1:]))
+
+
+def subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subdivision:
+    """The dual subdivision from an enumeration: one validated maximal
+    cell per 0-dimensional type, the graph of its labels."""
+    cells = frozenset(type_to_graph(T, arr.n, arr.d) for T, dim in dimensions.items() if dim == 0)
+    return Subdivision(arr.n, arr.d, cells)
+
+
+def assert_check_cells_match_the_oracle(arr: Arrangement, dimensions: dict[TypeVector, int]) -> bool:
+    """``check``'s triangulation verdict and cell count against
+    :func:`subdivision_of` ``dimensions``, the enumeration ``check``
+    reads; returns the verdict."""
+    verdict = check_correspondence(arr)
+    sub = subdivision_of(arr, dimensions)
+    assert (verdict.triangulation, verdict.cell_count) == (is_triangulation(sub), len(sub.maximal_cells)), arr.rows()
+    return verdict.triangulation
 
 
 def graph_dim_oracle(g: CellGraph) -> int:
@@ -975,11 +996,25 @@ def packed(g: ComparabilityGraph) -> int:
     return sum(1 << field * g.d * g.d + (j - 1) * g.d + k - 1 for j, k, field in edges)
 
 
+def packed_acyclic(edges: int, d: int) -> bool:
+    """Whether a graph in :func:`packed`'s packing (the packing of
+    ``axioms._pair_packer``) has no cycle through a directed edge
+    (undirected edges walked either way), in O(d) operations on d^2-bit
+    ints.  Warshall's closure ORs row m into every row reaching m with
+    one multiplication; an edge j -> k is on a cycle when k reaches j."""
+    directed, reversed_, undirected = (edges >> i * d * d & (1 << d * d) - 1 for i in range(3))
+    reach = directed | (undirected & ~(directed | reversed_))
+    column = sum(1 << a * d for a in range(d))
+    for m in range(d):
+        reach |= (reach >> m & column) * (reach >> m * d & (1 << d) - 1)
+    return not reach & reversed_
+
+
 def is_acyclic(g: ComparabilityGraph) -> bool:
     """No cycle that traverses at least one directed edge forward
-    (undirected edges may be walked either way), by the library's packed
-    closure ``axioms._acyclic``."""
-    return _acyclic(packed(g), g.d)
+    (undirected edges may be walked either way), by the packed closure
+    :func:`packed_acyclic`."""
+    return packed_acyclic(packed(g), g.d)
 
 
 def acyclic_oracle(g: ComparabilityGraph) -> bool:
@@ -1036,14 +1071,14 @@ def pairwise_elimination_oracle(types) -> CheckResult:
 
 def pairwise_comparability_oracle(types, d: int | None = None) -> CheckResult:
     """Comparability one pair at a time: a pair ORs its n packed entry
-    graphs and ``axioms._acyclic`` closes each distinct graph once."""
+    graphs and :func:`packed_acyclic` closes each distinct graph once."""
     ordered = _sorted_types(types)
     if d is None:
         d = max((t.max_label() for t in ordered), default=1)
     entries = {e for t in ordered for e in t.entries}
     graphs = {(a, b): packed(comparability_graph(TypeVector((a,)), TypeVector((b,)), d))
               for a in entries for b in entries}
-    acyclic = cache(partial(_acyclic, d=d))
+    acyclic = cache(partial(packed_acyclic, d=d))
     for ia, A in enumerate(ordered):
         for B in ordered[ia:]:
             if not acyclic(reduce(or_, [graphs[ab] for ab in zip(A.entries, B.entries)])):

@@ -319,6 +319,20 @@ def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
     )
 
 
+def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
+    # E2's pyramid splits into two trees under every step; a walk that
+    # drops the last one leaves a cell of the moved arrangement unmatched
+    pivot_walk = troparr.secondary._pivot_walk
+    monkeypatch.setattr(troparr.secondary, "_pivot_walk", lambda *args: list(pivot_walk(*args))[:-1])
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency violation: "
+        "perturbation's dual subdivision differs from its lower envelope\n"
+    )
+
+
 def test_budget_exit(capsys, e2_file, monkeypatch):
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
     assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"

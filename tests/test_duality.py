@@ -27,13 +27,14 @@ from troparr import (
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import _subdivision_of, is_spanning_connected
+from troparr.duality import is_spanning_connected
 from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
     arrangement_cell_dim,
     assert_both_sides_match_the_envelope,
     assert_cell_questions_match_the_oracles,
+    assert_check_cells_match_the_oracle,
     assert_staircases_match_the_imposed_path,
     components_oracle,
     envelope_oracle,
@@ -46,6 +47,7 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     random_rational,
+    subdivision_of,
     tree_volume_oracle,
     volume_oracle,
 )
@@ -188,7 +190,7 @@ def test_vertex_walk_gives_the_zero_dimensional_types():
     # enumeration at n = 1..5, d = 2..5; test_grid.py adds the (3,3) and
     # (2,4) grids under --grid
     for arr in _vertex_walk_draws(1717, (range(1, 6), range(2, 6))):
-        assert dual_subdivision(arr) == _subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+        assert dual_subdivision(arr) == subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
 
 
 def test_staircase_matches_the_imposed_path():
@@ -486,6 +488,32 @@ def test_check_correspondence(e1, e2):
     assert offending_apexes(degenerate) == {host, victim}
     assert not v4.triangulation and v4.cell_count < v4.expected_simplices
     assert not v4.axiom_report.local_refinement and v4.consistent
+
+
+def test_check_reads_triangulation_and_cells_off_the_vertex_types(monkeypatch):
+    rng = random.Random(2323)
+    draws = []
+    for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]:
+        draws += [random_generic_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
+        draws += [integer_incident(rng, n, d), nongeneric_on_ray(rng, n, d)[0], nongeneric_on_apex(rng, n, d)[0]]
+    verdicts = [assert_check_cells_match_the_oracle(arr, enumerate_realizations(arr)) for arr in draws]
+    assert True in verdicts and False in verdicts
+
+    # on an arrangement's own types the two tests of a triangulation agree
+    # (the cells' volumes sum to the count of trees), so two doctored
+    # enumerations of a generic (3,3) draw tell them apart: one vertex
+    # less leaves every cell a tree but too few, one more label in a
+    # vertex keeps the count but leaves a cell that is not a tree
+    arr = random_generic_arrangement(rng, 3, 3)
+    dimensions = enumerate_realizations(arr)
+    vertex, i = next((T, i) for T, dim in dimensions.items() if dim == 0 for i in (1, 2, 3) if len(T.entry(i)) < 3)
+    tied = vertex.with_entry(i, {1, 2, 3})
+    assert tied not in dimensions
+    fewer = {T: dim for T, dim in dimensions.items() if T != vertex}
+    wider = {tied if T == vertex else T: dim for T, dim in dimensions.items()}
+    for doctored in (fewer, wider):
+        monkeypatch.setattr(troparr.duality, "enumerate_realizations", lambda arr, budget=None: doctored)
+        assert not assert_check_cells_match_the_oracle(arr, doctored)
 
 
 def test_maximal_cells_are_the_inclusion_maximal_type_graphs(e1, e2):

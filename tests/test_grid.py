@@ -47,13 +47,13 @@ from troparr import (
     regular_subdivision,
     secondary_face_check,
 )
-from troparr.duality import _subdivision_of
 
 from conftest import (
     assert_both_sides_match_the_envelope,
     assert_staircases_match_the_imposed_path,
     assert_cell_questions_match_the_oracles,
     assert_cell_walks_match_the_envelope,
+    assert_check_cells_match_the_oracle,
     assert_every_entry_is_feasible,
     enumerate_types,
     face_check_passes,
@@ -66,6 +66,7 @@ from conftest import (
     pairwise_elimination_oracle,
     random_generic_arrangement,
     realizations_oracle,
+    subdivision_of,
     surrounding_oracle,
 )
 
@@ -91,7 +92,7 @@ def test_realizations_match_oracle_on_grid(n, d):
         for T, result in expected.items():
             assert realizable(arr, T) == result
         assert_every_entry_is_feasible(arr)
-        assert dual_subdivision(arr) == _subdivision_of(arr, dimensions), arr.rows()
+        assert dual_subdivision(arr) == subdivision_of(arr, dimensions), arr.rows()
         assert_staircases_match_the_imposed_path(arr)
 
 
@@ -112,7 +113,7 @@ def test_dual_subdivision_matches_envelope_on_grid(n, d):
     # test_genericity_and_verdict_on_grid covers genericity on the other grids
     with_genericity = (n, d) == (4, 3)
     for arr in grid(n, d):
-        dual = _subdivision_of(arr, enumerate_realizations(arr))
+        dual = subdivision_of(arr, enumerate_realizations(arr))
         assert dual == regular_subdivision(arrangement_heights(arr)), arr.rows()
         if with_genericity:
             report = is_generic(arr)
@@ -134,6 +135,17 @@ def test_genericity_and_verdict_on_grid(n, d):
         if verdict.generic:
             assert verdict.axiom_report.is_tom, arr.rows()
         assert bool(verdict.axiom_report.local_refinement) == verdict.generic, arr.rows()
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
+)
+def test_check_cells_match_the_oracle_subdivision_on_grid(n, d):
+    # check reads its triangulation verdict and cell count off the
+    # 0-dimensional types, with no subdivision built
+    for arr in grid(n, d):
+        assert_check_cells_match_the_oracle(arr, enumerate_realizations(arr))
 
 
 @pytest.mark.large_grid

@@ -1,0 +1,40 @@
+"""The library's source keeps two promises that no other test reads: it
+imports nothing outside the standard library, and it computes in exact
+numbers, naming ``float`` only to draw SVG and to refuse float input."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "troparr").glob("*.py"))
+
+#: (module, top-level function) pairs allowed to name ``float``: the SVG
+#: drawing and its range check, and the input coercion that rejects floats.
+FLOAT_ALLOWED = {("cli", "render_svg"), ("cli", "_cmd_render"), ("core", "to_fraction")}
+
+
+def _parsed():
+    assert {p.stem for p in SOURCES} >= {"axioms", "cli", "core", "duality", "geometry", "secondary"}
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in SOURCES]
+
+
+def test_absolute_imports_are_standard_library():
+    for path, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
+
+
+def test_float_is_named_only_to_render_and_to_refuse_input():
+    for path, tree in _parsed():
+        for top in tree.body:
+            function = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "float":
+                    assert (path.stem, function) in FLOAT_ALLOWED, f"{path.name}:{node.lineno} names float"
