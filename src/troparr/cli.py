@@ -179,13 +179,14 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     sub = dual_subdivision(arr, args.budget)
+    volumes = sub.volumes  # capped walks first; the flips that follow have no cap
     verdict = None
     if args.flips and not is_triangulation(sub):
         verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)
     lines = ["cells:"]
     cells_json = []
     for g in sub.sorted_cells():
-        vol = sub.volumes[g]
+        vol = volumes[g]
         lines.append(f"  {g.text()} vol {vol}")
         cells_json.append({"edges": [list(e) for e in g.sorted_edges()], "volume": vol})
     results: dict = {"cells": cells_json}

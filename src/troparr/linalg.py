@@ -1,58 +1,49 @@
-"""Small exact linear algebra helpers: integer determinants via
-fraction-free (Bareiss) elimination and rational matrix rank."""
+"""Small exact linear algebra helpers: rational matrix rank and integer
+determinants, both read off one exact Gaussian elimination."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, exactly (Bareiss)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    m = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
+def _pivots(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], int]:
+    """Exact Gaussian elimination: the pivot of each column that takes
+    one, left to right, and the sign of the row swaps that brought them
+    up.  Their count is the rank, and a square matrix of full rank has
+    the signed product of its pivots as determinant."""
     m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
+    cols = len(m[0]) if m else 0
+    pivots: list[Fraction] = []
+    sign = 1
     for c in range(cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         pv = m[r][c]
         for i in range(r + 1, len(m)):
             if m[i][c] != 0:
                 f = m[i][c] / pv
                 for j in range(c, cols):
                     m[i][j] -= f * m[r][j]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(pv)
+    return pivots, sign
+
+
+def det_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, exactly."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    pivots, sign = _pivots(matrix)
+    return sign * int(prod(pivots)) if len(pivots) == n else 0
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by exact Gaussian elimination."""
+    return len(_pivots(rows)[0])

@@ -15,12 +15,16 @@ cell's refinement is known, the open cone of the steps that give it is
 known too: one strict inequality per cycle that a cell edge closes in
 one of its trees.  A later step inside that cone gives the same
 refinement without a walk.  A new triangulation is the moved
-arrangement's own dual subdivision, read off its vertex walk and
-checked against the trees of the coarse subdivision and the pieces its
-cells' walks gave.  Every triangulation listed is regular, whatever
-(n, d): it is the regular subdivision under the step that found it,
-and that step lies strictly inside each of its cells' cones.  The
-dimension of the secondary-polytope face the wall corresponds to is
+arrangement's own dual subdivision, read off its vertex walk.  Its
+cells must be the trees of the coarse subdivision and the pieces its
+cells' walks gave, and a count then shows that it refines the coarse
+subdivision: each piece lies in the cell it was walked on, a cell holds
+at most its volume in unit simplices with disjoint interiors, and the
+volumes add up to the C(n+d-2, n-1) simplices of a triangulation, so
+every cell is filled exactly.  Every triangulation listed is regular,
+whatever (n, d): it is the regular subdivision under the step that
+found it, and that step lies strictly inside each of its cells' cones.
+The dimension of the secondary-polytope face the wall corresponds to is
 exact: the rank of the coarse cells' alternating-cycle vectors, which no
 sample enters.
 """
@@ -73,7 +77,9 @@ def gkz_vector(t: Subdivision) -> GKZVector:
 
 def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """Every fine cell's edges inside some coarse cell, with volumes
-    adding up cell by cell."""
+    adding up cell by cell.  No library code calls it:
+    :func:`refining_triangulations` gets the same verdict from its
+    cells and one count."""
     if (fine.n, fine.d) != (coarse.n, coarse.d):
         return False
     filled = {g: 0 for g in coarse.maximal_cells}
@@ -160,13 +166,15 @@ def refining_triangulations(
     that leaves a piece other than a tree is not kept.  So each cell is
     walked about once per distinct refinement, not once per step.
 
-    The matched refinements' indices key the triangulation, and a step
-    with a known key is skipped before any cell is built.  A new one
-    gets the moved arrangement, whose vertices are walked: that walk's
-    dual subdivision is the triangulation returned, its cells' edge sets
-    must be the trees of ``base`` and the matched pieces, and it must
-    refine ``base``.  So every check runs once per distinct
-    triangulation, and each triangulation is built once.
+    The edge sets of the step's cells, the trees of ``base`` and the
+    matched pieces, key the triangulation, and a step with a known key
+    is skipped before any cell is built.  A new one gets the moved
+    arrangement, whose vertices are walked: that walk's dual subdivision
+    is the triangulation returned, its cells' edge sets must be the key,
+    and it must pass :func:`~troparr.duality.is_triangulation`, whose
+    count of C(n+d-2, n-1) cells, given the key, is :func:`refines`
+    ``base``.  So every check runs once per distinct triangulation, and
+    each triangulation is built once.
     """
     n, d = arr.n, arr.d
     if samples is None:
@@ -178,38 +186,35 @@ def refining_triangulations(
     radius = safe_radius(arr)
     rng = random.Random(seed)
     rows = arr.rows()
-    trees = [g.edges for g in base.maximal_cells if len(g.edges) == n + d - 1]
+    trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == n + d - 1)
     coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
     # per coarse cell: (cone, pieces) of each refinement its walks gave
-    known: list[list[tuple[tuple, list[frozenset[tuple[int, int]]]]]] = [[] for _ in coarse]
-    found: dict[tuple[int, ...], Subdivision] = {}
+    known: list[list[tuple[tuple, frozenset[frozenset[tuple[int, int]]]]]] = [[] for _ in coarse]
+    found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
     for _ in range(samples):
         step = [[rng.randint(0, 1000) for _ in row] for row in rows]
         flat = [u for us in step for u in us]
-        matched = []
+        cells = trees
         for cell, refinements in zip(coarse, known):
-            index = next((k for k, (cone, _) in enumerate(refinements) if _in_cone(cone, flat)), None)
-            if index is None:
-                pieces = list(_pivot_walk(n, d, step, cell))
+            pieces = next((p for cone, p in refinements if _in_cone(cone, flat)), None)
+            if pieces is None:
+                pieces = frozenset(_pivot_walk(n, d, step, cell))
                 if any(len(piece) != n + d - 1 for piece in pieces):
                     break
-                index = len(refinements)
                 refinements.append((_cone(n, d, cell, pieces), pieces))
-            matched.append(index)
+            cells |= pieces
         else:
-            key = tuple(matched)
-            if key in found:
+            if cells in found:
                 continue
-            cells = trees + [p for refinements, k in zip(known, key) for p in refinements[k][1]]
             moved = Arrangement.from_rows(
                 [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
             )
             tri = dual_subdivision(moved, budget)
-            if {g.edges for g in tri.maximal_cells} != set(cells):
+            if {g.edges for g in tri.maximal_cells} != cells:
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-            if not refines(tri, base):
+            if not is_triangulation(tri):
                 raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-            found[key] = tri
+            found[cells] = tri
     return frozenset(found.values())
 
 

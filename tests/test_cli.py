@@ -14,7 +14,7 @@ import troparr.cli
 import troparr.duality
 import troparr.geometry
 import troparr.secondary
-from troparr import Arrangement, CellGraph
+from troparr import Arrangement, CellGraph, Subdivision
 from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, render_svg
 
 from conftest import nongeneric_on_ray, random_arrangement, random_generic_arrangement, serialize_arrangement
@@ -248,18 +248,20 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
 
 def test_volume_walk_stops_at_its_work_cap(capsys, tmp_path):
     # one flat cell of volume 1,100: walking all its trees took over a
-    # minute, while check on the same input takes under a second
+    # minute, while check on the same input takes under a second; --flips
+    # reads the capped volumes before its own uncapped walks
     path = tmp_path / "flat.txt"
     path.write_text("1100 2\n" + "0 0\n" * 1100)
-    start = time.perf_counter()
-    assert main(["subdivision", "--format", "text", "--input", str(path)]) == 5
-    assert time.perf_counter() - start < 20
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: normalized volume: 9 trees x 1102 nodes x 2200 edges = 21819600 "
-        "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
-    )
+    for flips in ([], ["--flips"]):
+        start = time.perf_counter()
+        assert main(["subdivision", *flips, "--format", "text", "--input", str(path)]) == 5
+        assert time.perf_counter() - start < 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: normalized volume: 9 trees x 1102 nodes x 2200 edges = 21819600 "
+            "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
+        )
 
 
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
@@ -330,6 +332,32 @@ def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
     assert captured.err == (
         "error: internal consistency violation: "
         "perturbation's dual subdivision differs from its lower envelope\n"
+    )
+
+
+def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
+    # a walk and a dual subdivision that lose the same simplex agree cell
+    # for cell, but fall one simplex short of the product's volume
+    pivot_walk, dual = troparr.secondary._pivot_walk, troparr.secondary.dual_subdivision
+    lost = set()
+
+    def short_walk(*args):
+        pieces = list(pivot_walk(*args))
+        lost.add(pieces[-1])
+        return pieces[:-1]
+
+    def short_dual(arr, budget=None):
+        sub = dual(arr, budget)
+        return Subdivision(sub.n, sub.d, frozenset(g for g in sub.maximal_cells if g.edges not in lost))
+
+    monkeypatch.setattr(troparr.secondary, "_pivot_walk", short_walk)
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", short_dual)
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal consistency violation: "
+        "perturbation crossed a wall; triangulation does not refine\n"
     )
 
 

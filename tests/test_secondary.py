@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+import sympy
 
 import troparr.duality
 import troparr.secondary
@@ -18,7 +19,7 @@ from troparr import (
     secondary_face_check,
 )
 
-from troparr.linalg import rank
+from troparr.linalg import det_int, rank
 
 from conftest import (
     affine_rank_oracle,
@@ -240,6 +241,22 @@ def test_rank_matches_sympy():
             rows = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
         assert rank(rows) == affine_rank_oracle([[0] * cols] + rows)
     assert rank([]) == 0
+
+
+def test_det_int_matches_sympy():
+    # zero columns and zeros on the diagonal force row swaps and zero
+    # determinants, so both the swap sign and the rank-deficient case are reached
+    rng = random.Random(2424)
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        matrix = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.2:
+            c = rng.randrange(n)
+            for row in matrix:
+                row[c] = 0
+        assert det_int(matrix) == sympy.Matrix(n, n, [x for row in matrix for x in row]).det()
+    with pytest.raises(ValueError):
+        det_int([[1, 2]])
 
 
 def test_secondary_face_check_e2(e2):
