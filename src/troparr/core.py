@@ -307,6 +307,16 @@ class CellGraph:
                 raise ValueError(f"edge ({i},{j}) outside 1..{self.n} x 1..{self.d}")
         object.__setattr__(self, "edges", edges)
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, edges: frozenset[tuple[int, int]]) -> "CellGraph":
+        """A cell graph from edges known to be int pairs in 1..n x 1..d,
+        as the vertex walk reads them, without re-validating them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "d", d)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 

@@ -48,8 +48,8 @@ edges before it names a square minor: the edge's fundamental cycle
 alternates between two perfect matchings of the minor, both tight, so
 its min-plus determinant is attained twice.
 Run over the edges of one cell only, the walk gives that cell's own
-regular subdivision under other heights: how a normalized volume is
-counted, and how :mod:`troparr.secondary` refines a coarse subdivision.
+regular subdivision under other heights, which is how a normalized
+volume is counted.
 """
 
 from __future__ import annotations
@@ -145,6 +145,17 @@ class Subdivision:
                 raise ValueError(f"maximal cell {g.text()} must span and be connected")
         object.__setattr__(self, "maximal_cells", cells)
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, cells: frozenset[CellGraph]) -> "Subdivision":
+        """A subdivision from a nonempty frozenset of n x d cells that are
+        known to span and be connected, as :func:`dual_subdivision` reads
+        them off vertices, without re-validating them."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "n", n)
+        object.__setattr__(sub, "d", d)
+        object.__setattr__(sub, "maximal_cells", cells)
+        return sub
+
     def sorted_cells(self) -> tuple[CellGraph, ...]:
         return tuple(sorted(self.maximal_cells, key=lambda g: g.sorted_edges()))
 
@@ -163,17 +174,26 @@ def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision
     vertex's label masks.  When :func:`~troparr.geometry._transposes`
     says the transposed apex matrix walks in fewer steps, the vertices are
     those of the transpose, each edge (j, i) of theirs read as (i, j),
-    and ``budget`` caps the steps of that walk."""
-    flip = _transposes(arr.n, arr.d)
-    cells = frozenset(
-        CellGraph(
-            arr.n,
-            arr.d,
-            frozenset((j, i) if flip else (i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)),
-        )
-        for masks in _vertices(arr, budget, flip)
-    )
-    return Subdivision(arr.n, arr.d, cells)
+    and ``budget`` caps the steps of that walk.
+
+    Each (hyperplane, mask) pair's edges are read once per call.  The
+    cells are built unvalidated: their edges lie in range by
+    construction, and a vertex's labels tie every coordinate into one
+    group, so each vertex's graph spans and is connected."""
+    n, d = arr.n, arr.d
+    flip = _transposes(n, d)
+    read: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    cells = set()
+    for masks in _vertices(arr, budget, flip):
+        edges: list[tuple[int, int]] = []
+        for pair in enumerate(masks, 1):
+            pair_edges = read.get(pair)
+            if pair_edges is None:
+                i, mask = pair
+                pair_edges = read[pair] = tuple((j, i) if flip else (i, j) for j in _labels(mask))
+            edges += pair_edges
+        cells.add(CellGraph._trusted(n, d, frozenset(edges)))
+    return Subdivision._trusted(n, d, frozenset(cells))
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
@@ -216,26 +236,43 @@ def _cycles(
     """The fundamental cycle that each edge (i, j) of ``edges`` off the
     spanning ``tree`` closes in it, in order, as (plus, minus) edge lists.
 
-    With one bit per node, :func:`_sides` gives each tree edge's side
-    that holds its hyperplane end; the edge is on the cycle exactly when
-    that side holds one end of (i, j).  Walked from hyperplane i to
+    One pass rooted at hyperplane 1 gives each node the bitmask of the
+    tree edges on its path to the root, so the cycle's tree edges are
+    the XOR of the masks of (i, j)'s ends.  Walked from hyperplane i to
     coordinate j and back along (i, j), the cycle alternates: ``plus``
     holds (i, j) and the tree edges walked from their coordinate end,
     ``minus`` those walked from their hyperplane end, two perfect
-    matchings of the rows and columns the cycle meets."""
-    sides = _sides([(i - 1, n + j - 1) for i, j in tree], [1 << v for v in range(len(tree) + 1)])
+    matchings of the rows and columns the cycle meets.  A tree edge on
+    i's path is walked from its child end, one on j's path from its
+    parent end."""
+    tree = list(tree)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(len(tree) + 1)]
+    for k, (i, j) in enumerate(tree):
+        adj[i - 1].append((n + j - 1, k))
+        adj[n + j - 1].append((i - 1, k))
+    # path[v]: the tree edges from v up to the root; low: those whose
+    # child is their hyperplane end
+    path, low, stack = [-1] * len(adj), 0, [0]
+    path[0] = 0
+    while stack:
+        v = stack.pop()
+        for u, k in adj[v]:
+            if path[u] < 0:
+                path[u] = path[v] | 1 << k
+                low |= (u < n) << k
+                stack.append(u)
+    on_tree = set(tree)
     cycles = []
     for i, j in edges:
-        if (i - 1, n + j - 1) in sides:
+        if (i, j) in on_tree:
             continue
-        left, right = 1 << i - 1, 1 << n + j - 1
-        plus, minus = [(i, j)], []
-        for (a, b), side in sides.items():
-            if side & left and not side & right:
-                minus.append((a + 1, b - n + 1))
-            elif side & right and not side & left:
-                plus.append((a + 1, b - n + 1))
-        cycles.append((plus, minus))
+        up, down = path[i - 1], path[n + j - 1]
+        minus = up & ~down & low | down & ~up & ~low
+        plus = (up ^ down) & ~minus
+        cycles.append((
+            [(i, j)] + [e for k, e in enumerate(tree) if plus >> k & 1],
+            [e for k, e in enumerate(tree) if minus >> k & 1],
+        ))
     return cycles
 
 

@@ -5,28 +5,39 @@ A non-generic arrangement, one whose subdivision is not a triangulation,
 sits on a wall between generic ones.  Moving its apexes by less than the
 safe radius, which is read off their denominators, crosses no wall, so
 every generic arrangement it lands on has a triangulation refining the
-coarse subdivision.  That triangulation needs no walk over the moved
-envelope: for heights w and a step u, the lower envelope of w + εu at
-such a small ε is the union, over the coarse cells, of each cell's own
-regular subdivision under u (De Loera-Rambau-Santos, ch. 2 and 6.2).
-So a pivot walk over the edges of each cell that is not a tree refines
-it, and the move is generic exactly when every piece is a tree.  Once a
-cell's refinement is known, the open cone of the steps that give it is
-known too: one strict inequality per cycle that a cell edge closes in
-one of its trees.  A later step inside that cone gives the same
-refinement without a walk.  A new triangulation is the moved
-arrangement's own dual subdivision, read off its vertex walk.  Its
-cells must be the trees of the coarse subdivision and the pieces its
-cells' walks gave, and a count then shows that it refines the coarse
-subdivision: each piece lies in the cell it was walked on, a cell holds
-at most its volume in unit simplices with disjoint interiors, and the
-volumes add up to the C(n+d-2, n-1) simplices of a triangulation, so
-every cell is filled exactly.  Every triangulation listed is regular,
-whatever (n, d): it is the regular subdivision under the step that
-found it, and that step lies strictly inside each of its cells' cones.
-The dimension of the secondary-polytope face the wall corresponds to is
-exact: the rank of the coarse cells' alternating-cycle vectors, which no
-sample enters.
+coarse subdivision.  For heights w and a step u, the lower envelope of
+w + εu at such a small ε is the union, over the coarse cells, of each
+cell's own regular subdivision under u (De Loera-Rambau-Santos, ch. 2
+and 6.2).  A new step's envelope is read off one vertex walk of the
+moved arrangement, and certified without a second walk.
+
+Each tree of the walk lies in one coarse cell, its host.  A cell's
+regular subdivision under u is a triangulation whose trees form a set
+P exactly when u lies in the open cone of P: one strict inequality per
+cycle that a cell edge closes in one of P's trees (:func:`_cone`).  So
+when the step lies strictly inside the cone of each host's group of
+trees, every tree is a simplex of its host's subdivision under u.
+Simplices of one cell's subdivision have disjoint interiors, so a cell
+holds at most its volume in them, and the volumes add up to the
+C(n+d-2, n-1) simplices of a triangulation; when
+:func:`~troparr.duality.is_triangulation` counts that many trees, every
+cell is filled exactly, and the walk is the lower envelope of the moved
+heights.  The cone of each group is kept with its cell, so a later step
+that lies in a known cone of every cell, on a triangulation already
+found, is skipped with no walk.
+
+A walk cell that is not a tree shows the step on a wall, and the step
+is skipped once that cell G passes a tie certificate inside its host
+C: on a spanning forest of G, the step's alternating sum vanishes on
+the fundamental cycle of each other edge of G and is positive on that
+of each edge of C outside G.  The forest's potentials then make u
+affine on G and strictly higher on the rest of C, so G is a cell of
+C's subdivision under u that is not a simplex.  Every triangulation
+listed is regular, whatever (n, d): it is the regular subdivision under
+the step that found it, and that step lies strictly inside each of its
+cells' cones.  The dimension of the secondary-polytope face the wall
+corresponds to is exact: the rank of the coarse cells'
+alternating-cycle vectors, which no sample enters.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from math import lcm
 from typing import Sequence
 
 from .core import Arrangement
-from .duality import Subdivision, _cycles, _forest, _pivot_walk, dual_subdivision, is_triangulation
+from .duality import Subdivision, _cycles, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
 @dataclass(frozen=True)
@@ -142,6 +153,44 @@ def _in_cone(cone, flat_step: Sequence[int]) -> bool:
     )
 
 
+def _scaled_rows(arr: Arrangement) -> list[list[int]]:
+    """The apex matrix times U = 1000 / :func:`safe_radius`, all ints.
+
+    A step u moves the apexes by safe_radius · u/1000, so the scaled
+    moved matrix is these rows plus u.  Scaling every coordinate by a
+    positive constant maps each point of the arrangement to a point of
+    the scaled one with the same type, so both have the same dual
+    subdivision."""
+    scale = 1000 * safe_radius(arr).denominator
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in arr.rows()]
+
+
+def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Arrangement:
+    """The arrangement of the :func:`_scaled_rows` moved by a step, each
+    row less its last entry, so its rows are already normalized."""
+    rows = []
+    for row, us in zip(scaled, step):
+        moved = [x + u for x, u in zip(row, us)]
+        rows.append([x - moved[-1] for x in moved])
+    return Arrangement.from_rows(rows)
+
+
+def _tied(n: int, d: int, cell: frozenset, host: frozenset, flat_step: Sequence[int]) -> bool:
+    """The tie certificate of a ``cell`` that is not a tree inside its
+    coarse ``host``: on a spanning forest of the cell, the step's
+    alternating sum is 0 on the fundamental cycle of every other cell
+    edge and positive on that of every host edge outside the cell."""
+
+    def sums(edges):
+        for plus, minus in _cycles(n, forest, edges):
+            yield sum(flat_step[(i - 1) * d + j - 1] for i, j in plus) - sum(
+                flat_step[(i - 1) * d + j - 1] for i, j in minus
+            )
+
+    forest = _forest(n, d, sorted(cell))[0]
+    return all(s == 0 for s in sums(cell)) and all(s > 0 for s in sums(host - cell))
+
+
 def refining_triangulations(
     arr: Arrangement,
     base: Subdivision,
@@ -157,24 +206,29 @@ def refining_triangulations(
     triangulation found refines ``base``, the arrangement's own
     subdivision, so a triangulation ``base`` is its own only refinement.
 
-    A step's triangulation is read off ``base``, with no type enumeration
-    and no walk over the whole envelope: it keeps every cell that is a
-    tree and refines every other cell C by C's own regular subdivision
-    under u.  Each such C keeps the refinements found so far, each with
-    its :func:`_cone`; a step inside one reuses it, and only a step that
-    matches none is walked over C's edges, by the pivot walk.  A walk
-    that leaves a piece other than a tree is not kept.  So each cell is
-    walked about once per distinct refinement, not once per step.
+    Each coarse cell that is not a tree keeps the refinements found so
+    far, each with its :func:`_cone`.  A step inside a known cone for
+    every such cell has its triangulation's cells, the trees of
+    ``base`` and the matched pieces, in hand; when that triangulation
+    was already found, the step is skipped.  Every other step walks the
+    moved arrangement once, through :func:`_moved` on ints, with
+    ``budget`` capping the walk, and the walk's cells are certified
+    against ``base`` as the module docstring proves:
 
-    The edge sets of the step's cells, the trees of ``base`` and the
-    matched pieces, key the triangulation, and a step with a known key
-    is skipped before any cell is built.  A new one gets the moved
-    arrangement, whose vertices are walked: that walk's dual subdivision
-    is the triangulation returned, its cells' edge sets must be the key,
-    and it must pass :func:`~troparr.duality.is_triangulation`, whose
-    count of C(n+d-2, n-1) cells, given the key, is :func:`refines`
-    ``base``.  So every check runs once per distinct triangulation, and
-    each triangulation is built once.
+    - every cell lies in a coarse cell, its host;
+    - a cell that is not a tree must pass :func:`_tied` in its host,
+      and the step is then skipped;
+    - otherwise each host's trees, as a group, must hold the step
+      strictly inside their cone, which is computed once per group and
+      kept;
+    - and :func:`~troparr.duality.is_triangulation` must count
+      C(n+d-2, n-1) trees, which fills every coarse cell, so the walk
+      refines ``base``.
+
+    A failure raises :class:`RuntimeError`: the walk differs from the
+    lower envelope when a cell fails, and the step crossed a wall when
+    the count does.  No cell is walked on its own, and each walk's dual
+    subdivision is the triangulation returned.
     """
     n, d = arr.n, arr.d
     if samples is None:
@@ -183,38 +237,47 @@ def refining_triangulations(
         raise ValueError(f"samples must be at least 2*n*d = {2 * n * d}")
     if is_triangulation(base):
         return frozenset({base})
-    radius = safe_radius(arr)
     rng = random.Random(seed)
-    rows = arr.rows()
-    trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == n + d - 1)
-    coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
-    # per coarse cell: (cone, pieces) of each refinement its walks gave
-    known: list[list[tuple[tuple, frozenset[frozenset[tuple[int, int]]]]]] = [[] for _ in coarse]
+    scaled = _scaled_rows(arr)
+    tree_size = n + d - 1
+    trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == tree_size)
+    coarse = [g.edges for g in base.maximal_cells if len(g.edges) != tree_size]
+    # per coarse cell: pieces -> cone of each refinement certified on it
+    known: list[dict[frozenset[frozenset[tuple[int, int]]], tuple]] = [{} for _ in coarse]
     found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
     for _ in range(samples):
-        step = [[rng.randint(0, 1000) for _ in row] for row in rows]
+        step = [[rng.randint(0, 1000) for _ in range(d)] for _ in range(n)]
         flat = [u for us in step for u in us]
-        cells = trees
-        for cell, refinements in zip(coarse, known):
-            pieces = next((p for cone, p in refinements if _in_cone(cone, flat)), None)
-            if pieces is None:
-                pieces = frozenset(_pivot_walk(n, d, step, cell))
-                if any(len(piece) != n + d - 1 for piece in pieces):
-                    break
-                refinements.append((_cone(n, d, cell, pieces), pieces))
-            cells |= pieces
-        else:
-            if cells in found:
+        matched = [next((p for p, cone in cones.items() if _in_cone(cone, flat)), None) for cones in known]
+        if None not in matched and trees.union(*matched) in found:
+            continue
+        tri = dual_subdivision(_moved(scaled, step), budget)
+        groups: dict[frozenset[tuple[int, int]], set[frozenset[tuple[int, int]]]] = {}
+        ties = []
+        for g in tri.maximal_cells:
+            if g.edges in trees:
                 continue
-            moved = Arrangement.from_rows(
-                [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
-            )
-            tri = dual_subdivision(moved, budget)
-            if {g.edges for g in tri.maximal_cells} != cells:
+            host = next((cell for cell in coarse if g.edges <= cell), None)
+            if host is None:
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-            if not is_triangulation(tri):
-                raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-            found[cells] = tri
+            if len(g.edges) != tree_size:
+                ties.append((g.edges, host))
+            groups.setdefault(host, set()).add(g.edges)
+        if ties:
+            if not all(_tied(n, d, cell, host, flat) for cell, host in ties):
+                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
+            continue
+        for cell, cones, pieces in zip(coarse, known, matched):
+            group = frozenset(groups.get(cell, ()))
+            if group == pieces:
+                continue
+            if group not in cones:
+                cones[group] = _cone(n, d, cell, group)
+            if not _in_cone(cones[group], flat):
+                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
+        if not is_triangulation(tri):
+            raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
+        found[frozenset(g.edges for g in tri.maximal_cells)] = tri
     return frozenset(found.values())
 
 

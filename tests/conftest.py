@@ -10,8 +10,10 @@ dual subdivision as a validated subdivision of the enumeration's
 enumerating the types of every perturbation; the per-cell walks against
 the lower envelope of the moved apexes, with the cone test against the
 walks; the replaced cell traversals, a flood fill for components, a
-dict-forest search for tied minors and a potential search for cones,
-against the union-find forest and its fundamental cycles; every
+dict-forest search for tied minors, a potential search for cones and a
+side scan for fundamental cycles, against the union-find forest and its
+root-path masks; the Fraction moves of the perturbations against the
+scaled int moves; every
 generated entry of the type enumeration imposed; the vertex walk's
 closed-form last two hyperplanes by imposing every entry of the last
 three) used to cross-check the main code paths, the set of all types as
@@ -55,7 +57,7 @@ from troparr import (
     type_to_graph,
 )
 from troparr.geometry import _Feasibility, _labels, _Staircases, _vertices
-from troparr.duality import _forest, _pivot_walk, _tied_minor, is_spanning_connected
+from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone
 
@@ -524,6 +526,37 @@ def cone_oracle(d: int, cell, trees) -> tuple:
     return tuple(sorted(cone))
 
 
+def cycles_oracle(n: int, tree, edges) -> list[tuple[list, list]]:
+    """The fundamental cycles by the scan ``duality._cycles`` replaced:
+    one bit per node, :func:`~troparr.duality._sides` gives each tree
+    edge's side that holds its hyperplane end, and a tree edge is on the
+    cycle of (i, j) exactly when that side holds one end of (i, j): in
+    ``minus`` when it holds i, in ``plus`` when it holds j."""
+    sides = _sides([(i - 1, n + j - 1) for i, j in tree], [1 << v for v in range(len(tree) + 1)])
+    cycles = []
+    for i, j in edges:
+        if (i - 1, n + j - 1) in sides:
+            continue
+        left, right = 1 << i - 1, 1 << n + j - 1
+        plus, minus = [(i, j)], []
+        for (a, b), side in sides.items():
+            if side & left and not side & right:
+                minus.append((a + 1, b - n + 1))
+            elif side & right and not side & left:
+                plus.append((a + 1, b - n + 1))
+        cycles.append((plus, minus))
+    return cycles
+
+
+def assert_cycles_match_the_oracle(n: int, d: int, tree) -> None:
+    """``_cycles`` of every edge of K_{n,d} against a spanning ``tree``
+    equals :func:`cycles_oracle`'s, each cycle's halves sorted."""
+    edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+    got = [(sorted(plus), sorted(minus)) for plus, minus in _cycles(n, tree, edges)]
+    assert got == [(sorted(plus), sorted(minus)) for plus, minus in cycles_oracle(n, tree, edges)], sorted(tree)
+    assert len(got) == n * d - len(tree), sorted(tree)
+
+
 def _cone_rank(n: int, d: int, rows) -> int:
     return rank([[1 if k in plus else -1 if k in minus else 0 for k in range(n * d)] for plus, minus in rows])
 
@@ -532,8 +565,10 @@ def assert_cell_questions_match_the_oracles(arr: Arrangement) -> int:
     """On every maximal cell of ``arr``'s dual subdivision, and on every
     edge set left by dropping one of its edges: ``cell_dim`` and
     ``is_spanning_connected`` from the union-find forest agree with
-    :func:`components_oracle`.  On each cell, the forest's fundamental
-    cycles are :func:`cone_oracle`'s rows for that tree, and on each cell
+    :func:`components_oracle`, and each maximal cell spans and is
+    connected.  On each cell, the forest's fundamental cycles are
+    :func:`cone_oracle`'s rows for that tree, ``_cycles`` against that
+    tree is :func:`cycles_oracle` over every edge, and on each cell
     that is not a tree ``_tied_minor`` is :func:`tied_minor_oracle`'s.
     The face dimension, the rank of the rows of every cell against its
     forest, equals the rank of the rows of every cell against itself.
@@ -549,7 +584,9 @@ def assert_cell_questions_match_the_oracles(arr: Arrangement) -> int:
             assert is_spanning_connected(h) == (comps == [full]), (arr.rows(), h.text())
             if edges:
                 assert cell_dim(h) == sum(comps).bit_count() - len(comps) - 1, (arr.rows(), h.text())
+        assert is_spanning_connected(g), (arr.rows(), g.text())
         tree = _forest(n, d, g.sorted_edges())[0]
+        assert_cycles_match_the_oracle(n, d, tree)
         cone = _cone(n, d, g.edges, [tree])
         assert cone == cone_oracle(d, g.edges, [tree]), (arr.rows(), g.text())
         rows += cone

@@ -35,6 +35,7 @@ from troparr import (
     type_to_graph,
 )
 from troparr.cli import main, parse_arrangement_json, parse_arrangement_text
+from troparr.duality import is_spanning_connected
 
 from conftest import (
     affine_rank_oracle,
@@ -48,6 +49,7 @@ from conftest import (
     random_arrangement,
     random_generic_arrangement,
     random_integer_arrangement,
+    refinements_oracle,
     sampled_types,
     serialize_arrangement,
     type_total_size,
@@ -165,8 +167,9 @@ def test_criterion_5_degenerate_subdivisions_sit_between_triangulations(suite3, 
     assert g1 != g2
     assert affine_rank_oracle([g1.values, g2.values]) == 1 == face_dimension_oracle(sub)
 
-    for verdict in suite3_face_checks:
+    for (arr, *_), verdict in zip(suite3, suite3_face_checks):
         assert verdict.refinement_count >= 2
+        assert set(verdict.refinements) == refinements_oracle(arr, verdict.subdivision)
         assert verdict.face_dimension >= 1
         assert affine_rank_oracle([g.values for g in verdict.gkz_vectors]) == verdict.face_dimension
         assert face_dimension_oracle(verdict.subdivision) == verdict.face_dimension
@@ -221,6 +224,7 @@ def test_criterion_8_structural_invariants(suite2, suite3, suite3_face_checks):
             g = type_to_graph(T, arr.n, arr.d)
             assert dim + cell_dim(g) == target
         sub = dual_subdivision(arr)
+        assert all(is_spanning_connected(g) for g in sub.maximal_cells)
         total = sum(normalized_volume(g) for g in sub.maximal_cells)
         assert total == comb(arr.n + arr.d - 2, arr.n - 1)
 

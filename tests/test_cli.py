@@ -1,9 +1,11 @@
+import itertools
 import json
 import re
 import math
 import random
 import sys
 import time
+import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import troparr.secondary
 from troparr import Arrangement, CellGraph, Subdivision
 from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, render_svg
 
-from conftest import nongeneric_on_ray, random_arrangement, random_generic_arrangement, serialize_arrangement
+from conftest import _tied_step, nongeneric_on_ray, random_arrangement, random_generic_arrangement, serialize_arrangement
 
 E2_DOC = {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["1", "1", "0"]]}
 
@@ -268,26 +270,144 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_f
     # the input once, then one perturbation per distinct triangulation;
     # E2 has one coarse cell that is not a tree, with two refinements, so
     # of the 2nd = 12 steps only the first to land on each is walked: the
-    # others fall inside a known refinement's cone
-    enumerations, walks = [], []
+    # others fall inside a known refinement's cone.  No cell is walked on
+    # its own while the refinements are sought
+    enumerations, inside, cell_walks = [], [], []
     vertices = troparr.duality._vertices
-    pivot_walk = troparr.secondary._pivot_walk
+    pivot_walk = troparr.duality._pivot_walk
+    refining = troparr.secondary.refining_triangulations
 
     def counted(arr, *args, **kwargs):
         enumerations.append(arr)
         return vertices(arr, *args, **kwargs)
 
-    def recorded(n, d, weights, support):
-        walks.append(frozenset(pivot_walk(n, d, weights, support)))
-        return iter(walks[-1])
+    def recorded(*args):
+        cell_walks.append(bool(inside))
+        return pivot_walk(*args)
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return refining(*args, **kwargs)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(troparr.duality, "_vertices", counted)
-    monkeypatch.setattr(troparr.secondary, "_pivot_walk", recorded)
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", recorded)
+    monkeypatch.setattr(troparr.secondary, "refining_triangulations", flagged)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 0
-    assert "triangulation 2:" in capsys.readouterr().out
-    assert len(walks) == len(set(walks)) == 2
-    triangulated = {w for w in walks if all(len(piece) == 2 + 3 - 1 for piece in w)}
-    assert len(enumerations) == 1 + len(triangulated) == 3
+    out = capsys.readouterr().out
+    assert "triangulation 2:" in out and "triangulation 3:" not in out
+    assert len(enumerations) == 1 + 2
+    assert cell_walks and not any(cell_walks)  # the coarse volumes only
+
+
+def _e2_pyramid() -> frozenset:
+    """The edges of E2's one coarse cell that is not a tree."""
+    base = troparr.duality.dual_subdivision(Arrangement.from_rows(E2_DOC["apexes"]))
+    return next(g.edges for g in base.maximal_cells if len(g.edges) > 2 + 3 - 1)
+
+
+def _mutated_walks(monkeypatch, mutate) -> None:
+    """Every moved arrangement's walk replaced by ``mutate`` of its cells
+    and of E2's pyramid, as a validated subdivision."""
+    dual, pyramid = troparr.secondary.dual_subdivision, _e2_pyramid()
+
+    def mutated(arr, budget=None):
+        sub = dual(arr, budget)
+        cells = mutate({g.edges for g in sub.maximal_cells}, pyramid)
+        return Subdivision(sub.n, sub.d, frozenset(CellGraph(sub.n, sub.d, c) for c in cells))
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", mutated)
+
+
+def _assert_exit_4(capsys, e2_file, message: str) -> None:
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal consistency violation: {message}\n"
+
+
+def _trees(edges) -> list[frozenset]:
+    """The spanning trees of K_{2,3} on ``edges``, in sorted order."""
+    return [
+        frozenset(t) for t in itertools.combinations(sorted(edges), 2 + 3 - 1)
+        if troparr.duality.is_spanning_tree(CellGraph(2, 3, frozenset(t)))
+    ]
+
+
+def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
+    # E2's pyramid splits into two trees under every step; a walk that
+    # loses the last one for a tree of the pyramid's other split leaves
+    # a group whose cone the step lies outside
+    def swapped(cells, pyramid):
+        pieces = sorted((c for c in cells if c <= pyramid), key=sorted)
+        other = next(t for t in _trees(pyramid) if t not in pieces)
+        return cells - {pieces[-1]} | {other}
+
+    _mutated_walks(monkeypatch, swapped)
+    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+
+
+def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
+    # a walk that loses one of the pyramid's trees passes every cone, but
+    # falls one simplex short of the product's volume
+    def short(cells, pyramid):
+        return cells - {max((c for c in cells if c <= pyramid), key=sorted)}
+
+    _mutated_walks(monkeypatch, short)
+    _assert_exit_4(capsys, e2_file, "perturbation crossed a wall; triangulation does not refine")
+
+
+def test_a_tree_inside_no_coarse_cell_exits_4(monkeypatch, capsys, e2_file):
+    # a tree holding an edge of the simplex and one of the pyramid that
+    # the simplex lacks lies in neither
+    def crossing(cells, pyramid):
+        simplex = next(c for c in cells if not c <= pyramid)
+        tree = next(t for t in _trees(simplex | pyramid) if not t <= simplex and not t <= pyramid)
+        return cells - {max((c for c in cells if c <= pyramid), key=sorted)} | {tree}
+
+    _mutated_walks(monkeypatch, crossing)
+    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+
+
+def test_a_cell_without_a_tie_exits_4(monkeypatch, capsys, e2_file):
+    # the pyramid kept whole under a step that ties none of its cycles
+    def unsplit(cells, pyramid):
+        return {c for c in cells if not c <= pyramid} | {pyramid}
+
+    _mutated_walks(monkeypatch, unsplit)
+    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+
+
+def test_a_step_on_a_wall_is_skipped(monkeypatch, capsys, e2_file):
+    # the first step of seed 0 lowered onto a wall of E2's pyramid: its
+    # walk keeps a cell that is not a tree, which passes the tie
+    # certificate, so the step is skipped and the rest find both splits
+    expected = run(capsys, ["subdivision", "--flips", "--input", e2_file])
+    pyramid, rng = _e2_pyramid(), random.Random(0)
+    step = [[rng.randint(0, 1000) for _ in range(3)] for _ in range(2)]
+    tree = min(troparr.duality._pivot_walk(2, 3, step, pyramid), key=sorted)
+    tied = _tied_step(2, 3, pyramid, tree, step)
+    first = [u for us in tied for u in us]
+    assert tied != step and all(0 <= u <= 1000 for u in first)
+
+    class OnAWall(random.Random):
+        def randint(self, a, b):
+            return first.pop(0) if first else super().randint(a, b)
+
+    walks = []
+    dual = troparr.secondary.dual_subdivision
+
+    def recorded(arr, budget=None):
+        walks.append(dual(arr, budget))
+        return walks[-1]
+
+    monkeypatch.setattr(troparr.secondary, "random", types.SimpleNamespace(Random=OnAWall))
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
+    assert run(capsys, ["subdivision", "--flips", "--input", e2_file]) == expected
+    assert expected[0] == 0 and "triangulation 2:" in expected[1]
+    assert any(len(g.edges) > 2 + 3 - 1 for g in walks[0].maximal_cells)
 
 
 def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):
@@ -318,46 +438,6 @@ def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
     assert captured.err == (
         "error: internal consistency violation: "
         "perturbation's dual subdivision differs from its lower envelope\n"
-    )
-
-
-def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
-    # E2's pyramid splits into two trees under every step; a walk that
-    # drops the last one leaves a cell of the moved arrangement unmatched
-    pivot_walk = troparr.secondary._pivot_walk
-    monkeypatch.setattr(troparr.secondary, "_pivot_walk", lambda *args: list(pivot_walk(*args))[:-1])
-    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: internal consistency violation: "
-        "perturbation's dual subdivision differs from its lower envelope\n"
-    )
-
-
-def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
-    # a walk and a dual subdivision that lose the same simplex agree cell
-    # for cell, but fall one simplex short of the product's volume
-    pivot_walk, dual = troparr.secondary._pivot_walk, troparr.secondary.dual_subdivision
-    lost = set()
-
-    def short_walk(*args):
-        pieces = list(pivot_walk(*args))
-        lost.add(pieces[-1])
-        return pieces[:-1]
-
-    def short_dual(arr, budget=None):
-        sub = dual(arr, budget)
-        return Subdivision(sub.n, sub.d, frozenset(g for g in sub.maximal_cells if g.edges not in lost))
-
-    monkeypatch.setattr(troparr.secondary, "_pivot_walk", short_walk)
-    monkeypatch.setattr(troparr.secondary, "dual_subdivision", short_dual)
-    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: internal consistency violation: "
-        "perturbation crossed a wall; triangulation does not refine\n"
     )
 
 

@@ -27,12 +27,13 @@ from troparr import (
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import is_spanning_connected
+from troparr.duality import _forest, is_spanning_connected
 from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
     arrangement_cell_dim,
     assert_both_sides_match_the_envelope,
+    assert_cycles_match_the_oracle,
     assert_cell_questions_match_the_oracles,
     assert_check_cells_match_the_oracle,
     assert_staircases_match_the_imposed_path,
@@ -124,6 +125,16 @@ def test_cell_questions_match_the_replaced_traversals():
     cases += [nongeneric_on_ray(rng, n)[0] for n in (3, 4, 5)] + [nongeneric_on_apex(rng, n)[0] for n in (3, 4)]
     cases += [random_arrangement(rng, 3, 3) for _ in range(3)]
     assert sum(assert_cell_questions_match_the_oracles(arr) for arr in cases) > 50
+
+
+def test_cycles_match_the_side_scan_on_random_trees():
+    # the root-path masks give the cycles the side scan gave, on spanning
+    # trees grown from shuffled edges of K_{n,d}
+    rng = random.Random(271)
+    for n, d in [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 5), (6, 2), (5, 5)] * 4:
+        edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+        rng.shuffle(edges)
+        assert_cycles_match_the_oracle(n, d, _forest(n, d, edges)[0])
 
 
 def test_arrangement_cell_dim(e1, e2):

@@ -10,15 +10,17 @@ staircase over the last two hyperplanes against imposing every entry of
 the last three (at (3,3) after a pending entry, at (2,4) bare), the same
 walk and staircases on the transposed apex matrix, both sides against the
 lower envelope and each other up to transposition, genericity,
-its tied minor and the verdict at (2,4), the secondary-face check and
-its exact face dimension on the (3,3) and (2,4) inputs whose apexes all
-look generic although a minor ties, the walks over the coarse cells
+its tied minor and the verdict at (2,4), the secondary-face check, its
+refinements against enumerating every perturbation and its exact face
+dimension on the (3,3) and (2,4) inputs whose apexes all look generic
+although a minor ties, the walks over the coarse cells
 against the lower envelope, and the cone test and cone rows against the
 walks and the potential search, on the perturbations of every
 non-generic input at (3,3) and (2,4), the union-find forest's spanning
-test, dimension, tied minor, cone rows and face-dimension rank against
-the flood fill, dict-forest search and potential search they replaced
-on every cell of every (3,3) and (2,4) input, and dual subdivision
+test, dimension, tied minor, cone rows, fundamental cycles and
+face-dimension rank against the flood fill, dict-forest search,
+potential search and side scan they replaced on every cell of every
+(3,3) and (2,4) input, each cell spanning, and dual subdivision
 against lower envelope, with genericity and its tied minor, on the
 6,561 inputs at (4,3).  It also compares the bit-sliced
 elimination and comparability kernels with the pairwise scans they
@@ -66,6 +68,7 @@ from conftest import (
     pairwise_elimination_oracle,
     random_generic_arrangement,
     realizations_oracle,
+    refinements_oracle,
     subdivision_of,
     surrounding_oracle,
 )
@@ -158,6 +161,7 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
                 continue
             verdict = secondary_face_check(arr, dual_subdivision(arr))
             assert face_check_passes(verdict), arr.rows()
+            assert set(verdict.refinements) == refinements_oracle(arr, verdict.subdivision), arr.rows()
             assert verdict.face_dimension == face_dimension_oracle(verdict.subdivision), arr.rows()
             checked += 1
     assert checked == 6 + 186

@@ -19,9 +19,12 @@ from troparr import (
     secondary_face_check,
 )
 
+from troparr.duality import is_spanning_connected
 from troparr.linalg import det_int, rank
+from troparr.secondary import _moved, _scaled_rows, _tied
 
 from conftest import (
+    _perturbations,
     affine_rank_oracle,
     apex_type,
     assert_cell_walks_match_the_envelope,
@@ -115,17 +118,62 @@ def test_refinements_match_the_loop_over_every_candidate(e2):
         assert refining_triangulations(arr, base) == refinements_oracle(arr, base)
 
 
-def test_cell_walks_match_the_envelope(e2):
-    # the perturbations of E2 and of every flips slice kind at d = 3:
-    # apex on a ray, apex on an apex, integer draws with an incidence
+def _slice_cases(e2) -> list[Arrangement]:
+    """E2, the six-cycle wall and every flips slice kind at d = 3: apex
+    on a ray, apex on an apex, integer draws with an incidence."""
     rng = random.Random(1618)
     cases = [e2, SIX_CYCLE]
     cases += [nongeneric_on_ray(rng, n)[0] for n in (3, 4, 5)]
     cases += [nongeneric_on_apex(rng, n)[0] for n in (3, 4, 5)]
     draws = (random_integer_arrangement(rng, n, 3) for n in [3, 4] * 100)
     cases += islice((arr for arr in draws if offending_apexes(arr)), 6)
-    for arr in cases:
+    return cases
+
+
+def _perturbed_cases(e2) -> list[Arrangement]:
+    """Non-generic inputs of shapes (2,3) to (4,3), (3,4) and (2,4)."""
+    rng = random.Random(3141)
+    cases = [e2, SIX_CYCLE, Arrangement.from_rows([[0, 0, 0], [3, 1, 0], [1, 1, 0]])]
+    cases += [nongeneric_on_ray(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
+    cases += [nongeneric_on_apex(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
+    cases += [integer_incident(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (2, 4)]]
+    return cases
+
+
+def test_cell_walks_match_the_envelope(e2):
+    for arr in _slice_cases(e2):
         assert assert_cell_walks_match_the_envelope(arr) >= 2, arr.rows()
+
+
+def test_refinements_match_the_oracle_on_every_suite(e2):
+    # the certified walks find what enumerating every perturbation finds
+    for arr in _slice_cases(e2) + _perturbed_cases(e2):
+        base = dual_subdivision(arr)
+        assert refining_triangulations(arr, base) == refinements_oracle(arr, base), arr.rows()
+
+
+def test_the_tie_certificate_places_the_cell_below_its_host():
+    # on all of K_{2,3}, a step with u_23 = 5 and 0 elsewhere ties the
+    # square on columns 1, 2; the lower cell keeps (1,3), so the cell that
+    # keeps (2,3) ties but leaves (1,3) below it, and a step off the tie
+    # certifies neither
+    host = frozenset((i, j) for i in (1, 2) for j in (1, 2, 3))
+    tied, untied = [0, 0, 0, 0, 0, 5], [0, 0, 0, 1, 0, 5]
+    assert _tied(2, 3, host - {(2, 3)}, host, tied)
+    assert not _tied(2, 3, host - {(1, 3)}, host, tied)
+    assert not _tied(2, 3, host - {(2, 3)}, host, untied)
+
+
+def test_scaled_moves_walk_like_fraction_moves(e2):
+    # each step's int move of the scaled apexes has the dual subdivision
+    # of its Fraction move, and every cell its walk reads spans
+    for arr in _perturbed_cases(e2):
+        scaled = _scaled_rows(arr)
+        assert all(isinstance(x, int) for row in scaled for x in row)
+        for step, moved in _perturbations(arr, 2 * arr.n * arr.d, 0):
+            walked = dual_subdivision(_moved(scaled, step))
+            assert walked == dual_subdivision(moved), (arr.rows(), step)
+            assert all(is_spanning_connected(g) for g in walked.maximal_cells), (arr.rows(), step)
 
 
 def _inside(small, big) -> bool:
@@ -144,12 +192,7 @@ def test_a_perturbation_only_breaks_ties(monkeypatch, e2):
         return dual(arr, budget)
 
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
-    rng = random.Random(3141)
-    cases = [e2, SIX_CYCLE, Arrangement.from_rows([[0, 0, 0], [3, 1, 0], [1, 1, 0]])]
-    cases += [nongeneric_on_ray(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
-    cases += [nongeneric_on_apex(rng, n, d)[0] for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]]
-    cases += [integer_incident(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (2, 4)]]
-    for arr in cases:
+    for arr in _perturbed_cases(e2):
         moved.clear()
         refining_triangulations(arr, dual(arr))
         assert moved, arr.rows()
