@@ -47,7 +47,6 @@ from .duality import (
     is_triangulation,
     normalized_volume,
     regular_subdivision,
-    type_to_graph,
 )
 from .secondary import (
     GKZVector,
@@ -102,5 +101,4 @@ __all__ = [
     "safe_radius",
     "secondary_face_check",
     "type_of_point",
-    "type_to_graph",
 ]

@@ -179,7 +179,8 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
     sub = dual_subdivision(arr, args.budget)
-    volumes = sub.volumes  # capped walks first; the flips that follow have no cap
+    # the capped volumes before the flips, whose walks count against --budget but whose cones have no cap
+    volumes = sub.volumes
     verdict = None
     if args.flips and not is_triangulation(sub):
         verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)

@@ -60,7 +60,7 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import Arrangement, CellGraph, ResourceLimitError, TypeVector, to_fraction
+from .core import Arrangement, CellGraph, ResourceLimitError, to_fraction
 from .geometry import (
     GenericityReport,
     TiedMinor,
@@ -76,12 +76,6 @@ from .axioms import AxiomReport, is_tropical_oriented_matroid
 #: walk pays one rooted pass per tree and, per tree edge, a scan of the
 #: edges entering its side.
 MAX_VOLUME_WORK = 20_000_000
-
-
-def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
-    """Cell graph of a type: edge (i, j) for every label j in entry i."""
-    edges = frozenset((i, j) for i, entry in enumerate(T.entries, 1) for j in entry)
-    return CellGraph(n, d, edges)
 
 
 def _forest(

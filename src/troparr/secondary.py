@@ -26,18 +26,19 @@ heights.  The cone of each group is kept with its cell, so a later step
 that lies in a known cone of every cell, on a triangulation already
 found, is skipped with no walk.
 
-A walk cell that is not a tree shows the step on a wall, and the step
-is skipped once that cell G passes a tie certificate inside its host
-C: on a spanning forest of G, the step's alternating sum vanishes on
-the fundamental cycle of each other edge of G and is positive on that
-of each edge of C outside G.  The forest's potentials then make u
-affine on G and strictly higher on the rest of C, so G is a cell of
-C's subdivision under u that is not a simplex.  Every triangulation
-listed is regular, whatever (n, d): it is the regular subdivision under
-the step that found it, and that step lies strictly inside each of its
-cells' cones.  The dimension of the secondary-polytope face the wall
-corresponds to is exact: the rank of the coarse cells'
-alternating-cycle vectors, which no sample enters.
+No step lies on a wall.  A step is u'_ij = 3^(nd)·u_ij +
+3^((i-1)d+(j-1)), with u_ij drawn from 0..1000.  Around an alternating
+cycle u' sums to 3^(nd) times u's sum plus a ±1 sum of distinct powers
+of 3, which never vanishes and is at most (3^(nd) - 1)/2 in size.  So a
+cycle that u ties is broken, and one that u does not tie keeps its
+sign.  The safe radius keeps the sign of every cycle the apexes do not
+tie, so every moved arrangement is generic, and a walk cell that is
+not a tree is a fault.  Every triangulation listed is regular,
+whatever (n, d): it is the regular subdivision under the step that
+found it, and that step lies strictly inside each of its cells' cones.
+The dimension of the secondary-polytope face the wall corresponds to
+is exact: the rank of the coarse cells' alternating-cycle vectors,
+which no sample enters.
 """
 
 from __future__ import annotations
@@ -154,14 +155,15 @@ def _in_cone(cone, flat_step: Sequence[int]) -> bool:
 
 
 def _scaled_rows(arr: Arrangement) -> list[list[int]]:
-    """The apex matrix times U = 1000 / :func:`safe_radius`, all ints.
+    """The apex matrix times U = 1001·3^(nd) / :func:`safe_radius`, all
+    ints.
 
-    A step u moves the apexes by safe_radius · u/1000, so the scaled
-    moved matrix is these rows plus u.  Scaling every coordinate by a
-    positive constant maps each point of the arrangement to a point of
-    the scaled one with the same type, so both have the same dual
-    subdivision."""
-    scale = 1000 * safe_radius(arr).denominator
+    A step u' moves the apexes by safe_radius · u'/(1001·3^(nd)), within
+    the safe radius since u' < 1001·3^(nd), so the scaled moved matrix is
+    these rows plus u'.  Scaling every coordinate by a positive constant
+    maps each point of the arrangement to a point of the scaled one with
+    the same type, so both have the same dual subdivision."""
+    scale = 1001 * 3 ** (arr.n * arr.d) * safe_radius(arr).denominator
     return [[x.numerator * (scale // x.denominator) for x in row] for row in arr.rows()]
 
 
@@ -175,22 +177,6 @@ def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Ar
     return Arrangement.from_rows(rows)
 
 
-def _tied(n: int, d: int, cell: frozenset, host: frozenset, flat_step: Sequence[int]) -> bool:
-    """The tie certificate of a ``cell`` that is not a tree inside its
-    coarse ``host``: on a spanning forest of the cell, the step's
-    alternating sum is 0 on the fundamental cycle of every other cell
-    edge and positive on that of every host edge outside the cell."""
-
-    def sums(edges):
-        for plus, minus in _cycles(n, forest, edges):
-            yield sum(flat_step[(i - 1) * d + j - 1] for i, j in plus) - sum(
-                flat_step[(i - 1) * d + j - 1] for i, j in minus
-            )
-
-    forest = _forest(n, d, sorted(cell))[0]
-    return all(s == 0 for s in sums(cell)) and all(s > 0 for s in sums(host - cell))
-
-
 def refining_triangulations(
     arr: Arrangement,
     base: Subdivision,
@@ -200,11 +186,12 @@ def refining_triangulations(
 ) -> frozenset[Subdivision]:
     """Distinct triangulations reachable by safe perturbations.
 
-    ``samples`` integer steps u, each coordinate drawn from 0..1000 under
-    ``seed``, move all apexes jointly by :func:`safe_radius` · u/1000;
-    steps that leave a piece other than a tree are skipped.  Every
-    triangulation found refines ``base``, the arrangement's own
-    subdivision, so a triangulation ``base`` is its own only refinement.
+    ``samples`` integer steps u', each u'_ij = 3^(nd)·u_ij +
+    3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, move
+    all apexes jointly by :func:`safe_radius` · u'/(1001·3^(nd)); the
+    tie-break term puts no step on a wall.  Every triangulation found
+    refines ``base``, the arrangement's own subdivision, so a
+    triangulation ``base`` is its own only refinement.
 
     Each coarse cell that is not a tree keeps the refinements found so
     far, each with its :func:`_cone`.  A step inside a known cone for
@@ -215,20 +202,17 @@ def refining_triangulations(
     ``budget`` capping the walk, and the walk's cells are certified
     against ``base`` as the module docstring proves:
 
-    - every cell lies in a coarse cell, its host;
-    - a cell that is not a tree must pass :func:`_tied` in its host,
-      and the step is then skipped;
-    - otherwise each host's trees, as a group, must hold the step
-      strictly inside their cone, which is computed once per group and
-      kept;
+    - every cell is a tree and lies in a coarse cell, its host;
+    - each host's trees, as a group, must hold the step strictly
+      inside their cone, which is computed once per group and kept;
     - and :func:`~troparr.duality.is_triangulation` must count
       C(n+d-2, n-1) trees, which fills every coarse cell, so the walk
       refines ``base``.
 
     A failure raises :class:`RuntimeError`: the walk differs from the
     lower envelope when a cell fails, and the step crossed a wall when
-    the count does.  No cell is walked on its own, and each walk's dual
-    subdivision is the triangulation returned.
+    the count does.  No step is thrown away, no cell is walked on its
+    own, and each walk's dual subdivision is the triangulation returned.
     """
     n, d = arr.n, arr.d
     if samples is None:
@@ -246,27 +230,20 @@ def refining_triangulations(
     known: list[dict[frozenset[frozenset[tuple[int, int]]], tuple]] = [{} for _ in coarse]
     found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
     for _ in range(samples):
-        step = [[rng.randint(0, 1000) for _ in range(d)] for _ in range(n)]
+        step = [[3 ** (n * d) * rng.randint(0, 1000) + 3 ** (i * d + j) for j in range(d)] for i in range(n)]
         flat = [u for us in step for u in us]
         matched = [next((p for p, cone in cones.items() if _in_cone(cone, flat)), None) for cones in known]
         if None not in matched and trees.union(*matched) in found:
             continue
         tri = dual_subdivision(_moved(scaled, step), budget)
         groups: dict[frozenset[tuple[int, int]], set[frozenset[tuple[int, int]]]] = {}
-        ties = []
         for g in tri.maximal_cells:
             if g.edges in trees:
                 continue
             host = next((cell for cell in coarse if g.edges <= cell), None)
-            if host is None:
+            if host is None or len(g.edges) != tree_size:
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-            if len(g.edges) != tree_size:
-                ties.append((g.edges, host))
             groups.setdefault(host, set()).add(g.edges)
-        if ties:
-            if not all(_tied(n, d, cell, host, flat) for cell, host in ties):
-                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-            continue
         for cell, cones, pieces in zip(coarse, known, matched):
             group = frozenset(groups.get(cell, ()))
             if group == pieces:

@@ -54,7 +54,6 @@ from troparr import (
     regular_subdivision,
     safe_radius,
     type_of_point,
-    type_to_graph,
 )
 from troparr.geometry import _Feasibility, _labels, _Staircases, _vertices
 from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
@@ -334,6 +333,11 @@ def matching_gaps(rows):
                 sums = sorted({sum(rows[i][j] for i, j in zip(I, p)) for p in permutations(J)})
                 if len(sums) > 1:
                     yield k, min(b - a for a, b in zip(sums, sums[1:]))
+
+
+def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
+    """Cell graph of a type: edge (i, j) for every label j in entry i."""
+    return CellGraph(n, d, frozenset((i, j) for i, entry in enumerate(T.entries, 1) for j in entry))
 
 
 def subdivision_of(arr: Arrangement, dimensions: dict[TypeVector, int]) -> Subdivision:
@@ -843,25 +847,33 @@ def assert_both_sides_match_the_envelope(arr: Arrangement) -> None:
         assert_staircases_match_the_imposed_path(arr, transpose)
 
 
+def tie_broken(step) -> list[list[int]]:
+    """``step`` u with the lexicographic tie-break of a ``--flips`` step:
+    u'_ij = 3^(nd)·u_ij + 3^((i-1)d+(j-1))."""
+    n, d = len(step), len(step[0])
+    return [[3 ** (n * d) * u + 3 ** (i * d + j) for j, u in enumerate(us)] for i, us in enumerate(step)]
+
+
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:
     """``samples`` joint random perturbations of all apexes drawn under
-    ``seed``, each with its step: every coordinate moves by a random
-    multiple u of ``safe_radius``/1000 with u in 0..1000."""
-    radius = safe_radius(arr)
+    ``seed``, each with its step: u in 0..1000 is drawn row by row, and
+    every coordinate moves by ``safe_radius`` · u'/(1001·3^(nd)), u' its
+    :func:`tie_broken` entry, in Fraction arithmetic."""
+    unit = safe_radius(arr) / (1001 * 3 ** (arr.n * arr.d))
     rng = random.Random(seed)
     rows = arr.rows()
     out = []
     for _ in range(samples):
-        step = [[rng.randint(0, 1000) for _ in row] for row in rows]
-        moved = [[x + radius * Fraction(u, 1000) for x, u in zip(row, us)] for row, us in zip(rows, step)]
+        step = tie_broken([[rng.randint(0, 1000) for _ in row] for row in rows])
+        moved = [[x + unit * u for x, u in zip(row, us)] for row, us in zip(rows, step)]
         out.append((step, Arrangement.from_rows(moved)))
     return out
 
 
 def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed: int = 0) -> frozenset:
     """Refining triangulations by enumerating the types of every safe
-    perturbation, repeated subdivisions included, and keeping the dual
-    subdivisions that are triangulations."""
+    perturbation, repeated subdivisions included; every perturbation's
+    dual subdivision must be a triangulation refining ``base``."""
     if samples is None:
         samples = 2 * arr.n * arr.d
     if is_triangulation(base):
@@ -869,9 +881,9 @@ def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed:
     found = set()
     for _, cand in _perturbations(arr, samples, seed):
         t = dual_subdivision(cand)
-        if is_triangulation(t):
-            assert refines(t, base)
-            found.add(t)
+        assert is_triangulation(t), cand.rows()
+        assert refines(t, base)
+        found.add(t)
     return frozenset(found)
 
 
@@ -902,16 +914,16 @@ def _tied_step(n: int, d: int, cell, tree, step) -> list[list[int]]:
 
 def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
     """On each safe perturbation of ``arr``, the per-cell walks over its
-    coarse cells give the lower envelope of the moved apexes, as whole
-    subdivisions, triangulations or not; a zero step gives the coarse
-    cells themselves.
+    coarse cells give the lower envelope of the moved apexes, a
+    triangulation; a zero step gives the coarse cells themselves.
 
-    Each refinement's cone rows are :func:`cone_oracle`'s, and each step
-    also checks the cone test of every refinement of a coarse cell found
-    so far: it accepts the one the cell's walk gives and
-    rejects every other.  A step the walk leaves untriangulated, the zero
-    step and a step lowered onto a wall of the walk's first tree, matches
-    none.  Returns the number of triangulations found."""
+    Every step's walk of each coarse cell gives trees only.  Each
+    refinement's cone rows are :func:`cone_oracle`'s, and each step also
+    checks the cone test of every refinement of a coarse cell found so
+    far: it accepts the one the cell's walk gives and rejects every
+    other.  The zero step and a step lowered onto a wall of the walk's
+    first tree match none.  Returns the number of triangulations
+    found."""
     n, d = arr.n, arr.d
     base = regular_subdivision(arr.rows())
     zero = [[0] * d] * n
@@ -922,20 +934,17 @@ def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
     for step, cand in _perturbations(arr, 2 * n * d, 0):
         envelope = regular_subdivision(cand.rows())
         assert _refined_cells(base, step) == envelope.maximal_cells, (arr.rows(), step)
-        if is_triangulation(envelope):
-            found.add(envelope)
+        assert is_triangulation(envelope), (arr.rows(), step)
+        found.add(envelope)
         for cell in coarse:
             pieces = frozenset(_pivot_walk(n, d, step, cell))
-            if all(len(p) == n + d - 1 for p in pieces):
-                cone = _cone(n, d, cell, pieces)
-                assert cone == cone_oracle(d, cell, pieces), (arr.rows(), step, sorted(cell))
-                known[cell].setdefault(pieces, cone)
-                tied = _tied_step(n, d, cell, min(pieces, key=sorted), step)
-                assert any(len(p) != n + d - 1 for p in _pivot_walk(n, d, tied, cell)), (arr.rows(), step)
-                cases = [(step, pieces), (tied, None), (zero, None)]
-            else:
-                cases = [(step, None), (zero, None)]
-            for u, walked in cases:
+            assert all(len(p) == n + d - 1 for p in pieces), (arr.rows(), step, sorted(cell))
+            cone = _cone(n, d, cell, pieces)
+            assert cone == cone_oracle(d, cell, pieces), (arr.rows(), step, sorted(cell))
+            known[cell].setdefault(pieces, cone)
+            tied = _tied_step(n, d, cell, min(pieces, key=sorted), step)
+            assert any(len(p) != n + d - 1 for p in _pivot_walk(n, d, tied, cell)), (arr.rows(), step)
+            for u, walked in [(step, pieces), (tied, None), (zero, None)]:
                 flat = [x for us in u for x in us]
                 for refinement, cone in known[cell].items():
                     assert _in_cone(cone, flat) == (refinement == walked), (arr.rows(), u, sorted(cell))

@@ -32,7 +32,6 @@ from troparr import (
     refining_triangulations,
     regular_subdivision,
     secondary_face_check,
-    type_to_graph,
 )
 from troparr.cli import main, parse_arrangement_json, parse_arrangement_text
 from troparr.duality import is_spanning_connected
@@ -52,6 +51,7 @@ from conftest import (
     refinements_oracle,
     sampled_types,
     serialize_arrangement,
+    type_to_graph,
     type_total_size,
 )
 

@@ -200,6 +200,17 @@ def test_cmd_subdivision_flips_tied_minor_with_generic_apexes(capsys, tied_minor
     assert "triangulation 2:" in out and "face_dimension: 1" in out
 
 
+def test_flips_on_an_all_zero_2x5_input_keep_every_step(tmp_path, capsys):
+    # one coarse cell, all of K_{2,5}: a step that ties one of its cycles
+    # is tie-broken and walked, not thrown away, so seed 0 lists 20
+    # triangulations where skipping the wall steps listed 19
+    path = tmp_path / "zero25.txt"
+    path.write_text("2 5\n0 0 0 0 0\n0 0 0 0 0\n")
+    code, out = run(capsys, ["subdivision", "--flips", "--seed", "0", "--json", "--format", "text", "--input", str(path)])
+    assert code == 0
+    assert len(json.loads(out)["results"]["flips"]["triangulations"]) == 20
+
+
 def test_cmd_subdivision_flips_across_a_six_cycle_wall(tmp_path, capsys):
     # the 3x3 minors on rows 1-3 and 2-4 have their two best matchings
     # 1/100000 apart; a radius read off the 2x2 minors let joint samples
@@ -371,8 +382,9 @@ def test_a_tree_inside_no_coarse_cell_exits_4(monkeypatch, capsys, e2_file):
     _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
 
 
-def test_a_cell_without_a_tie_exits_4(monkeypatch, capsys, e2_file):
-    # the pyramid kept whole under a step that ties none of its cycles
+def test_a_cell_that_is_not_a_tree_exits_4(monkeypatch, capsys, e2_file):
+    # the pyramid kept whole: a tie-broken step lies on no wall, so no
+    # walk cell may be anything but a tree
     def unsplit(cells, pyramid):
         return {c for c in cells if not c <= pyramid} | {pyramid}
 
@@ -380,11 +392,11 @@ def test_a_cell_without_a_tie_exits_4(monkeypatch, capsys, e2_file):
     _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
 
 
-def test_a_step_on_a_wall_is_skipped(monkeypatch, capsys, e2_file):
-    # the first step of seed 0 lowered onto a wall of E2's pyramid: its
-    # walk keeps a cell that is not a tree, which passes the tie
-    # certificate, so the step is skipped and the rest find both splits
-    expected = run(capsys, ["subdivision", "--flips", "--input", e2_file])
+def test_a_step_on_a_wall_walks_to_trees(monkeypatch, capsys, e2_file):
+    # the first step of seed 0 lowered onto a wall of E2's pyramid: the
+    # tie-break moves it off the wall, so its walk holds trees only and
+    # its triangulation is listed with the other split
+    expected = run(capsys, ["subdivision", "--flips", "--json", "--input", e2_file])
     pyramid, rng = _e2_pyramid(), random.Random(0)
     step = [[rng.randint(0, 1000) for _ in range(3)] for _ in range(2)]
     tree = min(troparr.duality._pivot_walk(2, 3, step, pyramid), key=sorted)
@@ -405,9 +417,12 @@ def test_a_step_on_a_wall_is_skipped(monkeypatch, capsys, e2_file):
 
     monkeypatch.setattr(troparr.secondary, "random", types.SimpleNamespace(Random=OnAWall))
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
-    assert run(capsys, ["subdivision", "--flips", "--input", e2_file]) == expected
-    assert expected[0] == 0 and "triangulation 2:" in expected[1]
-    assert any(len(g.edges) > 2 + 3 - 1 for g in walks[0].maximal_cells)
+    assert run(capsys, ["subdivision", "--flips", "--json", "--input", e2_file]) == expected
+    assert expected[0] == 0
+    assert all(len(g.edges) == 2 + 3 - 1 for g in walks[0].maximal_cells)
+    listed = [t["cells"] for t in json.loads(expected[1])["results"]["flips"]["triangulations"]]
+    assert len(listed) == 2
+    assert [[list(e) for e in g.sorted_edges()] for g in walks[0].sorted_cells()] in listed
 
 
 def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):

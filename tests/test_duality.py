@@ -22,7 +22,6 @@ from troparr import (
     is_triangulation,
     normalized_volume,
     regular_subdivision,
-    type_to_graph,
 )
 
 import troparr.duality
@@ -50,6 +49,7 @@ from conftest import (
     random_rational,
     subdivision_of,
     tree_volume_oracle,
+    type_to_graph,
     volume_oracle,
 )
 

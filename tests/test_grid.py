@@ -46,6 +46,7 @@ from troparr import (
     is_generic,
     is_triangulation,
     realizable,
+    refining_triangulations,
     regular_subdivision,
     secondary_face_check,
 )
@@ -153,7 +154,8 @@ def test_check_cells_match_the_oracle_subdivision_on_grid(n, d):
 
 @pytest.mark.large_grid
 def test_secondary_face_on_tied_minors_with_generic_apexes():
-    # every apex type at its bound n+d-1, yet some minor ties
+    # every apex type at its bound n+d-1, yet some minor ties; seed 1
+    # also draws steps that tie a cycle inside a coarse cell
     checked = 0
     for n, d in [(3, 3), (2, 4)]:
         for arr in grid(n, d):
@@ -162,6 +164,8 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
             verdict = secondary_face_check(arr, dual_subdivision(arr))
             assert face_check_passes(verdict), arr.rows()
             assert set(verdict.refinements) == refinements_oracle(arr, verdict.subdivision), arr.rows()
+            found = refining_triangulations(arr, verdict.subdivision, seed=1)
+            assert found == refinements_oracle(arr, verdict.subdivision, seed=1), arr.rows()
             assert verdict.face_dimension == face_dimension_oracle(verdict.subdivision), arr.rows()
             checked += 1
     assert checked == 6 + 186

@@ -13,6 +13,7 @@ from troparr import (
     Subdivision,
     dual_subdivision,
     gkz_vector,
+    is_generic,
     refines,
     refining_triangulations,
     safe_radius,
@@ -21,10 +22,11 @@ from troparr import (
 
 from troparr.duality import is_spanning_connected
 from troparr.linalg import det_int, rank
-from troparr.secondary import _moved, _scaled_rows, _tied
+from troparr.secondary import _moved, _scaled_rows
 
 from conftest import (
     _perturbations,
+    _tied_step,
     affine_rank_oracle,
     apex_type,
     assert_cell_walks_match_the_envelope,
@@ -43,6 +45,7 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     refinements_oracle,
+    tie_broken,
     volume_oracle,
 )
 
@@ -152,16 +155,23 @@ def test_refinements_match_the_oracle_on_every_suite(e2):
         assert refining_triangulations(arr, base) == refinements_oracle(arr, base), arr.rows()
 
 
-def test_the_tie_certificate_places_the_cell_below_its_host():
-    # on all of K_{2,3}, a step with u_23 = 5 and 0 elsewhere ties the
-    # square on columns 1, 2; the lower cell keeps (1,3), so the cell that
-    # keeps (2,3) ties but leaves (1,3) below it, and a step off the tie
-    # certifies neither
-    host = frozenset((i, j) for i in (1, 2) for j in (1, 2, 3))
-    tied, untied = [0, 0, 0, 0, 0, 5], [0, 0, 0, 1, 0, 5]
-    assert _tied(2, 3, host - {(2, 3)}, host, tied)
-    assert not _tied(2, 3, host - {(1, 3)}, host, tied)
-    assert not _tied(2, 3, host - {(2, 3)}, host, untied)
+def test_every_tie_broken_step_moves_to_a_generic_arrangement(e2):
+    # random steps, and steps lowered onto a wall of a coarse cell, are
+    # generic once tie-broken; the wall step's raw move is not
+    rng = random.Random(1729)
+    for arr in _slice_cases(e2):
+        n, d = arr.n, arr.d
+        scaled = _scaled_rows(arr)
+        base = dual_subdivision(arr)
+        coarse = [g.edges for g in base.maximal_cells if len(g.edges) != n + d - 1]
+        for _ in range(n * d):
+            step = [[rng.randint(0, 1000) for _ in range(d)] for _ in range(n)]
+            assert is_generic(_moved(scaled, tie_broken(step))), (arr.rows(), step)
+            for cell in coarse:
+                tree = min(troparr.duality._pivot_walk(n, d, step, cell), key=sorted)
+                tied = _tied_step(n, d, cell, tree, step)
+                assert is_generic(_moved(scaled, tie_broken(tied))), (arr.rows(), tied)
+                assert not is_generic(_moved(scaled, tied)), (arr.rows(), tied)
 
 
 def test_scaled_moves_walk_like_fraction_moves(e2):
