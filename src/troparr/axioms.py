@@ -3,7 +3,7 @@ comparability, surrounding, plus the single-coordinate local-refinement
 probe, aggregated into a verdict with first-counterexample diagnostics.
 
 Every check reads one canonical table of its collection (:class:`_Table`):
-the types sorted once by ``key()``, each as a row of int label masks.
+the types sorted once in ``key()`` order, each as a row of int label masks.
 
 Surrounding and local refinement are deliberately distinct predicates.
 Surrounding quantifies over ordered-partition refinements (a single
@@ -57,23 +57,27 @@ class AxiomReport:
 
 class _Table:
     """A collection in canonical order, built once and read by every
-    check: the types sorted by ``key()``, each type's entries as a row of
-    int label masks (bit j-1 for label j; ``geometry``'s masks use bit
-    j), and the set of those rows.  A public check handed a table (as
-    :func:`is_tropical_oriented_matroid` does) reads it as it is."""
+    check: the types sorted as by ``key()`` (each distinct entry ranked
+    once by its sorted labels, each type keyed by its entries' ranks),
+    each type's entries as a row of int label masks (bit j-1 for label
+    j; ``geometry``'s masks use bit j), and the set of those rows.  A
+    public check handed a table (as :func:`is_tropical_oriented_matroid`
+    does) reads it as it is."""
 
     __slots__ = ("types", "rows", "present", "top", "mixed")
 
     def __init__(self, types: Collection[TypeVector]):
-        self.types = sorted(types, key=TypeVector.key)
-        masks: dict[frozenset[int], int] = {}
-        for t in self.types:
-            for e in t.entries:
-                if e not in masks:
-                    masks[e] = sum(1 << j - 1 for j in e)
-        self.rows = [tuple(map(masks.__getitem__, t.entries)) for t in self.types]
+        types = list(types)
+        # ranks order the entries as ``key()`` orders their label tuples
+        entries = sorted({e for t in types for e in t.entries}, key=sorted)
+        rank = {e: r for r, e in enumerate(entries)}
+        masks = [sum(1 << j - 1 for j in e) for e in entries]
+        keys = [tuple(map(rank.__getitem__, t.entries)) for t in types]
+        order = sorted(range(len(types)), key=keys.__getitem__)
+        self.types = [types[i] for i in order]
+        self.rows = [tuple(map(masks.__getitem__, keys[i])) for i in order]
         self.present = set(self.rows)
-        self.top = max(masks.values(), default=0).bit_length()  # the largest label
+        self.top = max(masks, default=0).bit_length()  # the largest label
         self.mixed = len({len(row) for row in self.rows}) > 1
 
     def __len__(self) -> int:
@@ -101,16 +105,16 @@ def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult
 def _first_pair(
     ordered: list[tuple[int, ...]],
     size: int,
-    fields: Callable[[int, int, int], tuple[int, ...]],
+    strips: Callable[[int, tuple[int, ...]], Callable[[int], tuple[int, ...]]],
     tester: Callable[[int], Callable[[list], int]],
 ) -> tuple[int, int] | None:
     """The first pair (ia, ib), ia <= ib, of a table's rows that fails.
 
     Partners go in tiles of at most ``BLOCK`` rows, each row one field of
-    ``size`` bytes.  In a tile the strips of entry a at position k hold
-    the components of ``fields(k, a, B_k)`` in field b, one int per
-    component, for the tile's b-th row B; strips are joined from
-    ``to_bytes`` chunks.  ``tester(rep)``, with rep 1 in every field,
+    ``size`` bytes.  ``strips(k, column)``, given a tile's entries at
+    position k, returns the builder of an entry's strips there: for entry
+    a, one int per component, whose field b holds that component for a
+    and the tile's b-th row.  ``tester(rep)``, with rep 1 in every field,
     gives the tile's test: it maps the strips of A's entries to an int
     that is nonzero in exactly the fields of the partners failing against
     A.  Later tiles only scan the types before the best pair found so far.
@@ -121,19 +125,21 @@ def _first_pair(
         tile = ordered[start:start + BLOCK]
         heads = ordered[:min(start + len(tile), best[0] if best else len(ordered))]
         failing = tester(int.from_bytes(b"\1".ljust(size, b"\0") * len(tile), "little"))
-        strips = []
+        built = []
         for k, column in enumerate(zip(*tile)):
-            chunks = {}
-            for a in {A[k] for A in heads}:
-                row = {b: [x.to_bytes(size, "little") for x in fields(k, a, b)] for b in set(column)}
-                chunks[a] = [int.from_bytes(b"".join(part), "little") for part in zip(*map(row.get, column))]
-            strips.append(chunks)
+            strip = strips(k, column)
+            built.append({a: strip(a) for a in {A[k] for A in heads}})
         for ia, A in enumerate(heads):
-            fails = failing([s[a] for s, a in zip(strips, A)]) & -1 << max(ia - start, 0) * width
+            fails = failing([s[a] for s, a in zip(built, A)]) & -1 << max(ia - start, 0) * width
             if fails:
                 best = ia, start + ((fails & -fails).bit_length() - 1) // width
                 break
     return best
+
+
+def _joined(chunks: dict[int, bytes], column: tuple[int, ...]) -> int:
+    """The strip whose field b is ``chunks[column[b]]``."""
+    return int.from_bytes(b"".join(map(chunks.__getitem__, column)), "little")
 
 
 def check_elimination(types: Collection[TypeVector]) -> CheckResult:
@@ -151,6 +157,12 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     operations on ints of BLOCK (T + 1) bits; :func:`_first_pair` tiles
     the partners and finds the first failing (A, B), and j is the first
     failing position of that pair.
+
+    Each mask is encoded once as a field of bytes.  In a tile, the union
+    strip of a at k joins the chunks of a | b over the column, read from
+    one dict over its distinct entries b; the either strip ORs it with
+    a's chunk repeated across the tile and with the column's own chunks,
+    joined once per position.
     """
     table = _table(types)
     rows = table.rows
@@ -162,11 +174,17 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
             m[entry] = m.get(entry, 0) | 1 << bit
     count = len(rows)
     size = count // 8 + 1  # T mask bits and a guard bit
+    empty = bytes(size)
+    encoded = [{e: mask.to_bytes(size, "little") for e, mask in m.items()} for m in masks]
 
-    def fields(k: int, a: int, b: int) -> tuple[int, int]:
-        m = masks[k]
-        union = m.get(a | b, 0)
-        return m[a] | m[b] | union, union
+    def strips(k: int, column: tuple[int, ...]):
+        chunks, partners = encoded[k], set(column)
+        own = _joined(chunks, column)
+
+        def strip(a: int) -> tuple[int, int]:
+            union = _joined({b: chunks.get(a | b, empty) for b in partners}, column)
+            return int.from_bytes(chunks[a] * len(column), "little") | own | union, union
+        return strip
 
     def tester(rep: int):
         ones, guard = rep * ((1 << count) - 1), rep << count
@@ -176,13 +194,14 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
             return guard & ~reduce(and_, [(match & union) + ones for _, union in strips])
         return failing
 
-    pair = _first_pair(rows, size, fields, tester)
+    pair = _first_pair(rows, size, strips, tester)
     if pair is None:
         return CheckResult(True)
-    A, B = (table.types[i] for i in pair)
-    found = [fields(k, a, b) for k, (a, b) in enumerate(zip(*(rows[i] for i in pair)))]
+    ia, ib = pair
+    found = [(m[a] | m[b] | m.get(a | b, 0), m.get(a | b, 0)) for m, a, b in zip(masks, rows[ia], rows[ib])]
     match = reduce(and_, [either for either, _ in found])
-    return CheckResult(False, (A, B, next(j for j, (_, union) in enumerate(found, 1) if not match & union)))
+    j = next(j for j, (_, union) in enumerate(found, 1) if not match & union)
+    return CheckResult(False, (table.types[ia], table.types[ib], j))
 
 
 def _pair_packer(d: int) -> Callable[[int, int], int]:
@@ -194,15 +213,14 @@ def _pair_packer(d: int) -> Callable[[int, int], int]:
     and C x (b - C), the undirected ones C x C off the diagonal.  The bits
     of R x K are spread(R) * K: spread(R) sets bit (j-1)*d for each j in
     R, and K < 2^d, so no carry crosses a row.  Spreading commutes with n
-    and -, so each distinct entry is spread once and each distinct pair
-    packed once, with no per-label work."""
+    and -, so each distinct entry is spread once, and a pair takes no
+    per-label work."""
     diagonal = sum(1 << j * (d + 1) for j in range(d))
 
     @cache
     def spread(m: int) -> int:
         return sum(1 << j * d for j in range(d) if m >> j & 1)
 
-    @cache
     def packed(a: int, b: int) -> int:
         sa, sb = spread(a), spread(b)
         c, sc = a & b, sa & sb
@@ -229,6 +247,11 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     of ``reach & reversed`` is nonzero.  That is O(T^2 (n + d) / BLOCK)
     operations on ints of BLOCK 3d^2 bits; :func:`_first_pair` tiles the
     partners and finds the first failing (A, B).
+
+    A packed graph does not depend on the position, so each pair (a, b)
+    of the table's distinct entries is packed and encoded once, as a
+    field of bytes, and the strip of a over a tile's column joins a's
+    fields.
     """
     table = _table(types, d)
     if not table.rows:
@@ -236,7 +259,7 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     d = table.top if d is None else d
     dd = d * d
     column, row = sum(1 << a * d for a in range(d)), (1 << d) - 1
-    packed = _pair_packer(d)  # one graph per distinct entry pair, at any position
+    packed = _pair_packer(d)
 
     def tester(rep: int):
         low, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd
@@ -250,7 +273,14 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
             return (reach & reversed_) + low & guard
         return failing
 
-    pair = _first_pair(table.rows, (3 * dd + 7) // 8, lambda _, a, b: (packed(a, b),), tester)
+    size = (3 * dd + 7) // 8
+    entries = {e for row in table.rows for e in row}
+    chunks = {a: {b: packed(a, b).to_bytes(size, "little") for b in entries} for a in entries}
+
+    def strips(_: int, column: tuple[int, ...]):
+        return lambda a: (_joined(chunks[a], column),)
+
+    pair = _first_pair(table.rows, size, strips, tester)
     return CheckResult(True) if pair is None else CheckResult(False, tuple(table.types[i] for i in pair))
 
 

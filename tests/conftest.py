@@ -1132,6 +1132,15 @@ def pairwise_comparability_oracle(types, d: int | None = None) -> CheckResult:
     return CheckResult(True)
 
 
+def _cut(entry: frozenset[int], P: OrderedPartition) -> frozenset[int]:
+    """An entry cut to its intersection with the first block of P it meets."""
+    for block in P.blocks:
+        hit = entry & block
+        if hit:
+            return hit
+    raise ValueError("partition does not cover the type's labels")
+
+
 def refine(T: TypeVector, P: OrderedPartition) -> TypeVector:
     """Refinement of a type by an ordered partition: each entry is cut to
     its intersection with the first block it meets.
@@ -1139,16 +1148,7 @@ def refine(T: TypeVector, P: OrderedPartition) -> TypeVector:
     This is the type reached by an infinitesimal move in a direction that
     is constant on blocks and strictly larger on earlier blocks.
     """
-    entries = []
-    for A in T.entries:
-        for block in P.blocks:
-            hit = A & block
-            if hit:
-                entries.append(hit)
-                break
-        else:
-            raise ValueError("partition does not cover the type's labels")
-    return TypeVector(tuple(entries))
+    return TypeVector(tuple(_cut(A, P) for A in T.entries))
 
 
 def arrangement_cell_dim(arr: Arrangement, T: TypeVector) -> int:
@@ -1160,13 +1160,23 @@ def arrangement_cell_dim(arr: Arrangement, T: TypeVector) -> int:
     return result.dimension
 
 
+#: Every ordered partition of {1, ..., d}, enumerated once per d.
+_ordered_partitions = cache(enumerate_ordered_partitions)
+
+
 def surrounding_oracle(types, d: int) -> CheckResult:
-    """Surrounding by building every refinement with :func:`refine`."""
+    """Surrounding by building every refinement of every type by every
+    ordered partition, as :func:`refine` does; each distinct entry is cut
+    by each partition once."""
     ordered = _sorted_types(types)
-    present = set(ordered)
-    partitions = enumerate_ordered_partitions(d)
+    present = {T.entries for T in ordered}
+    partitions = _ordered_partitions(d)
+    cuts: dict[frozenset[int], list[frozenset[int]]] = {}
     for T in ordered:
-        for P in partitions:
-            if refine(T, P) not in present:
+        for e in T.entries:
+            if e not in cuts:
+                cuts[e] = [_cut(e, P) for P in partitions]
+        for P, refined in zip(partitions, zip(*map(cuts.__getitem__, T.entries))):
+            if refined not in present:
                 return CheckResult(False, (T, P))
     return CheckResult(True)

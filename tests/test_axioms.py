@@ -245,12 +245,14 @@ def test_generic_arrangements_are_tropical_oriented_matroids():
 
 
 def test_the_verdict_sorts_its_collection_once(monkeypatch):
+    # one table for every check, ordered by its entries' ranks, not by key()
     types = enumerate_types(random_generic_arrangement(random.Random(43), 4, 3))
-    calls = []
-    key = TypeVector.key
+    tables, calls = [], []
+    init, key = troparr.axioms._Table.__init__, TypeVector.key
+    monkeypatch.setattr(troparr.axioms._Table, "__init__", lambda self, ts: tables.append(ts) or init(self, ts))
     monkeypatch.setattr(TypeVector, "key", lambda t: calls.append(t) or key(t))
     assert is_tropical_oriented_matroid(types, 4, 3).is_tom
-    assert len(calls) == len(types) == 49
+    assert tables == [types] and len(types) == 49 and not calls
 
 
 #: The large shapes, with the one kind whose full collection is checked there.
@@ -282,10 +284,48 @@ def _synthetic_collections(rng: random.Random):
             yield f"synthetic plus {extra.text()}", full + [extra], d
 
 
+def _nested(d: int, count: int) -> list[TypeVector]:
+    """The ``count`` types (E, F), E a subset of F, of largest |E| + |F|:
+    every union of two of them (entrywise) has a larger total or is one
+    of them, so the set is closed under unions and passes elimination."""
+    sets = [frozenset(c) for size in range(1, d + 1) for c in combinations(range(1, d + 1), size)]
+    pairs = sorted(((E, F) for F in sets for E in sets if E <= F),
+                   key=lambda p: (-len(p[0]) - len(p[1]), sorted(p[0]), sorted(p[1])))
+    return [TypeVector(p) for p in pairs[:count]]
+
+
+def _field_width_collections(rng: random.Random):
+    """Collections at the edges of the kernels' byte fields.  Elimination
+    gives each partner T + 1 bits, in T // 8 + 1 bytes: at T = 8k - 1 the
+    guard bit is the field's last bit, at 8k and 8k + 1 it opens a byte.
+    At T = 127, 128 and 129 (k = 16, also the edge of a 128-row tile) and
+    at 15, 16, 17, a union-closed set passes; two types that sort early,
+    with no witness at position 2, fail in the first tile; one type that
+    sorts last fails against every type whose F lacks d, in the last
+    tile.  Comparability gives 3d^2 bits, 108 at d = 6 and 147 at d = 7:
+    130 types of a generic (2, d) arrangement pass, and a type ({k}, {j})
+    against a kept (E, F) with j in E, k in F closes the cycle
+    j -> k -> j; with k = 1 (j least) it fails in the first tile, with
+    k = d (j greatest) it sorts last and fails in the last tile."""
+    d = 5
+    for count in (15, 16, 17, 127, 128, 129):
+        yield f"nested {count}", _nested(d, count), d
+        yield f"nested {count} failing first", _nested(d, count - 2) + [T({1}, {2}), T({1, 2}, {3})], d
+        yield f"nested {count} failing last", _nested(d, count - 1) + [T({d}, {d - 1})], d
+    for d in (6, 7):
+        kept = rng.sample(sorted(enumerate_types(random_generic_arrangement(rng, 2, d)), key=lambda t: t.key()), 130)
+        cycles = [(k, j) for E, F in (t.entries for t in kept) for j in E for k in F if j != k]
+        first = min((k, j) for k, j in cycles if k == 1)
+        last = max((k, j) for k, j in cycles if k == d)
+        yield f"generic 2x{d} 130 of", kept, d
+        for name, (k, j) in (("first", first), ("last", last)):
+            yield f"generic 2x{d} 130 of plus {name}", kept + [T({k}, {j})], d
+
+
 def _oracle_collections():
     """Full and thinned type collections of generic, integer and on-apex
-    arrangements, random type sets, synthetic ones, and hand-built failing
-    sets."""
+    arrangements, random type sets, synthetic ones, ones at the edges of
+    the kernels' byte fields, and hand-built failing sets."""
     rng = random.Random(4242)
     shapes = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4), (2, 5)]
     for n, d in shapes:
@@ -309,6 +349,7 @@ def _oracle_collections():
             T(*[rng.sample(range(1, d + 1), rng.randint(1, 2)) for _ in range(n)]) for _ in range(8)
         }, d
     yield from _synthetic_collections(rng)
+    yield from _field_width_collections(rng)
     yield "empty", set(), 3
     yield "separated", {T({1}, {1}), T({2}, {2})}, 2
     yield "two-cycle", {T({1}, {2}), T({2}, {1})}, 2
@@ -347,6 +388,7 @@ def test_kernels_match_direct_scans():
 def test_the_verdict_matches_the_public_checks():
     # one table handed to every check gives each public check's own result
     for label, types, d in _oracle_collections():
+        assert troparr.axioms._Table(types).types == sorted(types, key=TypeVector.key), label
         n = next(iter(types)).n if types else 2
         report = is_tropical_oriented_matroid(types, n, d)
         assert (report.boundary, report.elimination, report.comparability, report.surrounding,
