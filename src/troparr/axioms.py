@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import combinations
 from math import comb
 from operator import and_, or_
 from typing import Callable, Collection
 
-from .core import ResourceLimitError, TypeVector, enumerate_ordered_partitions
+from .core import OrderedPartition, ResourceLimitError, TypeVector
 
 #: Cap on the surrounding check's work in refinement lookups: |types| x
 #: (2^d - 2) two-block refinements, plus Fubini(d) ordered partitions for
@@ -338,15 +339,38 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
     return CheckResult(True)
 
 
+def _partition_masks(d: int) -> list[tuple[int, ...]]:
+    """The blocks of every ordered partition of {1, ..., d} as label masks
+    (bit j - 1 for label j), in the order of
+    :func:`~troparr.core.enumerate_ordered_partitions`: the first block
+    by ascending size, then lexicographically, then the rest's.  The
+    partitions of each set of labels left over are built once per call."""
+    tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
+
+    def of(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
+        left = sum(bits)
+        if left not in tails:
+            tails[left] = [
+                (block,) + tail
+                for size in range(1, len(bits) + 1)
+                for block in map(sum, combinations(bits, size))
+                for tail in of(tuple(b for b in bits if not b & block))
+            ]
+        return tails[left]
+
+    return of(tuple(1 << j for j in range(d)))
+
+
 def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResult:
     """The first type T, with the first ordered partition P, whose
     refinement by P is missing, once the two-block stage has found a
     missing refinement of the ``checked``-th type; T is at or before that
     type.  Each type scanned adds Fubini(d) lookups to the two-block
     stage's, and the scan stops with ResourceLimitError past
-    ``MAX_SURROUNDING_WORK``."""
+    ``MAX_SURROUNDING_WORK``.  The partitions are read as block masks;
+    only the one named becomes an :class:`OrderedPartition`."""
     two_block, fubini = checked * (2**d - 2), _fubini(d)
-    partitions = blocks = None  # enumerated once the first type's scan fits the cap
+    blocks = None  # generated once the first type's scan fits the cap
     cuts: dict[int, list[int]] = {}
     for scanned, (T, row) in enumerate(zip(table.types[:checked], table.rows), 1):
         work = two_block + scanned * fubini
@@ -357,14 +381,15 @@ def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResu
                 f"exceed the cap of {MAX_SURROUNDING_WORK}"
             )
         if blocks is None:
-            partitions = enumerate_ordered_partitions(d)
-            blocks = [[sum(1 << j - 1 for j in b) for b in P.blocks] for P in partitions]
+            blocks = _partition_masks(d)
         for e in row:
             if e not in cuts:
-                cuts[e] = [e & next(b for b in bs if e & b) for bs in blocks]
+                cuts[e] = [e & next(filter(e.__and__, bs)) for bs in blocks]
         refined = list(zip(*map(cuts.__getitem__, row)))
         if not table.present.issuperset(refined):
-            return CheckResult(False, (T, next(P for P, r in zip(partitions, refined) if r not in table.present)))
+            bs = next(bs for bs, r in zip(blocks, refined) if r not in table.present)
+            P = OrderedPartition(tuple(frozenset(j for j in range(1, d + 1) if b >> j - 1 & 1) for b in bs))
+            return CheckResult(False, (T, P))
     raise RuntimeError("surrounding: a two-block refinement is missing but no ordered-partition refinement is")
 
 

@@ -34,15 +34,22 @@ coordinate v_ij; both constructions are exposed so they can be checked
 against each other.
 
 The lower envelope is computed by a pivot walk: lexicographically
-perturbed integer heights give a regular triangulation refining it,
-whose simplices are spanning trees of K_{n,d}; the walk moves from tree
-to tree across shared facets and maps each tree to the coarse cell that
-holds it.  One pass rooted at a node gives, for every tree edge, the
-nodes on one side and the support edges entering that side, as
-bitmasks.  A full triangulation has C(n+d-2, n-1) trees and each costs
-O((n+d)·nd) integer operations, instead of a scan of all 2^(n·d) edge
-subsets.  The walk yields its cells lazily, so the genericity test
-stops at the first cell that is not a spanning tree.  The first of
+perturbed integer heights, built once per walk with no Fraction
+arithmetic, give a regular triangulation refining it, whose simplices
+are spanning trees of K_{n,d}; the walk moves from tree to tree across
+shared facets and maps each tree to the coarse cell that holds it.
+Each tree edge's side, the nodes on it and the support edges entering
+it, is a bitmask: one rooted pass gives the start tree's, and a pivot
+changes only the sides of the edges on the cycle the entering edge
+closes.  The least entering edge comes from the set bits of the
+entering mask alone, and the facet back to the tree a pivot came from
+is never tried.  A full triangulation has C(n+d-2, n-1) trees and each
+costs n·d integer slacks and, per tree edge, a scan of the edges
+entering its side, instead of a scan of all 2^(n·d) edge subsets.
+:func:`regular_subdivision` builds its cells unvalidated: each holds
+the tree it was read at, so it spans and is connected.  The walk
+yields its cells lazily, so the genericity test stops at the first
+cell that is not a spanning tree.  The first of
 that cell's sorted edges that closes a cycle in the forest grown by the
 edges before it names a square minor: the edge's fundamental cycle
 alternates between two perfect matchings of the minor, both tight, so
@@ -54,6 +61,7 @@ volume is counted.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -73,8 +81,8 @@ from .geometry import (
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
-#: walk pays one rooted pass per tree and, per tree edge, a scan of the
-#: edges entering its side.
+#: walk pays a slack per edge for each tree and, per tree edge, a scan of
+#: the edges entering its side.
 MAX_VOLUME_WORK = 20_000_000
 
 
@@ -143,7 +151,8 @@ class Subdivision:
     def _trusted(cls, n: int, d: int, cells: frozenset[CellGraph]) -> "Subdivision":
         """A subdivision from a nonempty frozenset of n x d cells that are
         known to span and be connected, as :func:`dual_subdivision` reads
-        them off vertices, without re-validating them."""
+        them off vertices and :func:`regular_subdivision` off trees,
+        without re-validating them."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "n", n)
         object.__setattr__(sub, "d", d)
@@ -224,6 +233,30 @@ def _sides(tree: Iterable[tuple[int, int]], marks: list[int]) -> dict[tuple[int,
     return {(a, b): below[a] if parent[a] == b else full ^ below[b] for a, b in tree}
 
 
+def _swapped_sides(
+    sides: dict[tuple[int, int], int], out: tuple[int, int], into: tuple[int, int], side: int, full: int
+) -> dict[tuple[int, int], int]:
+    """:func:`_sides` of the tree that swaps edge ``out`` for ``into``,
+    from the tree's own ``sides``: ``side`` is out's side, which holds
+    into's right end and not its left end, and ``full`` the union of all
+    marks.
+
+    A tree edge f whose side holds neither or both of into's ends is off
+    into's cycle and keeps its side.  On the cycle, dropping out and f
+    leaves three parts, and into joins the two that hold its ends, so
+    f's side gains or loses the part across out from f: the rest of the
+    tree when f lies in ``side``, else ``side``.  Into's own side holds
+    its left end: the rest."""
+    rest = full ^ side
+    ends = 1 << into[0] | 1 << into[1]
+    split = (1 << into[0], 1 << into[1])
+    swapped = {into: rest}
+    for f, x in sides.items():
+        if f != out:
+            swapped[f] = x ^ (rest if side >> f[0] & 1 else side) if x & ends in split else x
+    return swapped
+
+
 def _cycles(
     n: int, tree: Collection[tuple[int, int]], edges: Iterable[tuple[int, int]]
 ) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
@@ -279,62 +312,107 @@ def _pivot_walk(
 
     Nodes are left i -> i-1 and right j -> n+j-1.  The integer heights
     H_ij = D w_ij 3^(nd) + 3^((i-1)d+(j-1)), D the lcm of the
-    denominators, are generic: an alternating cycle sum of distinct
+    denominators, each D w_ij taken as its numerator times D over its
+    denominator, are generic: an alternating cycle sum of distinct
     powers of 3 never vanishes.  So every vertex of the polyhedron
     {z_j - u_i <= H_ij on the support} is tight on a spanning tree, a
     simplex of the triangulation, and since those powers sum to less
     than 3^(nd)/2 the simplex lies in the w-cell of its edges with H-slack
-    below 3^(nd)/2 (the edges tight under w).  Each pivot drops a tree
-    edge and raises the side holding its left end until the first
-    support edge into that side turns tight; the walk visits every tree
-    once in O((n+d) nd) each.  Over the full support, a walk run to its
-    end checks that it visited all C(n+d-2, n-1) simplices.
+    below 3^(nd)/2, that is at most 3^(nd) // 2 as 3^(nd) is odd (the
+    edges tight under w).
+
+    Each pivot drops a tree edge and raises the side holding its left
+    end until the first support edge into that side turns tight: the
+    least (slack, edge) over the set bits of the entering edges, so ties
+    go to the lowest edge.  The facet through the edge that entered a
+    tree is skipped: a facet lies in exactly two simplices, so that pivot
+    leads back to the tree the walk came from.  The start tree's sides
+    come from one rooted pass (:func:`_sides`), every other tree's from
+    its predecessor's (:func:`_swapped_sides`).  Per tree the walk pays
+    one integer slack per support edge, O(n+d) to swap the sides, and per
+    tree edge a scan of the edges entering its side; it visits every tree
+    once, breadth first, its facets in the order of the tree's frozenset.
+    Over the full support, a walk run to its end checks that it visited
+    all C(n+d-2, n-1) simplices.
     """
     scale = 3 ** (n * d)
-    den = lcm(*(w.denominator for row in weights for w in row))
-    edges = [
-        (i - 1, n + j - 1, int(weights[i - 1][j - 1] * den) * scale + 3 ** ((i - 1) * d + j - 1))
-        for i, j in sorted(support)
-    ]
-    # start vertex: attach one node at a time at its tightest feasible
-    # potential, so each attachment makes exactly one edge tight
-    p = {0: 0}
-    while len(p) < n + d:
-        a, b, _ = next(e for e in edges if (e[0] in p) != (e[1] in p))
-        if a in p:
-            p[b] = min(p[x] + h for x, y, h in edges if y == b and x in p)
-        else:
-            p[a] = max(p[y] - h for x, y, h in edges if x == a and y in p)
-    tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
-    queue, seen = [(tree, [p[v] for v in range(n + d)])], {tree}
+    half = scale // 2
+    den = lcm(*(x.denominator for row in weights for x in row))
+    pairs = sorted(support)
+    w, m = n + d, len(pairs)
     # node v's mark: bit v, bit w + k for each edge k ending at v on the
     # right and bit w + m + k for each edge k starting at v on the left,
     # so a side's union tells its nodes and the edges entering it
-    w, m = n + d, len(edges)
     marks = [1 << v for v in range(w)]
-    for k, (a, b, _) in enumerate(edges):
+    edges, bits, near = [], {}, [[] for _ in range(w)]
+    for k, (i, j) in enumerate(pairs):
+        x = weights[i - 1][j - 1]
+        a, b, h = i - 1, n + j - 1, x.numerator * (den // x.denominator) * scale + 3 ** ((i - 1) * d + j - 1)
+        edges.append((a, b, h))
+        bits[a, b] = 1 << k
         marks[b] |= 1 << (w + k)
         marks[a] |= 1 << (w + m + k)
-    for tree, p in queue:
+        near[a].append((b, -h))
+        near[b].append((a, h))
+    # start vertex: attach one node at a time, across the first edge with
+    # one end attached, at its tightest feasible potential, so each
+    # attachment makes exactly one edge tight
+    p = {0: 0}
+    while len(p) < w:
+        for a, b, _ in edges:
+            if (a in p) != (b in p):
+                break
+        if a in p:
+            p[b] = min(p[x] + h for x, h in near[b] if x in p)
+        else:
+            p[a] = max(p[y] + h for y, h in near[a] if y in p)
+    tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
+    # each queued tree: its edges, their bitmask, the potentials, the edge
+    # that entered it and its edges' sides (the start's once it is reached)
+    key = sum(map(bits.__getitem__, tree))
+    queue = deque([(tree, key, [p[v] for v in range(w)], None, None)])
+    seen, visited, low_m, full = {key}, 0, (1 << m) - 1, sum(marks)
+    while queue:
+        tree, key, p, entered, sides = queue.popleft()
+        visited += 1
         slack = [h - p[b] + p[a] for a, b, h in edges]
-        yield frozenset((a + 1, b - n + 1) for (a, b, _), s in zip(edges, slack) if 2 * s < scale)
-        sides = _sides(tree, marks)
-        for a, b in tree:
-            side = sides[a, b]
+        yield frozenset(pair for pair, s in zip(pairs, slack) if s <= half)
+        if sides is None:
+            sides = _sides(tree, marks)
+        for e in tree:
+            if e == entered:
+                continue  # the facet back to the tree this one came from
+            side = sides[e]
             # edges whose right end is on the side and whose left end is not
-            entering = side >> w & ~(side >> (w + m)) & ((1 << m) - 1)
+            entering = side >> w & ~(side >> (w + m)) & low_m
             if not entering:
                 continue  # a boundary facet
-            # the least (slack, edge), edge indices in sorted edge order
-            t, k = min((slack[k], k) for k in range(m) if entering >> k & 1)
-            pivot = tree - {(a, b)} | {edges[k][:2]}
+            # the least (slack, edge) over the set bits, lowest bit first
+            bit = entering & -entering
+            k = bit.bit_length() - 1
+            t = slack[k]
+            entering ^= bit
+            while entering:
+                bit = entering & -entering
+                j = bit.bit_length() - 1
+                if slack[j] < t:
+                    t, k = slack[j], j
+                entering ^= bit
+            pivot = key ^ bits[e] | 1 << k
             if pivot not in seen:
                 seen.add(pivot)
-                queue.append((pivot, [z + t if side >> v & 1 else z for v, z in enumerate(p)]))
+                new = edges[k][:2]
+                queue.append((
+                    tree - {e} | {new},
+                    pivot,
+                    [z + t if side >> v & 1 else z for v, z in enumerate(p)],
+                    new,
+                    _swapped_sides(sides, e, new, side, full),
+                ))
     expected = comb(n + d - 2, n - 1)
-    if len(edges) == n * d and len(queue) != expected:
+    if len(edges) == n * d and visited != expected:
         raise RuntimeError(
-            f"pivot walk visited {len(queue)} of {expected} simplices of a {n}x{d} triangulation"
+            f"pivot walk visited {visited} of {expected} simplices of a {n}x{d} triangulation"
         )
 
 
@@ -354,9 +432,13 @@ def regular_subdivision(weights) -> Subdivision:
     With the apex matrix of an arrangement as heights this reproduces the
     arrangement's dual subdivision; the two computations share no code
     path, which makes the agreement a meaningful cross-check.
+
+    The cells are built unvalidated: each is read off the walk at a tree
+    whose edges all have slack 0, so it holds that tree and spans and is
+    connected, and its edges are support edges, in range.
     """
     n, d, cells = _envelope_cells(weights)
-    return Subdivision(n, d, frozenset(CellGraph(n, d, c) for c in cells))
+    return Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in cells))
 
 
 def _first_tied_minor(weights) -> TiedMinor | None:

@@ -4,7 +4,8 @@ determinant and secondary-face dimension via sympy; genericity, tied
 minors and matching gaps by square minors; apex types and the fan faces
 apexes lie on; direct scans, the validated comparability graph and the
 replaced pairwise kernels for the axiom checks with the packed
-Warshall closure they share; a direct scan for the lower envelope; the
+Warshall closure they share; a direct scan for the lower envelope and
+the pivot walk as it was, which pins the walk's order of cells; the
 dual subdivision as a validated subdivision of the enumeration's
 0-dimensional types; the feasibility DFS on Fraction coordinates; flips by
 enumerating the types of every perturbation; the per-cell walks against
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, permutations
+from math import comb, lcm
 from operator import and_, or_
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 import sympy
@@ -423,6 +426,93 @@ def envelope_oracle(n: int, d: int, weights, support) -> frozenset[CellGraph]:
         ):
             cells.append(CellGraph(n, d, frozenset(chosen)))
     return frozenset(cells)
+
+
+def pivot_walk_oracle(
+    n: int, d: int, weights: Sequence[Sequence[Fraction]], support: Iterable[tuple[int, int]]
+) -> Iterator[frozenset[tuple[int, int]]]:
+    """The pivot walk as it was before its integer heights, bit-scanned
+    entering edges, skipped facet back and sides swapped per pivot: its
+    cells in its order pin the order of ``duality._pivot_walk``, which
+    decides the first tied minor a check names.
+
+    Coarse cell of every simplex of a fine regular triangulation of the
+    lower envelope over a spanning connected support edge set, yielded
+    one simplex at a time, so a caller may stop at any cell.
+
+    Nodes are left i -> i-1 and right j -> n+j-1.  The integer heights
+    H_ij = D w_ij 3^(nd) + 3^((i-1)d+(j-1)), D the lcm of the
+    denominators, are generic: an alternating cycle sum of distinct
+    powers of 3 never vanishes.  So every vertex of the polyhedron
+    {z_j - u_i <= H_ij on the support} is tight on a spanning tree, a
+    simplex of the triangulation, and since those powers sum to less
+    than 3^(nd)/2 the simplex lies in the w-cell of its edges with H-slack
+    below 3^(nd)/2 (the edges tight under w).  Each pivot drops a tree
+    edge and raises the side holding its left end until the first
+    support edge into that side turns tight; the walk visits every tree
+    once in O((n+d) nd) each.  Over the full support, a walk run to its
+    end checks that it visited all C(n+d-2, n-1) simplices.
+    """
+    scale = 3 ** (n * d)
+    den = lcm(*(w.denominator for row in weights for w in row))
+    edges = [
+        (i - 1, n + j - 1, int(weights[i - 1][j - 1] * den) * scale + 3 ** ((i - 1) * d + j - 1))
+        for i, j in sorted(support)
+    ]
+    # start vertex: attach one node at a time at its tightest feasible
+    # potential, so each attachment makes exactly one edge tight
+    p = {0: 0}
+    while len(p) < n + d:
+        a, b, _ = next(e for e in edges if (e[0] in p) != (e[1] in p))
+        if a in p:
+            p[b] = min(p[x] + h for x, y, h in edges if y == b and x in p)
+        else:
+            p[a] = max(p[y] - h for x, y, h in edges if x == a and y in p)
+    tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
+    queue, seen = [(tree, [p[v] for v in range(n + d)])], {tree}
+    # node v's mark: bit v, bit w + k for each edge k ending at v on the
+    # right and bit w + m + k for each edge k starting at v on the left,
+    # so a side's union tells its nodes and the edges entering it
+    w, m = n + d, len(edges)
+    marks = [1 << v for v in range(w)]
+    for k, (a, b, _) in enumerate(edges):
+        marks[b] |= 1 << (w + k)
+        marks[a] |= 1 << (w + m + k)
+    for tree, p in queue:
+        slack = [h - p[b] + p[a] for a, b, h in edges]
+        yield frozenset((a + 1, b - n + 1) for (a, b, _), s in zip(edges, slack) if 2 * s < scale)
+        sides = _sides(tree, marks)
+        for a, b in tree:
+            side = sides[a, b]
+            # edges whose right end is on the side and whose left end is not
+            entering = side >> w & ~(side >> (w + m)) & ((1 << m) - 1)
+            if not entering:
+                continue  # a boundary facet
+            # the least (slack, edge), edge indices in sorted edge order
+            t, k = min((slack[k], k) for k in range(m) if entering >> k & 1)
+            pivot = tree - {(a, b)} | {edges[k][:2]}
+            if pivot not in seen:
+                seen.add(pivot)
+                queue.append((pivot, [z + t if side >> v & 1 else z for v, z in enumerate(p)]))
+    expected = comb(n + d - 2, n - 1)
+    if len(edges) == n * d and len(queue) != expected:
+        raise RuntimeError(
+            f"pivot walk visited {len(queue)} of {expected} simplices of a {n}x{d} triangulation"
+        )
+
+
+def assert_walk_order_matches_the_oracle(n: int, d: int, rows, support=None) -> None:
+    """The walk yields the oracle's cells in the oracle's order, over
+    ``support`` (the full one when None) and, with zero heights, over the
+    edges of each of its cells that is not a tree, as a volume walks it."""
+    if support is None:
+        support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+    cells = list(pivot_walk_oracle(n, d, rows, support))
+    assert list(_pivot_walk(n, d, rows, support)) == cells, (rows, sorted(support))
+    zero = [[0] * d] * n
+    for cell in set(cells):
+        if len(cell) != n + d - 1:
+            assert list(_pivot_walk(n, d, zero, cell)) == list(pivot_walk_oracle(n, d, zero, cell)), sorted(cell)
 
 
 def volume_oracle(g: CellGraph) -> int:

@@ -26,7 +26,7 @@ from troparr import (
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import _forest, is_spanning_connected
+from troparr.duality import _forest, _tied_minor, is_spanning_connected
 from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     assert_cell_questions_match_the_oracles,
     assert_check_cells_match_the_oracle,
     assert_staircases_match_the_imposed_path,
+    assert_walk_order_matches_the_oracle,
     components_oracle,
     envelope_oracle,
     graph_dim_oracle,
@@ -43,6 +44,7 @@ from conftest import (
     nongeneric_on_apex,
     nongeneric_on_ray,
     offending_apexes,
+    pivot_walk_oracle,
     random_arrangement,
     random_generic_arrangement,
     random_integer_arrangement,
@@ -407,11 +409,61 @@ def test_pivot_walk_matches_envelope_oracle(n, d):
     for rows in draws:
         sub = regular_subdivision(rows)
         assert sub.maximal_cells == envelope_oracle(n, d, rows, full_support(n, d))
+        # its cells are built unvalidated: the validating constructor
+        # accepts them and gives the same subdivision
+        assert Subdivision(n, d, sub.maximal_cells) == sub
+        assert all(1 <= i <= n and 1 <= j <= d for g in sub.maximal_cells for i, j in g.edges)
         if d > 1:  # a point of an arrangement needs two coordinates
             assert (is_generic(Arrangement.from_rows(rows)).minor is None) == is_triangulation(sub)
         for g in sub.maximal_cells:
             assert normalized_volume(g) == volume_oracle(g)
         assert sum(sub.volumes.values()) == comb(n + d - 2, n - 1)
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (3, 3), (4, 3), (3, 4), (2, 5), (4, 4)])
+def test_pivot_walk_visits_cells_in_the_oracle_order(n, d):
+    # the order decides the first cell that is not a tree, so the tied
+    # minor a check names; rational, integer and flat heights
+    rng = random.Random(500 + 10 * n + d)
+    assert_walk_order_matches_the_oracle(n, d, [[0] * d for _ in range(n)])
+    for _ in range(4):
+        assert_walk_order_matches_the_oracle(n, d, [[random_rational(rng) for _ in range(d)] for _ in range(n)])
+        assert_walk_order_matches_the_oracle(n, d, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)])
+
+
+def test_pivot_walk_visits_single_cells_in_the_oracle_order():
+    # random spanning connected supports under zero and rational heights
+    rng = random.Random(71)
+    checked = 0
+    while checked < 60:
+        n, d = rng.choice([(2, 3), (3, 2), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5)])
+        g = CellGraph(n, d, frozenset(e for e in full_support(n, d) if rng.random() < 0.7))
+        if is_spanning_connected(g):
+            assert_walk_order_matches_the_oracle(n, d, [[0] * d] * n, g.edges)
+            rows = [[random_rational(rng) for _ in range(d)] for _ in range(n)]
+            assert_walk_order_matches_the_oracle(n, d, rows, g.edges)
+            checked += 1
+
+
+def test_is_generic_names_the_oracle_walks_first_tied_minor():
+    # the first cell of the oracle's order that is not a tree names the minor
+    rng = random.Random(29)
+    draws = []
+    for n, d in [(2, 3), (3, 3), (4, 3), (3, 4), (5, 3), (2, 5)]:
+        for _ in range(15):
+            draws.append(random_integer_arrangement(rng, n, d))
+            draws.append(integer_incident(rng, n, d))
+        for _ in range(6):
+            draws.append(nongeneric_on_apex(rng, n, d)[0])
+            draws.append(nongeneric_on_ray(rng, n, d)[0])
+    checked = 0
+    for arr in draws:
+        n, d, rows = arr.n, arr.d, arr.rows()
+        first = next((c for c in pivot_walk_oracle(n, d, rows, full_support(n, d)) if len(c) != n + d - 1), None)
+        minor = is_generic(arr).minor
+        assert minor == (None if first is None else _tied_minor(CellGraph(n, d, first))), rows
+        checked += minor is not None
+    assert checked >= 200, checked
 
 
 def test_normalized_volume_matches_envelope_oracle_on_random_supports():

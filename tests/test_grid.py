@@ -2,7 +2,10 @@
 and last column 0, degenerate ones included.
 
 The (2,3) and (3,3) grids run by default, with the tied minor that
-every non-generic input names checked by trying every permutation.
+every non-generic input names checked by trying every permutation, and
+so does the pivot walk's order of cells against the walk it replaced,
+on every (3,3) and (2,4) input and on each of their cells that is not
+a tree.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its prefix
 and the vertex walk against the 0-dimensional types, each closed-form
@@ -54,6 +57,7 @@ from troparr import (
 from conftest import (
     assert_both_sides_match_the_envelope,
     assert_staircases_match_the_imposed_path,
+    assert_walk_order_matches_the_oracle,
     assert_cell_questions_match_the_oracles,
     assert_cell_walks_match_the_envelope,
     assert_check_cells_match_the_oracle,
@@ -110,6 +114,14 @@ def test_both_sides_of_the_vertex_walk_on_grid(n, d):
     # each staircase the pairs found by imposing every entry
     for arr in grid(n, d):
         assert_both_sides_match_the_envelope(arr)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 4)])
+def test_pivot_walk_order_on_grid(n, d):
+    # the pivot walk yields the oracle walk's cells in its order, over the
+    # full support and over each cell that is not a tree as a volume walks it
+    for arr in grid(n, d):
+        assert_walk_order_matches_the_oracle(n, d, arr.rows())
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])
