@@ -53,7 +53,13 @@ class AxiomReport:
     comparability: CheckResult
     surrounding: CheckResult
     local_refinement: CheckResult
-    is_tom: bool
+
+    @property
+    def is_tom(self) -> bool:
+        """The verdict, derived rather than stored: the conjunction of
+        boundary, elimination, comparability and surrounding.  Local
+        refinement is reported alongside but does not enter it."""
+        return bool(self.boundary and self.elimination and self.comparability and self.surrounding)
 
 
 class _Table:
@@ -412,11 +418,10 @@ def check_local_refinement(types: Collection[TypeVector]) -> CheckResult:
 def is_tropical_oriented_matroid(
     types: Collection[TypeVector], n: int, d: int
 ) -> AxiomReport:
-    """Run all checks; the verdict is the conjunction of boundary,
-    elimination, comparability and surrounding (local refinement is
-    reported alongside but does not enter it).  The surrounding work cap
-    is tested before any check runs, so a refused input costs nothing.
-    The collection's table is built once and handed to every check."""
+    """Run all checks; the report's :attr:`~AxiomReport.is_tom` is the
+    verdict.  The surrounding work cap is tested before any check runs,
+    so a refused input costs nothing.  The collection's table is built
+    once and handed to every check."""
     _surrounding_cap(len(types), d)
     table = _Table(types)
     boundary = check_boundary(table, n, d)
@@ -424,5 +429,4 @@ def is_tropical_oriented_matroid(
     comparability = check_comparability(table, d)
     surrounding = check_surrounding(table, d)
     local = check_local_refinement(table)
-    is_tom = bool(boundary and elimination and comparability and surrounding)
-    return AxiomReport(boundary, elimination, comparability, surrounding, local, is_tom)
+    return AxiomReport(boundary, elimination, comparability, surrounding, local)

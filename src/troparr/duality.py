@@ -481,20 +481,20 @@ def normalized_volume(g: CellGraph) -> int:
     """Normalized lattice volume of a full-dimensional cell.
 
     Every simplex of the product of simplices is unimodular (a bipartite
-    incidence matrix is totally unimodular), so a spanning tree has
-    volume 1 and any other cell's volume is the number of pieces of one
-    of its triangulations.  The cell's own vertices are lifted by a
-    lexicographic height (powers of 3), whose alternating sums never
-    vanish, so the induced regular subdivision is such a triangulation;
-    the pivot walk counts its simplices.  It counts its work as it goes,
+    incidence matrix is totally unimodular), so a cell's volume is the
+    number of pieces of any of its triangulations.  The cell's own
+    vertices are lifted by a lexicographic height (powers of 3), whose
+    alternating sums never vanish, so the induced regular subdivision is
+    such a triangulation; the pivot walk counts its simplices.  A
+    spanning tree is its own only simplex, so its walk visits one tree
+    and returns 1 (:attr:`Subdivision.volumes` counts trees without a
+    walk).  It counts its work as it goes,
     and past ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
     """
     if not g.edges:
         raise ValueError("cell graph has no edges")
     if cell_dim(g) != g.n + g.d - 2:
         raise ValueError("normalized volume needs a full-dimensional cell")
-    if len(g.edges) == g.n + g.d - 1:
-        return 1
     per_tree = (g.n + g.d) * len(g.edges)
     trees = 0
     for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges):
@@ -520,8 +520,9 @@ def is_triangulation(sub: Subdivision) -> bool:
 @dataclass(frozen=True)
 class CorrespondenceVerdict:
     """Joint verdict on an arrangement: genericity, the axiom report of
-    its types, and whether its dual subdivision is a triangulation,
-    together with the two implications they must satisfy."""
+    its types, and whether its dual subdivision is a triangulation.
+    Whether they satisfy the two implications, :attr:`consistent`, is
+    derived from them, not stored."""
 
     genericity: GenericityReport
     axiom_report: AxiomReport
@@ -529,8 +530,6 @@ class CorrespondenceVerdict:
     type_count: int
     cell_count: int
     expected_simplices: int
-    generic_consistent: bool
-    nongeneric_consistent: bool
 
     @property
     def generic(self) -> bool:
@@ -538,7 +537,11 @@ class CorrespondenceVerdict:
 
     @property
     def consistent(self) -> bool:
-        return self.generic_consistent and self.nongeneric_consistent
+        """Generic => (tropical oriented matroid and triangulation), and
+        non-generic => not a triangulation."""
+        if self.generic:
+            return self.axiom_report.is_tom and self.triangulation
+        return not self.triangulation
 
 
 def check_correspondence(arr: Arrangement, budget: int | None = None) -> CorrespondenceVerdict:
@@ -560,14 +563,11 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     """
     dimensions = enumerate_realizations(arr, budget)
     genericity = is_generic(arr)
-    generic = bool(genericity)
     report = is_tropical_oriented_matroid(dimensions, arr.n, arr.d)
     vertices = [T for T, dim in dimensions.items() if dim == 0]
     expected = comb(arr.n + arr.d - 2, arr.n - 1)
     tree = arr.n + arr.d - 1
     triangulation = len(vertices) == expected and all(sum(map(len, T.entries)) == tree for T in vertices)
-    generic_ok = (not generic) or (report.is_tom and triangulation)
-    nongeneric_ok = generic or (not triangulation)
     return CorrespondenceVerdict(
         genericity=genericity,
         axiom_report=report,
@@ -575,6 +575,4 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
         type_count=len(dimensions),
         cell_count=len(vertices),
         expected_simplices=expected,
-        generic_consistent=generic_ok,
-        nongeneric_consistent=nongeneric_ok,
     )

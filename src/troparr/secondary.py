@@ -178,20 +178,17 @@ def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Ar
 
 
 def refining_triangulations(
-    arr: Arrangement,
-    base: Subdivision,
-    samples: int | None = None,
-    seed: int = 0,
-    budget: int | None = None,
+    arr: Arrangement, base: Subdivision, *, seed: int = 0, budget: int | None = None
 ) -> frozenset[Subdivision]:
     """Distinct triangulations reachable by safe perturbations.
 
-    ``samples`` integer steps u', each u'_ij = 3^(nd)·u_ij +
+    2·n·d integer steps u', each u'_ij = 3^(nd)·u_ij +
     3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, move
     all apexes jointly by :func:`safe_radius` · u'/(1001·3^(nd)); the
-    tie-break term puts no step on a wall.  Every triangulation found
-    refines ``base``, the arrangement's own subdivision, so a
-    triangulation ``base`` is its own only refinement.
+    tie-break term puts no step on a wall; another ``seed`` draws
+    another sample.  Every triangulation found refines ``base``, the
+    arrangement's own subdivision, so a triangulation ``base`` is its
+    own only refinement.
 
     Each coarse cell that is not a tree keeps the refinements found so
     far, each with its :func:`_cone`.  A step inside a known cone for
@@ -215,10 +212,6 @@ def refining_triangulations(
     own, and each walk's dual subdivision is the triangulation returned.
     """
     n, d = arr.n, arr.d
-    if samples is None:
-        samples = 2 * n * d
-    if samples < 2 * n * d:
-        raise ValueError(f"samples must be at least 2*n*d = {2 * n * d}")
     if is_triangulation(base):
         return frozenset({base})
     rng = random.Random(seed)
@@ -229,7 +222,7 @@ def refining_triangulations(
     # per coarse cell: pieces -> cone of each refinement certified on it
     known: list[dict[frozenset[frozenset[tuple[int, int]]], tuple]] = [{} for _ in coarse]
     found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
-    for _ in range(samples):
+    for _ in range(2 * n * d):
         step = [[3 ** (n * d) * rng.randint(0, 1000) + 3 ** (i * d + j) for j in range(d)] for i in range(n)]
         flat = [u for us in step for u in us]
         matched = [next((p for p, cone in cones.items() if _in_cone(cone, flat)), None) for cones in known]
@@ -274,11 +267,7 @@ class SecondaryFaceVerdict:
 
 
 def secondary_face_check(
-    arr: Arrangement,
-    sub: Subdivision,
-    samples: int | None = None,
-    seed: int = 0,
-    budget: int | None = None,
+    arr: Arrangement, sub: Subdivision, *, seed: int = 0, budget: int | None = None
 ) -> SecondaryFaceVerdict:
     """For a non-generic arrangement with subdivision ``sub`` (not a
     triangulation): at least two refining triangulations must exist, and
@@ -289,17 +278,19 @@ def secondary_face_check(
     alternating-cycle vectors, so the dimension is their rank, computed
     from ``sub`` alone: the fundamental cycles of a spanning tree of each
     cell span that cell's cycles, and :func:`_cone` of the cell against
-    the forest its sorted edges grow writes them (none for a tree)."""
+    the forest its sorted edges grow writes them.  A tree has no cycle,
+    so only the other cells are read."""
     if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     n, d = arr.n, arr.d
     tris = sorted(
-        refining_triangulations(arr, sub, samples, seed, budget),
+        refining_triangulations(arr, sub, seed=seed, budget=budget),
         key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
     )
     cycles = [
         [1 if k in plus else -1 if k in minus else 0 for k in range(n * d)]
         for g in sub.maximal_cells
+        if len(g.edges) > n + d - 1
         for plus, minus in _cone(n, d, g.edges, [_forest(n, d, g.sorted_edges())[0]])
     ]
     return SecondaryFaceVerdict(

@@ -239,6 +239,29 @@ def test_type_counts_match_the_enumeration():
         assert len(enumerate_realizations(arr)) == _type_counts(m, d)[m], (m, d)
 
 
+def test_nongeneric_arrangements_have_fewer_types():
+    # generic arrangements have exactly T(n, d) types; a non-generic one,
+    # whose cells merge, strictly fewer
+    rng = random.Random(2929)
+    draws = [
+        lambda n, d: random_integer_arrangement(rng, n, d),
+        lambda n, d: integer_incident(rng, n, d),
+        lambda n, d: nongeneric_on_ray(rng, n, d)[0],
+        lambda n, d: nongeneric_on_apex(rng, n, d)[0],
+        lambda n, d: random_arrangement(rng, n, d),
+    ]
+    seen = set()
+    for n, d in [(2, 3), (3, 3), (4, 3), (3, 4), (2, 4), (2, 5), (5, 3), (4, 4)]:
+        for draw in draws:
+            for _ in range(5):
+                arr = draw(n, d)
+                generic = bool(is_generic(arr))
+                count, full = len(enumerate_realizations(arr)), _type_counts(n, d)[n]
+                assert count == full if generic else count < full, arr.rows()
+                seen.add(generic)
+    assert seen == {True, False}
+
+
 def test_walk_steps_are_the_budget_boundary_on_generic_inputs():
     # on a generic input W(n, d) steps walk the given side and W(d, n)
     # the transposed one, exactly: one step fewer is refused
