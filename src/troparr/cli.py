@@ -124,7 +124,7 @@ def _axiom_line(name: str, result) -> str:
     return f"{name}: fail T={T.text()} i={i} k={k}"
 
 
-def _cmd_type_of(arr: Arrangement, args) -> tuple[int, list[str], dict]:
+def _cmd_type_of(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     parts = args.point.split(",")
     try:
         coords = [parse_rational(p) for p in parts]
@@ -132,14 +132,33 @@ def _cmd_type_of(arr: Arrangement, args) -> tuple[int, list[str], dict]:
         raise CliError(PARSE, f"bad point: {exc}")
     if len(coords) != arr.d:
         raise CliError(DIMENSION, f"point has {len(coords)} coordinates, need {arr.d}")
-    T = type_of_point(arr, coords)
-    return OK, [f"type: {T.text()}"], {"type": T.text()}
+    text = type_of_point(arr, coords).text()
+    return OK, {"type": text} if args.json else [f"type: {text}"]
 
 
-def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
+_AXIOMS = ("boundary", "elimination", "comparability", "surrounding", "local_refinement")
+
+
+def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     verdict = check_correspondence(arr, args.budget)
-    lines = [f"n: {arr.n}", f"d: {arr.d}", f"generic: {str(verdict.generic).lower()}"]
+    code = OK if verdict.consistent else INCONSISTENT
     minor = verdict.genericity.minor
+    ax = verdict.axiom_report
+    if args.json:
+        return code, {
+            "n": arr.n,
+            "d": arr.d,
+            "generic": verdict.generic,
+            "tied_minor": None if minor is None else minor._asdict(),
+            "type_count": verdict.type_count,
+            "axioms": {name: "pass" if getattr(ax, name).passed else "fail" for name in _AXIOMS},
+            "is_tom": ax.is_tom,
+            "triangulation": verdict.triangulation,
+            "cell_count": verdict.cell_count,
+            "expected_simplices": verdict.expected_simplices,
+            "consistent": verdict.consistent,
+        }
+    lines = [f"n: {arr.n}", f"d: {arr.d}", f"generic: {str(verdict.generic).lower()}"]
     if minor is None:
         lines.append("tied_minor: none")
     else:
@@ -148,78 +167,52 @@ def _cmd_check(arr: Arrangement, args) -> tuple[int, list[str], dict]:
             f"tied_minor: rows {','.join(map(str, minor.rows))} "
             f"columns {','.join(map(str, minor.columns))} matchings {matchings}"
         )
-    ax = verdict.axiom_report
     lines.append(f"types: {verdict.type_count}")
-    names = ("boundary", "elimination", "comparability", "surrounding", "local_refinement")
-    results_ax = {}
-    for name in names:
-        result = getattr(ax, name)
-        lines.append(_axiom_line(name, result))
-        results_ax[name] = "pass" if result.passed else "fail"
+    lines.extend(_axiom_line(name, getattr(ax, name)) for name in _AXIOMS)
     lines.append(f"is_tom: {str(ax.is_tom).lower()}")
     lines.append(f"triangulation: {str(verdict.triangulation).lower()}")
     lines.append(f"cells: {verdict.cell_count}")
     lines.append(f"expected_simplices: {verdict.expected_simplices}")
     lines.append(f"consistent: {str(verdict.consistent).lower()}")
-    results = {
-        "n": arr.n,
-        "d": arr.d,
-        "generic": verdict.generic,
-        "tied_minor": None if minor is None else minor._asdict(),
-        "type_count": verdict.type_count,
-        "axioms": results_ax,
-        "is_tom": ax.is_tom,
-        "triangulation": verdict.triangulation,
-        "cell_count": verdict.cell_count,
-        "expected_simplices": verdict.expected_simplices,
-        "consistent": verdict.consistent,
-    }
-    return (OK if verdict.consistent else INCONSISTENT), lines, results
+    return code, lines
 
 
-def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str], dict]:
+def _edge_lists(g) -> list[list[int]]:
+    return [list(e) for e in g.sorted_edges()]
+
+
+def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     sub = dual_subdivision(arr, args.budget)
     # the capped volumes before the flips, whose walks count against --budget but whose cones have no cap
     volumes = sub.volumes
     verdict = None
     if args.flips and not is_triangulation(sub):
         verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)
+    if args.json:
+        results: dict = {"cells": [{"edges": _edge_lists(g), "volume": volumes[g]} for g in sub.sorted_cells()]}
+        if args.flips:
+            results["flips"] = None if verdict is None else {
+                "triangulations": [
+                    {"cells": [_edge_lists(g) for g in t.sorted_cells()], "gkz": list(gkz.values)}
+                    for t, gkz in zip(verdict.refinements, verdict.gkz_vectors)
+                ],
+                "face_dimension": verdict.face_dimension,
+            }
+        return OK, results
     lines = ["cells:"]
-    cells_json = []
-    for g in sub.sorted_cells():
-        vol = volumes[g]
-        lines.append(f"  {g.text()} vol {vol}")
-        cells_json.append({"edges": [list(e) for e in g.sorted_edges()], "volume": vol})
-    results: dict = {"cells": cells_json}
+    lines.extend(f"  {g.text()} vol {volumes[g]}" for g in sub.sorted_cells())
     if args.flips:
         if verdict is None:
             lines.append("flips: arrangement is generic; subdivision is already a triangulation")
-            results["flips"] = None
         else:
             lines.append("flips:")
-            flips_json = []
-            for idx, t in enumerate(verdict.refinements, 1):
+            for idx, (t, gkz) in enumerate(zip(verdict.refinements, verdict.gkz_vectors), 1):
                 lines.append(f"  triangulation {idx}:")
                 lines.extend(f"    {g.text()}" for g in t.sorted_cells())
-                gkz = verdict.gkz_vectors[idx - 1]
-                entries = " ".join(
-                    f"({i},{j})={gkz.entry(i, j)}"
-                    for i in range(1, arr.n + 1)
-                    for j in range(1, arr.d + 1)
-                )
+                entries = " ".join(f"({k // arr.d + 1},{k % arr.d + 1})={v}" for k, v in enumerate(gkz.values))
                 lines.append(f"  gkz {idx}: {entries}")
-                flips_json.append(
-                    {
-                        "cells": [[list(e) for e in g.sorted_edges()] for g in t.sorted_cells()],
-                        "gkz": list(gkz.values),
-                    }
-                )
             lines.append(f"face_dimension: {verdict.face_dimension}")
-            results["flips"] = {
-                "triangulations": flips_json,
-                "face_dimension": verdict.face_dimension,
-            }
-    return OK, lines, results
+    return OK, lines
 
 
 def render_svg(arr: Arrangement, bold: set[int]) -> str:
@@ -283,7 +276,7 @@ def render_svg(arr: Arrangement, bold: set[int]) -> str:
     return ET.tostring(svg, encoding="unicode") + "\n"
 
 
-def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
+def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     if arr.d != 3:
         raise CliError(RENDER, f"rendering needs d=3, got d={arr.d}")
     # rays run 3 spans from their apex, so no number the picture writes
@@ -308,8 +301,9 @@ def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str], dict]:
             fh.write(svg)
     except OSError as exc:
         raise CliError(IO, f"cannot write {args.out}: {exc}")
-    lines = [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {3 * len(bold)}"]
-    return OK, lines, {"svg": args.out, "rays": 3 * arr.n, "bold": 3 * len(bold)}
+    if args.json:
+        return OK, {"svg": args.out, "rays": 3 * arr.n, "bold": 3 * len(bold)}
+    return OK, [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {3 * len(bold)}"]
 
 
 def _budget(text: str) -> int:
@@ -392,6 +386,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: Each handler returns its exit code and only the form :func:`main`
+#: prints: the JSON results under ``--json``, the text lines otherwise.
 _HANDLERS = {
     "type-of": _cmd_type_of,
     "check": _cmd_check,
@@ -408,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         arr, raw = load_arrangement(args.input, args.format)
-        code, lines, results = _HANDLERS[args.command](arr, args)
+        code, body = _HANDLERS[args.command](arr, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -418,20 +414,17 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal consistency violation: {exc}", file=sys.stderr)
         return INCONSISTENT
-    report = {
-        "command": [args.command] + argv[1:],
-        "input": _digest(raw),
-        "results": results,
-        "status": "ok" if code == OK else f"exit {code}",
-    }
+    command = [args.command] + argv[1:]
+    status = "ok" if code == OK else f"exit {code}"
     if args.json:
+        report = {"command": command, "input": _digest(raw), "results": body, "status": status}
         print(json.dumps(report, sort_keys=True))
     else:
-        print(f"command: {' '.join([args.command] + argv[1:])}")
-        print(f"input: {report['input']}")
-        for line in lines:
+        print(f"command: {' '.join(command)}")
+        print(f"input: {_digest(raw)}")
+        for line in body:
             print(line)
-        print(f"status: {report['status']}")
+        print(f"status: {status}")
     return code
 
 

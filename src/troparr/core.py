@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
@@ -317,8 +318,15 @@ class CellGraph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+    @cached_property
+    def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
+
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in ascending order, sorted on first use and kept
+        outside the dataclass fields, so ``==``, ``hash`` and ``repr``
+        read the edges alone."""
+        return self._sorted_edges
 
     def text(self) -> str:
         return "[" + ",".join(f"({i},{j})" for i, j in self.sorted_edges()) + "]"

@@ -55,8 +55,9 @@ edges before it names a square minor: the edge's fundamental cycle
 alternates between two perfect matchings of the minor, both tight, so
 its min-plus determinant is attained twice.
 Run over the edges of one cell only, the walk gives that cell's own
-regular subdivision under other heights, which is how a normalized
-volume is counted.
+regular subdivision under other heights, which is how the normalized
+volume of a cell with two or more cycles is counted; a tree's volume
+is 1, and a cell with one cycle has half its length.
 """
 
 from __future__ import annotations
@@ -159,16 +160,44 @@ class Subdivision:
         object.__setattr__(sub, "maximal_cells", cells)
         return sub
 
+    @cached_property
+    def _sorted_cells(self) -> tuple[CellGraph, ...]:
+        return tuple(sorted(self.maximal_cells, key=CellGraph.sorted_edges))
+
     def sorted_cells(self) -> tuple[CellGraph, ...]:
-        return tuple(sorted(self.maximal_cells, key=lambda g: g.sorted_edges()))
+        """The maximal cells in the order of their sorted edges, sorted
+        on first use and kept outside the dataclass fields."""
+        return self._sorted_cells
 
     @cached_property
     def volumes(self) -> dict[CellGraph, int]:
         """Normalized volume of each maximal cell, computed on first use.
-        Each cell spans and is connected, so one with n + d - 1 edges is
-        a tree, a unit simplex; only the others are walked."""
-        tree = self.n + self.d - 1
-        return {g: 1 if len(g.edges) == tree else normalized_volume(g) for g in self.maximal_cells}
+
+        Each cell spans and is connected on the n + d nodes, so it has
+        |E| - (n + d - 1) independent cycles.  One with n + d - 1 edges
+        is a tree, a unit simplex.  One with n + d edges has exactly one
+        cycle, of length 2k.  The points of the cycle's edges form the
+        cell's one circuit: the cycle alternates between two perfect
+        matchings of k edges each, and both sum to the same point.  The
+        other edges add affinely independent points, so the cell is an
+        iterated pyramid over that circuit.  A circuit has exactly two
+        triangulations, one dropping each point of one side in turn, so
+        k simplices each, and every simplex is unimodular: the volume is
+        k, the size of the plus side that :func:`_cycles` reads off the
+        edge closing the cycle in :func:`_forest`.  Only cells with two
+        or more cycles are walked by :func:`normalized_volume`."""
+        n, d = self.n, self.d
+
+        def volume(g: CellGraph) -> int:
+            if len(g.edges) == n + d - 1:
+                return 1
+            if len(g.edges) == n + d:
+                forest, closing = _forest(n, d, g.edges)
+                ((plus, _),) = _cycles(n, forest, [closing])
+                return len(plus)
+            return normalized_volume(g)
+
+        return {g: volume(g) for g in self.maximal_cells}
 
 
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
@@ -487,8 +516,9 @@ def normalized_volume(g: CellGraph) -> int:
     alternating sums never vanish, so the induced regular subdivision is
     such a triangulation; the pivot walk counts its simplices.  A
     spanning tree is its own only simplex, so its walk visits one tree
-    and returns 1 (:attr:`Subdivision.volumes` counts trees without a
-    walk).  It counts its work as it goes,
+    and returns 1.  :attr:`Subdivision.volumes` counts trees and cells
+    with one cycle in closed form, so only its cells with two or more
+    cycles reach this walk.  It counts its work as it goes,
     and past ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
     """
     if not g.edges:

@@ -149,9 +149,8 @@ def _cone(
 def _in_cone(cone, flat_step: Sequence[int]) -> bool:
     """Whether a step, flattened row by row, meets every inequality of
     a :func:`_cone` strictly."""
-    return all(
-        sum(flat_step[k] for k in plus) > sum(flat_step[k] for k in minus) for plus, minus in cone
-    )
+    at = flat_step.__getitem__
+    return all(sum(map(at, plus)) > sum(map(at, minus)) for plus, minus in cone)
 
 
 def _scaled_rows(arr: Arrangement) -> list[list[int]]:
@@ -186,7 +185,11 @@ def refining_triangulations(
     3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, move
     all apexes jointly by :func:`safe_radius` · u'/(1001·3^(nd)); the
     tie-break term puts no step on a wall; another ``seed`` draws
-    another sample.  Every triangulation found refines ``base``, the
+    another sample.  Each step is drawn as one flat row-major list, in
+    the order (i, j) of the rows, so entry (i-1)·d + (j-1) carries the
+    tie-break power of the same index; 3^(nd) and those n·d powers are
+    computed once per search, and a step is cut into its n rows only
+    when it is walked.  Every triangulation found refines ``base``, the
     arrangement's own subdivision, so a triangulation ``base`` is its
     own only refinement.
 
@@ -216,6 +219,7 @@ def refining_triangulations(
         return frozenset({base})
     rng = random.Random(seed)
     scaled = _scaled_rows(arr)
+    scale, ties = 3 ** (n * d), [3 ** k for k in range(n * d)]
     tree_size = n + d - 1
     trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == tree_size)
     coarse = [g.edges for g in base.maximal_cells if len(g.edges) != tree_size]
@@ -223,11 +227,11 @@ def refining_triangulations(
     known: list[dict[frozenset[frozenset[tuple[int, int]]], tuple]] = [{} for _ in coarse]
     found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
     for _ in range(2 * n * d):
-        step = [[3 ** (n * d) * rng.randint(0, 1000) + 3 ** (i * d + j) for j in range(d)] for i in range(n)]
-        flat = [u for us in step for u in us]
+        flat = [scale * rng.randint(0, 1000) + tie for tie in ties]
         matched = [next((p for p, cone in cones.items() if _in_cone(cone, flat)), None) for cones in known]
         if None not in matched and trees.union(*matched) in found:
             continue
+        step = [flat[i * d:(i + 1) * d] for i in range(n)]
         tri = dual_subdivision(_moved(scaled, step), budget)
         groups: dict[frozenset[tuple[int, int]], set[frozenset[tuple[int, int]]]] = {}
         for g in tri.maximal_cells:

@@ -277,12 +277,15 @@ def test_volume_walk_stops_at_its_work_cap(capsys, tmp_path):
         )
 
 
-def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_file):
+def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_path):
     # the input once, then one perturbation per distinct triangulation;
-    # E2 has one coarse cell that is not a tree, with two refinements, so
-    # of the 2nd = 12 steps only the first to land on each is walked: the
-    # others fall inside a known refinement's cone.  No cell is walked on
-    # its own while the refinements are sought
+    # the all-zero 2x3 input has one coarse cell, K_{2,3} with two cycles
+    # (so its volume, 3, is walked), and six refinements, so of the
+    # 2nd = 12 steps only the first to land on each is walked: the others
+    # fall inside a known refinement's cone.  No cell is walked on its
+    # own while the refinements are sought
+    path = tmp_path / "zero23.txt"
+    path.write_text("2 3\n0 0 0\n0 0 0\n")
     enumerations, inside, cell_walks = [], [], []
     vertices = troparr.duality._vertices
     pivot_walk = troparr.duality._pivot_walk
@@ -306,10 +309,10 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, e2_f
     monkeypatch.setattr(troparr.duality, "_vertices", counted)
     monkeypatch.setattr(troparr.duality, "_pivot_walk", recorded)
     monkeypatch.setattr(troparr.secondary, "refining_triangulations", flagged)
-    assert main(["subdivision", "--flips", "--input", e2_file]) == 0
+    assert main(["subdivision", "--flips", "--format", "text", "--input", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "triangulation 2:" in out and "triangulation 3:" not in out
-    assert len(enumerations) == 1 + 2
+    assert "triangulation 6:" in out and "triangulation 7:" not in out
+    assert len(enumerations) == 1 + 6
     assert cell_walks and not any(cell_walks)  # the coarse volumes only
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -173,3 +174,17 @@ def test_cell_graph_validation_and_text():
         CellGraph(2, 3, frozenset({(3, 1)}))
     with pytest.raises(ValueError):
         CellGraph(2, 3, frozenset({(1, 4)}))
+
+
+def test_sorted_edges_are_kept_outside_the_fields():
+    # sorted once and kept, while ==, hash and repr see the fields alone
+    edges = frozenset({(2, 1), (1, 3), (1, 1), (2, 2)})
+    for g in (CellGraph(2, 3, edges), CellGraph._trusted(2, 3, edges)):
+        first = g.sorted_edges()
+        assert first == ((1, 1), (1, 3), (2, 1), (2, 2))
+        assert g.sorted_edges() is first
+        assert g.text() == "[(1,1),(1,3),(2,1),(2,2)]"
+        fresh = CellGraph(2, 3, set(edges))
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == f"CellGraph(n=2, d=3, edges={g.edges!r})"
+    assert [f.name for f in dataclasses.fields(CellGraph)] == ["n", "d", "edges"]

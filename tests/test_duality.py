@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -525,6 +526,44 @@ def test_normalized_volume_counts_its_work(monkeypatch):
     message = f"normalized volume: 10 trees x 12 nodes x 20 edges = 2400 exceed the cap of 2399 on cell {flat.text()}"
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
         normalized_volume(flat)
+
+
+def test_one_cycle_cells_get_their_volume_in_closed_form(monkeypatch):
+    # a spanning tree plus one edge closes one cycle, of length 2k, and
+    # the cell's volume is k: Subdivision.volumes reads it with no walk
+    rng = random.Random(3030)
+    cases = []
+    for _ in range(120):
+        n, d = rng.randint(2, 6), rng.randint(2, 6)
+        pairs = full_support(n, d)
+        rng.shuffle(pairs)
+        tree = _forest(n, d, pairs)[0]
+        g = CellGraph(n, d, frozenset(tree) | {rng.choice([e for e in pairs if e not in tree])})
+        cases.append((g, normalized_volume(g)))
+
+    def refused(g):
+        raise AssertionError(f"walked the one-cycle cell {g.text()}")
+
+    monkeypatch.setattr(troparr.duality, "normalized_volume", refused)
+    for g, walked in cases:
+        assert Subdivision(g.n, g.d, frozenset({g})).volumes == {g: walked}, g.text()
+        assert walked == volume_oracle(g), g.text()
+    assert {walked for _, walked in cases} >= {2, 3, 4, 5}
+
+
+def test_sorted_cells_are_kept_outside_the_fields(e2):
+    # read once and kept, while ==, hash and repr see the fields alone
+    rng = random.Random(3031)
+    subs = [dual_subdivision(e2), dual_subdivision(random_arrangement(rng, 3, 4))]
+    subs += [Subdivision(s.n, s.d, frozenset(CellGraph(g.n, g.d, g.edges) for g in s.maximal_cells)) for s in subs]
+    for sub in subs:
+        first = sub.sorted_cells()
+        assert first == tuple(sorted(sub.maximal_cells, key=lambda g: sorted(g.edges)))
+        assert sub.sorted_cells() is first
+        fresh = Subdivision(sub.n, sub.d, frozenset(CellGraph(g.n, g.d, g.edges) for g in sub.maximal_cells))
+        assert sub == fresh and hash(sub) == hash(fresh)
+        assert repr(sub) == f"Subdivision(n={sub.n}, d={sub.d}, maximal_cells={sub.maximal_cells!r})"
+    assert [f.name for f in dataclasses.fields(Subdivision)] == ["n", "d", "maximal_cells"]
 
 
 def test_tree_volumes_match_determinant_oracle():

@@ -246,8 +246,13 @@ def test_every_refinement_refines_the_coarse_subdivision(e2):
     assert not refines(SPLIT_A, SPLIT_B)
 
 
-def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch, e2):
-    # the simplices of a triangulation are validated once, by Subdivision
+def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch):
+    # the simplices of a triangulation are validated once, by Subdivision;
+    # the all-zero 2x3 input's one cell is K_{2,3}, with two cycles, so
+    # its volume is walked, once
+    zero = Arrangement.from_rows([[0, 0, 0], [0, 0, 0]])
+    refinements = refining_triangulations(zero, dual_subdivision(zero))
+    assert len(refinements) == 6
     calls = []
     normalized_volume = troparr.duality.normalized_volume
 
@@ -256,13 +261,24 @@ def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch, e2):
         return normalized_volume(g)
 
     monkeypatch.setattr(troparr.duality, "normalized_volume", counted)
-    base = dual_subdivision(e2)
-    for t in (SPLIT_A, SPLIT_B):
+    base = dual_subdivision(zero)
+    for t in refinements:
         t = Subdivision(t.n, t.d, t.maximal_cells)  # volumes not yet read
         assert refines(t, base)
         assert all(t.volumes[g] == volume_oracle(g) for g in t.maximal_cells)
-    assert calls == [G(2, 3, *PYRAMID)]
-    assert all(base.volumes[g] == volume_oracle(g) for g in base.maximal_cells)
+    whole = G(2, 3, *((i, j) for i in (1, 2) for j in (1, 2, 3)))
+    assert calls == [whole]
+    assert base.volumes == {whole: 3} and volume_oracle(whole) == 3
+
+
+def test_the_e2_pyramid_volume_is_read_off_its_one_cycle(monkeypatch, e2):
+    # five edges on five nodes close one cycle, a square: volume 2
+    def refused(g):
+        raise AssertionError(f"walked the one-cycle cell {g.text()}")
+
+    monkeypatch.setattr(troparr.duality, "normalized_volume", refused)
+    volumes = dual_subdivision(e2).volumes
+    assert volumes == {G(2, 3, *SIMPLEX): 1, G(2, 3, *PYRAMID): 2}
 
 
 def test_each_step_picks_its_own_gkz_vertex(e2):
