@@ -54,7 +54,6 @@ from .secondary import (
     gkz_vector,
     refines,
     refining_triangulations,
-    safe_radius,
     secondary_face_check,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "refines",
     "refining_triangulations",
     "regular_subdivision",
-    "safe_radius",
     "secondary_face_check",
     "type_of_point",
 ]

@@ -622,11 +622,12 @@ class _LabelSets(dict):
         return labels
 
 
-def _over(budget: int) -> ResourceLimitError:
-    return ResourceLimitError(f"type enumeration: {budget + 1} feasibility steps exceed budget {budget}")
+def _over(stage: str, budget: int) -> ResourceLimitError:
+    return ResourceLimitError(f"{stage}: {budget + 1} feasibility steps exceed budget {budget}")
 
 
 def _walk(
+    stage: str,
     start: _Feasibility,
     budget: int | None,
     floor: int,
@@ -648,7 +649,8 @@ def _walk(
 
     ``budget`` caps the feasibility steps: one per entry generated on
     hyperplanes 1..depth, plus those ``last`` reports.  The walk raises
-    :class:`ResourceLimitError` once they exceed it, and at once,
+    :class:`ResourceLimitError`, its message led by the caller's
+    ``stage``, once they exceed it, and at once,
     before generating any entry, when ``floor``, the fewest steps the
     walk can take on any input of this shape, does.  A negative budget is
     a ValueError.
@@ -657,7 +659,7 @@ def _walk(
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if floor > budget:
-        raise _over(budget)
+        raise _over(stage, budget)
     steps = 0
     # frames (hyperplane i, state after the prefix, prefix, i's entries left)
     stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
@@ -672,7 +674,7 @@ def _walk(
             steps += len(entries)
             stack.append((i, state, prefix, iter(entries)))
         if steps > budget:
-            raise _over(budget)
+            raise _over(stage, budget)
 
     reach(start, ())
     while stack:
@@ -732,7 +734,7 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
         return len(entries)
 
     m = 2 ** arr.d - 1
-    _walk(_Feasibility(arr), budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
+    _walk("type enumeration", _Feasibility(arr), budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
     return out
 
 
@@ -772,7 +774,7 @@ def _vertices(arr: Arrangement, budget: int | None = None, transpose: bool = Fal
             out.extend(prefix + (entry,) + pair for pair in stairs.pairs(entry))
         return 2 * len(entries)
 
-    _walk(start, budget, 2 * (2 ** d - 1) if n >= 3 else 1, max(n - 3, 0), last)
+    _walk("vertex walk", start, budget, 2 * (2 ** d - 1) if n >= 3 else 1, max(n - 3, 0), last)
     return out
 
 

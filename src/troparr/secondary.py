@@ -2,14 +2,16 @@
 vertex-volume (GKZ) vectors spanning secondary-polytope faces.
 
 A non-generic arrangement, one whose subdivision is not a triangulation,
-sits on a wall between generic ones.  Moving its apexes by less than the
-safe radius, which is read off their denominators, crosses no wall, so
-every generic arrangement it lands on has a triangulation refining the
-coarse subdivision.  For heights w and a step u, the lower envelope of
-w + εu at such a small ε is the union, over the coarse cells, of each
-cell's own regular subdivision under u (De Loera-Rambau-Santos, ch. 2
-and 6.2).  A new step's envelope is read off one vertex walk of the
-moved arrangement, and certified without a second walk.
+sits on a wall between generic ones.  A small enough move of its apexes
+crosses no wall, so every generic arrangement it lands on has a
+triangulation refining the coarse subdivision.  For heights w and a step
+u, the lower envelope of w + εu at such a small ε is the union, over the
+coarse cells, of each cell's own regular subdivision under u (De
+Loera-Rambau-Santos, ch. 2 and 6.2).  The moves are made in ints: the
+apex matrix is lifted once by an integer, each step is added to the
+lifted rows, and :func:`_scaled_rows` proves that no step crosses a
+wall.  A new step's envelope is read off one vertex walk of the moved
+arrangement, and certified without a second walk.
 
 Each tree of the walk lies in one coarse cell, its host.  A cell's
 regular subdivision under u is a triangulation whose trees form a set
@@ -22,30 +24,28 @@ holds at most its volume in them, and the volumes add up to the
 C(n+d-2, n-1) simplices of a triangulation; when
 :func:`~troparr.duality.is_triangulation` counts that many trees, every
 cell is filled exactly, and the walk is the lower envelope of the moved
-heights.  The cone of each group is kept with its cell, so a later step
-that lies in a known cone of every cell, on a triangulation already
-found, is skipped with no walk.
+heights.  The cones of a triangulation's groups together are its cone,
+kept with it, so a later step that lies in the cone of a triangulation
+already listed is skipped with no walk.
 
 No step lies on a wall.  A step is u'_ij = 3^(nd)·u_ij +
 3^((i-1)d+(j-1)), with u_ij drawn from 0..1000.  Around an alternating
 cycle u' sums to 3^(nd) times u's sum plus a ±1 sum of distinct powers
 of 3, which never vanishes and is at most (3^(nd) - 1)/2 in size.  So a
 cycle that u ties is broken, and one that u does not tie keeps its
-sign.  The safe radius keeps the sign of every cycle the apexes do not
-tie, so every moved arrangement is generic, and a walk cell that is
-not a tree is a fault.  Every triangulation listed is regular,
-whatever (n, d): it is the regular subdivision under the step that
-found it, and that step lies strictly inside each of its cells' cones.
-The dimension of the secondary-polytope face the wall corresponds to
-is exact: the rank of the coarse cells' alternating-cycle vectors,
-which no sample enters.
+sign.  The lift keeps the sign of every cycle the apexes do not tie, so
+every moved arrangement is generic, and a walk cell that is not a tree
+is a fault.  Every triangulation listed is regular, whatever (n, d): it
+is the regular subdivision under the step that found it, and that step
+lies strictly inside its cone.  The dimension of the secondary-polytope
+face the wall corresponds to is exact: the rank of the coarse cells'
+alternating-cycle vectors, which no sample enters.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -104,22 +104,6 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     return filled == coarse.volumes
 
 
-def safe_radius(arr: Arrangement) -> Fraction:
-    """A perturbation radius that crosses no wall of the secondary fan.
-
-    The walls lie on the alternating cycles of K_{n,d}, the circuits of
-    Δ_{n-1} × Δ_{d-1} (De Loera–Rambau–Santos, ch. 6.2): a cycle through
-    a k×k minor sets one matching's sum against another's.  Every apex
-    coordinate is a multiple of 1/D, D the lcm of their denominators, so
-    a nonzero cycle sum is at least 1/D.  Deltas in [0, r] move each
-    matching sum by between 0 and k·r, so a cycle sum by at most
-    k·r ≤ min(n, d)·r, which is 1/(2D) for r = 1/(2·min(n, d)·D): every
-    nonzero cycle sum keeps its sign.
-    """
-    D = lcm(*(x.denominator for row in arr.rows() for x in row))
-    return Fraction(1, 2 * min(arr.n, arr.d) * D)
-
-
 def _cone(
     n: int, d: int, cell: frozenset[tuple[int, int]], trees
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -154,16 +138,26 @@ def _in_cone(cone, flat_step: Sequence[int]) -> bool:
 
 
 def _scaled_rows(arr: Arrangement) -> list[list[int]]:
-    """The apex matrix times U = 1001·3^(nd) / :func:`safe_radius`, all
-    ints.
+    """The apex matrix w lifted by K·D, all ints, with
+    K = 2·min(n, d)·1001·3^(nd) and D the lcm of the apex denominators;
+    each D·w_ij is its numerator times D over its denominator.
 
-    A step u' moves the apexes by safe_radius · u'/(1001·3^(nd)), within
-    the safe radius since u' < 1001·3^(nd), so the scaled moved matrix is
-    these rows plus u'.  Scaling every coordinate by a positive constant
-    maps each point of the arrangement to a point of the scaled one with
-    the same type, so both have the same dual subdivision."""
-    scale = 1001 * 3 ** (arr.n * arr.d) * safe_radius(arr).denominator
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in arr.rows()]
+    :func:`_moved` adds a step u' to these rows, and no step crosses a
+    wall of the secondary fan.  The walls lie on the alternating cycles
+    of K_{n,d}, the circuits of Δ_{n-1} × Δ_{d-1} (De Loera-Rambau-Santos,
+    ch. 6.2): a cycle through a k×k minor sets one matching's sum against
+    another's.  D·w is integral, so a nonzero cycle sum of it is at
+    least 1 in size, and K times that sum at least K.  Every entry of u'
+    lies in [0, 1001·3^(nd)), and the cycle sums k of them with each
+    sign, k <= min(n, d), so its step part is below min(n, d)·1001·3^(nd),
+    which is K/2, in size: no cycle that w does not tie changes sign.
+    Scaling every coordinate by the positive K·D maps each point of the
+    arrangement w + u'/(K·D) to a point of the lifted moved one with the
+    same type, so both have the same dual subdivision."""
+    rows = arr.rows()
+    D = lcm(*(x.denominator for row in rows for x in row))
+    scale = 2 * min(arr.n, arr.d) * 1001 * 3 ** (arr.n * arr.d) * D
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Arrangement:
@@ -179,11 +173,11 @@ def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Ar
 def refining_triangulations(
     arr: Arrangement, base: Subdivision, *, seed: int = 0, budget: int | None = None
 ) -> frozenset[Subdivision]:
-    """Distinct triangulations reachable by safe perturbations.
+    """Distinct triangulations reachable by small integer steps.
 
     2·n·d integer steps u', each u'_ij = 3^(nd)·u_ij +
-    3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, move
-    all apexes jointly by :func:`safe_radius` · u'/(1001·3^(nd)); the
+    3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, are
+    added to the apex matrix lifted by :func:`_scaled_rows`; the
     tie-break term puts no step on a wall; another ``seed`` draws
     another sample.  Each step is drawn as one flat row-major list, in
     the order (i, j) of the rows, so entry (i-1)·d + (j-1) carries the
@@ -193,25 +187,32 @@ def refining_triangulations(
     arrangement's own subdivision, so a triangulation ``base`` is its
     own only refinement.
 
-    Each coarse cell that is not a tree keeps the refinements found so
-    far, each with its :func:`_cone`.  A step inside a known cone for
-    every such cell has its triangulation's cells, the trees of
-    ``base`` and the matched pieces, in hand; when that triangulation
-    was already found, the step is skipped.  Every other step walks the
-    moved arrangement once, through :func:`_moved` on ints, with
-    ``budget`` capping the walk, and the walk's cells are certified
-    against ``base`` as the module docstring proves:
+    Each listed triangulation keeps one cone: the :func:`_cone` rows of
+    its pieces in every coarse cell, each (cell, pieces) computed once.
+    A step strictly inside the cone of a listed triangulation is skipped.
+    Every other step walks the moved arrangement once, through
+    :func:`_moved` on ints, with ``budget`` capping the walk, and the
+    walk's cells are certified against ``base`` as the module docstring
+    proves:
 
     - every cell is a tree and lies in a coarse cell, its host;
-    - each host's trees, as a group, must hold the step strictly
-      inside their cone, which is computed once per group and kept;
+    - the step must lie strictly inside the cone of the walk's pieces;
     - and :func:`~troparr.duality.is_triangulation` must count
       C(n+d-2, n-1) trees, which fills every coarse cell, so the walk
       refines ``base``.
 
     A failure raises :class:`RuntimeError`: the walk differs from the
     lower envelope when a cell fails, and the step crossed a wall when
-    the count does.  No step is thrown away, no cell is walked on its
+    the count does.
+
+    The skip is the one a cone per coarse cell gave.  A step strictly
+    inside the cone of pieces P of a coarse cell makes P that cell's
+    regular subdivision under the step.  That subdivision is unique, so
+    the open cones of two refinements of one cell are disjoint, and each
+    cell has at most one known P holding the step.  Their union is a
+    listed triangulation T exactly when the step lies in T's whole cone.
+    So a walked step lies in no listed cone, and its certified walk lists
+    a new triangulation: no step is thrown away, no cell is walked on its
     own, and each walk's dual subdivision is the triangulation returned.
     """
     n, d = arr.n, arr.d
@@ -223,13 +224,11 @@ def refining_triangulations(
     tree_size = n + d - 1
     trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == tree_size)
     coarse = [g.edges for g in base.maximal_cells if len(g.edges) != tree_size]
-    # per coarse cell: pieces -> cone of each refinement certified on it
-    known: list[dict[frozenset[frozenset[tuple[int, int]]], tuple]] = [{} for _ in coarse]
-    found: dict[frozenset[frozenset[tuple[int, int]]], Subdivision] = {}
+    cones: dict[tuple, tuple] = {}  # (coarse cell, its pieces) -> their _cone rows
+    listed: dict[Subdivision, tuple] = {}  # triangulation -> its cone
     for _ in range(2 * n * d):
         flat = [scale * rng.randint(0, 1000) + tie for tie in ties]
-        matched = [next((p for p, cone in cones.items() if _in_cone(cone, flat)), None) for cones in known]
-        if None not in matched and trees.union(*matched) in found:
+        if any(_in_cone(cone, flat) for cone in listed.values()):
             continue
         step = [flat[i * d:(i + 1) * d] for i in range(n)]
         tri = dual_subdivision(_moved(scaled, step), budget)
@@ -241,18 +240,18 @@ def refining_triangulations(
             if host is None or len(g.edges) != tree_size:
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
             groups.setdefault(host, set()).add(g.edges)
-        for cell, cones, pieces in zip(coarse, known, matched):
-            group = frozenset(groups.get(cell, ()))
-            if group == pieces:
-                continue
-            if group not in cones:
-                cones[group] = _cone(n, d, cell, group)
-            if not _in_cone(cones[group], flat):
-                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
+        cone = ()
+        for cell in coarse:
+            key = cell, frozenset(groups.get(cell, ()))
+            if key not in cones:
+                cones[key] = _cone(n, d, *key)
+            cone += cones[key]
+        if not _in_cone(cone, flat):
+            raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
         if not is_triangulation(tri):
             raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
-        found[frozenset(g.edges for g in tri.maximal_cells)] = tri
-    return frozenset(found.values())
+        listed[tri] = cone
+    return frozenset(listed)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,16 @@ replaced pairwise kernels for the axiom checks with the packed
 Warshall closure they share; a direct scan for the lower envelope and
 the pivot walk as it was, which pins the walk's order of cells; the
 dual subdivision as a validated subdivision of the enumeration's
-0-dimensional types; the feasibility DFS on Fraction coordinates; flips by
-enumerating the types of every perturbation; the per-cell walks against
-the lower envelope of the moved apexes, with the cone test against the
-walks; the replaced cell traversals, a flood fill for components, a
-dict-forest search for tied minors, a potential search for cones and a
-side scan for fundamental cycles, against the union-find forest and its
-root-path masks; the Fraction moves of the perturbations against the
-scaled int moves; every
-generated entry of the type enumeration imposed; the vertex walk's
+0-dimensional types; the feasibility DFS on Fraction coordinates; the
+safe radius and flips by enumerating the types of every perturbation
+within it; the per-cell walks against the lower envelope of the moved
+apexes, with the cone test against the walks; the integer lift against
+each matching pair's worst step; the replaced cell traversals, a flood
+fill for components, a dict-forest search for tied minors, a potential
+search for cones and a side scan for fundamental cycles, against the
+union-find forest and its root-path masks; the Fraction moves of the
+perturbations against the scaled int moves; every generated entry of
+the type enumeration imposed; the vertex walk's
 closed-form last two hyperplanes by imposing every entry of the last
 three) used to cross-check the main code paths, the set of all types as
 a helper over ``enumerate_realizations``, and the ``--grid`` option that
@@ -55,13 +56,12 @@ from troparr import (
     realizable,
     refines,
     regular_subdivision,
-    safe_radius,
     type_of_point,
 )
 from troparr.geometry import _Feasibility, _labels, _Staircases, _vertices
 from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
-from troparr.secondary import _cone, _in_cone
+from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
 
 
 def pytest_addoption(parser):
@@ -944,6 +944,23 @@ def tie_broken(step) -> list[list[int]]:
     return [[3 ** (n * d) * u + 3 ** (i * d + j) for j, u in enumerate(us)] for i, us in enumerate(step)]
 
 
+def safe_radius(arr: Arrangement) -> Fraction:
+    """A perturbation radius that crosses no wall of the secondary fan.
+
+    The walls lie on the alternating cycles of K_{n,d}, the circuits of
+    Δ_{n-1} × Δ_{d-1} (De Loera–Rambau–Santos, ch. 6.2): a cycle through
+    a k×k minor sets one matching's sum against another's.  Every apex
+    coordinate is a multiple of 1/D, D the lcm of their denominators, so
+    a nonzero cycle sum is at least 1/D.  Deltas in [0, r] move each
+    matching sum by between 0 and k·r, so a cycle sum by at most
+    k·r ≤ min(n, d)·r, which is 1/(2D) for r = 1/(2·min(n, d)·D): every
+    nonzero cycle sum keeps its sign.  The library moves by the same
+    radius in ints, through ``secondary._scaled_rows``.
+    """
+    D = lcm(*(x.denominator for row in arr.rows() for x in row))
+    return Fraction(1, 2 * min(arr.n, arr.d) * D)
+
+
 def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list, Arrangement]]:
     """``samples`` joint random perturbations of all apexes drawn under
     ``seed``, each with its step: u in 0..1000 is drawn row by row, and
@@ -958,6 +975,35 @@ def _perturbations(arr: Arrangement, samples: int, seed: int) -> list[tuple[list
         moved = [[x + unit * u for x, u in zip(row, us)] for row, us in zip(rows, step)]
         out.append((step, Arrangement.from_rows(moved)))
     return out
+
+
+def assert_the_lift_outlasts_the_worst_step(arr: Arrangement) -> int:
+    """On every square minor of ``arr`` and every pair of its perfect
+    matchings whose apex sums differ, the worst step for the pair, the
+    largest entry a step can take, 1001·3^(nd) - 1, on the entries that
+    only the smaller matching uses and 0 everywhere else, leaves that
+    matching the smaller on the arrangement :func:`_moved` gives from
+    :func:`_scaled_rows`.  Returns the number of pairs checked."""
+    n, d = arr.n, arr.d
+    rows, scaled = arr.rows(), _scaled_rows(arr)
+    top = 1001 * 3 ** (n * d) - 1
+    checked = 0
+    for k in range(2, min(n, d) + 1):
+        for I in combinations(range(n), k):
+            for J in combinations(range(d), k):
+                matchings = [tuple(zip(I, p)) for p in permutations(J)]
+                for pair in combinations(matchings, 2):
+                    sums = [sum(rows[i][j] for i, j in m) for m in pair]
+                    if sums[0] == sums[1]:
+                        continue
+                    small, large = pair if sums[0] < sums[1] else pair[::-1]
+                    step = [[0] * d for _ in range(n)]
+                    for i, j in set(small) - set(large):
+                        step[i][j] = top
+                    moved = _moved(scaled, step).rows()
+                    assert sum(moved[i][j] for i, j in small) < sum(moved[i][j] for i, j in large), (rows, small, large)
+                    checked += 1
+    return checked
 
 
 def refinements_oracle(arr: Arrangement, base, samples: int | None = None, seed: int = 0) -> frozenset:

@@ -510,7 +510,7 @@ def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
     assert main(["subdivision", "--flips", "--input", e2_file, "--budget", "1"]) == 0
     capsys.readouterr()
     assert main(["subdivision", "--input", e2_file, "--budget", "0"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 1 feasibility steps exceed budget 0\n"
+    assert capsys.readouterr().err == "error: vertex walk: 1 feasibility steps exceed budget 0\n"
     assert main(["check", "--input", e2_file, "--budget", "1"]) == 5
     assert capsys.readouterr().err == "error: type enumeration: 2 feasibility steps exceed budget 1\n"
     # n = 3 takes the 7 entries of the first hyperplane and one staircase
@@ -520,7 +520,7 @@ def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
     assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "14"]) == 0
     capsys.readouterr()
     assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "13"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 14 feasibility steps exceed budget 13\n"
+    assert capsys.readouterr().err == "error: vertex walk: 14 feasibility steps exceed budget 13\n"
     # a single hyperplane's walk takes one step at any d
     path = tmp_path / "one.txt"
     path.write_text("1 18\n" + " ".join(str(j % 3) for j in range(18)) + "\n")
@@ -568,9 +568,14 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     wide.write_text("2 30\n" + "\n".join(rows[:2]) + "\n")
     tall.write_text("3 30\n" + "\n".join(rows) + "\n")
     big.write_text("30 30\n" + "\n".join(square) + "\n")
-    for argv in (["check", "--input", str(wide)], ["subdivision", "--input", str(big)], ["subdivision", "--flips", "--input", str(big)]):
+    runs = [
+        (["check", "--input", str(wide)], "type enumeration"),
+        (["subdivision", "--input", str(big)], "vertex walk"),
+        (["subdivision", "--flips", "--input", str(big)], "vertex walk"),
+    ]
+    for argv, stage in runs:
         assert main(argv + ["--format", "text"]) == 5
-        assert capsys.readouterr().err == "error: type enumeration: 200001 feasibility steps exceed budget 200000\n"
+        assert capsys.readouterr().err == f"error: {stage}: 200001 feasibility steps exceed budget 200000\n"
     # subdivision on 2 x 30 is one staircase, with no entry generated; its
     # cells' volumes sum to the normalized volume C(30, 1) of the product
     code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(wide)])

@@ -271,7 +271,7 @@ def test_walk_steps_are_the_budget_boundary_on_generic_inputs():
         arr = random_generic_arrangement(rng, n, d)
         for transpose, steps in ((False, _walk_steps(n, d)), (True, _walk_steps(d, n))):
             assert len(_vertices(arr, steps, transpose)) == comb(n + d - 2, n - 1), (n, d, transpose)
-            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+            with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
                 _vertices(arr, steps - 1, transpose)
         cheaper = min(_walk_steps(n, d), _walk_steps(d, n))
         assert is_triangulation(dual_subdivision(arr, cheaper)), (n, d)
@@ -300,7 +300,7 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
     # full enumeration, which takes each of the 13 types' last entry,
     # takes 20
     assert dual_subdivision(e2, budget=1) == dual_subdivision(e2)
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
+    with pytest.raises(ResourceLimitError, match="^vertex walk: 1 feasibility steps exceed budget 0$"):
         dual_subdivision(e2, budget=0)
     assert len(enumerate_realizations(e2, budget=20)) == 13
     with pytest.raises(ResourceLimitError, match="^type enumeration: 20 feasibility steps exceed budget 19$"):
@@ -310,13 +310,13 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
         assert dual_subdivision(Arrangement.from_rows([[0] * d]), budget=1).maximal_cells == {
             CellGraph(1, d, frozenset((1, j) for j in range(1, d + 1)))
         }
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 1 feasibility steps exceed budget 0$"):
+    with pytest.raises(ResourceLimitError, match="^vertex walk: 1 feasibility steps exceed budget 0$"):
         dual_subdivision(Arrangement.from_rows([[0, 0]]), budget=0)
     # n = 3: the 7 entries of the first hyperplane and one staircase on
     # each, the 14-step floor, refused at once below it
     arr = random_integer_arrangement(random.Random(8), 3, 3)
     assert dual_subdivision(arr, budget=14) == dual_subdivision(arr)
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 14 feasibility steps exceed budget 13$"):
+    with pytest.raises(ResourceLimitError, match="^vertex walk: 14 feasibility steps exceed budget 13$"):
         dual_subdivision(arr, budget=13)
     # in general: the entries generated on hyperplanes 1..n-2 plus one
     # staircase per entry for hyperplane n-2; on this (4,3) input walked
@@ -342,14 +342,14 @@ def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, 
     steps = len(counts)
     assert steps == 41
     assert _vertices(arr, budget=steps) == vertices
-    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+    with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
         _vertices(arr, budget=steps - 1)
     counts.clear()
     sub = dual_subdivision(arr)
     steps = len(counts)
     assert steps == 30
     assert dual_subdivision(arr, budget=steps) == sub
-    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+    with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
         dual_subdivision(arr, budget=steps - 1)
 
 

@@ -17,7 +17,6 @@ from troparr import (
     enumerate_realizations,
     is_generic,
     realizable,
-    safe_radius,
     type_of_point,
 )
 
@@ -37,6 +36,7 @@ from conftest import (
     random_integer_arrangement,
     realizations_oracle,
     refine,
+    safe_radius,
     sampled_types,
     type_total_size,
 )

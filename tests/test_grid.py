@@ -23,13 +23,14 @@ non-generic input at (3,3) and (2,4), the union-find forest's spanning
 test, dimension, tied minor, cone rows, fundamental cycles and
 face-dimension rank against the flood fill, dict-forest search,
 potential search and side scan they replaced on every cell of every
-(3,3) and (2,4) input, each cell spanning, and dual subdivision
-against lower envelope, with genericity and its tied minor, on the
-6,561 inputs at (4,3).  It also compares the bit-sliced
-elimination and comparability kernels with the pairwise scans they
-replaced, and the two-block surrounding check with the oracle that
-builds every ordered-partition refinement, on type collections at
-(4,4), (5,4) and (3,6), up to 1,023 types.
+(3,3) and (2,4) input, each cell spanning, the integer lift of
+every (3,3) and (2,4) input against each matching pair's worst step,
+and dual subdivision against lower envelope, with genericity and its
+tied minor, on the 6,561 inputs at (4,3).  It also compares the
+bit-sliced elimination and comparability kernels with the pairwise
+scans they replaced, and the two-block surrounding check with the
+oracle that builds every ordered-partition refinement, on type
+collections at (4,4), (5,4) and (3,6), up to 1,023 types.
 """
 
 import random
@@ -60,6 +61,7 @@ from conftest import (
     assert_walk_order_matches_the_oracle,
     assert_cell_questions_match_the_oracles,
     assert_cell_walks_match_the_envelope,
+    assert_the_lift_outlasts_the_worst_step,
     assert_check_cells_match_the_oracle,
     assert_every_entry_is_feasible,
     enumerate_types,
@@ -228,3 +230,14 @@ def test_cell_questions_match_the_replaced_traversals_on_grid():
         for arr in grid(n, d):
             coarse += assert_cell_questions_match_the_oracles(arr)
     assert coarse == 1260 + 747
+
+
+@pytest.mark.large_grid
+def test_the_lift_outlasts_the_worst_step_on_grid():
+    # every matching pair of every square minor whose sums differ keeps
+    # its order under the worst step for it
+    pairs = 0
+    for n, d in [(3, 3), (2, 4)]:
+        for arr in grid(n, d):
+            pairs += assert_the_lift_outlasts_the_worst_step(arr)
+    assert pairs == 15660

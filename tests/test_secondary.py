@@ -16,7 +16,6 @@ from troparr import (
     is_generic,
     refines,
     refining_triangulations,
-    safe_radius,
     secondary_face_check,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
     affine_rank_oracle,
     apex_type,
     assert_cell_walks_match_the_envelope,
+    assert_the_lift_outlasts_the_worst_step,
     enumerate_types,
     face_check_passes,
     face_dimension_oracle,
@@ -45,6 +45,7 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     refinements_oracle,
+    safe_radius,
     tie_broken,
     volume_oracle,
 )
@@ -174,6 +175,38 @@ def test_every_tie_broken_step_moves_to_a_generic_arrangement(e2):
                 tied = _tied_step(n, d, cell, tree, step)
                 assert is_generic(_moved(scaled, tie_broken(tied))), (arr.rows(), tied)
                 assert not is_generic(_moved(scaled, tied)), (arr.rows(), tied)
+
+
+def test_every_walk_lists_a_new_triangulation(monkeypatch, e2):
+    # a step inside the cone of a listed triangulation is skipped, so each
+    # walk the search makes returns a triangulation no earlier walk did,
+    # and there are as many walks as triangulations returned
+    walks = []
+    dual = troparr.secondary.dual_subdivision
+
+    def recorded(arr, budget=None):
+        tri = dual(arr, budget)
+        assert tri not in walks, arr.rows()
+        walks.append(tri)
+        return tri
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
+    # both case lists start with E2 and SIX_CYCLE
+    for arr in _slice_cases(e2) + _perturbed_cases(e2):
+        base = dual(arr)
+        for seed in (0, 1):
+            walks.clear()
+            found = refining_triangulations(arr, base, seed=seed)
+            assert len(walks) == len(found), (arr.rows(), seed)
+
+
+def test_the_lift_outlasts_the_worst_step(e2):
+    # the largest step entries on one side of a matching pair move no
+    # apex sum across the other; test_grid.py adds the (3,3) and (2,4) grids
+    rng = random.Random(5051)
+    arrs = _slice_cases(e2) + _perturbed_cases(e2)
+    arrs += [random_arrangement(rng, n, d) for n, d in [(3, 3), (4, 3), (3, 4), (5, 3)]]
+    assert sum(assert_the_lift_outlasts_the_worst_step(arr) for arr in arrs) > 0
 
 
 def test_scaled_moves_walk_like_fraction_moves(e2):
