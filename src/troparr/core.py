@@ -125,6 +125,22 @@ class Arrangement:
     def from_rows(cls, rows: Iterable[Iterable[RationalLike]]) -> "Arrangement":
         return cls(tuple(ProjectivePoint(tuple(r)) for r in rows))
 
+    @classmethod
+    def _trusted_ints(cls, rows: Iterable[tuple[int, ...]]) -> "Arrangement":
+        """An arrangement from int rows of one length d >= 2, at least one,
+        each ending in 0, as ``secondary._moved`` builds them, kept as ints
+        with no Fraction built and nothing re-validated.  An int has the
+        numerator and denominator every reader of the apexes takes, and
+        compares and hashes like the Fraction it equals."""
+        apexes = []
+        for row in rows:
+            p = object.__new__(ProjectivePoint)
+            object.__setattr__(p, "coords", row)
+            apexes.append(p)
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "apexes", tuple(apexes))
+        return arr
+
     @property
     def n(self) -> int:
         return len(self.apexes)

@@ -25,6 +25,15 @@ question about one cell is answered by a spanning forest of its edges,
 grown by a union-find, and by the fundamental cycles of that forest:
 whether it spans and its dimension come from the forest's size, and its
 cycles from one rooted pass.
+When min(n, d) = 3 the vertices are read off before any walk: the
+arrangement is one of tropical lines in the plane, and its vertices are
+the apexes and the points where two lines cross, each found in closed
+form on ints (:func:`_planar_cells`).  Their type graphs are accepted
+only as C(n+d-2, n-1) distinct spanning trees, which no non-generic
+input has (:func:`_certified_cells`), and every input refused is walked.
+The read-off is tried only within the walk's budget, so cells, exit
+codes and messages are the walk's.  The lower envelope, genericity and
+volumes never use it, so they stay checks by another route.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and counts the cells from its 0-dimensional
 types, each a tree exactly when it holds n + d - 1 labels, with no cell
@@ -65,17 +74,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import Arrangement, CellGraph, ResourceLimitError, to_fraction
+from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, to_fraction
 from .geometry import (
     GenericityReport,
     TiedMinor,
     _labels,
     _transposes,
     _vertices,
+    _walk_steps,
     enumerate_realizations,
     is_generic,
 )
@@ -200,6 +210,101 @@ class Subdivision:
         return {g: volume(g) for g in self.maximal_cells}
 
 
+#: The labels of each mask of labels 1..3 (bit j for label j), and the
+#: mask itself where it holds two labels or more, else 0.
+_THREE = [_labels(mask) for mask in range(16)]
+_JOINS = [mask if len(labels) > 1 else 0 for mask, labels in enumerate(_THREE)]
+
+
+@cache
+def _line_edges(lines: int, flip: bool) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For each of ``lines`` lines q, the edges (q, j), or (j, q) with
+    ``flip``, of its labels j under every mask of labels 1..3, built once
+    per shape: 16 short tuples a line, kept for each shape met."""
+    return tuple(
+        tuple(tuple((j, q) if flip else (q, j) for j in labels) for labels in _THREE) for q in range(1, lines + 1)
+    )
+
+
+def _planar_cells(arr: Arrangement) -> frozenset[CellGraph] | None:
+    """The maximal cells of a generic arrangement with min(n, d) = 3, read
+    off its apexes and the crossings of its lines, or None when
+    :func:`_certified_cells` refuses them, as it does on every
+    non-generic input.
+
+    An n x 3 apex matrix is n tropical lines in the plane; a 3 x d one is
+    read on its transpose, d lines whose apexes are its columns.  Adding
+    a constant to a line's apex moves no type, so the columns need no
+    normalizing, and every coordinate is counted in units of 1/D, D the
+    lcm of the denominators, so the whole read-off runs on ints.
+
+    A point x lies on the line with apex u when max_j (x_j - u_j) is
+    reached at least twice.  Two lines u and w, with a = u - w, cross at
+    one point when a's three entries differ: with l the least of them
+    and k the middle one, x = w with x_l lowered by a_k - a_l.  There
+    line w's maximum ties the other two labels and line u's ties l and
+    k, each with the third label strictly below.  When two entries of a
+    are equal the lines are not generic, and None is returned."""
+    rows = arr.rows()
+    den = lcm(*(x.denominator for row in rows for x in row))
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    flip = arr.d != 3
+    lines = list(zip(*rows)) if flip else rows
+    points = list(lines)
+    for p, u in enumerate(lines):
+        for w in lines[p + 1:]:
+            a = (u[0] - w[0], u[1] - w[1], u[2] - w[2])
+            if a[0] == a[1] or a[1] == a[2] or a[0] == a[2]:
+                return None
+            low, mid, _ = sorted(range(3), key=a.__getitem__)
+            x = list(w)
+            x[low] += a[low] - a[mid]
+            points.append(x)
+    return _certified_cells(arr.n, arr.d, lines, points)
+
+
+def _certified_cells(
+    n: int, d: int, lines: Sequence[Sequence[int]], points: Iterable[Sequence[int]]
+) -> frozenset[CellGraph] | None:
+    """The graphs of the types of ``points`` in the plane under ``lines``
+    (apexes of 3 ints each, the n rows of an n x 3 matrix or the d
+    columns of a 3 x d one, each line's edge (j, i) then read as (i, j)),
+    when they certify that they are all the maximal cells of the dual
+    subdivision, else None.
+
+    The certificate.  Each point's type is computed exactly, and its
+    graph must be a spanning tree: n + d - 1 edges that join all n + d
+    nodes.  Every line node meets its labels, so the graph is connected
+    exactly when the three label nodes are, through the lines tying two
+    labels or more; any two sets of two or more of three labels share
+    one, so those lines join one group, which must hold all three
+    labels.  A type whose graph spans and is connected ties every
+    coordinate into one group, so the point is a vertex of the
+    arrangement, and its graph a maximal cell of the dual subdivision; a
+    tree is a unit simplex, of normalized volume 1.  Cells have disjoint
+    interiors and their volumes add up to C(n+d-2, n-1), so when there
+    are that many distinct trees they are all the cells.  This is the
+    count :func:`~troparr.secondary.refining_triangulations` certifies a
+    walk by.  A non-generic input has a cell that is not a tree, so its
+    points are never accepted, whichever points they are."""
+    flip = d != 3
+    size = n + d - 1
+    cells = set()
+    for x0, x1, x2 in points:
+        edges: list[tuple[int, int]] = []
+        joined = 0
+        for (v0, v1, v2), table in zip(lines, _line_edges(len(lines), flip)):
+            t0, t1, t2 = x0 - v0, x1 - v1, x2 - v2
+            top = max(t0, t1, t2)
+            mask = (t0 == top) << 1 | (t1 == top) << 2 | (t2 == top) << 3
+            joined |= _JOINS[mask]
+            edges += table[mask]
+        if len(edges) != size or joined != 0b1110:
+            return None
+        cells.add(CellGraph._trusted(n, d, frozenset(edges)))
+    return frozenset(cells) if len(cells) == comb(n + d - 2, n - 1) else None
+
+
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
     """The arrangement's dual subdivision of the product of simplices:
     one maximal cell per vertex of the arrangement, its edges read off the
@@ -208,12 +313,26 @@ def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision
     those of the transpose, each edge (j, i) of theirs read as (i, j),
     and ``budget`` caps the steps of that walk.
 
+    When min(n, d) = 3 the cells are first read off the apexes and the
+    crossings of lines by :func:`_planar_cells`, but only when W, the
+    :func:`~troparr.geometry._walk_steps` of the side walked, is at most
+    ``budget`` (``DEFAULT_BUDGET`` when None).  On a generic input the
+    walk takes exactly W steps, so it would succeed at that budget and
+    raise below it, and every input the read-off refuses is walked:
+    cells, exit codes and messages are the walk's.
+
     Each (hyperplane, mask) pair's edges are read once per call.  The
     cells are built unvalidated: their edges lie in range by
     construction, and a vertex's labels tie every coordinate into one
     group, so each vertex's graph spans and is connected."""
     n, d = arr.n, arr.d
     flip = _transposes(n, d)
+    if min(n, d) == 3 and (_walk_steps(d, n) if flip else _walk_steps(n, d)) <= (
+        DEFAULT_BUDGET if budget is None else budget
+    ):
+        cells = _planar_cells(arr)
+        if cells is not None:
+            return Subdivision._trusted(n, d, cells)
     read: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     cells = set()
     for masks in _vertices(arr, budget, flip):
@@ -286,22 +405,24 @@ def _swapped_sides(
     return swapped
 
 
-def _cycles(
-    n: int, tree: Collection[tuple[int, int]], edges: Iterable[tuple[int, int]]
-) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+def _cycle_masks(
+    n: int, tree: Sequence[tuple[int, int]], edges: Iterable[tuple[int, int]]
+) -> list[tuple[tuple[int, int], int, int]]:
     """The fundamental cycle that each edge (i, j) of ``edges`` off the
-    spanning ``tree`` closes in it, in order, as (plus, minus) edge lists.
+    spanning ``tree`` closes in it, in order, as (i, j) and two bitmasks
+    over the tree's edges in their given order: bit k of ``plus`` when
+    tree edge k is on the cycle's plus side, of ``minus`` when on its
+    minus side.
 
     One pass rooted at hyperplane 1 gives each node the bitmask of the
     tree edges on its path to the root, so the cycle's tree edges are
     the XOR of the masks of (i, j)'s ends.  Walked from hyperplane i to
-    coordinate j and back along (i, j), the cycle alternates: ``plus``
-    holds (i, j) and the tree edges walked from their coordinate end,
-    ``minus`` those walked from their hyperplane end, two perfect
-    matchings of the rows and columns the cycle meets.  A tree edge on
-    i's path is walked from its child end, one on j's path from its
-    parent end."""
-    tree = list(tree)
+    coordinate j and back along (i, j), the cycle alternates: the plus
+    side holds (i, j) and the tree edges walked from their coordinate
+    end, the minus side those walked from their hyperplane end, two
+    perfect matchings of the rows and columns the cycle meets.  A tree
+    edge on i's path is walked from its child end, one on j's path from
+    its parent end."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(len(tree) + 1)]
     for k, (i, j) in enumerate(tree):
         adj[i - 1].append((n + j - 1, k))
@@ -324,12 +445,21 @@ def _cycles(
             continue
         up, down = path[i - 1], path[n + j - 1]
         minus = up & ~down & low | down & ~up & ~low
-        plus = (up ^ down) & ~minus
-        cycles.append((
-            [(i, j)] + [e for k, e in enumerate(tree) if plus >> k & 1],
-            [e for k, e in enumerate(tree) if minus >> k & 1],
-        ))
+        cycles.append(((i, j), (up ^ down) & ~minus, minus))
     return cycles
+
+
+def _cycles(
+    n: int, tree: Collection[tuple[int, int]], edges: Iterable[tuple[int, int]]
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """The fundamental cycles of :func:`_cycle_masks`, each as (plus, minus)
+    edge lists: ``plus`` holds (i, j), then its plus tree edges, and
+    ``minus`` its minus tree edges, each in the tree's order."""
+    tree = list(tree)
+    return [
+        ([edge] + [e for k, e in enumerate(tree) if plus >> k & 1], [e for k, e in enumerate(tree) if minus >> k & 1])
+        for edge, plus, minus in _cycle_masks(n, tree, edges)
+    ]
 
 
 def _pivot_walk(

@@ -1,38 +1,47 @@
 """Small exact linear algebra helpers: rational matrix rank and integer
-determinants, both read off one exact Gaussian elimination."""
+determinants, both read off one fraction-free (Bareiss) elimination on
+ints.  A rational row is first scaled by the lcm of its denominators,
+which keeps the rank."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm
 from typing import Sequence
 
 
-def _pivots(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], int]:
-    """Exact Gaussian elimination: the pivot of each column that takes
-    one, left to right, and the sign of the row swaps that brought them
-    up.  Their count is the rank, and a square matrix of full rank has
-    the signed product of its pivots as determinant."""
-    m = [list(map(Fraction, row)) for row in rows]
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free Gaussian elimination of an int matrix (Bareiss): its
+    rank, the sign of the row swaps that brought the pivots up, and the
+    last pivot.
+
+    Columns are taken left to right, and one that has no nonzero entry
+    left below the pivots so far takes no pivot.  After k pivots each
+    entry below them is the k+1 minor of the permuted matrix on the pivot
+    rows and columns and its own row and column, so every update
+    (p·a - b·c) divides exactly by the previous pivot (Sylvester's
+    identity), and the entries stay as large as those minors.  The last
+    pivot of a square matrix of full rank is its determinant times the
+    swaps' sign."""
+    m = [list(row) for row in rows]
     cols = len(m[0]) if m else 0
-    pivots: list[Fraction] = []
-    sign = 1
+    r, sign, prev = 0, 1, 1
     for c in range(cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        pv = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
-        pivots.append(pv)
-    return pivots, sign
+        top = m[r]
+        pv = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+        prev = pv
+        r += 1
+    return r, sign, prev
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -40,10 +49,15 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    pivots, sign = _pivots(matrix)
-    return sign * int(prod(pivots)) if len(pivots) == n else 0
+    r, sign, last = _eliminate(matrix)
+    return sign * last if r == n else 0
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    return len(_pivots(rows)[0])
+    """Rank of a rational matrix by exact elimination, each row scaled to
+    ints by the lcm of its denominators."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return _eliminate(scaled)[0]

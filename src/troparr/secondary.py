@@ -10,8 +10,10 @@ coarse cells, of each cell's own regular subdivision under u (De
 Loera-Rambau-Santos, ch. 2 and 6.2).  The moves are made in ints: the
 apex matrix is lifted once by an integer, each step is added to the
 lifted rows, and :func:`_scaled_rows` proves that no step crosses a
-wall.  A new step's envelope is read off one vertex walk of the moved
-arrangement, and certified without a second walk.
+wall.  A new step's envelope is the dual subdivision of the moved
+arrangement, handed over as ints: read off its apexes and crossings when
+min(n, d) = 3, else off one vertex walk (both called a walk below), and
+certified without a second walk.
 
 Each tree of the walk lies in one coarse cell, its host.  A cell's
 regular subdivision under u is a triangulation whose trees form a set
@@ -47,10 +49,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Arrangement
-from .duality import Subdivision, _cycles, _forest, dual_subdivision, is_triangulation
+from .duality import Subdivision, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
 @dataclass(frozen=True)
@@ -115,19 +117,35 @@ def _cone(
     The potentials a_i, b_j solved along a tree's edges from a step u
     (b_j - a_i = u_ij on the tree) leave each other edge (i, j) of the
     cell a slack u_ij - b_j + a_i, the alternating sum of u around the
-    fundamental cycle the edge closes in the tree: :func:`_cycles` reads
-    it off one rooted pass, with (i, j) on its plus side.  When every
-    such slack is positive for every tree, each tree is a strict lower
-    facet of the cell lifted by u, and the trees already fill the cell,
-    so they are its regular subdivision under u (De Loera-Rambau-Santos,
-    ch. 2 and 5).  A cycle shared by two trees is one inequality, and a
-    tree's own edges, whose slack is identically 0, give none.
+    fundamental cycle the edge closes in the tree: :func:`_cycle_masks`
+    reads it off one rooted pass, with (i, j) on its plus side, as two
+    bitmasks over the tree's edges.  Each tree's edges are sorted, so
+    they take their flat indices in ascending order, mapped once per
+    tree, and each side's indices are read off the set bits of its mask,
+    lowest first.  When every such slack is positive for every tree,
+    each tree is a strict lower facet of the cell lifted by u, and the
+    trees already fill the cell, so they are its regular subdivision
+    under u (De Loera-Rambau-Santos, ch. 2 and 5).  A cycle shared by two
+    trees is one inequality, and a tree's own edges, whose slack is
+    identically 0, give none.
     """
+    rows = set()
+    for tree in trees:
+        tree = sorted(tree)
+        index = [(i - 1) * d + j - 1 for i, j in tree]
+        for (i, j), plus, minus in _cycle_masks(n, tree, cell):
+            rows.add((tuple(sorted([(i - 1) * d + j - 1, *_at_bits(plus, index)])), tuple(_at_bits(minus, index))))
+    return tuple(sorted(rows))
 
-    def flat(edges):
-        return tuple(sorted((i - 1) * d + j - 1 for i, j in edges))
 
-    return tuple(sorted({(flat(plus), flat(minus)) for tree in trees for plus, minus in _cycles(n, tree, cell)}))
+def _at_bits(mask: int, index: Sequence[int]) -> list[int]:
+    """``index[k]`` for each set bit k of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(index[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _in_cone(cone, flat_step: Sequence[int]) -> bool:
@@ -162,12 +180,26 @@ def _scaled_rows(arr: Arrangement) -> list[list[int]]:
 
 def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Arrangement:
     """The arrangement of the :func:`_scaled_rows` moved by a step, each
-    row less its last entry, so its rows are already normalized."""
+    row less its last entry, so its rows are already normalized and are
+    kept as the ints they are, with no Fraction built."""
     rows = []
     for row, us in zip(scaled, step):
         moved = [x + u for x, u in zip(row, us)]
-        rows.append([x - moved[-1] for x in moved])
-    return Arrangement.from_rows(rows)
+        last = moved[-1]
+        rows.append(tuple(x - last for x in moved))
+    return Arrangement._trusted_ints(rows)
+
+
+def _entry(bits: Callable[[int], int]) -> int:
+    """A step entry u in 0..1000 from ``bits``, a ``getrandbits``: 10 bits,
+    drawn again while they read above 1000.  ``randint(0, 1000)`` draws
+    the same way in CPython 3.10 to 3.13, so each seed keeps its sample,
+    and written out the sample no longer rests on how ``randint`` is
+    implemented."""
+    u = bits(10)
+    while u > 1000:
+        u = bits(10)
+    return u
 
 
 def refining_triangulations(
@@ -176,7 +208,8 @@ def refining_triangulations(
     """Distinct triangulations reachable by small integer steps.
 
     2·n·d integer steps u', each u'_ij = 3^(nd)·u_ij +
-    3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed``, are
+    3^((i-1)d+(j-1)) with u_ij drawn from 0..1000 under ``seed`` by
+    :func:`_entry`, are
     added to the apex matrix lifted by :func:`_scaled_rows`; the
     tie-break term puts no step on a wall; another ``seed`` draws
     another sample.  Each step is drawn as one flat row-major list, in
@@ -191,9 +224,10 @@ def refining_triangulations(
     its pieces in every coarse cell, each (cell, pieces) computed once.
     A step strictly inside the cone of a listed triangulation is skipped.
     Every other step walks the moved arrangement once, through
-    :func:`_moved` on ints, with ``budget`` capping the walk, and the
-    walk's cells are certified against ``base`` as the module docstring
-    proves:
+    :func:`_moved` on ints and one
+    :func:`~troparr.duality.dual_subdivision`, with ``budget`` capping
+    the walk, and the walk's cells are certified against ``base`` as the
+    module docstring proves:
 
     - every cell is a tree and lies in a coarse cell, its host;
     - the step must lie strictly inside the cone of the walk's pieces;
@@ -226,8 +260,9 @@ def refining_triangulations(
     coarse = [g.edges for g in base.maximal_cells if len(g.edges) != tree_size]
     cones: dict[tuple, tuple] = {}  # (coarse cell, its pieces) -> their _cone rows
     listed: dict[Subdivision, tuple] = {}  # triangulation -> its cone
+    bits = rng.getrandbits
     for _ in range(2 * n * d):
-        flat = [scale * rng.randint(0, 1000) + tie for tie in ties]
+        flat = [scale * _entry(bits) + tie for tie in ties]
         if any(_in_cone(cone, flat) for cone in listed.values()):
             continue
         step = [flat[i * d:(i + 1) * d] for i in range(n)]

@@ -39,6 +39,7 @@ from troparr.duality import is_spanning_connected
 from conftest import (
     affine_rank_oracle,
     apex_type,
+    dual_subdivision_both_ways,
     enumerate_types,
     face_dimension_oracle,
     gkz_total,
@@ -141,7 +142,7 @@ def test_criterion_3_constructed_degeneracies_fail_local_refinement(suite3):
 
 def test_criterion_4_generic_subdivisions_are_triangulations(suite2):
     for arr in suite2:
-        sub = dual_subdivision(arr)
+        sub = dual_subdivision_both_ways(arr)
         expected = comb(arr.n + arr.d - 2, arr.n - 1)
         assert is_triangulation(sub)
         assert len(sub.maximal_cells) == expected
@@ -185,7 +186,7 @@ def test_criterion_6_envelope_oracle_matches_dual_subdivision(suite2, suite3):
     extra += [random_arrangement(rng, 5, 3), random_arrangement(rng, 4, 4)]
     arrangements = list(suite2) + [arr for arr, *_ in suite3] + extra
     for arr in arrangements:
-        assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision(arr)
+        assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision_both_ways(arr)
     print(f"\n[criterion 6] PASS — lower-envelope subdivision equals the "
           f"type-enumeration subdivision on all {len(arrangements)} suite arrangements "
           f"(12 integer-grid draws up to (5,3) and (4,4) among them)")
@@ -223,7 +224,7 @@ def test_criterion_8_structural_invariants(suite2, suite3, suite3_face_checks):
         for T, dim in enumerate_realizations(arr).items():
             g = type_to_graph(T, arr.n, arr.d)
             assert dim + cell_dim(g) == target
-        sub = dual_subdivision(arr)
+        sub = dual_subdivision_both_ways(arr)
         assert all(is_spanning_connected(g) for g in sub.maximal_cells)
         total = sum(normalized_volume(g) for g in sub.maximal_cells)
         assert total == comb(arr.n + arr.d - 2, arr.n - 1)

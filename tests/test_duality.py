@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -22,12 +22,13 @@ from troparr import (
     is_spanning_tree,
     is_triangulation,
     normalized_volume,
+    realizable,
     regular_subdivision,
 )
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import _forest, _tied_minor, is_spanning_connected
+from troparr.duality import _certified_cells, _forest, _planar_cells, _tied_minor, is_spanning_connected
 from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
     assert_staircases_match_the_imposed_path,
     assert_walk_order_matches_the_oracle,
     components_oracle,
+    dual_subdivision_both_ways,
     envelope_oracle,
     graph_dim_oracle,
     integer_incident,
@@ -54,6 +56,7 @@ from conftest import (
     tree_volume_oracle,
     type_to_graph,
     volume_oracle,
+    walked_cells,
 )
 
 
@@ -204,7 +207,7 @@ def test_vertex_walk_gives_the_zero_dimensional_types():
     # enumeration at n = 1..5, d = 2..5; test_grid.py adds the (3,3) and
     # (2,4) grids under --grid
     for arr in _vertex_walk_draws(1717, (range(1, 6), range(2, 6))):
-        assert dual_subdivision(arr) == subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+        assert dual_subdivision_both_ways(arr) == subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
 
 
 def test_staircase_matches_the_imposed_path():
@@ -227,9 +230,9 @@ def test_dual_subdivision_commutes_with_transposition():
     # the transposed cells
     for arr in _vertex_walk_draws(1919, (range(2, 7), range(2, 6))):
         flipped = Arrangement.from_rows(list(zip(*arr.rows())))
-        cells = dual_subdivision(flipped).maximal_cells
+        cells = dual_subdivision_both_ways(flipped).maximal_cells
         back = {CellGraph(arr.n, arr.d, frozenset((i, j) for j, i in g.edges)) for g in cells}
-        assert dual_subdivision(arr).maximal_cells == back, arr.rows()
+        assert dual_subdivision_both_ways(arr).maximal_cells == back, arr.rows()
 
 
 def test_type_counts_match_the_enumeration():
@@ -274,7 +277,7 @@ def test_walk_steps_are_the_budget_boundary_on_generic_inputs():
             with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
                 _vertices(arr, steps - 1, transpose)
         cheaper = min(_walk_steps(n, d), _walk_steps(d, n))
-        assert is_triangulation(dual_subdivision(arr, cheaper)), (n, d)
+        assert is_triangulation(dual_subdivision_both_ways(arr, cheaper)), (n, d)
         with pytest.raises(ResourceLimitError):
             dual_subdivision(arr, cheaper - 1)
 
@@ -293,6 +296,94 @@ def test_both_sides_of_the_walk_match_the_envelope():
     for n, d, _ in product(range(2, 7), range(3, 6), range(2)):
         for arr in (nongeneric_on_ray(rng, n, d)[0], nongeneric_on_apex(rng, n, d)[0], integer_incident(rng, n, d)):
             assert_both_sides_match_the_envelope(arr)
+
+
+def _planar_draws(seed):
+    # rational and integer draws at (3..8, 3) and (3, 3..8), four each,
+    # and up to (5, 3) and (3, 5) the constructed degeneracies
+    rng = random.Random(seed)
+    draws = []
+    for m, _ in product(range(3, 9), range(4)):
+        for n, d in sorted({(m, 3), (3, m)}):
+            draws += [random_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
+            if m <= 5:
+                draws += [nongeneric_on_apex(rng, n, d)[0], nongeneric_on_ray(rng, n, d)[0]]
+                draws.append(integer_incident(rng, n, d))
+    return draws
+
+
+def test_planar_read_off_matches_both_walks():
+    # the read-off certifies exactly where is_generic says generic, and
+    # there its cells are the vertex walk's and the lower envelope's;
+    # test_grid.py adds the (3,3), (4,3) and (3,4) grids
+    certified = refused = 0
+    for arr in _planar_draws(3434):
+        cells = _planar_cells(arr)
+        assert (cells is not None) == bool(is_generic(arr)), arr.rows()
+        if cells is None:
+            refused += 1
+            continue
+        certified += 1
+        assert cells == walked_cells(arr, _transposes(arr.n, arr.d)), arr.rows()
+        assert cells == regular_subdivision(arr.rows()).maximal_cells, arr.rows()
+    assert certified > 40 and refused > 90, (certified, refused)
+
+
+def _lines_and_vertices(arr):
+    """The lines the read-off reads, the rows of an n x 3 apex matrix or
+    the columns of a 3 x d one, and their arrangement's vertices, both
+    in units of 1/D as ints.  The vertices are the witnesses of the
+    0-dimensional types, a route to the apexes and crossings that shares
+    nothing with the read-off."""
+    plane = arr if arr.d == 3 else Arrangement.from_rows(list(zip(*arr.rows())))
+    den = lcm(*(x.denominator for row in plane.rows() for x in row))
+    lines = [[int(x * den) for x in row] for row in plane.rows()]
+    vertices = [
+        [int(x * den) for x in realizable(plane, T).witness]
+        for T, dim in enumerate_realizations(plane).items()
+        if dim == 0
+    ]
+    return lines, vertices
+
+
+def test_planar_certificate_refuses_all_but_the_subdivision():
+    # on the vertices found by another route the certificate returns the
+    # walk's cells; dropping any one of them, moving one off its lines or
+    # putting a copy of one in another's place makes it return None, never
+    # a wrong subdivision
+    rng = random.Random(3737)
+    for n, d in [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (3, 5), (3, 6)]:
+        arr = random_generic_arrangement(rng, n, d)
+        lines, vertices = _lines_and_vertices(arr)
+        assert len(vertices) == comb(n + d - 2, n - 1)
+        assert _certified_cells(n, d, lines, vertices) == walked_cells(arr, _transposes(n, d)), arr.rows()
+        # every line break lies on an integer, so a point moved by a
+        # quarter in its first coordinate loses that label's ties
+        lines = [[4 * x for x in row] for row in lines]
+        vertices = [[4 * x for x in point] for point in vertices]
+        for k, point in enumerate(vertices):
+            others = vertices[:k] + vertices[k + 1:]
+            assert _certified_cells(n, d, lines, others) is None, (arr.rows(), k)
+            moved = [point[0] + 1] + point[1:]
+            assert _certified_cells(n, d, lines, others + [moved]) is None, (arr.rows(), k)
+            assert _certified_cells(n, d, lines, others + [others[0]]) is None, (arr.rows(), k)
+
+
+def test_planar_read_off_keeps_the_walks_budget(monkeypatch):
+    # on generic planar shapes the walk takes exactly W steps on the side
+    # it walks: at budget W the read-off answers with the walk's cells,
+    # and below it the walk raises as it did
+    rng = random.Random(3838)
+    for n, d in [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (3, 5), (3, 6)]:
+        arr = random_generic_arrangement(rng, n, d)
+        walk = walked_cells(arr, _transposes(n, d))
+        steps = _walk_steps(d, n) if _transposes(n, d) else _walk_steps(n, d)
+        with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
+            dual_subdivision(arr, steps - 1)
+        monkeypatch.setattr(troparr.duality, "_vertices", None)  # the read-off alone answers
+        assert dual_subdivision(arr, steps).maximal_cells == walk, (n, d)
+        assert dual_subdivision(arr).maximal_cells == walk, (n, d)
+        monkeypatch.undo()
 
 
 def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
@@ -404,7 +495,7 @@ def test_regular_subdivision_matches_dual(e1, e2):
         for n, d in [(2, 2), (2, 3), (3, 3), (4, 3), (3, 4), (5, 3), (4, 4)]
     ] + [random_arrangement(rng, 5, 3), random_arrangement(rng, 4, 4)]
     for arr in arrangements:
-        assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision(arr)
+        assert regular_subdivision(arrangement_heights(arr)) == dual_subdivision_both_ways(arr)
 
 
 def test_regular_subdivision_flat_lift():
@@ -571,7 +662,7 @@ def test_tree_volumes_match_determinant_oracle():
     for _ in range(10):
         n, d = rng.choice([(2, 3), (3, 3), (3, 2), (2, 4), (4, 2)])
         arr = random_generic_arrangement(rng, n, d)
-        for g in dual_subdivision(arr).maximal_cells:
+        for g in dual_subdivision_both_ways(arr).maximal_cells:
             assert is_spanning_tree(g)
             assert normalized_volume(g) == tree_volume_oracle(g) == 1
 
@@ -581,7 +672,7 @@ def test_volume_conservation():
     for _ in range(10):
         n, d = rng.choice([(2, 2), (2, 3), (3, 3), (2, 4)])
         arr = random_arrangement(rng, n, d)
-        sub = dual_subdivision(arr)
+        sub = dual_subdivision_both_ways(arr)
         total = sum(normalized_volume(g) for g in sub.maximal_cells)
         assert total == comb(n + d - 2, n - 1)
 
@@ -656,7 +747,7 @@ def test_maximal_cells_are_the_inclusion_maximal_type_graphs(e1, e2):
             g for g in graphs
             if not any(g.edges < h.edges for h in graphs if h != g)
         }
-        assert zero_cells == maximal == dual_subdivision(arr).maximal_cells
+        assert zero_cells == maximal == dual_subdivision_both_ways(arr).maximal_cells
 
 
 def test_subdivision_validates_cells():

@@ -2,10 +2,10 @@
 and last column 0, degenerate ones included.
 
 The (2,3) and (3,3) grids run by default, with the tied minor that
-every non-generic input names checked by trying every permutation, and
-so does the pivot walk's order of cells against the walk it replaced,
-on every (3,3) and (2,4) input and on each of their cells that is not
-a tree.
+every non-generic input names checked by trying every permutation, the
+planar read-off at (3,3) against genericity and both walks, and so does
+the pivot walk's order of cells against the walk it replaced, on every
+(3,3) and (2,4) input and on each of their cells that is not a tree.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its prefix
 and the vertex walk against the 0-dimensional types, each closed-form
@@ -26,7 +26,9 @@ potential search and side scan they replaced on every cell of every
 (3,3) and (2,4) input, each cell spanning, the integer lift of
 every (3,3) and (2,4) input against each matching pair's worst step,
 and dual subdivision against lower envelope, with genericity and its
-tied minor, on the 6,561 inputs at (4,3).  It also compares the
+tied minor, on the 6,561 inputs at (4,3), and the planar read-off
+against genericity, the vertex walk and the lower envelope on the (4,3)
+and 19,683 (3,4) inputs.  It also compares the
 bit-sliced elimination and comparability kernels with the pairwise
 scans they replaced, and the two-block surrounding check with the
 oracle that builds every ordered-partition refinement, on type
@@ -38,6 +40,8 @@ from itertools import product
 
 import pytest
 
+from troparr.duality import _planar_cells
+from troparr.geometry import _transposes
 from troparr import (
     Arrangement,
     arrangement_heights,
@@ -64,6 +68,7 @@ from conftest import (
     assert_the_lift_outlasts_the_worst_step,
     assert_check_cells_match_the_oracle,
     assert_every_entry_is_feasible,
+    dual_subdivision_both_ways,
     enumerate_types,
     face_check_passes,
     face_dimension_oracle,
@@ -78,6 +83,7 @@ from conftest import (
     refinements_oracle,
     subdivision_of,
     surrounding_oracle,
+    walked_cells,
 )
 
 
@@ -102,7 +108,7 @@ def test_realizations_match_oracle_on_grid(n, d):
         for T, result in expected.items():
             assert realizable(arr, T) == result
         assert_every_entry_is_feasible(arr)
-        assert dual_subdivision(arr) == subdivision_of(arr, dimensions), arr.rows()
+        assert dual_subdivision_both_ways(arr) == subdivision_of(arr, dimensions), arr.rows()
         assert_staircases_match_the_imposed_path(arr)
 
 
@@ -124,6 +130,26 @@ def test_pivot_walk_order_on_grid(n, d):
     # full support and over each cell that is not a tree as a volume walks it
     for arr in grid(n, d):
         assert_walk_order_matches_the_oracle(n, d, arr.rows())
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid), pytest.param(3, 4, marks=pytest.mark.large_grid)],
+)
+def test_planar_read_off_on_grid(n, d):
+    # the read-off certifies exactly the generic inputs, with the vertex
+    # walk's cells and the lower envelope's: 12 at (3,3), and none at
+    # (4,3) and (3,4), where three values per entry are too few for a
+    # generic input, so every one is refused and walked
+    certified = 0
+    for arr in grid(n, d):
+        cells = _planar_cells(arr)
+        assert (cells is not None) == bool(is_generic(arr)), arr.rows()
+        if cells is not None:
+            certified += 1
+            assert cells == walked_cells(arr, _transposes(n, d)), arr.rows()
+            assert cells == regular_subdivision(arr.rows()).maximal_cells, arr.rows()
+    assert certified == (12 if (n, d) == (3, 3) else 0)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])

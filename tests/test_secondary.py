@@ -21,7 +21,7 @@ from troparr import (
 
 from troparr.duality import is_spanning_connected
 from troparr.linalg import det_int, rank
-from troparr.secondary import _moved, _scaled_rows
+from troparr.secondary import _entry, _moved, _scaled_rows
 
 from conftest import (
     _perturbations,
@@ -30,6 +30,7 @@ from conftest import (
     apex_type,
     assert_cell_walks_match_the_envelope,
     assert_the_lift_outlasts_the_worst_step,
+    dual_subdivision_both_ways,
     enumerate_types,
     face_check_passes,
     face_dimension_oracle,
@@ -200,6 +201,14 @@ def test_every_walk_lists_a_new_triangulation(monkeypatch, e2):
             assert len(walks) == len(found), (arr.rows(), seed)
 
 
+def test_step_entries_are_drawn_as_randint_draws_them():
+    # 10 bits, drawn again above 1000: randint(0, 1000)'s own draw, so
+    # each seed's sample stays what it was
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [_entry(ours.getrandbits) for _ in range(40)] == [theirs.randint(0, 1000) for _ in range(40)], seed
+
+
 def test_the_lift_outlasts_the_worst_step(e2):
     # the largest step entries on one side of a matching pair move no
     # apex sum across the other; test_grid.py adds the (3,3) and (2,4) grids
@@ -216,8 +225,8 @@ def test_scaled_moves_walk_like_fraction_moves(e2):
         scaled = _scaled_rows(arr)
         assert all(isinstance(x, int) for row in scaled for x in row)
         for step, moved in _perturbations(arr, 2 * arr.n * arr.d, 0):
-            walked = dual_subdivision(_moved(scaled, step))
-            assert walked == dual_subdivision(moved), (arr.rows(), step)
+            walked = dual_subdivision_both_ways(_moved(scaled, step))
+            assert walked == dual_subdivision_both_ways(moved), (arr.rows(), step)
             assert all(is_spanning_connected(g) for g in walked.maximal_cells), (arr.rows(), step)
 
 
@@ -326,7 +335,7 @@ def test_each_step_picks_its_own_gkz_vertex(e2):
         listed = {t: gkz_vector(t).values for t in refining_triangulations(arr, dual_subdivision(arr))}
         for step, moved in _perturbations(arr, 2 * arr.n * arr.d, 0):
             flat = [u for us in step for u in us]
-            t = dual_subdivision(moved)
+            t = dual_subdivision_both_ways(moved)
             assert t in listed, arr.rows()
             heights = {s: sum(u * x for u, x in zip(flat, phi)) for s, phi in listed.items()}
             assert all(heights[t] < h for s, h in heights.items() if s != t), arr.rows()
@@ -363,6 +372,24 @@ def test_rank_matches_sympy():
             rows = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
         assert rank(rows) == affine_rank_oracle([[0] * cols] + rows)
     assert rank([]) == 0
+
+
+def test_rank_matches_sympy_on_wide_dependent_matrices():
+    # 25 x 30 with entries in -1..1: independent rows, their negatives,
+    # zero rows and sums that stay in range, shuffled, so pivots are
+    # skipped and the fraction-free updates run deep
+    rng = random.Random(2525)
+    for _ in range(12):
+        rows = [[rng.randint(-1, 1) for _ in range(30)] for _ in range(rng.randint(1, 20))]
+        while len(rows) < 25:
+            a, b = rng.choice(rows), rng.choice(rows)
+            both = [x + y for x, y in zip(a, b)]
+            if rng.random() < 0.5 and all(-1 <= x <= 1 for x in both):
+                rows.append(both)
+            else:
+                rows.append(rng.choice(([-x for x in a], [0] * 30, list(a))))
+        rng.shuffle(rows)
+        assert rank(rows) == sympy.Matrix(rows).rank(), rows
 
 
 def test_det_int_matches_sympy():
