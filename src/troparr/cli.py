@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("subdivision", help="dual subdivision (and flips)")
     common(sp)
-    budget(sp, "cap on the vertex walk's feasibility steps, counted on the side of the apex matrix it walks")
+    budget(sp, "cap on the pivot walk's trees, C(n+d-2, n-1) per walk, shared by every walk of one --flips run")
     sp.add_argument("--seed", type=int, default=0, help="seed for the perturbations --flips samples")
     sp.add_argument("--flips", action="store_true", help="refining triangulations and GKZ data")
 

@@ -19,10 +19,11 @@ from typing import Iterable, Iterator, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-#: Cap on the feasibility steps (candidate entries generated on a
-#: feasible prefix and tested, plus one per closed-form staircase of the
-#: vertex walk) one type walk may take; the enumeration of a generic
-#: (5,4) takes 735, one per realizable prefix.
+#: Default cap on the work of a budgeted walk: the feasibility steps
+#: (candidate entries generated on a feasible prefix and tested) of the
+#: type enumeration, of which a generic (5,4) takes 735, one per
+#: realizable prefix, or the trees of the pivot walks that give dual
+#: subdivisions, C(n+d-2, n-1) per walk.
 DEFAULT_BUDGET = 200_000
 
 
@@ -327,7 +328,7 @@ class CellGraph:
     @classmethod
     def _trusted(cls, n: int, d: int, edges: frozenset[tuple[int, int]]) -> "CellGraph":
         """A cell graph from edges known to be int pairs in 1..n x 1..d,
-        as the vertex walk reads them, without re-validating them."""
+        as the walks read them, without re-validating them."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "d", d)

@@ -2,45 +2,28 @@
 
 A type becomes a bipartite cell graph (edge (i,j) for each label j in
 entry i); the 0-dimensional cells of an arrangement, its vertices, give
-the maximal cells of its dual subdivision.  :func:`dual_subdivision`
-reads them off the vertex walk of :mod:`troparr.geometry` instead of
-enumerating every type.  That walk imposes hyperplanes 1..n-3 only; each
-entry e for hyperplane n-2 is settled with the last two hyperplanes by
-a staircase: once e's labels tie, a vertex's last two entries cover the
-tie groups and share one, which leaves one point per distinct
-difference of the groups' least values on those two hyperplanes, and a
-single check accepts a point: it must meet the prefix's closed bounds
-and have e as hyperplane n-2's argmax.  What those checks read of the
-prefix is set up once per prefix, so each entry only joins the values
-of the groups it ties.  The walk runs on whichever side of the apex
-matrix takes fewer steps on a generic input of its shape: the given
-n x d matrix, or its d x n transpose, whose subdivision is the
-transpose.  The step count W(n, d) sums the type counts of the generic
-sub-arrangements the walk passes through (see :mod:`troparr.geometry`),
-so the choice depends on (n, d) alone and every report is the same
-whichever side was walked; ``budget`` counts the steps of the side
-walked.  Each cell's edges come straight from the vertex's label
-masks, read back as (i, j) from a transposed walk's (j, i).  Every
-question about one cell is answered by a spanning forest of its edges,
-grown by a union-find, and by the fundamental cycles of that forest:
-whether it spans and its dimension come from the forest's size, and its
-cycles from one rooted pass.
+the maximal cells of its dual subdivision.  That subdivision is the
+lower-envelope regular subdivision induced by lifting product vertex
+(i,j) to the apex coordinate v_ij, so :func:`dual_subdivision` walks
+the envelope (below) instead of enumerating every type.  Every question
+about one cell is answered by a spanning forest of its edges, grown by
+a union-find, and by the fundamental cycles of that forest: whether it
+spans and its dimension come from the forest's size, and its cycles
+from one rooted pass.
 When min(n, d) = 3 the vertices are read off before any walk: the
 arrangement is one of tropical lines in the plane, and its vertices are
 the apexes and the points where two lines cross, each found in closed
 form on ints (:func:`_planar_cells`).  Their type graphs are accepted
 only as C(n+d-2, n-1) distinct spanning trees, which no non-generic
 input has (:func:`_certified_cells`), and every input refused is walked.
-The read-off is tried only within the walk's budget, so cells, exit
-codes and messages are the walk's.  The lower envelope, genericity and
-volumes never use it, so they stay checks by another route.
+The read-off is charged what the walk is, so exit codes and messages do
+not depend on which route answered.  :func:`regular_subdivision`,
+genericity and volumes never use it.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and counts the cells from its 0-dimensional
 types, each a tree exactly when it holds n + d - 1 labels, with no cell
-graph built.  Independently, the same subdivision arises as the lower-envelope
-regular subdivision induced by lifting product vertex (i,j) to the apex
-coordinate v_ij; both constructions are exposed so they can be checked
-against each other.
+graph built; its genericity comes from the envelope, so the two
+implications it checks cross-check independent computations.
 
 The lower envelope is computed by a pivot walk: lexicographically
 perturbed integer heights, built once per walk with no Fraction
@@ -52,11 +35,14 @@ it, is a bitmask: one rooted pass gives the start tree's, and a pivot
 changes only the sides of the edges on the cycle the entering edge
 closes.  The least entering edge comes from the set bits of the
 entering mask alone, and the facet back to the tree a pivot came from
-is never tried.  A full triangulation has C(n+d-2, n-1) trees and each
-costs n·d integer slacks and, per tree edge, a scan of the edges
-entering its side, instead of a scan of all 2^(n·d) edge subsets.
-:func:`regular_subdivision` builds its cells unvalidated: each holds
-the tree it was read at, so it spans and is connected.  The walk
+is never tried.  Every triangulation of the product of simplices has
+C(n+d-2, n-1) trees, whatever the heights, and each costs n·d integer
+slacks and, per tree edge, a scan of the edges entering its side,
+instead of a scan of all 2^(n·d) edge subsets; that count is the unit
+:func:`dual_subdivision`'s budget charges before a walk starts.
+:func:`regular_subdivision` and :func:`dual_subdivision` build their
+cells unvalidated: each holds the tree it was read at, so it spans and
+is connected.  The walk
 yields its cells lazily, so the genericity test stops at the first
 cell that is not a spanning tree.  The first of
 that cell's sorted edges that closes a cycle in the forest grown by the
@@ -79,16 +65,7 @@ from math import comb, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, to_fraction
-from .geometry import (
-    GenericityReport,
-    TiedMinor,
-    _labels,
-    _transposes,
-    _vertices,
-    _walk_steps,
-    enumerate_realizations,
-    is_generic,
-)
+from .geometry import GenericityReport, TiedMinor, _labels, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
@@ -161,9 +138,8 @@ class Subdivision:
     @classmethod
     def _trusted(cls, n: int, d: int, cells: frozenset[CellGraph]) -> "Subdivision":
         """A subdivision from a nonempty frozenset of n x d cells that are
-        known to span and be connected, as :func:`dual_subdivision` reads
-        them off vertices and :func:`regular_subdivision` off trees,
-        without re-validating them."""
+        known to span and be connected, as the walks and the planar
+        read-off build them, without re-validating them."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "n", n)
         object.__setattr__(sub, "d", d)
@@ -305,46 +281,40 @@ def _certified_cells(
     return frozenset(cells) if len(cells) == comb(n + d - 2, n - 1) else None
 
 
+def _charge(n: int, d: int, budget: int | None, spent: int = 0) -> int:
+    """``spent`` trees plus the C(n+d-2, n-1) of one more walk over the
+    full n x d support.  Past ``budget`` (``DEFAULT_BUDGET`` when None)
+    it raises :class:`ResourceLimitError` naming the pivot walk, so the
+    caller refuses that walk before it starts; a negative budget is a
+    ValueError."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    spent += comb(n + d - 2, n - 1)
+    if spent > budget:
+        raise ResourceLimitError(f"pivot walk: {spent} trees exceed budget {budget}")
+    return spent
+
+
 def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
     """The arrangement's dual subdivision of the product of simplices:
-    one maximal cell per vertex of the arrangement, its edges read off the
-    vertex's label masks.  When :func:`~troparr.geometry._transposes`
-    says the transposed apex matrix walks in fewer steps, the vertices are
-    those of the transpose, each edge (j, i) of theirs read as (i, j),
-    and ``budget`` caps the steps of that walk.
+    the lower envelope of its apex matrix, walked by :func:`_pivot_walk`
+    over the full support.
 
-    When min(n, d) = 3 the cells are first read off the apexes and the
-    crossings of lines by :func:`_planar_cells`, but only when W, the
-    :func:`~troparr.geometry._walk_steps` of the side walked, is at most
-    ``budget`` (``DEFAULT_BUDGET`` when None).  On a generic input the
-    walk takes exactly W steps, so it would succeed at that budget and
-    raise below it, and every input the read-off refuses is walked:
-    cells, exit codes and messages are the walk's.
-
-    Each (hyperplane, mask) pair's edges are read once per call.  The
-    cells are built unvalidated: their edges lie in range by
-    construction, and a vertex's labels tie every coordinate into one
-    group, so each vertex's graph spans and is connected."""
+    ``budget`` caps the walk's trees.  The walk visits exactly
+    C(n+d-2, n-1) of them on every input, so :func:`_charge` refuses it
+    before it starts when that count exceeds ``budget``.  When
+    min(n, d) = 3 the cells are first read off the apexes and the
+    crossings of lines by :func:`_planar_cells`, charged the same, and
+    every input it refuses is walked: cells, exit codes and messages are
+    the walk's."""
     n, d = arr.n, arr.d
-    flip = _transposes(n, d)
-    if min(n, d) == 3 and (_walk_steps(d, n) if flip else _walk_steps(n, d)) <= (
-        DEFAULT_BUDGET if budget is None else budget
-    ):
+    _charge(n, d, budget)
+    if min(n, d) == 3:
         cells = _planar_cells(arr)
         if cells is not None:
             return Subdivision._trusted(n, d, cells)
-    read: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    cells = set()
-    for masks in _vertices(arr, budget, flip):
-        edges: list[tuple[int, int]] = []
-        for pair in enumerate(masks, 1):
-            pair_edges = read.get(pair)
-            if pair_edges is None:
-                i, mask = pair
-                pair_edges = read[pair] = tuple((j, i) if flip else (i, j) for j in _labels(mask))
-            edges += pair_edges
-        cells.add(CellGraph._trusted(n, d, frozenset(edges)))
-    return Subdivision._trusted(n, d, frozenset(cells))
+    return _subdivision(n, d, _full_walk(n, d, arr.rows()))
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
@@ -575,29 +545,39 @@ def _pivot_walk(
         )
 
 
+def _full_walk(n: int, d: int, rows: Sequence[Sequence[Fraction]]) -> Iterator[frozenset[tuple[int, int]]]:
+    """The pivot walk over the full support of the n x d heights ``rows``."""
+    return _pivot_walk(n, d, rows, [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)])
+
+
+def _subdivision(n: int, d: int, cells: Iterable[frozenset[tuple[int, int]]]) -> Subdivision:
+    """The subdivision of the distinct cells a walk yields, unvalidated:
+    each holds the tree it was read at, whose edges all have slack 0, so
+    it spans and is connected, and its edges are support edges, in
+    range."""
+    return Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in set(cells)))
+
+
 def _envelope_cells(weights) -> tuple[int, int, Iterator[frozenset[tuple[int, int]]]]:
     """n, d and the edge sets of the lower envelope's coarse cells over
     the full support of ``weights``, walked lazily."""
     rows = _coerce_weights(weights)
     n, d = len(rows), len(rows[0])
-    support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    return n, d, _pivot_walk(n, d, rows, support)
+    return n, d, _full_walk(n, d, rows)
 
 
 def regular_subdivision(weights) -> Subdivision:
     """Regular subdivision of the product of simplices induced by lifting
     vertex (i, j) to height w_ij (lower envelope).
 
-    With the apex matrix of an arrangement as heights this reproduces the
-    arrangement's dual subdivision; the two computations share no code
-    path, which makes the agreement a meaningful cross-check.
-
-    The cells are built unvalidated: each is read off the walk at a tree
-    whose edges all have slack 0, so it holds that tree and spans and is
-    connected, and its edges are support edges, in range.
+    With the apex matrix of an arrangement as heights this is the
+    arrangement's dual subdivision, which :func:`dual_subdivision` walks
+    the same way wherever its planar read-off does not answer.  The two
+    are checked against each other, and against the 0-dimensional types
+    of the type enumeration, by the tests.
     """
     n, d, cells = _envelope_cells(weights)
-    return Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in cells))
+    return _subdivision(n, d, cells)
 
 
 def _first_tied_minor(weights) -> TiedMinor | None:

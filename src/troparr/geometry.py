@@ -1,5 +1,5 @@
-"""Types of points, exact realizability of candidate types, genericity,
-full type enumeration and the vertex walk.
+"""Types of points, exact realizability of candidate types, genericity
+and full type enumeration.
 
 Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
@@ -25,67 +25,9 @@ tests read off the closed bounds (every two members can still tie,
 every member can still beat every non-member), as cliques of a tie
 relation closed under the labels each member forces in; its work grows
 with the types, not with 2^d.  Every entry the tests pass is feasible.
-The walk settles the last hyperplanes in one of two ways:
-
-* the enumeration of all types walks hyperplanes 1..n-1 and takes every
-  entry the tests pass for hyperplane n as a type, recorded with its
-  dimension without imposing it;
-* the vertex walk, which gives the dual subdivision its maximal cells,
-  keeps only the 0-dimensional types.  It walks hyperplanes 1..n-3
-  only, and settles each entry e the tests pass for hyperplane n-2
-  together with hyperplanes n-1 and n in closed form, with no copy and
-  no closure.  Let e's labels tie, and for i = n-1, n let c_ig be the
-  least v_ij - offset_j over group g's labels, reached at the label
-  mask M_ig: with y_g the value of g's root, the largest x_j - v_ij
-  over g is y_g - c_ig, reached exactly at M_ig.  A type is
-  0-dimensional iff its ties merge every group into one.  Entry n-1
-  meets the groups A where y_g - c_(n-1)g is largest, entry n the
-  groups B where y_g - c_ng is, and they join every group iff A and B
-  cover the groups and share one.  Shift y so that the first largest
-  value is 0 and call the second t: y_g <= c_(n-1)g with equality on A,
-  and y_g <= t + c_ng with equality on B.
-  Covering forces y_g = min(c_(n-1)g, t + c_ng), and a shared group g
-  forces t = δ_g = c_(n-1)g - c_ng.  So every vertex lies at one of
-  these points, one per distinct t among the δ_g, where A = {δ_g <= t}
-  and B = {δ_g >= t}: it is (prefix, e, the union of M_(n-1)g over A,
-  the union of M_ng over B).  These are the staircase triangulations of
-  Δ_1 × Δ_(k-1), k the number of groups (De Loera, Rambau and Santos,
-  "Triangulations", §6.2).  Distinct t give distinct points, so each
-  vertex comes once.  At each point every tie holds by construction,
-  and hyperplanes n-1 and n have A and B as argmax, so the type holds
-  there, and is a vertex, iff hyperplane n-2's argmax is exactly e and
-  the point meets every closed strict bound of the (n-3)-prefix.  That
-  is the point test alone, with no closure: a point meets the closure
-  of a set of strict difference bounds iff it meets each of them, since
-  a longest path sums strict inequalities that the point meets.  Inside
-  one group both tests hold already, as e is feasible, so each is a
-  bound y_a - y_b > c between groups, O(roots^2) of them per point.  For
-  n = 2 the staircase runs on the empty prefix, with no e; for n = 1 the
-  one vertex is the apex, where every label ties.
-
-Everything the staircases read but e lives on the (n-3)-prefix, so
-:class:`_Staircases` sets it up once per prefix: its groups' least
-values and masks on hyperplanes n-2, n-1 and n, and its closed strict
-bounds between roots.  Each group g is read through z_g = y_g -
-c_(n-2)g, its largest x_j - v_(n-2)j.  Tying e's labels then leaves
-the bounds as they are and only joins the groups e meets into one, at a
-common z, whose least values on hyperplanes n-1 and n are the least of
-theirs: O(groups + bounds) per entry, with no scan of the closed bounds
-and no scratch copy.
-
-The dual subdivision is the lower envelope of the apex matrix as heights
-on the vertices (i, j) of Δ_(n-1) × Δ_(d-1), and swapping the factors
-keeps each height, so the transposed matrix's subdivision is the
-transpose and the vertex walk may run on either side.  Its steps on a
-generic n x d input are W(n, d) = T(1, d) + ... + T(n-3, d) +
-2 T(n-2, d) for n >= 3 and 1 for n <= 2, where T(k, d), the number of
-types of a generic arrangement of k hyperplanes with d coordinates, is
-1 at k = 0 or d = 1 and T(k - 1, d) + 2 T(k, d - 1) otherwise: every
-entry the tests pass is feasible, so the walk generates one entry per
-type of each of its prefixes' sub-arrangements.  :func:`_transposes`
-walks the transpose iff n >= 2 and W(d, n) < W(n, d), a rule on the
-shape alone.  The enumeration of all types keeps the given side, as
-its types belong to the given arrangement.
+The enumeration of all types walks hyperplanes 1..n-1 and takes every
+entry the tests pass for hyperplane n as a type, recorded with its
+dimension without imposing it.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
@@ -153,18 +95,13 @@ class _Feasibility:
 
     __slots__ = ("d", "scale", "rows", "root", "offset", "lower")
 
-    def __init__(self, arr: Arrangement, transpose: bool = False):
-        """The empty prefix of ``arr``, or with ``transpose`` of the
-        arrangement whose apex rows are the columns of ``arr``'s scaled
-        matrix: d and n swap, and the columns are read as they are, since
-        the walk does not depend on each row's projective normalization."""
+    def __init__(self, arr: Arrangement):
+        """The empty prefix of ``arr``."""
         self.scale = lcm(*(c.denominator for p in arr.apexes for c in p.coords))
         self.rows = tuple(
             tuple(c.numerator * (self.scale // c.denominator) for c in p.coords)
             for p in arr.apexes
         )
-        if transpose:
-            self.rows = tuple(zip(*self.rows))
         self.d = d = len(self.rows[0])
         self.root = list(range(d + 1))
         self.offset = [0] * (d + 1)
@@ -373,128 +310,6 @@ class _Feasibility:
         shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
         last = shifted[-1]
         return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
-
-
-def _least(row: tuple[int, ...], root: list[int], offset: list[int]) -> tuple[list, list[int]]:
-    """Each group root's least v_j - offset_j over its labels j, row v,
-    and the mask of the labels reaching it; None and 0 off the roots."""
-    least: list[int | None] = [None] * len(root)
-    mask = [0] * len(root)
-    for j in range(1, len(root)):
-        r, c = root[j], row[j - 1] - offset[j]
-        m = least[r]
-        if m is None or c < m:
-            least[r], mask[r] = c, 1 << j
-        elif c == m:
-            mask[r] |= 1 << j
-    return least, mask
-
-
-class _Staircases:
-    """The staircases over hyperplanes i and i + 1 on one prefix state,
-    set up once for every entry of hyperplane i - 1 they settle.
-
-    For each group g of the prefix and h = i - 1, i, i + 1, let c_hg be
-    the least v_hj - offset_j over g's labels, reached at the mask M_hg
-    (c_(i-1)g = 0 and M_(i-1)g empty when i = 1).  Group g is read
-    through z_g = y_g - c_(i-1)g, its largest x_j - v_(i-1)j.  The set-up
-    keeps a_g = c_ig - c_(i-1)g and b_g = c_(i+1)g - c_(i-1)g with their
-    masks M_ig and M_(i+1)g, the mask M_(i-1)g, and each closed strict
-    bound of the prefix between two roots as a bound on z.  The module
-    docstring has the proof.
-    """
-
-    __slots__ = ("groups", "a", "b", "first", "second", "top", "bounds", "high")
-
-    def __init__(self, state: _Feasibility, i: int):
-        root, offset, lower, w = state.root, state.offset, state.lower, state.d + 1
-        self.groups = groups = state.roots()
-        self.a, self.first = _least(state.rows[i - 1], root, offset)
-        self.b, self.second = _least(state.rows[i], root, offset)
-        a, b = self.a, self.b
-        if i > 1:
-            prev, self.top = _least(state.rows[i - 2], root, offset)
-            for g in groups:
-                a[g] -= prev[g]
-                b[g] -= prev[g]
-            # z_p - z_q > c for each closed bound y_p - y_q > c between roots
-            self.bounds = [
-                (p, q, lower[p * w + q] - prev[p] + prev[q])
-                for p in groups
-                for q in groups
-                if lower[p * w + q] is not None
-            ]
-        else:
-            self.top, self.bounds = [0] * w, []
-        # above every z_g, as z_g <= a_g
-        self.high = max(a[g] for g in groups) + 1
-
-    def pairs(self, pending: int = 0) -> list[tuple[int, int]]:
-        """The pairs of entries for hyperplanes i and i + 1, as label masks,
-        that close a 0-dimensional type after ``pending``, an entry for
-        hyperplane i - 1 that passed :meth:`_Feasibility.entries` (0 when
-        i = 1).
-
-        Pending's labels are the M_(i-1)g of the groups it meets, which tie
-        into one group E at a common z: E's a and b are the least of theirs,
-        at the union of their masks.  One point is tried per distinct t
-        among the δ_g = a_g - b_g of E and the other groups: z_g = min(a_g,
-        t + b_g), shared by every group of E.  It is accepted iff every
-        other group's z is below E's, so that hyperplane i - 1's argmax is
-        pending, and it meets every prefix bound; the bounds inside E hold,
-        as pending is feasible.
-        """
-        a, b, top, firsts, seconds = self.a, self.b, self.top, self.first, self.second
-        tied, rest = [], []
-        for g in self.groups:
-            if top[g] & pending:
-                tied.append(g)
-            else:
-                rest.append(g)
-        # (δ_g, M_ig, M_(i+1)g) of every group but E's, then E's
-        parts = [(a[g] - b[g], firsts[g], seconds[g]) for g in rest]
-        if tied:
-            g = tied[0]
-            ae, be, first, second = a[g], b[g], firsts[g], seconds[g]
-            for g in tied[1:]:
-                if a[g] < ae:
-                    ae, first = a[g], firsts[g]
-                elif a[g] == ae:
-                    first |= firsts[g]
-                if b[g] < be:
-                    be, second = b[g], seconds[g]
-                elif b[g] == be:
-                    second |= seconds[g]
-            parts.append((ae - be, first, second))
-        ze, bounds = self.high, self.bounds
-        z = [0] * len(a)
-        out = []
-        for t in {part[0] for part in parts}:
-            if tied:
-                c = t + be
-                ze = c if c < ae else ae
-                for g in tied:
-                    z[g] = ze
-            for g in rest:
-                c = t + b[g]
-                if c > a[g]:
-                    c = a[g]
-                if c >= ze:
-                    break  # E does not beat g on hyperplane i - 1
-                z[g] = c
-            else:
-                for p, q, c in bounds:
-                    if z[p] - z[q] <= c:
-                        break
-                else:
-                    first = second = 0
-                    for dg, m, m2 in parts:
-                        if dg <= t:
-                            first |= m
-                        if dg >= t:
-                            second |= m2
-                    out.append((first, second))
-        return out
 
 
 def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
@@ -736,73 +551,3 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     m = 2 ** arr.d - 1
     _walk("type enumeration", _Feasibility(arr), budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
     return out
-
-
-def _vertices(arr: Arrangement, budget: int | None = None, transpose: bool = False) -> list[tuple[int, ...]]:
-    """The 0-dimensional types, the arrangement's vertices, each as its
-    entries' label masks, by :func:`_walk` over hyperplanes 1..n-3.  With
-    ``transpose`` the walk runs on the arrangement whose apex rows are the
-    columns of the apex matrix, n and d swapped, and gives its vertices.
-    On each prefix of the walk one :class:`_Staircases` set-up settles
-    every entry e the pairwise tests pass for hyperplane n-2 with
-    hyperplanes n-1 and n, with no copy and no closure.  For n = 2 the
-    staircase runs on the empty prefix; for n = 1 the one vertex is the
-    apex, where every label ties.
-
-    ``budget`` caps the feasibility steps, counted on the side walked:
-    one per entry generated on hyperplanes 1..n-2 and one per staircase.
-    For n >= 3 all m = 2^d - 1 entries of the first hyperplane are
-    feasible, and each leads to one staircase at least, so the walk takes
-    at least 2m steps, and past the budget it raises at once; for n <= 2
-    it takes one step.  On a generic input it takes exactly
-    :func:`_walk_steps` (n, d).
-    """
-    start = _Feasibility(arr, transpose)
-    n, d = len(start.rows), start.d
-    out: list[tuple[int, ...]] = []
-
-    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
-        if n == 1:
-            out.append(((1 << (d + 1)) - 2,))
-            return 1
-        if n == 2:
-            out.extend(_Staircases(state, 1).pairs())
-            return 1
-        entries = state.entries(n - 2)
-        stairs = _Staircases(state, n - 1)
-        for entry in entries:
-            out.extend(prefix + (entry,) + pair for pair in stairs.pairs(entry))
-        return 2 * len(entries)
-
-    _walk("vertex walk", start, budget, 2 * (2 ** d - 1) if n >= 3 else 1, max(n - 3, 0), last)
-    return out
-
-
-def _type_counts(m: int, d: int) -> list[int]:
-    """T(0, d), ..., T(m, d): T(k, d) is the number of types of a generic
-    arrangement of k hyperplanes with d coordinates, the feasible
-    k-prefixes the walks reach on one.  T(0, d) = T(k, 1) = 1 and
-    T(k, d) = T(k - 1, d) + 2 T(k, d - 1), computed one d at a time."""
-    counts = [1] * (m + 1)
-    for _ in range(d - 1):
-        for k in range(1, m + 1):
-            counts[k] = counts[k - 1] + 2 * counts[k]
-    return counts
-
-
-def _walk_steps(n: int, d: int) -> int:
-    """W(n, d), the steps :func:`_vertices` takes on a generic n x d input:
-    T(k, d) entries for each hyperplane k <= n - 3, and for hyperplane
-    n - 2 its T(n - 2, d) entries and one staircase each; 1 for n <= 2."""
-    if n <= 2:
-        return 1
-    counts = _type_counts(n - 2, d)
-    return sum(counts[1 : n - 2]) + 2 * counts[n - 2]
-
-
-def _transposes(n: int, d: int) -> bool:
-    """Whether the vertex walk of an n x d apex matrix runs on its
-    transpose: iff n >= 2 and W(d, n) < W(n, d).  It reads the shape
-    alone, so the side walked, and the steps ``budget`` counts, follow
-    from the input; the cells are the same on either side."""
-    return n >= 2 and _walk_steps(d, n) < _walk_steps(n, d)

@@ -12,7 +12,7 @@ apex matrix is lifted once by an integer, each step is added to the
 lifted rows, and :func:`_scaled_rows` proves that no step crosses a
 wall.  A new step's envelope is the dual subdivision of the moved
 arrangement, handed over as ints: read off its apexes and crossings when
-min(n, d) = 3, else off one vertex walk (both called a walk below), and
+min(n, d) = 3, else off one pivot walk (both called a walk below), and
 certified without a second walk.
 
 Each tree of the walk lies in one coarse cell, its host.  A cell's
@@ -52,7 +52,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .core import Arrangement
-from .duality import Subdivision, _cycle_masks, _forest, dual_subdivision, is_triangulation
+from .duality import Subdivision, _charge, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
 @dataclass(frozen=True)
@@ -225,9 +225,8 @@ def refining_triangulations(
     A step strictly inside the cone of a listed triangulation is skipped.
     Every other step walks the moved arrangement once, through
     :func:`_moved` on ints and one
-    :func:`~troparr.duality.dual_subdivision`, with ``budget`` capping
-    the walk, and the walk's cells are certified against ``base`` as the
-    module docstring proves:
+    :func:`~troparr.duality.dual_subdivision`, and the walk's cells are
+    certified against ``base`` as the module docstring proves:
 
     - every cell is a tree and lies in a coarse cell, its host;
     - the step must lie strictly inside the cone of the walk's pieces;
@@ -248,8 +247,16 @@ def refining_triangulations(
     So a walked step lies in no listed cone, and its certified walk lists
     a new triangulation: no step is thrown away, no cell is walked on its
     own, and each walk's dual subdivision is the triangulation returned.
+
+    ``budget`` caps the trees of all the walks of one search together,
+    counted as :func:`~troparr.duality.dual_subdivision` counts them:
+    C(n+d-2, n-1) for the walk that gave ``base``, and as many again
+    for each step walked.  A step whose walk would pass it raises
+    :class:`~troparr.core.ResourceLimitError` before walking, and a
+    negative budget is a ValueError.
     """
     n, d = arr.n, arr.d
+    spent = _charge(n, d, budget)
     if is_triangulation(base):
         return frozenset({base})
     rng = random.Random(seed)
@@ -265,6 +272,7 @@ def refining_triangulations(
         flat = [scale * _entry(bits) + tie for tie in ties]
         if any(_in_cone(cone, flat) for cone in listed.values()):
             continue
+        spent = _charge(n, d, budget, spent)
         step = [flat[i * d:(i + 1) * d] for i in range(n)]
         tri = dual_subdivision(_moved(scaled, step), budget)
         groups: dict[frozenset[tuple[int, int]], set[frozenset[tuple[int, int]]]] = {}

@@ -16,9 +16,10 @@ fill for components, a dict-forest search for tied minors, a potential
 search for cones and a side scan for fundamental cycles, against the
 union-find forest and its root-path masks; the Fraction moves of the
 perturbations against the scaled int moves; every generated entry of
-the type enumeration imposed; the vertex walk's
-closed-form last two hyperplanes by imposing every entry of the last
-three) used to cross-check the main code paths, the set of all types as
+the type enumeration imposed; the vertex walk, which reads the
+0-dimensional types off the type enumeration's walk, for the dual
+subdivision, with its closed-form last two hyperplanes against imposing
+every entry of the last three) used to cross-check the main code paths, the set of all types as
 a helper over ``enumerate_realizations``, and the ``--grid`` option that
 adds the larger exhaustive grids."""
 
@@ -58,7 +59,7 @@ from troparr import (
     regular_subdivision,
     type_of_point,
 )
-from troparr.geometry import _Feasibility, _labels, _Staircases, _transposes, _vertices
+from troparr.geometry import _Feasibility, _labels, _walk
 from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
@@ -850,6 +851,191 @@ def assert_every_entry_is_feasible(arr: Arrangement) -> None:
                 stack.append((i + 1, child))
 
 
+def transposed_arrangement(arr: Arrangement) -> Arrangement:
+    """The arrangement whose apexes are the columns of ``arr``'s apex
+    matrix.  Its lower envelope is ``arr``'s with every edge (i, j) read
+    as (j, i), as swapping the factors of the product keeps each height,
+    so its dual subdivision is the transpose."""
+    return Arrangement.from_rows([list(column) for column in zip(*arr.rows())])
+
+
+def _least(row: tuple[int, ...], root: list[int], offset: list[int]) -> tuple[list, list[int]]:
+    """Each group root's least v_j - offset_j over its labels j, row v,
+    and the mask of the labels reaching it; None and 0 off the roots."""
+    least: list[int | None] = [None] * len(root)
+    mask = [0] * len(root)
+    for j in range(1, len(root)):
+        r, c = root[j], row[j - 1] - offset[j]
+        m = least[r]
+        if m is None or c < m:
+            least[r], mask[r] = c, 1 << j
+        elif c == m:
+            mask[r] |= 1 << j
+    return least, mask
+
+
+class Staircases:
+    """The staircases of the vertex walk over hyperplanes i and i + 1 on
+    one prefix state, set up once for every entry of hyperplane i - 1
+    they settle.
+
+    A vertex's labels tie every coordinate into one group.  Once the
+    prefix and an entry e for hyperplane i - 1 are imposed, let c_hg be
+    the least v_hj - offset_j over group g's labels for h = i, i + 1,
+    reached at the mask M_hg; with y_g the value of g's root, the
+    largest x_j - v_hj over g is y_g - c_hg, reached exactly at M_hg.
+    Entry i meets the groups A where y_g - c_ig is largest, entry i + 1
+    the groups B where y_g - c_(i+1)g is, and they join every group iff A
+    and B cover the groups and share one.  So every vertex lies at one of
+    the points y_g = min(c_ig, t + c_(i+1)g), one per distinct t among
+    the δ_g = c_ig - c_(i+1)g, where A = {δ_g <= t} and B = {δ_g >= t}:
+    the staircase triangulations of Δ_1 × Δ_(k-1), k the number of groups
+    (De Loera, Rambau and Santos, "Triangulations", §6.2).  The point is a
+    vertex iff hyperplane i - 1's argmax there is exactly e and it meets
+    every closed strict bound of the prefix, a point test with no
+    closure.
+
+    The set-up reads each group g through z_g = y_g - c_(i-1)g, its
+    largest x_j - v_(i-1)j (c_(i-1)g = 0 and M_(i-1)g empty when i = 1),
+    and keeps a_g = c_ig - c_(i-1)g and b_g = c_(i+1)g - c_(i-1)g with
+    their masks, the mask M_(i-1)g, and each closed strict bound of the
+    prefix between two roots as a bound on z.
+    """
+
+    __slots__ = ("groups", "a", "b", "first", "second", "top", "bounds", "high")
+
+    def __init__(self, state: _Feasibility, i: int):
+        root, offset, lower, w = state.root, state.offset, state.lower, state.d + 1
+        self.groups = groups = state.roots()
+        self.a, self.first = _least(state.rows[i - 1], root, offset)
+        self.b, self.second = _least(state.rows[i], root, offset)
+        a, b = self.a, self.b
+        if i > 1:
+            prev, self.top = _least(state.rows[i - 2], root, offset)
+            for g in groups:
+                a[g] -= prev[g]
+                b[g] -= prev[g]
+            # z_p - z_q > c for each closed bound y_p - y_q > c between roots
+            self.bounds = [
+                (p, q, lower[p * w + q] - prev[p] + prev[q])
+                for p in groups
+                for q in groups
+                if lower[p * w + q] is not None
+            ]
+        else:
+            self.top, self.bounds = [0] * w, []
+        # above every z_g, as z_g <= a_g
+        self.high = max(a[g] for g in groups) + 1
+
+    def pairs(self, pending: int = 0) -> list[tuple[int, int]]:
+        """The pairs of entries for hyperplanes i and i + 1, as label masks,
+        that close a 0-dimensional type after ``pending``, an entry for
+        hyperplane i - 1 that passed :meth:`_Feasibility.entries` (0 when
+        i = 1).
+
+        Pending's labels are the M_(i-1)g of the groups it meets, which tie
+        into one group E at a common z: E's a and b are the least of theirs,
+        at the union of their masks.  One point is tried per distinct t
+        among the δ_g = a_g - b_g of E and the other groups: z_g = min(a_g,
+        t + b_g), shared by every group of E.  It is accepted iff every
+        other group's z is below E's, so that hyperplane i - 1's argmax is
+        pending, and it meets every prefix bound; the bounds inside E hold,
+        as pending is feasible.
+        """
+        a, b, top, firsts, seconds = self.a, self.b, self.top, self.first, self.second
+        tied, rest = [], []
+        for g in self.groups:
+            if top[g] & pending:
+                tied.append(g)
+            else:
+                rest.append(g)
+        # (δ_g, M_ig, M_(i+1)g) of every group but E's, then E's
+        parts = [(a[g] - b[g], firsts[g], seconds[g]) for g in rest]
+        if tied:
+            g = tied[0]
+            ae, be, first, second = a[g], b[g], firsts[g], seconds[g]
+            for g in tied[1:]:
+                if a[g] < ae:
+                    ae, first = a[g], firsts[g]
+                elif a[g] == ae:
+                    first |= firsts[g]
+                if b[g] < be:
+                    be, second = b[g], seconds[g]
+                elif b[g] == be:
+                    second |= seconds[g]
+            parts.append((ae - be, first, second))
+        ze, bounds = self.high, self.bounds
+        z = [0] * len(a)
+        out = []
+        for t in {part[0] for part in parts}:
+            if tied:
+                c = t + be
+                ze = c if c < ae else ae
+                for g in tied:
+                    z[g] = ze
+            for g in rest:
+                c = t + b[g]
+                if c > a[g]:
+                    c = a[g]
+                if c >= ze:
+                    break  # E does not beat g on hyperplane i - 1
+                z[g] = c
+            else:
+                for p, q, c in bounds:
+                    if z[p] - z[q] <= c:
+                        break
+                else:
+                    first = second = 0
+                    for dg, m, m2 in parts:
+                        if dg <= t:
+                            first |= m
+                        if dg >= t:
+                            second |= m2
+                    out.append((first, second))
+        return out
+
+
+def vertex_walk(arr: Arrangement) -> list[tuple[int, ...]]:
+    """The 0-dimensional types, the arrangement's vertices, each as its
+    entries' label masks, by the vertex walk: the type enumeration's
+    :func:`_walk` over hyperplanes 1..n-3 only, where one
+    :class:`Staircases` set-up per prefix settles every entry the
+    pairwise tests pass for hyperplane n-2 with hyperplanes n-1 and n,
+    with no copy and no closure.  For n = 2 the staircase runs on the
+    empty prefix; for n = 1 the one vertex is the apex, where every label
+    ties.  It shares the feasibility kernel with the enumeration and
+    nothing with the pivot walk or the planar read-off."""
+    start = _Feasibility(arr)
+    n, d = arr.n, arr.d
+    out: list[tuple[int, ...]] = []
+
+    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
+        if n == 1:
+            out.append(((1 << (d + 1)) - 2,))
+        elif n == 2:
+            out.extend(Staircases(state, 1).pairs())
+        else:
+            stairs = Staircases(state, n - 1)
+            for entry in state.entries(n - 2):
+                out.extend(prefix + (entry,) + pair for pair in stairs.pairs(entry))
+        return 0
+
+    _walk("vertex walk", start, None, 0, max(n - 3, 0), last)
+    return out
+
+
+def type_counts(m: int, d: int) -> list[int]:
+    """T(0, d), ..., T(m, d): T(k, d) is the number of types of a generic
+    arrangement of k hyperplanes with d coordinates.  T(0, d) = T(k, 1) =
+    1 and T(k, d) = T(k - 1, d) + 2 T(k, d - 1), computed one d at a
+    time."""
+    counts = [1] * (m + 1)
+    for _ in range(d - 1):
+        for k in range(1, m + 1):
+            counts[k] = counts[k - 1] + 2 * counts[k]
+    return counts
+
+
 def imposed_staircase(state: _Feasibility, i: int, pending: int = 0) -> set[tuple[int, int]]:
     """The pairs of entries for hyperplanes i and i + 1 that close a
     0-dimensional type after ``pending`` for hyperplane i - 1 (none when
@@ -874,16 +1060,16 @@ def imposed_staircase(state: _Feasibility, i: int, pending: int = 0) -> set[tupl
 
 def assert_staircases_match_the_imposed_path(arr: Arrangement, transpose: bool = False) -> tuple[int, int]:
     """On every (n-3)-prefix state the vertex walk reaches, one
-    :class:`_Staircases` set-up, and for every entry e ``entries(n - 2)``
+    :class:`Staircases` set-up, and for every entry e ``entries(n - 2)``
     yields there, its ``pairs(e)`` lists each pair of
     :func:`imposed_staircase` once and nothing else; for n = 2
     ``pairs()`` on the empty prefix does.  With ``transpose`` the walk is
-    that of the transposed apex matrix.  Returns the pairs found and the
-    staircases that found none."""
-    start = _Feasibility(arr, transpose)
+    that of :func:`transposed_arrangement`.  Returns the pairs found and
+    the staircases that found none."""
+    start = _Feasibility(transposed_arrangement(arr) if transpose else arr)
     n, counts = len(start.rows), [0, 0]
 
-    def compare(state: _Feasibility, stairs: _Staircases, i: int, pending: int = 0) -> None:
+    def compare(state: _Feasibility, stairs: Staircases, i: int, pending: int = 0) -> None:
         pairs = stairs.pairs(pending)
         assert len(set(pairs)) == len(pairs), (arr.rows(), transpose, i, _labels(pending))
         assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), transpose, i, _labels(pending))
@@ -891,12 +1077,12 @@ def assert_staircases_match_the_imposed_path(arr: Arrangement, transpose: bool =
         counts[1] += not pairs
 
     if n == 2:
-        compare(start, _Staircases(start, 1), 1)
+        compare(start, Staircases(start, 1), 1)
     stack = [(1, start)] if n >= 3 else []
     while stack:
         i, state = stack.pop()
         if i == n - 2:
-            stairs = _Staircases(state, n - 1)
+            stairs = Staircases(state, n - 1)
         for entry in state.entries(i):
             if i == n - 2:
                 compare(state, stairs, n - 1, entry)
@@ -912,11 +1098,12 @@ def transposed(sub) -> frozenset[CellGraph]:
     return frozenset(CellGraph(sub.d, sub.n, frozenset((j, i) for i, j in g.edges)) for g in sub.maximal_cells)
 
 
-def walked_cells(arr: Arrangement, transpose: bool) -> frozenset[CellGraph]:
-    """The cells of the vertex walk on one side of the apex matrix, each
-    read back as a cell of ``arr``'s own n x d subdivision."""
+def walked_cells(arr: Arrangement, transpose: bool = False) -> frozenset[CellGraph]:
+    """The cells of the :func:`vertex_walk` of ``arr``, or with
+    ``transpose`` of :func:`transposed_arrangement`, each read back as a
+    cell of ``arr``'s own n x d subdivision."""
     cells = set()
-    for masks in _vertices(arr, None, transpose):
+    for masks in vertex_walk(transposed_arrangement(arr) if transpose else arr):
         edges = {(i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)}
         cells.add(CellGraph(arr.n, arr.d, frozenset((j, i) for i, j in edges) if transpose else frozenset(edges)))
     return frozenset(cells)
@@ -924,24 +1111,22 @@ def walked_cells(arr: Arrangement, transpose: bool) -> frozenset[CellGraph]:
 
 def dual_subdivision_both_ways(arr: Arrangement, budget: int | None = None) -> Subdivision:
     """:func:`dual_subdivision` of ``arr``, asserted to have the cells of
-    the vertex walk on the side it walks, so a test that reads the dual
-    subdivision still checks the walk where the planar read-off answers
-    in its place."""
+    the vertex walk, so a test that reads the dual subdivision checks the
+    pivot walk, or the planar read-off where it answers, against a walk
+    that shares no code with either."""
     sub = dual_subdivision(arr, budget)
-    assert sub.maximal_cells == walked_cells(arr, _transposes(arr.n, arr.d)), arr.rows()
+    assert sub.maximal_cells == walked_cells(arr), arr.rows()
     return sub
 
 
 def assert_both_sides_match_the_envelope(arr: Arrangement) -> None:
     """The vertex walks of the apex matrix and of its transpose give the
     same cells up to transposition, both the lower envelope's, and so does
-    :func:`dual_subdivision` of the arrangement and of its transpose,
-    whichever side the orientation rule walks; on both sides every
-    staircase matches the imposed path."""
+    :func:`dual_subdivision` of the arrangement and of its transpose; on
+    both sides every staircase matches the imposed path."""
     envelope = regular_subdivision(arr.rows()).maximal_cells
-    flipped = Arrangement.from_rows([list(column) for column in zip(*arr.rows())])
     assert dual_subdivision(arr).maximal_cells == envelope, arr.rows()
-    assert transposed(dual_subdivision(flipped)) == envelope, arr.rows()
+    assert transposed(dual_subdivision(transposed_arrangement(arr))) == envelope, arr.rows()
     for transpose in (False, True):
         assert walked_cells(arr, transpose) == envelope, (arr.rows(), transpose)
         assert_staircases_match_the_imposed_path(arr, transpose)

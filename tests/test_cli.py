@@ -236,26 +236,28 @@ def test_cmd_subdivision_flips_on_generic(tmp_path, capsys):
 
 
 def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
-    # one type walk of the input per command: the full enumeration for
-    # check, the vertex walk for subdivision
+    # one walk of the input's types per command: for check the full
+    # enumeration, then the genericity walk over the lower envelope; for
+    # subdivision only the pivot walk over the full support
     calls = []
+    enumerate_realizations, pivot_walk = troparr.duality.enumerate_realizations, troparr.duality._pivot_walk
 
-    def counted(name):
-        original = getattr(troparr.duality, name)
+    def enumerated(arr, *args, **kwargs):
+        if arr == e2:
+            calls.append("enumeration")
+        return enumerate_realizations(arr, *args, **kwargs)
 
-        def walk(arr, *args, **kwargs):
-            if arr == e2:
-                calls.append(name)
-            return original(arr, *args, **kwargs)
+    def walked(n, d, weights, support):
+        if tuple(map(tuple, weights)) == e2.rows() and len(support) == n * d:
+            calls.append("pivot walk")
+        return pivot_walk(n, d, weights, support)
 
-        monkeypatch.setattr(troparr.duality, name, walk)
-
-    counted("enumerate_realizations")
-    counted("_vertices")
-    for argv, walk in ((["subdivision", "--flips"], "_vertices"), (["check"], "enumerate_realizations")):
+    monkeypatch.setattr(troparr.duality, "enumerate_realizations", enumerated)
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", walked)
+    for argv, walks in ((["subdivision", "--flips"], ["pivot walk"]), (["check"], ["enumeration", "pivot walk"])):
         calls.clear()
         assert main(argv + ["--input", e2_file]) == 0
-        assert calls == [walk], argv
+        assert calls == walks, argv
     capsys.readouterr()
 
 
@@ -283,20 +285,21 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
     # (so its volume, 3, is walked), and six refinements, so of the
     # 2nd = 12 steps only the first to land on each is walked: the others
     # fall inside a known refinement's cone.  No cell is walked on its
-    # own while the refinements are sought
+    # own while the refinements are sought: each pivot walk there is a
+    # step's dual subdivision
     path = tmp_path / "zero23.txt"
     path.write_text("2 3\n0 0 0\n0 0 0\n")
-    enumerations, inside, cell_walks = [], [], []
-    vertices = troparr.duality._vertices
+    subdivisions, inside, walks = [], [], []
+    dual = troparr.duality.dual_subdivision
     pivot_walk = troparr.duality._pivot_walk
     refining = troparr.secondary.refining_triangulations
 
     def counted(arr, *args, **kwargs):
-        enumerations.append(arr)
-        return vertices(arr, *args, **kwargs)
+        subdivisions.append(arr)
+        return dual(arr, *args, **kwargs)
 
     def recorded(*args):
-        cell_walks.append(bool(inside))
+        walks.append(bool(inside))
         return pivot_walk(*args)
 
     def flagged(*args, **kwargs):
@@ -306,14 +309,16 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
         finally:
             inside.pop()
 
-    monkeypatch.setattr(troparr.duality, "_vertices", counted)
+    monkeypatch.setattr(troparr.cli, "dual_subdivision", counted)
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", counted)
     monkeypatch.setattr(troparr.duality, "_pivot_walk", recorded)
     monkeypatch.setattr(troparr.secondary, "refining_triangulations", flagged)
     assert main(["subdivision", "--flips", "--format", "text", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "triangulation 6:" in out and "triangulation 7:" not in out
-    assert len(enumerations) == 1 + 6
-    assert cell_walks and not any(cell_walks)  # the coarse volumes only
+    assert len(subdivisions) == 1 + 6
+    # the input's walk and its coarse cell's volume outside the search
+    assert walks.count(False) == 2 and walks.count(True) == 6
 
 
 def _e2_pyramid() -> frozenset:
@@ -502,26 +507,34 @@ def test_one_parser_serves_every_call(capsys, e2_file, tied_minor_file, monkeypa
     assert [code for code, _, _ in reused] == [2, 5, 0, 0, 0, 0, 2, 0]
 
 
-def test_subdivision_budget_counts_the_vertex_walk(capsys, e2_file, tmp_path):
-    # E2 has n = 2, so its vertex walk takes 1 step, one staircase, and
-    # its full enumeration 20: a budget of 1 is enough for subdivision,
-    # not for check, which refuses it at once
-    assert main(["subdivision", "--input", e2_file, "--budget", "1"]) == 0
-    assert main(["subdivision", "--flips", "--input", e2_file, "--budget", "1"]) == 0
+def test_subdivision_budget_counts_the_pivot_walk_trees(capsys, e2_file, tmp_path):
+    # E2 has n = 2, so its pivot walk has C(3, 1) = 3 trees, and its full
+    # enumeration takes 20 feasibility steps: a budget of 3 is enough for
+    # subdivision, not for check, which refuses it at once
+    assert main(["subdivision", "--input", e2_file, "--budget", "3"]) == 0
     capsys.readouterr()
-    assert main(["subdivision", "--input", e2_file, "--budget", "0"]) == 5
-    assert capsys.readouterr().err == "error: vertex walk: 1 feasibility steps exceed budget 0\n"
-    assert main(["check", "--input", e2_file, "--budget", "1"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 2 feasibility steps exceed budget 1\n"
-    # n = 3 takes the 7 entries of the first hyperplane and one staircase
-    # on each, and is refused at once below those 14 steps
+    assert main(["subdivision", "--input", e2_file, "--budget", "2"]) == 5
+    assert capsys.readouterr().err == "error: pivot walk: 3 trees exceed budget 2\n"
+    assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"
+    # n = 3 at d = 3 is charged C(4, 2) = 6 trees
     path = tmp_path / "three.txt"
     path.write_text("3 3\n0 1 2\n2 0 1\n1 2 0\n")
-    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "14"]) == 0
+    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "6"]) == 0
     capsys.readouterr()
-    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "13"]) == 5
-    assert capsys.readouterr().err == "error: vertex walk: 14 feasibility steps exceed budget 13\n"
-    # a single hyperplane's walk takes one step at any d
+    assert main(["subdivision", "--format", "text", "--input", str(path), "--budget", "5"]) == 5
+    assert capsys.readouterr().err == "error: pivot walk: 6 trees exceed budget 5\n"
+    # one --flips run shares one budget: the all-zero 2x3 input's walk and
+    # the six steps it walks, one per triangulation listed, take 7 x 3
+    # trees, and the step that would pass the budget is refused
+    path = tmp_path / "zero23.txt"
+    path.write_text("2 3\n0 0 0\n0 0 0\n")
+    flips = ["subdivision", "--flips", "--format", "text", "--input", str(path)]
+    code, out = run(capsys, flips + ["--budget", "21"])
+    assert code == 0 and "triangulation 6:" in out
+    assert main(flips + ["--budget", "20"]) == 5
+    assert capsys.readouterr().err == "error: pivot walk: 21 trees exceed budget 20\n"
+    # a single hyperplane's walk has one tree at any d
     path = tmp_path / "one.txt"
     path.write_text("1 18\n" + " ".join(str(j % 3) for j in range(18)) + "\n")
     code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(path)])
@@ -558,10 +571,12 @@ def test_negative_budget_is_a_parse_error(capsys, e2_file):
 
 
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
-    # 2(2^30-1) feasibility steps at least, refused before any candidate
-    # entry is generated: check on 2 x 30, and subdivision on 30 x 30,
-    # over that floor on either side
+    # check on 2 x 30 takes 2(2^30-1) feasibility steps at least, and
+    # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
+    # refused before any candidate entry is generated or any tree walked
     monkeypatch.setattr(troparr.geometry, "_cliques", None)
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", None)
+    monkeypatch.setattr(troparr.duality, "_planar_cells", None)
     rows = [" ".join(str(j % k) for j in range(30)) for k in (3, 5, 7)]
     square = [" ".join(str((i * j) % 7) for j in range(30)) for i in range(30)]
     wide, tall, big = tmp_path / "wide.txt", tmp_path / "tall.txt", tmp_path / "big.txt"
@@ -569,24 +584,21 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     tall.write_text("3 30\n" + "\n".join(rows) + "\n")
     big.write_text("30 30\n" + "\n".join(square) + "\n")
     runs = [
-        (["check", "--input", str(wide)], "type enumeration"),
-        (["subdivision", "--input", str(big)], "vertex walk"),
-        (["subdivision", "--flips", "--input", str(big)], "vertex walk"),
+        (["check", "--input", str(wide)], "type enumeration: 200001 feasibility steps"),
+        (["subdivision", "--input", str(big)], f"pivot walk: {math.comb(58, 29)} trees"),
+        (["subdivision", "--flips", "--input", str(big)], f"pivot walk: {math.comb(58, 29)} trees"),
     ]
-    for argv, stage in runs:
+    for argv, work in runs:
         assert main(argv + ["--format", "text"]) == 5
-        assert capsys.readouterr().err == f"error: {stage}: 200001 feasibility steps exceed budget 200000\n"
-    # subdivision on 2 x 30 is one staircase, with no entry generated; its
-    # cells' volumes sum to the normalized volume C(30, 1) of the product
-    code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(wide)])
-    assert code == 0
-    assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(30, 1)
-    # 3 x 30 is walked as 30 x 3, whose entries are few, so it runs; its
-    # volumes sum to C(31, 2)
+        assert capsys.readouterr().err == f"error: {work} exceed budget 200000\n"
+    # subdivision on 2 x 30 walks C(30, 1) trees and on 3 x 30 reads
+    # C(31, 2) cells off its lines; their volumes sum to those counts, the
+    # normalized volumes of the products
     monkeypatch.undo()
-    code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(tall)])
-    assert code == 0
-    assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(31, 2)
+    for path, n in ((wide, 2), (tall, 3)):
+        code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(path)])
+        assert code == 0
+        assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(28 + n, n - 1)
 
 
 def test_check_on_six_labels(tmp_path, capsys):

@@ -29,7 +29,6 @@ from troparr import (
 import troparr.duality
 import troparr.geometry
 from troparr.duality import _certified_cells, _forest, _planar_cells, _tied_minor, is_spanning_connected
-from troparr.geometry import _transposes, _type_counts, _vertices, _walk_steps
 
 from conftest import (
     arrangement_cell_dim,
@@ -54,7 +53,9 @@ from conftest import (
     random_rational,
     subdivision_of,
     tree_volume_oracle,
+    type_counts,
     type_to_graph,
+    vertex_walk,
     volume_oracle,
     walked_cells,
 )
@@ -203,11 +204,29 @@ def _vertex_walk_draws(seed, shapes):
 
 
 def test_vertex_walk_gives_the_zero_dimensional_types():
-    # the vertex walk against the 0-dimensional types of the full
-    # enumeration at n = 1..5, d = 2..5; test_grid.py adds the (3,3) and
-    # (2,4) grids under --grid
+    # the dual subdivision and the vertex-walk oracle against the
+    # 0-dimensional types of the full enumeration at n = 1..5, d = 2..5;
+    # test_grid.py adds the (3,3) and (2,4) grids under --grid
     for arr in _vertex_walk_draws(1717, (range(1, 6), range(2, 6))):
         assert dual_subdivision_both_ways(arr) == subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+
+
+def test_dual_subdivision_matches_the_types_and_the_vertex_walk_on_envelope_shapes():
+    # the CLI's cells on the shapes where the envelope benchmark compares
+    # them with the pivot walk, now their own walk: rational (4,4) and
+    # integer (4,3) and (3,4) draws against the enumeration's
+    # 0-dimensional types and the vertex walk, and integer (6,5) and
+    # (7,5) draws against the vertex walk
+    rng = random.Random(3535)
+    for _ in range(6):
+        for arr in (
+            random_arrangement(rng, 4, 4),
+            random_integer_arrangement(rng, 4, 3),
+            random_integer_arrangement(rng, 3, 4),
+        ):
+            assert dual_subdivision_both_ways(arr) == subdivision_of(arr, enumerate_realizations(arr)), arr.rows()
+    for n, d in [(6, 5), (7, 5)] * 3:
+        dual_subdivision_both_ways(random_integer_arrangement(rng, n, d))
 
 
 def test_staircase_matches_the_imposed_path():
@@ -226,8 +245,8 @@ def test_staircase_matches_the_imposed_path():
 
 def test_dual_subdivision_commutes_with_transposition():
     # the lower envelope of the apex matrix is symmetric in rows and
-    # columns, so the walk over the transposed matrix's hyperplanes gives
-    # the transposed cells
+    # columns, so the dual subdivision of the transposed matrix, and its
+    # vertex walk, give the transposed cells
     for arr in _vertex_walk_draws(1919, (range(2, 7), range(2, 6))):
         flipped = Arrangement.from_rows(list(zip(*arr.rows())))
         cells = dual_subdivision_both_ways(flipped).maximal_cells
@@ -240,7 +259,7 @@ def test_type_counts_match_the_enumeration():
     rng = random.Random(2222)
     for m, d in product(range(1, 6), range(2, 6)):
         arr = random_generic_arrangement(rng, m, d)
-        assert len(enumerate_realizations(arr)) == _type_counts(m, d)[m], (m, d)
+        assert len(enumerate_realizations(arr)) == type_counts(m, d)[m], (m, d)
 
 
 def test_nongeneric_arrangements_have_fewer_types():
@@ -260,32 +279,51 @@ def test_nongeneric_arrangements_have_fewer_types():
             for _ in range(5):
                 arr = draw(n, d)
                 generic = bool(is_generic(arr))
-                count, full = len(enumerate_realizations(arr)), _type_counts(n, d)[n]
+                count, full = len(enumerate_realizations(arr)), type_counts(n, d)[n]
                 assert count == full if generic else count < full, arr.rows()
                 seen.add(generic)
     assert seen == {True, False}
 
 
-def test_walk_steps_are_the_budget_boundary_on_generic_inputs():
-    # on a generic input W(n, d) steps walk the given side and W(d, n)
-    # the transposed one, exactly: one step fewer is refused
+def test_trees_are_the_budget_boundary_on_every_input(monkeypatch):
+    # the walk over the full support visits C(n+d-2, n-1) trees on every
+    # input, generic or not, so a budget of that many trees is enough and
+    # one fewer is refused before any tree is walked or any line read off
     rng = random.Random(2323)
+    draws = []
     for n, d in product(range(1, 6), range(2, 6)):
-        arr = random_generic_arrangement(rng, n, d)
-        for transpose, steps in ((False, _walk_steps(n, d)), (True, _walk_steps(d, n))):
-            assert len(_vertices(arr, steps, transpose)) == comb(n + d - 2, n - 1), (n, d, transpose)
-            with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
-                _vertices(arr, steps - 1, transpose)
-        cheaper = min(_walk_steps(n, d), _walk_steps(d, n))
-        assert is_triangulation(dual_subdivision_both_ways(arr, cheaper)), (n, d)
-        with pytest.raises(ResourceLimitError):
-            dual_subdivision(arr, cheaper - 1)
+        draws += [random_generic_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
+    walked, pivot_walk = [0], troparr.duality._pivot_walk
+
+    def counted(*args):
+        for cell in pivot_walk(*args):
+            walked[0] += 1
+            yield cell
+
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    read_off = 0
+    for arr in draws:
+        trees = comb(arr.n + arr.d - 2, arr.n - 1)
+        envelope = regular_subdivision(arr.rows()).maximal_cells
+        walked[0] = 0
+        sub = dual_subdivision_both_ways(arr, trees)
+        assert walked[0] in (0, trees), arr.rows()  # 0 where the read-off answered
+        assert sub.maximal_cells == envelope, arr.rows()
+        read_off += walked[0] == 0
+    assert 0 < read_off < len(draws)
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", None)
+    monkeypatch.setattr(troparr.duality, "_planar_cells", None)
+    for arr in draws:
+        trees = comb(arr.n + arr.d - 2, arr.n - 1)
+        with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
+            dual_subdivision(arr, trees - 1)
 
 
-def test_orientation_rule_walks_the_cheaper_side():
-    assert all(_transposes(n, d) for n, d in [(5, 3), (4, 3), (12, 2), (60, 2)])
-    assert not any(_transposes(n, d) for n, d in [(10, 3), (8, 4), (3, 4), (4, 4)])
-    assert not any(_transposes(1, d) for d in range(1, 41))
+def test_negative_budget_is_a_value_error(e2):
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        dual_subdivision(e2, -1)
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        dual_subdivision(Arrangement.from_rows([[0, 0]]), -1)
 
 
 def test_both_sides_of_the_walk_match_the_envelope():
@@ -324,7 +362,7 @@ def test_planar_read_off_matches_both_walks():
             refused += 1
             continue
         certified += 1
-        assert cells == walked_cells(arr, _transposes(arr.n, arr.d)), arr.rows()
+        assert cells == walked_cells(arr), arr.rows()
         assert cells == regular_subdivision(arr.rows()).maximal_cells, arr.rows()
     assert certified > 40 and refused > 90, (certified, refused)
 
@@ -356,7 +394,7 @@ def test_planar_certificate_refuses_all_but_the_subdivision():
         arr = random_generic_arrangement(rng, n, d)
         lines, vertices = _lines_and_vertices(arr)
         assert len(vertices) == comb(n + d - 2, n - 1)
-        assert _certified_cells(n, d, lines, vertices) == walked_cells(arr, _transposes(n, d)), arr.rows()
+        assert _certified_cells(n, d, lines, vertices) == walked_cells(arr), arr.rows()
         # every line break lies on an integer, so a point moved by a
         # quarter in its first coordinate loses that label's ties
         lines = [[4 * x for x in row] for row in lines]
@@ -370,84 +408,54 @@ def test_planar_certificate_refuses_all_but_the_subdivision():
 
 
 def test_planar_read_off_keeps_the_walks_budget(monkeypatch):
-    # on generic planar shapes the walk takes exactly W steps on the side
-    # it walks: at budget W the read-off answers with the walk's cells,
-    # and below it the walk raises as it did
+    # the read-off is charged the walk's C(n+d-2, n-1) trees: at that
+    # budget it answers alone with the vertex walk's cells, and below it
+    # the input is refused as the walk would refuse it, before any line is
+    # read off.  A non-generic input it refuses is walked at that budget
     rng = random.Random(3838)
     for n, d in [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (3, 5), (3, 6)]:
         arr = random_generic_arrangement(rng, n, d)
-        walk = walked_cells(arr, _transposes(n, d))
-        steps = _walk_steps(d, n) if _transposes(n, d) else _walk_steps(n, d)
-        with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
-            dual_subdivision(arr, steps - 1)
-        monkeypatch.setattr(troparr.duality, "_vertices", None)  # the read-off alone answers
-        assert dual_subdivision(arr, steps).maximal_cells == walk, (n, d)
+        degenerate = nongeneric_on_apex(rng, n, d)[0]
+        trees = comb(n + d - 2, n - 1)
+        walk = walked_cells(arr)
+        assert dual_subdivision(degenerate, trees) == regular_subdivision(degenerate.rows()), degenerate.rows()
+        monkeypatch.setattr(troparr.duality, "_pivot_walk", None)  # the read-off alone answers
+        assert dual_subdivision(arr, trees).maximal_cells == walk, (n, d)
         assert dual_subdivision(arr).maximal_cells == walk, (n, d)
+        monkeypatch.setattr(troparr.duality, "_planar_cells", None)
+        with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
+            dual_subdivision(arr, trees - 1)
         monkeypatch.undo()
 
 
-def test_vertex_walk_takes_one_step_per_prefix_entry_and_candidate(monkeypatch, e2):
-    # E2 has n = 2: one staircase on the empty prefix, 1 step where the
-    # full enumeration, which takes each of the 13 types' last entry,
-    # takes 20
-    assert dual_subdivision(e2, budget=1) == dual_subdivision(e2)
-    with pytest.raises(ResourceLimitError, match="^vertex walk: 1 feasibility steps exceed budget 0$"):
-        dual_subdivision(e2, budget=0)
+def test_pivot_walk_budget_counts_its_trees(e2):
+    # E2 has n = 2: its walk has C(3, 1) = 3 trees, where the full
+    # enumeration, which takes each of the 13 types' last entry, takes 20
+    # feasibility steps
+    assert dual_subdivision(e2, budget=3) == dual_subdivision(e2)
+    with pytest.raises(ResourceLimitError, match="^pivot walk: 3 trees exceed budget 2$"):
+        dual_subdivision(e2, budget=2)
     assert len(enumerate_realizations(e2, budget=20)) == 13
     with pytest.raises(ResourceLimitError, match="^type enumeration: 20 feasibility steps exceed budget 19$"):
         enumerate_realizations(e2, budget=19)
-    # a single hyperplane takes one step, its apex the one vertex, at any d
+    # a single hyperplane's walk has one tree, its apex the one vertex, at any d
     for d in (2, 40):
         assert dual_subdivision(Arrangement.from_rows([[0] * d]), budget=1).maximal_cells == {
             CellGraph(1, d, frozenset((1, j) for j in range(1, d + 1)))
         }
-    with pytest.raises(ResourceLimitError, match="^vertex walk: 1 feasibility steps exceed budget 0$"):
+    with pytest.raises(ResourceLimitError, match="^pivot walk: 1 trees exceed budget 0$"):
         dual_subdivision(Arrangement.from_rows([[0, 0]]), budget=0)
-    # n = 3: the 7 entries of the first hyperplane and one staircase on
-    # each, the 14-step floor, refused at once below it
-    arr = random_integer_arrangement(random.Random(8), 3, 3)
-    assert dual_subdivision(arr, budget=14) == dual_subdivision(arr)
-    with pytest.raises(ResourceLimitError, match="^vertex walk: 14 feasibility steps exceed budget 13$"):
-        dual_subdivision(arr, budget=13)
-    # in general: the entries generated on hyperplanes 1..n-2 plus one
-    # staircase per entry for hyperplane n-2; on this (4,3) input walked
-    # as given 41 steps, where one per entry for hyperplane n-1 and one
-    # candidate each took 70.  dual_subdivision walks its transpose,
-    # (3,4), and counts the steps of that side
-    counts = []
-    entries, pairs = troparr.geometry._Feasibility.entries, troparr.geometry._Staircases.pairs
-
-    def counted_entries(state, i):
-        generated = entries(state, i)
-        counts.extend(generated)
-        return generated
-
-    def counted_pairs(stairs, pending=0):
-        counts.append(pending)
-        return pairs(stairs, pending)
-
-    monkeypatch.setattr(troparr.geometry._Feasibility, "entries", counted_entries)
-    monkeypatch.setattr(troparr.geometry._Staircases, "pairs", counted_pairs)
-    arr = random_integer_arrangement(random.Random(8), 4, 3)
-    vertices = _vertices(arr)
-    steps = len(counts)
-    assert steps == 41
-    assert _vertices(arr, budget=steps) == vertices
-    with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
-        _vertices(arr, budget=steps - 1)
-    counts.clear()
-    sub = dual_subdivision(arr)
-    steps = len(counts)
-    assert steps == 30
-    assert dual_subdivision(arr, budget=steps) == sub
-    with pytest.raises(ResourceLimitError, match=f"^vertex walk: {steps} feasibility steps exceed budget {steps - 1}$"):
-        dual_subdivision(arr, budget=steps - 1)
+    # n = 3 at d = 3 is charged C(4, 2) = 6 trees, read off or walked
+    for arr in (random_integer_arrangement(random.Random(8), 3, 3), random_generic_arrangement(random.Random(8), 3, 3)):
+        assert dual_subdivision(arr, budget=6) == dual_subdivision(arr)
+        with pytest.raises(ResourceLimitError, match="^pivot walk: 6 trees exceed budget 5$"):
+            dual_subdivision(arr, budget=5)
 
 
 def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_3(monkeypatch, e2):
-    # one copy and one add_hyperplane per entry generated on hyperplanes
-    # 1..n-3; hyperplane n-2's entries are settled with the last two
-    # hyperplanes without either
+    # the vertex-walk oracle makes one copy and one add_hyperplane per
+    # entry generated on hyperplanes 1..n-3; hyperplane n-2's entries are
+    # settled with the last two hyperplanes without either
     feasibility = troparr.geometry._Feasibility
     calls = {"copy": 0, "add_hyperplane": 0}
     generated = []
@@ -471,19 +479,14 @@ def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_3(monkeypatch, e2):
     counted("copy")
     counted("add_hyperplane")
     monkeypatch.setattr(feasibility, "entries", counted_entries)
-    dual_subdivision(e2)
-    dual_subdivision(random_integer_arrangement(random.Random(8), 3, 3))
+    vertex_walk(e2)
+    vertex_walk(random_integer_arrangement(random.Random(8), 3, 3))
     assert calls == {"copy": 0, "add_hyperplane": 0}
-    # this (5,3) input walked as given; dual_subdivision walks it as
-    # (3,5), with no hyperplane past n-3 to impose
     arr = random_integer_arrangement(random.Random(8), 5, 3)
     generated.clear()
-    _vertices(arr)
+    vertex_walk(arr)
     imposable = sum(i <= arr.n - 3 for i in generated)
     assert imposable and calls == {"copy": imposable, "add_hyperplane": imposable}
-    calls.update(copy=0, add_hyperplane=0)
-    dual_subdivision(arr)
-    assert calls == {"copy": 0, "add_hyperplane": 0}
 
 
 def test_regular_subdivision_matches_dual(e1, e2):

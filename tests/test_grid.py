@@ -3,12 +3,15 @@ and last column 0, degenerate ones included.
 
 The (2,3) and (3,3) grids run by default, with the tied minor that
 every non-generic input names checked by trying every permutation, the
-planar read-off at (3,3) against genericity and both walks, and so does
+planar read-off at (3,3) against genericity and both walks, the (3,3)
+grid tie-broken into generic inputs against the read-off, the pivot
+walk and the enumeration, and so does
 the pivot walk's order of cells against the walk it replaced, on every
 (3,3) and (2,4) input and on each of their cells that is not a tree.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its prefix
-and the vertex walk against the 0-dimensional types, each closed-form
+and the dual subdivision and the vertex-walk oracle against the
+0-dimensional types, each of the oracle's closed-form
 staircase over the last two hyperplanes against imposing every entry of
 the last three (at (3,3) after a pending entry, at (2,4) bare), the same
 walk and staircases on the transposed apex matrix, both sides against the
@@ -28,7 +31,9 @@ every (3,3) and (2,4) input against each matching pair's worst step,
 and dual subdivision against lower envelope, with genericity and its
 tied minor, on the 6,561 inputs at (4,3), and the planar read-off
 against genericity, the vertex walk and the lower envelope on the (4,3)
-and 19,683 (3,4) inputs.  It also compares the
+and 19,683 (3,4) inputs, none of them generic, and on each of them
+tie-broken, which makes it generic, the read-off, the pivot walk and
+the enumeration with its T(n, d) types.  It also compares the
 bit-sliced elimination and comparability kernels with the pairwise
 scans they replaced, and the two-block surrounding check with the
 oracle that builds every ordered-partition refinement, on type
@@ -36,12 +41,12 @@ collections at (4,4), (5,4) and (3,6), up to 1,023 types.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from troparr.duality import _planar_cells
-from troparr.geometry import _transposes
 from troparr import (
     Arrangement,
     arrangement_heights,
@@ -83,6 +88,7 @@ from conftest import (
     refinements_oracle,
     subdivision_of,
     surrounding_oracle,
+    type_counts,
     walked_cells,
 )
 
@@ -93,14 +99,28 @@ def grid(n: int, d: int):
         yield Arrangement.from_rows(choice)
 
 
+def generic_grid(n: int, d: int):
+    """Each grid input with 3^((i-1)d+(j-1)) / 3^(nd) added to entry
+    (i, j).  An alternating cycle sums the grid's integers, and the
+    added part is a signed sum of distinct powers of 3 over 3^(nd): never
+    0 and below 1/2 in size.  So a cycle the grid ties is broken and one
+    it does not tie keeps its sign, and every input is generic."""
+    unit = Fraction(1, 3 ** (n * d))
+    for arr in grid(n, d):
+        yield Arrangement.from_rows(
+            [[x + unit * 3 ** (i * d + j) for j, x in enumerate(row)] for i, row in enumerate(arr.rows())]
+        )
+
+
 @pytest.mark.parametrize(
     "n, d",
     [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
 )
 def test_realizations_match_oracle_on_grid(n, d):
-    # the vertex walk gives exactly the 0-dimensional types of the full
-    # enumeration, and each staircase the pairs found by imposing every
-    # entry of hyperplanes n-2 (at n = 3), n-1 and n
+    # the dual subdivision and the vertex walk give exactly the
+    # 0-dimensional types of the full enumeration, and each staircase the
+    # pairs found by imposing every entry of hyperplanes n-2 (at n = 3),
+    # n-1 and n
     for arr in grid(n, d):
         expected = realizations_oracle(arr)
         dimensions = enumerate_realizations(arr)
@@ -147,9 +167,27 @@ def test_planar_read_off_on_grid(n, d):
         assert (cells is not None) == bool(is_generic(arr)), arr.rows()
         if cells is not None:
             certified += 1
-            assert cells == walked_cells(arr, _transposes(n, d)), arr.rows()
+            assert cells == walked_cells(arr), arr.rows()
             assert cells == regular_subdivision(arr.rows()).maximal_cells, arr.rows()
     assert certified == (12 if (n, d) == (3, 3) else 0)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid), pytest.param(3, 4, marks=pytest.mark.large_grid)],
+)
+def test_generic_slice_of_grid(n, d):
+    # the grids at (4,3) and (3,4) hold no generic input; tie-broken, each
+    # is generic, and the read-off certifies it with the pivot walk's
+    # cells and the enumeration's 0-dimensional types, of which there are
+    # T(n, d) in all
+    for arr in generic_grid(n, d):
+        assert is_generic(arr), arr.rows()
+        dimensions = enumerate_realizations(arr)
+        assert len(dimensions) == type_counts(n, d)[n], arr.rows()
+        cells = _planar_cells(arr)
+        assert cells == regular_subdivision(arr.rows()).maximal_cells, arr.rows()
+        assert dual_subdivision(arr) == subdivision_of(arr, dimensions), arr.rows()
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), pytest.param(4, 3, marks=pytest.mark.large_grid)])

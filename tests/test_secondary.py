@@ -10,6 +10,7 @@ import troparr.secondary
 from troparr import (
     Arrangement,
     CellGraph,
+    ResourceLimitError,
     Subdivision,
     dual_subdivision,
     gkz_vector,
@@ -90,6 +91,30 @@ def test_refining_triangulations_takes_seed_and_budget_by_keyword(e2):
     # a third positional argument is refused, not read as the seed
     with pytest.raises(TypeError):
         refining_triangulations(e2, dual_subdivision(e2), 100)
+
+
+def test_one_budget_for_the_whole_search(e2):
+    # the budget counts the trees of the walk that gave the base and of
+    # every step walked, C(3, 1) = 3 each on E2, where each walk lists a
+    # new triangulation; the step past it is refused before its walk
+    base = dual_subdivision(e2)
+    found = refining_triangulations(e2, base)
+    trees = 3 * (1 + len(found))
+    assert refining_triangulations(e2, base, budget=trees) == found
+    with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
+        refining_triangulations(e2, base, budget=trees - 1)
+    with pytest.raises(ResourceLimitError, match="^pivot walk: 3 trees exceed budget 2$"):
+        secondary_face_check(e2, base, budget=2)
+
+
+def test_negative_budget_is_a_value_error(e2):
+    # as it is for dual_subdivision, on a base that is a triangulation too
+    generic = random_generic_arrangement(random.Random(3), 3, 3)
+    for arr in (e2, generic):
+        with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+            refining_triangulations(arr, dual_subdivision(arr), budget=-1)
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        secondary_face_check(e2, dual_subdivision(e2), budget=-1)
 
 
 def test_refining_triangulations_generic_is_identity():
