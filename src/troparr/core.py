@@ -1,10 +1,12 @@
 """Foundations: exact rationals, projective points, arrangements, point
 types, ordered partitions, and bipartite cell graphs.
 
-Every coordinate in this package is a ``fractions.Fraction``; nothing is
-ever rounded.  Hyperplane indices live in {1, ..., n} and coordinate
-labels in {1, ..., d}; all public data structures, diagnostics and text
-forms use these 1-based labels.
+Coordinates enter and leave this package as ``fractions.Fraction``s, and
+nothing is ever rounded; inside, every kernel reads one integer form of
+the apex matrix, computed once per arrangement (:func:`_integer_rows`).
+Hyperplane indices live in {1, ..., n} and coordinate labels in
+{1, ..., d}; all public data structures, diagnostics and text forms use
+these 1-based labels.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from math import lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -101,6 +104,24 @@ def _as_point(row) -> ProjectivePoint:
     return row if isinstance(row, ProjectivePoint) else ProjectivePoint(tuple(row))
 
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D, the lcm of the denominators of ``rows``, and the rows times D,
+    each entry its numerator times D over its denominator: ints, and int
+    rows come back as they are, with D = 1.
+
+    Counting in units of 1/D keeps every answer the kernels give.  The
+    positive D maps a point x to D·x and each apex row w_i to D·w_i, and
+    D·x_j - D·w_ij is largest at the same labels j as x_j - w_ij, so every
+    point keeps its type: the types, their realization sets' dimensions
+    and the vertices are kept, and a witness in units of 1/D divides by D
+    to one of the input.  Each alternating sum around a cycle of K_{n,d}
+    is scaled by D too and keeps its sign, so each square minor's min-plus
+    determinant is attained by the same permutations and the lower
+    envelope has the same cells."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """n max-plus hyperplanes in projective (d-1)-space, one apex per row.
@@ -127,12 +148,12 @@ class Arrangement:
         return cls(tuple(ProjectivePoint(tuple(r)) for r in rows))
 
     @classmethod
-    def _trusted_ints(cls, rows: Iterable[tuple[int, ...]]) -> "Arrangement":
+    def _trusted_ints(cls, rows: Sequence[tuple[int, ...]]) -> "Arrangement":
         """An arrangement from int rows of one length d >= 2, at least one,
         each ending in 0, as ``secondary._moved`` builds them, kept as ints
-        with no Fraction built and nothing re-validated.  An int has the
-        numerator and denominator every reader of the apexes takes, and
-        compares and hashes like the Fraction it equals."""
+        with no Fraction built and nothing re-validated.  An int compares
+        and hashes like the Fraction it equals, and the rows are their own
+        integer form, with D = 1."""
         apexes = []
         for row in rows:
             p = object.__new__(ProjectivePoint)
@@ -140,6 +161,7 @@ class Arrangement:
             apexes.append(p)
         arr = object.__new__(cls)
         object.__setattr__(arr, "apexes", tuple(apexes))
+        object.__setattr__(arr, "_integer_form", (1, tuple(rows)))
         return arr
 
     @property
@@ -158,6 +180,12 @@ class Arrangement:
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(p.coords for p in self.apexes)
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """:func:`_integer_rows` of the apexes, computed on first use and
+        kept outside the fields, so ``==`` and ``hash`` read the apexes."""
+        return _integer_rows(self.rows())
 
 
 def _as_label_set(entry) -> frozenset[int]:

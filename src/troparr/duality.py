@@ -26,10 +26,11 @@ graph built; its genericity comes from the envelope, so the two
 implications it checks cross-check independent computations.
 
 The lower envelope is computed by a pivot walk: lexicographically
-perturbed integer heights, built once per walk with no Fraction
-arithmetic, give a regular triangulation refining it, whose simplices
-are spanning trees of K_{n,d}; the walk moves from tree to tree across
-shared facets and maps each tree to the coarse cell that holds it.
+perturbed integer heights, built once per walk from the heights'
+integer form (:func:`~troparr.core._integer_rows`), give a regular
+triangulation refining it, whose simplices are spanning trees of
+K_{n,d}; the walk moves from tree to tree across shared facets and maps
+each tree to the coarse cell that holds it.
 Each tree edge's side, the nodes on it and the support edges entering
 it, is a bitmask: one rooted pass gives the start tree's, and a pivot
 changes only the sides of the edges on the cycle the entering edge
@@ -61,10 +62,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, lcm
+from math import comb
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, to_fraction
+from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, _integer_rows, to_fraction
 from .geometry import GenericityReport, TiedMinor, _labels, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
@@ -211,8 +212,8 @@ def _planar_cells(arr: Arrangement) -> frozenset[CellGraph] | None:
     An n x 3 apex matrix is n tropical lines in the plane; a 3 x d one is
     read on its transpose, d lines whose apexes are its columns.  Adding
     a constant to a line's apex moves no type, so the columns need no
-    normalizing, and every coordinate is counted in units of 1/D, D the
-    lcm of the denominators, so the whole read-off runs on ints.
+    normalizing, and the whole read-off runs on the arrangement's
+    integer form (:func:`~troparr.core._integer_rows`).
 
     A point x lies on the line with apex u when max_j (x_j - u_j) is
     reached at least twice.  Two lines u and w, with a = u - w, cross at
@@ -221,9 +222,7 @@ def _planar_cells(arr: Arrangement) -> frozenset[CellGraph] | None:
     line w's maximum ties the other two labels and line u's ties l and
     k, each with the third label strictly below.  When two entries of a
     are equal the lines are not generic, and None is returned."""
-    rows = arr.rows()
-    den = lcm(*(x.denominator for row in rows for x in row))
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    rows = arr._integer_form[1]
     flip = arr.d != 3
     lines = list(zip(*rows)) if flip else rows
     points = list(lines)
@@ -314,7 +313,7 @@ def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision
         cells = _planar_cells(arr)
         if cells is not None:
             return Subdivision._trusted(n, d, cells)
-    return _subdivision(n, d, _full_walk(n, d, arr.rows()))
+    return _subdivision(n, d, _full_walk(n, d, arr._integer_form[1]))
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
@@ -433,16 +432,16 @@ def _cycles(
 
 
 def _pivot_walk(
-    n: int, d: int, weights: Sequence[Sequence[Fraction]], support: Iterable[tuple[int, int]]
+    n: int, d: int, weights: Sequence[Sequence[int]], support: Iterable[tuple[int, int]]
 ) -> Iterator[frozenset[tuple[int, int]]]:
     """Coarse cell of every simplex of a fine regular triangulation of the
     lower envelope over a spanning connected support edge set, yielded
     one simplex at a time, so a caller may stop at any cell.
 
-    Nodes are left i -> i-1 and right j -> n+j-1.  The integer heights
-    H_ij = D w_ij 3^(nd) + 3^((i-1)d+(j-1)), D the lcm of the
-    denominators, each D w_ij taken as its numerator times D over its
-    denominator, are generic: an alternating cycle sum of distinct
+    The heights w must be ints (:func:`~troparr.core._integer_rows`); a
+    Fraction gives wrong cells, with no error.  Nodes are left i -> i-1
+    and right j -> n+j-1.  The integer heights H_ij = w_ij 3^(nd) +
+    3^((i-1)d+(j-1)) are generic: an alternating cycle sum of distinct
     powers of 3 never vanishes.  So every vertex of the polyhedron
     {z_j - u_i <= H_ij on the support} is tight on a spanning tree, a
     simplex of the triangulation, and since those powers sum to less
@@ -466,7 +465,6 @@ def _pivot_walk(
     """
     scale = 3 ** (n * d)
     half = scale // 2
-    den = lcm(*(x.denominator for row in weights for x in row))
     pairs = sorted(support)
     w, m = n + d, len(pairs)
     # node v's mark: bit v, bit w + k for each edge k ending at v on the
@@ -475,8 +473,7 @@ def _pivot_walk(
     marks = [1 << v for v in range(w)]
     edges, bits, near = [], {}, [[] for _ in range(w)]
     for k, (i, j) in enumerate(pairs):
-        x = weights[i - 1][j - 1]
-        a, b, h = i - 1, n + j - 1, x.numerator * (den // x.denominator) * scale + 3 ** ((i - 1) * d + j - 1)
+        a, b, h = i - 1, n + j - 1, weights[i - 1][j - 1] * scale + 3 ** ((i - 1) * d + j - 1)
         edges.append((a, b, h))
         bits[a, b] = 1 << k
         marks[b] |= 1 << (w + k)
@@ -545,8 +542,8 @@ def _pivot_walk(
         )
 
 
-def _full_walk(n: int, d: int, rows: Sequence[Sequence[Fraction]]) -> Iterator[frozenset[tuple[int, int]]]:
-    """The pivot walk over the full support of the n x d heights ``rows``."""
+def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[frozenset[tuple[int, int]]]:
+    """The pivot walk over the full support of the n x d int heights ``rows``."""
     return _pivot_walk(n, d, rows, [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)])
 
 
@@ -556,14 +553,6 @@ def _subdivision(n: int, d: int, cells: Iterable[frozenset[tuple[int, int]]]) ->
     it spans and is connected, and its edges are support edges, in
     range."""
     return Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in set(cells)))
-
-
-def _envelope_cells(weights) -> tuple[int, int, Iterator[frozenset[tuple[int, int]]]]:
-    """n, d and the edge sets of the lower envelope's coarse cells over
-    the full support of ``weights``, walked lazily."""
-    rows = _coerce_weights(weights)
-    n, d = len(rows), len(rows[0])
-    return n, d, _full_walk(n, d, rows)
 
 
 def regular_subdivision(weights) -> Subdivision:
@@ -576,18 +565,18 @@ def regular_subdivision(weights) -> Subdivision:
     are checked against each other, and against the 0-dimensional types
     of the type enumeration, by the tests.
     """
-    n, d, cells = _envelope_cells(weights)
-    return _subdivision(n, d, cells)
+    rows = _coerce_weights(weights)
+    n, d = len(rows), len(rows[0])
+    return _subdivision(n, d, _full_walk(n, d, _integer_rows(rows)[1]))
 
 
-def _first_tied_minor(weights) -> TiedMinor | None:
-    """The tied minor of the first cell of the lower-envelope walk that is
-    not a spanning tree, where the walk stops, or None when every cell is
-    one: the heights are then tropically generic, every square minor's
-    min-plus determinant attained by one permutation only.  Only that
-    cell becomes a :class:`CellGraph`."""
-    n, d, cells = _envelope_cells(weights)
-    return next((_tied_minor(CellGraph(n, d, c)) for c in cells if len(c) != n + d - 1), None)
+def _first_tied_minor(n: int, d: int, rows: Sequence[Sequence[int]]) -> TiedMinor | None:
+    """The tied minor of the first cell of the lower-envelope walk over
+    the n x d int heights ``rows`` that is not a spanning tree, where the
+    walk stops, or None when every cell is one: the heights are then
+    tropically generic, every square minor's min-plus determinant
+    attained by one permutation only.  Only that cell is a CellGraph."""
+    return next((_tied_minor(CellGraph(n, d, c)) for c in _full_walk(n, d, rows) if len(c) != n + d - 1), None)
 
 
 def _tied_minor(cell: CellGraph) -> TiedMinor:

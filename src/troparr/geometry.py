@@ -32,18 +32,16 @@ dimension without imposing it.
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
 
-The feasibility kernel runs on ints: the apex matrix is scaled once per
-arrangement by D, the lcm of its denominators, so every offset and
-bound is an integer multiple of 1/D.  Fractions come back only in the
-witness, which divides at the end and so is the same point the greedy
-assignment gives on the unscaled rationals.
+The feasibility kernel runs on ints, on the arrangement's integer form
+(:func:`~troparr.core._integer_rows`), so every offset and bound is an
+integer multiple of 1/D.  Fractions come back only in the witness, which
+divides at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterator, NamedTuple
 
 from .core import (
@@ -80,8 +78,8 @@ class RealizationResult:
 class _Feasibility:
     """Incrementally built feasibility state for one arrangement.
 
-    Coordinates are counted in units of 1/scale, scale the lcm of the
-    apex matrix's denominators, so ``rows`` and every bound are ints.
+    Coordinates are counted in units of 1/scale, ``scale`` and ``rows``
+    the arrangement's integer form, so every bound is an int.
     Labels 1..d tie into groups, kept in two flat arrays: ``root[v]`` is
     the root of label v's group and ``offset[v]`` the fixed difference
     x_v - x_root.  A merge relabels every label of one group in O(d), so
@@ -97,11 +95,7 @@ class _Feasibility:
 
     def __init__(self, arr: Arrangement):
         """The empty prefix of ``arr``."""
-        self.scale = lcm(*(c.denominator for p in arr.apexes for c in p.coords))
-        self.rows = tuple(
-            tuple(c.numerator * (self.scale // c.denominator) for c in p.coords)
-            for p in arr.apexes
-        )
+        self.scale, self.rows = arr._integer_form
         self.d = d = len(self.rows[0])
         self.root = list(range(d + 1))
         self.offset = [0] * (d + 1)
@@ -402,7 +396,7 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     """
     from .duality import _first_tied_minor  # duality imports this module at load time
 
-    return GenericityReport(_first_tied_minor(arr.rows()))
+    return GenericityReport(_first_tied_minor(arr.n, arr.d, arr._integer_form[1]))
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:

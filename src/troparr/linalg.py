@@ -1,12 +1,9 @@
-"""Small exact linear algebra helpers: rational matrix rank and integer
+"""Small exact linear algebra helpers: integer matrix rank and
 determinants, both read off one fraction-free (Bareiss) elimination on
-ints.  A rational row is first scaled by the lcm of its denominators,
-which keeps the rank."""
+ints."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 
@@ -53,11 +50,6 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * last if r == n else 0
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact elimination, each row scaled to
-    ints by the lcm of its denominators."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return _eliminate(scaled)[0]
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, exactly."""
+    return _eliminate(rows)[0]

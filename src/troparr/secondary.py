@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Sequence
 
 from .core import Arrangement
@@ -156,9 +155,8 @@ def _in_cone(cone, flat_step: Sequence[int]) -> bool:
 
 
 def _scaled_rows(arr: Arrangement) -> list[list[int]]:
-    """The apex matrix w lifted by K·D, all ints, with
-    K = 2·min(n, d)·1001·3^(nd) and D the lcm of the apex denominators;
-    each D·w_ij is its numerator times D over its denominator.
+    """The apex matrix w lifted by K·D, all ints: K = 2·min(n, d)·1001·3^(nd)
+    times w's integer form D·w (:func:`~troparr.core._integer_rows`).
 
     :func:`_moved` adds a step u' to these rows, and no step crosses a
     wall of the secondary fan.  The walls lie on the alternating cycles
@@ -169,13 +167,11 @@ def _scaled_rows(arr: Arrangement) -> list[list[int]]:
     lies in [0, 1001·3^(nd)), and the cycle sums k of them with each
     sign, k <= min(n, d), so its step part is below min(n, d)·1001·3^(nd),
     which is K/2, in size: no cycle that w does not tie changes sign.
-    Scaling every coordinate by the positive K·D maps each point of the
-    arrangement w + u'/(K·D) to a point of the lifted moved one with the
-    same type, so both have the same dual subdivision."""
-    rows = arr.rows()
-    D = lcm(*(x.denominator for row in rows for x in row))
-    scale = 2 * min(arr.n, arr.d) * 1001 * 3 ** (arr.n * arr.d) * D
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    Scaling by the positive K·D keeps every type, as scaling by D does,
+    so the arrangement w + u'/(K·D) and the lifted moved one have the
+    same dual subdivision."""
+    K = 2 * min(arr.n, arr.d) * 1001 * 3 ** (arr.n * arr.d)
+    return [[K * x for x in row] for row in arr._integer_form[1]]
 
 
 def _moved(scaled: Sequence[Sequence[int]], step: Sequence[Sequence[int]]) -> Arrangement:

@@ -59,6 +59,7 @@ from troparr import (
     regular_subdivision,
     type_of_point,
 )
+from troparr.core import _integer_rows
 from troparr.geometry import _Feasibility, _labels, _walk
 from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
@@ -509,7 +510,7 @@ def assert_walk_order_matches_the_oracle(n: int, d: int, rows, support=None) -> 
     if support is None:
         support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
     cells = list(pivot_walk_oracle(n, d, rows, support))
-    assert list(_pivot_walk(n, d, rows, support)) == cells, (rows, sorted(support))
+    assert list(_pivot_walk(n, d, _integer_rows(rows)[1], support)) == cells, (rows, sorted(support))
     zero = [[0] * d] * n
     for cell in set(cells):
         if len(cell) != n + d - 1:

@@ -13,6 +13,7 @@ import pytest
 
 import troparr.axioms
 import troparr.cli
+import troparr.core
 import troparr.duality
 import troparr.geometry
 import troparr.secondary
@@ -259,6 +260,30 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
         assert main(argv + ["--input", e2_file]) == 0
         assert calls == walks, argv
     capsys.readouterr()
+
+
+def test_one_integer_form_per_run(monkeypatch, capsys, tmp_path):
+    # a non-generic rational (4,3) input, its first two rows equal: each
+    # command scales the apex matrix to ints once, for every kernel it
+    # runs, and no moved arrangement of --flips scales its int rows again
+    path = tmp_path / "rational43.txt"
+    path.write_text("4 3\n1/3 1/2 0\n1/3 1/2 0\n-2/7 1 0\n3/5 -1/4 0\n")
+    rows = Arrangement.from_rows([["1/3", "1/2", 0], ["1/3", "1/2", 0], ["-2/7", 1, 0], ["3/5", "-1/4", 0]]).rows()
+    scaled = []
+    integer_rows = troparr.core._integer_rows
+
+    def counted(weights):
+        scaled.append(weights)
+        return integer_rows(weights)
+
+    monkeypatch.setattr(troparr.core, "_integer_rows", counted)
+    monkeypatch.setattr(troparr.duality, "_integer_rows", counted)
+    for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
+        scaled.clear()
+        assert main(argv + ["--format", "text", "--input", str(path)]) == 0
+        assert scaled == [rows], argv
+    out = capsys.readouterr().out
+    assert "generic: false" in out and "triangulation 2:" in out
 
 
 def test_volume_walk_stops_at_its_work_cap(capsys, tmp_path):

@@ -13,10 +13,13 @@ from troparr import (
     RealizationResult,
     ResourceLimitError,
     TypeVector,
+    dual_subdivision,
     enumerate_ordered_partitions,
     enumerate_realizations,
     is_generic,
+    is_triangulation,
     realizable,
+    regular_subdivision,
     type_of_point,
 )
 
@@ -38,6 +41,7 @@ from conftest import (
     refine,
     safe_radius,
     sampled_types,
+    subdivision_of,
     type_total_size,
 )
 
@@ -370,16 +374,27 @@ def test_integer_kernel_with_large_coprime_denominators():
         p = next(primes)
         return Fraction(rng.randint(1, p - 1) + p * rng.randint(-3, 2), p)
 
+    def assert_walks_match_the_types(arr: Arrangement) -> None:
+        # the walks and the genericity test on the same scale, against
+        # the enumeration's 0-dimensional types
+        sub = subdivision_of(arr, enumerate_realizations(arr))
+        assert dual_subdivision(arr) == sub == regular_subdivision(arr.rows()), arr.rows()
+        assert is_generic(arr).generic == is_triangulation(sub), arr.rows()
+
     for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]:
         rows = [[entry() for _ in range(d - 1)] + [0] for _ in range(n)]
         arr = Arrangement.from_rows(rows)
         assert geometry._Feasibility(arr).scale == prod(x.denominator for row in rows for x in row)
         _assert_matches_oracle(arr, rng)
+        # (2, 3) is walked; the others are read off the plane
+        assert min(n, d) == 2 or troparr.duality._planar_cells(arr) is not None, rows
+        assert_walks_match_the_types(arr)
     # an on-apex copy of a large-denominator row ties exactly
     rows = [[Fraction(1, 9973), Fraction(-2, 9967), 0], [Fraction(5, 9949), Fraction(7, 9941), 0]]
     arr = Arrangement.from_rows(rows + [rows[0]])
     assert not is_generic(arr)
     _assert_matches_oracle(arr, rng)
+    assert_walks_match_the_types(arr)
 
 
 def test_boundary_types_always_present():

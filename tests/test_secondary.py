@@ -383,8 +383,8 @@ def test_gkz_sums(e2):
 
 
 def test_rank_matches_sympy():
-    # int rows (GKZ differences) and Fraction rows, with dependent rows
-    # and all-zero pivot columns mixed in
+    # int rows (GKZ differences), with dependent rows and all-zero pivot
+    # columns mixed in
     rng = random.Random(4141)
     for _ in range(300):
         cols = rng.randint(1, 7)
@@ -393,8 +393,6 @@ def test_rank_matches_sympy():
         for _ in range(rng.randint(1, 6)):
             coeffs = [rng.randint(-2, 2) for _ in basis]
             rows.append([sum(k * b[c] for k, b in zip(coeffs, basis)) for c in range(cols)])
-        if rng.random() < 0.3:
-            rows = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
         assert rank(rows) == affine_rank_oracle([[0] * cols] + rows)
     assert rank([]) == 0
 

@@ -1,6 +1,8 @@
-"""The library's source keeps two promises that no other test reads: it
-imports nothing outside the standard library, and it computes in exact
-numbers, naming ``float`` only to draw SVG and to refuse float input."""
+"""The library's source keeps three promises that no other test reads: it
+imports nothing outside the standard library, it computes in exact
+numbers, naming ``float`` only to draw SVG and to refuse float input, and
+it scales rationals to ints in ``core`` alone, the one module naming
+``lcm``."""
 
 import ast
 import sys
@@ -38,3 +40,19 @@ def test_float_is_named_only_to_render_and_to_refuse_input():
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and node.id == "float":
                     assert (path.stem, function) in FLOAT_ALLOWED, f"{path.name}:{node.lineno} names float"
+
+
+def test_lcm_is_named_only_in_core():
+    # one integer form of the apex matrix, computed in core and read by
+    # every kernel
+    for path, tree in _parsed():
+        if path.stem == "core":
+            continue
+        for node in ast.walk(tree):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            assert name != "lcm", f"{path.name}:{node.lineno} names lcm"
