@@ -336,42 +336,64 @@ def enumerate_ordered_partitions(d: int) -> list[OrderedPartition]:
     return [OrderedPartition(blocks) for blocks in rec(tuple(range(1, d + 1)))]
 
 
-@dataclass(frozen=True)
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class CellGraph:
     """Bipartite graph on hyperplane nodes {1..n} and coordinate nodes
     {1..d}; the dual encoding of a type as a cell of the product of
-    simplices."""
+    simplices.
+
+    The edges are one int, ``mask``, with bit (i-1)·d + (j-1) set for
+    edge (i, j).  The bits are row-major, and j - 1 < d, so edge (i, j)
+    comes before (i', j') exactly when its bit is lower: the set bits,
+    lowest first, are the edges in sorted order, and ``edges``,
+    :meth:`sorted_edges` and :meth:`text` are read off them, with no sort.
+    """
 
     n: int
     d: int
-    edges: frozenset[tuple[int, int]]
+    mask: int
 
-    def __post_init__(self) -> None:
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
+    def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]) -> None:
+        mask = 0
         for i, j in edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.d):
-                raise ValueError(f"edge ({i},{j}) outside 1..{self.n} x 1..{self.d}")
-        object.__setattr__(self, "edges", edges)
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in (i, j)):
+                raise ValueError(f"edge ({i!r},{j!r}) has an index that is not an int")
+            if not (1 <= i <= n and 1 <= j <= d):
+                raise ValueError(f"edge ({i},{j}) outside 1..{n} x 1..{d}")
+            mask |= 1 << (i - 1) * d + j - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def _trusted(cls, n: int, d: int, edges: frozenset[tuple[int, int]]) -> "CellGraph":
-        """A cell graph from edges known to be int pairs in 1..n x 1..d,
-        as the walks read them, without re-validating them."""
+    def _trusted(cls, n: int, d: int, mask: int) -> "CellGraph":
+        """A cell graph from a mask known to hold only bits below n·d, as
+        the walks read them, without checking it."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "d", d)
-        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "mask", mask)
         return g
 
-    @cached_property
-    def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (i, j), read off the set bits."""
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges in ascending order, sorted on first use and kept
-        outside the dataclass fields, so ``==``, ``hash`` and ``repr``
-        read the edges alone."""
-        return self._sorted_edges
+        """The edges in ascending order: the set bits, lowest first."""
+        d = self.d
+        return tuple([(k // d + 1, k % d + 1) for k in _bits(self.mask)])
 
     def text(self) -> str:
         return "[" + ",".join(f"({i},{j})" for i, j in self.sorted_edges()) + "]"

@@ -5,7 +5,11 @@ entry i); the 0-dimensional cells of an arrangement, its vertices, give
 the maximal cells of its dual subdivision.  That subdivision is the
 lower-envelope regular subdivision induced by lifting product vertex
 (i,j) to the apex coordinate v_ij, so :func:`dual_subdivision` walks
-the envelope (below) instead of enumerating every type.  Every question
+the envelope (below) instead of enumerating every type.  Every edge set
+here, a cell, a tree, a forest or one side of a cycle, is one int mask
+with bit (i-1)·d + (j-1) for edge (i, j), the encoding of
+:class:`~troparr.core.CellGraph`: its set bits, lowest first, are its
+edges in sorted order, and its size is its bit count.  Every question
 about one cell is answered by a spanning forest of its edges, grown by
 a union-find, and by the fundamental cycles of that forest: whether it
 spans and its dimension come from the forest's size, and its cycles
@@ -63,9 +67,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, _integer_rows, to_fraction
+from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, _bits, _integer_rows, to_fraction
 from .geometry import GenericityReport, TiedMinor, _labels, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
@@ -75,27 +79,26 @@ from .axioms import AxiomReport, is_tropical_oriented_matroid
 MAX_VOLUME_WORK = 20_000_000
 
 
-def _forest(
-    n: int, d: int, edges: Iterable[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
-    """The spanning forest that ``edges`` grow in their given order, and
-    the first edge whose ends that forest already joins (None when no
-    edge closes a cycle).  Nodes are hyperplane i -> i-1 and coordinate
-    j -> n+j-1, joined by a union-find over a list of all n+d nodes."""
+def _forest(n: int, d: int, mask: int) -> tuple[int, int]:
+    """The spanning forest that the edges of ``mask`` grow in ascending
+    bit order, which is their sorted order (:class:`CellGraph`), and the
+    bit of the first edge whose ends that forest already joins (0 when no
+    edge closes a cycle), both as masks.  Nodes are hyperplane i -> i-1
+    and coordinate j -> n+j-1, joined by a union-find over a list of all
+    n+d nodes."""
     root = list(range(n + d))
-    forest, closing = [], None
-    for i, j in edges:
-        a, b = i - 1, n + j - 1
+    forest = closing = 0
+    for k in _bits(mask):
+        a, b = k // d, n + k % d
         while root[a] != a:
             root[a] = a = root[root[a]]
         while root[b] != b:
             root[b] = b = root[root[b]]
         if a == b:
-            if closing is None:
-                closing = (i, j)
+            closing = closing or 1 << k
         else:
             root[a] = b
-            forest.append((i, j))
+            forest |= 1 << k
     return forest, closing
 
 
@@ -103,17 +106,17 @@ def cell_dim(g: CellGraph) -> int:
     """Affine dimension of the cell spanned by the graph's product
     vertices: (#covered nodes) - (#support components) - 1, which is
     the size of a spanning forest of the support, less one."""
-    if not g.edges:
+    if not g.mask:
         raise ValueError("cell graph has no edges")
-    return len(_forest(g.n, g.d, g.edges)[0]) - 1
+    return _forest(g.n, g.d, g.mask)[0].bit_count() - 1
 
 
 def is_spanning_connected(g: CellGraph) -> bool:
-    return len(_forest(g.n, g.d, g.edges)[0]) == g.n + g.d - 1
+    return _forest(g.n, g.d, g.mask)[0].bit_count() == g.n + g.d - 1
 
 
 def is_spanning_tree(g: CellGraph) -> bool:
-    return is_spanning_connected(g) and len(g.edges) == g.n + g.d - 1
+    return is_spanning_connected(g) and g.mask.bit_count() == g.n + g.d - 1
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,12 @@ class Subdivision:
 
     @cached_property
     def _sorted_cells(self) -> tuple[CellGraph, ...]:
-        return tuple(sorted(self.maximal_cells, key=CellGraph.sorted_edges))
+        return tuple(sorted(self.maximal_cells, key=lambda g: _bits(g.mask)))
 
     def sorted_cells(self) -> tuple[CellGraph, ...]:
-        """The maximal cells in the order of their sorted edges, sorted
-        on first use and kept outside the dataclass fields."""
+        """The maximal cells in the order of their sorted edges, which is
+        the order of their set bits, lowest first; sorted on first use
+        and kept outside the dataclass fields."""
         return self._sorted_cells
 
     @cached_property
@@ -170,18 +174,18 @@ class Subdivision:
         iterated pyramid over that circuit.  A circuit has exactly two
         triangulations, one dropping each point of one side in turn, so
         k simplices each, and every simplex is unimodular: the volume is
-        k, the size of the plus side that :func:`_cycles` reads off the
-        edge closing the cycle in :func:`_forest`.  Only cells with two
-        or more cycles are walked by :func:`normalized_volume`."""
+        k, the size of the plus side that :func:`_cycle_masks` reads off
+        the edge closing the cycle in :func:`_forest`.  Only cells with
+        two or more cycles are walked by :func:`normalized_volume`."""
         n, d = self.n, self.d
 
         def volume(g: CellGraph) -> int:
-            if len(g.edges) == n + d - 1:
+            size = g.mask.bit_count()
+            if size == n + d - 1:
                 return 1
-            if len(g.edges) == n + d:
-                forest, closing = _forest(n, d, g.edges)
-                ((plus, _),) = _cycles(n, forest, [closing])
-                return len(plus)
+            if size == n + d:
+                ((plus, _),) = _cycle_masks(n, d, *_forest(n, d, g.mask))
+                return plus.bit_count()
             return normalized_volume(g)
 
         return {g: volume(g) for g in self.maximal_cells}
@@ -194,12 +198,14 @@ _JOINS = [mask if len(labels) > 1 else 0 for mask, labels in enumerate(_THREE)]
 
 
 @cache
-def _line_edges(lines: int, flip: bool) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """For each of ``lines`` lines q, the edges (q, j), or (j, q) with
-    ``flip``, of its labels j under every mask of labels 1..3, built once
-    per shape: 16 short tuples a line, kept for each shape met."""
+def _line_edges(lines: int, flip: bool) -> tuple[tuple[int, ...], ...]:
+    """For each of ``lines`` lines q, the edge mask (:class:`CellGraph`)
+    of the edges (q, j) of an n x 3 matrix, or (j, q) of a 3 x ``lines``
+    one with ``flip``, of its labels j under every mask of labels 1..3,
+    built once per shape: 16 ints a line, kept for each shape met."""
     return tuple(
-        tuple(tuple((j, q) if flip else (q, j) for j in labels) for labels in _THREE) for q in range(1, lines + 1)
+        tuple(sum(1 << ((j - 1) * lines + q - 1 if flip else (q - 1) * 3 + j - 1) for j in labels) for labels in _THREE)
+        for q in range(1, lines + 1)
     )
 
 
@@ -266,18 +272,19 @@ def _certified_cells(
     size = n + d - 1
     cells = set()
     for x0, x1, x2 in points:
-        edges: list[tuple[int, int]] = []
-        joined = 0
+        cell = joined = 0
         for (v0, v1, v2), table in zip(lines, _line_edges(len(lines), flip)):
             t0, t1, t2 = x0 - v0, x1 - v1, x2 - v2
             top = max(t0, t1, t2)
             mask = (t0 == top) << 1 | (t1 == top) << 2 | (t2 == top) << 3
             joined |= _JOINS[mask]
-            edges += table[mask]
-        if len(edges) != size or joined != 0b1110:
+            cell |= table[mask]
+        if cell.bit_count() != size or joined != 0b1110:
             return None
-        cells.add(CellGraph._trusted(n, d, frozenset(edges)))
-    return frozenset(cells) if len(cells) == comb(n + d - 2, n - 1) else None
+        cells.add(cell)
+    if len(cells) != comb(n + d - 2, n - 1):
+        return None
+    return frozenset(CellGraph._trusted(n, d, cell) for cell in cells)
 
 
 def _charge(n: int, d: int, budget: int | None, spent: int = 0) -> int:
@@ -374,31 +381,30 @@ def _swapped_sides(
     return swapped
 
 
-def _cycle_masks(
-    n: int, tree: Sequence[tuple[int, int]], edges: Iterable[tuple[int, int]]
-) -> list[tuple[tuple[int, int], int, int]]:
-    """The fundamental cycle that each edge (i, j) of ``edges`` off the
-    spanning ``tree`` closes in it, in order, as (i, j) and two bitmasks
-    over the tree's edges in their given order: bit k of ``plus`` when
-    tree edge k is on the cycle's plus side, of ``minus`` when on its
+def _cycle_masks(n: int, d: int, tree: int, edges: int) -> list[tuple[int, int]]:
+    """The fundamental cycle that each edge (i, j) of the mask ``edges``
+    off the spanning ``tree``, a mask too, closes in it, in ascending bit
+    order, as two edge masks (:class:`CellGraph`): ``plus`` holds (i, j)
+    and the tree edges on the cycle's plus side, ``minus`` those on its
     minus side.
 
-    One pass rooted at hyperplane 1 gives each node the bitmask of the
-    tree edges on its path to the root, so the cycle's tree edges are
-    the XOR of the masks of (i, j)'s ends.  Walked from hyperplane i to
+    One pass rooted at hyperplane 1 gives each node the mask of the tree
+    edges on its path to the root, so the cycle's tree edges are the XOR
+    of the masks of (i, j)'s ends.  Walked from hyperplane i to
     coordinate j and back along (i, j), the cycle alternates: the plus
     side holds (i, j) and the tree edges walked from their coordinate
     end, the minus side those walked from their hyperplane end, two
     perfect matchings of the rows and columns the cycle meets.  A tree
     edge on i's path is walked from its child end, one on j's path from
     its parent end."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(len(tree) + 1)]
-    for k, (i, j) in enumerate(tree):
-        adj[i - 1].append((n + j - 1, k))
-        adj[n + j - 1].append((i - 1, k))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + d)]
+    for k in _bits(tree):
+        a, b = k // d, n + k % d
+        adj[a].append((b, k))
+        adj[b].append((a, k))
     # path[v]: the tree edges from v up to the root; low: those whose
     # child is their hyperplane end
-    path, low, stack = [-1] * len(adj), 0, [0]
+    path, low, stack = [-1] * (n + d), 0, [0]
     path[0] = 0
     while stack:
         v = stack.pop()
@@ -407,36 +413,20 @@ def _cycle_masks(
                 path[u] = path[v] | 1 << k
                 low |= (u < n) << k
                 stack.append(u)
-    on_tree = set(tree)
     cycles = []
-    for i, j in edges:
-        if (i, j) in on_tree:
-            continue
-        up, down = path[i - 1], path[n + j - 1]
+    for k in _bits(edges & ~tree):
+        up, down = path[k // d], path[n + k % d]
         minus = up & ~down & low | down & ~up & ~low
-        cycles.append(((i, j), (up ^ down) & ~minus, minus))
+        cycles.append(((up ^ down) & ~minus | 1 << k, minus))
     return cycles
 
 
-def _cycles(
-    n: int, tree: Collection[tuple[int, int]], edges: Iterable[tuple[int, int]]
-) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """The fundamental cycles of :func:`_cycle_masks`, each as (plus, minus)
-    edge lists: ``plus`` holds (i, j), then its plus tree edges, and
-    ``minus`` its minus tree edges, each in the tree's order."""
-    tree = list(tree)
-    return [
-        ([edge] + [e for k, e in enumerate(tree) if plus >> k & 1], [e for k, e in enumerate(tree) if minus >> k & 1])
-        for edge, plus, minus in _cycle_masks(n, tree, edges)
-    ]
-
-
-def _pivot_walk(
-    n: int, d: int, weights: Sequence[Sequence[int]], support: Iterable[tuple[int, int]]
-) -> Iterator[frozenset[tuple[int, int]]]:
+def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) -> Iterator[int]:
     """Coarse cell of every simplex of a fine regular triangulation of the
-    lower envelope over a spanning connected support edge set, yielded
-    one simplex at a time, so a caller may stop at any cell.
+    lower envelope over a spanning connected support, yielded one simplex
+    at a time, so a caller may stop at any cell.  The support and each
+    cell are edge masks, bit (i-1)·d + (j-1) for edge (i, j)
+    (:class:`CellGraph`).
 
     The heights w must be ints (:func:`~troparr.core._integer_rows`); a
     Fraction gives wrong cells, with no error.  Nodes are left i -> i-1
@@ -452,30 +442,33 @@ def _pivot_walk(
     Each pivot drops a tree edge and raises the side holding its left
     end until the first support edge into that side turns tight: the
     least (slack, edge) over the set bits of the entering edges, so ties
-    go to the lowest edge.  The facet through the edge that entered a
-    tree is skipped: a facet lies in exactly two simplices, so that pivot
-    leads back to the tree the walk came from.  The start tree's sides
+    go to the lowest edge.  A tree is keyed by its edge mask.  The facet
+    through the edge that entered a tree is skipped: a facet lies in
+    exactly two simplices, so that pivot leads back to the tree the walk
+    came from.  The start tree's sides
     come from one rooted pass (:func:`_sides`), every other tree's from
     its predecessor's (:func:`_swapped_sides`).  Per tree the walk pays
     one integer slack per support edge, O(n+d) to swap the sides, and per
     tree edge a scan of the edges entering its side; it visits every tree
-    once, breadth first, its facets in the order of the tree's frozenset.
+    once, breadth first, its facets in the order of the tree's frozenset
+    of node pairs (a, b).
     Over the full support, a walk run to its end checks that it visited
     all C(n+d-2, n-1) simplices.
     """
     scale = 3 ** (n * d)
     half = scale // 2
-    pairs = sorted(support)
-    w, m = n + d, len(pairs)
+    flat = _bits(support)
+    w, m = n + d, len(flat)
     # node v's mark: bit v, bit w + k for each edge k ending at v on the
     # right and bit w + m + k for each edge k starting at v on the left,
     # so a side's union tells its nodes and the edges entering it
     marks = [1 << v for v in range(w)]
-    edges, bits, near = [], {}, [[] for _ in range(w)]
-    for k, (i, j) in enumerate(pairs):
-        a, b, h = i - 1, n + j - 1, weights[i - 1][j - 1] * scale + 3 ** ((i - 1) * d + j - 1)
+    edges, edge_bit, near = [], [], [[] for _ in range(w)]
+    for k, f in enumerate(flat):
+        i, j = divmod(f, d)
+        a, b, h = i, n + j, weights[i][j] * scale + 3 ** f
         edges.append((a, b, h))
-        bits[a, b] = 1 << k
+        edge_bit.append(1 << f)
         marks[b] |= 1 << (w + k)
         marks[a] |= 1 << (w + m + k)
         near[a].append((b, -h))
@@ -493,16 +486,16 @@ def _pivot_walk(
         else:
             p[a] = max(p[y] + h for y, h in near[a] if y in p)
     tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
-    # each queued tree: its edges, their bitmask, the potentials, the edge
-    # that entered it and its edges' sides (the start's once it is reached)
-    key = sum(map(bits.__getitem__, tree))
+    # each queued tree: its node pairs, its edge mask, the potentials, the
+    # edge that entered it and its edges' sides (the start's once reached)
+    key = sum(1 << a * d + b - n for a, b in tree)
     queue = deque([(tree, key, [p[v] for v in range(w)], None, None)])
     seen, visited, low_m, full = {key}, 0, (1 << m) - 1, sum(marks)
     while queue:
         tree, key, p, entered, sides = queue.popleft()
         visited += 1
         slack = [h - p[b] + p[a] for a, b, h in edges]
-        yield frozenset(pair for pair, s in zip(pairs, slack) if s <= half)
+        yield sum(x for x, s in zip(edge_bit, slack) if s <= half)
         if sides is None:
             sides = _sides(tree, marks)
         for e in tree:
@@ -524,7 +517,7 @@ def _pivot_walk(
                 if slack[j] < t:
                     t, k = slack[j], j
                 entering ^= bit
-            pivot = key ^ bits[e] | 1 << k
+            pivot = key ^ 1 << e[0] * d + e[1] - n | edge_bit[k]
             if pivot not in seen:
                 seen.add(pivot)
                 new = edges[k][:2]
@@ -542,12 +535,12 @@ def _pivot_walk(
         )
 
 
-def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[frozenset[tuple[int, int]]]:
+def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[int]:
     """The pivot walk over the full support of the n x d int heights ``rows``."""
-    return _pivot_walk(n, d, rows, [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)])
+    return _pivot_walk(n, d, rows, (1 << n * d) - 1)
 
 
-def _subdivision(n: int, d: int, cells: Iterable[frozenset[tuple[int, int]]]) -> Subdivision:
+def _subdivision(n: int, d: int, cells: Iterable[int]) -> Subdivision:
     """The subdivision of the distinct cells a walk yields, unvalidated:
     each holds the tree it was read at, whose edges all have slack 0, so
     it spans and is connected, and its edges are support edges, in
@@ -576,7 +569,8 @@ def _first_tied_minor(n: int, d: int, rows: Sequence[Sequence[int]]) -> TiedMino
     walk stops, or None when every cell is one: the heights are then
     tropically generic, every square minor's min-plus determinant
     attained by one permutation only.  Only that cell is a CellGraph."""
-    return next((_tied_minor(CellGraph(n, d, c)) for c in _full_walk(n, d, rows) if len(c) != n + d - 1), None)
+    cells = (CellGraph._trusted(n, d, c) for c in _full_walk(n, d, rows) if c.bit_count() != n + d - 1)
+    return next(map(_tied_minor, cells), None)
 
 
 def _tied_minor(cell: CellGraph) -> TiedMinor:
@@ -591,12 +585,13 @@ def _tied_minor(cell: CellGraph) -> TiedMinor:
     with equality on its edges, so every matching of the minor sums to
     at least sum z - sum u, and both of these reach it.
     """
-    forest, closing = _forest(cell.n, cell.d, cell.sorted_edges())
-    (plus, minus), = _cycles(cell.n, forest, [closing])
+    n, d = cell.n, cell.d
+    (plus, minus), = _cycle_masks(n, d, *_forest(n, d, cell.mask))
+    plus, minus = CellGraph._trusted(n, d, plus).sorted_edges(), CellGraph._trusted(n, d, minus).sorted_edges()
     return TiedMinor(
-        tuple(sorted(i for i, _ in plus)),
+        tuple(i for i, _ in plus),
         tuple(sorted(j for _, j in plus)),
-        tuple(sorted((tuple(sorted(plus)), tuple(sorted(minus))))),
+        tuple(sorted((plus, minus))),
     )
 
 
@@ -620,17 +615,18 @@ def normalized_volume(g: CellGraph) -> int:
     cycles reach this walk.  It counts its work as it goes,
     and past ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
     """
-    if not g.edges:
+    if not g.mask:
         raise ValueError("cell graph has no edges")
     if cell_dim(g) != g.n + g.d - 2:
         raise ValueError("normalized volume needs a full-dimensional cell")
-    per_tree = (g.n + g.d) * len(g.edges)
+    size = g.mask.bit_count()
+    per_tree = (g.n + g.d) * size
     trees = 0
-    for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.edges):
+    for _ in _pivot_walk(g.n, g.d, [[0] * g.d] * g.n, g.mask):
         trees += 1
         if trees * per_tree > MAX_VOLUME_WORK:
             raise ResourceLimitError(
-                f"normalized volume: {trees} trees x {g.n + g.d} nodes x {len(g.edges)} edges = "
+                f"normalized volume: {trees} trees x {g.n + g.d} nodes x {size} edges = "
                 f"{trees * per_tree} exceed the cap of {MAX_VOLUME_WORK} on cell {g.text()}"
             )
     return trees
@@ -641,7 +637,7 @@ def is_triangulation(sub: Subdivision) -> bool:
     them as the full normalized volume of the product of simplices.  A
     :class:`Subdivision` has already checked that each cell spans and is
     connected, so a cell is a tree exactly when it has n + d - 1 edges."""
-    if any(len(g.edges) != sub.n + sub.d - 1 for g in sub.maximal_cells):
+    if any(g.mask.bit_count() != sub.n + sub.d - 1 for g in sub.maximal_cells):
         return False
     return len(sub.maximal_cells) == comb(sub.n + sub.d - 2, sub.n - 1)
 

@@ -50,7 +50,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Arrangement
+from .core import Arrangement, _bits
 from .duality import Subdivision, _charge, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
@@ -83,8 +83,8 @@ def gkz_vector(t: Subdivision) -> GKZVector:
         raise ValueError("GKZ vectors are defined here only for triangulations")
     values = [0] * (t.n * t.d)
     for cell in t.maximal_cells:
-        for i, j in cell.edges:
-            values[(i - 1) * t.d + (j - 1)] += 1
+        for k in _bits(cell.mask):
+            values[k] += 1
     return GKZVector(t.n, t.d, tuple(values))
 
 
@@ -98,18 +98,17 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     filled = {g: 0 for g in coarse.maximal_cells}
     hosts = coarse.sorted_cells()
     for cell in fine.maximal_cells:
-        host = next((g for g in hosts if cell.edges <= g.edges), None)
+        host = next((g for g in hosts if cell.mask & ~g.mask == 0), None)
         if host is None:
             return False
         filled[host] += fine.volumes[cell]
     return filled == coarse.volumes
 
 
-def _cone(
-    n: int, d: int, cell: frozenset[tuple[int, int]], trees
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _cone(n: int, d: int, cell: int, trees) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The open cone of the steps under which the spanning ``trees`` are
-    the regular subdivision of ``cell``, as strict inequalities
+    the regular subdivision of ``cell``, all edge masks
+    (:class:`~troparr.core.CellGraph`), as strict inequalities
     (plus, minus): the step's entries at the flat indices
     (i-1)·d + (j-1) in ``plus`` sum to more than those in ``minus``.
 
@@ -118,33 +117,16 @@ def _cone(
     cell a slack u_ij - b_j + a_i, the alternating sum of u around the
     fundamental cycle the edge closes in the tree: :func:`_cycle_masks`
     reads it off one rooted pass, with (i, j) on its plus side, as two
-    bitmasks over the tree's edges.  Each tree's edges are sorted, so
-    they take their flat indices in ascending order, mapped once per
-    tree, and each side's indices are read off the set bits of its mask,
-    lowest first.  When every such slack is positive for every tree,
-    each tree is a strict lower facet of the cell lifted by u, and the
-    trees already fill the cell, so they are its regular subdivision
-    under u (De Loera-Rambau-Santos, ch. 2 and 5).  A cycle shared by two
-    trees is one inequality, and a tree's own edges, whose slack is
-    identically 0, give none.
+    edge masks, whose set bits, lowest first, are each side's flat
+    indices in ascending order.  When every such slack is positive for
+    every tree, each tree is a strict lower facet of the cell lifted by
+    u, and the trees already fill the cell, so they are its regular
+    subdivision under u (De Loera-Rambau-Santos, ch. 2 and 5).  A cycle
+    shared by two trees is one inequality, and a tree's own edges, whose
+    slack is identically 0, give none.
     """
-    rows = set()
-    for tree in trees:
-        tree = sorted(tree)
-        index = [(i - 1) * d + j - 1 for i, j in tree]
-        for (i, j), plus, minus in _cycle_masks(n, tree, cell):
-            rows.add((tuple(sorted([(i - 1) * d + j - 1, *_at_bits(plus, index)])), tuple(_at_bits(minus, index))))
-    return tuple(sorted(rows))
-
-
-def _at_bits(mask: int, index: Sequence[int]) -> list[int]:
-    """``index[k]`` for each set bit k of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(index[low.bit_length() - 1])
-        mask ^= low
-    return out
+    rows = {cycle for tree in trees for cycle in _cycle_masks(n, d, tree, cell)}
+    return tuple(sorted((tuple(_bits(plus)), tuple(_bits(minus))) for plus, minus in rows))
 
 
 def _in_cone(cone, flat_step: Sequence[int]) -> bool:
@@ -259,8 +241,8 @@ def refining_triangulations(
     scaled = _scaled_rows(arr)
     scale, ties = 3 ** (n * d), [3 ** k for k in range(n * d)]
     tree_size = n + d - 1
-    trees = frozenset(g.edges for g in base.maximal_cells if len(g.edges) == tree_size)
-    coarse = [g.edges for g in base.maximal_cells if len(g.edges) != tree_size]
+    trees = frozenset(g.mask for g in base.maximal_cells if g.mask.bit_count() == tree_size)
+    coarse = [g.mask for g in base.maximal_cells if g.mask.bit_count() != tree_size]
     cones: dict[tuple, tuple] = {}  # (coarse cell, its pieces) -> their _cone rows
     listed: dict[Subdivision, tuple] = {}  # triangulation -> its cone
     bits = rng.getrandbits
@@ -271,14 +253,14 @@ def refining_triangulations(
         spent = _charge(n, d, budget, spent)
         step = [flat[i * d:(i + 1) * d] for i in range(n)]
         tri = dual_subdivision(_moved(scaled, step), budget)
-        groups: dict[frozenset[tuple[int, int]], set[frozenset[tuple[int, int]]]] = {}
+        groups: dict[int, set[int]] = {}  # coarse cell -> the walk's trees in it
         for g in tri.maximal_cells:
-            if g.edges in trees:
+            if g.mask in trees:
                 continue
-            host = next((cell for cell in coarse if g.edges <= cell), None)
-            if host is None or len(g.edges) != tree_size:
+            host = next((cell for cell in coarse if g.mask & ~cell == 0), None)
+            if host is None or g.mask.bit_count() != tree_size:
                 raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-            groups.setdefault(host, set()).add(g.edges)
+            groups.setdefault(host, set()).add(g.mask)
         cone = ()
         for cell in coarse:
             key = cell, frozenset(groups.get(cell, ()))
@@ -319,21 +301,21 @@ def secondary_face_check(
     cell of ``sub``.  L is the orthogonal complement of the cells'
     alternating-cycle vectors, so the dimension is their rank, computed
     from ``sub`` alone: the fundamental cycles of a spanning tree of each
-    cell span that cell's cycles, and :func:`_cone` of the cell against
-    the forest its sorted edges grow writes them.  A tree has no cycle,
-    so only the other cells are read."""
+    cell span that cell's cycles, and :func:`_cycle_masks` of the cell
+    against the forest its edges grow writes them as ±1 vectors.  A tree
+    has no cycle, so only the other cells are read."""
     if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     n, d = arr.n, arr.d
     tris = sorted(
         refining_triangulations(arr, sub, seed=seed, budget=budget),
-        key=lambda t: tuple(g.sorted_edges() for g in t.sorted_cells()),
+        key=lambda t: [_bits(g.mask) for g in t.sorted_cells()],
     )
     cycles = [
-        [1 if k in plus else -1 if k in minus else 0 for k in range(n * d)]
+        [(plus >> k & 1) - (minus >> k & 1) for k in range(n * d)]
         for g in sub.maximal_cells
-        if len(g.edges) > n + d - 1
-        for plus, minus in _cone(n, d, g.edges, [_forest(n, d, g.sorted_edges())[0]])
+        if g.mask.bit_count() > n + d - 1
+        for plus, minus in _cycle_masks(n, d, _forest(n, d, g.mask)[0], g.mask)
     ]
     return SecondaryFaceVerdict(
         subdivision=sub,

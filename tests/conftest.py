@@ -61,7 +61,7 @@ from troparr import (
 )
 from troparr.core import _integer_rows
 from troparr.geometry import _Feasibility, _labels, _walk
-from troparr.duality import _cycles, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
+from troparr.duality import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
 
@@ -340,6 +340,42 @@ def matching_gaps(rows):
                     yield k, min(b - a for a, b in zip(sums, sums[1:]))
 
 
+def edge_mask(d: int, edges) -> int:
+    """The library's edge mask of an edge set: bit (i-1)·d + (j-1) for
+    each edge (i, j)."""
+    return sum(1 << (i - 1) * d + j - 1 for i, j in set(edges))
+
+
+def mask_edges(d: int, mask: int) -> frozenset[tuple[int, int]]:
+    """The edge set of one of the library's edge masks."""
+    return frozenset((k // d + 1, k % d + 1) for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def pivot_walk_edges(n: int, d: int, weights, support) -> list[frozenset[tuple[int, int]]]:
+    """``duality._pivot_walk`` over the int heights ``weights`` and the
+    edge set ``support``, its cells as edge sets, in its order."""
+    return [mask_edges(d, cell) for cell in _pivot_walk(n, d, weights, edge_mask(d, support))]
+
+
+def cone_of_edges(n: int, d: int, cell, trees) -> tuple:
+    """``secondary._cone`` of the edge sets ``cell`` and ``trees``."""
+    return _cone(n, d, edge_mask(d, cell), [edge_mask(d, tree) for tree in trees])
+
+
+def grown_forest(n: int, d: int, edges) -> frozenset[tuple[int, int]]:
+    """The spanning forest that ``edges`` grow in their given order: each
+    edge kept when it joins two components, tracked as one label per
+    node, as the library's ``_forest`` grows one in ascending order."""
+    component = {("L", i): ("L", i) for i in range(1, n + 1)} | {("R", j): ("R", j) for j in range(1, d + 1)}
+    forest = set()
+    for i, j in edges:
+        a, b = component[("L", i)], component[("R", j)]
+        if a != b:
+            forest.add((i, j))
+            component = {v: a if c == b else c for v, c in component.items()}
+    return frozenset(forest)
+
+
 def type_to_graph(T: TypeVector, n: int, d: int) -> CellGraph:
     """Cell graph of a type: edge (i, j) for every label j in entry i."""
     return CellGraph(n, d, frozenset((i, j) for i, entry in enumerate(T.entries, 1) for j in entry))
@@ -510,11 +546,11 @@ def assert_walk_order_matches_the_oracle(n: int, d: int, rows, support=None) -> 
     if support is None:
         support = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
     cells = list(pivot_walk_oracle(n, d, rows, support))
-    assert list(_pivot_walk(n, d, _integer_rows(rows)[1], support)) == cells, (rows, sorted(support))
+    assert pivot_walk_edges(n, d, _integer_rows(rows)[1], support) == cells, (rows, sorted(support))
     zero = [[0] * d] * n
     for cell in set(cells):
         if len(cell) != n + d - 1:
-            assert list(_pivot_walk(n, d, zero, cell)) == list(pivot_walk_oracle(n, d, zero, cell)), sorted(cell)
+            assert pivot_walk_edges(n, d, zero, cell) == list(pivot_walk_oracle(n, d, zero, cell)), sorted(cell)
 
 
 def volume_oracle(g: CellGraph) -> int:
@@ -623,7 +659,7 @@ def cone_oracle(d: int, cell, trees) -> tuple:
 
 
 def cycles_oracle(n: int, tree, edges) -> list[tuple[list, list]]:
-    """The fundamental cycles by the scan ``duality._cycles`` replaced:
+    """The fundamental cycles by the scan ``duality._cycle_masks`` replaced:
     one bit per node, :func:`~troparr.duality._sides` gives each tree
     edge's side that holds its hyperplane end, and a tree edge is on the
     cycle of (i, j) exactly when that side holds one end of (i, j): in
@@ -645,10 +681,14 @@ def cycles_oracle(n: int, tree, edges) -> list[tuple[list, list]]:
 
 
 def assert_cycles_match_the_oracle(n: int, d: int, tree) -> None:
-    """``_cycles`` of every edge of K_{n,d} against a spanning ``tree``
-    equals :func:`cycles_oracle`'s, each cycle's halves sorted."""
+    """``_cycle_masks`` of every edge of K_{n,d} against the spanning
+    edge set ``tree`` equals :func:`cycles_oracle`'s, each cycle's halves
+    sorted."""
     edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    got = [(sorted(plus), sorted(minus)) for plus, minus in _cycles(n, tree, edges)]
+    got = [
+        (sorted(mask_edges(d, plus)), sorted(mask_edges(d, minus)))
+        for plus, minus in _cycle_masks(n, d, edge_mask(d, tree), edge_mask(d, edges))
+    ]
     assert got == [(sorted(plus), sorted(minus)) for plus, minus in cycles_oracle(n, tree, edges)], sorted(tree)
     assert len(got) == n * d - len(tree), sorted(tree)
 
@@ -663,7 +703,7 @@ def assert_cell_questions_match_the_oracles(arr: Arrangement) -> int:
     ``is_spanning_connected`` from the union-find forest agree with
     :func:`components_oracle`, and each maximal cell spans and is
     connected.  On each cell, the forest's fundamental cycles are
-    :func:`cone_oracle`'s rows for that tree, ``_cycles`` against that
+    :func:`cone_oracle`'s rows for that tree, ``_cycle_masks`` against that
     tree is :func:`cycles_oracle` over every edge, and on each cell
     that is not a tree ``_tied_minor`` is :func:`tied_minor_oracle`'s.
     The face dimension, the rank of the rows of every cell against its
@@ -681,9 +721,9 @@ def assert_cell_questions_match_the_oracles(arr: Arrangement) -> int:
             if edges:
                 assert cell_dim(h) == sum(comps).bit_count() - len(comps) - 1, (arr.rows(), h.text())
         assert is_spanning_connected(g), (arr.rows(), g.text())
-        tree = _forest(n, d, g.sorted_edges())[0]
+        tree = mask_edges(d, _forest(n, d, g.mask)[0])
         assert_cycles_match_the_oracle(n, d, tree)
-        cone = _cone(n, d, g.edges, [tree])
+        cone = cone_of_edges(n, d, g.edges, [tree])
         assert cone == cone_oracle(d, g.edges, [tree]), (arr.rows(), g.text())
         rows += cone
         oracle_rows += cone_oracle(d, g.edges, [g.edges])
@@ -1227,7 +1267,7 @@ def _refined_cells(base, step) -> frozenset[CellGraph]:
     n, d = base.n, base.d
     cells = {g for g in base.maximal_cells if len(g.edges) == n + d - 1}
     for g in base.maximal_cells - cells:
-        cells.update(CellGraph(n, d, piece) for piece in _pivot_walk(n, d, step, g.edges))
+        cells.update(CellGraph(n, d, piece) for piece in pivot_walk_edges(n, d, step, g.edges))
     return frozenset(cells)
 
 
@@ -1236,7 +1276,7 @@ def _tied_step(n: int, d: int, cell, tree, step) -> list[list[int]]:
     that edge's slack under the tree's potentials: the tree and that edge
     then span one piece, so the step lies on a wall of the cell."""
     i, j = min(cell - tree)
-    (plus, minus), = _cone(n, d, tree | {(i, j)}, [tree])
+    (plus, minus), = cone_of_edges(n, d, tree | {(i, j)}, [tree])
     flat = [u for us in step for u in us]
     slack = sum(flat[k] for k in plus) - sum(flat[k] for k in minus)
     tied = [list(us) for us in step]
@@ -1269,13 +1309,13 @@ def assert_cell_walks_match_the_envelope(arr: Arrangement) -> int:
         assert is_triangulation(envelope), (arr.rows(), step)
         found.add(envelope)
         for cell in coarse:
-            pieces = frozenset(_pivot_walk(n, d, step, cell))
+            pieces = frozenset(pivot_walk_edges(n, d, step, cell))
             assert all(len(p) == n + d - 1 for p in pieces), (arr.rows(), step, sorted(cell))
-            cone = _cone(n, d, cell, pieces)
+            cone = cone_of_edges(n, d, cell, pieces)
             assert cone == cone_oracle(d, cell, pieces), (arr.rows(), step, sorted(cell))
             known[cell].setdefault(pieces, cone)
             tied = _tied_step(n, d, cell, min(pieces, key=sorted), step)
-            assert any(len(p) != n + d - 1 for p in _pivot_walk(n, d, tied, cell)), (arr.rows(), step)
+            assert any(len(p) != n + d - 1 for p in pivot_walk_edges(n, d, tied, cell)), (arr.rows(), step)
             for u, walked in [(step, pieces), (tied, None), (zero, None)]:
                 flat = [x for us in u for x in us]
                 for refinement, cone in known[cell].items():

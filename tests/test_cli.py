@@ -20,7 +20,14 @@ import troparr.secondary
 from troparr import Arrangement, CellGraph, Subdivision
 from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, render_svg
 
-from conftest import _tied_step, nongeneric_on_ray, random_arrangement, random_generic_arrangement, serialize_arrangement
+from conftest import (
+    _tied_step,
+    nongeneric_on_ray,
+    pivot_walk_edges,
+    random_arrangement,
+    random_generic_arrangement,
+    serialize_arrangement,
+)
 
 E2_DOC = {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["1", "1", "0"]]}
 
@@ -249,7 +256,7 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
         return enumerate_realizations(arr, *args, **kwargs)
 
     def walked(n, d, weights, support):
-        if tuple(map(tuple, weights)) == e2.rows() and len(support) == n * d:
+        if tuple(map(tuple, weights)) == e2.rows() and support == (1 << n * d) - 1:
             calls.append("pivot walk")
         return pivot_walk(n, d, weights, support)
 
@@ -432,7 +439,7 @@ def test_a_step_on_a_wall_walks_to_trees(monkeypatch, capsys, e2_file):
     expected = run(capsys, ["subdivision", "--flips", "--json", "--input", e2_file])
     pyramid, rng = _e2_pyramid(), random.Random(0)
     step = [[rng.randint(0, 1000) for _ in range(3)] for _ in range(2)]
-    tree = min(troparr.duality._pivot_walk(2, 3, step, pyramid), key=sorted)
+    tree = min(pivot_walk_edges(2, 3, step, pyramid), key=sorted)
     tied = _tied_step(2, 3, pyramid, tree, step)
     first = [u for us in tied for u in us]
     assert tied != step and all(0 <= u <= 1000 for u in first)

@@ -174,17 +174,25 @@ def test_cell_graph_validation_and_text():
         CellGraph(2, 3, frozenset({(3, 1)}))
     with pytest.raises(ValueError):
         CellGraph(2, 3, frozenset({(1, 4)}))
+    # an index that is not an int, or is a bool, is refused, not truncated
+    for edges in ({(1.5, 2.9)}, {(True, Fraction(7, 3))}, {("1", "2")}):
+        with pytest.raises(ValueError):
+            CellGraph(2, 3, edges)
 
 
 def test_sorted_edges_are_kept_outside_the_fields():
-    # sorted once and kept, while ==, hash and repr see the fields alone
-    edges = frozenset({(2, 1), (1, 3), (1, 1), (2, 2)})
-    for g in (CellGraph(2, 3, edges), CellGraph._trusted(2, 3, edges)):
-        first = g.sorted_edges()
-        assert first == ((1, 1), (1, 3), (2, 1), (2, 2))
-        assert g.sorted_edges() is first
-        assert g.text() == "[(1,1),(1,3),(2,1),(2,2)]"
-        fresh = CellGraph(2, 3, set(edges))
-        assert g == fresh and hash(g) == hash(fresh)
-        assert repr(g) == f"CellGraph(n=2, d=3, edges={g.edges!r})"
-    assert [f.name for f in dataclasses.fields(CellGraph)] == ["n", "d", "edges"]
+    # the fields are n, d and the edge mask; the edges, sorted or not, are
+    # read off its bits and round-trip, on every edge set of small shapes
+    assert [f.name for f in dataclasses.fields(CellGraph)] == ["n", "d", "mask"]
+    g = CellGraph(2, 3, frozenset({(2, 1), (1, 3), (1, 1), (2, 2)}))
+    assert g.mask == 0b11101 and g == CellGraph._trusted(2, 3, 0b11101)
+    assert g.text() == "[(1,1),(1,3),(2,1),(2,2)]"
+    rng = random.Random(11)
+    for n, d in [(1, 2), (2, 2), (2, 3), (3, 2), (4, 5), (7, 7)]:
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+        for _ in range(40):
+            g = CellGraph(n, d, rng.sample(pairs, rng.randint(0, len(pairs))))
+            fresh = CellGraph(n, d, g.edges)
+            assert fresh == g and hash(fresh) == hash(g)
+            assert list(g.sorted_edges()) == sorted(g.edges)
+            assert g.text() == "[" + ",".join(f"({i},{j})" for i, j in sorted(g.edges)) + "]"

@@ -28,7 +28,7 @@ from troparr import (
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import _certified_cells, _forest, _planar_cells, _tied_minor, is_spanning_connected
+from troparr.duality import _certified_cells, _planar_cells, _tied_minor, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
@@ -42,6 +42,7 @@ from conftest import (
     dual_subdivision_both_ways,
     envelope_oracle,
     graph_dim_oracle,
+    grown_forest,
     integer_incident,
     nongeneric_on_apex,
     nongeneric_on_ray,
@@ -141,7 +142,7 @@ def test_cycles_match_the_side_scan_on_random_trees():
     for n, d in [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 5), (6, 2), (5, 5)] * 4:
         edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
         rng.shuffle(edges)
-        assert_cycles_match_the_oracle(n, d, _forest(n, d, edges)[0])
+        assert_cycles_match_the_oracle(n, d, grown_forest(n, d, edges))
 
 
 def test_arrangement_cell_dim(e1, e2):
@@ -631,8 +632,8 @@ def test_one_cycle_cells_get_their_volume_in_closed_form(monkeypatch):
         n, d = rng.randint(2, 6), rng.randint(2, 6)
         pairs = full_support(n, d)
         rng.shuffle(pairs)
-        tree = _forest(n, d, pairs)[0]
-        g = CellGraph(n, d, frozenset(tree) | {rng.choice([e for e in pairs if e not in tree])})
+        tree = grown_forest(n, d, pairs)
+        g = CellGraph(n, d, tree | {rng.choice([e for e in pairs if e not in tree])})
         cases.append((g, normalized_volume(g)))
 
     def refused(g):
@@ -658,6 +659,19 @@ def test_sorted_cells_are_kept_outside_the_fields(e2):
         assert sub == fresh and hash(sub) == hash(fresh)
         assert repr(sub) == f"Subdivision(n={sub.n}, d={sub.d}, maximal_cells={sub.maximal_cells!r})"
     assert [f.name for f in dataclasses.fields(Subdivision)] == ["n", "d", "maximal_cells"]
+
+
+def test_sorted_cells_follow_their_sorted_edges():
+    # the order of the cells' set bits is the order of their sorted edges,
+    # on random draws of every shape up to 5 x 5 and on a generic 6 x 6
+    rng = random.Random(3032)
+    generic = dual_subdivision(Arrangement.from_rows([[3 ** (6 * i + j) for j in range(6)] for i in range(6)]))
+    assert len(generic.maximal_cells) == 252
+    subs = [generic]
+    for n, d in product(range(1, 6), range(2, 6)):
+        subs += [dual_subdivision(draw(rng, n, d)) for draw in (random_arrangement, random_integer_arrangement)]
+    for sub in subs:
+        assert sub.sorted_cells() == tuple(sorted(sub.maximal_cells, key=lambda g: sorted(g.edges))), sub
 
 
 def test_tree_volumes_match_determinant_oracle():

@@ -7,7 +7,9 @@ planar read-off at (3,3) against genericity and both walks, the (3,3)
 grid tie-broken into generic inputs against the read-off, the pivot
 walk and the enumeration, and so does
 the pivot walk's order of cells against the walk it replaced, on every
-(3,3) and (2,4) input and on each of their cells that is not a tree.
+(3,3) and (2,4) input and on each of their cells that is not a tree,
+and the order of each of those inputs' sorted cells against their
+sorted edges.
 ``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
 oracle, with every entry the enumeration generates imposed on its prefix
 and the dual subdivision and the vertex-walk oracle against the
@@ -150,6 +152,14 @@ def test_pivot_walk_order_on_grid(n, d):
     # full support and over each cell that is not a tree as a volume walks it
     for arr in grid(n, d):
         assert_walk_order_matches_the_oracle(n, d, arr.rows())
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 4)])
+def test_sorted_cells_follow_their_sorted_edges_on_grid(n, d):
+    # the order of the cells' set bits is the order of their sorted edges
+    for arr in grid(n, d):
+        sub = dual_subdivision(arr)
+        assert sub.sorted_cells() == tuple(sorted(sub.maximal_cells, key=lambda g: sorted(g.edges))), arr.rows()
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,7 @@ from conftest import (
     nongeneric_on_apex,
     nongeneric_on_ray,
     offending_apexes,
+    pivot_walk_edges,
     random_arrangement,
     random_generic_arrangement,
     random_integer_arrangement,
@@ -197,7 +198,7 @@ def test_every_tie_broken_step_moves_to_a_generic_arrangement(e2):
             step = [[rng.randint(0, 1000) for _ in range(d)] for _ in range(n)]
             assert is_generic(_moved(scaled, tie_broken(step))), (arr.rows(), step)
             for cell in coarse:
-                tree = min(troparr.duality._pivot_walk(n, d, step, cell), key=sorted)
+                tree = min(pivot_walk_edges(n, d, step, cell), key=sorted)
                 tied = _tied_step(n, d, cell, tree, step)
                 assert is_generic(_moved(scaled, tie_broken(tied))), (arr.rows(), tied)
                 assert not is_generic(_moved(scaled, tied)), (arr.rows(), tied)

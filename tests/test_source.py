@@ -1,8 +1,9 @@
-"""The library's source keeps three promises that no other test reads: it
+"""The library's source keeps four promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
-numbers, naming ``float`` only to draw SVG and to refuse float input, and
-it scales rationals to ints in ``core`` alone, the one module naming
-``lcm``."""
+numbers, naming ``float`` only to draw SVG and to refuse float input, it
+scales rationals to ints in ``core`` alone, the one module naming
+``lcm``, and it holds a cell's edges as one bitmask, which ``core`` alone
+reads back as edge pairs through the attribute ``edges``."""
 
 import ast
 import sys
@@ -56,3 +57,12 @@ def test_lcm_is_named_only_in_core():
                 else None
             )
             assert name != "lcm", f"{path.name}:{node.lineno} names lcm"
+
+
+def test_edges_are_read_only_in_core():
+    # one edge encoding: every module but core reads a cell's mask
+    for path, tree in _parsed():
+        if path.stem == "core":
+            continue
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "edges"), f"{path.name}:{node.lineno} reads .edges"
