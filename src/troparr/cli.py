@@ -183,13 +183,11 @@ def _edge_lists(g) -> list[list[int]]:
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     sub = dual_subdivision(arr, args.budget)
-    # the capped volumes before the flips, whose walks count against --budget but whose cones have no cap
-    volumes = sub.volumes
     verdict = None
     if args.flips and not is_triangulation(sub):
         verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)
     if args.json:
-        results: dict = {"cells": [{"edges": _edge_lists(g), "volume": volumes[g]} for g in sub.sorted_cells()]}
+        results: dict = {"cells": [{"edges": _edge_lists(g), "volume": sub.volumes[g]} for g in sub.sorted_cells()]}
         if args.flips:
             results["flips"] = None if verdict is None else {
                 "triangulations": [
@@ -200,7 +198,7 @@ def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
             }
         return OK, results
     lines = ["cells:"]
-    lines.extend(f"  {g.text()} vol {volumes[g]}" for g in sub.sorted_cells())
+    lines.extend(f"  {g.text()} vol {sub.volumes[g]}" for g in sub.sorted_cells())
     if args.flips:
         if verdict is None:
             lines.append("flips: arrangement is generic; subdivision is already a triangulation")

@@ -47,22 +47,21 @@ instead of a scan of all 2^(n·d) edge subsets; that count is the unit
 :func:`dual_subdivision`'s budget charges before a walk starts.
 :func:`regular_subdivision` and :func:`dual_subdivision` build their
 cells unvalidated: each holds the tree it was read at, so it spans and
-is connected.  The walk
-yields its cells lazily, so the genericity test stops at the first
-cell that is not a spanning tree.  The first of
-that cell's sorted edges that closes a cycle in the forest grown by the
-edges before it names a square minor: the edge's fundamental cycle
-alternates between two perfect matchings of the minor, both tight, so
-its min-plus determinant is attained twice.
-Run over the edges of one cell only, the walk gives that cell's own
-regular subdivision under other heights, which is how the normalized
-volume of a cell with two or more cycles is counted; a tree's volume
-is 1, and a cell with one cycle has half its length.
+is connected.  Each tree is a unit simplex, so the number of trees the
+walk maps to a cell is its normalized volume (:attr:`Subdivision.volumes`),
+with no second walk; run over the edges of one cell with zero heights,
+the walk triangulates that cell alone, as :func:`normalized_volume` does
+for a cell built by hand.  The walk yields its cells lazily, so the
+genericity test stops at the first cell that is not a spanning tree.
+The first of that cell's sorted edges that closes a cycle in the forest
+grown by the edges before it names a square minor: the edge's
+fundamental cycle alternates between two perfect matchings of the
+minor, both tight, so its min-plus determinant is attained twice.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -75,7 +74,8 @@ from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
 #: walk pays a slack per edge for each tree and, per tree edge, a scan of
-#: the edges entering its side.
+#: the edges entering its side.  The same product caps the cone of one
+#: coarse cell in :func:`~troparr.secondary.refining_triangulations`.
 MAX_VOLUME_WORK = 20_000_000
 
 
@@ -133,8 +133,8 @@ class Subdivision:
         if not cells:
             raise ValueError("a subdivision needs at least one maximal cell")
         for g in cells:
-            if (g.n, g.d) != (self.n, self.d):
-                raise ValueError("cell graph parameters do not match the subdivision")
+            if not isinstance(g, CellGraph) or (g.n, g.d) != (self.n, self.d):
+                raise ValueError(f"maximal cell {g!r} is not a {self.n} x {self.d} cell graph")
             if not is_spanning_connected(g):
                 raise ValueError(f"maximal cell {g.text()} must span and be connected")
         object.__setattr__(self, "maximal_cells", cells)
@@ -162,33 +162,20 @@ class Subdivision:
 
     @cached_property
     def volumes(self) -> dict[CellGraph, int]:
-        """Normalized volume of each maximal cell, computed on first use.
+        """Normalized volume of each maximal cell.
 
-        Each cell spans and is connected on the n + d nodes, so it has
-        |E| - (n + d - 1) independent cycles.  One with n + d - 1 edges
-        is a tree, a unit simplex.  One with n + d edges has exactly one
-        cycle, of length 2k.  The points of the cycle's edges form the
-        cell's one circuit: the cycle alternates between two perfect
-        matchings of k edges each, and both sum to the same point.  The
-        other edges add affinely independent points, so the cell is an
-        iterated pyramid over that circuit.  A circuit has exactly two
-        triangulations, one dropping each point of one side in turn, so
-        k simplices each, and every simplex is unimodular: the volume is
-        k, the size of the plus side that :func:`_cycle_masks` reads off
-        the edge closing the cycle in :func:`_forest`.  Only cells with
-        two or more cycles are walked by :func:`normalized_volume`."""
-        n, d = self.n, self.d
-
-        def volume(g: CellGraph) -> int:
-            size = g.mask.bit_count()
-            if size == n + d - 1:
-                return 1
-            if size == n + d:
-                ((plus, _),) = _cycle_masks(n, d, *_forest(n, d, g.mask))
-                return plus.bit_count()
-            return normalized_volume(g)
-
-        return {g: volume(g) for g in self.maximal_cells}
+        A walked subdivision with a cell that is not a tree has them from
+        its walk (:func:`_subdivision`): the trees the walk maps to each
+        cell.  They are the simplices of the triangulation that the
+        perturbed heights of :func:`_pivot_walk` induce, which refines the
+        subdivision and so restricts to a triangulation of each cell, and
+        the walk visits each once.  Every simplex is unimodular (a
+        bipartite incidence matrix is totally unimodular), so a cell's
+        trees number its volume (De Loera-Rambau-Santos, ch. 2 and 6.2).
+        Any other subdivision reads them on first use: 1 for a tree and
+        :func:`normalized_volume` for any other cell."""
+        tree = self.n + self.d - 1
+        return {g: 1 if g.mask.bit_count() == tree else normalized_volume(g) for g in self.maximal_cells}
 
 
 #: The labels of each mask of labels 1..3 (bit j for label j), and the
@@ -541,11 +528,16 @@ def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[int]:
 
 
 def _subdivision(n: int, d: int, cells: Iterable[int]) -> Subdivision:
-    """The subdivision of the distinct cells a walk yields, unvalidated:
-    each holds the tree it was read at, whose edges all have slack 0, so
-    it spans and is connected, and its edges are support edges, in
-    range."""
-    return Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in set(cells)))
+    """The subdivision of the distinct cells a walk over the full support
+    yields, unvalidated: each holds the tree it was read at, whose edges
+    all have slack 0, so it spans and is connected, and its edges are
+    support edges, in range.  Each cell's tree count, its volume, is kept
+    when there are fewer cells than trees; a triangulation's are all 1."""
+    counts = Counter(cells)
+    sub = Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in counts))
+    if len(counts) < comb(n + d - 2, n - 1):
+        object.__setattr__(sub, "volumes", {g: counts[g.mask] for g in sub.maximal_cells})
+    return sub
 
 
 def regular_subdivision(weights) -> Subdivision:
@@ -610,13 +602,11 @@ def normalized_volume(g: CellGraph) -> int:
     alternating sums never vanish, so the induced regular subdivision is
     such a triangulation; the pivot walk counts its simplices.  A
     spanning tree is its own only simplex, so its walk visits one tree
-    and returns 1.  :attr:`Subdivision.volumes` counts trees and cells
-    with one cycle in closed form, so only its cells with two or more
-    cycles reach this walk.  It counts its work as it goes,
-    and past ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
+    and returns 1.  A walked :class:`Subdivision` counts its volumes in
+    its own walk, so only the cells of one built by hand that are not
+    trees reach this walk.  It counts its work as it goes, and past
+    ``MAX_VOLUME_WORK`` raises :class:`ResourceLimitError`.
     """
-    if not g.mask:
-        raise ValueError("cell graph has no edges")
     if cell_dim(g) != g.n + g.d - 2:
         raise ValueError("normalized volume needs a full-dimensional cell")
     size = g.mask.bit_count()

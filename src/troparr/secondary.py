@@ -50,8 +50,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Arrangement, _bits
-from .duality import Subdivision, _charge, _cycle_masks, _forest, dual_subdivision, is_triangulation
+from .core import Arrangement, ResourceLimitError, _bits
+from .duality import MAX_VOLUME_WORK, Subdivision, _charge, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
 @dataclass(frozen=True)
@@ -232,11 +232,23 @@ def refining_triangulations(
     for each step walked.  A step whose walk would pass it raises
     :class:`~troparr.core.ResourceLimitError` before walking, and a
     negative budget is a ValueError.
+
+    The cones are capped before the first step: a coarse cell of volume
+    v holds v trees in each refinement, each closing fewer than |E|
+    cycles of at most n + d edges, so a cell with two or more cycles and
+    v·(n+d)·|E| past ``MAX_VOLUME_WORK`` raises ResourceLimitError.
     """
     n, d = arr.n, arr.d
     spent = _charge(n, d, budget)
     if is_triangulation(base):
         return frozenset({base})
+    for g in base.sorted_cells():
+        size, volume = g.mask.bit_count(), base.volumes[g]
+        if size > n + d and volume * (n + d) * size > MAX_VOLUME_WORK:
+            raise ResourceLimitError(
+                f"flip cone: {volume} trees x {n + d} nodes x {size} edges = {volume * (n + d) * size} "
+                f"exceed the cap of {MAX_VOLUME_WORK} on cell {g.text()}"
+            )
     rng = random.Random(seed)
     scaled = _scaled_rows(arr)
     scale, ties = 3 ** (n * d), [3 ** k for k in range(n * d)]

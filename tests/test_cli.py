@@ -293,32 +293,52 @@ def test_one_integer_form_per_run(monkeypatch, capsys, tmp_path):
     assert "generic: false" in out and "triangulation 2:" in out
 
 
-def test_volume_walk_stops_at_its_work_cap(capsys, tmp_path):
-    # one flat cell of volume 1,100: walking all its trees took over a
-    # minute, while check on the same input takes under a second; --flips
-    # reads the capped volumes before its own uncapped walks
+def test_flat_cell_volume_comes_from_the_walk_and_its_cone_is_capped(monkeypatch, capsys, tmp_path):
+    # one flat cell of volume 1,100: subdivision counts its 1,100 trees in
+    # the walk that finds it, with no second walk; --flips refuses that
+    # cell's cone, 1,100 trees x 1,102 nodes x 2,200 edges, before any
+    # step is walked
     path = tmp_path / "flat.txt"
     path.write_text("1100 2\n" + "0 0\n" * 1100)
-    for flips in ([], ["--flips"]):
-        start = time.perf_counter()
-        assert main(["subdivision", *flips, "--format", "text", "--input", str(path)]) == 5
-        assert time.perf_counter() - start < 20
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "error: normalized volume: 9 trees x 1102 nodes x 2200 edges = 21819600 "
-            "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
-        )
+    assert main(["subdivision", "--format", "text", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "cells:" and lines[3].endswith(",(1100,2)] vol 1100") and lines[4:] == ["status: ok"]
+    steps = []
+    dual = troparr.secondary.dual_subdivision
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", lambda *args: steps.append(args) or dual(*args))
+    assert main(["subdivision", "--flips", "--format", "text", "--input", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and steps == []
+    assert captured.err.startswith(
+        "error: flip cone: 1100 trees x 1102 nodes x 2200 edges = 2666840000 "
+        "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
+    )
+
+
+def test_subdivision_and_flips_never_walk_a_volume(monkeypatch, capsys, e2_file, tmp_path):
+    # every volume printed is the count of the trees the input's own walk
+    # maps to its cell: e2's pyramid 2, the all-zero 3x3 input's one cell 6
+    def refused(g):
+        raise AssertionError(f"walked the volume of {g.text()}")
+
+    monkeypatch.setattr(troparr.duality, "normalized_volume", refused)
+    zero = tmp_path / "zero33.json"
+    zero.write_text(json.dumps({"n": 3, "d": 3, "apexes": [[0, 0, 0]] * 3}))
+    for path, volumes in [(e2_file, ["1", "2"]), (str(zero), ["6"])]:
+        for flips in ([], ["--flips"]):
+            code, out = run(capsys, ["subdivision", *flips, "--format", "json", "--input", path])
+            assert code == 0 and ("flips:" in out) == bool(flips)
+            assert sorted(line.rsplit(" ", 1)[1] for line in out.splitlines() if " vol " in line) == volumes
 
 
 def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_path):
     # the input once, then one perturbation per distinct triangulation;
-    # the all-zero 2x3 input has one coarse cell, K_{2,3} with two cycles
-    # (so its volume, 3, is walked), and six refinements, so of the
-    # 2nd = 12 steps only the first to land on each is walked: the others
-    # fall inside a known refinement's cone.  No cell is walked on its
-    # own while the refinements are sought: each pivot walk there is a
-    # step's dual subdivision
+    # the all-zero 2x3 input has one coarse cell, K_{2,3} with two cycles,
+    # whose volume, 3, the input's walk counts, and six refinements, so
+    # of the 2nd = 12 steps only the first to land on each is walked: the
+    # others fall inside a known refinement's cone.  No cell is walked on
+    # its own, for its volume or while the refinements are sought: each
+    # pivot walk in the search is a step's dual subdivision
     path = tmp_path / "zero23.txt"
     path.write_text("2 3\n0 0 0\n0 0 0\n")
     subdivisions, inside, walks = [], [], []
@@ -349,8 +369,8 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
     out = capsys.readouterr().out
     assert "triangulation 6:" in out and "triangulation 7:" not in out
     assert len(subdivisions) == 1 + 6
-    # the input's walk and its coarse cell's volume outside the search
-    assert walks.count(False) == 2 and walks.count(True) == 6
+    # the input's walk alone outside the search: it also gives the volume
+    assert walks.count(False) == 1 and walks.count(True) == 6
 
 
 def _e2_pyramid() -> frozenset:

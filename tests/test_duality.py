@@ -28,7 +28,7 @@ from troparr import (
 
 import troparr.duality
 import troparr.geometry
-from troparr.duality import _certified_cells, _planar_cells, _tied_minor, is_spanning_connected
+from troparr.duality import _certified_cells, _cycle_masks, _forest, _planar_cells, _tied_minor, is_spanning_connected
 
 from conftest import (
     arrangement_cell_dim,
@@ -623,27 +623,51 @@ def test_normalized_volume_counts_its_work(monkeypatch):
         normalized_volume(flat)
 
 
-def test_one_cycle_cells_get_their_volume_in_closed_form(monkeypatch):
-    # a spanning tree plus one edge closes one cycle, of length 2k, and
-    # the cell's volume is k: Subdivision.volumes reads it with no walk
+def test_one_cycle_cells_have_half_their_cycle_length_as_volume():
+    # a spanning tree plus one edge closes one cycle, of length 2k: the
+    # cell is an iterated pyramid over one circuit, both of whose
+    # triangulations have k simplices, so its volume is k; a cell built
+    # by hand reads it from normalized_volume
     rng = random.Random(3030)
-    cases = []
+    halves = set()
     for _ in range(120):
         n, d = rng.randint(2, 6), rng.randint(2, 6)
         pairs = full_support(n, d)
         rng.shuffle(pairs)
         tree = grown_forest(n, d, pairs)
         g = CellGraph(n, d, tree | {rng.choice([e for e in pairs if e not in tree])})
-        cases.append((g, normalized_volume(g)))
+        (plus, minus), = _cycle_masks(n, d, *_forest(n, d, g.mask))
+        k = plus.bit_count()
+        assert minus.bit_count() == k
+        assert Subdivision(n, d, frozenset({g})).volumes == {g: k} == {g: volume_oracle(g)}, g.text()
+        halves.add(k)
+    assert halves >= {2, 3, 4, 5}
 
+
+def test_walk_counts_are_the_volumes_of_their_cells(monkeypatch):
+    # each tree the walk visits is a unit simplex of one cell, so its
+    # count per cell is that cell's volume, kept when a cell is not a
+    # tree; integer draws give coarse cells, rational ones triangulations
     def refused(g):
-        raise AssertionError(f"walked the one-cycle cell {g.text()}")
+        raise AssertionError(f"walked the volume of {g.text()}")
 
+    rng = random.Random(3033)
+    walked = []
+    for n, d in [(n, d) for n in range(1, 7) for d in range(2, 7) if n * d <= 30]:
+        for rows in (
+            [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n)],
+            [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)],
+            [[random_rational(rng) for _ in range(d)] for _ in range(n)],
+        ):
+            sub = regular_subdivision(rows)
+            assert ("volumes" in vars(sub)) == (not is_triangulation(sub)), rows
+            walked.append((sub, "volumes" in vars(sub)))
     monkeypatch.setattr(troparr.duality, "normalized_volume", refused)
-    for g, walked in cases:
-        assert Subdivision(g.n, g.d, frozenset({g})).volumes == {g: walked}, g.text()
-        assert walked == volume_oracle(g), g.text()
-    assert {walked for _, walked in cases} >= {2, 3, 4, 5}
+    for sub, kept in walked:
+        volumes = sub.volumes
+        assert all(volumes[g] == volume_oracle(g) for g in sub.maximal_cells), sub
+        assert sum(volumes.values()) == comb(sub.n + sub.d - 2, sub.n - 1)
+    assert sum(kept for _, kept in walked) >= 40
 
 
 def test_sorted_cells_are_kept_outside_the_fields(e2):
@@ -770,5 +794,10 @@ def test_maximal_cells_are_the_inclusion_maximal_type_graphs(e1, e2):
 def test_subdivision_validates_cells():
     with pytest.raises(ValueError):
         Subdivision(2, 2, frozenset({G(2, 2, (1, 1))}))  # not spanning
+    with pytest.raises(ValueError, match=re.escape("maximal cell (1, 2) is not a 2 x 3 cell graph")):
+        Subdivision(2, 3, {(1, 2)})  # an edge, not a cell
+    square = G(2, 2, (1, 1), (1, 2), (2, 1), (2, 2))
+    with pytest.raises(ValueError, match=re.escape(f"maximal cell {square!r} is not a 2 x 3 cell graph")):
+        Subdivision(2, 3, {square})
     with pytest.raises(ValueError):
         Subdivision(2, 2, frozenset())

@@ -316,8 +316,9 @@ def test_every_refinement_refines_the_coarse_subdivision(e2):
 
 def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch):
     # the simplices of a triangulation are validated once, by Subdivision;
-    # the all-zero 2x3 input's one cell is K_{2,3}, with two cycles, so
-    # its volume is walked, once
+    # the all-zero 2x3 input's one cell is K_{2,3}, with two cycles: the
+    # input's walk counts its volume, so a walked base walks no cell, and
+    # the same cell built by hand walks its volume, once
     zero = Arrangement.from_rows([[0, 0, 0], [0, 0, 0]])
     refinements = refining_triangulations(zero, dual_subdivision(zero))
     assert len(refinements) == 6
@@ -330,17 +331,20 @@ def test_refines_walks_only_the_cells_that_are_not_trees(monkeypatch):
 
     monkeypatch.setattr(troparr.duality, "normalized_volume", counted)
     base = dual_subdivision(zero)
+    whole = G(2, 3, *((i, j) for i in (1, 2) for j in (1, 2, 3)))
+    hand = Subdivision(2, 3, frozenset({whole}))
     for t in refinements:
         t = Subdivision(t.n, t.d, t.maximal_cells)  # volumes not yet read
         assert refines(t, base)
         assert all(t.volumes[g] == volume_oracle(g) for g in t.maximal_cells)
-    whole = G(2, 3, *((i, j) for i in (1, 2) for j in (1, 2, 3)))
-    assert calls == [whole]
-    assert base.volumes == {whole: 3} and volume_oracle(whole) == 3
+    assert calls == [] and base.volumes == {whole: 3} and volume_oracle(whole) == 3
+    assert all(refines(t, hand) for t in refinements)
+    assert calls == [whole] and hand.volumes == {whole: 3}
 
 
 def test_the_e2_pyramid_volume_is_read_off_its_one_cycle(monkeypatch, e2):
-    # five edges on five nodes close one cycle, a square: volume 2
+    # five edges on five nodes close one cycle, a square, so the pyramid
+    # has volume 2: the input's walk maps two of its three trees to it
     def refused(g):
         raise AssertionError(f"walked the one-cycle cell {g.text()}")
 
