@@ -3,7 +3,8 @@ comparability, surrounding, plus the single-coordinate local-refinement
 probe, aggregated into a verdict with first-counterexample diagnostics.
 
 Every check reads one canonical table of its collection (:class:`_Table`):
-the types sorted once in ``key()`` order, each as a row of int label masks.
+the types sorted once in ``key()`` order, each as the row of its label
+masks, in the one label encoding of :class:`~troparr.core.TypeVector`.
 
 Surrounding and local refinement are deliberately distinct predicates.
 Surrounding quantifies over ordered-partition refinements (a single
@@ -21,7 +22,7 @@ from math import comb
 from operator import and_, or_
 from typing import Callable, Collection
 
-from .core import OrderedPartition, ResourceLimitError, TypeVector
+from .core import OrderedPartition, ResourceLimitError, TypeVector, _bits
 
 #: Cap on the surrounding check's work in refinement lookups: |types| x
 #: (2^d - 2) two-block refinements, plus Fubini(d) ordered partitions for
@@ -64,27 +65,25 @@ class AxiomReport:
 
 class _Table:
     """A collection in canonical order, built once and read by every
-    check: the types sorted as by ``key()`` (each distinct entry ranked
-    once by its sorted labels, each type keyed by its entries' ranks),
-    each type's entries as a row of int label masks (bit j-1 for label
-    j; ``geometry``'s masks use bit j), and the set of those rows.  A
-    public check handed a table (as :func:`is_tropical_oriented_matroid`
-    does) reads it as it is."""
+    check: the types sorted as by ``key()`` (each distinct label mask
+    ranked once by its labels, each type keyed by its masks' ranks), each
+    type's row its ``masks`` (:class:`~troparr.core.TypeVector`), and
+    the set of those rows.  A public check handed a table (as
+    :func:`is_tropical_oriented_matroid` does) reads it as it is."""
 
     __slots__ = ("types", "rows", "present", "top", "mixed")
 
     def __init__(self, types: Collection[TypeVector]):
         types = list(types)
-        # ranks order the entries as ``key()`` orders their label tuples
-        entries = sorted({e for t in types for e in t.entries}, key=sorted)
-        rank = {e: r for r, e in enumerate(entries)}
-        masks = [sum(1 << j - 1 for j in e) for e in entries]
-        keys = [tuple(map(rank.__getitem__, t.entries)) for t in types]
+        # ranks order the masks as ``key()`` orders their label tuples
+        masks = sorted({m for t in types for m in t.masks}, key=_bits)
+        rank = {m: r for r, m in enumerate(masks)}
+        keys = [tuple(map(rank.__getitem__, t.masks)) for t in types]
         order = sorted(range(len(types)), key=keys.__getitem__)
         self.types = [types[i] for i in order]
-        self.rows = [tuple(map(masks.__getitem__, keys[i])) for i in order]
+        self.rows = [t.masks for t in self.types]
         self.present = set(self.rows)
-        self.top = max(masks, default=0).bit_length()  # the largest label
+        self.top = max(masks, default=1).bit_length() - 1  # the largest label
         self.mixed = len({len(row) for row in self.rows}) > 1
 
     def __len__(self) -> int:
@@ -105,7 +104,7 @@ def _table(types: Collection[TypeVector], d: int | None = None, checked: bool = 
 def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult:
     """Every constant type (j, ..., j) must be present."""
     present = _table(types, checked=False).present
-    missing = tuple(j for j in range(1, d + 1) if (1 << j - 1,) * n not in present)
+    missing = tuple(j for j in range(1, d + 1) if (1 << j,) * n not in present)
     return CheckResult(not missing, missing or None)
 
 
@@ -218,18 +217,19 @@ def _pair_packer(d: int) -> Callable[[int, int], int]:
     undirected edges.  A directed j -> k means j beats k, an undirected
     edge that they tie.  With C = a n b the directed edges are (a - C) x b
     and C x (b - C), the undirected ones C x C off the diagonal.  The bits
-    of R x K are spread(R) * K: spread(R) sets bit (j-1)*d for each j in
-    R, and K < 2^d, so no carry crosses a row.  Spreading commutes with n
-    and -, so each distinct entry is spread once, and a pair takes no
-    per-label work."""
+    of R x K are spread(R) * (K >> 1): spread(R) sets bit (j-1)*d for
+    each j in R, and K >> 1 < 2^d, so no carry crosses a row.  Spreading
+    commutes with n and -, so each distinct entry is spread once, and a
+    pair takes no per-label work."""
     diagonal = sum(1 << j * (d + 1) for j in range(d))
 
     @cache
     def spread(m: int) -> int:
-        return sum(1 << j * d for j in range(d) if m >> j & 1)
+        return sum(1 << (j - 1) * d for j in _bits(m))
 
     def packed(a: int, b: int) -> int:
         sa, sb = spread(a), spread(b)
+        a, b = a >> 1, b >> 1  # bit j-1 for label j: the column index
         c, sc = a & b, sa & sb
         directed = (sa ^ sc) * b | sc * (b ^ c)
         reversed_ = sb * (a ^ c) | (sb ^ sc) * c
@@ -337,7 +337,7 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
         return CheckResult(True)
     d = table.top if d is None else d
     _surrounding_cap(len(table), d)
-    parts = range(1, (1 << d) - 1)
+    parts = range(2, (2 << d) - 2, 2)
     cuts = {e: [e & P or e for P in parts] for e in {e for row in table.rows for e in row}}
     for checked, row in enumerate(table.rows, 1):
         if not table.present.issuperset(zip(*map(cuts.__getitem__, row))):
@@ -346,8 +346,8 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
 
 
 def _partition_masks(d: int) -> list[tuple[int, ...]]:
-    """The blocks of every ordered partition of {1, ..., d} as label masks
-    (bit j - 1 for label j), in the order of
+    """The blocks of every ordered partition of {1, ..., d} as label masks,
+    in the order of
     :func:`~troparr.core.enumerate_ordered_partitions`: the first block
     by ascending size, then lexicographically, then the rest's.  The
     partitions of each set of labels left over are built once per call."""
@@ -364,7 +364,7 @@ def _partition_masks(d: int) -> list[tuple[int, ...]]:
             ]
         return tails[left]
 
-    return of(tuple(1 << j for j in range(d)))
+    return of(tuple(1 << j for j in range(1, d + 1)))
 
 
 def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResult:
@@ -394,7 +394,7 @@ def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResu
         refined = list(zip(*map(cuts.__getitem__, row)))
         if not table.present.issuperset(refined):
             bs = next(bs for bs, r in zip(blocks, refined) if r not in table.present)
-            P = OrderedPartition(tuple(frozenset(j for j in range(1, d + 1) if b >> j - 1 & 1) for b in bs))
+            P = OrderedPartition(tuple(frozenset(_bits(b)) for b in bs))
             return CheckResult(False, (T, P))
     raise RuntimeError("surrounding: a two-block refinement is missing but no ordered-partition refinement is")
 
@@ -409,8 +409,8 @@ def check_local_refinement(types: Collection[TypeVector]) -> CheckResult:
             if not entry & entry - 1:  # a single label
                 continue
             head, tail = row[:i], row[i + 1:]
-            for k in range(1, entry.bit_length() + 1):
-                if entry >> k - 1 & 1 and head + (1 << k - 1,) + tail not in table.present:
+            for k in _bits(entry):
+                if head + (1 << k,) + tail not in table.present:
                     return CheckResult(False, (T, i + 1, k))
     return CheckResult(True)
 

@@ -291,7 +291,7 @@ def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     bold = {
         i
         for i in range(1, arr.n + 1)
-        if any(len(entry) >= 2 for k, entry in enumerate(type_of_point(arr, arr.apex(i)).entries, 1) if k != i)
+        if any(mask & mask - 1 for k, mask in enumerate(type_of_point(arr, arr.apex(i)).masks, 1) if k != i)
     }
     svg = render_svg(arr, bold)
     try:

@@ -198,38 +198,60 @@ def _as_label_set(entry) -> frozenset[int]:
     return labels
 
 
-@dataclass(frozen=True)
+def _label_mask(entry) -> int:
+    """The validated label set ``entry`` as a label mask, bit j for label j."""
+    return sum(1 << j for j in _as_label_set(entry))
+
+
+_TYPE_ENTRY = r"\{[1-9][0-9]*(?:,[1-9][0-9]*)*\}"
+_TYPE_RE = re.compile(rf"\({_TYPE_ENTRY}(?:,{_TYPE_ENTRY})*\)")
+
+
+@dataclass(frozen=True, init=False)
 class TypeVector:
     """An n-tuple of nonempty coordinate-label subsets: one sector set per
-    hyperplane."""
+    hyperplane.
 
-    entries: tuple[frozenset[int], ...]
+    The package's one label encoding: entry i is the label mask
+    ``masks[i-1]``, an int with bit j set for each label j (bit 0 never
+    is), as the type enumeration, the feasibility kernel, the planar
+    read-off and the axiom checks build and read it.  Its set bits,
+    lowest first, are the labels in ascending order, and ``entries``,
+    :meth:`entry`, :meth:`key`, :meth:`text` and :meth:`max_label` are
+    read off them."""
 
-    def __post_init__(self) -> None:
-        entries = tuple(_as_label_set(e) for e in self.entries)
-        if not entries:
+    masks: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        masks = tuple(_label_mask(e) for e in entries)
+        if not masks:
             raise ValueError("a type vector needs at least one entry")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def of(cls, *entries: Iterable[int]) -> "TypeVector":
-        return cls(tuple(frozenset(e) for e in entries))
+        return cls(entries)
 
     @classmethod
-    def _trusted(cls, entries: tuple[frozenset[int], ...]) -> "TypeVector":
-        """A type from entries known to be nonempty frozensets of positive
-        int labels, as the type walk builds them, without re-validating
-        them."""
+    def _trusted(cls, masks: tuple[int, ...]) -> "TypeVector":
+        """A type from label masks known to be nonzero with bit 0 clear,
+        as the type walk builds them, without re-validating them."""
         T = object.__new__(cls)
-        object.__setattr__(T, "entries", entries)
+        object.__setattr__(T, "masks", masks)
         return T
+
+    @cached_property
+    def entries(self) -> tuple[frozenset[int], ...]:
+        """The entries as label sets, read off the masks on first use and
+        kept outside the fields, so ``==`` and ``hash`` read the masks."""
+        return tuple(frozenset(_bits(m)) for m in self.masks)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.masks)
 
     def max_label(self) -> int:
-        return max(max(e) for e in self.entries)
+        return max(self.masks).bit_length() - 1
 
     def entry(self, i: int) -> frozenset[int]:
         """Entry at hyperplane i (1-based)."""
@@ -241,41 +263,27 @@ class TypeVector:
         """Copy with the entry at position i (1-based) replaced."""
         if not 1 <= i <= self.n:
             raise IndexError(f"position {i} out of range 1..{self.n}")
-        entries = list(self.entries)
-        entries[i - 1] = frozenset(labels)
-        return TypeVector(tuple(entries))
+        return TypeVector._trusted(self.masks[:i - 1] + (_label_mask(labels),) + self.masks[i:])
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical sort key (entries as ascending label tuples)."""
-        return tuple(tuple(sorted(e)) for e in self.entries)
+        return tuple(tuple(_bits(m)) for m in self.masks)
 
     def text(self) -> str:
-        parts = ("{" + ",".join(str(x) for x in sorted(e)) + "}" for e in self.entries)
+        parts = ("{" + ",".join(map(str, _bits(m))) + "}" for m in self.masks)
         return "(" + ",".join(parts) + ")"
 
     @classmethod
     def parse(cls, text: str) -> "TypeVector":
-        """Inverse of :meth:`text`; rejects anything not in canonical form."""
+        """Inverse of :meth:`text`; rejects anything not in canonical form,
+        whose labels are ASCII decimals with no leading zero, ascending."""
         s = text.strip()
-        if not (s.startswith("(") and s.endswith(")")):
+        if not _TYPE_RE.fullmatch(s):
             raise ValueError(f"not a type literal: {text!r}")
-        body = s[1:-1]
-        entries = []
-        while True:
-            m = re.match(r"\{(\d+(?:,\d+)*)\}", body)
-            if m is None:
-                raise ValueError(f"not a type literal: {text!r}")
-            labels = [int(x) for x in m.group(1).split(",")]
-            if labels != sorted(set(labels)):
-                raise ValueError(f"labels must be strictly ascending: {text!r}")
-            entries.append(frozenset(labels))
-            body = body[m.end():]
-            if not body:
-                break
-            if not body.startswith(","):
-                raise ValueError(f"not a type literal: {text!r}")
-            body = body[1:]
-        return cls(tuple(entries))
+        entries = [[int(x) for x in e.split(",")] for e in s[2:-2].split("},{")]
+        if any(labels != sorted(set(labels)) for labels in entries):
+            raise ValueError(f"labels must be strictly ascending: {text!r}")
+        return cls(entries)
 
     def __str__(self) -> str:
         return self.text()

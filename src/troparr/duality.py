@@ -69,7 +69,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, _bits, _integer_rows, to_fraction
-from .geometry import GenericityReport, TiedMinor, _labels, enumerate_realizations, is_generic
+from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
 #: Cap on the work of one normalized volume, trees x (n + d) x |E|: the
@@ -178,9 +178,10 @@ class Subdivision:
         return {g: 1 if g.mask.bit_count() == tree else normalized_volume(g) for g in self.maximal_cells}
 
 
-#: The labels of each mask of labels 1..3 (bit j for label j), and the
-#: mask itself where it holds two labels or more, else 0.
-_THREE = [_labels(mask) for mask in range(16)]
+#: The labels of each label mask over labels 1..3 (:class:`~troparr.core.TypeVector`),
+#: and the mask itself where it holds two labels or more, else 0.  Bit 0,
+#: no label, is dropped: the read-off never sets it.
+_THREE = [_bits(mask & 0b1110) for mask in range(16)]
 _JOINS = [mask if len(labels) > 1 else 0 for mask, labels in enumerate(_THREE)]
 
 
@@ -682,7 +683,7 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     vertices = [T for T, dim in dimensions.items() if dim == 0]
     expected = comb(arr.n + arr.d - 2, arr.n - 1)
     tree = arr.n + arr.d - 1
-    triangulation = len(vertices) == expected and all(sum(map(len, T.entries)) == tree for T in vertices)
+    triangulation = len(vertices) == expected and all(sum(m.bit_count() for m in T.masks) == tree for T in vertices)
     return CorrespondenceVerdict(
         genericity=genericity,
         axiom_report=report,

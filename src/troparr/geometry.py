@@ -18,8 +18,10 @@ the closed bounds in O(roots^2), with no all-pairs re-closure.  A
 closed, consistent system always admits a rational witness, found by
 greedy interval assignment.
 
-Entries are label masks, bit j for label j, from the pairwise tests
-through :meth:`_Feasibility.add_hyperplane`.  One depth-first walk
+Entries are label masks, in the one label encoding of
+:class:`~troparr.core.TypeVector`, from the pairwise tests through
+:meth:`_Feasibility.add_hyperplane` to the types the enumeration records,
+which keep the walk's masks as they are.  One depth-first walk
 generates, on each feasible prefix, only the entries that pass pairwise
 tests read off the closed bounds (every two members can still tie,
 every member can still beat every non-member), as cliques of a tie
@@ -51,6 +53,7 @@ from .core import (
     ResourceLimitError,
     TypeVector,
     _as_point,
+    _bits,
 )
 
 
@@ -109,8 +112,8 @@ class _Feasibility:
         return st
 
     def add_hyperplane(self, i: int, mask: int) -> bool:
-        """Impose the entry with label set ``mask`` (bit j for label j)
-        for hyperplane i; False iff infeasible.
+        """Impose the entry with label mask ``mask`` for hyperplane i;
+        False iff infeasible.
 
         The labels tie into one group, whose root then strictly beats
         every other group by the hyperplane's apex differences.  Each
@@ -227,7 +230,7 @@ class _Feasibility:
 
     def entries(self, i: int) -> list[int]:
         """The entries for hyperplane i that pass every pairwise test, as
-        label masks (bit j for label j).
+        label masks.
 
         With y_j = x_j - v_ij, an entry S is feasible only if, for each
         j in S, every other label of S can still tie y_j (``tie[j]``) and
@@ -307,8 +310,8 @@ class _Feasibility:
 
 
 def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
-    """Every nonempty label set S (bit j for label j, inside ``full``)
-    with S inside tie[j] and force[j] inside S for each j in S.
+    """Every nonempty label mask S inside ``full`` with S inside tie[j]
+    and force[j] inside S for each j in S.
 
     Depth first over growing sets: each node is such a set, and each
     child adds the smallest allowed label that no earlier sibling added,
@@ -346,12 +349,12 @@ def type_of_point(arr: Arrangement, point) -> TypeVector:
     x = _as_point(point)
     if x.d != arr.d:
         raise ValueError(f"point has {x.d} coordinates, arrangement has d={arr.d}")
-    entries = []
+    masks = []
     for apex in arr.apexes:
         diffs = [xc - vc for xc, vc in zip(x.coords, apex.coords)]
         top = max(diffs)
-        entries.append(frozenset(j + 1 for j, v in enumerate(diffs) if v == top))
-    return TypeVector(tuple(entries))
+        masks.append(sum(2 << j for j, v in enumerate(diffs) if v == top))
+    return TypeVector._trusted(tuple(masks))
 
 
 class TiedMinor(NamedTuple):
@@ -412,23 +415,10 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     if T.max_label() > arr.d:
         raise ValueError(f"type labels exceed d={arr.d}")
     state = _Feasibility(arr)
-    for i, entry in enumerate(T.entries, 1):
-        if not state.add_hyperplane(i, sum(1 << j for j in entry)):
+    for i, mask in enumerate(T.masks, 1):
+        if not state.add_hyperplane(i, mask):
             return RealizationResult(False)
     return RealizationResult(True, state.witness(), state.dimension())
-
-
-def _labels(mask: int) -> list[int]:
-    """The labels of a label mask (bit j for label j), ascending."""
-    return [j for j in range(1, mask.bit_length()) if mask >> j & 1]
-
-
-class _LabelSets(dict):
-    """Label mask -> frozenset of its labels, each built once."""
-
-    def __missing__(self, mask: int) -> frozenset[int]:
-        labels = self[mask] = frozenset(_labels(mask))
-        return labels
 
 
 def _over(stage: str, budget: int) -> ResourceLimitError:
@@ -530,16 +520,13 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     any entry.
     """
     out: dict[TypeVector, int] = {}
-    sets = _LabelSets()
 
     def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
-        head = tuple(sets[mask] for mask in prefix)
         root, roots = state.root, state.dimension() + 1
         entries = state.entries(arr.n)
         for mask in entries:
-            entry = sets[mask]
             # exact without add_hyperplane, as the docstring shows
-            out[TypeVector._trusted(head + (entry,))] = roots - len({root[j] for j in entry})
+            out[TypeVector._trusted(prefix + (mask,))] = roots - len({root[j] for j in _bits(mask)})
         return len(entries)
 
     m = 2 ** arr.d - 1

@@ -59,8 +59,8 @@ from troparr import (
     regular_subdivision,
     type_of_point,
 )
-from troparr.core import _integer_rows
-from troparr.geometry import _Feasibility, _labels, _walk
+from troparr.core import _bits, _integer_rows
+from troparr.geometry import _Feasibility, _walk
 from troparr.duality import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
@@ -887,7 +887,7 @@ def assert_every_entry_is_feasible(arr: Arrangement) -> None:
         i, state = stack.pop()
         for entry in state.entries(i):
             child = state.copy()
-            assert child.add_hyperplane(i, entry), (arr.rows(), i, _labels(entry))
+            assert child.add_hyperplane(i, entry), (arr.rows(), i, _bits(entry))
             if i < arr.n:
                 stack.append((i + 1, child))
 
@@ -1112,8 +1112,8 @@ def assert_staircases_match_the_imposed_path(arr: Arrangement, transpose: bool =
 
     def compare(state: _Feasibility, stairs: Staircases, i: int, pending: int = 0) -> None:
         pairs = stairs.pairs(pending)
-        assert len(set(pairs)) == len(pairs), (arr.rows(), transpose, i, _labels(pending))
-        assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), transpose, i, _labels(pending))
+        assert len(set(pairs)) == len(pairs), (arr.rows(), transpose, i, _bits(pending))
+        assert set(pairs) == imposed_staircase(state, i, pending), (arr.rows(), transpose, i, _bits(pending))
         counts[0] += len(pairs)
         counts[1] += not pairs
 
@@ -1145,7 +1145,7 @@ def walked_cells(arr: Arrangement, transpose: bool = False) -> frozenset[CellGra
     cell of ``arr``'s own n x d subdivision."""
     cells = set()
     for masks in vertex_walk(transposed_arrangement(arr) if transpose else arr):
-        edges = {(i, j) for i, mask in enumerate(masks, 1) for j in _labels(mask)}
+        edges = {(i, j) for i, mask in enumerate(masks, 1) for j in _bits(mask)}
         cells.add(CellGraph(arr.n, arr.d, frozenset((j, i) for i, j in edges) if transpose else frozenset(edges)))
     return frozenset(cells)
 

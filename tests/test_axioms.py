@@ -37,7 +37,7 @@ def T(*entries):
 
 
 def label_mask(entry) -> int:
-    return sum(1 << j - 1 for j in entry)
+    return sum(1 << j for j in entry)
 
 
 def test_boundary(e1, e2):

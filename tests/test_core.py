@@ -124,13 +124,33 @@ def test_public_type_construction_still_validates():
     with pytest.raises(ValueError):
         TypeVector.of({1}, {2}).with_entry(2, ())
     # a type the walk builds equals and hashes as the validated one
-    walked = TypeVector._trusted((frozenset({1, 2}), frozenset({3})))
+    walked = TypeVector._trusted((0b110, 0b1000))
     public = TypeVector.of({2, 1}, {3})
     assert walked == public and hash(walked) == hash(public) and walked.text() == "({1,2},{3})"
 
 
+def test_types_are_label_masks_and_round_trip_through_their_entries():
+    # the one field is masks, bit j for label j; the label sets are read off
+    # it and build the same type back, with the same hash
+    assert [f.name for f in dataclasses.fields(TypeVector)] == ["masks"]
+    T = TypeVector.of({2, 1}, {3})
+    assert T.masks == (0b110, 0b1000) and T.entries == (frozenset({1, 2}), frozenset({3}))
+    assert T.max_label() == 3 and T.entry(2) == frozenset({3}) and T.key() == ((1, 2), (3,))
+    rng = random.Random(13)
+    for n in range(1, 8):
+        for d in range(1, 8):
+            for _ in range(10):
+                T = TypeVector(frozenset(rng.sample(range(1, d + 1), rng.randint(1, d))) for _ in range(n))
+                fresh = TypeVector(T.entries)
+                assert fresh == T and hash(fresh) == hash(T) and fresh.masks == T.masks
+                assert T.masks == tuple(sum(1 << j for j in e) for e in T.entries)
+                assert T.key() == tuple(tuple(sorted(e)) for e in T.entries)
+                assert T.max_label() == max(map(max, T.entries)) and TypeVector.parse(T.text()) == T
+
+
 def test_type_parse_rejects_garbage():
-    for bad in ["", "()", "({})", "({2,1})", "({1},)", "{1}", "({1}", "({1},{0})"]:
+    # a leading zero and a non-ASCII digit (Arabic-Indic one) are not canonical
+    for bad in ["", "()", "({})", "({2,1})", "({1},)", "{1}", "({1}", "({1},{0})", "({01},{2})", "({\u0661},{2})"]:
         with pytest.raises(ValueError):
             TypeVector.parse(bad)
 

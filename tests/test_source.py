@@ -1,9 +1,11 @@
-"""The library's source keeps four promises that no other test reads: it
+"""The library's source keeps five promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
-``lcm``, and it holds a cell's edges as one bitmask, which ``core`` alone
-reads back as edge pairs through the attribute ``edges``."""
+``lcm``, it holds a cell's edges as one bitmask, which ``core`` alone
+reads back as edge pairs through the attribute ``edges``, and it holds a
+type's entries as label masks, which ``core`` alone reads back as label
+sets through the attribute ``entries``."""
 
 import ast
 import sys
@@ -66,3 +68,15 @@ def test_edges_are_read_only_in_core():
             continue
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Attribute) and node.attr == "edges"), f"{path.name}:{node.lineno} reads .edges"
+
+
+def test_type_entries_are_read_only_in_core():
+    # one label encoding: every module but core reads a type's masks; a
+    # call of a method named entries, as _Feasibility.entries(i), is no read
+    for path, tree in _parsed():
+        if path.stem == "core":
+            continue
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            read = isinstance(node, ast.Attribute) and node.attr == "entries" and id(node) not in called
+            assert not read, f"{path.name}:{node.lineno} reads .entries"
