@@ -30,6 +30,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _ascii_int(text: str) -> int:
+    """int() of ASCII digits only: int() alone reads "٢" as 2 and "1_0" as 10."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_arrangement_text(data: str) -> Arrangement:
     """Plain matrix form: first line "n d", then n rows of d rationals."""
     lines = [ln for ln in data.splitlines() if ln.strip()]
@@ -38,7 +45,7 @@ def parse_arrangement_text(data: str) -> Arrangement:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("first line must be 'n d'")
-    n, d = (int(x) for x in header)
+    n, d = (_ascii_int(x) for x in header)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
@@ -305,10 +312,10 @@ def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
 
 
 def _budget(text: str) -> int:
-    """A non-negative ``--budget``; a non-integer keeps argparse's "invalid
-    int value" message."""
+    """A non-negative ``--budget`` in ASCII digits (:func:`_ascii_int`);
+    other text keeps argparse's "invalid int value" message."""
     try:
-        budget = int(text)
+        budget = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if budget < 0:

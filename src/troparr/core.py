@@ -34,7 +34,7 @@ class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured budget or work cap."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+)|\.(\d{1,18}))?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/([0-9]+)|\.([0-9]{1,18}))?$")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -33,8 +33,9 @@ The lower envelope is computed by a pivot walk: lexicographically
 perturbed integer heights, built once per walk from the heights'
 integer form (:func:`~troparr.core._integer_rows`), give a regular
 triangulation refining it, whose simplices are spanning trees of
-K_{n,d}; the walk moves from tree to tree across shared facets and maps
-each tree to the coarse cell that holds it.
+K_{n,d}; the walk moves from tree to tree across shared facets, tried
+in ascending bit order, and maps each tree to the coarse cell that
+holds it.
 Each tree edge's side, the nodes on it and the support edges entering
 it, is a bitmask: one rooted pass gives the start tree's, and a pivot
 changes only the sides of the edges on the cycle the entering edge
@@ -320,18 +321,19 @@ def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def _sides(tree: Iterable[tuple[int, int]], marks: list[int]) -> dict[tuple[int, int], int]:
-    """For each edge (a, b) of a spanning tree on nodes 0..len(marks)-1,
-    the union of the disjoint bitmasks ``marks[v]`` over the nodes v on
-    the side holding a once the edge is dropped.  One pass rooted at
-    node 0 gives each subtree's union: a's side is a's subtree when b is
-    a's parent, else all but b's subtree."""
-    nodes = len(marks)
-    adj: list[list[int]] = [[] for _ in range(nodes)]
-    for a, b in tree:
+def _sides(n: int, d: int, tree: int, marks: list[int]) -> dict[int, int]:
+    """For each edge f of the spanning tree with edge mask ``tree``, keyed
+    by f's bit, the union of the disjoint bitmasks ``marks[v]`` over the
+    nodes v on the side holding its left end a = f // d once f is dropped.
+    One pass rooted at node 0 gives each subtree's union: a's side is a's
+    subtree when f's right end b = n + f % d is a's parent, else all but
+    b's subtree."""
+    adj: list[list[int]] = [[] for _ in range(n + d)]
+    ends = [(f, f // d, n + f % d) for f in _bits(tree)]
+    for _, a, b in ends:
         adj[a].append(b)
         adj[b].append(a)
-    parent, order = [-1] * nodes, [0]
+    parent, order = [-1] * (n + d), [0]
     parent[0] = 0
     for v in order:
         for u in adj[v]:
@@ -342,30 +344,28 @@ def _sides(tree: Iterable[tuple[int, int]], marks: list[int]) -> dict[tuple[int,
     for v in reversed(order[1:]):
         below[parent[v]] |= below[v]
     full = below[0]
-    return {(a, b): below[a] if parent[a] == b else full ^ below[b] for a, b in tree}
+    return {f: below[a] if parent[a] == b else full ^ below[b] for f, a, b in ends}
 
 
-def _swapped_sides(
-    sides: dict[tuple[int, int], int], out: tuple[int, int], into: tuple[int, int], side: int, full: int
-) -> dict[tuple[int, int], int]:
-    """:func:`_sides` of the tree that swaps edge ``out`` for ``into``,
-    from the tree's own ``sides``: ``side`` is out's side, which holds
-    into's right end and not its left end, and ``full`` the union of all
-    marks.
+def _swapped_sides(n: int, d: int, sides: dict[int, int], out: int, into: int, side: int, full: int) -> dict[int, int]:
+    """:func:`_sides` of the tree that swaps the edge of bit ``out`` for
+    that of bit ``into``, from the tree's own ``sides``: ``side`` is out's
+    side, which holds into's right end n + into % d and not its left end
+    into // d, and ``full`` the union of all marks.
 
     A tree edge f whose side holds neither or both of into's ends is off
     into's cycle and keeps its side.  On the cycle, dropping out and f
     leaves three parts, and into joins the two that hold its ends, so
     f's side gains or loses the part across out from f: the rest of the
-    tree when f lies in ``side``, else ``side``.  Into's own side holds
-    its left end: the rest."""
+    tree when f's left end f // d lies in ``side``, else ``side``.  Into's
+    own side holds its left end: the rest."""
     rest = full ^ side
-    ends = 1 << into[0] | 1 << into[1]
-    split = (1 << into[0], 1 << into[1])
+    split = (1 << into // d, 1 << n + into % d)
+    ends = split[0] | split[1]
     swapped = {into: rest}
     for f, x in sides.items():
         if f != out:
-            swapped[f] = x ^ (rest if side >> f[0] & 1 else side) if x & ends in split else x
+            swapped[f] = x ^ (rest if side >> f // d & 1 else side) if x & ends in split else x
     return swapped
 
 
@@ -430,16 +430,17 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
     Each pivot drops a tree edge and raises the side holding its left
     end until the first support edge into that side turns tight: the
     least (slack, edge) over the set bits of the entering edges, so ties
-    go to the lowest edge.  A tree is keyed by its edge mask.  The facet
-    through the edge that entered a tree is skipped: a facet lies in
-    exactly two simplices, so that pivot leads back to the tree the walk
-    came from.  The start tree's sides
-    come from one rooted pass (:func:`_sides`), every other tree's from
-    its predecessor's (:func:`_swapped_sides`).  Per tree the walk pays
-    one integer slack per support edge, O(n+d) to swap the sides, and per
-    tree edge a scan of the edges entering its side; it visits every tree
-    once, breadth first, its facets in the order of the tree's frozenset
-    of node pairs (a, b).
+    go to the lowest edge.  A tree is its edge mask.  The facet through
+    the edge that entered a tree is skipped: a facet lies in exactly two
+    simplices, so that pivot leads back to the tree the walk came from.
+    The start tree's sides come from one rooted pass (:func:`_sides`),
+    every other tree's from its predecessor's (:func:`_swapped_sides`).
+    Per tree the walk pays one integer slack per support edge, O(n+d) to
+    swap the sides, and per tree edge a scan of the edges entering its
+    side.  It visits every tree once, breadth first, trying a tree's
+    facets in ascending bit order of the edges they drop, so the order
+    of the trees, and with it the first tied minor a check names,
+    follows from the heights and the support alone.
     Over the full support, a walk run to its end checks that it visited
     all C(n+d-2, n-1) simplices.
     """
@@ -453,8 +454,7 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
     marks = [1 << v for v in range(w)]
     edges, edge_bit, near = [], [], [[] for _ in range(w)]
     for k, f in enumerate(flat):
-        i, j = divmod(f, d)
-        a, b, h = i, n + j, weights[i][j] * scale + 3 ** f
+        a, b, h = f // d, n + f % d, weights[f // d][f % d] * scale + 3 ** f
         edges.append((a, b, h))
         edge_bit.append(1 << f)
         marks[b] |= 1 << (w + k)
@@ -473,20 +473,19 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
             p[b] = min(p[x] + h for x, h in near[b] if x in p)
         else:
             p[a] = max(p[y] + h for y, h in near[a] if y in p)
-    tree = frozenset((a, b) for a, b, h in edges if h == p[b] - p[a])
-    # each queued tree: its node pairs, its edge mask, the potentials, the
-    # edge that entered it and its edges' sides (the start's once reached)
-    key = sum(1 << a * d + b - n for a, b in tree)
-    queue = deque([(tree, key, [p[v] for v in range(w)], None, None)])
+    # each queued tree: its edge mask (the start's: the edges made tight),
+    # the potentials, the entered edge's bit (-1 at the start), its sides
+    key = sum(x for x, (a, b, h) in zip(edge_bit, edges) if h == p[b] - p[a])
+    queue = deque([(key, [p[v] for v in range(w)], -1, None)])
     seen, visited, low_m, full = {key}, 0, (1 << m) - 1, sum(marks)
     while queue:
-        tree, key, p, entered, sides = queue.popleft()
+        key, p, entered, sides = queue.popleft()
         visited += 1
         slack = [h - p[b] + p[a] for a, b, h in edges]
         yield sum(x for x, s in zip(edge_bit, slack) if s <= half)
         if sides is None:
-            sides = _sides(tree, marks)
-        for e in tree:
+            sides = _sides(n, d, key, marks)
+        for e in sorted(sides):  # the tree's edge bits, lowest first
             if e == entered:
                 continue  # the facet back to the tree this one came from
             side = sides[e]
@@ -495,32 +494,26 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
             if not entering:
                 continue  # a boundary facet
             # the least (slack, edge) over the set bits, lowest bit first
-            bit = entering & -entering
-            k = bit.bit_length() - 1
+            k = (entering & -entering).bit_length() - 1
             t = slack[k]
-            entering ^= bit
+            entering &= entering - 1
             while entering:
-                bit = entering & -entering
-                j = bit.bit_length() - 1
+                j = (entering & -entering).bit_length() - 1
                 if slack[j] < t:
                     t, k = slack[j], j
-                entering ^= bit
-            pivot = key ^ 1 << e[0] * d + e[1] - n | edge_bit[k]
+                entering &= entering - 1
+            pivot = key ^ 1 << e | edge_bit[k]
             if pivot not in seen:
                 seen.add(pivot)
-                new = edges[k][:2]
                 queue.append((
-                    tree - {e} | {new},
                     pivot,
                     [z + t if side >> v & 1 else z for v, z in enumerate(p)],
-                    new,
-                    _swapped_sides(sides, e, new, side, full),
+                    flat[k],
+                    _swapped_sides(n, d, sides, e, flat[k], side, full),
                 ))
     expected = comb(n + d - 2, n - 1)
     if len(edges) == n * d and visited != expected:
-        raise RuntimeError(
-            f"pivot walk visited {visited} of {expected} simplices of a {n}x{d} triangulation"
-        )
+        raise RuntimeError(f"pivot walk visited {visited} of {expected} simplices of a {n}x{d} triangulation")
 
 
 def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[int]:

@@ -519,9 +519,11 @@ def pivot_walk_oracle(
     for tree, p in queue:
         slack = [h - p[b] + p[a] for a, b, h in edges]
         yield frozenset((a + 1, b - n + 1) for (a, b, _), s in zip(edges, slack) if 2 * s < scale)
-        sides = _sides(tree, marks)
-        for a, b in tree:
-            side = sides[a, b]
+        # the sides keyed by edge bit; the facets in sorted order of node
+        # pairs, the ascending bit order of their edges
+        sides = _sides(n, d, sum(1 << a * d + b - n for a, b in tree), marks)
+        for a, b in sorted(tree):
+            side = sides[a * d + b - n]
             # edges whose right end is on the side and whose left end is not
             entering = side >> w & ~(side >> (w + m)) & ((1 << m) - 1)
             if not entering:
@@ -658,24 +660,27 @@ def cone_oracle(d: int, cell, trees) -> tuple:
     return tuple(sorted(cone))
 
 
-def cycles_oracle(n: int, tree, edges) -> list[tuple[list, list]]:
+def cycles_oracle(n: int, d: int, tree, edges) -> list[tuple[list, list]]:
     """The fundamental cycles by the scan ``duality._cycle_masks`` replaced:
     one bit per node, :func:`~troparr.duality._sides` gives each tree
     edge's side that holds its hyperplane end, and a tree edge is on the
     cycle of (i, j) exactly when that side holds one end of (i, j): in
-    ``minus`` when it holds i, in ``plus`` when it holds j."""
-    sides = _sides([(i - 1, n + j - 1) for i, j in tree], [1 << v for v in range(len(tree) + 1)])
+    ``minus`` when it holds i, in ``plus`` when it holds j.  The edge set
+    ``tree`` goes in as its mask, and each side comes out keyed by its
+    edge (i, j)."""
+    marks = [1 << v for v in range(n + d)]
+    sides = {(f // d + 1, f % d + 1): side for f, side in _sides(n, d, edge_mask(d, tree), marks).items()}
     cycles = []
     for i, j in edges:
-        if (i - 1, n + j - 1) in sides:
+        if (i, j) in sides:
             continue
         left, right = 1 << i - 1, 1 << n + j - 1
         plus, minus = [(i, j)], []
-        for (a, b), side in sides.items():
+        for e, side in sides.items():
             if side & left and not side & right:
-                minus.append((a + 1, b - n + 1))
+                minus.append(e)
             elif side & right and not side & left:
-                plus.append((a + 1, b - n + 1))
+                plus.append(e)
         cycles.append((plus, minus))
     return cycles
 
@@ -689,7 +694,7 @@ def assert_cycles_match_the_oracle(n: int, d: int, tree) -> None:
         (sorted(mask_edges(d, plus)), sorted(mask_edges(d, minus)))
         for plus, minus in _cycle_masks(n, d, edge_mask(d, tree), edge_mask(d, edges))
     ]
-    assert got == [(sorted(plus), sorted(minus)) for plus, minus in cycles_oracle(n, tree, edges)], sorted(tree)
+    assert got == [(sorted(plus), sorted(minus)) for plus, minus in cycles_oracle(n, d, tree, edges)], sorted(tree)
     assert len(got) == n * d - len(tree), sorted(tree)
 
 

@@ -175,6 +175,35 @@ def test_cmd_check_json_tied_minor(capsys, e1_file, tied_minor_file):
     }
 
 
+# the "integer 5x3" and "integer_incident 3x4" inputs of
+# test_report_bytes.py: each has more than one tied minor, and check
+# names the one of the first cell of the pivot walk that tries a tree's
+# facets in ascending bit order of their edges
+WALK_ORDER_MINORS = [
+    (
+        "5 3\n-2 0 -1\n1 -2 1\n-1 1 -2\n-2 -1 -1\n-2 -1 -1\n",
+        "rows 1,4 columns 1,3 matchings (1,1)(4,3) (1,3)(4,1)",
+        {"rows": [1, 4], "columns": [1, 3], "matchings": [[[1, 1], [4, 3]], [[1, 3], [4, 1]]]},
+    ),
+    (
+        "3 4\n1 -1 0 -2\n-2 -2 0 -2\n-2 2 -2 -2\n",
+        "rows 2,3 columns 1,4 matchings (2,1)(3,4) (2,4)(3,1)",
+        {"rows": [2, 3], "columns": [1, 4], "matchings": [[[2, 1], [3, 4]], [[2, 4], [3, 1]]]},
+    ),
+]
+
+
+@pytest.mark.parametrize("text, minor, doc", WALK_ORDER_MINORS, ids=["integer 5x3", "integer_incident 3x4"])
+def test_cmd_check_names_the_minor_of_the_walk_in_bit_order(tmp_path, capsys, text, minor, doc):
+    path = tmp_path / "tied.txt"
+    path.write_text(text)
+    code, out = run(capsys, ["check", "--format", "text", "--input", str(path)])
+    assert code == 0
+    assert f"generic: false\ntied_minor: {minor}\n" in out
+    code, out = run(capsys, ["check", "--format", "text", "--input", str(path), "--json"])
+    assert code == 0 and json.loads(out)["results"]["tied_minor"] == doc
+
+
 def test_cmd_check_rejects_missing_or_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 0, "d": 3, "apexes": []}')
@@ -622,6 +651,28 @@ def test_negative_budget_is_a_parse_error(capsys, e2_file):
     assert capsys.readouterr().err == "error: type enumeration: 1 feasibility steps exceed budget 0\n"
 
 
+def test_the_header_takes_ascii_digits_only(tmp_path, capsys):
+    # int() reads "٢" as 2 and "1_0" as 10; each is refused with exit 2
+    # and the message of any other bad header, as a row's "١" is
+    for text, message in (
+        ("٢ 3\n0 0 0\n1 1 0\n", "invalid literal for int() with base 10: '٢'"),
+        ("1_0 3\n0 0 0\n", "invalid literal for int() with base 10: '1_0'"),
+        ("2 3\n١ 0 0\n1 1 0\n", "not a rational literal: '١'"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["check", "--format", "text", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse {path}: {message}\n"
+
+
+def test_the_budget_takes_ascii_digits_only(capsys, e2_file):
+    # int() reads "١٠" as 10 and "1_0" as 10: --budget refuses them with
+    # exit 2 and argparse's message for any other non-integer
+    for value in ("١٠", "1_0", "x"):
+        assert main(["subdivision", "--flips", "--input", e2_file, "--budget", value]) == 2
+        assert f"error: argument --budget: invalid int value: {value!r}\n" in capsys.readouterr().err
+
+
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # check on 2 x 30 takes 2(2^30-1) feasibility steps at least, and
     # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
@@ -699,7 +750,7 @@ def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monke
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     # the flat arrangement's one cell is the whole product, so its volume
     # comes from a pivot walk over the full support, which checks its count
-    monkeypatch.setattr(troparr.duality, "_sides", lambda tree, marks: dict.fromkeys(tree, 0))
+    monkeypatch.setattr(troparr.duality, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["0", "0", "0"]]}))
     assert main(["subdivision", "--input", str(path)]) == 4

@@ -166,6 +166,13 @@ def test_rational_grammar():
             parse_rational(bad)
 
 
+def test_rational_grammar_takes_ascii_digits_only():
+    # \d would match every Unicode decimal digit: "١/٢" read as 1/2
+    for bad in ["١", "١/٢", "1/٢", "0.٥", "-٣", "1_0", "1/1_0"]:
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+
+
 def test_format_parse_round_trip():
     rng = random.Random(7)
     for _ in range(200):

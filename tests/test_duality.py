@@ -598,7 +598,7 @@ def test_normalized_volume_matches_envelope_oracle_on_random_supports():
 
 def test_pivot_walk_that_loses_simplices_raises(monkeypatch):
     # a walk that never finds an entering edge stops at its first simplex
-    monkeypatch.setattr(troparr.duality, "_sides", lambda tree, marks: dict.fromkeys(tree, 0))
+    monkeypatch.setattr(troparr.duality, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
     with pytest.raises(RuntimeError, match="pivot walk visited 1 of 3 simplices of a 2x3"):
         regular_subdivision([[0, 1, 2], [2, 0, 1]])
 

@@ -99,7 +99,7 @@ COMMANDS = [
     ["subdivision", "--flips", "--seed", "3"],
 ]
 
-REPORT_DIGEST = "4438247e6479153d39153b4fc20f8221ad3b8cba83d48e1bbe8213ee7598e68e"
+REPORT_DIGEST = "b33f7ef022a5ab778ebd6b92c8b8122ebf5a75c653784f1e77d425b5520d7469"
 
 
 def run(path: str, command: list[str]) -> tuple[int, str, str]:

@@ -1,11 +1,13 @@
-"""The library's source keeps five promises that no other test reads: it
+"""The library's source keeps six promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
 ``lcm``, it holds a cell's edges as one bitmask, which ``core`` alone
-reads back as edge pairs through the attribute ``edges``, and it holds a
+reads back as edge pairs through the attribute ``edges``, it holds a
 type's entries as label masks, which ``core`` alone reads back as label
-sets through the attribute ``entries``."""
+sets through the attribute ``entries``, and its pivot walk holds each
+tree as an edge mask and keys each side by an edge's bit, with no
+frozenset of node pairs."""
 
 import ast
 import sys
@@ -80,3 +82,15 @@ def test_type_entries_are_read_only_in_core():
         for node in ast.walk(tree):
             read = isinstance(node, ast.Attribute) and node.attr == "entries" and id(node) not in called
             assert not read, f"{path.name}:{node.lineno} reads .entries"
+
+
+def test_the_pivot_walk_names_no_frozenset():
+    # a tree of the walk is its edge mask, its facets tried in ascending
+    # bit order, so the walk's order rests on no set's layout
+    (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "duality"]
+    walk = {"_pivot_walk", "_sides", "_swapped_sides"}
+    functions = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in walk]
+    assert {top.name for top in functions} == walk
+    for top in functions:
+        for node in ast.walk(top):
+            assert not (isinstance(node, ast.Name) and node.id == "frozenset"), f"{path.name}:{node.lineno} names frozenset"
