@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Callable, Collection
 
 from .core import OrderedPartition, ResourceLimitError, TypeVector, _bits
@@ -112,40 +112,58 @@ def _first_pair(
     ordered: list[tuple[int, ...]],
     size: int,
     strips: Callable[[int, tuple[int, ...]], Callable[[int], tuple[int, ...]]],
-    tester: Callable[[int], Callable[[list], int]],
+    tester: Callable[[int], Callable[[list, int | None], int]],
 ) -> tuple[int, int] | None:
     """The first pair (ia, ib), ia <= ib, of a table's rows that fails.
 
-    Partners go in tiles of at most ``BLOCK`` rows, each row one field of
-    ``size`` bytes.  ``strips(k, column)``, given a tile's entries at
-    position k, returns the builder of an entry's strips there: for entry
-    a, one int per component, whose field b holds that component for a
-    and the tile's b-th row.  ``tester(rep)``, with rep 1 in every field,
-    gives the tile's test: it maps the strips of A's entries to an int
-    that is nonzero in exactly the fields of the partners failing against
-    A.  Later tiles only scan the types before the best pair found so far.
+    Partners go in tiles of at most ``BLOCK`` rows, in reverse order: the
+    tile's last row is field 0, its first the highest field, each row one
+    field of ``size`` bytes.  ``strips(k, column)``, given a tile's entries
+    at position k in that order, returns the builder of an entry's strips
+    there: for entry a, one int per component, whose field b holds that
+    component for a and the row of field b.  ``tester(rep)``, with rep 1
+    in every field, gives the tile's test: given the strips of A's entries
+    and a low mask (or None), it maps them to an int that is nonzero in
+    exactly the fields under the mask of the partners failing against A.
+
+    A head inside the tile reads only the partners from itself on, the
+    low fields, so its test ANDs the strips with the mask over them and
+    every later big-int operation runs on that upper triangle only.  A
+    head before the tile reads every partner: a mask would keep every
+    field and only add operations, so it takes none.  The first failing
+    partner is the highest set field.  Later tiles only scan the types
+    before the best pair found so far.
     """
     width = 8 * size
     best = None
     for start in range(0, len(ordered), BLOCK):
-        tile = ordered[start:start + BLOCK]
-        heads = ordered[:min(start + len(tile), best[0] if best else len(ordered))]
+        tile = ordered[start:start + BLOCK][::-1]
+        end = start + len(tile)
+        heads = ordered[:min(end, best[0] if best else len(ordered))]
         failing = tester(int.from_bytes(b"\1".ljust(size, b"\0") * len(tile), "little"))
         built = []
         for k, column in enumerate(zip(*tile)):
             strip = strips(k, column)
             built.append({a: strip(a) for a in {A[k] for A in heads}})
         for ia, A in enumerate(heads):
-            fails = failing([s[a] for s, a in zip(built, A)]) & -1 << max(ia - start, 0) * width
+            low = (1 << (end - ia) * width) - 1 if ia >= start else None
+            fails = failing([s[a] for s, a in zip(built, A)], low)
             if fails:
-                best = ia, start + ((fails & -fails).bit_length() - 1) // width
+                best = ia, end - 1 - (fails.bit_length() - 1) // width
                 break
     return best
 
 
-def _joined(chunks: dict[int, bytes], column: tuple[int, ...]) -> int:
-    """The strip whose field b is ``chunks[column[b]]``."""
-    return int.from_bytes(b"".join(map(chunks.__getitem__, column)), "little")
+def _picker(column: tuple[int, ...]) -> Callable[[dict], tuple]:
+    """The values of a dict at the column's entries, in column order, as
+    one ``itemgetter`` call (which returns a bare value for one entry)."""
+    return itemgetter(*column) if len(column) > 1 else lambda m: (m[column[0]],)
+
+
+def _joined(chunks: dict[int, bytes], pick: Callable[[dict], tuple]) -> int:
+    """The strip whose field b is ``chunks[column[b]]``, for the column
+    ``pick`` reads (:func:`_picker`)."""
+    return int.from_bytes(b"".join(pick(chunks)), "little")
 
 
 def check_elimination(types: Collection[TypeVector]) -> CheckResult:
@@ -162,7 +180,12 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     its guard bit T clear exactly then.  That is O(T^2 n / BLOCK)
     operations on ints of BLOCK (T + 1) bits; :func:`_first_pair` tiles
     the partners and finds the first failing (A, B), and j is the first
-    failing position of that pair.
+    failing position of that pair.  A tile holds its partners in reverse
+    order, so a head inside the tile ANDs its either strips with the low
+    mask over the partners from itself on, and the rest of its test runs
+    on that upper triangle only; a head before the tile reads every
+    partner and takes no mask, which would keep every field and only add
+    work.
 
     Each mask is encoded once as a field of bytes.  In a tile, the union
     strip of a at k joins the chunks of a | b over the column, read from
@@ -184,20 +207,24 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     encoded = [{e: mask.to_bytes(size, "little") for e, mask in m.items()} for m in masks]
 
     def strips(k: int, column: tuple[int, ...]):
-        chunks, partners = encoded[k], set(column)
-        own = _joined(chunks, column)
+        chunks, partners, pick = encoded[k], set(column), _picker(column)
+        own = _joined(chunks, pick)
 
         def strip(a: int) -> tuple[int, int]:
-            union = _joined({b: chunks.get(a | b, empty) for b in partners}, column)
+            union = _joined({b: chunks.get(a | b, empty) for b in partners}, pick)
             return int.from_bytes(chunks[a] * len(column), "little") | own | union, union
         return strip
 
     def tester(rep: int):
         ones, guard = rep * ((1 << count) - 1), rep << count
 
-        def failing(strips: list) -> int:
-            match = reduce(and_, [either for either, _ in strips])
-            return guard & ~reduce(and_, [(match & union) + ones for _, union in strips])
+        def failing(strips: list, low: int | None) -> int:
+            eithers = [either for either, _ in strips]
+            if low is None:
+                o, g, match = ones, guard, reduce(and_, eithers)
+            else:
+                o, g, match = ones & low, guard & low, reduce(and_, eithers, low)
+            return g & ~reduce(and_, [(match & union) + o for _, union in strips])
         return failing
 
     pair = _first_pair(rows, size, strips, tester)
@@ -239,6 +266,15 @@ def _pair_packer(d: int) -> Callable[[int, int], int]:
     return packed
 
 
+@cache
+def _pair_fields(d: int) -> dict[int, dict[int, bytes]]:
+    """The process's table of packed pair graphs at d: ``[a][b]`` is
+    ``_pair_packer(d)(a, b)`` as bytes.  :func:`check_comparability` adds
+    the pairs of entries a call meets, and they are kept for the life of
+    the process, so a later call packs only pairs not met before."""
+    return {}
+
+
 def check_comparability(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every pair's comparability graph must be acyclic.
 
@@ -253,12 +289,19 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     every row), so no carry leaves a field, and B fails when its field
     of ``reach & reversed`` is nonzero.  That is O(T^2 (n + d) / BLOCK)
     operations on ints of BLOCK 3d^2 bits; :func:`_first_pair` tiles the
-    partners and finds the first failing (A, B).
+    partners and finds the first failing (A, B).  A tile holds its
+    partners in reverse order, so a head inside the tile ANDs its strips
+    with the low mask over the partners from itself on, and the closure
+    runs on that upper triangle only; a head before the tile reads every
+    partner and takes no mask, which would keep every field and only add
+    work.
 
-    A packed graph does not depend on the position, so each pair (a, b)
-    of the table's distinct entries is packed and encoded once, as a
-    field of bytes, and the strip of a over a tile's column joins a's
-    fields.
+    A packed graph depends on neither the position nor the collection,
+    so each pair (a, b) of distinct entries is packed and encoded once
+    per process, as a field of bytes, in the table :func:`_pair_fields`
+    keeps for d: a call packs only the pairs of its entries that no
+    earlier call met, never all (2^d - 1)^2 masks.  The strip of a over
+    a tile's column joins a's fields.
     """
     table = _table(types, d)
     if not table.rows:
@@ -269,23 +312,31 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     packed = _pair_packer(d)
 
     def tester(rep: int):
-        low, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd
+        ones, columns, rows, guard = rep * ((1 << dd) - 1), rep * column, rep * row, rep << dd
 
-        def failing(strips: list) -> int:
-            graph = reduce(or_, [g for g, in strips])
-            directed, reversed_, undirected = graph & low, graph >> dd & low, graph >> 2 * dd & low
+        def failing(strips: list, low: int | None) -> int:
+            if low is None:
+                o, graph = ones, reduce(or_, [g for g, in strips])
+            else:
+                o, graph = ones & low, reduce(or_, [g & low for g, in strips])
+            directed, reversed_, undirected = graph & o, graph >> dd & o, graph >> 2 * dd & o
             reach = directed | undirected & ~(directed | reversed_)
             for m in range(d):
                 reach |= (reach >> m & columns) * row & (reach >> m * d & rows) * column
-            return (reach & reversed_) + low & guard
+            return (reach & reversed_) + o & guard
         return failing
 
     size = (3 * dd + 7) // 8
     entries = {e for row in table.rows for e in row}
-    chunks = {a: {b: packed(a, b).to_bytes(size, "little") for b in entries} for a in entries}
+    chunks = _pair_fields(d)
+    for a in entries:
+        fields = chunks.setdefault(a, {})
+        for b in entries - fields.keys():
+            fields[b] = packed(a, b).to_bytes(size, "little")
 
     def strips(_: int, column: tuple[int, ...]):
-        return lambda a: (_joined(chunks[a], column),)
+        pick = _picker(column)
+        return lambda a: (_joined(chunks[a], pick),)
 
     pair = _first_pair(table.rows, size, strips, tester)
     return CheckResult(True) if pair is None else CheckResult(False, tuple(table.types[i] for i in pair))

@@ -311,13 +311,18 @@ def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     return OK, [f"svg: {args.out}", f"rays: {3 * arr.n}", f"bold: {3 * len(bold)}"]
 
 
-def _budget(text: str) -> int:
-    """A non-negative ``--budget`` in ASCII digits (:func:`_ascii_int`);
-    other text keeps argparse's "invalid int value" message."""
+def _int_option(text: str) -> int:
+    """An integer option in ASCII digits (:func:`_ascii_int`); other text
+    keeps argparse's "invalid int value" message."""
     try:
-        budget = _ascii_int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _budget(text: str) -> int:
+    """A non-negative ``--budget`` (:func:`_int_option`)."""
+    budget = _int_option(text)
     if budget < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {budget}")
     return budget
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("subdivision", help="dual subdivision (and flips)")
     common(sp)
     budget(sp, "cap on the pivot walk's trees, C(n+d-2, n-1) per walk, shared by every walk of one --flips run")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the perturbations --flips samples")
+    sp.add_argument("--seed", type=_int_option, default=0, help="seed for the perturbations --flips samples")
     sp.add_argument("--flips", action="store_true", help="refining triangulations and GKZ data")
 
     sp = sub.add_parser("render", help="SVG picture (d=3 only)")

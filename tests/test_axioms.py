@@ -108,6 +108,30 @@ def test_packed_pair_matches_the_packed_graph(d):
             assert pack(label_mask(a), label_mask(b)) == packed(graph), (a, b)
 
 
+def test_packed_graphs_are_kept_per_process_for_the_pairs_met():
+    # one table per d, grown only by the pairs of entries each call meets:
+    # d = 3, then 4, then 3 again extend the tables earlier calls left, and
+    # a largest label of 40 packs its own pairs, not all (2^40 - 1)^2
+    rng = random.Random(42)
+    troparr.axioms._pair_fields.cache_clear()
+    wide = {T(*[rng.sample(range(1, 41), rng.randint(1, 3)) for _ in range(3)]) for _ in range(12)}
+    runs = [
+        (enumerate_types(random_generic_arrangement(rng, 3, 3)), 3),
+        (enumerate_types(random_generic_arrangement(rng, 3, 4)), 4),
+        ({T({2}, {3}, {1}), T({3}, {1, 2}, {2}), T({1, 3}, {3}, {1, 2})}, 3),
+        (wide | {T({1}, {40}, {7}), T({40}, {1}, {7})}, 40),
+    ]
+    met: dict[int, set] = {}
+    for types, d in runs:
+        assert check_comparability(types, d) == pairwise_comparability_oracle(types, d), d
+        entries = {m for t in types for m in t.masks}
+        met.setdefault(d, set()).update((a, b) for a in entries for b in entries)
+    for d, pairs in met.items():
+        fields, pack, size = troparr.axioms._pair_fields(d), troparr.axioms._pair_packer(d), (3 * d * d + 7) // 8
+        assert {(a, b) for a, row in fields.items() for b in row} == pairs, d
+        assert all(fields[a][b] == pack(a, b).to_bytes(size, "little") for a, b in pairs), d
+
+
 def test_is_acyclic():
     g = comparability_graph(T({1}, {2}), T({2}, {1}))
     assert not is_acyclic(g)  # 2-cycle
@@ -397,7 +421,7 @@ def test_the_verdict_matches_the_public_checks():
             check_surrounding(types, d), check_local_refinement(types)), label
 
 
-@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("block", [1, 2, 3])
 def test_kernels_match_pairwise_scans_across_tile_edges(monkeypatch, block):
     monkeypatch.setattr(troparr.axioms, "BLOCK", block)
     for label, types, d, elimination, comparability in _collections_with_pairwise_verdicts():

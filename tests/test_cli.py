@@ -673,6 +673,15 @@ def test_the_budget_takes_ascii_digits_only(capsys, e2_file):
         assert f"error: argument --budget: invalid int value: {value!r}\n" in capsys.readouterr().err
 
 
+def test_the_seed_takes_ascii_digits_only(capsys, e2_file):
+    # int() reads "٣" as 3 and "1_0" as 10: --seed refuses them with exit 2
+    # and argparse's message for any other non-integer; a negative seed runs
+    for value in ("٣", "1_0", "x"):
+        assert main(["subdivision", "--flips", "--input", e2_file, "--seed", value]) == 2
+        assert f"error: argument --seed: invalid int value: {value!r}\n" in capsys.readouterr().err
+    assert main(["subdivision", "--flips", "--input", e2_file, "--seed", "-3"]) == 0
+
+
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # check on 2 x 30 takes 2(2^30-1) feasibility steps at least, and
     # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
