@@ -22,16 +22,53 @@ from typing import Iterable, Iterator, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-#: Default cap on the work of a budgeted walk: the feasibility steps
-#: (candidate entries generated on a feasible prefix and tested) of the
-#: type enumeration, of which a generic (5,4) takes 735, one per
-#: realizable prefix, or the trees of the pivot walks that give dual
-#: subdivisions, C(n+d-2, n-1) per walk.
+#: A :class:`Meter`'s limit when no budget is given.
 DEFAULT_BUDGET = 200_000
 
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured budget or work cap."""
+
+
+class Meter:
+    """One run's budget: ``limit`` units of work, ``spent`` so far.
+
+    A public function makes one meter from its ``budget``, None meaning
+    ``DEFAULT_BUDGET``, and passes it down, so every walk of one run draws
+    on it.  The type enumeration counts its feasibility steps, the entries
+    it generates on a feasible prefix and tests, as it goes; a pivot walk
+    over the full n x d support is charged its C(n+d-2, n-1) trees before
+    it starts.  Past the limit a :class:`ResourceLimitError` names the
+    stage and, for work charged whole, the running total, or for work
+    counted as it goes, the first unit past the limit.
+    """
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, budget: int | None = None) -> None:
+        limit = DEFAULT_BUDGET if budget is None else budget
+        if limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
+        self.limit, self.spent = limit, 0
+
+    @classmethod
+    def of(cls, budget: int | Meter | None) -> Meter:
+        """``budget`` itself when it is a meter, else a new one."""
+        return budget if isinstance(budget, Meter) else cls(budget)
+
+    def charge(self, stage: str, units: int, unit: str) -> None:
+        """Add ``units`` of work charged whole, before any of it is done."""
+        self.spent += units
+        if self.spent > self.limit:
+            raise ResourceLimitError(f"{stage}: {self.spent} {unit} exceed budget {self.limit}")
+
+    def count(self, stage: str, units: int, unit: str, *, ahead: bool = False) -> None:
+        """Add ``units`` of work counted as it goes, or, ``ahead`` of a
+        walk, only refuse one that takes at least that many."""
+        if self.spent + units > self.limit:
+            raise ResourceLimitError(f"{stage}: {self.limit + 1} {unit} exceed budget {self.limit}")
+        if not ahead:
+            self.spent += units
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/([0-9]+)|\.([0-9]{1,18}))?$")
@@ -198,9 +235,16 @@ def _as_label_set(entry) -> frozenset[int]:
     return labels
 
 
+#: The largest label a public :class:`TypeVector` takes.
+MAX_LABEL = 2 ** 16
+
+
 def _label_mask(entry) -> int:
     """The validated label set ``entry`` as a label mask, bit j for label j."""
-    return sum(1 << j for j in _as_label_set(entry))
+    labels = _as_label_set(entry)
+    if max(labels) > MAX_LABEL:
+        raise ValueError(f"labels must be at most MAX_LABEL = {MAX_LABEL}, got {max(labels)}")
+    return sum(1 << j for j in labels)
 
 
 _TYPE_ENTRY = r"\{[1-9][0-9]*(?:,[1-9][0-9]*)*\}"
@@ -218,7 +262,8 @@ class TypeVector:
     read-off and the axiom checks build and read it.  Its set bits,
     lowest first, are the labels in ascending order, and ``entries``,
     :meth:`entry`, :meth:`key`, :meth:`text` and :meth:`max_label` are
-    read off them."""
+    read off them.  A mask holds a bit per label up to its largest, so
+    every public way in refuses a label past ``MAX_LABEL`` = 2^16."""
 
     masks: tuple[int, ...]
 

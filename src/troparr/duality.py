@@ -69,7 +69,7 @@ from functools import cache, cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .core import DEFAULT_BUDGET, Arrangement, CellGraph, ResourceLimitError, _bits, _integer_rows, to_fraction
+from .core import Arrangement, CellGraph, Meter, ResourceLimitError, _bits, _integer_rows, to_fraction
 from .geometry import GenericityReport, TiedMinor, enumerate_realizations, is_generic
 from .axioms import AxiomReport, is_tropical_oriented_matroid
 
@@ -276,35 +276,15 @@ def _certified_cells(
     return frozenset(CellGraph._trusted(n, d, cell) for cell in cells)
 
 
-def _charge(n: int, d: int, budget: int | None, spent: int = 0) -> int:
-    """``spent`` trees plus the C(n+d-2, n-1) of one more walk over the
-    full n x d support.  Past ``budget`` (``DEFAULT_BUDGET`` when None)
-    it raises :class:`ResourceLimitError` naming the pivot walk, so the
-    caller refuses that walk before it starts; a negative budget is a
-    ValueError."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    spent += comb(n + d - 2, n - 1)
-    if spent > budget:
-        raise ResourceLimitError(f"pivot walk: {spent} trees exceed budget {budget}")
-    return spent
-
-
-def dual_subdivision(arr: Arrangement, budget: int | None = None) -> Subdivision:
+def dual_subdivision(arr: Arrangement, budget: int | Meter | None = None) -> Subdivision:
     """The arrangement's dual subdivision of the product of simplices:
     the lower envelope of its apex matrix, walked by :func:`_pivot_walk`
-    over the full support.
-
-    ``budget`` caps the walk's trees.  The walk visits exactly
-    C(n+d-2, n-1) of them on every input, so :func:`_charge` refuses it
-    before it starts when that count exceeds ``budget``.  When
-    min(n, d) = 3 the cells are first read off the apexes and the
-    crossings of lines by :func:`_planar_cells`, charged the same, and
-    every input it refuses is walked: cells, exit codes and messages are
-    the walk's."""
+    over the full support, whose C(n+d-2, n-1) trees are charged to the
+    :class:`~troparr.core.Meter` of ``budget`` before it starts.  When
+    min(n, d) = 3 the cells are first read off by :func:`_planar_cells`,
+    charged the same, and every input it refuses is walked."""
     n, d = arr.n, arr.d
-    _charge(n, d, budget)
+    Meter.of(budget).charge("pivot walk", comb(n + d - 2, n - 1), "trees")
     if min(n, d) == 3:
         cells = _planar_cells(arr)
         if cells is not None:

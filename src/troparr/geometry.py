@@ -46,15 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .core import (
-    DEFAULT_BUDGET,
-    Arrangement,
-    ProjectivePoint,
-    ResourceLimitError,
-    TypeVector,
-    _as_point,
-    _bits,
-)
+from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point, _bits
 
 
 @dataclass(frozen=True)
@@ -421,14 +413,10 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     return RealizationResult(True, state.witness(), state.dimension())
 
 
-def _over(stage: str, budget: int) -> ResourceLimitError:
-    return ResourceLimitError(f"{stage}: {budget + 1} feasibility steps exceed budget {budget}")
-
-
 def _walk(
     stage: str,
     start: _Feasibility,
-    budget: int | None,
+    budget: int | Meter | None,
     floor: int,
     depth: int,
     last: Callable[[_Feasibility, tuple[int, ...]], int],
@@ -446,34 +434,25 @@ def _walk(
     imposed by :meth:`_Feasibility.add_hyperplane` on a copy of the
     prefix's state, which the next hyperplane extends.
 
-    ``budget`` caps the feasibility steps: one per entry generated on
-    hyperplanes 1..depth, plus those ``last`` reports.  The walk raises
-    :class:`ResourceLimitError`, its message led by the caller's
-    ``stage``, once they exceed it, and at once,
-    before generating any entry, when ``floor``, the fewest steps the
-    walk can take on any input of this shape, does.  A negative budget is
-    a ValueError.
+    The :class:`~troparr.core.Meter` of ``budget`` counts a step per entry
+    generated on hyperplanes 1..depth and each step ``last`` reports; it
+    refuses the walk up front when ``floor``, its fewest steps on any
+    input of this shape, does not fit.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if floor > budget:
-        raise _over(stage, budget)
-    steps = 0
+    meter = Meter.of(budget)
+    meter.count(stage, floor, "feasibility steps", ahead=True)
     # frames (hyperplane i, state after the prefix, prefix, i's entries left)
     stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
 
     def reach(state: _Feasibility, prefix: tuple[int, ...]) -> None:
-        nonlocal steps
         i = len(prefix) + 1
         if i > depth:
-            steps += last(state, prefix)
+            steps = last(state, prefix)
         else:
             entries = state.entries(i)
-            steps += len(entries)
+            steps = len(entries)
             stack.append((i, state, prefix, iter(entries)))
-        if steps > budget:
-            raise _over(stage, budget)
+        meter.count(stage, steps, "feasibility steps")
 
     reach(start, ())
     while stack:
@@ -512,12 +491,10 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     (A path-consistent system of difference constraints is decomposable:
     Dechter, Meiri and Pearl, "Temporal constraint networks", 1991.)
 
-    ``budget`` caps the feasibility steps, one per generated entry, the
-    last hyperplane's included.  All m = 2^d - 1 entries of the first
-    hyperplane are feasible, and each such prefix has at least one
-    feasible entry for the second, so the walk takes at least 2m steps
-    (m if n = 1); past the budget it raises at once, before generating
-    any entry.
+    The meter of ``budget`` counts a step per generated entry, the last
+    hyperplane's included.  All m = 2^d - 1 entries of hyperplane 1 are
+    feasible, each with a feasible entry for hyperplane 2 after it, so the
+    walk's floor is 2m steps (m if n = 1).
     """
     out: dict[TypeVector, int] = {}
 

@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
-from .core import Arrangement, ResourceLimitError, _bits
-from .duality import MAX_VOLUME_WORK, Subdivision, _charge, _cycle_masks, _forest, dual_subdivision, is_triangulation
+from .core import Arrangement, Meter, ResourceLimitError, _bits
+from .duality import MAX_VOLUME_WORK, Subdivision, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
 
 @dataclass(frozen=True)
@@ -226,12 +227,8 @@ def refining_triangulations(
     a new triangulation: no step is thrown away, no cell is walked on its
     own, and each walk's dual subdivision is the triangulation returned.
 
-    ``budget`` caps the trees of all the walks of one search together,
-    counted as :func:`~troparr.duality.dual_subdivision` counts them:
-    C(n+d-2, n-1) for the walk that gave ``base``, and as many again
-    for each step walked.  A step whose walk would pass it raises
-    :class:`~troparr.core.ResourceLimitError` before walking, and a
-    negative budget is a ValueError.
+    One :class:`~troparr.core.Meter` of ``budget`` is charged for the walk
+    that gave ``base``, then by each step's own dual subdivision.
 
     The cones are capped before the first step: a coarse cell of volume
     v holds v trees in each refinement, each closing fewer than |E|
@@ -239,7 +236,8 @@ def refining_triangulations(
     v·(n+d)·|E| past ``MAX_VOLUME_WORK`` raises ResourceLimitError.
     """
     n, d = arr.n, arr.d
-    spent = _charge(n, d, budget)
+    meter = Meter(budget)
+    meter.charge("pivot walk", comb(n + d - 2, n - 1), "trees")
     if is_triangulation(base):
         return frozenset({base})
     for g in base.sorted_cells():
@@ -262,9 +260,8 @@ def refining_triangulations(
         flat = [scale * _entry(bits) + tie for tie in ties]
         if any(_in_cone(cone, flat) for cone in listed.values()):
             continue
-        spent = _charge(n, d, budget, spent)
         step = [flat[i * d:(i + 1) * d] for i in range(n)]
-        tri = dual_subdivision(_moved(scaled, step), budget)
+        tri = dual_subdivision(_moved(scaled, step), meter)
         groups: dict[int, set[int]] = {}  # coarse cell -> the walk's trees in it
         for g in tri.maximal_cells:
             if g.mask in trees:

@@ -14,6 +14,7 @@ from troparr import (
     enumerate_ordered_partitions,
     parse_rational,
 )
+from troparr.core import MAX_LABEL
 
 from conftest import type_total_size
 
@@ -146,6 +147,19 @@ def test_types_are_label_masks_and_round_trip_through_their_entries():
                 assert T.masks == tuple(sum(1 << j for j in e) for e in T.entries)
                 assert T.key() == tuple(tuple(sorted(e)) for e in T.entries)
                 assert T.max_label() == max(map(max, T.entries)) and TypeVector.parse(T.text()) == T
+
+
+def test_type_labels_past_the_cap_are_refused():
+    # a label mask holds a bit per label up to its largest, so every public
+    # way in refuses a label past MAX_LABEL before building the mask
+    message = f"^labels must be at most MAX_LABEL = {MAX_LABEL}, got {MAX_LABEL + 1}$"
+    assert TypeVector.of({1, MAX_LABEL}).max_label() == MAX_LABEL
+    with pytest.raises(ValueError, match=message):
+        TypeVector.of({1}, {2, MAX_LABEL + 1})
+    with pytest.raises(ValueError, match=message):
+        TypeVector.parse(f"({{1}},{{{MAX_LABEL + 1}}})")
+    with pytest.raises(ValueError, match=message):
+        TypeVector.of({1}, {2}).with_entry(1, {MAX_LABEL + 1})
 
 
 def test_type_parse_rejects_garbage():

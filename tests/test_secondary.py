@@ -20,6 +20,7 @@ from troparr import (
     secondary_face_check,
 )
 
+from troparr.core import Meter
 from troparr.duality import is_spanning_connected
 from troparr.linalg import det_int, rank
 from troparr.secondary import _entry, _moved, _scaled_rows
@@ -106,6 +107,31 @@ def test_one_budget_for_the_whole_search(e2):
         refining_triangulations(e2, base, budget=trees - 1)
     with pytest.raises(ResourceLimitError, match="^pivot walk: 3 trees exceed budget 2$"):
         secondary_face_check(e2, base, budget=2)
+
+
+def test_each_walk_is_charged_once(monkeypatch):
+    # the all-zero 2x3 input is one coarse cell, the prism, with 6
+    # triangulations: one meter is charged C(3, 1) = 3 trees for the walk
+    # that gave the base, then 3 by each step's own dual_subdivision
+    zero = Arrangement.from_rows([[0, 0, 0]] * 2)
+    base = dual_subdivision(zero)
+    charges, walked = [], []
+    charge, walk = Meter.charge, troparr.secondary.dual_subdivision
+
+    def record(meter, *args):
+        charges.append((meter, *args))
+        charge(meter, *args)
+
+    def count(arr, budget):
+        walked.append(arr)
+        return walk(arr, budget)
+
+    monkeypatch.setattr(Meter, "charge", record)
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", count)
+    assert len(refining_triangulations(zero, base)) == len(walked) == 6
+    meter = charges[0][0]
+    assert charges == [(meter, "pivot walk", 3, "trees")] * (1 + len(walked))
+    assert meter.spent == 21
 
 
 def test_negative_budget_is_a_value_error(e2):

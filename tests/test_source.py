@@ -1,13 +1,15 @@
-"""The library's source keeps six promises that no other test reads: it
+"""The library's source keeps seven promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
 ``lcm``, it holds a cell's edges as one bitmask, which ``core`` alone
 reads back as edge pairs through the attribute ``edges``, it holds a
 type's entries as label masks, which ``core`` alone reads back as label
-sets through the attribute ``entries``, and its pivot walk holds each
+sets through the attribute ``entries``, its pivot walk holds each
 tree as an edge mask and keys each side by an edge's bit, with no
-frozenset of node pairs."""
+frozenset of node pairs, and its budget policy lives in ``core``'s
+meter alone: no other module names ``DEFAULT_BUDGET``, bar the package's
+re-export, or words a budget refusal."""
 
 import ast
 import sys
@@ -23,6 +25,16 @@ FLOAT_ALLOWED = {("cli", "render_svg"), ("cli", "_cmd_render"), ("core", "to_fra
 def _parsed():
     assert {p.stem for p in SOURCES} >= {"axioms", "cli", "core", "duality", "geometry", "secondary"}
     return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in SOURCES]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a Name, an attribute or an import alias node names."""
+    return (
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name if isinstance(node, ast.alias)
+        else None
+    )
 
 
 def test_absolute_imports_are_standard_library():
@@ -54,13 +66,7 @@ def test_lcm_is_named_only_in_core():
         if path.stem == "core":
             continue
         for node in ast.walk(tree):
-            name = (
-                node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias)
-                else None
-            )
-            assert name != "lcm", f"{path.name}:{node.lineno} names lcm"
+            assert _name(node) != "lcm", f"{path.name}:{node.lineno} names lcm"
 
 
 def test_edges_are_read_only_in_core():
@@ -94,3 +100,16 @@ def test_the_pivot_walk_names_no_frozenset():
     for top in functions:
         for node in ast.walk(top):
             assert not (isinstance(node, ast.Name) and node.id == "frozenset"), f"{path.name}:{node.lineno} names frozenset"
+
+
+def test_the_budget_policy_lives_in_core():
+    # one meter: the default budget and the refusal message are core's,
+    # and every other module charges a meter
+    for path, tree in _parsed():
+        if path.stem == "core":
+            continue
+        assert "exceed budget" not in path.read_text(encoding="utf-8"), f"{path.name} words a budget refusal"
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            assert _name(node) != "DEFAULT_BUDGET", f"{path.name}:{node.lineno} names DEFAULT_BUDGET"
