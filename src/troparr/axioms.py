@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
 from math import comb
 from operator import and_, itemgetter, or_
 from typing import Callable, Collection
 
-from .core import OrderedPartition, ResourceLimitError, TypeVector, _bits
+from .core import OrderedPartition, ResourceLimitError, TypeVector, _bits, _partition_masks
 
 #: Cap on the surrounding check's work in refinement lookups: |types| x
 #: (2^d - 2) two-block refinements, plus Fubini(d) ordered partitions for
@@ -394,28 +393,6 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
         if not table.present.issuperset(zip(*map(cuts.__getitem__, row))):
             return _first_surrounding_failure(table, d, checked)
     return CheckResult(True)
-
-
-def _partition_masks(d: int) -> list[tuple[int, ...]]:
-    """The blocks of every ordered partition of {1, ..., d} as label masks,
-    in the order of
-    :func:`~troparr.core.enumerate_ordered_partitions`: the first block
-    by ascending size, then lexicographically, then the rest's.  The
-    partitions of each set of labels left over are built once per call."""
-    tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def of(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
-        left = sum(bits)
-        if left not in tails:
-            tails[left] = [
-                (block,) + tail
-                for size in range(1, len(bits) + 1)
-                for block in map(sum, combinations(bits, size))
-                for tail in of(tuple(b for b in bits if not b & block))
-            ]
-        return tails[left]
-
-    return of(tuple(1 << j for j in range(1, d + 1)))
 
 
 def _first_surrounding_failure(table: _Table, d: int, checked: int) -> CheckResult:

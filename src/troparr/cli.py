@@ -46,6 +46,8 @@ def parse_arrangement_text(data: str) -> Arrangement:
     if len(header) != 2:
         raise ValueError("first line must be 'n d'")
     n, d = (_ascii_int(x) for x in header)
+    if n < 1 or d < 2:
+        raise ValueError("need n >= 1 and d >= 2")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
@@ -54,8 +56,6 @@ def parse_arrangement_text(data: str) -> Arrangement:
         if len(parts) != d:
             raise ValueError(f"row {ln!r} does not have {d} entries")
         rows.append([parse_rational(p) for p in parts])
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
     return Arrangement.from_rows(rows)
 
 

@@ -47,6 +47,8 @@ class Meter:
 
     def __init__(self, budget: int | None = None) -> None:
         limit = DEFAULT_BUDGET if budget is None else budget
+        if not isinstance(limit, int) or isinstance(limit, bool):
+            raise TypeError(f"budget must be an int, got {type(limit).__name__}")
         if limit < 0:
             raise ValueError(f"budget must be non-negative, got {limit}")
         self.limit, self.spent = limit, 0
@@ -368,25 +370,33 @@ class OrderedPartition:
 def enumerate_ordered_partitions(d: int) -> list[OrderedPartition]:
     """All ordered partitions of {1, ..., d}, each exactly once.
 
-    Deterministic order: first block chosen by ascending size then
-    lexicographically, recursing on the remainder.  The count is the
-    Fubini number of d (1, 3, 13, 75, ... for d = 1, 2, 3, 4).
+    Deterministic order, that of :func:`_partition_masks`.  The count is
+    the Fubini number of d (1, 3, 13, 75, ... for d = 1, 2, 3, 4).
     """
     if d < 1:
         raise ValueError("d must be at least 1")
+    return [OrderedPartition(tuple(frozenset(_bits(b)) for b in blocks)) for blocks in _partition_masks(d)]
 
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        for size in range(1, len(remaining) + 1):
-            for first in combinations(remaining, size):
-                fs = frozenset(first)
-                rest = tuple(x for x in remaining if x not in fs)
-                for tail in rec(rest):
-                    yield (fs,) + tail
 
-    return [OrderedPartition(blocks) for blocks in rec(tuple(range(1, d + 1)))]
+def _partition_masks(d: int) -> list[tuple[int, ...]]:
+    """The blocks of every ordered partition of {1, ..., d} as label masks:
+    the first block by ascending size, then lexicographically, then the
+    rest's.  The partitions of each set of labels left over are built
+    once per call."""
+    tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
+
+    def of(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
+        left = sum(bits)
+        if left not in tails:
+            tails[left] = [
+                (block,) + tail
+                for size in range(1, len(bits) + 1)
+                for block in map(sum, combinations(bits, size))
+                for tail in of(tuple(b for b in bits if not b & block))
+            ]
+        return tails[left]
+
+    return of(tuple(1 << j for j in range(1, d + 1)))
 
 
 def _bits(mask: int) -> list[int]:

@@ -21,15 +21,16 @@ greedy interval assignment.
 Entries are label masks, in the one label encoding of
 :class:`~troparr.core.TypeVector`, from the pairwise tests through
 :meth:`_Feasibility.add_hyperplane` to the types the enumeration records,
-which keep the walk's masks as they are.  One depth-first walk
-generates, on each feasible prefix, only the entries that pass pairwise
-tests read off the closed bounds (every two members can still tie,
-every member can still beat every non-member), as cliques of a tie
-relation closed under the labels each member forces in; its work grows
-with the types, not with 2^d.  Every entry the tests pass is feasible.
-The enumeration of all types walks hyperplanes 1..n-1 and takes every
-entry the tests pass for hyperplane n as a type, recorded with its
-dimension without imposing it.
+which keep the walk's masks as they are.  One depth-first loop,
+:func:`enumerate_realizations`, walks hyperplanes 1..n-1 and generates,
+on each feasible prefix, only the entries that pass pairwise tests read
+off the closed bounds (every two members can still tie, every member
+can still beat every non-member), as cliques of a tie relation closed
+under the labels each member forces in; its work grows with the types,
+not with 2^d.  Every entry the tests pass is feasible, so the loop
+takes each that hyperplane n passes as a type, recorded with its
+dimension without imposing it, and raises on any that an earlier
+hyperplane refuses.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
 entries in the walk's order.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point, _bits
 
@@ -413,99 +414,75 @@ def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     return RealizationResult(True, state.witness(), state.dimension())
 
 
-def _walk(
-    stage: str,
-    start: _Feasibility,
-    budget: int | Meter | None,
-    floor: int,
-    depth: int,
-    last: Callable[[_Feasibility, tuple[int, ...]], int],
-) -> None:
-    """Depth first from the empty prefix ``start`` over the entries of
-    hyperplanes 1..depth, calling ``last(state, prefix)`` on the closed
-    state of every feasible prefix of ``depth`` entries, given as label
-    masks; ``last`` settles the hyperplanes past ``depth`` and returns
-    the feasibility steps it took.
-
-    The walk keeps an explicit stack, one frame per hyperplane of the
-    current prefix, so its depth is not bounded by Python's recursion
-    limit.  On a feasible prefix only the entries passing the pairwise
-    tests of :meth:`_Feasibility.entries` are generated, and each is
-    imposed by :meth:`_Feasibility.add_hyperplane` on a copy of the
-    prefix's state, which the next hyperplane extends.
-
-    The :class:`~troparr.core.Meter` of ``budget`` counts a step per entry
-    generated on hyperplanes 1..depth and each step ``last`` reports; it
-    refuses the walk up front when ``floor``, its fewest steps on any
-    input of this shape, does not fit.
-    """
-    meter = Meter.of(budget)
-    meter.count(stage, floor, "feasibility steps", ahead=True)
-    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
-    stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
-
-    def reach(state: _Feasibility, prefix: tuple[int, ...]) -> None:
-        i = len(prefix) + 1
-        if i > depth:
-            steps = last(state, prefix)
-        else:
-            entries = state.entries(i)
-            steps = len(entries)
-            stack.append((i, state, prefix, iter(entries)))
-        meter.count(stage, steps, "feasibility steps")
-
-    reach(start, ())
-    while stack:
-        i, state, prefix, entries = stack[-1]
-        entry = next(entries, 0)
-        if not entry:
-            stack.pop()
-            continue
-        child = state.copy()
-        if child.add_hyperplane(i, entry):
-            reach(child, prefix + (entry,))
-
-
 def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[TypeVector, int]:
     """Every realizable type, mapped to the affine dimension of its
     realization set; :func:`realizable` gives a type's witness.
 
-    The walk over hyperplanes 1..n-1 is :func:`_walk`'s.  On each of its
-    prefixes every entry the pairwise tests pass for hyperplane n is a
-    type, and it is recorded without a copy or a closure: merging its k
-    groups removes k - 1 roots, and strict bounds leave the dimension as
-    it is.  That is exact because the pairwise tests are.  The entry adds
-    two kinds of bounds to the closed prefix system.  Its groups tie at
-    fixed differences, and each pair of them ties inside the open
-    interval its closed bounds leave; around any cycle those differences
-    sum to 0.  The merged group then strictly beats every other group,
-    and every new strict bound leaves it.  An infeasible system has a
-    simple cycle whose bounds sum to 0 or more, with one strict bound at
-    least.  Its runs of old bounds close to single old bounds.  Old
-    bounds alone are feasible, so it meets the merged group, and being
-    simple, once: it enters at one member and leaves at another.  If it
-    leaves by an old bound, it is a cycle between two members' groups,
-    which the pairwise tie test rules out.  If it leaves by a new strict
-    bound to a label k, it returns at its first entry into the group, so
-    it pits one member against k, which the pairwise win test rules out.
-    (A path-consistent system of difference constraints is decomposable:
-    Dechter, Meiri and Pearl, "Temporal constraint networks", 1991.)
+    The search walks hyperplanes 1..n-1 depth first from the empty
+    prefix, on an explicit stack of one frame per hyperplane of the
+    current prefix, so its depth is not bounded by Python's recursion
+    limit.  On a feasible prefix only the entries passing the pairwise
+    tests of :meth:`_Feasibility.entries` are generated, and each is
+    imposed by :meth:`_Feasibility.add_hyperplane` on a copy of the
+    prefix's state, which the next hyperplane extends.  The argument
+    below shows every such entry feasible, so one that ``add_hyperplane``
+    refuses is a fault of the kernel and raises :class:`RuntimeError`.
 
-    The meter of ``budget`` counts a step per generated entry, the last
-    hyperplane's included.  All m = 2^d - 1 entries of hyperplane 1 are
-    feasible, each with a feasible entry for hyperplane 2 after it, so the
-    walk's floor is 2m steps (m if n = 1).
+    On each prefix of n - 1 entries every entry the pairwise tests pass
+    for hyperplane n is a type, and it is recorded without a copy or a
+    closure: merging its k groups removes k - 1 roots, and strict bounds
+    leave the dimension as it is.  That is exact because the pairwise
+    tests are.  The entry adds two kinds of bounds to the closed prefix
+    system.  Its groups tie at fixed differences, and each pair of them
+    ties inside the open interval its closed bounds leave; around any
+    cycle those differences sum to 0.  The merged group then strictly
+    beats every other group, and every new strict bound leaves it.  An
+    infeasible system has a simple cycle whose bounds sum to 0 or more,
+    with one strict bound at least.  Its runs of old bounds close to
+    single old bounds.  Old bounds alone are feasible, so it meets the
+    merged group, and being simple, once: it enters at one member and
+    leaves at another.  If it leaves by an old bound, it is a cycle
+    between two members' groups, which the pairwise tie test rules
+    out.  If it leaves by a new strict bound to a label k, it returns at
+    its first entry into the group, so it pits one member against k,
+    which the pairwise win test rules out.  (A path-consistent system of
+    difference constraints is decomposable: Dechter, Meiri and Pearl,
+    "Temporal constraint networks", 1991.)
+
+    The :class:`~troparr.core.Meter` of ``budget`` counts a step per
+    generated entry, the last hyperplane's included, once each list is
+    recorded.  All m = 2^d - 1 entries of hyperplane 1 are feasible, each
+    with a feasible entry for hyperplane 2 after it, so the search takes
+    at least 2m steps (m if n = 1), and the meter refuses it up front
+    when that floor does not fit.
     """
+    stage, n = "type enumeration", arr.n
+    meter = Meter(budget)
+    meter.count(stage, (2**arr.d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
     out: dict[TypeVector, int] = {}
-
-    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
-        root, roots = state.root, state.dimension() + 1
-        entries = state.entries(arr.n)
-        for mask in entries:
-            # exact without add_hyperplane, as the docstring shows
-            out[TypeVector._trusted(prefix + (mask,))] = roots - len({root[j] for j in _bits(mask)})
-        return len(entries)
-
-    m = 2 ** arr.d - 1
-    _walk("type enumeration", _Feasibility(arr), budget, m * (1 + (arr.n >= 2)), arr.n - 1, last)
+    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
+    stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
+    state: _Feasibility | None = _Feasibility(arr)
+    prefix: tuple[int, ...] = ()
+    while state is not None:
+        i = len(prefix) + 1
+        entries = state.entries(i)
+        if i < n:
+            stack.append((i, state, prefix, iter(entries)))
+        else:
+            root, roots = state.root, state.dimension() + 1
+            for mask in entries:
+                out[TypeVector._trusted(prefix + (mask,))] = roots - len({root[j] for j in _bits(mask)})
+        meter.count(stage, len(entries), "feasibility steps")
+        state = None
+        while stack and state is None:
+            i, parent, head, left = stack[-1]
+            entry = next(left, 0)
+            if not entry:
+                stack.pop()
+                continue
+            state, prefix = parent.copy(), head + (entry,)
+            if not state.add_hyperplane(i, entry):
+                labels = ",".join(map(str, _bits(entry)))
+                raise RuntimeError(f"{stage}: hyperplane {i} refuses entry {{{labels}}}, which its pairwise tests pass")
     return out

@@ -236,6 +236,8 @@ def refining_triangulations(
     v·(n+d)·|E| past ``MAX_VOLUME_WORK`` raises ResourceLimitError.
     """
     n, d = arr.n, arr.d
+    if (base.n, base.d) != (n, d):
+        raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
     meter = Meter(budget)
     meter.charge("pivot walk", comb(n + d - 2, n - 1), "trees")
     if is_triangulation(base):
@@ -313,6 +315,8 @@ def secondary_face_check(
     cell span that cell's cycles, and :func:`_cycle_masks` of the cell
     against the forest its edges grow writes them as ±1 vectors.  A tree
     has no cycle, so only the other cells are read."""
+    if (sub.n, sub.d) != (arr.n, arr.d):
+        raise ValueError(f"the subdivision is {sub.n}x{sub.d}, the arrangement {arr.n}x{arr.d}")
     if is_triangulation(sub):
         raise ValueError("secondary_face_check requires a non-generic arrangement")
     n, d = arr.n, arr.d

@@ -60,7 +60,7 @@ from troparr import (
     type_of_point,
 )
 from troparr.core import _bits, _integer_rows
-from troparr.geometry import _Feasibility, _walk
+from troparr.geometry import _Feasibility
 from troparr.duality import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
@@ -1043,30 +1043,31 @@ class Staircases:
 
 def vertex_walk(arr: Arrangement) -> list[tuple[int, ...]]:
     """The 0-dimensional types, the arrangement's vertices, each as its
-    entries' label masks, by the vertex walk: the type enumeration's
-    :func:`_walk` over hyperplanes 1..n-3 only, where one
+    entries' label masks, by the vertex walk: a prefix loop of its own
+    over hyperplanes 1..n-3, asserting every entry it imposes, where one
     :class:`Staircases` set-up per prefix settles every entry the
     pairwise tests pass for hyperplane n-2 with hyperplanes n-1 and n,
     with no copy and no closure.  For n = 2 the staircase runs on the
     empty prefix; for n = 1 the one vertex is the apex, where every label
     ties.  It shares the feasibility kernel with the enumeration and
-    nothing with the pivot walk or the planar read-off."""
-    start = _Feasibility(arr)
-    n, d = arr.n, arr.d
+    nothing with the enumeration's loop, the pivot walk or the planar
+    read-off."""
+    start, n, d = _Feasibility(arr), arr.n, arr.d
+    if n <= 2:
+        return [((1 << (d + 1)) - 2,)] if n == 1 else Staircases(start, 1).pairs()
     out: list[tuple[int, ...]] = []
-
-    def last(state: _Feasibility, prefix: tuple[int, ...]) -> int:
-        if n == 1:
-            out.append(((1 << (d + 1)) - 2,))
-        elif n == 2:
-            out.extend(Staircases(state, 1).pairs())
-        else:
+    stack = [(start, ())]
+    while stack:
+        state, prefix = stack.pop()
+        i = len(prefix) + 1
+        if i == n - 2:
             stairs = Staircases(state, n - 1)
-            for entry in state.entries(n - 2):
-                out.extend(prefix + (entry,) + pair for pair in stairs.pairs(entry))
-        return 0
-
-    _walk("vertex walk", start, None, 0, max(n - 3, 0), last)
+            out.extend(prefix + (entry,) + pair for entry in state.entries(i) for pair in stairs.pairs(entry))
+            continue
+        for entry in state.entries(i):
+            child = state.copy()
+            assert child.add_hyperplane(i, entry), (arr.rows(), i, _bits(entry))
+            stack.append((child, prefix + (entry,)))
     return out
 
 

@@ -88,6 +88,10 @@ def test_parse_rejects_bad_documents():
     for doc in ["", "2\n0 0\n", "1 2\n0\n", "1 2\n0 x\n"]:
         with pytest.raises(ValueError):
             parse_arrangement_text(doc)
+    # the header's n and d are checked before any row is counted or read
+    for doc in ["-1 3\n", "0 3\n", "0 2\n0 0\n", "2 1\n0 0 0\n0 0 0\n", "1 0\n"]:
+        with pytest.raises(ValueError, match="^need n >= 1 and d >= 2$"):
+            parse_arrangement_text(doc)
 
 
 def test_cmd_type_of(capsys, e2_file):
@@ -449,6 +453,28 @@ def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
     _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
 
 
+def test_a_refused_entry_exits_4(monkeypatch, capsys, e2_file):
+    # every entry the pairwise tests pass is feasible, so an entry that
+    # add_hyperplane refuses is a fault of the kernel, never a type skipped
+    feasibility, imposed = troparr.geometry._Feasibility, []
+    add = feasibility.add_hyperplane
+
+    def refusing(state, i, mask):
+        imposed.append((i, mask))
+        return len(imposed) == 1 and add(state, i, mask)
+
+    monkeypatch.setattr(feasibility, "add_hyperplane", refusing)
+    for argv in (["check"], ["check", "--json"]):
+        imposed.clear()
+        assert main(argv + ["--input", e2_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and imposed == [(1, 0b10), (1, 0b110)]
+        assert captured.err == (
+            "error: internal consistency violation: "
+            "type enumeration: hyperplane 1 refuses entry {1,2}, which its pairwise tests pass\n"
+        )
+
+
 def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
     # a walk that loses one of the pyramid's trees passes every cone, but
     # falls one simplex short of the product's volume
@@ -658,6 +684,7 @@ def test_the_header_takes_ascii_digits_only(tmp_path, capsys):
         ("٢ 3\n0 0 0\n1 1 0\n", "invalid literal for int() with base 10: '٢'"),
         ("1_0 3\n0 0 0\n", "invalid literal for int() with base 10: '1_0'"),
         ("2 3\n١ 0 0\n1 1 0\n", "not a rational literal: '١'"),
+        ("-1 3\n", "need n >= 1 and d >= 2"),
     ):
         path = tmp_path / "bad.txt"
         path.write_text(text)

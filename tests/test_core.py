@@ -11,10 +11,12 @@ from troparr import (
     OrderedPartition,
     ProjectivePoint,
     TypeVector,
+    dual_subdivision,
     enumerate_ordered_partitions,
+    enumerate_realizations,
     parse_rational,
 )
-from troparr.core import MAX_LABEL
+from troparr.core import DEFAULT_BUDGET, MAX_LABEL, Meter
 
 from conftest import type_total_size
 
@@ -56,7 +58,14 @@ def test_ordered_partitions_small():
     assert len(enumerate_ordered_partitions(1)) == 1
     two = enumerate_ordered_partitions(2)
     assert {p.text() for p in two} == {"({1,2})", "({1}|{2})", "({2}|{1})"}
-    assert len(enumerate_ordered_partitions(3)) == 13
+    # the one order: first block by size, then lexicographically, then the rest's
+    assert [p.text() for p in enumerate_ordered_partitions(3)] == [
+        "({1}|{2}|{3})", "({1}|{3}|{2})", "({1}|{2,3})",
+        "({2}|{1}|{3})", "({2}|{3}|{1})", "({2}|{1,3})",
+        "({3}|{1}|{2})", "({3}|{2}|{1})", "({3}|{1,2})",
+        "({1,2}|{3})", "({1,3}|{2})", "({2,3}|{1})",
+        "({1,2,3})",
+    ]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -237,3 +246,15 @@ def test_sorted_edges_are_kept_outside_the_fields():
             assert fresh == g and hash(fresh) == hash(g)
             assert list(g.sorted_edges()) == sorted(g.edges)
             assert g.text() == "[" + ",".join(f"({i},{j})" for i, j in sorted(g.edges)) + "]"
+
+
+def test_a_budget_must_be_an_int():
+    # a float or a bool budget is a TypeError naming its type, from the
+    # meter every budgeted function makes, before any work
+    arr = Arrangement.from_rows([[0, 0, 0], [1, 1, 0]])
+    for budget in (2.5, True, False, "10", Fraction(3)):
+        message = f"^budget must be an int, got {type(budget).__name__}$"
+        for call in (Meter, lambda b: dual_subdivision(arr, b), lambda b: enumerate_realizations(arr, b)):
+            with pytest.raises(TypeError, match=message):
+                call(budget)
+    assert (Meter().limit, Meter(0).limit, Meter(7).limit) == (DEFAULT_BUDGET, 0, 7)

@@ -144,6 +144,19 @@ def test_negative_budget_is_a_value_error(e2):
         secondary_face_check(e2, dual_subdivision(e2), budget=-1)
 
 
+def test_a_base_of_another_shape_is_a_value_error(monkeypatch, e2):
+    # the base must be the arrangement's own n x d subdivision: either
+    # way round a mismatch is refused before any walk, not read as an
+    # IndexError or as an internal fault
+    wide = Arrangement.from_rows([[0, 0, 0], [1, 1, 0], [0, 0, 0]])
+    cases = [(e2, dual_subdivision(wide), "3x3", "2x3"), (wide, dual_subdivision(e2), "2x3", "3x3")]
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", None)
+    for arr, base, theirs, ours in cases:
+        for call in (refining_triangulations, secondary_face_check):
+            with pytest.raises(ValueError, match=f"^the subdivision is {theirs}, the arrangement {ours}$"):
+                call(arr, base)
+
+
 def test_refining_triangulations_generic_is_identity():
     arr = random_generic_arrangement(random.Random(3), 3, 3)
     base = dual_subdivision(arr)

@@ -1,4 +1,4 @@
-"""The library's source keeps seven promises that no other test reads: it
+"""The library's source keeps eight promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
@@ -9,7 +9,9 @@ sets through the attribute ``entries``, its pivot walk holds each
 tree as an edge mask and keys each side by an edge's bit, with no
 frozenset of node pairs, and its budget policy lives in ``core``'s
 meter alone: no other module names ``DEFAULT_BUDGET``, bar the package's
-re-export, or words a budget refusal."""
+re-export, or words a budget refusal, and its type enumeration is one
+loop: ``enumerate_realizations`` alone calls a method named ``entries``,
+and no ``geometry`` function takes a callable parameter."""
 
 import ast
 import sys
@@ -113,3 +115,30 @@ def test_the_budget_policy_lives_in_core():
             continue
         for node in ast.walk(tree):
             assert _name(node) != "DEFAULT_BUDGET", f"{path.name}:{node.lineno} names DEFAULT_BUDGET"
+
+
+def test_the_type_enumeration_is_one_loop():
+    # one search over feasibility prefixes, with no callback helper: the
+    # pairwise tests are read by enumerate_realizations alone, and no
+    # geometry function calls what it is handed
+    callers = set()
+    for path, tree in _parsed():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "entries":
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("geometry", "enumerate_realizations")}
+    (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "geometry"]
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            continue
+        arguments = function.args
+        params = arguments.posonlyargs + arguments.args + arguments.kwonlyargs + [arguments.vararg, arguments.kwarg]
+        names = {a.arg for a in params if a is not None}
+        for a in params:
+            assert a is None or a.annotation is None or "Callable" not in ast.unparse(a.annotation), (
+                f"{path.name}:{function.lineno} takes a callable {a.arg}"
+            )
+        for node in ast.walk(function):
+            called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+            assert not called, f"{path.name}:{node.lineno} calls its parameter {node.func.id}"
