@@ -5,6 +5,8 @@ probe, aggregated into a verdict with first-counterexample diagnostics.
 Every check reads one canonical table of its collection (:class:`_Table`):
 the types sorted once in ``key()`` order, each as the row of its label
 masks, in the one label encoding of :class:`~troparr.core.TypeVector`.
+Building it is the one test that a collection fits (n, d), and a check
+handed a table trusts it.
 
 Surrounding and local refinement are deliberately distinct predicates.
 Surrounding quantifies over ordered-partition refinements (a single
@@ -67,42 +69,38 @@ class _Table:
     check: the types sorted as by ``key()`` (each distinct label mask
     ranked once by its labels, each type keyed by its masks' ranks), each
     type's row its ``masks`` (:class:`~troparr.core.TypeVector`), and
-    the set of those rows.  A public check handed a table (as
-    :func:`is_tropical_oriented_matroid` does) reads it as it is."""
+    the set of those rows.  Building it is the one fit test: mixed
+    lengths, given n a length other than n, and given d a label beyond d
+    are a ValueError.  A check handed a table reads it as it is."""
 
-    __slots__ = ("types", "rows", "present", "top", "mixed")
+    __slots__ = ("types", "rows", "present", "top")
 
-    def __init__(self, types: Collection[TypeVector]):
+    def __init__(self, types: Collection[TypeVector], n: int | None = None, d: int | None = None):
         types = list(types)
+        lengths = {len(t.masks) for t in types}
+        if len(lengths) > 1:
+            raise ValueError("collection mixes types of different lengths")
+        if n is not None and lengths - {n}:
+            raise ValueError(f"collection has types of length {lengths.pop()}, not n={n}")
         # ranks order the masks as ``key()`` orders their label tuples
         masks = sorted({m for t in types for m in t.masks}, key=_bits)
+        self.top = max(masks, default=1).bit_length() - 1  # the largest label
+        if d is not None and self.top > d:
+            raise ValueError(f"collection has labels beyond d={d}")
         rank = {m: r for r, m in enumerate(masks)}
         keys = [tuple(map(rank.__getitem__, t.masks)) for t in types]
         order = sorted(range(len(types)), key=keys.__getitem__)
         self.types = [types[i] for i in order]
         self.rows = [t.masks for t in self.types]
         self.present = set(self.rows)
-        self.top = max(masks, default=1).bit_length() - 1  # the largest label
-        self.mixed = len({len(row) for row in self.rows}) > 1
 
     def __len__(self) -> int:
         return len(self.types)
 
 
-def _table(types: Collection[TypeVector], d: int | None = None, checked: bool = True) -> _Table:
-    """``types`` as a table; when ``checked``, refuse a collection mixing
-    type lengths or, given d, with a label beyond d."""
-    table = types if isinstance(types, _Table) else _Table(types)
-    if checked and table.mixed:
-        raise ValueError("collection mixes types of different lengths")
-    if checked and d is not None and table.top > d:
-        raise ValueError(f"collection has labels beyond d={d}")
-    return table
-
-
 def check_boundary(types: Collection[TypeVector], n: int, d: int) -> CheckResult:
     """Every constant type (j, ..., j) must be present."""
-    present = _table(types, checked=False).present
+    present = (types if isinstance(types, _Table) else _Table(types, n, d)).present
     missing = tuple(j for j in range(1, d + 1) if (1 << j,) * n not in present)
     return CheckResult(not missing, missing or None)
 
@@ -192,7 +190,7 @@ def check_elimination(types: Collection[TypeVector]) -> CheckResult:
     a's chunk repeated across the tile and with the column's own chunks,
     joined once per position.
     """
-    table = _table(types)
+    table = types if isinstance(types, _Table) else _Table(types)
     rows = table.rows
     if not rows:
         return CheckResult(True)
@@ -302,7 +300,7 @@ def check_comparability(types: Collection[TypeVector], d: int | None = None) -> 
     earlier call met, never all (2^d - 1)^2 masks.  The strip of a over
     a tile's column joins a's fields.
     """
-    table = _table(types, d)
+    table = types if isinstance(types, _Table) else _Table(types, d=d)
     if not table.rows:
         return CheckResult(True)
     d = table.top if d is None else d
@@ -348,17 +346,6 @@ def _fubini(d: int) -> int:
     return sum((-1) ** (k - j) * comb(k, j) * j**d for k in range(d + 1) for j in range(k + 1))
 
 
-def _surrounding_cap(count: int, d: int) -> None:
-    """Raise ResourceLimitError when the two-block stage's count x (2^d - 2)
-    refinement lookups exceed ``MAX_SURROUNDING_WORK``."""
-    work = count * (2**d - 2)
-    if work > MAX_SURROUNDING_WORK:
-        raise ResourceLimitError(
-            f"surrounding: {count} types x {2**d - 2} two-block refinements of d={d} "
-            f"= {work} lookups exceed the cap of {MAX_SURROUNDING_WORK}"
-        )
-
-
 def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> CheckResult:
     """Every ordered-partition refinement of every type must be present.
 
@@ -382,11 +369,16 @@ def check_surrounding(types: Collection[TypeVector], d: int | None = None) -> Ch
     ordered partition (:func:`_first_surrounding_failure`), which names
     the first (T, P) in canonical order.
     """
-    table = _table(types, d)
+    table = types if isinstance(types, _Table) else _Table(types, d=d)
     if not table.rows:
         return CheckResult(True)
     d = table.top if d is None else d
-    _surrounding_cap(len(table), d)
+    work = len(table) * (2**d - 2)
+    if work > MAX_SURROUNDING_WORK:
+        raise ResourceLimitError(
+            f"surrounding: {len(table)} types x {2**d - 2} two-block refinements of d={d} "
+            f"= {work} lookups exceed the cap of {MAX_SURROUNDING_WORK}"
+        )
     parts = range(2, (2 << d) - 2, 2)
     cuts = {e: [e & P or e for P in parts] for e in {e for row in table.rows for e in row}}
     for checked, row in enumerate(table.rows, 1):
@@ -431,7 +423,7 @@ def check_local_refinement(types: Collection[TypeVector]) -> CheckResult:
     """For every type, every non-singleton entry, and every label in it,
     the vector with just that entry collapsed to the single label must be
     present."""
-    table = _table(types)
+    table = types if isinstance(types, _Table) else _Table(types)
     for T, row in zip(table.types, table.rows):
         for i, entry in enumerate(row):
             if not entry & entry - 1:  # a single label
@@ -443,18 +435,13 @@ def check_local_refinement(types: Collection[TypeVector]) -> CheckResult:
     return CheckResult(True)
 
 
-def is_tropical_oriented_matroid(
-    types: Collection[TypeVector], n: int, d: int
-) -> AxiomReport:
+def is_tropical_oriented_matroid(types: Collection[TypeVector], n: int, d: int) -> AxiomReport:
     """Run all checks; the report's :attr:`~AxiomReport.is_tom` is the
-    verdict.  The surrounding work cap is tested before any check runs,
-    so a refused input costs nothing.  The collection's table is built
-    once and handed to every check."""
-    _surrounding_cap(len(types), d)
-    table = _Table(types)
-    boundary = check_boundary(table, n, d)
-    elimination = check_elimination(table)
-    comparability = check_comparability(table, d)
+    verdict.  The collection's table is built once, with this n and d, and
+    handed to every check, surrounding first, so a collection that does
+    not fit, or one past surrounding's work cap, costs the table build
+    and no check."""
+    table = _Table(types, n, d)
     surrounding = check_surrounding(table, d)
-    local = check_local_refinement(table)
-    return AxiomReport(boundary, elimination, comparability, surrounding, local)
+    return AxiomReport(check_boundary(table, n, d), check_elimination(table), check_comparability(table, d),
+                       surrounding, check_local_refinement(table))

@@ -47,9 +47,10 @@ slacks and, per tree edge, a scan of the edges entering its side,
 instead of a scan of all 2^(n·d) edge subsets; that count is the unit
 :func:`dual_subdivision`'s budget charges before a walk starts.
 :func:`regular_subdivision` and :func:`dual_subdivision` build their
-cells unvalidated: each holds the tree it was read at, so it spans and
-is connected.  Each tree is a unit simplex, so the number of trees the
-walk maps to a cell is its normalized volume (:attr:`Subdivision.volumes`),
+cells unvalidated, from their masks, in one place
+(:meth:`Subdivision._trusted`): each holds the tree it was read at, so
+it spans and is connected.  Each tree is a unit simplex, so the number
+of trees the walk maps to a cell is its normalized volume (:attr:`Subdivision.volumes`),
 with no second walk; run over the edges of one cell with zero heights,
 the walk triangulates that cell alone, as :func:`normalized_volume` does
 for a cell built by hand.  The walk yields its cells lazily, so the
@@ -123,7 +124,11 @@ def is_spanning_tree(g: CellGraph) -> bool:
 @dataclass(frozen=True)
 class Subdivision:
     """A polyhedral subdivision of the product of simplices, recorded by
-    its maximal cells' graphs."""
+    its maximal cells' graphs.  The constructor checks that each cell
+    spans and is connected, not that the cells have disjoint interiors,
+    which every reader expects; walked subdivisions have them by
+    construction, and a run-time check belongs to ROADMAP item 7,
+    certificates at run time."""
 
     n: int
     d: int
@@ -141,14 +146,14 @@ class Subdivision:
         object.__setattr__(self, "maximal_cells", cells)
 
     @classmethod
-    def _trusted(cls, n: int, d: int, cells: frozenset[CellGraph]) -> "Subdivision":
-        """A subdivision from a nonempty frozenset of n x d cells that are
-        known to span and be connected, as the walks and the planar
-        read-off build them, without re-validating them."""
+    def _trusted(cls, n: int, d: int, masks: Iterable[int]) -> "Subdivision":
+        """A subdivision from the distinct masks of nonempty n x d cells
+        known to be one, as the walks and the planar read-off find them,
+        unvalidated: the one place their masks become cells."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "n", n)
         object.__setattr__(sub, "d", d)
-        object.__setattr__(sub, "maximal_cells", cells)
+        object.__setattr__(sub, "maximal_cells", frozenset(CellGraph._trusted(n, d, m) for m in masks))
         return sub
 
     @cached_property
@@ -198,10 +203,10 @@ def _line_edges(lines: int, flip: bool) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _planar_cells(arr: Arrangement) -> frozenset[CellGraph] | None:
-    """The maximal cells of a generic arrangement with min(n, d) = 3, read
-    off its apexes and the crossings of its lines, or None when
-    :func:`_certified_cells` refuses them, as it does on every
+def _planar_cells(arr: Arrangement) -> set[int] | None:
+    """The edge masks of the maximal cells of a generic arrangement with
+    min(n, d) = 3, read off its apexes and the crossings of its lines, or
+    None when :func:`_certified_cells` refuses them, as it does on every
     non-generic input.
 
     An n x 3 apex matrix is n tropical lines in the plane; a 3 x d one is
@@ -235,8 +240,8 @@ def _planar_cells(arr: Arrangement) -> frozenset[CellGraph] | None:
 
 def _certified_cells(
     n: int, d: int, lines: Sequence[Sequence[int]], points: Iterable[Sequence[int]]
-) -> frozenset[CellGraph] | None:
-    """The graphs of the types of ``points`` in the plane under ``lines``
+) -> set[int] | None:
+    """The graphs, as edge masks, of the types of ``points`` under ``lines``
     (apexes of 3 ints each, the n rows of an n x 3 matrix or the d
     columns of a 3 x d one, each line's edge (j, i) then read as (i, j)),
     when they certify that they are all the maximal cells of the dual
@@ -271,9 +276,7 @@ def _certified_cells(
         if cell.bit_count() != size or joined != 0b1110:
             return None
         cells.add(cell)
-    if len(cells) != comb(n + d - 2, n - 1):
-        return None
-    return frozenset(CellGraph._trusted(n, d, cell) for cell in cells)
+    return cells if len(cells) == comb(n + d - 2, n - 1) else None
 
 
 def dual_subdivision(arr: Arrangement, budget: int | Meter | None = None) -> Subdivision:
@@ -285,10 +288,8 @@ def dual_subdivision(arr: Arrangement, budget: int | Meter | None = None) -> Sub
     charged the same, and every input it refuses is walked."""
     n, d = arr.n, arr.d
     Meter.of(budget).charge("pivot walk", comb(n + d - 2, n - 1), "trees")
-    if min(n, d) == 3:
-        cells = _planar_cells(arr)
-        if cells is not None:
-            return Subdivision._trusted(n, d, cells)
+    if min(n, d) == 3 and (cells := _planar_cells(arr)) is not None:
+        return Subdivision._trusted(n, d, cells)
     return _subdivision(n, d, _full_walk(n, d, arr._integer_form[1]))
 
 
@@ -508,7 +509,7 @@ def _subdivision(n: int, d: int, cells: Iterable[int]) -> Subdivision:
     support edges, in range.  Each cell's tree count, its volume, is kept
     when there are fewer cells than trees; a triangulation's are all 1."""
     counts = Counter(cells)
-    sub = Subdivision._trusted(n, d, frozenset(CellGraph._trusted(n, d, c) for c in counts))
+    sub = Subdivision._trusted(n, d, counts)
     if len(counts) < comb(n + d - 2, n - 1):
         object.__setattr__(sub, "volumes", {g: counts[g.mask] for g in sub.maximal_cells})
     return sub
@@ -534,13 +535,14 @@ def _first_tied_minor(n: int, d: int, rows: Sequence[Sequence[int]]) -> TiedMino
     the n x d int heights ``rows`` that is not a spanning tree, where the
     walk stops, or None when every cell is one: the heights are then
     tropically generic, every square minor's min-plus determinant
-    attained by one permutation only.  Only that cell is a CellGraph."""
-    cells = (CellGraph._trusted(n, d, c) for c in _full_walk(n, d, rows) if c.bit_count() != n + d - 1)
-    return next(map(_tied_minor, cells), None)
+    attained by one permutation only.  No cell becomes a CellGraph."""
+    cells = (c for c in _full_walk(n, d, rows) if c.bit_count() != n + d - 1)
+    return next((_tied_minor(n, d, c) for c in cells), None)
 
 
-def _tied_minor(cell: CellGraph) -> TiedMinor:
-    """The minor spanned by the first cycle of a cell that is not a tree.
+def _tied_minor(n: int, d: int, mask: int) -> TiedMinor:
+    """The minor spanned by the first cycle of the n x d cell of edge mask
+    ``mask`` (:class:`~troparr.core.CellGraph`) that is not a tree.
 
     The cell's edges grow a forest in sorted order; the first edge whose
     ends the forest already joins closes a cycle with the forest path
@@ -551,14 +553,9 @@ def _tied_minor(cell: CellGraph) -> TiedMinor:
     with equality on its edges, so every matching of the minor sums to
     at least sum z - sum u, and both of these reach it.
     """
-    n, d = cell.n, cell.d
-    (plus, minus), = _cycle_masks(n, d, *_forest(n, d, cell.mask))
-    plus, minus = CellGraph._trusted(n, d, plus).sorted_edges(), CellGraph._trusted(n, d, minus).sorted_edges()
-    return TiedMinor(
-        tuple(i for i, _ in plus),
-        tuple(sorted(j for _, j in plus)),
-        tuple(sorted((plus, minus))),
-    )
+    (plus, minus), = _cycle_masks(n, d, *_forest(n, d, mask))
+    plus, minus = (tuple([(k // d + 1, k % d + 1) for k in _bits(half)]) for half in (plus, minus))
+    return TiedMinor(tuple(i for i, _ in plus), tuple(sorted(j for _, j in plus)), tuple(sorted((plus, minus))))
 
 
 def arrangement_heights(arr: Arrangement) -> tuple[tuple[Fraction, ...], ...]:
@@ -600,7 +597,8 @@ def is_triangulation(sub: Subdivision) -> bool:
     """Every maximal cell a spanning tree (a unit simplex), and as many of
     them as the full normalized volume of the product of simplices.  A
     :class:`Subdivision` has already checked that each cell spans and is
-    connected, so a cell is a tree exactly when it has n + d - 1 edges."""
+    connected, so a cell is a tree exactly when it has n + d - 1 edges;
+    the count proves nothing unless the cells have disjoint interiors."""
     if any(g.mask.bit_count() != sub.n + sub.d - 1 for g in sub.maximal_cells):
         return False
     return len(sub.maximal_cells) == comb(sub.n + sub.d - 2, sub.n - 1)

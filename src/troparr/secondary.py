@@ -79,7 +79,8 @@ class GKZVector:
 
 def gkz_vector(t: Subdivision) -> GKZVector:
     """GKZ vector of a triangulation (rejects non-triangulations); every
-    simplex is unimodular, so each adds 1 at each of its vertices."""
+    simplex is unimodular, so each adds 1 at each of its vertices.  Its
+    cells must have disjoint interiors (unchecked: :class:`Subdivision`)."""
     if not is_triangulation(t):
         raise ValueError("GKZ vectors are defined here only for triangulations")
     values = [0] * (t.n * t.d)
@@ -93,7 +94,7 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """Every fine cell's edges inside some coarse cell, with volumes
     adding up cell by cell.  No library code calls it:
     :func:`refining_triangulations` gets the same verdict from its
-    cells and one count."""
+    cells and one count.  Cells must have disjoint interiors (unchecked)."""
     if (fine.n, fine.d) != (coarse.n, coarse.d):
         return False
     filled = {g: 0 for g in coarse.maximal_cells}
@@ -197,7 +198,9 @@ def refining_triangulations(
     computed once per search, and a step is cut into its n rows only
     when it is walked.  Every triangulation found refines ``base``, the
     arrangement's own subdivision, so a triangulation ``base`` is its
-    own only refinement.
+    own only refinement.  A base of that shape that is not the
+    arrangement's goes unchecked: a triangulation is returned as it is,
+    and any other is met, if at all, by the certificate's RuntimeError.
 
     Each listed triangulation keeps one cone: the :func:`_cone` rows of
     its pieces in every coarse cell, each (cell, pieces) computed once.
@@ -314,7 +317,8 @@ def secondary_face_check(
     from ``sub`` alone: the fundamental cycles of a spanning tree of each
     cell span that cell's cycles, and :func:`_cycle_masks` of the cell
     against the forest its edges grow writes them as ±1 vectors.  A tree
-    has no cycle, so only the other cells are read."""
+    has no cycle, so only the other cells are read.  ``sub`` must be the
+    arrangement's own dual subdivision (:func:`refining_triangulations`)."""
     if (sub.n, sub.d) != (arr.n, arr.d):
         raise ValueError(f"the subdivision is {sub.n}x{sub.d}, the arrangement {arr.n}x{arr.d}")
     if is_triangulation(sub):

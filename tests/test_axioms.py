@@ -246,6 +246,14 @@ def test_is_tropical_oriented_matroid_empty_and_e2(e2):
     assert report.boundary and report.elimination and report.comparability
 
 
+#: Collections that do not fit (n, d) = (3, 2), each with the refusal it meets.
+UNFIT = [
+    ([T({1}, {2}), T({1}, {1}), T({2}, {2})], "^collection has types of length 2, not n=3$"),
+    ([T({1}, {2}, {3}), T({1}, {1}, {1})], "^collection has labels beyond d=2$"),
+    ([T({1}, {2}, {2}), T({1}, {1})], "^collection mixes types of different lengths$"),
+]
+
+
 def test_checks_reject_mixed_length_collections():
     with pytest.raises(ValueError):
         check_elimination({T({1}), T({1}, {2})})
@@ -255,6 +263,9 @@ def test_checks_reject_mixed_length_collections():
         check_surrounding({T({1, 3})}, 2)
     with pytest.raises(ValueError):
         check_comparability({T({1, 3})}, 2)
+    for types, refusal in UNFIT:
+        with pytest.raises(ValueError, match=refusal):
+            check_boundary(types, 3, 2)
 
 
 def test_generic_arrangements_are_tropical_oriented_matroids():
@@ -273,10 +284,37 @@ def test_the_verdict_sorts_its_collection_once(monkeypatch):
     types = enumerate_types(random_generic_arrangement(random.Random(43), 4, 3))
     tables, calls = [], []
     init, key = troparr.axioms._Table.__init__, TypeVector.key
-    monkeypatch.setattr(troparr.axioms._Table, "__init__", lambda self, ts: tables.append(ts) or init(self, ts))
+    monkeypatch.setattr(
+        troparr.axioms._Table, "__init__", lambda self, ts, *nd: tables.append((ts, nd)) or init(self, ts, *nd)
+    )
     monkeypatch.setattr(TypeVector, "key", lambda t: calls.append(t) or key(t))
     assert is_tropical_oriented_matroid(types, 4, 3).is_tom
-    assert tables == [types] and len(types) == 49 and not calls
+    assert tables == [(types, (4, 3))] and len(types) == 49 and not calls
+
+
+@pytest.mark.parametrize("types, refusal", UNFIT)
+def test_the_verdict_refuses_a_collection_that_does_not_fit_before_any_check(monkeypatch, types, refusal):
+    ran = []
+    for name in ["check_boundary", "check_elimination", "check_comparability", "check_surrounding",
+                 "check_local_refinement"]:
+        check = getattr(troparr.axioms, name)
+        monkeypatch.setattr(troparr.axioms, name, lambda *args, name=name, check=check: ran.append(name) or check(*args))
+    with pytest.raises(ValueError, match=refusal):
+        is_tropical_oriented_matroid(types, 3, 2)
+    assert ran == []
+    # the recorder lets a collection that fits through every check
+    is_tropical_oriented_matroid([T({1}, {1}, {1}), T({2}, {2}, {2})], 3, 2)
+    assert sorted(ran) == ["check_boundary", "check_comparability", "check_elimination", "check_local_refinement",
+                           "check_surrounding"]
+
+
+def test_an_unfit_collection_past_the_surrounding_cap_is_refused_as_unfit(monkeypatch):
+    # fit is decided before the cap is counted
+    monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 0)
+    with pytest.raises(ValueError, match="^collection has labels beyond d=2$"):
+        is_tropical_oriented_matroid([T({1}, {3})], 2, 2)
+    with pytest.raises(ResourceLimitError, match="^surrounding: 1 types x 2 two-block refinements of d=2 "):
+        is_tropical_oriented_matroid([T({1}, {2})], 2, 2)
 
 
 #: The large shapes, with the one kind whose full collection is checked there.

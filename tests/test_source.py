@@ -1,4 +1,4 @@
-"""The library's source keeps eight promises that no other test reads: it
+"""The library's source keeps nine promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
@@ -11,7 +11,10 @@ frozenset of node pairs, and its budget policy lives in ``core``'s
 meter alone: no other module names ``DEFAULT_BUDGET``, bar the package's
 re-export, or words a budget refusal, and its type enumeration is one
 loop: ``enumerate_realizations`` alone calls a method named ``entries``,
-and no ``geometry`` function takes a callable parameter."""
+and no ``geometry`` function takes a callable parameter, and the axiom
+checks decide whether a collection fits (n, d) in one place: only
+``axioms._Table`` raises the refusals of mixed lengths, of a length other
+than n and of a label beyond d."""
 
 import ast
 import sys
@@ -142,3 +145,20 @@ def test_the_type_enumeration_is_one_loop():
         for node in ast.walk(function):
             called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
             assert not called, f"{path.name}:{node.lineno} calls its parameter {node.func.id}"
+
+
+#: A fragment of each refusal of a type collection that does not fit (n, d).
+FIT_REFUSALS = ("mixes types of different lengths", "types of length", "labels beyond d=")
+
+
+def test_only_the_axiom_table_refuses_a_collection_that_does_not_fit():
+    # one validated table per collection: its construction refuses, and a
+    # check handed a table reads it as it is
+    for fragment in FIT_REFUSALS:
+        raisers = set()
+        for path, tree in _parsed():
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Raise) and fragment in ast.unparse(node):
+                        raisers.add((path.stem, getattr(top, "name", None)))
+        assert raisers == {("axioms", "_Table")}, (fragment, raisers)
