@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import Arrangement, ResourceLimitError, parse_rational
-from .duality import check_correspondence, dual_subdivision, is_triangulation
+from .duality import check_correspondence, dual_subdivision
 from .geometry import type_of_point
 from .secondary import secondary_face_check
 
@@ -189,14 +189,12 @@ def _edge_lists(g) -> list[list[int]]:
 
 
 def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
-    sub = dual_subdivision(arr, args.budget)
-    verdict = None
-    if args.flips and not is_triangulation(sub):
-        verdict = secondary_face_check(arr, sub, seed=args.seed, budget=args.budget)
+    verdict = secondary_face_check(arr, seed=args.seed, budget=args.budget) if args.flips else None
+    sub = verdict.subdivision if args.flips else dual_subdivision(arr, args.budget)
     if args.json:
         results: dict = {"cells": [{"edges": _edge_lists(g), "volume": sub.volumes[g]} for g in sub.sorted_cells()]}
         if args.flips:
-            results["flips"] = None if verdict is None else {
+            results["flips"] = None if verdict.face_dimension == 0 else {
                 "triangulations": [
                     {"cells": [_edge_lists(g) for g in t.sorted_cells()], "gkz": list(gkz.values)}
                     for t, gkz in zip(verdict.refinements, verdict.gkz_vectors)
@@ -207,7 +205,7 @@ def _cmd_subdivision(arr: Arrangement, args) -> tuple[int, list[str] | dict]:
     lines = ["cells:"]
     lines.extend(f"  {g.text()} vol {sub.volumes[g]}" for g in sub.sorted_cells())
     if args.flips:
-        if verdict is None:
+        if verdict.face_dimension == 0:
             lines.append("flips: arrangement is generic; subdivision is already a triangulation")
         else:
             lines.append("flips:")

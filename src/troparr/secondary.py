@@ -13,7 +13,10 @@ lifted rows, and :func:`_scaled_rows` proves that no step crosses a
 wall.  A new step's envelope is the dual subdivision of the moved
 arrangement, handed over as ints: read off its apexes and crossings when
 min(n, d) = 3, else off one pivot walk (both called a walk below), and
-certified without a second walk.
+certified without a second walk.  :func:`secondary_face_check` walks the
+arrangement's own subdivision once, on the one meter of its run, and
+hands it to :func:`refining_triangulations`, which proves any subdivision
+it is handed to be the arrangement's before the first step.
 
 Each tree of the walk lies in one coarse cell, its host.  A cell's
 regular subdivision under u is a triangulation whose trees form a set
@@ -23,12 +26,11 @@ when the step lies strictly inside the cone of each host's group of
 trees, every tree is a simplex of its host's subdivision under u.
 Simplices of one cell's subdivision have disjoint interiors, so a cell
 holds at most its volume in them, and the volumes add up to the
-C(n+d-2, n-1) simplices of a triangulation; when
-:func:`~troparr.duality.is_triangulation` counts that many trees, every
-cell is filled exactly, and the walk is the lower envelope of the moved
-heights.  The cones of a triangulation's groups together are its cone,
-kept with it, so a later step that lies in the cone of a triangulation
-already listed is skipped with no walk.
+C(n+d-2, n-1) simplices of a triangulation; when the walk counts that
+many trees, every cell is filled exactly, and the walk is the lower
+envelope of the moved heights.  The cones of a triangulation's groups
+together are its cone, kept with it, so a later step that lies in the
+cone of a triangulation already listed is skipped with no walk.
 
 No step lies on a wall.  A step is u'_ij = 3^(nd)·u_ij +
 3^((i-1)d+(j-1)), with u_ij drawn from 0..1000.  Around an alternating
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable, Sequence
 
@@ -182,8 +185,51 @@ def _entry(bits: Callable[[int], int]) -> int:
     return u
 
 
+def _check_base(arr: Arrangement, base: Subdivision) -> None:
+    """Refuse, with a ValueError, a ``base`` that is not the arrangement's
+    own dual subdivision, with no walk.
+
+    Potentials p, solved along the spanning forest that a cell's edges
+    grow (:func:`~troparr.duality._forest`) from the integer form w of the
+    apex matrix, p(coordinate j) - p(hyperplane i) = w_ij on the forest,
+    leave each edge (i, j) of K_{n,d} a slack w_ij - p(j) + p(i), the
+    alternating sum of w around the cycle it closes in the forest.
+    Exactly the cell's own edges must be at slack 0 and every other edge
+    strictly positive.  Then the affine function p(j) - p(i) lies below
+    the lifted product and touches it in exactly the cell's vertices, so
+    the cell, which spans, is a lower facet of the lifted product: a cell
+    of the arrangement's subdivision.  Distinct facets have disjoint
+    interiors, so cells whose volumes add up to C(n+d-2, n-1), the full
+    volume of the product, leave room for no other facet: ``base`` is the
+    whole subdivision."""
+    n, d = arr.n, arr.d
+    if (base.n, base.d) != (n, d):
+        raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
+    w = [x for row in arr._integer_form[1] for x in row]
+    for g in base.sorted_cells():
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + d)]
+        for k in _bits(_forest(n, d, g.mask)[0]):
+            i, j = k // d, n + k % d
+            adj[i].append((j, w[k]))
+            adj[j].append((i, -w[k]))
+        p, stack = [0] + [None] * (n + d - 1), [0]
+        while stack:
+            v = stack.pop()
+            for u, x in adj[v]:
+                if p[u] is None:
+                    p[u] = p[v] + x
+                    stack.append(u)
+        for k, x in enumerate(w):
+            slack = x - p[n + k % d] + p[k // d]
+            if slack < 0 or (slack == 0) != (g.mask >> k & 1 == 1):
+                raise ValueError(f"cell {g.text()} is not a cell of the arrangement's dual subdivision")
+    total, full = sum(base.volumes.values()), comb(n + d - 2, n - 1)
+    if total != full:
+        raise ValueError(f"the cells' volumes add up to {total}, not C({n + d - 2}, {n - 1}) = {full}")
+
+
 def refining_triangulations(
-    arr: Arrangement, base: Subdivision, *, seed: int = 0, budget: int | None = None
+    arr: Arrangement, base: Subdivision, *, seed: int = 0, budget: int | Meter | None = None
 ) -> frozenset[Subdivision]:
     """Distinct triangulations reachable by small integer steps.
 
@@ -196,11 +242,10 @@ def refining_triangulations(
     the order (i, j) of the rows, so entry (i-1)·d + (j-1) carries the
     tie-break power of the same index; 3^(nd) and those n·d powers are
     computed once per search, and a step is cut into its n rows only
-    when it is walked.  Every triangulation found refines ``base``, the
-    arrangement's own subdivision, so a triangulation ``base`` is its
-    own only refinement.  A base of that shape that is not the
-    arrangement's goes unchecked: a triangulation is returned as it is,
-    and any other is met, if at all, by the certificate's RuntimeError.
+    when it is walked.  ``base`` must be the arrangement's own
+    subdivision, which :func:`_check_base` proves before any step, with
+    no walk, or refuses with a ValueError.  Every triangulation found
+    refines it, so a triangulation ``base`` is its own only refinement.
 
     Each listed triangulation keeps one cone: the :func:`_cone` rows of
     its pieces in every coarse cell, each (cell, pieces) computed once.
@@ -211,12 +256,14 @@ def refining_triangulations(
     certified against ``base`` as the module docstring proves:
 
     - every cell is a tree and lies in a coarse cell, its host;
-    - the step must lie strictly inside the cone of the walk's pieces;
-    - and :func:`~troparr.duality.is_triangulation` must count
-      C(n+d-2, n-1) trees, which fills every coarse cell, so the walk
-      refines ``base``.
+    - the step must lie strictly inside the cone of the walk's pieces of
+      each coarse cell;
+    - and the walk must count C(n+d-2, n-1) trees, which fills every
+      coarse cell, so the walk refines ``base``.
 
-    A failure raises :class:`RuntimeError`: the walk differs from the
+    A failure is a fault and raises :class:`RuntimeError`, which opens
+    with ``flips step <k>``, the 1-based step drawn, and names the tree,
+    the coarse cell or the count at fault: the walk differs from the
     lower envelope when a cell fails, and the step crossed a wall when
     the count does.
 
@@ -230,8 +277,9 @@ def refining_triangulations(
     a new triangulation: no step is thrown away, no cell is walked on its
     own, and each walk's dual subdivision is the triangulation returned.
 
-    One :class:`~troparr.core.Meter` of ``budget`` is charged for the walk
-    that gave ``base``, then by each step's own dual subdivision.
+    Each step's dual subdivision is charged to the
+    :class:`~troparr.core.Meter` of ``budget``, a meter passed in or a new
+    one; the walk that gave ``base`` is its caller's.
 
     The cones are capped before the first step: a coarse cell of volume
     v holds v trees in each refinement, each closing fewer than |E|
@@ -239,13 +287,14 @@ def refining_triangulations(
     v·(n+d)·|E| past ``MAX_VOLUME_WORK`` raises ResourceLimitError.
     """
     n, d = arr.n, arr.d
-    if (base.n, base.d) != (n, d):
-        raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
-    meter = Meter(budget)
-    meter.charge("pivot walk", comb(n + d - 2, n - 1), "trees")
+    meter = Meter.of(budget)
+    _check_base(arr, base)
     if is_triangulation(base):
         return frozenset({base})
-    for g in base.sorted_cells():
+    tree_size = n + d - 1
+    trees = frozenset(g.mask for g in base.maximal_cells if g.mask.bit_count() == tree_size)
+    coarse = [g for g in base.sorted_cells() if g.mask.bit_count() != tree_size]
+    for g in coarse:
         size, volume = g.mask.bit_count(), base.volumes[g]
         if size > n + d and volume * (n + d) * size > MAX_VOLUME_WORK:
             raise ResourceLimitError(
@@ -255,77 +304,85 @@ def refining_triangulations(
     rng = random.Random(seed)
     scaled = _scaled_rows(arr)
     scale, ties = 3 ** (n * d), [3 ** k for k in range(n * d)]
-    tree_size = n + d - 1
-    trees = frozenset(g.mask for g in base.maximal_cells if g.mask.bit_count() == tree_size)
-    coarse = [g.mask for g in base.maximal_cells if g.mask.bit_count() != tree_size]
+    full = comb(n + d - 2, n - 1)
     cones: dict[tuple, tuple] = {}  # (coarse cell, its pieces) -> their _cone rows
     listed: dict[Subdivision, tuple] = {}  # triangulation -> its cone
     bits = rng.getrandbits
-    for _ in range(2 * n * d):
+    for k in range(1, 2 * n * d + 1):
         flat = [scale * _entry(bits) + tie for tie in ties]
         if any(_in_cone(cone, flat) for cone in listed.values()):
             continue
         step = [flat[i * d:(i + 1) * d] for i in range(n)]
         tri = dual_subdivision(_moved(scaled, step), meter)
         groups: dict[int, set[int]] = {}  # coarse cell -> the walk's trees in it
-        for g in tri.maximal_cells:
+        for g in tri.sorted_cells():
             if g.mask in trees:
                 continue
-            host = next((cell for cell in coarse if g.mask & ~cell == 0), None)
-            if host is None or g.mask.bit_count() != tree_size:
-                raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
+            if g.mask.bit_count() != tree_size:
+                raise RuntimeError(f"flips step {k}: walked cell {g.text()} is not a tree")
+            host = next((cell.mask for cell in coarse if g.mask & ~cell.mask == 0), None)
+            if host is None:
+                raise RuntimeError(f"flips step {k}: tree {g.text()} lies in no coarse cell")
             groups.setdefault(host, set()).add(g.mask)
         cone = ()
         for cell in coarse:
-            key = cell, frozenset(groups.get(cell, ()))
+            key = cell.mask, frozenset(groups.get(cell.mask, ()))
             if key not in cones:
                 cones[key] = _cone(n, d, *key)
+            if not _in_cone(cones[key], flat):
+                raise RuntimeError(f"flips step {k}: the pieces of coarse cell {cell.text()} miss the step's cone")
             cone += cones[key]
-        if not _in_cone(cone, flat):
-            raise RuntimeError("perturbation's dual subdivision differs from its lower envelope")
-        if not is_triangulation(tri):
-            raise RuntimeError("perturbation crossed a wall; triangulation does not refine")
+        if (count := len(tri.maximal_cells)) != full:
+            raise RuntimeError(f"flips step {k}: the walk has {count} trees, not C({n + d - 2}, {n - 1}) = {full}")
         listed[tri] = cone
     return frozenset(listed)
 
 
 @dataclass(frozen=True)
 class SecondaryFaceVerdict:
-    """Outcome of the positive-dimensional-face check on a non-generic
-    arrangement."""
+    """Outcome of the secondary-face check: the arrangement's subdivision,
+    its refining triangulations and the dimension of its face of the
+    secondary polytope, 0 for a triangulation, which is its own only
+    refinement.  The GKZ vectors and their count are derived from the
+    refinements, the vectors on first use."""
 
     subdivision: Subdivision
     refinements: tuple[Subdivision, ...]
-    gkz_vectors: tuple[GKZVector, ...]
     face_dimension: int
 
     @property
     def refinement_count(self) -> int:
         return len(self.refinements)
 
+    @cached_property
+    def gkz_vectors(self) -> tuple[GKZVector, ...]:
+        return tuple(gkz_vector(t) for t in self.refinements)
 
-def secondary_face_check(
-    arr: Arrangement, sub: Subdivision, *, seed: int = 0, budget: int | None = None
-) -> SecondaryFaceVerdict:
-    """For a non-generic arrangement with subdivision ``sub`` (not a
-    triangulation): at least two refining triangulations must exist, and
-    the secondary-polytope face of ``sub`` must have positive dimension.
 
-    That face's dimension is nd - dim L, L the heights affine on every
-    cell of ``sub``.  L is the orthogonal complement of the cells'
-    alternating-cycle vectors, so the dimension is their rank, computed
-    from ``sub`` alone: the fundamental cycles of a spanning tree of each
-    cell span that cell's cycles, and :func:`_cycle_masks` of the cell
-    against the forest its edges grow writes them as ±1 vectors.  A tree
-    has no cycle, so only the other cells are read.  ``sub`` must be the
-    arrangement's own dual subdivision (:func:`refining_triangulations`)."""
-    if (sub.n, sub.d) != (arr.n, arr.d):
-        raise ValueError(f"the subdivision is {sub.n}x{sub.d}, the arrangement {arr.n}x{arr.d}")
+def secondary_face_check(arr: Arrangement, *, seed: int = 0, budget: int | None = None) -> SecondaryFaceVerdict:
+    """Walk the arrangement's dual subdivision and read off its face of
+    the secondary polytope.  One :class:`~troparr.core.Meter` of
+    ``budget`` is charged for that walk, then for every step that
+    :func:`refining_triangulations` walks.
+
+    A triangulation, a generic arrangement's, is a vertex of the
+    secondary polytope and its own only refinement.  Any other
+    subdivision should have two refining triangulations at least and a
+    face of positive dimension.  That dimension is nd - dim L, L the
+    heights affine on every cell of the subdivision.  L is the
+    orthogonal complement of the cells' alternating-cycle vectors, so the
+    dimension is their rank, computed from the subdivision alone: the
+    fundamental cycles of a spanning tree of each cell span that cell's
+    cycles, and :func:`_cycle_masks` of the cell against the forest its
+    edges grow writes them as ±1 vectors.  A tree has no cycle, so only
+    the other cells are read."""
+    meter = Meter(budget)
+    sub = dual_subdivision(arr, meter)
     if is_triangulation(sub):
-        raise ValueError("secondary_face_check requires a non-generic arrangement")
+        return SecondaryFaceVerdict(sub, (sub,), 0)
     n, d = arr.n, arr.d
     tris = sorted(
-        refining_triangulations(arr, sub, seed=seed, budget=budget),
+        refining_triangulations(arr, sub, seed=seed, budget=meter),
         key=lambda t: [_bits(g.mask) for g in t.sorted_cells()],
     )
     cycles = [
@@ -334,9 +391,4 @@ def secondary_face_check(
         if g.mask.bit_count() > n + d - 1
         for plus, minus in _cycle_masks(n, d, _forest(n, d, g.mask)[0], g.mask)
     ]
-    return SecondaryFaceVerdict(
-        subdivision=sub,
-        refinements=tuple(tris),
-        gkz_vectors=tuple(gkz_vector(t) for t in tris),
-        face_dimension=rank(cycles),
-    )
+    return SecondaryFaceVerdict(sub, tuple(tris), rank(cycles))

@@ -87,7 +87,7 @@ def suite3():
 
 @pytest.fixture(scope="module")
 def suite3_face_checks(suite3):
-    return [secondary_face_check(arr, dual_subdivision(arr)) for arr, *_ in suite3]
+    return [secondary_face_check(arr) for arr, *_ in suite3]
 
 
 def test_criterion_1_apex_total_bound():

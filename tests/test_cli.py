@@ -328,9 +328,9 @@ def test_one_integer_form_per_run(monkeypatch, capsys, tmp_path):
 
 def test_flat_cell_volume_comes_from_the_walk_and_its_cone_is_capped(monkeypatch, capsys, tmp_path):
     # one flat cell of volume 1,100: subdivision counts its 1,100 trees in
-    # the walk that finds it, with no second walk; --flips refuses that
-    # cell's cone, 1,100 trees x 1,102 nodes x 2,200 edges, before any
-    # step is walked
+    # the walk that finds it, with no second walk; --flips walks the input
+    # alone and refuses that cell's cone, 1,100 trees x 1,102 nodes x
+    # 2,200 edges, before any step is walked
     path = tmp_path / "flat.txt"
     path.write_text("1100 2\n" + "0 0\n" * 1100)
     assert main(["subdivision", "--format", "text", "--input", str(path)]) == 0
@@ -341,7 +341,7 @@ def test_flat_cell_volume_comes_from_the_walk_and_its_cone_is_capped(monkeypatch
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", lambda *args: steps.append(args) or dual(*args))
     assert main(["subdivision", "--flips", "--format", "text", "--input", str(path)]) == 5
     captured = capsys.readouterr()
-    assert captured.out == "" and steps == []
+    assert captured.out == "" and len(steps) == 1
     assert captured.err.startswith(
         "error: flip cone: 1100 trees x 1102 nodes x 2200 edges = 2666840000 "
         "exceed the cap of 20000000 on cell [(1,1),(1,2),(2,1),"
@@ -406,6 +406,32 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
     assert walks.count(False) == 1 and walks.count(True) == 6
 
 
+def test_flips_builds_one_meter_and_walks_its_input_once(monkeypatch, capsys, e2_file):
+    # one library call on one meter: the input's walk and every step's
+    # draw on the meter that secondary_face_check builds, and the input
+    # is walked once, by it
+    meters, walked = [], []
+    build, dual = troparr.core.Meter.__init__, troparr.duality.dual_subdivision
+
+    def built(meter, *args):
+        meters.append(meter)
+        build(meter, *args)
+
+    def recorded(arr, budget=None):
+        walked.append((arr, budget))
+        return dual(arr, budget)
+
+    monkeypatch.setattr(troparr.core.Meter, "__init__", built)
+    monkeypatch.setattr(troparr.cli, "dual_subdivision", recorded)
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 0
+    assert "face_dimension: 1" in capsys.readouterr().out
+    e2 = Arrangement.from_rows(E2_DOC["apexes"])
+    assert len(meters) == 1 and len(walked) == 3
+    assert [arr for arr, _ in walked].count(e2) == 1 and walked[0][0] == e2
+    assert all(budget is meters[0] for _, budget in walked)
+
+
 def _e2_pyramid() -> frozenset:
     """The edges of E2's one coarse cell that is not a tree."""
     base = troparr.duality.dual_subdivision(Arrangement.from_rows(E2_DOC["apexes"]))
@@ -414,11 +440,15 @@ def _e2_pyramid() -> frozenset:
 
 def _mutated_walks(monkeypatch, mutate) -> None:
     """Every moved arrangement's walk replaced by ``mutate`` of its cells
-    and of E2's pyramid, as a validated subdivision."""
-    dual, pyramid = troparr.secondary.dual_subdivision, _e2_pyramid()
+    and of E2's pyramid, as a validated subdivision; the first walk, the
+    input's own, is left alone."""
+    dual, pyramid, walked = troparr.secondary.dual_subdivision, _e2_pyramid(), []
 
     def mutated(arr, budget=None):
         sub = dual(arr, budget)
+        walked.append(arr)
+        if len(walked) == 1:
+            return sub
         cells = mutate({g.edges for g in sub.maximal_cells}, pyramid)
         return Subdivision(sub.n, sub.d, frozenset(CellGraph(sub.n, sub.d, c) for c in cells))
 
@@ -450,7 +480,7 @@ def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
         return cells - {pieces[-1]} | {other}
 
     _mutated_walks(monkeypatch, swapped)
-    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+    _assert_exit_4(capsys, e2_file, "flips step 1: the pieces of coarse cell [(1,1),(1,2),(2,1),(2,2),(2,3)] miss the step's cone")
 
 
 def test_a_refused_entry_exits_4(monkeypatch, capsys, e2_file):
@@ -482,7 +512,7 @@ def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file
         return cells - {max((c for c in cells if c <= pyramid), key=sorted)}
 
     _mutated_walks(monkeypatch, short)
-    _assert_exit_4(capsys, e2_file, "perturbation crossed a wall; triangulation does not refine")
+    _assert_exit_4(capsys, e2_file, "flips step 1: the walk has 2 trees, not C(3, 1) = 3")
 
 
 def test_a_tree_inside_no_coarse_cell_exits_4(monkeypatch, capsys, e2_file):
@@ -494,7 +524,7 @@ def test_a_tree_inside_no_coarse_cell_exits_4(monkeypatch, capsys, e2_file):
         return cells - {max((c for c in cells if c <= pyramid), key=sorted)} | {tree}
 
     _mutated_walks(monkeypatch, crossing)
-    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+    _assert_exit_4(capsys, e2_file, "flips step 1: tree [(1,1),(1,2),(1,3),(2,1)] lies in no coarse cell")
 
 
 def test_a_cell_that_is_not_a_tree_exits_4(monkeypatch, capsys, e2_file):
@@ -504,7 +534,7 @@ def test_a_cell_that_is_not_a_tree_exits_4(monkeypatch, capsys, e2_file):
         return {c for c in cells if not c <= pyramid} | {pyramid}
 
     _mutated_walks(monkeypatch, unsplit)
-    _assert_exit_4(capsys, e2_file, "perturbation's dual subdivision differs from its lower envelope")
+    _assert_exit_4(capsys, e2_file, "flips step 1: walked cell [(1,1),(1,2),(2,1),(2,2),(2,3)] is not a tree")
 
 
 def test_a_step_on_a_wall_walks_to_trees(monkeypatch, capsys, e2_file):
@@ -534,10 +564,11 @@ def test_a_step_on_a_wall_walks_to_trees(monkeypatch, capsys, e2_file):
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
     assert run(capsys, ["subdivision", "--flips", "--json", "--input", e2_file]) == expected
     assert expected[0] == 0
-    assert all(len(g.edges) == 2 + 3 - 1 for g in walks[0].maximal_cells)
+    # walks[0] is the input's own walk, walks[1] the first step's
+    assert all(len(g.edges) == 2 + 3 - 1 for g in walks[1].maximal_cells)
     listed = [t["cells"] for t in json.loads(expected[1])["results"]["flips"]["triangulations"]]
     assert len(listed) == 2
-    assert [[list(e) for e in g.sorted_edges()] for g in walks[0].sorted_cells()] in listed
+    assert [[list(e) for e in g.sorted_edges()] for g in walks[1].sorted_cells()] in listed
 
 
 def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_file, tied_minor_file):
@@ -558,16 +589,23 @@ def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_fi
 
 def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
     # every refinement of E2 keeps its simplex [(1,1),(1,2),(1,3),(2,3)],
-    # so a dual subdivision without that simplex matches none
+    # so a step's dual subdivision without that simplex matches none; the
+    # input's own walk, the first, is left alone
     other = troparr.duality.regular_subdivision([[2, 1, 0], [0, 0, 0]])
     assert CellGraph(2, 3, frozenset({(1, 1), (1, 2), (1, 3), (2, 3)})) not in other.maximal_cells
-    monkeypatch.setattr(troparr.secondary, "dual_subdivision", lambda arr, budget=None: other)
+    dual, walked = troparr.secondary.dual_subdivision, []
+
+    def disagreeing(arr, budget=None):
+        walked.append(arr)
+        return other if len(walked) > 1 else dual(arr, budget)
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", disagreeing)
     assert main(["subdivision", "--flips", "--input", e2_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: internal consistency violation: "
-        "perturbation's dual subdivision differs from its lower envelope\n"
+        "flips step 1: tree [(1,1),(1,2),(1,3),(2,1)] lies in no coarse cell\n"
     )
 
 

@@ -249,7 +249,7 @@ def test_secondary_face_on_tied_minors_with_generic_apexes():
         for arr in grid(n, d):
             if is_generic(arr) or offending_apexes(arr):
                 continue
-            verdict = secondary_face_check(arr, dual_subdivision(arr))
+            verdict = secondary_face_check(arr)
             assert face_check_passes(verdict), arr.rows()
             assert set(verdict.refinements) == refinements_oracle(arr, verdict.subdivision), arr.rows()
             found = refining_triangulations(arr, verdict.subdivision, seed=1)

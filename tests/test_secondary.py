@@ -96,23 +96,30 @@ def test_refining_triangulations_takes_seed_and_budget_by_keyword(e2):
 
 
 def test_one_budget_for_the_whole_search(e2):
-    # the budget counts the trees of the walk that gave the base and of
-    # every step walked, C(3, 1) = 3 each on E2, where each walk lists a
-    # new triangulation; the step past it is refused before its walk
+    # refining_triangulations' budget counts the trees of every step it
+    # walks, C(3, 1) = 3 each on E2, where each walk lists a new
+    # triangulation; secondary_face_check's counts its input's walk
+    # first, then the same steps; the walk past either is refused before
+    # it starts
     base = dual_subdivision(e2)
     found = refining_triangulations(e2, base)
-    trees = 3 * (1 + len(found))
+    trees = 3 * len(found)
     assert refining_triangulations(e2, base, budget=trees) == found
     with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
         refining_triangulations(e2, base, budget=trees - 1)
+    assert set(secondary_face_check(e2, budget=3 + trees).refinements) == found
+    with pytest.raises(ResourceLimitError, match=f"^pivot walk: {3 + trees} trees exceed budget {2 + trees}$"):
+        secondary_face_check(e2, budget=2 + trees)
     with pytest.raises(ResourceLimitError, match="^pivot walk: 3 trees exceed budget 2$"):
-        secondary_face_check(e2, base, budget=2)
+        secondary_face_check(e2, budget=2)
 
 
 def test_each_walk_is_charged_once(monkeypatch):
     # the all-zero 2x3 input is one coarse cell, the prism, with 6
-    # triangulations: one meter is charged C(3, 1) = 3 trees for the walk
-    # that gave the base, then 3 by each step's own dual_subdivision
+    # triangulations: refining_triangulations' meter is charged C(3, 1) =
+    # 3 trees by each step's own dual_subdivision and by nothing else;
+    # secondary_face_check's one meter 3 for the input's walk, then 3 by
+    # each step's
     zero = Arrangement.from_rows([[0, 0, 0]] * 2)
     base = dual_subdivision(zero)
     charges, walked = [], []
@@ -130,7 +137,12 @@ def test_each_walk_is_charged_once(monkeypatch):
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", count)
     assert len(refining_triangulations(zero, base)) == len(walked) == 6
     meter = charges[0][0]
-    assert charges == [(meter, "pivot walk", 3, "trees")] * (1 + len(walked))
+    assert charges == [(meter, "pivot walk", 3, "trees")] * len(walked)
+    assert meter.spent == 18
+    charges.clear(), walked.clear()
+    assert secondary_face_check(zero).refinement_count == 6 and walked[0] == zero and len(walked) == 7
+    meter = charges[0][0]
+    assert charges == [(meter, "pivot walk", 3, "trees")] * len(walked)
     assert meter.spent == 21
 
 
@@ -141,7 +153,7 @@ def test_negative_budget_is_a_value_error(e2):
         with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
             refining_triangulations(arr, dual_subdivision(arr), budget=-1)
     with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
-        secondary_face_check(e2, dual_subdivision(e2), budget=-1)
+        secondary_face_check(e2, budget=-1)
 
 
 def test_a_base_of_another_shape_is_a_value_error(monkeypatch, e2):
@@ -152,9 +164,34 @@ def test_a_base_of_another_shape_is_a_value_error(monkeypatch, e2):
     cases = [(e2, dual_subdivision(wide), "3x3", "2x3"), (wide, dual_subdivision(e2), "2x3", "3x3")]
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", None)
     for arr, base, theirs, ours in cases:
-        for call in (refining_triangulations, secondary_face_check):
-            with pytest.raises(ValueError, match=f"^the subdivision is {theirs}, the arrangement {ours}$"):
-                call(arr, base)
+        with pytest.raises(ValueError, match=f"^the subdivision is {theirs}, the arrangement {ours}$"):
+            refining_triangulations(arr, base)
+
+
+def test_a_foreign_base_is_a_value_error(monkeypatch, e2):
+    # a base of the right shape that is not the arrangement's own
+    # subdivision is refused before any step, never returned as its own
+    # refinement nor met as an internal fault: two overlapping triangles
+    # of 2x2, whose second is no lower facet; the one cell of 2x3 on an
+    # input that ties one of its cycles but not the other two, and on a
+    # generic input, where its own edges are not all tight; a refinement
+    # of E2, whose pieces leave a pyramid edge tight; and E2's pyramid
+    # alone, a true cell, one simplex short of the product's volume
+    overlapping = tri(2, 2, ((1, 1), (1, 2), (2, 1)), ((1, 1), (1, 2), (2, 2)))
+    whole = tri(2, 3, SIMPLEX + PYRAMID)
+    cell = r"cell \[{}\] is not a cell of the arrangement's dual subdivision$"
+    cases = [
+        ([[0, 0], [0, 1]], overlapping, cell.format(r"\(1,1\),\(1,2\),\(2,2\)")),
+        ([[0, 0], [0, 5]], overlapping, cell.format(r"\(1,1\),\(1,2\),\(2,2\)")),
+        ([[0, 1, 0], [0, 0, 0]], whole, cell.format(r"\(1,1\),\(1,2\),\(1,3\),\(2,1\),\(2,2\),\(2,3\)")),
+        ([[0, 0, 0], [0, 1, 2]], whole, cell.format(r"\(1,1\),\(1,2\),\(1,3\),\(2,1\),\(2,2\),\(2,3\)")),
+        (e2.rows(), SPLIT_A, cell.format(r"\(1,1\),\(1,2\),\(2,2\),\(2,3\)")),
+        (e2.rows(), tri(2, 3, PYRAMID), r"the cells' volumes add up to 2, not C\(3, 1\) = 3$"),
+    ]
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", None)
+    for rows, base, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            refining_triangulations(Arrangement.from_rows(rows), base)
 
 
 def test_refining_triangulations_generic_is_identity():
@@ -476,17 +513,21 @@ def test_det_int_matches_sympy():
 
 
 def test_secondary_face_check_e2(e2):
-    verdict = secondary_face_check(e2, dual_subdivision(e2))
+    verdict = secondary_face_check(e2)
     assert verdict.refinement_count == 2
     assert verdict.gkz_vectors[0] != verdict.gkz_vectors[1]
     assert verdict.face_dimension == 1 == face_dimension_oracle(verdict.subdivision)
     assert face_check_passes(verdict)
 
 
-def test_secondary_face_check_rejects_generic():
+def test_secondary_face_check_of_a_triangulation_is_a_vertex():
+    # a generic arrangement's subdivision is its own only refinement, a
+    # vertex of the secondary polytope
     arr = random_generic_arrangement(random.Random(9), 2, 3)
-    with pytest.raises(ValueError):
-        secondary_face_check(arr, dual_subdivision(arr))
+    sub = dual_subdivision(arr)
+    verdict = secondary_face_check(arr)
+    assert (verdict.subdivision, verdict.refinements, verdict.face_dimension) == (sub, (sub,), 0)
+    assert verdict.gkz_vectors == (gkz_vector(sub),)
 
 
 def test_secondary_face_check_doubly_degenerate():
@@ -499,8 +540,8 @@ def test_secondary_face_check_doubly_degenerate():
     T3 = apex_type(arr, 3)
     assert T3.entry(1) == {1, 2} and T3.entry(2) == {2, 3}
     sub = dual_subdivision(arr)
-    verdict = secondary_face_check(arr, sub)
-    assert verdict.refinement_count >= 2
+    verdict = secondary_face_check(arr)
+    assert verdict.subdivision == sub and verdict.refinement_count >= 2
     assert verdict.face_dimension >= 1
     # two unresolved incidences leave a corank-2 cell (7 vertices in
     # dimension 4); observed: a pentagon of 5 triangulations, face dim 2
@@ -508,7 +549,7 @@ def test_secondary_face_check_doubly_degenerate():
     assert verdict.refinement_count == 5
     # 12 steps need not meet all five (seeds 4 and 7 find 4), but a
     # reseeded sample finds only pentagon vertices, on the same face
-    reseeded = secondary_face_check(arr, sub, seed=7)
+    reseeded = secondary_face_check(arr, seed=7)
     assert 2 <= reseeded.refinement_count and set(reseeded.refinements) <= set(verdict.refinements)
     assert reseeded.face_dimension == 2
 
@@ -518,7 +559,7 @@ def test_face_dimension_does_not_depend_on_the_sample():
     # of its refining triangulations, and 400 samples find 40
     arr = Arrangement.from_rows([[0, -3, 0], [0, -3, 0], [-3, -2, 0], [0, 1, 0]])
     sub = dual_subdivision(arr)
-    verdicts = [secondary_face_check(arr, sub, seed=seed) for seed in range(5)]
+    verdicts = [secondary_face_check(arr, seed=seed) for seed in range(5)]
     assert len({v.refinement_count for v in verdicts}) > 1
     assert {v.face_dimension for v in verdicts} == {face_dimension_oracle(sub)} == {4}
 
@@ -528,6 +569,6 @@ def test_secondary_face_check_on_constructed_ray_degeneracies():
     for _ in range(3):
         n = rng.choice([2, 3])
         arr, victim, host, pair = nongeneric_on_ray(rng, n)
-        verdict = secondary_face_check(arr, dual_subdivision(arr))
+        verdict = secondary_face_check(arr)
         assert face_check_passes(verdict)
         assert all(refines(t, verdict.subdivision) for t in verdict.refinements)

@@ -1,4 +1,4 @@
-"""The library's source keeps nine promises that no other test reads: it
+"""The library's source keeps ten promises that no other test reads: it
 imports nothing outside the standard library, it computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
@@ -14,7 +14,9 @@ loop: ``enumerate_realizations`` alone calls a method named ``entries``,
 and no ``geometry`` function takes a callable parameter, and the axiom
 checks decide whether a collection fits (n, d) in one place: only
 ``axioms._Table`` raises the refusals of mixed lengths, of a length other
-than n and of a label beyond d."""
+than n and of a label beyond d, and every internal fault, a
+``RuntimeError`` that the CLI reports with exit 4, opens with the name of
+its stage."""
 
 import ast
 import sys
@@ -162,3 +164,28 @@ def test_only_the_axiom_table_refuses_a_collection_that_does_not_fit():
                     if isinstance(node, ast.Raise) and fragment in ast.unparse(node):
                         raisers.add((path.stem, getattr(top, "name", None)))
         assert raisers == {("axioms", "_Table")}, (fragment, raisers)
+
+
+#: The stages an internal fault may name first, besides the type
+#: enumeration's, which its messages read from the variable ``stage``.
+STAGES = ("pivot walk", "surrounding", "flips step ")
+
+
+def test_every_internal_fault_opens_with_its_stage():
+    # an exit-4 message says where the fault arose before what it is
+    raised = set()
+    for path, tree in _parsed():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if _name(node.exc.func) != "RuntimeError":
+                continue
+            message, = node.exc.args
+            first = message.values[0] if isinstance(message, ast.JoinedStr) else message
+            opens = (
+                first.value.startswith(STAGES) if isinstance(first, ast.Constant)
+                else isinstance(first, ast.FormattedValue) and _name(first.value) == "stage"
+            )
+            assert opens, f"{path.name}:{node.lineno} raises a RuntimeError that names no stage first"
+            raised.add(path.stem)
+    assert raised == {"axioms", "duality", "geometry", "secondary"}
