@@ -26,8 +26,11 @@ genericity and volumes never use it.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and counts the cells from its 0-dimensional
 types, each a tree exactly when it holds n + d - 1 labels, with no cell
-graph built; its genericity comes from the envelope, so the two
-implications it checks cross-check independent computations.
+graph built.  The enumeration walks the envelope first and reads a
+generic input's types off its trees, and genericity reads the same walk
+(:attr:`~troparr.core.Arrangement._walk_head`), so what the check
+cross-checks on a generic input is the axioms and the enumeration's
+count of T(n, d) types.
 
 The lower envelope is computed by a pivot walk: lexicographically
 perturbed integer heights, built once per walk from the heights'
@@ -530,16 +533,6 @@ def regular_subdivision(weights) -> Subdivision:
     return _subdivision(n, d, _full_walk(n, d, _integer_rows(rows)[1]))
 
 
-def _first_tied_minor(n: int, d: int, rows: Sequence[Sequence[int]]) -> TiedMinor | None:
-    """The tied minor of the first cell of the lower-envelope walk over
-    the n x d int heights ``rows`` that is not a spanning tree, where the
-    walk stops, or None when every cell is one: the heights are then
-    tropically generic, every square minor's min-plus determinant
-    attained by one permutation only.  No cell becomes a CellGraph."""
-    cells = (c for c in _full_walk(n, d, rows) if c.bit_count() != n + d - 1)
-    return next((_tied_minor(n, d, c) for c in cells), None)
-
-
 def _tied_minor(n: int, d: int, mask: int) -> TiedMinor:
     """The minor spanned by the first cycle of the n x d cell of edge mask
     ``mask`` (:class:`~troparr.core.CellGraph`) that is not a tree.
@@ -636,11 +629,16 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     generic => (matroid and triangulation) and non-generic => not a
     triangulation hold for this arrangement.
 
-    The budgeted enumeration runs first.  The genericity walk then visits
-    at most one tree per 0-dimensional type found, plus one, before it
-    meets a cell that is not a tree.  Its cells come from the lower
-    envelope, the triangulation status from the types, so the two
-    implications cross-check independent computations.
+    The budgeted enumeration runs first, and with it the walk over the
+    lower envelope, up to its first cell that is not a tree; the
+    genericity verdict reads that walk, kept on ``arr``, and walks
+    nothing again.  On a generic input the types are read off the walk's
+    trees, so the triangulation status agrees with genericity by
+    construction.  What the check still cross-checks there is the axioms
+    on those types, and the enumeration's certificate that they number
+    T(n, d), which it raises on.  On any other input the types come from
+    the feasibility search, independent of the walk, so the two
+    implications set independent computations against each other.
 
     The maximal cells are the graphs of the 0-dimensional types, one
     per type.  A vertex's labels tie every coordinate into one group, so

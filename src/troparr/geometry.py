@@ -5,35 +5,67 @@ Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
 the pivot walk over the lower envelope of the apex matrix (see
 :mod:`troparr.duality`), which names a tied minor when there is one.
+The walk's head, its cells up to and including the first that is not a
+spanning tree, is kept on the arrangement
+(:attr:`~troparr.core.Arrangement._walk_head`): the type enumeration
+walks it first, and :func:`is_generic` reads it, so a run walks the
+envelope once.
 
-A candidate type imposes, hyperplane by hyperplane, that the listed
-coordinates tie (after subtracting the apex row) and strictly beat the
-rest.  The ties merge coordinates into rigid groups carrying exact
-offsets, kept in two flat arrays: each label's group root and its
-offset to that root; the strict part becomes a system of strict
-difference constraints between group representatives, kept closed
-under max-plus composition (longest paths).  Each hyperplane is added
-incrementally: a merge and the new strict bounds are relaxed through
-the closed bounds in O(roots^2), with no all-pairs re-closure.  A
-closed, consistent system always admits a rational witness, found by
-greedy interval assignment.
+:func:`enumerate_realizations` finds the types by one of two routes.
+
+On a generic arrangement they are read off the head, every tree of the
+triangulation (Develin-Sturmfels, "Tropical convexity", 2004).  A
+point x has the type F whose graph holds edge (i, j) where x_j - v_ij
+is largest in row i.  With z = x and u_i that largest value, z_j - u_i
+<= v_ij on every edge, with equality on F's, so F is the set of edges
+a feasible potential of the envelope makes tight: a face of the lower
+envelope subdivision, and one that meets every row.  Conversely a
+potential tight on a face that meets every row makes each u_i row i's
+largest value, so z has that face as its type.  The types are the
+faces of the subdivision's cells that meet every row.  A cell that is
+a tree is a simplex, whose edges are its vertices, and every subset of
+a simplex's vertices spans a face of it; so the types of a
+triangulation are the subforests of its trees that meet every row: for
+each tree, every product over rows of a nonempty subset of that row's
+tree edges.  The potentials tight on F fix the differences inside each
+component of F, over all n + d nodes, and leave each component one free
+translation, so the realization set has the dimension of the components
+less one, n + d - 1 - |F| for a forest of |F| edges.  A generic
+arrangement has T(n, d) types, T(0, d) = T(k, 1) = 1 and T(k, d) =
+T(k - 1, d) + 2 T(k, d - 1) (:func:`_type_counts`), and the route finds
+exactly that many distinct faces or raises :class:`RuntimeError`: the
+count is the certificate, since the tree verdict :func:`is_generic`
+gives is read off the same walk.
+
+On any other arrangement a depth-first search over difference
+constraints finds them.  A candidate type imposes, hyperplane by
+hyperplane, that the listed coordinates tie (after subtracting the apex
+row) and strictly beat the rest.  The ties merge coordinates into rigid
+groups carrying exact offsets, kept in two flat arrays: each label's
+group root and its offset to that root; the strict part becomes a
+system of strict difference constraints between group representatives,
+kept closed under max-plus composition (longest paths).  Each
+hyperplane is added incrementally: a merge and the new strict bounds
+are relaxed through the closed bounds in O(roots^2), with no all-pairs
+re-closure.  A closed, consistent system always admits a rational
+witness, found by greedy interval assignment.
 
 Entries are label masks, in the one label encoding of
 :class:`~troparr.core.TypeVector`, from the pairwise tests through
 :meth:`_Feasibility.add_hyperplane` to the types the enumeration records,
-which keep the walk's masks as they are.  One depth-first loop,
-:func:`enumerate_realizations`, walks hyperplanes 1..n-1 and generates,
-on each feasible prefix, only the entries that pass pairwise tests read
-off the closed bounds (every two members can still tie, every member
-can still beat every non-member), as cliques of a tie relation closed
-under the labels each member forces in; its work grows with the types,
-not with 2^d.  Every entry the tests pass is feasible, so the loop
-takes each that hyperplane n passes as a type, recorded with its
+which keep the walk's masks as they are.  The search is one depth-first
+loop in :func:`enumerate_realizations`: it walks hyperplanes 1..n-1 and
+generates, on each feasible prefix, only the entries that pass pairwise
+tests read off the closed bounds (every two members can still tie, every
+member can still beat every non-member), as cliques of a tie relation
+closed under the labels each member forces in; its work grows with the
+types, not with 2^d.  Every entry the tests pass is feasible, so the
+loop takes each that hyperplane n passes as a type, recorded with its
 dimension without imposing it, and raises on any that an earlier
 hyperplane refuses.
 
 A witness comes from :func:`realizable`, which imposes all of a type's
-entries in the walk's order.
+entries in the search's order, on either route.
 
 The feasibility kernel runs on ints, on the arrangement's integer form
 (:func:`~troparr.core._integer_rows`), so every offset and bound is an
@@ -45,6 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point, _bits
@@ -273,7 +306,11 @@ class _Feasibility:
         counting in units of 1/(scale * 2^roots) keeps every value an int;
         the last coordinate is subtracted before dividing, so each
         coordinate is one Fraction and the point comes out normalized.
+        A closed, consistent system leaves each root an open interval, so
+        one that is shut is a fault of the kernel and raises
+        :class:`RuntimeError`.
         """
+        stage = "realization witness"
         lower, w = self.lower, self.d + 1
         roots = self.roots()
         m = 1 << len(roots)
@@ -294,9 +331,10 @@ class _Feasibility:
                 values[r] = lo + one
             elif lo is None:
                 values[r] = hi - one
-            else:
-                assert lo < hi, "closed strict system must leave an open interval"
+            elif lo < hi:
                 values[r] = (lo + hi) // 2
+            else:
+                raise RuntimeError(f"{stage}: the closed bounds leave label {r}'s group no open interval")
         shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
         last = shifted[-1]
         return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
@@ -387,21 +425,84 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     optimal matchings of the minor into one cell, which is then no
     spanning tree, and conversely any cycle in a cell alternates between
     two matchings of one minor that are both tight.  The pivot walk over
-    the envelope stops at the first cell that is not a tree and reads
-    the minor off its first cycle.
+    the envelope stops at the first cell that is not a tree, and the
+    minor is read off that cell's first cycle.  The walk is the one whose
+    head the arrangement keeps (:attr:`~troparr.core.Arrangement._walk_head`),
+    so after :func:`enumerate_realizations` nothing is walked again.
     """
-    from .duality import _first_tied_minor  # duality imports this module at load time
+    last = arr._walk_head[-1]
+    if last.bit_count() == arr.n + arr.d - 1:
+        return GenericityReport(None)
+    from .duality import _tied_minor  # duality imports this module at load time
 
-    return GenericityReport(_first_tied_minor(arr.n, arr.d, arr._integer_form[1]))
+    return GenericityReport(_tied_minor(arr.n, arr.d, last))
+
+
+def _envelope_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") -> tuple[int, ...]:
+    """The cells of the pivot walk over the lower envelope of ``arr``'s
+    apex matrix, as edge masks, up to and including the first that is
+    not a spanning tree (:attr:`~troparr.core.Arrangement._walk_head`).
+
+    Under a ``meter`` the walk stops, refused in ``stage``'s feasibility
+    steps, once its trees outnumber the steps left.  Each tree is a cell,
+    and so a distinct 0-dimensional type, which the search of
+    :func:`enumerate_realizations` takes a step to generate: a refused
+    walk is an enumeration the budget refuses, with the same message."""
+    from .duality import _full_walk  # duality imports this module at load time
+
+    n, d = arr.n, arr.d
+    head: list[int] = []
+    for cell in _full_walk(n, d, arr._integer_form[1]):
+        head.append(cell)
+        if cell.bit_count() != n + d - 1:
+            break
+        if meter is not None:
+            meter.count(stage, len(head), "feasibility steps", ahead=True)
+    return tuple(head)
+
+
+def _type_counts(n: int, d: int) -> list[int]:
+    """T(0, d), ..., T(n, d): T(k, d) types has every generic arrangement
+    of k hyperplanes with d coordinates, T(0, d) = T(k, 1) = 1 and
+    T(k, d) = T(k - 1, d) + 2 T(k, d - 1), one d at a time."""
+    counts = [1] * (n + 1)
+    for _ in range(d - 1):
+        for k in range(1, n + 1):
+            counts[k] = counts[k - 1] + 2 * counts[k]
+    return counts
+
+
+def _tree_types(n: int, d: int, trees: tuple[int, ...]) -> dict[TypeVector, int]:
+    """The distinct subforests of the n x d spanning ``trees``, edge masks,
+    that meet every row, as types mapped to their dimensions, n + d - 1
+    less their edges: for each tree, every product over rows of a
+    nonempty subset of that row's edges, row i's label mask the row's
+    d bits shifted up by one (:class:`~troparr.core.TypeVector`)."""
+    full, top = (1 << d) - 1, n + d - 1
+    faces: dict[tuple[int, ...], int] = {}
+    for tree in trees:
+        rows = []
+        for i in range(n):
+            row = subset = (tree >> i * d & full) << 1
+            subsets = []
+            while subset:
+                subsets.append(subset)
+                subset = subset - 1 & row
+            rows.append(subsets)
+        for face in product(*rows):
+            if face not in faces:
+                faces[face] = top - sum(mask.bit_count() for mask in face)
+    return {TypeVector._trusted(face): dim for face, dim in faces.items()}
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     """Exact feasibility of a candidate type, with witness and dimension.
 
     Infeasibility is a normal result, not an error.  The entries are
-    imposed in the order :func:`enumerate_realizations` imposes them on
-    its way to T, and the closed bounds depend on the bounds alone, so
-    the witness is read off the same closed state the walk reaches.
+    imposed in the order the search of :func:`enumerate_realizations`
+    imposes them on its way to T, and the closed bounds depend on the
+    bounds alone, so the witness is read off the same closed state the
+    search reaches.
     """
     if T.n != arr.n:
         raise ValueError(f"type has {T.n} entries, arrangement has n={arr.n}")
@@ -418,15 +519,28 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     """Every realizable type, mapped to the affine dimension of its
     realization set; :func:`realizable` gives a type's witness.
 
-    The search walks hyperplanes 1..n-1 depth first from the empty
-    prefix, on an explicit stack of one frame per hyperplane of the
-    current prefix, so its depth is not bounded by Python's recursion
-    limit.  On a feasible prefix only the entries passing the pairwise
-    tests of :meth:`_Feasibility.entries` are generated, and each is
-    imposed by :meth:`_Feasibility.add_hyperplane` on a copy of the
-    prefix's state, which the next hyperplane extends.  The argument
-    below shows every such entry feasible, so one that ``add_hyperplane``
-    refuses is a fault of the kernel and raises :class:`RuntimeError`.
+    The walk over the lower envelope comes first, up to its first cell
+    that is not a tree (:func:`_envelope_head`), and is kept on ``arr``
+    for :func:`is_generic`.  When every cell is a tree the input is
+    generic, and its types are the subforests of the trees that meet
+    every row, each of dimension n + d - 1 less its edges
+    (:func:`_tree_types`; the module docstring has the proof): a type is
+    a face of the envelope subdivision that meets every row, every
+    subset of a simplex's vertices is a face of it, and a realization
+    set's dimension is its face's components less one.  Exactly T(n, d)
+    distinct faces must come out, or the route raises
+    :class:`RuntimeError`.
+
+    Any other input is searched.  The search walks hyperplanes 1..n-1
+    depth first from the empty prefix, on an explicit stack of one frame
+    per hyperplane of the current prefix, so its depth is not bounded by
+    Python's recursion limit.  On a feasible prefix only the entries
+    passing the pairwise tests of :meth:`_Feasibility.entries` are
+    generated, and each is imposed by :meth:`_Feasibility.add_hyperplane`
+    on a copy of the prefix's state, which the next hyperplane extends.
+    The argument below shows every such entry feasible, so one that
+    ``add_hyperplane`` refuses is a fault of the kernel and raises
+    :class:`RuntimeError`.
 
     On each prefix of n - 1 entries every entry the pairwise tests pass
     for hyperplane n is a type, and it is recorded without a copy or a
@@ -449,16 +563,37 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     difference constraints is decomposable: Dechter, Meiri and Pearl,
     "Temporal constraint networks", 1991.)
 
-    The :class:`~troparr.core.Meter` of ``budget`` counts a step per
-    generated entry, the last hyperplane's included, once each list is
-    recorded.  All m = 2^d - 1 entries of hyperplane 1 are feasible, each
-    with a feasible entry for hyperplane 2 after it, so the search takes
-    at least 2m steps (m if n = 1), and the meter refuses it up front
-    when that floor does not fit.
+    The :class:`~troparr.core.Meter` of ``budget`` counts feasibility
+    steps, one per entry the search generates, the last hyperplane's
+    included, once each list is recorded.  All m = 2^d - 1 entries of
+    hyperplane 1 are feasible, each with a feasible entry for hyperplane
+    2 after it, so the search takes at least 2m steps (m if n = 1), and
+    the meter refuses it up front when that floor does not fit.  The
+    walk then refuses once its trees outnumber the steps left, each a
+    distinct 0-dimensional type the search would generate; a head walked
+    before with no meter, by :func:`is_generic`, is refused by the count
+    below or by the search, with the same message.  Both routes
+    spend the same steps: on hyperplane i the search generates one entry
+    per type of the first i hyperplanes, a generic arrangement too when
+    the whole is, so a generic input is charged the sum S of T(i, d)
+    over i = 1..n in one count, before any type is built.  Every verdict
+    and message of the budget is the search's.
     """
-    stage, n = "type enumeration", arr.n
+    stage, n, d = "type enumeration", arr.n, arr.d
     meter = Meter(budget)
-    meter.count(stage, (2**arr.d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
+    meter.count(stage, (2**d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
+    if "_walk_head" not in vars(arr):
+        object.__setattr__(arr, "_walk_head", _envelope_head(arr, meter, stage))
+    walked = arr._walk_head
+    if walked[-1].bit_count() == n + d - 1:
+        counts = _type_counts(n, d)
+        meter.count(stage, sum(counts[1:]), "feasibility steps")
+        types = _tree_types(n, d, walked)
+        if len(types) != counts[n]:
+            raise RuntimeError(
+                f"{stage}: the {len(walked)} trees of a generic {n}x{d} triangulation give {len(types)} types, not T({n},{d}) = {counts[n]}"
+            )
+        return types
     out: dict[TypeVector, int] = {}
     # frames (hyperplane i, state after the prefix, prefix, i's entries left)
     stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []

@@ -505,6 +505,27 @@ def test_a_refused_entry_exits_4(monkeypatch, capsys, e2_file):
         )
 
 
+def test_a_generic_route_short_of_a_type_exits_4(monkeypatch, capsys, e1_file):
+    # a generic input's types are the faces of its trees that meet every
+    # row, T(n, d) of them; a route that drops one fails that count
+    tree_types = troparr.geometry._tree_types
+
+    def dropping(n, d, trees):
+        types = tree_types(n, d, trees)
+        del types[min(types, key=lambda T: T.key())]
+        return types
+
+    monkeypatch.setattr(troparr.geometry, "_tree_types", dropping)
+    for argv in (["check"], ["check", "--json"]):
+        assert main(argv + ["--format", "text", "--input", e1_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal consistency violation: "
+            "type enumeration: the 2 trees of a generic 2x2 triangulation give 4 types, not T(2,2) = 5\n"
+        )
+
+
 def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
     # a walk that loses one of the pyramid's trees passes every cone, but
     # falls one simplex short of the product's volume

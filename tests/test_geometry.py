@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -42,6 +42,7 @@ from conftest import (
     safe_radius,
     sampled_types,
     subdivision_of,
+    type_counts,
     type_total_size,
 )
 
@@ -224,17 +225,39 @@ def _counted_steps(monkeypatch) -> list[int]:
     return steps
 
 
+def _started_walks(monkeypatch) -> list[tuple[int, int]]:
+    # the shape of every pivot walk started, recorded when it is called,
+    # before its first tree
+    started = []
+    walk = troparr.duality._pivot_walk
+
+    def counted(n, d, *args):
+        started.append((n, d))
+        return walk(n, d, *args)
+
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    return started
+
+
 def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
-    # the budget is the number of entries the walk takes, not the
-    # (2^d-1)^n = 759375 candidate types of a (5,4) input
-    arr = random_arrangement(random.Random(54), 5, 4)
+    # the budget is the number of entries the search takes, not the
+    # (2^d-1)^n = 759375 candidate types of a (5,4) input: a generic draw
+    # is read off its trees and charged the steps the search would take,
+    # the sum S of T(i, 4) over i = 1..5, and a non-generic draw of the
+    # same shape is searched, each generated entry a step
+    rng = random.Random(54)
+    generic, nongeneric = random_arrangement(rng, 5, 4), nongeneric_on_apex(rng, 5, 4)[0]
+    assert is_generic(generic) and not is_generic(nongeneric)
     calls = _counted_steps(monkeypatch)
-    types = enumerate_types(arr, budget=10**9)
-    steps = len(calls)
-    assert steps < 20_000 < (2 ** 4 - 1) ** 5
-    assert enumerate_types(arr, budget=steps) == types
-    with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
-        enumerate_types(arr, budget=steps - 1)
+    for arr, generated in ((generic, False), (nongeneric, True)):
+        calls.clear()
+        types = enumerate_types(arr, budget=10**9)
+        steps = len(calls) if generated else sum(type_counts(5, 4)[1:])
+        assert generated == bool(calls)
+        assert steps < 20_000 < (2 ** 4 - 1) ** 5
+        assert enumerate_types(arr, budget=steps) == types
+        with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+            enumerate_types(arr, budget=steps - 1)
 
 
 def test_every_generated_entry_is_feasible():
@@ -265,31 +288,114 @@ def test_identical_rows_take_one_step_per_entry(monkeypatch):
 
 def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):
     # every one of the m = 2^d - 1 first entries is feasible and each has
-    # a feasible second entry, so the walk takes at least 2m steps (m if
+    # a feasible second entry, so the search takes at least 2m steps (m if
     # n = 1); below that the refusal comes before any step, with the
-    # walk's message
+    # search's message, and before the walk over the envelope starts.  A
+    # generic draw is charged S, the sum of T(i, d), in place of the
+    # search; a non-generic draw of the same shape (every n = 1 input is
+    # generic) is searched and its steps counted
     calls = _counted_steps(monkeypatch)
+    walks = _started_walks(monkeypatch)
     rng = random.Random(2026)
     for n, d in [(1, 2), (1, 4), (2, 3), (3, 3), (2, 4), (4, 3)]:
-        arr = random_arrangement(rng, n, d)
         m = 2 ** d - 1
         floor = m * (1 + (n >= 2))
-        calls.clear()
-        enumerate_types(arr, budget=10**9)
-        assert len(calls) >= floor
-        if n == 1:
-            assert len(calls) == floor
-            assert enumerate_types(arr, budget=floor)
-        calls.clear()
-        for budget in (0, floor // 2, floor - 1):
-            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
-                enumerate_types(arr, budget=budget)
-        assert calls == []
-    # a large d is refused before any candidate entry is generated
+        draws = [random_arrangement(rng, n, d)] + ([nongeneric_on_apex(rng, n, d)[0]] if n >= 2 else [])
+        assert is_generic(draws[0])
+        for arr in draws:
+            calls.clear()
+            walks.clear()
+            for budget in (0, floor // 2, floor - 1):
+                with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
+                    enumerate_types(arr, budget=budget)
+            assert calls == [] and walks == []
+            enumerate_types(arr, budget=10**9)
+            steps = len(calls) if calls else sum(type_counts(n, d)[1:])
+            assert bool(calls) != bool(is_generic(arr))
+            assert steps >= floor
+            if n == 1:
+                assert steps == floor
+                assert enumerate_types(arr, budget=floor)
+    # a large d is refused before any candidate entry is generated, and
+    # before any walk
     monkeypatch.setattr(geometry, "_cliques", None)
+    walks.clear()
     for n, d in [(1, 40), (2, 40), (2, 17)]:
         with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
             enumerate_types(Arrangement.from_rows([[0] * d] * n))
+    assert walks == []
+
+
+def test_generic_types_from_the_trees_match_the_fraction_oracle():
+    # on a generic input the types and their dimensions are read off the
+    # trees of the triangulation: they equal the Fraction search's, and
+    # number T(n, d)
+    rng = random.Random(4747)
+    for n in range(1, 6):
+        for d in range(2, 6):
+            arr = random_generic_arrangement(rng, n, d)
+            dimensions = enumerate_realizations(arr)
+            assert dimensions == {T_: r.dimension for T_, r in realizations_oracle(arr).items()}, arr.rows()
+            assert len(dimensions) == type_counts(n, d)[n]
+
+
+def test_a_generic_input_never_reaches_the_search(monkeypatch):
+    # the pairwise tests of the search are never read on a generic input,
+    # and its walk over the envelope is the one is_generic reads
+    calls = _counted_steps(monkeypatch)
+    walks = _started_walks(monkeypatch)
+    rng = random.Random(4748)
+    draws = [random_generic_arrangement(rng, n, d) for n, d in [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4)]]
+    draws.append(Arrangement.from_rows([[3 ** (4 * i + j) for j in range(4)] for i in range(5)]))
+    for arr in draws:
+        walks.clear()
+        assert len(enumerate_realizations(arr)) == type_counts(arr.n, arr.d)[arr.n]
+        assert is_generic(arr)
+        assert walks == [(arr.n, arr.d)]
+    assert calls == []
+
+
+def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypatch):
+    # each tree is a distinct vertex, a step of the search: under a budget
+    # below the C(n+d-2, n-1) trees, past the floor, the walk stops at
+    # tree limit + 1 with the search's message, and no step is taken
+    calls = _counted_steps(monkeypatch)
+    yielded = []
+    walk = troparr.duality._pivot_walk
+
+    def counted(*args):
+        for cell in walk(*args):
+            yielded.append(cell)
+            yield cell
+
+    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    for n, d in [(5, 4), (6, 3), (7, 3)]:
+        floor, trees = 2 * (2 ** d - 1), comb(n + d - 2, n - 1)
+        for limit in range(floor, trees):
+            yielded.clear()
+            arr = Arrangement.from_rows([[3 ** (d * i + j) for j in range(d)] for i in range(n)])
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} feasibility steps exceed budget {limit}$"):
+                enumerate_realizations(arr, limit)
+            assert len(yielded) == limit + 1, (n, d, limit)
+            assert all(cell.bit_count() == n + d - 1 for cell in yielded)
+            # a head is_generic walked first, unmetered, is refused the same
+            assert is_generic(arr)
+            yielded.clear()
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} feasibility steps exceed budget {limit}$"):
+                enumerate_realizations(arr, limit)
+            assert yielded == []
+    assert calls == []
+
+
+def test_a_shut_witness_interval_raises_naming_its_stage():
+    # a closed, consistent system leaves every root an open interval;
+    # bounds x_2 - x_1 > 0 and x_1 - x_2 > 0 together shut label 2's
+    state = geometry._Feasibility(Arrangement.from_rows([[0, 0, 0]]))
+    w = state.d + 1
+    state.lower[2 * w + 1] = state.lower[1 * w + 2] = 0
+    with pytest.raises(RuntimeError, match="^realization witness: the closed bounds leave label 2's group no open interval$"):
+        state.witness()
+
 
 def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
     # one stack frame per hyperplane of the prefix, not one Python call
