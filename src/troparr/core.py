@@ -226,19 +226,6 @@ class Arrangement:
         kept outside the fields, so ``==`` and ``hash`` read the apexes."""
         return _integer_rows(self.rows())
 
-    @cached_property
-    def _walk_head(self) -> tuple[int, ...]:
-        """The cells of the pivot walk over the lower envelope of the apex
-        matrix, as edge masks (:class:`CellGraph`), up to and including
-        the first that is not a spanning tree: on a generic arrangement,
-        every tree of its triangulation.  Walked on first use, unless the
-        type enumeration walked it first under its budget, and kept
-        outside the fields, so one run walks the envelope once for its
-        types and its genericity (:func:`~troparr.geometry._envelope_head`)."""
-        from .geometry import _envelope_head  # geometry imports this module at load time
-
-        return _envelope_head(self)
-
 
 def _as_label_set(entry) -> frozenset[int]:
     labels = frozenset(entry)

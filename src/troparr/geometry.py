@@ -4,12 +4,11 @@ and full type enumeration.
 Genericity is tropical: every square minor of the apex matrix has a
 min-plus determinant attained by one permutation only.  It is read off
 the pivot walk over the lower envelope of the apex matrix (see
-:mod:`troparr.duality`), which names a tied minor when there is one.
+:mod:`troparr.envelope`), which names a tied minor when there is one.
 The walk's head, its cells up to and including the first that is not a
-spanning tree, is kept on the arrangement
-(:attr:`~troparr.core.Arrangement._walk_head`): the type enumeration
-walks it first, and :func:`is_generic` reads it, so a run walks the
-envelope once.
+spanning tree, is kept on the arrangement by :func:`_walk_head`: the
+type enumeration walks it first, under its budget, and
+:func:`is_generic` reads it, so a run walks the envelope once.
 
 :func:`enumerate_realizations` finds the types by one of two routes.
 
@@ -78,9 +77,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point, _bits
+from .envelope import TiedMinor, _full_walk, _tied_minor
 
 
 @dataclass(frozen=True)
@@ -388,17 +388,6 @@ def type_of_point(arr: Arrangement, point) -> TypeVector:
     return TypeVector._trusted(tuple(masks))
 
 
-class TiedMinor(NamedTuple):
-    """A square minor of the apex matrix, rows by columns (1-based,
-    ascending), and two distinct perfect matchings of it, each a sorted
-    tuple of (row, column) pairs, whose sums both reach the minor's
-    min-plus determinant."""
-
-    rows: tuple[int, ...]
-    columns: tuple[int, ...]
-    matchings: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-
-
 @dataclass(frozen=True)
 class GenericityReport:
     """``minor``: None when the arrangement is tropically generic, that
@@ -427,38 +416,40 @@ def is_generic(arr: Arrangement) -> GenericityReport:
     two matchings of one minor that are both tight.  The pivot walk over
     the envelope stops at the first cell that is not a tree, and the
     minor is read off that cell's first cycle.  The walk is the one whose
-    head the arrangement keeps (:attr:`~troparr.core.Arrangement._walk_head`),
-    so after :func:`enumerate_realizations` nothing is walked again.
+    head the arrangement keeps (:func:`_walk_head`), so after
+    :func:`enumerate_realizations` nothing is walked again.
     """
-    last = arr._walk_head[-1]
+    last = _walk_head(arr)[-1]
     if last.bit_count() == arr.n + arr.d - 1:
         return GenericityReport(None)
-    from .duality import _tied_minor  # duality imports this module at load time
-
     return GenericityReport(_tied_minor(arr.n, arr.d, last))
 
 
-def _envelope_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") -> tuple[int, ...]:
+def _walk_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") -> tuple[int, ...]:
     """The cells of the pivot walk over the lower envelope of ``arr``'s
-    apex matrix, as edge masks, up to and including the first that is
-    not a spanning tree (:attr:`~troparr.core.Arrangement._walk_head`).
+    apex matrix, as edge masks (:class:`~troparr.core.CellGraph`), up to
+    and including the first that is not a spanning tree: on a generic
+    arrangement, every tree of its triangulation.  Walked on first use
+    and kept on ``arr``, outside its fields, so one run walks the
+    envelope once for its types and its genericity.
 
     Under a ``meter`` the walk stops, refused in ``stage``'s feasibility
     steps, once its trees outnumber the steps left.  Each tree is a cell,
     and so a distinct 0-dimensional type, which the search of
     :func:`enumerate_realizations` takes a step to generate: a refused
-    walk is an enumeration the budget refuses, with the same message."""
-    from .duality import _full_walk  # duality imports this module at load time
-
-    n, d = arr.n, arr.d
-    head: list[int] = []
-    for cell in _full_walk(n, d, arr._integer_form[1]):
-        head.append(cell)
-        if cell.bit_count() != n + d - 1:
-            break
-        if meter is not None:
-            meter.count(stage, len(head), "feasibility steps", ahead=True)
-    return tuple(head)
+    walk is an enumeration the budget refuses, with the same message, and
+    keeps no head."""
+    if "_walk_head" not in vars(arr):
+        n, d = arr.n, arr.d
+        head: list[int] = []
+        for cell in _full_walk(n, d, arr._integer_form[1]):
+            head.append(cell)
+            if cell.bit_count() != n + d - 1:
+                break
+            if meter is not None:
+                meter.count(stage, len(head), "feasibility steps", ahead=True)
+        object.__setattr__(arr, "_walk_head", tuple(head))
+    return arr._walk_head
 
 
 def _type_counts(n: int, d: int) -> list[int]:
@@ -520,8 +511,8 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     realization set; :func:`realizable` gives a type's witness.
 
     The walk over the lower envelope comes first, up to its first cell
-    that is not a tree (:func:`_envelope_head`), and is kept on ``arr``
-    for :func:`is_generic`.  When every cell is a tree the input is
+    that is not a tree, and is kept on ``arr`` for :func:`is_generic`
+    (:func:`_walk_head`).  When every cell is a tree the input is
     generic, and its types are the subforests of the trees that meet
     every row, each of dimension n + d - 1 less its edges
     (:func:`_tree_types`; the module docstring has the proof): a type is
@@ -582,9 +573,7 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     stage, n, d = "type enumeration", arr.n, arr.d
     meter = Meter(budget)
     meter.count(stage, (2**d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
-    if "_walk_head" not in vars(arr):
-        object.__setattr__(arr, "_walk_head", _envelope_head(arr, meter, stage))
-    walked = arr._walk_head
+    walked = _walk_head(arr, meter, stage)
     if walked[-1].bit_count() == n + d - 1:
         counts = _type_counts(n, d)
         meter.count(stage, sum(counts[1:]), "feasibility steps")

@@ -55,8 +55,9 @@ from math import comb
 from typing import Callable, Sequence
 
 from .core import Arrangement, Meter, ResourceLimitError, _bits
-from .duality import MAX_VOLUME_WORK, Subdivision, _cycle_masks, _forest, dual_subdivision, is_triangulation
 from .linalg import rank
+from .envelope import _cycle_masks, _forest, _rooted
+from .duality import MAX_VOLUME_WORK, Subdivision, dual_subdivision, is_triangulation
 
 @dataclass(frozen=True)
 class GKZVector:
@@ -189,8 +190,9 @@ def _check_base(arr: Arrangement, base: Subdivision) -> None:
     """Refuse, with a ValueError, a ``base`` that is not the arrangement's
     own dual subdivision, with no walk.
 
-    Potentials p, solved along the spanning forest that a cell's edges
-    grow (:func:`~troparr.duality._forest`) from the integer form w of the
+    Potentials p, solved in one rooted pass (:func:`~troparr.envelope._rooted`)
+    along the spanning forest that a cell's edges grow
+    (:func:`~troparr.envelope._forest`) from the integer form w of the
     apex matrix, p(coordinate j) - p(hyperplane i) = w_ij on the forest,
     leave each edge (i, j) of K_{n,d} a slack w_ij - p(j) + p(i), the
     alternating sum of w around the cycle it closes in the forest.
@@ -207,18 +209,11 @@ def _check_base(arr: Arrangement, base: Subdivision) -> None:
         raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
     w = [x for row in arr._integer_form[1] for x in row]
     for g in base.sorted_cells():
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + d)]
-        for k in _bits(_forest(n, d, g.mask)[0]):
-            i, j = k // d, n + k % d
-            adj[i].append((j, w[k]))
-            adj[j].append((i, -w[k]))
-        p, stack = [0] + [None] * (n + d - 1), [0]
-        while stack:
-            v = stack.pop()
-            for u, x in adj[v]:
-                if p[u] is None:
-                    p[u] = p[v] + x
-                    stack.append(u)
+        order, parent, edge = _rooted(n, d, _forest(n, d, g.mask)[0])
+        p = [0] * (n + d)
+        for v in order[1:]:
+            k = edge[v]
+            p[v] = p[parent[v]] - w[k] if v < n else p[parent[v]] + w[k]
         for k, x in enumerate(w):
             slack = x - p[n + k % d] + p[k // d]
             if slack < 0 or (slack == 0) != (g.mask >> k & 1 == 1):

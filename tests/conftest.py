@@ -60,8 +60,9 @@ from troparr import (
     type_of_point,
 )
 from troparr.core import _bits, _integer_rows
+from troparr.envelope import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor
 from troparr.geometry import _Feasibility
-from troparr.duality import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor, is_spanning_connected
+from troparr.duality import is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
 
@@ -352,7 +353,7 @@ def mask_edges(d: int, mask: int) -> frozenset[tuple[int, int]]:
 
 
 def pivot_walk_edges(n: int, d: int, weights, support) -> list[frozenset[tuple[int, int]]]:
-    """``duality._pivot_walk`` over the int heights ``weights`` and the
+    """``envelope._pivot_walk`` over the int heights ``weights`` and the
     edge set ``support``, its cells as edge sets, in its order."""
     return [mask_edges(d, cell) for cell in _pivot_walk(n, d, weights, edge_mask(d, support))]
 
@@ -471,7 +472,7 @@ def pivot_walk_oracle(
 ) -> Iterator[frozenset[tuple[int, int]]]:
     """The pivot walk as it was before its integer heights, bit-scanned
     entering edges, skipped facet back and sides swapped per pivot: its
-    cells in its order pin the order of ``duality._pivot_walk``, which
+    cells in its order pin the order of ``envelope._pivot_walk``, which
     decides the first tied minor a check names.
 
     Coarse cell of every simplex of a fine regular triangulation of the
@@ -661,8 +662,8 @@ def cone_oracle(d: int, cell, trees) -> tuple:
 
 
 def cycles_oracle(n: int, d: int, tree, edges) -> list[tuple[list, list]]:
-    """The fundamental cycles by the scan ``duality._cycle_masks`` replaced:
-    one bit per node, :func:`~troparr.duality._sides` gives each tree
+    """The fundamental cycles by the scan ``envelope._cycle_masks`` replaced:
+    one bit per node, :func:`~troparr.envelope._sides` gives each tree
     edge's side that holds its hyperplane end, and a tree edge is on the
     cycle of (i, j) exactly when that side holds one end of (i, j): in
     ``minus`` when it holds i, in ``plus`` when it holds j.  The edge set

@@ -15,6 +15,7 @@ import troparr.axioms
 import troparr.cli
 import troparr.core
 import troparr.duality
+import troparr.envelope
 import troparr.geometry
 import troparr.secondary
 from troparr import Arrangement, CellGraph, Subdivision
@@ -281,7 +282,7 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
     # enumeration, then the genericity walk over the lower envelope; for
     # subdivision only the pivot walk over the full support
     calls = []
-    enumerate_realizations, pivot_walk = troparr.duality.enumerate_realizations, troparr.duality._pivot_walk
+    enumerate_realizations, pivot_walk = troparr.duality.enumerate_realizations, troparr.envelope._pivot_walk
 
     def enumerated(arr, *args, **kwargs):
         if arr == e2:
@@ -294,7 +295,7 @@ def test_one_enumeration_of_the_input(monkeypatch, capsys, e2, e2_file):
         return pivot_walk(n, d, weights, support)
 
     monkeypatch.setattr(troparr.duality, "enumerate_realizations", enumerated)
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", walked)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", walked)
     for argv, walks in ((["subdivision", "--flips"], ["pivot walk"]), (["check"], ["enumeration", "pivot walk"])):
         calls.clear()
         assert main(argv + ["--input", e2_file]) == 0
@@ -376,7 +377,7 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
     path.write_text("2 3\n0 0 0\n0 0 0\n")
     subdivisions, inside, walks = [], [], []
     dual = troparr.duality.dual_subdivision
-    pivot_walk = troparr.duality._pivot_walk
+    pivot_walk = troparr.envelope._pivot_walk
     refining = troparr.secondary.refining_triangulations
 
     def counted(arr, *args, **kwargs):
@@ -396,7 +397,7 @@ def test_flips_enumerate_once_per_distinct_subdivision(monkeypatch, capsys, tmp_
 
     monkeypatch.setattr(troparr.cli, "dual_subdivision", counted)
     monkeypatch.setattr(troparr.secondary, "dual_subdivision", counted)
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", recorded)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", recorded)
     monkeypatch.setattr(troparr.secondary, "refining_triangulations", flagged)
     assert main(["subdivision", "--flips", "--format", "text", "--input", str(path)]) == 0
     out = capsys.readouterr().out
@@ -773,8 +774,8 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
     # refused before any candidate entry is generated or any tree walked
     monkeypatch.setattr(troparr.geometry, "_cliques", None)
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", None)
-    monkeypatch.setattr(troparr.duality, "_planar_cells", None)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", None)
+    monkeypatch.setattr(troparr.envelope, "_planar_cells", None)
     rows = [" ".join(str(j % k) for j in range(30)) for k in (3, 5, 7)]
     square = [" ".join(str((i * j) % 7) for j in range(30)) for i in range(30)]
     wide, tall, big = tmp_path / "wide.txt", tmp_path / "tall.txt", tmp_path / "big.txt"
@@ -845,7 +846,7 @@ def test_surrounding_cap_refuses_before_the_other_checks(tmp_path, capsys, monke
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     # the flat arrangement's one cell is the whole product, so its volume
     # comes from a pivot walk over the full support, which checks its count
-    monkeypatch.setattr(troparr.duality, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
+    monkeypatch.setattr(troparr.envelope, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["0", "0", "0"]]}))
     assert main(["subdivision", "--input", str(path)]) == 4

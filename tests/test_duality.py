@@ -27,8 +27,10 @@ from troparr import (
 )
 
 import troparr.duality
+import troparr.envelope
 import troparr.geometry
-from troparr.duality import _certified_cells, _cycle_masks, _forest, _planar_cells, _tied_minor, is_spanning_connected
+from troparr.duality import is_spanning_connected
+from troparr.envelope import _certified_cells, _cycle_masks, _forest, _planar_cells, _tied_minor
 
 from conftest import (
     arrangement_cell_dim,
@@ -294,14 +296,14 @@ def test_trees_are_the_budget_boundary_on_every_input(monkeypatch):
     draws = []
     for n, d in product(range(1, 6), range(2, 6)):
         draws += [random_generic_arrangement(rng, n, d), random_integer_arrangement(rng, n, d)]
-    walked, pivot_walk = [0], troparr.duality._pivot_walk
+    walked, pivot_walk = [0], troparr.envelope._pivot_walk
 
     def counted(*args):
         for cell in pivot_walk(*args):
             walked[0] += 1
             yield cell
 
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", counted)
     read_off = 0
     for arr in draws:
         trees = comb(arr.n + arr.d - 2, arr.n - 1)
@@ -312,8 +314,8 @@ def test_trees_are_the_budget_boundary_on_every_input(monkeypatch):
         assert sub.maximal_cells == envelope, arr.rows()
         read_off += walked[0] == 0
     assert 0 < read_off < len(draws)
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", None)
-    monkeypatch.setattr(troparr.duality, "_planar_cells", None)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", None)
+    monkeypatch.setattr(troparr.envelope, "_planar_cells", None)
     for arr in draws:
         trees = comb(arr.n + arr.d - 2, arr.n - 1)
         with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
@@ -420,10 +422,10 @@ def test_planar_read_off_keeps_the_walks_budget(monkeypatch):
         trees = comb(n + d - 2, n - 1)
         walk = walked_cells(arr)
         assert dual_subdivision(degenerate, trees) == regular_subdivision(degenerate.rows()), degenerate.rows()
-        monkeypatch.setattr(troparr.duality, "_pivot_walk", None)  # the read-off alone answers
+        monkeypatch.setattr(troparr.envelope, "_pivot_walk", None)  # the read-off alone answers
         assert dual_subdivision(arr, trees).maximal_cells == walk, (n, d)
         assert dual_subdivision(arr).maximal_cells == walk, (n, d)
-        monkeypatch.setattr(troparr.duality, "_planar_cells", None)
+        monkeypatch.setattr(troparr.envelope, "_planar_cells", None)
         with pytest.raises(ResourceLimitError, match=f"^pivot walk: {trees} trees exceed budget {trees - 1}$"):
             dual_subdivision(arr, trees - 1)
         monkeypatch.undo()
@@ -598,7 +600,7 @@ def test_normalized_volume_matches_envelope_oracle_on_random_supports():
 
 def test_pivot_walk_that_loses_simplices_raises(monkeypatch):
     # a walk that never finds an entering edge stops at its first simplex
-    monkeypatch.setattr(troparr.duality, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
+    monkeypatch.setattr(troparr.envelope, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
     with pytest.raises(RuntimeError, match="pivot walk visited 1 of 3 simplices of a 2x3"):
         regular_subdivision([[0, 1, 2], [2, 0, 1]])
 

@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-import troparr.duality
+import troparr.envelope
 import troparr.geometry as geometry
 from troparr import (
     Arrangement,
@@ -110,14 +110,14 @@ def test_is_generic_stops_at_the_first_cell_that_is_not_a_tree(monkeypatch):
     # 30 equal rows at d = 4: the first cell is the whole product, where a
     # full walk would visit C(32, 29) = 4960 trees
     yields = []
-    walk = troparr.duality._pivot_walk
+    walk = troparr.envelope._pivot_walk
 
     def counted(*args):
         for cell in walk(*args):
             yields.append(cell)
             yield cell
 
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", counted)
     assert not is_generic(Arrangement.from_rows([[0] * 4] * 30))
     assert len(yields) == 1
 
@@ -229,13 +229,13 @@ def _started_walks(monkeypatch) -> list[tuple[int, int]]:
     # the shape of every pivot walk started, recorded when it is called,
     # before its first tree
     started = []
-    walk = troparr.duality._pivot_walk
+    walk = troparr.envelope._pivot_walk
 
     def counted(n, d, *args):
         started.append((n, d))
         return walk(n, d, *args)
 
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", counted)
     return started
 
 
@@ -361,14 +361,14 @@ def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypat
     # tree limit + 1 with the search's message, and no step is taken
     calls = _counted_steps(monkeypatch)
     yielded = []
-    walk = troparr.duality._pivot_walk
+    walk = troparr.envelope._pivot_walk
 
     def counted(*args):
         for cell in walk(*args):
             yielded.append(cell)
             yield cell
 
-    monkeypatch.setattr(troparr.duality, "_pivot_walk", counted)
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", counted)
     for n, d in [(5, 4), (6, 3), (7, 3)]:
         floor, trees = 2 * (2 ** d - 1), comb(n + d - 2, n - 1)
         for limit in range(floor, trees):
@@ -493,7 +493,7 @@ def test_integer_kernel_with_large_coprime_denominators():
         assert geometry._Feasibility(arr).scale == prod(x.denominator for row in rows for x in row)
         _assert_matches_oracle(arr, rng)
         # (2, 3) is walked; the others are read off the plane
-        assert min(n, d) == 2 or troparr.duality._planar_cells(arr) is not None, rows
+        assert min(n, d) == 2 or troparr.envelope._planar_cells(arr) is not None, rows
         assert_walks_match_the_types(arr)
     # an on-apex copy of a large-denominator row ties exactly
     rows = [[Fraction(1, 9973), Fraction(-2, 9967), 0], [Fraction(5, 9949), Fraction(7, 9941), 0]]

@@ -48,7 +48,7 @@ from itertools import product
 
 import pytest
 
-from troparr.duality import _planar_cells
+from troparr.envelope import _planar_cells
 from troparr import (
     Arrangement,
     arrangement_heights,

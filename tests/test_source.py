@@ -1,5 +1,7 @@
-"""The library's source keeps ten promises that no other test reads: it
-imports nothing outside the standard library, it computes in exact
+"""The library's source keeps twelve promises that no other test reads: it
+imports nothing outside the standard library, its modules import each
+other in one order, at load time and never inside a function, it
+computes in exact
 numbers, naming ``float`` only to draw SVG and to refuse float input, it
 scales rationals to ints in ``core`` alone, the one module naming
 ``lcm``, it holds a cell's edges as one bitmask, which ``core`` alone
@@ -16,7 +18,8 @@ checks decide whether a collection fits (n, d) in one place: only
 ``axioms._Table`` raises the refusals of mixed lengths, of a length other
 than n and of a label beyond d, and every internal fault, a
 ``RuntimeError`` that the CLI reports with exit 4, opens with the name of
-its stage."""
+its stage, as every budget refusal, a ``ResourceLimitError`` that the CLI
+reports with exit 5, does."""
 
 import ast
 import sys
@@ -30,7 +33,7 @@ FLOAT_ALLOWED = {("cli", "render_svg"), ("cli", "_cmd_render"), ("core", "to_fra
 
 
 def _parsed():
-    assert {p.stem for p in SOURCES} >= {"axioms", "cli", "core", "duality", "geometry", "secondary"}
+    assert {p.stem for p in SOURCES} >= {"axioms", "cli", "core", "duality", "envelope", "geometry", "secondary"}
     return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in SOURCES]
 
 
@@ -55,6 +58,36 @@ def test_absolute_imports_are_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
+
+
+#: The package's modules in the one order they import in: each imports
+#: only modules before it.
+ORDER = ("core", "linalg", "envelope", "geometry", "axioms", "duality", "secondary", "cli")
+
+
+def test_the_package_imports_in_one_order():
+    # no cycle hides behind an import inside a function: every import runs
+    # at load time, each module's relative imports name modules before it,
+    # and the package's __init__ and __main__ import them in that order
+    parsed = _parsed()
+    assert {path.stem for path, _ in parsed} == set(ORDER) | {"__init__", "__main__"}
+    for path, tree in parsed:
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(function):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), f"{path.name}:{node.lineno} imports in a function"
+        named = [
+            (node.lineno, module)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for module in ([node.module] if node.module else [alias.name for alias in node.names])
+        ]
+        places = [ORDER.index(module) for _, module in sorted(named) if module in ORDER]
+        assert len(places) == len(named), f"{path.name} imports a module outside the order: {named}"
+        if path.stem in ORDER:
+            assert all(place < ORDER.index(path.stem) for place in places), f"{path.name} imports a later module: {named}"
+        else:
+            assert places == sorted(places), f"{path.name} imports out of order: {named}"
 
 
 def test_float_is_named_only_to_render_and_to_refuse_input():
@@ -100,8 +133,8 @@ def test_type_entries_are_read_only_in_core():
 def test_the_pivot_walk_names_no_frozenset():
     # a tree of the walk is its edge mask, its facets tried in ascending
     # bit order, so the walk's order rests on no set's layout
-    (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "duality"]
-    walk = {"_pivot_walk", "_sides", "_swapped_sides"}
+    (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "envelope"]
+    walk = {"_pivot_walk", "_rooted", "_sides", "_swapped_sides"}
     functions = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in walk]
     assert {top.name for top in functions} == walk
     for top in functions:
@@ -166,8 +199,18 @@ def test_only_the_axiom_table_refuses_a_collection_that_does_not_fit():
         assert raisers == {("axioms", "_Table")}, (fragment, raisers)
 
 
+def _opening(message: ast.expr) -> str:
+    """The first piece of a message: its leading text, or ``{name}`` when
+    it opens with the value of the variable ``name``."""
+    first = message.values[0] if isinstance(message, ast.JoinedStr) else message
+    if isinstance(first, ast.FormattedValue):
+        return "{" + (_name(first.value) or "") + "}"
+    return first.value if isinstance(first, ast.Constant) else ""
+
+
 #: The stages an internal fault may name first, besides the type
-#: enumeration's, which its messages read from the variable ``stage``.
+#: enumeration's and the realization witness's, which their messages read
+#: from the variable ``stage``.
 STAGES = ("pivot walk", "surrounding", "flips step ")
 
 
@@ -181,11 +224,27 @@ def test_every_internal_fault_opens_with_its_stage():
             if _name(node.exc.func) != "RuntimeError":
                 continue
             message, = node.exc.args
-            first = message.values[0] if isinstance(message, ast.JoinedStr) else message
-            opens = (
-                first.value.startswith(STAGES) if isinstance(first, ast.Constant)
-                else isinstance(first, ast.FormattedValue) and _name(first.value) == "stage"
-            )
+            opens = _opening(message).startswith(STAGES + ("{stage}",))
             assert opens, f"{path.name}:{node.lineno} raises a RuntimeError that names no stage first"
             raised.add(path.stem)
-    assert raised == {"axioms", "duality", "geometry", "secondary"}
+    assert raised == {"axioms", "envelope", "geometry", "secondary"}
+
+
+#: The stages a work cap's refusal names first; every budget's refusal is
+#: worded by ``core.Meter``, from the stage it is handed.
+LIMITS = ("surrounding", "normalized volume", "flip cone")
+
+
+def test_every_budget_refusal_opens_with_its_stage():
+    # an exit-5 message says which stage ran out before by how much
+    built = set()
+    for path, tree in _parsed():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "ResourceLimitError"):
+                continue
+            message, = node.args
+            opening = _opening(message)
+            opens = opening.startswith(LIMITS) or (path.stem == "core" and opening == "{stage}")
+            assert opens, f"{path.name}:{node.lineno} builds a ResourceLimitError that names no stage first"
+            built.add(path.stem)
+    assert built == {"axioms", "core", "duality", "secondary"}
