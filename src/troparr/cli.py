@@ -4,17 +4,28 @@ and SVG pictures out.
 Exit codes: 0 ok, 2 parse error, 3 dimension mismatch, 4 internal
 consistency violation (always an implementation bug, never bad data),
 5 budget exceeded, 6 unsupported render input, 7 I/O failure.
+
+The input's digest comes from the interpreter's own SHA-256 module and
+the SVG is written as text, so a run maps neither OpenSSL nor an XML
+parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 from functools import cache
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        # an interpreter built without its own SHA-256 module
+        from hashlib import sha256
 
 from .core import Arrangement, ResourceLimitError, parse_rational
 from .duality import check_correspondence, dual_subdivision
@@ -109,7 +120,7 @@ def load_arrangement(path: str, fmt: str) -> tuple[Arrangement, bytes]:
 
 
 def _digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+    return "sha256:" + sha256(raw).hexdigest()
 
 
 def _axiom_line(name: str, result) -> str:
@@ -223,60 +234,33 @@ def render_svg(arr: Arrangement, bold: set[int]) -> str:
     the planar apex (v_i1 - v_i3, v_i2 - v_i3) in directions (1,1),
     (0,-1), (-1,0); the hyperplanes whose indices (1-based) are in
     ``bold`` are drawn bold."""
-    pts = [(p[0] - p[2], p[1] - p[2]) for p in arr.apexes]
-    xs = [float(x) for x, _ in pts]
-    ys = [float(y) for _, y in pts]
+    xs = [float(p[0] - p[2]) for p in arr.apexes]
+    ys = [float(p[1] - p[2]) for p in arr.apexes]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     margin = 0.2 * span
     ray_len = 3.0 * span
     lo_x, hi_x = min(xs) - margin, max(xs) + margin
     lo_y, hi_y = min(ys) - margin, max(ys) + margin
     # y axis points down in SVG; mirror so larger coordinates draw upward
-    view = (lo_x, -hi_y, hi_x - lo_x, hi_y - lo_y)
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "viewBox": " ".join(f"{v:.6g}" for v in view),
-            "width": "640",
-            "height": "640",
-        },
-    )
+    view = " ".join(f"{v:.6g}" for v in (lo_x, -hi_y, hi_x - lo_x, hi_y - lo_y))
     thin = f"{span / 150:.6g}"
     thick = f"{span / 50:.6g}"
+    radius = f"{span / 40:.6g}"
+    # every value written is a :.6g number or a fixed word: nothing to escape
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" width="640" height="640">']
     directions = ((1.0, 1.0), (0.0, -1.0), (-1.0, 0.0))
-    for i, (ax, ay) in enumerate(pts, 1):
-        thick_rays = i in bold
-        for dx, dy in directions:
-            x2 = float(ax) + ray_len * dx
-            y2 = float(ay) + ray_len * dy
-            ET.SubElement(
-                svg,
-                "line",
-                {
-                    "class": "ray bold" if thick_rays else "ray",
-                    "x1": f"{float(ax):.6g}",
-                    "y1": f"{-float(ay):.6g}",
-                    "x2": f"{x2:.6g}",
-                    "y2": f"{-y2:.6g}",
-                    "stroke": "#000000",
-                    "stroke-width": thick if thick_rays else thin,
-                },
-            )
-    for ax, ay in pts:
-        ET.SubElement(
-            svg,
-            "circle",
-            {
-                "class": "apex",
-                "cx": f"{float(ax):.6g}",
-                "cy": f"{-float(ay):.6g}",
-                "r": f"{span / 40:.6g}",
-                "fill": "#000000",
-            },
+    for i, (ax, ay) in enumerate(zip(xs, ys), 1):
+        cls, width = ("ray bold", thick) if i in bold else ("ray", thin)
+        parts.extend(
+            f'<line class="{cls}" x1="{ax:.6g}" y1="{-ay:.6g}" x2="{ax + ray_len * dx:.6g}" '
+            f'y2="{-(ay + ray_len * dy):.6g}" stroke="#000000" stroke-width="{width}" />'
+            for dx, dy in directions
         )
-    return ET.tostring(svg, encoding="unicode") + "\n"
+    parts.extend(
+        f'<circle class="apex" cx="{ax:.6g}" cy="{-ay:.6g}" r="{radius}" fill="#000000" />' for ax, ay in zip(xs, ys)
+    )
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def _cmd_render(arr: Arrangement, args) -> tuple[int, list[str] | dict]:

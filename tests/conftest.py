@@ -19,7 +19,8 @@ perturbations against the scaled int moves; every generated entry of
 the type enumeration imposed; the vertex walk, which reads the
 0-dimensional types off the type enumeration's walk, for the dual
 subdivision, with its closed-form last two hyperplanes against imposing
-every entry of the last three) used to cross-check the main code paths, the set of all types as
+every entry of the last three; the SVG picture as ``xml.etree.ElementTree``
+writes it, for the CLI's text writer) used to cross-check the main code paths, the set of all types as
 a helper over ``enumerate_realizations``, and the ``--grid`` option that
 adds the larger exhaustive grids."""
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import random
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -1559,3 +1561,62 @@ def surrounding_oracle(types, d: int) -> CheckResult:
             if refined not in present:
                 return CheckResult(False, (T, P))
     return CheckResult(True)
+
+
+def render_svg_oracle(arr: Arrangement, bold: set[int]) -> str:
+    """The CLI's SVG picture built as an ElementTree and serialised by
+    ``ET.tostring``: the same elements, attributes and order as
+    :func:`troparr.cli.render_svg`, which writes them as text."""
+    pts = [(p[0] - p[2], p[1] - p[2]) for p in arr.apexes]
+    xs = [float(x) for x, _ in pts]
+    ys = [float(y) for _, y in pts]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    margin = 0.2 * span
+    ray_len = 3.0 * span
+    lo_x, hi_x = min(xs) - margin, max(xs) + margin
+    lo_y, hi_y = min(ys) - margin, max(ys) + margin
+    view = (lo_x, -hi_y, hi_x - lo_x, hi_y - lo_y)
+    svg = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "version": "1.1",
+            "viewBox": " ".join(f"{v:.6g}" for v in view),
+            "width": "640",
+            "height": "640",
+        },
+    )
+    thin = f"{span / 150:.6g}"
+    thick = f"{span / 50:.6g}"
+    directions = ((1.0, 1.0), (0.0, -1.0), (-1.0, 0.0))
+    for i, (ax, ay) in enumerate(pts, 1):
+        thick_rays = i in bold
+        for dx, dy in directions:
+            x2 = float(ax) + ray_len * dx
+            y2 = float(ay) + ray_len * dy
+            ET.SubElement(
+                svg,
+                "line",
+                {
+                    "class": "ray bold" if thick_rays else "ray",
+                    "x1": f"{float(ax):.6g}",
+                    "y1": f"{-float(ay):.6g}",
+                    "x2": f"{x2:.6g}",
+                    "y2": f"{-y2:.6g}",
+                    "stroke": "#000000",
+                    "stroke-width": thick if thick_rays else thin,
+                },
+            )
+    for ax, ay in pts:
+        ET.SubElement(
+            svg,
+            "circle",
+            {
+                "class": "apex",
+                "cx": f"{float(ax):.6g}",
+                "cy": f"{-float(ay):.6g}",
+                "r": f"{span / 40:.6g}",
+                "fill": "#000000",
+            },
+        )
+    return ET.tostring(svg, encoding="unicode") + "\n"

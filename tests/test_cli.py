@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import json
 import re
 import math
 import random
+import subprocess
 import sys
 import time
 import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ import troparr.envelope
 import troparr.geometry
 import troparr.secondary
 from troparr import Arrangement, CellGraph, Subdivision
-from troparr.cli import main, parse_arrangement_json, parse_arrangement_text, render_svg
+from troparr.cli import _digest, main, parse_arrangement_json, parse_arrangement_text, render_svg
 
 from conftest import (
     _tied_step,
@@ -27,6 +30,8 @@ from conftest import (
     pivot_walk_edges,
     random_arrangement,
     random_generic_arrangement,
+    random_integer_arrangement,
+    render_svg_oracle,
     serialize_arrangement,
 )
 
@@ -934,6 +939,50 @@ def test_render_svg_is_well_formed(capsys, e2_file, tmp_path):
     code, report = run(capsys, ["render", "--input", e2_file, "--out", str(out)])
     assert code == 0 and "bold: 3\n" in report
     assert out.read_text() == svg
+
+
+def test_render_svg_writes_the_element_trees_bytes():
+    # the text writer against ElementTree's serialisation of the same
+    # elements: integer, rational and near-limit coordinates, n = 1..8
+    rng = random.Random(50)
+    limit = Fraction(sys.float_info.max) / 8
+    zero = Arrangement.from_rows([[0, 0, 0]])
+    assert 'y1="-0"' in render_svg(zero, set()) and render_svg(zero, {1}) == render_svg_oracle(zero, {1})
+    for n in range(1, 9):
+        for _ in range(30):
+            arr = random_integer_arrangement(rng, n, 3)
+            rational = random_arrangement(rng, n, 3)
+            far = Arrangement.from_rows(
+                [[limit * Fraction(rng.randint(-1000, 1000), 1000) for _ in range(2)] + [0] for _ in range(n)]
+            )
+            for a in (arr, rational, far):
+                bold = {i for i in range(1, n + 1) if rng.random() < 0.5}
+                assert render_svg(a, bold) == render_svg_oracle(a, bold), (a.rows(), bold)
+    edge = Arrangement.from_rows([[limit, -limit, 0], [-limit, limit, 0]])
+    assert render_svg(edge, {2}) == render_svg_oracle(edge, {2})
+
+
+def test_digest_is_the_inputs_sha256():
+    # padding and block edges of SHA-256's 64-byte blocks, a 1 MiB input
+    # and bytes that are not UTF-8
+    rng = random.Random(50)
+    inputs = [rng.randbytes(size) for size in (0, 1, 55, 56, 63, 64, 65, 119, 120, 1 << 20)]
+    inputs += [b"\xff\xfe\x80", "3 3\n1 2 3\n".encode("utf-16")]
+    for raw in inputs:
+        assert _digest(raw) == "sha256:" + hashlib.sha256(raw).hexdigest(), len(raw)
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_module():
+    # an interpreter built without _sha2 and _sha256, as a None entry in
+    # sys.modules makes their imports fail, takes hashlib's sha256
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        f"sys.path.insert(0, {str(src)!r}); import hashlib, troparr.cli as cli; "
+        "assert cli.sha256 is hashlib.sha256; print(cli._digest(b'abc'))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "sha256:" + hashlib.sha256(b"abc").hexdigest() + "\n"
 
 
 def test_seed_is_a_subdivision_option(capsys, e2_file, tmp_path):

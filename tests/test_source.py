@@ -1,4 +1,4 @@
-"""The library's source keeps twelve promises that no other test reads: it
+"""The library's source keeps thirteen promises that no other test reads: it
 imports nothing outside the standard library, its modules import each
 other in one order, at load time and never inside a function, it
 computes in exact
@@ -19,13 +19,25 @@ checks decide whether a collection fits (n, d) in one place: only
 than n and of a label beyond d, and every internal fault, a
 ``RuntimeError`` that the CLI reports with exit 4, opens with the name of
 its stage, as every budget refusal, a ``ResourceLimitError`` that the CLI
-reports with exit 5, does."""
+reports with exit 5, does, and importing the CLI maps no OpenSSL and no
+XML parser: the input's digest comes from the interpreter's own SHA-256
+module and the SVG picture is written as text."""
 
 import ast
+import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "troparr").glob("*.py"))
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "troparr").glob("*.py"))
+
+#: The interpreter's own SHA-256 module, ``_sha2`` from Python 3.12 and
+#: ``_sha256`` before it: each version's ``sys.stdlib_module_names``
+#: names only its own.
+SHA256_MODULES = {"_sha2", "_sha256"}
 
 #: (module, top-level function) pairs allowed to name ``float``: the SVG
 #: drawing and its range check, and the input coercion that rejects floats.
@@ -57,7 +69,8 @@ def test_absolute_imports_are_standard_library():
             else:
                 continue
             for module in modules:
-                assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
+                standard = module.split(".")[0] in sys.stdlib_module_names or module in SHA256_MODULES
+                assert standard, f"{path.name}:{node.lineno} imports {module}"
 
 
 #: The package's modules in the one order they import in: each imports
@@ -248,3 +261,21 @@ def test_every_budget_refusal_opens_with_its_stage():
             assert opens, f"{path.name}:{node.lineno} builds a ResourceLimitError that names no stage first"
             built.add(path.stem)
     assert built == {"axioms", "core", "duality", "secondary"}
+
+
+#: Modules that map OpenSSL or an XML parser into the process.
+HEAVY = ("_hashlib", "_ssl", "pyexpat", "xml.etree.ElementTree")
+
+
+def test_the_cli_maps_no_openssl_and_no_xml_parser():
+    # hashlib maps OpenSSL (about 3.6 MB of RSS) and ElementTree an XML
+    # parser; a fresh interpreter without site imports, so only the
+    # package's own imports count
+    if not any(importlib.util.find_spec(name) for name in SHA256_MODULES):
+        pytest.skip("this interpreter has neither _sha2 nor _sha256, so the digest falls back to hashlib")
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import troparr, troparr.cli; "
+        f"print(' '.join(name for name in {HEAVY!r} if name in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.split() == [], f"importing the CLI loads {run.stdout.split()}"
