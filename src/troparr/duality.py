@@ -74,7 +74,10 @@ class Subdivision:
     spans and is connected, not that the cells have disjoint interiors,
     which every reader expects; walked subdivisions have them by
     construction, and a run-time check belongs to ROADMAP item 7,
-    certificates at run time."""
+    certificates at run time.  One that :func:`dual_subdivision` returns
+    also keeps, outside the fields, the integer form of the heights it
+    was walked or read off, which
+    :func:`~troparr.secondary.refining_triangulations` reads."""
 
     n: int
     d: int
@@ -137,12 +140,21 @@ def dual_subdivision(arr: Arrangement, budget: int | Meter | None = None) -> Sub
     C(n+d-2, n-1) trees are charged to the :class:`~troparr.core.Meter` of
     ``budget`` before it starts.  When min(n, d) = 3 the cells are first
     read off by :func:`~troparr.envelope._planar_cells`, charged the same,
-    and every input it refuses is walked."""
+    and every input it refuses is walked.  Both routes certify what they
+    return, the walk tree by tree and the read-off by its count.  The
+    returned subdivision keeps, outside its fields as :attr:`Subdivision.volumes`
+    is, the integer form of the heights it was walked or read off
+    (:func:`~troparr.core._integer_rows`), by which
+    :func:`~troparr.secondary.refining_triangulations` knows it for the
+    arrangement's own."""
     n, d = arr.n, arr.d
     Meter.of(budget).charge("pivot walk", comb(n + d - 2, n - 1), "trees")
     if min(n, d) == 3 and (cells := envelope._planar_cells(arr)) is not None:
-        return Subdivision._trusted(n, d, cells)
-    return _subdivision(n, d, envelope._full_walk(n, d, arr._integer_form[1]))
+        sub = Subdivision._trusted(n, d, cells)
+    else:
+        sub = _subdivision(n, d, envelope._full_walk(n, d, arr._integer_form[1]))
+    object.__setattr__(sub, "_walked", arr._integer_form)
+    return sub
 
 
 def _coerce_weights(weights) -> tuple[tuple[Fraction, ...], ...]:

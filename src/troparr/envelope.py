@@ -23,7 +23,12 @@ integer form (:func:`~troparr.core._integer_rows`), give a regular
 triangulation refining it, whose simplices are spanning trees of
 K_{n,d}; the walk moves from tree to tree across shared facets, tried
 in ascending bit order, and maps each tree to the coarse cell that
-holds it.
+holds it.  Each tree is certified from the slacks the walk computes for
+it anyway: they are all >= 0 and 0 exactly on the tree, so it is a
+simplex of the triangulation, and a walk over the full support counts
+C(n+d-2, n-1) of them, so it is the whole triangulation
+(:func:`_pivot_walk`).  Every walk in the library, whoever calls it, is
+certified so; a tree that fails raises RuntimeError, exit 4.
 Each tree edge's side, the nodes on it and the support edges entering
 it, is a bitmask: one rooted pass gives the start tree's, and a pivot
 changes only the sides of the edges on the cycle the entering edge
@@ -64,7 +69,7 @@ from functools import cache
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Arrangement, _bits
+from .core import Arrangement, CellGraph, _bits
 
 
 class TiedMinor(NamedTuple):
@@ -224,8 +229,29 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
     facets in ascending bit order of the edges they drop, so the order
     of the trees, and with it the first tied minor a check names,
     follows from the heights and the support alone.
-    Over the full support, a walk run to its end checks that it visited
-    all C(n+d-2, n-1) simplices.
+
+    The certificate.  Before a tree's cell is yielded, its own slacks
+    H_ij - p_j + p_i must all be >= 0, and those at 0 must be exactly the
+    tree's n + d - 1 edges, else RuntimeError names the first edge at
+    fault and the tree.  Cheaply: the least slack is >= 0 and n + d - 1
+    slacks are 0; every tight edge lies in the cell, so when the cell is
+    the tree, the tight edges are the tree's (a tree always has n + d - 1
+    edges: the start's n + d - 1 attachments, then one swapped per
+    pivot), and only a tree inside a coarse cell pays a pass for its
+    tight mask.  A certified tree is a spanning tree, since a cycle of
+    tight edges would have an alternating H-sum of 0, and the affine
+    function z_j - u_i of its potentials lies below the lifted support
+    and touches it exactly at the tree's vertices, which span: the tree
+    is a lower facet, a simplex of the regular triangulation under H.
+    The walk yields each tree once, and the simplices of a triangulation
+    of the full product are unit simplices that fill its normalized
+    volume C(n+d-2, n-1); so over the full support a walk run to its end
+    checks that it visited that many trees, and then it visited every
+    simplex of the triangulation and no other.  Each tree edge is tight,
+    so an edge's H-slack is the alternating H-sum around the cycle it
+    closes in the tree: 3^(nd) times the w-sum plus a tie part below
+    3^(nd)/2 in size, and at most 3^(nd) // 2 exactly when the w-sum is 0,
+    so the cell yielded is the w-cell that holds the tree.
     """
     scale = 3 ** (n * d)
     half = scale // 2
@@ -242,30 +268,37 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
         edge_bit.append(1 << f)
         marks[b] |= 1 << (w + k)
         marks[a] |= 1 << (w + m + k)
-        near[a].append((b, -h))
-        near[b].append((a, h))
+        near[a].append((b, -h, 1 << f))
+        near[b].append((a, h, 1 << f))
     # start vertex: attach one node at a time, across the first edge with
     # one end attached, at its tightest feasible potential, so each
-    # attachment makes exactly one edge tight
-    p = {0: 0}
+    # attachment makes exactly one edge tight, which joins the start tree
+    p, key = {0: 0}, 0
     while len(p) < w:
         for a, b, _ in edges:
             if (a in p) != (b in p):
                 break
         if a in p:
-            p[b] = min(p[x] + h for x, h in near[b] if x in p)
+            p[b], bit = min((p[x] + h, bit) for x, h, bit in near[b] if x in p)
         else:
-            p[a] = max(p[y] + h for y, h in near[a] if y in p)
-    # each queued tree: its edge mask (the start's: the edges made tight),
-    # the potentials, the entered edge's bit (-1 at the start), its sides
-    key = sum(x for x, (a, b, h) in zip(edge_bit, edges) if h == p[b] - p[a])
+            p[a], bit = max((p[y] + h, bit) for y, h, bit in near[a] if y in p)
+        key |= bit
+    # each queued tree: its edge mask, the potentials, the entered edge's
+    # bit (-1 at the start), its sides
     queue = deque([(key, [p[v] for v in range(w)], -1, None)])
-    seen, visited, low_m, full = {key}, 0, (1 << m) - 1, sum(marks)
+    seen, visited, low_m, full, size = {key}, 0, (1 << m) - 1, sum(marks), n + d - 1
     while queue:
         key, p, entered, sides = queue.popleft()
         visited += 1
         slack = [h - p[b] + p[a] for a, b, h in edges]
-        yield sum(x for x, s in zip(edge_bit, slack) if s <= half)
+        cell = sum(x for x, s in zip(edge_bit, slack) if s <= half)
+        # the certificate: every slack >= 0, and 0 exactly on the tree's
+        # edges; the tight edges lie in the cell, so when the cell is the
+        # tree, n + d - 1 of them are the tree's with no pass to find them
+        tight = cell if cell == key else sum(x for x, s in zip(edge_bit, slack) if not s)
+        if min(slack) < 0 or slack.count(0) != size or tight != key:
+            raise RuntimeError(f"pivot walk: {_uncertified(n, d, flat, key, slack)}")
+        yield cell
         if sides is None:
             sides = _sides(n, d, key, marks)
         for e in sorted(sides):  # the tree's edge bits, lowest first
@@ -297,6 +330,17 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
     expected = comb(n + d - 2, n - 1)
     if len(edges) == n * d and visited != expected:
         raise RuntimeError(f"pivot walk visited {visited} of {expected} simplices of a {n}x{d} triangulation")
+
+
+def _uncertified(n: int, d: int, flat: Sequence[int], tree: int, slack: Sequence[int]) -> str:
+    """What is wrong with a tree that fails :func:`_pivot_walk`'s
+    certificate: the first support edge, of bit ``flat[k]`` and slack
+    ``slack[k]``, that is on the ``tree`` and not tight, or off it and
+    not above it, and the tree."""
+    k = next(k for k, s in enumerate(slack) if s < 0 or (s == 0) != (tree >> flat[k] & 1))
+    on = "of" if tree >> flat[k] & 1 else "off"
+    text = CellGraph._trusted(n, d, tree).text()
+    return f"edge ({flat[k] // d + 1},{flat[k] % d + 1}) {on} tree {text} has slack {slack[k]}"
 
 
 def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[int]:
@@ -397,9 +441,9 @@ def _certified_cells(
     tree is a unit simplex, of normalized volume 1.  Cells have disjoint
     interiors and their volumes add up to C(n+d-2, n-1), so when there
     are that many distinct trees they are all the cells.  This is the
-    count :func:`~troparr.secondary.refining_triangulations` certifies a
-    walk by.  A non-generic input has a cell that is not a tree, so its
-    points are never accepted, whichever points they are."""
+    count that completes the certificate of a pivot walk
+    (:func:`_pivot_walk`).  A non-generic input has a cell that is not a
+    tree, so its points are never accepted, whichever points they are."""
     flip = d != 3
     size = n + d - 1
     cells = set()

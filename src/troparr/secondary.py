@@ -15,8 +15,11 @@ arrangement, handed over as ints: read off its apexes and crossings when
 min(n, d) = 3, else off one pivot walk (both called a walk below), and
 certified without a second walk.  :func:`secondary_face_check` walks the
 arrangement's own subdivision once, on the one meter of its run, and
-hands it to :func:`refining_triangulations`, which proves any subdivision
-it is handed to be the arrangement's before the first step.
+hands it to :func:`refining_triangulations`, which takes it by its
+provenance: every subdivision troparr returns was certified by the code
+that built it, so a base that :func:`~troparr.duality.dual_subdivision`
+returned for the same arrangement needs no second proof, and any other
+base is refused.
 
 Each tree of the walk lies in one coarse cell, its host.  A cell's
 regular subdivision under u is a triangulation whose trees form a set
@@ -56,7 +59,7 @@ from typing import Callable, Sequence
 
 from .core import Arrangement, Meter, ResourceLimitError, _bits
 from .linalg import rank
-from .envelope import _cycle_masks, _forest, _rooted
+from .envelope import _cycle_masks, _forest
 from .duality import MAX_VOLUME_WORK, Subdivision, dual_subdivision, is_triangulation
 
 @dataclass(frozen=True)
@@ -186,43 +189,6 @@ def _entry(bits: Callable[[int], int]) -> int:
     return u
 
 
-def _check_base(arr: Arrangement, base: Subdivision) -> None:
-    """Refuse, with a ValueError, a ``base`` that is not the arrangement's
-    own dual subdivision, with no walk.
-
-    Potentials p, solved in one rooted pass (:func:`~troparr.envelope._rooted`)
-    along the spanning forest that a cell's edges grow
-    (:func:`~troparr.envelope._forest`) from the integer form w of the
-    apex matrix, p(coordinate j) - p(hyperplane i) = w_ij on the forest,
-    leave each edge (i, j) of K_{n,d} a slack w_ij - p(j) + p(i), the
-    alternating sum of w around the cycle it closes in the forest.
-    Exactly the cell's own edges must be at slack 0 and every other edge
-    strictly positive.  Then the affine function p(j) - p(i) lies below
-    the lifted product and touches it in exactly the cell's vertices, so
-    the cell, which spans, is a lower facet of the lifted product: a cell
-    of the arrangement's subdivision.  Distinct facets have disjoint
-    interiors, so cells whose volumes add up to C(n+d-2, n-1), the full
-    volume of the product, leave room for no other facet: ``base`` is the
-    whole subdivision."""
-    n, d = arr.n, arr.d
-    if (base.n, base.d) != (n, d):
-        raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
-    w = [x for row in arr._integer_form[1] for x in row]
-    for g in base.sorted_cells():
-        order, parent, edge = _rooted(n, d, _forest(n, d, g.mask)[0])
-        p = [0] * (n + d)
-        for v in order[1:]:
-            k = edge[v]
-            p[v] = p[parent[v]] - w[k] if v < n else p[parent[v]] + w[k]
-        for k, x in enumerate(w):
-            slack = x - p[n + k % d] + p[k // d]
-            if slack < 0 or (slack == 0) != (g.mask >> k & 1 == 1):
-                raise ValueError(f"cell {g.text()} is not a cell of the arrangement's dual subdivision")
-    total, full = sum(base.volumes.values()), comb(n + d - 2, n - 1)
-    if total != full:
-        raise ValueError(f"the cells' volumes add up to {total}, not C({n + d - 2}, {n - 1}) = {full}")
-
-
 def refining_triangulations(
     arr: Arrangement, base: Subdivision, *, seed: int = 0, budget: int | Meter | None = None
 ) -> frozenset[Subdivision]:
@@ -237,10 +203,12 @@ def refining_triangulations(
     the order (i, j) of the rows, so entry (i-1)·d + (j-1) carries the
     tie-break power of the same index; 3^(nd) and those n·d powers are
     computed once per search, and a step is cut into its n rows only
-    when it is walked.  ``base`` must be the arrangement's own
-    subdivision, which :func:`_check_base` proves before any step, with
-    no walk, or refuses with a ValueError.  Every triangulation found
-    refines it, so a triangulation ``base`` is its own only refinement.
+    when it is walked.  ``base`` must be a subdivision that
+    :func:`~troparr.duality.dual_subdivision` returned for an arrangement
+    equal to ``arr``, which certified it as it built it; any other is
+    refused with a ValueError before any step.  Every triangulation
+    found refines it, so a triangulation ``base`` is its own only
+    refinement.
 
     Each listed triangulation keeps one cone: the :func:`_cone` rows of
     its pieces in every coarse cell, each (cell, pieces) computed once.
@@ -283,7 +251,10 @@ def refining_triangulations(
     """
     n, d = arr.n, arr.d
     meter = Meter.of(budget)
-    _check_base(arr, base)
+    if (base.n, base.d) != (n, d):
+        raise ValueError(f"the subdivision is {base.n}x{base.d}, the arrangement {n}x{d}")
+    if vars(base).get("_walked") != arr._integer_form:
+        raise ValueError("the subdivision was not returned by dual_subdivision for this arrangement")
     if is_triangulation(base):
         return frozenset({base})
     tree_size = n + d - 1

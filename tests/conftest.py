@@ -21,13 +21,17 @@ the type enumeration imposed; the vertex walk, which reads the
 subdivision, with its closed-form last two hyperplanes against imposing
 every entry of the last three; the SVG picture as ``xml.etree.ElementTree``
 writes it, for the CLI's text writer) used to cross-check the main code paths, the set of all types as
-a helper over ``enumerate_realizations``, and the ``--grid`` option that
-adds the larger exhaustive grids."""
+a helper over ``enumerate_realizations``, library functions recompiled
+with one line broken, for the certificates to catch, and the ``--grid``
+option that adds the larger exhaustive grids."""
 
 from __future__ import annotations
 
+import __future__
+import inspect
 import json
 import random
+import textwrap
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +71,43 @@ from troparr.geometry import _Feasibility
 from troparr.duality import is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
+
+
+def mutant(func, old: str, new: str):
+    """``func`` recompiled from its source with the text ``old``, which
+    must occur in it exactly once, replaced by ``new``, and bound to its
+    own module's globals: a deliberately broken copy, which a test puts
+    in its place with ``monkeypatch``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    flags = __future__.annotations.compiler_flag
+    code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec", flags=flags, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+#: Mutants of ``envelope._pivot_walk`` that its certificate must catch:
+#: a pivot that raises the side to the second-least entering slack where
+#: two edges or more enter it, which leaves the least one below 0; a
+#: start vertex whose every coordinate potential is one unit above, or
+#: below, the tightest feasible one, which leaves a tree edge below or
+#: above 0; and a pivot that raises the side right but puts the next
+#: edge in the tree, which leaves an edge off the tree at 0.
+LEAST = "k = (entering & -entering).bit_length() - 1"
+START = "p[b], bit = min((p[x] + h, bit) for x, h, bit in near[b] if x in p)"
+PIVOT = "pivot = key ^ 1 << e | edge_bit[k]"
+WALK_MUTANTS = {
+    "second-least pivot": (
+        LEAST, "k = sorted(_bits(entering), key=slack.__getitem__)[entering & entering - 1 != 0]; entering = 0"
+    ),
+    "start one above": (START, START + "; p[b] += 1"),
+    "start one below": (START, START + "; p[b] -= 1"),
+    "pivot to the next edge": (PIVOT, "pivot = key ^ 1 << e | edge_bit[(k + 1) % m]"),
+}
+
+#: What the certificate raises on a tree that fails it.
+UNCERTIFIED = r"pivot walk: edge \(\d+,\d+\) (of|off) tree \[(\(\d+,\d+\),?)+\] has slack -?\d+"
 
 
 def pytest_addoption(parser):

@@ -25,7 +25,10 @@ from troparr import Arrangement, CellGraph, Subdivision
 from troparr.cli import _digest, main, parse_arrangement_json, parse_arrangement_text, render_svg
 
 from conftest import (
+    UNCERTIFIED,
+    WALK_MUTANTS,
     _tied_step,
+    mutant,
     nongeneric_on_ray,
     pivot_walk_edges,
     random_arrangement,
@@ -860,6 +863,22 @@ def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err == (
         "error: internal consistency violation: pivot walk visited 1 of 3 simplices of a 2x3 triangulation\n"
     )
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
+def test_a_walk_that_fails_its_certificate_exits_4(tmp_path, capsys, monkeypatch, name):
+    # check reads a generic input's types off its walk, and subdivision
+    # walks every shape with min(n, d) != 3: each stops at the first tree
+    # the certificate refuses, names it and its edge at fault, and prints
+    # nothing on stdout
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", mutant(troparr.envelope._pivot_walk, *WALK_MUTANTS[name]))
+    path = tmp_path / "generic.json"
+    path.write_text(serialize_arrangement(random_generic_arrangement(random.Random(52), 4, 4), "json"))
+    for command in ("check", "subdivision"):
+        assert main([command, "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: internal consistency violation: {UNCERTIFIED}\n", captured.err), captured.err
 
 
 def _ray_elements(svg_text):

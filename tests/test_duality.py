@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import comb, lcm
 
@@ -29,10 +30,13 @@ from troparr import (
 import troparr.duality
 import troparr.envelope
 import troparr.geometry
+from troparr.cli import main
 from troparr.duality import is_spanning_connected
 from troparr.envelope import _certified_cells, _cycle_masks, _forest, _planar_cells, _tied_minor
 
 from conftest import (
+    UNCERTIFIED,
+    WALK_MUTANTS,
     arrangement_cell_dim,
     assert_both_sides_match_the_envelope,
     assert_cycles_match_the_oracle,
@@ -46,6 +50,7 @@ from conftest import (
     graph_dim_oracle,
     grown_forest,
     integer_incident,
+    mutant,
     nongeneric_on_apex,
     nongeneric_on_ray,
     offending_apexes,
@@ -54,6 +59,7 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     random_rational,
+    serialize_arrangement,
     subdivision_of,
     tree_volume_oracle,
     type_counts,
@@ -603,6 +609,52 @@ def test_pivot_walk_that_loses_simplices_raises(monkeypatch):
     monkeypatch.setattr(troparr.envelope, "_sides", lambda n, d, tree, marks: dict.fromkeys(troparr.core._bits(tree), 0))
     with pytest.raises(RuntimeError, match="pivot walk visited 1 of 3 simplices of a 2x3"):
         regular_subdivision([[0, 1, 2], [2, 0, 1]])
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
+def test_a_walk_mutant_fails_its_certificate(monkeypatch, name):
+    # every caller of the walk meets the certificate, before the mutant's
+    # first wrong cell is yielded: regular_subdivision, dual_subdivision
+    # off the planar shapes, genericity and the volume of a cell built by
+    # hand, the 3x3 product of volume 6
+    walk = mutant(troparr.envelope._pivot_walk, *WALK_MUTANTS[name])
+    rng = random.Random(52)
+    arrs = [random_generic_arrangement(rng, n, d) for n, d in [(2, 3), (3, 3), (4, 4), (2, 5), (5, 2)]]
+    monkeypatch.setattr(troparr.envelope, "_pivot_walk", walk)
+    calls = [lambda: normalized_volume(G(3, 3, *[(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]))]
+    for arr in arrs:
+        calls += [partial(regular_subdivision, arr.rows()), partial(is_generic, arr)]
+        calls += [partial(dual_subdivision, arr)] if min(arr.n, arr.d) != 3 else []
+    for call in calls:
+        with pytest.raises(RuntimeError, match=f"^{UNCERTIFIED}$"):
+            call()
+
+
+def test_a_wrong_crossing_is_refused_and_walked(monkeypatch, tmp_path, capsys):
+    # crossings that lower the least label by the gap to the largest one,
+    # not the middle one, give type graphs that _certified_cells refuses
+    # on every generic input, so dual_subdivision walks instead: the same
+    # cells and the same subdivision --json bytes
+    rng = random.Random(5252)
+    arrs = [random_generic_arrangement(rng, n, 3) for n in range(2, 9)]
+    arrs += [Arrangement.from_rows(list(zip(*arr.rows()))) for arr in arrs[1:]]
+    paths = [tmp_path / f"planar{k}.json" for k in range(len(arrs))]
+    for arr, path in zip(arrs, paths):
+        path.write_text(serialize_arrangement(arr, "json"))
+
+    def reports():
+        for path in paths:
+            assert main(["subdivision", "--json", "--input", str(path)]) == 0
+            yield capsys.readouterr().out
+
+    read_off = troparr.envelope._planar_cells
+    cells, before = [read_off(arr) for arr in arrs], list(reports())
+    wrong = mutant(read_off, "low, mid, _ = sorted(", "low, _, mid = sorted(")
+    monkeypatch.setattr(troparr.envelope, "_planar_cells", wrong)
+    for arr, read in zip(arrs, cells):
+        assert read is not None and wrong(arr) is None, arr.rows()
+        assert {g.mask for g in dual_subdivision(arr).maximal_cells} == read
+    assert list(reports()) == before
 
 
 def test_normalized_volume_examples():
