@@ -479,17 +479,30 @@ def _trees(edges) -> list[frozenset]:
     ]
 
 
-def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
-    # E2's pyramid splits into two trees under every step; a walk that
-    # loses the last one for a tree of the pyramid's other split leaves
-    # a group whose cone the step lies outside
-    def swapped(cells, pyramid):
-        pieces = sorted((c for c in cells if c <= pyramid), key=sorted)
-        other = next(t for t in _trees(pyramid) if t not in pieces)
-        return cells - {pieces[-1]} | {other}
+def _mutated_step_walks(monkeypatch, old: str, new: str) -> None:
+    """Every step's pivot walk replaced by the mutant of ``_pivot_walk``
+    that reads ``new`` for ``old``; the first walk, the input's own, is
+    left alone.  E2 is 2x3, so every step is walked and none read off."""
+    dual, broken, walked = troparr.secondary.dual_subdivision, mutant(troparr.envelope._pivot_walk, old, new), []
 
-    _mutated_walks(monkeypatch, swapped)
-    _assert_exit_4(capsys, e2_file, "flips step 1: the pieces of coarse cell [(1,1),(1,2),(2,1),(2,2),(2,3)] miss the step's cone")
+    def mutated(arr, budget=None):
+        walked.append(arr)
+        if len(walked) == 2:
+            monkeypatch.setattr(troparr.envelope, "_pivot_walk", broken)
+        return dual(arr, budget)
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", mutated)
+
+
+def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
+    # a step's walk that pivots to the second-least entering slack
+    # reaches a piece of the pyramid's other split, which the step's
+    # heights do not support: the walk's own certificate refuses it
+    _mutated_step_walks(monkeypatch, *WALK_MUTANTS["second-least pivot"])
+    assert main(["subdivision", "--flips", "--input", e2_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: internal consistency violation: {UNCERTIFIED}\n", captured.err), captured.err
 
 
 def test_a_refused_entry_exits_4(monkeypatch, capsys, e2_file):
@@ -536,13 +549,10 @@ def test_a_generic_route_short_of_a_type_exits_4(monkeypatch, capsys, e1_file):
 
 
 def test_a_triangulation_short_of_a_simplex_exits_4(monkeypatch, capsys, e2_file):
-    # a walk that loses one of the pyramid's trees passes every cone, but
-    # falls one simplex short of the product's volume
-    def short(cells, pyramid):
-        return cells - {max((c for c in cells if c <= pyramid), key=sorted)}
-
-    _mutated_walks(monkeypatch, short)
-    _assert_exit_4(capsys, e2_file, "flips step 1: the walk has 2 trees, not C(3, 1) = 3")
+    # a step's walk that queues no third tree certifies the two it visits,
+    # but falls one simplex short of the product's volume
+    _mutated_step_walks(monkeypatch, "if pivot not in seen:", "if pivot not in seen and len(seen) < 2:")
+    _assert_exit_4(capsys, e2_file, "pivot walk visited 2 of 3 simplices of a 2x3 triangulation")
 
 
 def test_a_tree_inside_no_coarse_cell_exits_4(monkeypatch, capsys, e2_file):

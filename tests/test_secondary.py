@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 import sympy
@@ -17,13 +18,14 @@ from troparr import (
     is_generic,
     refines,
     refining_triangulations,
+    regular_subdivision,
     secondary_face_check,
 )
 
 from troparr.core import Meter
 from troparr.duality import is_spanning_connected
 from troparr.linalg import det_int, rank
-from troparr.secondary import _entry, _moved, _scaled_rows
+from troparr.secondary import _cone, _entry, _in_cone, _moved, _scaled_rows
 
 from conftest import (
     _perturbations,
@@ -355,6 +357,43 @@ def test_scaled_moves_walk_like_fraction_moves(e2):
 
 def _inside(small, big) -> bool:
     return all(a <= b for a, b in zip(small.entries, big.entries))
+
+
+def test_each_walked_step_is_its_moved_envelope(monkeypatch, e2):
+    # refining_triangulations checks only that each walked cell is a tree
+    # inside a coarse cell; the walk's certificate gives the rest: the
+    # step's subdivision is the moved lower envelope, with C(n+d-2, n-1)
+    # trees, it refines the base, and the step, the moved rows less the
+    # lifted ones (the row constants cancel around every cycle), lies
+    # strictly inside the cone of its pieces in every coarse cell
+    rng = random.Random(5353)
+    cases = [e2, Arrangement.from_rows([[3, -2, 0], [0, -4, 0], [-4, -5, 0], [-1, 1, 0]])]
+    for n, d in [(3, 3), (4, 3), (3, 4)]:
+        cases += [nongeneric_on_ray(rng, n, d)[0], nongeneric_on_apex(rng, n, d)[0]]
+    dual, walked = troparr.secondary.dual_subdivision, []
+
+    def recorded(arr, budget=None):
+        walked.append((arr, dual(arr, budget)))
+        return walked[-1][1]
+
+    monkeypatch.setattr(troparr.secondary, "dual_subdivision", recorded)
+    for arr in cases:
+        n, d = arr.n, arr.d
+        base = dual(arr)
+        walked.clear()
+        refining_triangulations(arr, base)
+        assert walked, arr.rows()
+        scaled = _scaled_rows(arr)
+        coarse = [g.mask for g in base.maximal_cells if g.mask.bit_count() > n + d - 1]
+        for moved, sub in walked:
+            rows = moved._integer_form[1]
+            assert sub == regular_subdivision(rows), (arr.rows(), rows)
+            assert len(sub.maximal_cells) == comb(n + d - 2, n - 1), (arr.rows(), rows)
+            assert refines(sub, base), (arr.rows(), rows)
+            step = [x - y for row, lifted in zip(rows, scaled) for x, y in zip(row, lifted)]
+            for cell in coarse:
+                pieces = [g.mask for g in sub.maximal_cells if g.mask & ~cell == 0]
+                assert _in_cone(_cone(n, d, cell, pieces), step), (arr.rows(), rows, cell)
 
 
 def test_a_perturbation_only_breaks_ties(monkeypatch, e2):
