@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -408,16 +409,35 @@ def main(argv: list[str] | None = None) -> int:
         return INCONSISTENT
     command = [args.command] + argv[1:]
     status = "ok" if code == OK else f"exit {code}"
-    if args.json:
-        report = {"command": command, "input": _digest(raw), "results": body, "status": status}
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(f"command: {' '.join(command)}")
-        print(f"input: {_digest(raw)}")
-        for line in body:
-            print(line)
-        print(f"status: {status}")
+    try:
+        if args.json:
+            report = {"command": command, "input": _digest(raw), "results": body, "status": status}
+            print(json.dumps(report, sort_keys=True))
+        else:
+            print(f"command: {' '.join(command)}")
+            print(f"input: {_digest(raw)}")
+            for line in body:
+                print(line)
+            print(f"status: {status}")
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return IO
     return code
+
+
+def _discard_stdout() -> None:
+    """Point the file descriptor under a stdout that failed at the null
+    device, so the interpreter's flush at exit writes what is left there
+    instead of failing a second time with a traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor, so nothing is flushed to one at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def entrypoint() -> None:

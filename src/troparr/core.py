@@ -35,8 +35,8 @@ class Meter:
 
     A public function makes one meter from its ``budget``, None meaning
     ``DEFAULT_BUDGET``, and passes it down, so every walk of one run draws
-    on it.  The type enumeration counts its feasibility steps, the entries
-    it generates on a feasible prefix and tests, as it goes; a pivot walk
+    on it.  The type enumeration counts its feasibility steps, one per
+    new prefix of the types it finds, as it goes; a pivot walk
     over the full n x d support is charged its C(n+d-2, n-1) trees before
     it starts.  Past the limit a :class:`ResourceLimitError` names the
     stage and, for work charged whole, the running total, or for work
@@ -260,8 +260,8 @@ class TypeVector:
 
     The package's one label encoding: entry i is the label mask
     ``masks[i-1]``, an int with bit j set for each label j (bit 0 never
-    is), as the type enumeration, the feasibility kernel, the planar
-    read-off and the axiom checks build and read it.  Its set bits,
+    is), as the type enumeration, realizability, the planar read-off and
+    the axiom checks build and read it.  Its set bits,
     lowest first, are the labels in ascending order, and ``entries``,
     :meth:`entry`, :meth:`key`, :meth:`text` and :meth:`max_label` are
     read off them.  A mask holds a bit per label up to its largest, so

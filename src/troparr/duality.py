@@ -22,11 +22,12 @@ hand on its own.
 :func:`check_correspondence` needs every type for the axioms, so it
 keeps the full enumeration and counts the cells from its 0-dimensional
 types, each a tree exactly when it holds n + d - 1 labels, with no cell
-graph built.  The enumeration walks the envelope first and reads a
-generic input's types off its trees, and genericity reads the same walk,
-kept on the arrangement (:func:`~troparr.geometry._walk_head`), so what
-the check cross-checks on a generic input is the axioms and the
-enumeration's count of T(n, d) types.
+graph built.  The enumeration reads every input's types off walked
+cells, a generic input's off the pivot walk's trees and any other's off
+the walk over cells, and genericity reads the same pivot walk, kept on
+the arrangement (:func:`~troparr.geometry._walk_head`), so what the
+check cross-checks is the axioms, the enumeration's count of T(n, d)
+types on a generic input, and the walks' certificates.
 """
 
 from __future__ import annotations
@@ -275,13 +276,15 @@ def check_correspondence(arr: Arrangement, budget: int | None = None) -> Corresp
     The budgeted enumeration runs first, and with it the walk over the
     lower envelope, up to its first cell that is not a tree; the
     genericity verdict reads that walk, kept on ``arr``, and walks
-    nothing again.  On a generic input the types are read off the walk's
-    trees, so the triangulation status agrees with genericity by
-    construction.  What the check still cross-checks there is the axioms
-    on those types, and the enumeration's certificate that they number
-    T(n, d), which it raises on.  On any other input the types come from
-    the feasibility search, independent of the walk, so the two
-    implications set independent computations against each other.
+    nothing again.  Every type is a face of a walked cell: on a generic
+    input the walk's trees, on any other the cells of the walk over
+    cells, started at its first cell that is not a tree.  So the
+    triangulation status agrees with genericity by construction on every
+    input; the tests set the types against the feasibility search over
+    prefixes, an independent oracle.  What the check still cross-checks
+    is the axioms
+    on those types, and on a generic input the enumeration's certificate
+    that they number T(n, d), which it raises on.
 
     The maximal cells are the graphs of the 0-dimensional types, one
     per type.  A vertex's labels tie every coordinate into one group, so

@@ -1,5 +1,6 @@
 """The lower envelope of an apex matrix: the pivot walk over its trees,
-the passes that read one tree or one cell, and the planar read-off.
+the walk over its cells, the passes that read one tree or one cell, and
+the planar read-off.
 
 Lifting product vertex (i, j) of Δ_{n-1} × Δ_{d-1} to height w_ij and
 taking the lower envelope gives a regular subdivision; with the apex
@@ -49,6 +50,15 @@ sorted edges that closes a cycle in the forest grown by the edges
 before it names a square minor (:func:`_tied_minor`): the edge's
 fundamental cycle alternates between two perfect matchings of the
 minor, both tight, so its min-plus determinant is attained twice.
+
+The walk over cells (:func:`_cell_walk`) moves from maximal cell to
+maximal cell across interior facets, the two-block cuts of a cell whose
+sides are each connected and cover every node, instead of from tree to
+tree: a coarse cell is one step, however many trees it holds.  It
+starts at the pivot walk's first cell that is not a tree, which the type
+enumeration of a non-generic input reads, and certifies each cell by its
+own slacks as the pivot walk certifies a tree; a cell that fails raises
+RuntimeError, exit 4.
 
 When min(n, d) = 3 the vertices can be read off with no walk: the
 arrangement is one of tropical lines in the plane, and its vertices are
@@ -332,20 +342,109 @@ def _pivot_walk(n: int, d: int, weights: Sequence[Sequence[int]], support: int) 
         raise RuntimeError(f"pivot walk visited {visited} of {expected} simplices of a {n}x{d} triangulation")
 
 
-def _uncertified(n: int, d: int, flat: Sequence[int], tree: int, slack: Sequence[int]) -> str:
-    """What is wrong with a tree that fails :func:`_pivot_walk`'s
-    certificate: the first support edge, of bit ``flat[k]`` and slack
-    ``slack[k]``, that is on the ``tree`` and not tight, or off it and
-    not above it, and the tree."""
+def _uncertified(n: int, d: int, flat: Sequence[int], tree: int, slack: Sequence[int], kind: str = "tree") -> str:
+    """What is wrong with a tree, or a cell of another ``kind``, that
+    fails its walk's certificate: the first support edge, of bit
+    ``flat[k]`` and slack ``slack[k]``, that is on the ``tree`` and not
+    tight, or off it and not above it, and the tree."""
     k = next(k for k, s in enumerate(slack) if s < 0 or (s == 0) != (tree >> flat[k] & 1))
     on = "of" if tree >> flat[k] & 1 else "off"
     text = CellGraph._trusted(n, d, tree).text()
-    return f"edge ({flat[k] // d + 1},{flat[k] % d + 1}) {on} tree {text} has slack {slack[k]}"
+    return f"edge ({flat[k] // d + 1},{flat[k] % d + 1}) {on} {kind} {text} has slack {slack[k]}"
 
 
 def _full_walk(n: int, d: int, rows: Sequence[Sequence[int]]) -> Iterator[int]:
     """The pivot walk over the full support of the n x d int heights ``rows``."""
     return _pivot_walk(n, d, rows, (1 << n * d) - 1)
+
+
+def _cell_walk(n: int, d: int, rows: Sequence[Sequence[int]], start: int) -> Iterator[int]:
+    """Every maximal cell of the lower envelope of the n x d int heights
+    ``rows`` over the full support, as edge masks, breadth first from the
+    maximal cell ``start``, yielded one at a time, so a caller may stop
+    at any cell.
+
+    A maximal cell C is the tight set of a potential p over the n + d
+    nodes, unique up to a constant: every slack w_ij - p_j + p_i is >= 0,
+    and 0 exactly on C, which spans and is connected.  The start's
+    potential is solved along the forest its edges grow (:func:`_forest`,
+    :func:`_rooted`); every other cell's comes from the cell it was
+    reached from.
+
+    Facets.  For a label mask Q, the two-block cut (Q, rest) of C keeps,
+    of each row whose edges meet Q, its edges into Q, and of every other
+    row all its edges: the type of C refined by raising the labels of Q.
+    Its high side is Q and the rows meeting it, its low side the rest.
+    An interior facet of C is such a cut whose two sides are each
+    connected and together cover all n + d nodes.  A face F of C is the
+    set of its edges where δ_j - δ_i is largest, for some δ over the
+    nodes; walking an edge of F keeps δ, so δ is constant on each
+    component of F.  A facet that meets every node lies in no facet of
+    the product, so it is interior, and it has dimension n + d - 3, so
+    two components A and B, with δ = α on A and β on B.  Every edge of C
+    between them is below the largest value, so all run one way: with
+    α > β, from rows of A to labels of B.  So the rows of A are the rows
+    whose edges meet Q, the labels of A, and F is the cut (Q, rest).
+    Conversely such a cut is the face of δ = 1 on its high side and 0 on
+    its low side, with two components over all nodes: a facet that meets
+    every node.
+
+    Neighbours.  Raising p on the high side by t keeps every edge of the
+    facet tight, makes the edges of C from high rows to low labels
+    slack, and lowers by t the slacks of the edges from low rows to the
+    labels of Q, which lie off C.  At t the least of those slacks every
+    slack is still >= 0, and the tight set is the facet plus the edges at
+    that slack: connected, since those edges join its two sides, so a
+    maximal cell, and other than C.  It is the one cell across the facet.
+
+    Completeness.  The dual graph of a subdivision of a convex polytope,
+    its maximal cells joined across their interior facets, is connected:
+    a generic segment between interior points of two cells meets no face
+    of codimension 2, so it passes from cell to cell through interior
+    facets.  The walk takes every interior facet of every cell it
+    reaches, so it reaches every cell.
+
+    The certificate.  Before a cell is yielded, the slacks of its own
+    potential must all be >= 0 and 0 exactly on its edges, as for a tree
+    of :func:`_pivot_walk`, else RuntimeError names the first edge at
+    fault and the cell, exit 4.  Per cell the walk pays one slack per
+    edge and, per proper label mask, a cut and, when the cut's low rows
+    cover the rest, a union-find forest over its edges: 2^d - 2 cuts.
+    """
+    full, w = (1 << d) - 1, n + d
+    edges = [(k // d, n + k % d, rows[k // d][k % d]) for k in range(n * d)]
+    order, parent, edge = _rooted(n, d, _forest(n, d, start)[0])
+    p = [0] * w
+    for v in order[1:]:
+        h = rows[edge[v] // d][edge[v] % d]
+        p[v] = p[parent[v]] + h if v >= n else p[parent[v]] - h
+    queue, seen = deque([(start, p)]), {start}
+    while queue:
+        cell, p = queue.popleft()
+        slack = [h - p[b] + p[a] for a, b, h in edges]
+        tight = sum(1 << k for k, s in enumerate(slack) if not s)
+        if min(slack) < 0 or tight != cell:
+            raise RuntimeError(f"cell walk: {_uncertified(n, d, range(n * d), cell, slack, 'cell')}")
+        yield cell
+        entries = [cell >> i * d & full for i in range(n)]
+        for q in range(1, full):
+            facet = high = rest = 0
+            for i, r in enumerate(entries):
+                if r & q:
+                    facet |= (r & q) << i * d
+                    high |= 1 << i
+                else:
+                    facet |= r << i * d
+                    rest |= r
+            if rest != full ^ q or _forest(n, d, facet)[0].bit_count() != w - 2:
+                continue  # a label of the rest uncovered, or a side split
+            entering = [k for i in range(n) if not high >> i & 1 for k in _bits(q << i * d)]
+            t = min(slack[k] for k in entering)
+            neighbour = facet | sum(1 << k for k in entering if slack[k] == t)
+            if neighbour not in seen:
+                seen.add(neighbour)
+                raised = high | q << n
+                queue.append((neighbour, [z + t if raised >> v & 1 else z for v, z in enumerate(p)]))
 
 
 def _tied_minor(n: int, d: int, mask: int) -> TiedMinor:

@@ -10,66 +10,43 @@ spanning tree, is kept on the arrangement by :func:`_walk_head`: the
 type enumeration walks it first, under its budget, and
 :func:`is_generic` reads it, so a run walks the envelope once.
 
-:func:`enumerate_realizations` finds the types by one of two routes.
-
-On a generic arrangement they are read off the head, every tree of the
-triangulation (Develin-Sturmfels, "Tropical convexity", 2004).  A
+The types are the faces of the lower envelope's maximal cells that
+meet every row (Develin-Sturmfels, "Tropical convexity", 2004).  A
 point x has the type F whose graph holds edge (i, j) where x_j - v_ij
 is largest in row i.  With z = x and u_i that largest value, z_j - u_i
 <= v_ij on every edge, with equality on F's, so F is the set of edges
 a feasible potential of the envelope makes tight: a face of the lower
 envelope subdivision, and one that meets every row.  Conversely a
 potential tight on a face that meets every row makes each u_i row i's
-largest value, so z has that face as its type.  The types are the
-faces of the subdivision's cells that meet every row.  A cell that is
-a tree is a simplex, whose edges are its vertices, and every subset of
-a simplex's vertices spans a face of it; so the types of a
-triangulation are the subforests of its trees that meet every row: for
-each tree, every product over rows of a nonempty subset of that row's
-tree edges.  The potentials tight on F fix the differences inside each
-component of F, over all n + d nodes, and leave each component one free
-translation, so the realization set has the dimension of the components
-less one, n + d - 1 - |F| for a forest of |F| edges.  A generic
+largest value, so z has that face as its type.  Every face lies in a
+maximal cell, and the potentials tight on F fix the differences inside
+each component of F, over all n + d nodes, and leave each component
+one free translation, so the realization set has the dimension of the
+components less one: the label groups F ties, less one, as each row
+joins the group of its labels.
+
+:func:`enumerate_realizations` reads the types off the cells by one
+computation, :func:`_faces`.  On a generic arrangement the cells are
+the head's trees.  A tree is a simplex, whose edges are its vertices,
+and every subset of a simplex's vertices spans a face of it, so its
+types are the products over rows of a nonempty subset of each row's
+tree edges, each of dimension n + d - 1 less its edges.  A generic
 arrangement has T(n, d) types, T(0, d) = T(k, 1) = 1 and T(k, d) =
 T(k - 1, d) + 2 T(k, d - 1) (:func:`_type_counts`), and the route finds
 exactly that many distinct faces or raises :class:`RuntimeError`: the
 count is the certificate, since the tree verdict :func:`is_generic`
-gives is read off the same walk.
-
-On any other arrangement a depth-first search over difference
-constraints finds them.  A candidate type imposes, hyperplane by
-hyperplane, that the listed coordinates tie (after subtracting the apex
-row) and strictly beat the rest.  The ties merge coordinates into rigid
-groups carrying exact offsets, kept in two flat arrays: each label's
-group root and its offset to that root; the strict part becomes a
-system of strict difference constraints between group representatives,
-kept closed under max-plus composition (longest paths).  Each
-hyperplane is added incrementally: a merge and the new strict bounds
-are relaxed through the closed bounds in O(roots^2), with no all-pairs
-re-closure.  A closed, consistent system always admits a rational
-witness, found by greedy interval assignment.
+gives is read off the same walk.  On any other arrangement the cells
+come from the walk over cells (:func:`~troparr.envelope._cell_walk`),
+started at the head's first cell that is not a tree, and the faces of
+each cell that is not a tree are its closure under two-block cuts.
 
 Entries are label masks, in the one label encoding of
-:class:`~troparr.core.TypeVector`, from the pairwise tests through
-:meth:`_Feasibility.add_hyperplane` to the types the enumeration records,
-which keep the walk's masks as they are.  The search is one depth-first
-loop in :func:`enumerate_realizations`: it walks hyperplanes 1..n-1 and
-generates, on each feasible prefix, only the entries that pass pairwise
-tests read off the closed bounds (every two members can still tie, every
-member can still beat every non-member), as cliques of a tie relation
-closed under the labels each member forces in; its work grows with the
-types, not with 2^d.  Every entry the tests pass is feasible, so the
-loop takes each that hyperplane n passes as a type, recorded with its
-dimension without imposing it, and raises on any that an earlier
-hyperplane refuses.
-
-A witness comes from :func:`realizable`, which imposes all of a type's
-entries in the search's order, on either route.
-
-The feasibility kernel runs on ints, on the arrangement's integer form
-(:func:`~troparr.core._integer_rows`), so every offset and bound is an
-integer multiple of 1/D.  Fractions come back only in the witness, which
-divides at the end.
+:class:`~troparr.core.TypeVector`, from the cells' rows of edges to the
+types the enumeration records.  A witness comes from
+:func:`realizable`, one Bellman-Ford pass over the n + d nodes on the
+arrangement's integer form (:func:`~troparr.core._integer_rows`), so
+every potential is an int; Fractions come back only in the witness,
+which divides at the end.
 """
 
 from __future__ import annotations
@@ -77,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable
 
-from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point, _bits
-from .envelope import TiedMinor, _full_walk, _tied_minor
+from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point
+from .envelope import TiedMinor, _cell_walk, _full_walk, _tied_minor
 
 
 @dataclass(frozen=True)
@@ -102,276 +79,6 @@ class RealizationResult:
             raise ValueError("dimension present iff realizable")
         if self.dimension is not None and self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
-
-
-class _Feasibility:
-    """Incrementally built feasibility state for one arrangement.
-
-    Coordinates are counted in units of 1/scale, ``scale`` and ``rows``
-    the arrangement's integer form, so every bound is an int.
-    Labels 1..d tie into groups, kept in two flat arrays: ``root[v]`` is
-    the root of label v's group and ``offset[v]`` the fixed difference
-    x_v - x_root.  A merge relabels every label of one group in O(d), so
-    each lookup is two index reads.  ``lower[a * (d + 1) + b]`` is the
-    tightest known strict bound x_a - x_b > c between group roots
-    a != b, or None.  It is kept transitively closed: each entry is the
-    longest path over the bounds imposed so far, which depends on those
-    bounds alone and not on the order they came in.  So inconsistency
-    surfaces as soon as it exists and witnesses can be read off greedily.
-    """
-
-    __slots__ = ("d", "scale", "rows", "root", "offset", "lower")
-
-    def __init__(self, arr: Arrangement):
-        """The empty prefix of ``arr``."""
-        self.scale, self.rows = arr._integer_form
-        self.d = d = len(self.rows[0])
-        self.root = list(range(d + 1))
-        self.offset = [0] * (d + 1)
-        self.lower: list[int | None] = [None] * (d + 1) ** 2
-
-    def copy(self) -> "_Feasibility":
-        st = _Feasibility.__new__(_Feasibility)
-        st.d, st.scale, st.rows = self.d, self.scale, self.rows
-        st.root, st.offset = self.root[:], self.offset[:]
-        st.lower = self.lower[:]
-        return st
-
-    def add_hyperplane(self, i: int, mask: int) -> bool:
-        """Impose the entry with label mask ``mask`` for hyperplane i;
-        False iff infeasible.
-
-        The labels tie into one group, whose root then strictly beats
-        every other group by the hyperplane's apex differences.  Each
-        merge, and the new strict bounds together, are relaxed through
-        the closed bounds in O(roots^2) instead of a full re-closure: a
-        longest path uses a new bound at most once, since a second use
-        would close a cycle, and cycles are negative in a consistent
-        system.
-        """
-        row = self.rows[i - 1]
-        low = mask & -mask
-        base = low.bit_length() - 1
-        root, offset = self.root, self.offset
-        # every merge keeps the base's root, so its root and offset stay put
-        r, o = root[base], offset[base]
-        rest = mask ^ low
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            j = bit.bit_length() - 1
-            # the root difference x_rj - x_r that gives x_j - x_base = v_ij - v_ib
-            s = row[j - 1] - row[base - 1] - offset[j] + o
-            if root[j] == r:
-                if s != 0:
-                    return False
-            elif not self._merge(root[j], r, s):
-                return False
-        new: dict[int, int] = {}
-        for k in range(1, self.d + 1):
-            if mask >> k & 1:
-                continue
-            rk = root[k]
-            # x_base - x_k > v_ib - v_ik, the same bound for every member
-            c = row[base - 1] - row[k - 1] - o + offset[k]
-            if rk == r:
-                if c >= 0:
-                    return False
-                continue
-            old = new.get(rk)
-            if old is None or c > old:
-                new[rk] = c
-        return not new or self._relax(r, new)
-
-    def _merge(self, a: int, b: int, s: int) -> bool:
-        """Tie root a into root b's group at x_a - x_b = s; False iff
-        the closed bounds between a and b leave no room for s."""
-        lower, w = self.lower, self.d + 1
-        c = lower[a * w + b]
-        if c is not None and c >= s:
-            return False
-        c = lower[b * w + a]
-        if c is not None and c >= -s:
-            return False
-        ins, outs = [], []
-        for x in self.roots():
-            if x == a or x == b:
-                continue
-            c, via = lower[x * w + b], lower[x * w + a]
-            if via is not None and (c is None or via + s > c):
-                c = via + s
-            if c is not None:
-                ins.append((x, c))
-            c, via = lower[b * w + x], lower[a * w + x]
-            if via is not None and (c is None or via - s > c):
-                c = via - s
-            if c is not None:
-                outs.append((x, c))
-        for v in range(w):
-            lower[a * w + v] = lower[v * w + a] = None
-        for v in range(1, w):
-            if self.root[v] == a:
-                self.root[v] = b
-                self.offset[v] += s
-        self._join(b, ins, outs)
-        return True
-
-    def _relax(self, r: int, new: dict[int, int]) -> bool:
-        """Add the strict bounds x_r - x_z > new[z] between roots."""
-        lower, w = self.lower, self.d + 1
-        for z, c in new.items():
-            back = lower[z * w + r]
-            if back is not None and back + c >= 0:
-                return False
-        roots = self.roots()
-        outs = []
-        for y in roots:
-            if y == r:
-                continue
-            best = lower[r * w + y]
-            for z, c in new.items():
-                tail = 0 if z == y else lower[z * w + y]
-                if tail is not None and (best is None or c + tail > best):
-                    best = c + tail
-            if best is not None:
-                outs.append((y, best))
-        ins = [(x, lower[x * w + r]) for x in roots if x != r and lower[x * w + r] is not None]
-        self._join(r, ins, outs)
-        return True
-
-    def _join(self, r: int, ins: list[tuple[int, int]], outs: list[tuple[int, int]]) -> None:
-        """Store the closed bounds x_x - x_r > c into root r and
-        x_r - x_y > c out of it, and every bound through r."""
-        lower, w = self.lower, self.d + 1
-        for x, cx in ins:
-            lower[x * w + r] = cx
-            for y, cy in outs:
-                if y != x:
-                    c = cx + cy
-                    old = lower[x * w + y]
-                    if old is None or c > old:
-                        lower[x * w + y] = c
-        for y, cy in outs:
-            lower[r * w + y] = cy
-
-    def entries(self, i: int) -> list[int]:
-        """The entries for hyperplane i that pass every pairwise test, as
-        label masks.
-
-        With y_j = x_j - v_ij, an entry S is feasible only if, for each
-        j in S, every other label of S can still tie y_j (``tie[j]``) and
-        every label outside S can still lose to it; the labels that
-        cannot are ``force[j]``, which S must contain.  The tests read
-        the closed bounds between the labels' groups, which give the
-        exact range of each root difference.
-        """
-        d, w, lower, row = self.d, self.d + 1, self.lower, self.rows[i - 1]
-        anchor: list[tuple[int, int]] = [(0, 0)]
-        for j in range(1, d + 1):
-            anchor.append((self.root[j], self.offset[j] - row[j - 1]))  # y_j = x_r + o - v_ij
-        tie = [1 << j for j in range(w)]
-        force = [0] * w
-        for j in range(1, d + 1):
-            rj, aj = anchor[j]
-            for k in range(j + 1, d + 1):
-                rk, ak = anchor[k]
-                t = ak - aj  # y_j - y_k = x_rj - x_rk - t
-                if rj == rk:
-                    j_wins, k_wins, ties = t < 0, t > 0, t == 0
-                else:
-                    up, down = lower[rj * w + rk], lower[rk * w + rj]
-                    j_wins = down is None or down + t < 0
-                    k_wins = up is None or up < t
-                    ties = j_wins and k_wins
-                if ties:
-                    tie[j] |= 1 << k
-                    tie[k] |= 1 << j
-                if not j_wins:
-                    force[j] |= 1 << k
-                if not k_wins:
-                    force[k] |= 1 << j
-        return _cliques(tie, force, (1 << w) - 2)
-
-    def roots(self) -> list[int]:
-        return [v for v in range(1, self.d + 1) if self.root[v] == v]
-
-    def dimension(self) -> int:
-        return len(self.roots()) - 1
-
-    def witness(self) -> ProjectivePoint:
-        """A rational point satisfying every recorded constraint strictly.
-
-        Roots get 0, lo + 1, hi - 1 or (lo + hi) / 2 in the arrangement's
-        units, in sorted order.  The k-th value halves at most k times, so
-        counting in units of 1/(scale * 2^roots) keeps every value an int;
-        the last coordinate is subtracted before dividing, so each
-        coordinate is one Fraction and the point comes out normalized.
-        A closed, consistent system leaves each root an open interval, so
-        one that is shut is a fault of the kernel and raises
-        :class:`RuntimeError`.
-        """
-        stage = "realization witness"
-        lower, w = self.lower, self.d + 1
-        roots = self.roots()
-        m = 1 << len(roots)
-        one = self.scale * m
-        values: dict[int, int] = {}
-        for r in roots:
-            lo = hi = None
-            for a, val in values.items():
-                c = lower[r * w + a]
-                if c is not None and (lo is None or val + c * m > lo):
-                    lo = val + c * m
-                c = lower[a * w + r]
-                if c is not None and (hi is None or val - c * m < hi):
-                    hi = val - c * m
-            if lo is None and hi is None:
-                values[r] = 0
-            elif hi is None:
-                values[r] = lo + one
-            elif lo is None:
-                values[r] = hi - one
-            elif lo < hi:
-                values[r] = (lo + hi) // 2
-            else:
-                raise RuntimeError(f"{stage}: the closed bounds leave label {r}'s group no open interval")
-        shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
-        last = shifted[-1]
-        return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
-
-
-def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
-    """Every nonempty label mask S inside ``full`` with S inside tie[j]
-    and force[j] inside S for each j in S.
-
-    Depth first over growing sets: each node is such a set, and each
-    child adds the smallest allowed label that no earlier sibling added,
-    then every label the members force, so each set is reached once and
-    costs at most d closures of O(d) bit operations.
-    """
-    out: list[int] = []
-
-    def grow(S: int, allowed: int, banned: int) -> None:
-        options = allowed & ~S & ~banned
-        while options:
-            e = options & -options
-            options ^= e
-            T, room, todo = S | e, allowed, e
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                j = bit.bit_length() - 1
-                room &= tie[j]
-                extra = force[j] & ~T
-                T |= extra
-                todo |= extra
-            if not T & ~room and not T & banned:
-                out.append(T)
-                grow(T, room, banned)
-            banned |= e
-
-    grow(0, full, 0)
-    return out
 
 
 def type_of_point(arr: Arrangement, point) -> TypeVector:
@@ -435,10 +142,9 @@ def _walk_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") ->
 
     Under a ``meter`` the walk stops, refused in ``stage``'s feasibility
     steps, once its trees outnumber the steps left.  Each tree is a cell,
-    and so a distinct 0-dimensional type, which the search of
-    :func:`enumerate_realizations` takes a step to generate: a refused
-    walk is an enumeration the budget refuses, with the same message, and
-    keeps no head."""
+    and so a distinct 0-dimensional type, one step of
+    :func:`enumerate_realizations`: a refused walk is an enumeration the
+    budget refuses, with the same message, and keeps no head."""
     if "_walk_head" not in vars(arr):
         n, d = arr.n, arr.d
         head: list[int] = []
@@ -463,150 +169,195 @@ def _type_counts(n: int, d: int) -> list[int]:
     return counts
 
 
-def _tree_types(n: int, d: int, trees: tuple[int, ...]) -> dict[TypeVector, int]:
-    """The distinct subforests of the n x d spanning ``trees``, edge masks,
-    that meet every row, as types mapped to their dimensions, n + d - 1
-    less their edges: for each tree, every product over rows of a
-    nonempty subset of that row's edges, row i's label mask the row's
-    d bits shifted up by one (:class:`~troparr.core.TypeVector`)."""
+def _groups(face: tuple[int, ...], d: int) -> int:
+    """The label groups of a type given as label masks: the labels its
+    entries tie together, each label of no entry with two labels or more
+    a group of its own."""
+    groups: list[int] = []
+    for mask in face:
+        if mask & mask - 1:
+            rest = [g for g in groups if not g & mask]
+            groups = rest + [mask | sum(g for g in groups if g & mask)]
+    return len(groups) + d - sum(groups).bit_count()
+
+
+def _faces(
+    n: int, d: int, cells: Iterable[int], meter: Meter | None = None, stage: str = ""
+) -> dict[TypeVector, int]:
+    """The faces of the n x d maximal ``cells``, edge masks, that meet
+    every row, as types mapped to their dimensions, the label groups less
+    one; row i's label mask is the cell's row of d bits shifted up by one
+    (:class:`~troparr.core.TypeVector`).
+
+    A tree's faces are the products over rows of a nonempty subset of
+    each row's edges: every subset of a simplex's vertices spans a face,
+    a forest whose dimension is n + d - 1 less its edges.  Any other
+    cell's are its closure under two-block cuts: a face's cut by a label
+    mask Q keeps, of each entry meeting Q, the labels in Q, the type of
+    the points a move that raises Q's labels reaches.  Cuts by the proper
+    nonempty submasks of the union U of the face's entries with two
+    labels or more are all the cuts that can move it, as a cut by Q
+    moves the face only as Q ∩ U does: 2^|U| - 2 cuts, never more than
+    the 2^d - 2 two-block refinements :func:`~troparr.axioms.check_surrounding`
+    looks up for the same type.  Every face of a cell that meets every
+    row is the cell's type refined by an ordered partition (B_1, ..., B_k),
+    the cuts by B_1, ..., B_(k-1) one after another, so the closure holds
+    every face; a face first met as a tree's is not cut again, as its
+    faces are that tree's.
+
+    Under a ``meter`` each newly seen prefix of a new face is a step,
+    charged once per cell and once per cut face: on hyperplane i the
+    search over prefixes generates one entry per i-prefix of the types,
+    so the steps sum to the search's S and each verdict of the budget is
+    the search's, with its message."""
     full, top = (1 << d) - 1, n + d - 1
     faces: dict[tuple[int, ...], int] = {}
-    for tree in trees:
-        rows = []
-        for i in range(n):
-            row = subset = (tree >> i * d & full) << 1
+    prefixes: dict = {}  # a trie: each prefix's entries, one dict per entry
+    uncut: list[tuple[int, ...]] = []
+
+    def steps(new: list[tuple[int, ...]]) -> int:
+        count = len(new)
+        for face in new:
+            node = prefixes
+            for mask in face[:-1]:
+                child = node.get(mask)
+                if child is None:
+                    child = node[mask] = {}
+                    count += 1
+                node = child
+        return count
+
+    for cell in cells:
+        entries = tuple((cell >> i * d & full) << 1 for i in range(n))
+        if cell.bit_count() == top:
             subsets = []
-            while subset:
-                subsets.append(subset)
-                subset = subset - 1 & row
-            rows.append(subsets)
-        for face in product(*rows):
-            if face not in faces:
+            for row in entries:
+                subset, below = row, []
+                while subset:
+                    below.append(subset)
+                    subset = subset - 1 & row
+                subsets.append(below)
+            new = [face for face in product(*subsets) if face not in faces]
+            for face in new:
                 faces[face] = top - sum(mask.bit_count() for mask in face)
+        else:
+            new = [] if entries in faces else [entries]
+            for face in new:
+                faces[face] = _groups(face, d) - 1
+            uncut += new
+        if meter is not None:
+            meter.count(stage, steps(new), "feasibility steps")
+        while uncut:
+            face = uncut.pop()
+            union = 0
+            for mask in face:
+                if mask & mask - 1:
+                    union |= mask
+            new, q = [], union - 1 & union
+            while q:
+                cut = tuple([mask & q or mask for mask in face])
+                if cut not in faces:
+                    faces[cut] = _groups(cut, d) - 1
+                    new.append(cut)
+                q = q - 1 & union
+            if meter is not None:
+                meter.count(stage, steps(new), "feasibility steps")
+            uncut += new
     return {TypeVector._trusted(face): dim for face, dim in faces.items()}
 
 
 def realizable(arr: Arrangement, T: TypeVector) -> RealizationResult:
     """Exact feasibility of a candidate type, with witness and dimension.
 
-    Infeasibility is a normal result, not an error.  The entries are
-    imposed in the order the search of :func:`enumerate_realizations`
-    imposes them on its way to T, and the closed bounds depend on the
-    bounds alone, so the witness is read off the same closed state the
-    search reaches.
+    Infeasibility is a normal result, not an error.  A point x has type T
+    exactly when some potentials u_i over the rows and z = x over the
+    labels have z_j - u_i = v_ij on T's edges and z_j - u_i < v_ij on the
+    rest: difference constraints over the n + d nodes, solved by one
+    Bellman-Ford pass on the arrangement's integer form.  The heights are
+    scaled by N = n + d and each strict bound tightened by 1.  That is
+    exact: a system of difference constraints is feasible iff no cycle
+    sums below 0, or to 0 through a strict bound; a simple cycle holds at
+    most N arcs, so one that sums to s >= 1 in the integer form sums to
+    at least N s - N >= 0 once scaled and tightened, one that sums to 0
+    through a strict bound below 0, and one below 0 stays below 0.  The
+    witness is read off the potentials, which meet every tightened bound
+    and so every strict one.  The dimension is the type's label groups
+    less one: the realization set is open in the span its ties leave.
+    A vertex is one point, so its witness does not depend on the pass.
     """
     if T.n != arr.n:
         raise ValueError(f"type has {T.n} entries, arrangement has n={arr.n}")
     if T.max_label() > arr.d:
         raise ValueError(f"type labels exceed d={arr.d}")
-    state = _Feasibility(arr)
-    for i, mask in enumerate(T.masks, 1):
-        if not state.add_hyperplane(i, mask):
-            return RealizationResult(False)
-    return RealizationResult(True, state.witness(), state.dimension())
+    n, d = arr.n, arr.d
+    scale, rows = arr._integer_form
+    size = n + d
+    # arcs (a, b, c) for the bounds p_b <= p_a + c, row i node i - 1 and label j node n + j - 1
+    arcs = []
+    for i, (row, mask) in enumerate(zip(rows, T.masks)):
+        for j, v in enumerate(row, 1):
+            if mask >> j & 1:
+                arcs += [(i, n + j - 1, size * v), (n + j - 1, i, -size * v)]
+            else:
+                arcs.append((i, n + j - 1, size * v - 1))
+    p = [0] * size
+    for _ in range(size):
+        relaxed = False
+        for a, b, c in arcs:
+            if p[a] + c < p[b]:
+                p[b] = p[a] + c
+                relaxed = True
+        if not relaxed:
+            break
+    else:
+        return RealizationResult(False)
+    last, one = p[-1], size * scale
+    witness = ProjectivePoint(tuple(Fraction(z - last, one) for z in p[n:]))
+    return RealizationResult(True, witness, _groups(T.masks, d) - 1)
 
 
 def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[TypeVector, int]:
     """Every realizable type, mapped to the affine dimension of its
     realization set; :func:`realizable` gives a type's witness.
 
-    The walk over the lower envelope comes first, up to its first cell
+    The types are the faces of the lower envelope's maximal cells that
+    meet every row (the module docstring has the proof), read off by
+    :func:`_faces`.  The pivot walk comes first, up to its first cell
     that is not a tree, and is kept on ``arr`` for :func:`is_generic`
     (:func:`_walk_head`).  When every cell is a tree the input is
-    generic, and its types are the subforests of the trees that meet
-    every row, each of dimension n + d - 1 less its edges
-    (:func:`_tree_types`; the module docstring has the proof): a type is
-    a face of the envelope subdivision that meets every row, every
-    subset of a simplex's vertices is a face of it, and a realization
-    set's dimension is its face's components less one.  Exactly T(n, d)
-    distinct faces must come out, or the route raises
-    :class:`RuntimeError`.
-
-    Any other input is searched.  The search walks hyperplanes 1..n-1
-    depth first from the empty prefix, on an explicit stack of one frame
-    per hyperplane of the current prefix, so its depth is not bounded by
-    Python's recursion limit.  On a feasible prefix only the entries
-    passing the pairwise tests of :meth:`_Feasibility.entries` are
-    generated, and each is imposed by :meth:`_Feasibility.add_hyperplane`
-    on a copy of the prefix's state, which the next hyperplane extends.
-    The argument below shows every such entry feasible, so one that
-    ``add_hyperplane`` refuses is a fault of the kernel and raises
-    :class:`RuntimeError`.
-
-    On each prefix of n - 1 entries every entry the pairwise tests pass
-    for hyperplane n is a type, and it is recorded without a copy or a
-    closure: merging its k groups removes k - 1 roots, and strict bounds
-    leave the dimension as it is.  That is exact because the pairwise
-    tests are.  The entry adds two kinds of bounds to the closed prefix
-    system.  Its groups tie at fixed differences, and each pair of them
-    ties inside the open interval its closed bounds leave; around any
-    cycle those differences sum to 0.  The merged group then strictly
-    beats every other group, and every new strict bound leaves it.  An
-    infeasible system has a simple cycle whose bounds sum to 0 or more,
-    with one strict bound at least.  Its runs of old bounds close to
-    single old bounds.  Old bounds alone are feasible, so it meets the
-    merged group, and being simple, once: it enters at one member and
-    leaves at another.  If it leaves by an old bound, it is a cycle
-    between two members' groups, which the pairwise tie test rules
-    out.  If it leaves by a new strict bound to a label k, it returns at
-    its first entry into the group, so it pits one member against k,
-    which the pairwise win test rules out.  (A path-consistent system of
-    difference constraints is decomposable: Dechter, Meiri and Pearl,
-    "Temporal constraint networks", 1991.)
+    generic, its cells are the walk's trees, and exactly T(n, d) distinct
+    faces must come out, or the route raises :class:`RuntimeError`.  Any
+    other input's cells come from the walk over cells,
+    :func:`~troparr.envelope._cell_walk`, started at the first cell that
+    is not a tree.
 
     The :class:`~troparr.core.Meter` of ``budget`` counts feasibility
-    steps, one per entry the search generates, the last hyperplane's
-    included, once each list is recorded.  All m = 2^d - 1 entries of
-    hyperplane 1 are feasible, each with a feasible entry for hyperplane
-    2 after it, so the search takes at least 2m steps (m if n = 1), and
-    the meter refuses it up front when that floor does not fit.  The
-    walk then refuses once its trees outnumber the steps left, each a
-    distinct 0-dimensional type the search would generate; a head walked
-    before with no meter, by :func:`is_generic`, is refused by the count
-    below or by the search, with the same message.  Both routes
-    spend the same steps: on hyperplane i the search generates one entry
-    per type of the first i hyperplanes, a generic arrangement too when
-    the whole is, so a generic input is charged the sum S of T(i, d)
-    over i = 1..n in one count, before any type is built.  Every verdict
-    and message of the budget is the search's.
+    steps, the steps of a search over prefixes of types: on hyperplane i
+    one step per i-prefix of the types, S in all.  All m = 2^d - 1
+    entries of hyperplane 1 are feasible, each with a feasible entry for
+    hyperplane 2 after it, so S >= 2m (m if n = 1), and the meter refuses
+    up front when that floor does not fit.  The pivot walk then refuses
+    once its trees outnumber the steps left, each a distinct
+    0-dimensional type; a head walked before with no meter, by
+    :func:`is_generic`, is refused by the count below, with the same
+    message.  A generic arrangement has T(i, d) types on its first i
+    hyperplanes, so it is charged S, the sum of T(i, d) over i = 1..n,
+    in one count before any type is built; any other is charged as its
+    faces come (:func:`_faces`).  Every refusal says that the limit plus
+    one steps exceed the limit, and each comes exactly when S exceeds
+    it, so every verdict and message is the search's.
     """
     stage, n, d = "type enumeration", arr.n, arr.d
     meter = Meter(budget)
     meter.count(stage, (2**d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
     walked = _walk_head(arr, meter, stage)
-    if walked[-1].bit_count() == n + d - 1:
-        counts = _type_counts(n, d)
-        meter.count(stage, sum(counts[1:]), "feasibility steps")
-        types = _tree_types(n, d, walked)
-        if len(types) != counts[n]:
-            raise RuntimeError(
-                f"{stage}: the {len(walked)} trees of a generic {n}x{d} triangulation give {len(types)} types, not T({n},{d}) = {counts[n]}"
-            )
-        return types
-    out: dict[TypeVector, int] = {}
-    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
-    stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
-    state: _Feasibility | None = _Feasibility(arr)
-    prefix: tuple[int, ...] = ()
-    while state is not None:
-        i = len(prefix) + 1
-        entries = state.entries(i)
-        if i < n:
-            stack.append((i, state, prefix, iter(entries)))
-        else:
-            root, roots = state.root, state.dimension() + 1
-            for mask in entries:
-                out[TypeVector._trusted(prefix + (mask,))] = roots - len({root[j] for j in _bits(mask)})
-        meter.count(stage, len(entries), "feasibility steps")
-        state = None
-        while stack and state is None:
-            i, parent, head, left = stack[-1]
-            entry = next(left, 0)
-            if not entry:
-                stack.pop()
-                continue
-            state, prefix = parent.copy(), head + (entry,)
-            if not state.add_hyperplane(i, entry):
-                labels = ",".join(map(str, _bits(entry)))
-                raise RuntimeError(f"{stage}: hyperplane {i} refuses entry {{{labels}}}, which its pairwise tests pass")
-    return out
+    if walked[-1].bit_count() != n + d - 1:
+        return _faces(n, d, _cell_walk(n, d, arr._integer_form[1], walked[-1]), meter, stage)
+    counts = _type_counts(n, d)
+    meter.count(stage, sum(counts[1:]), "feasibility steps")
+    types = _faces(n, d, walked)
+    if len(types) != counts[n]:
+        raise RuntimeError(
+            f"{stage}: the {len(walked)} trees of a generic {n}x{d} triangulation give {len(types)} types, not T({n},{d}) = {counts[n]}"
+        )
+    return types

@@ -7,7 +7,10 @@ replaced pairwise kernels for the axiom checks with the packed
 Warshall closure they share; a direct scan for the lower envelope and
 the pivot walk as it was, which pins the walk's order of cells; the
 dual subdivision as a validated subdivision of the enumeration's
-0-dimensional types; the feasibility DFS on Fraction coordinates; the
+0-dimensional types; the search over difference constraints that the
+library once ran on every non-generic input, with its step count, against
+the faces of the walked cells; the feasibility DFS on Fraction
+coordinates; the
 safe radius and flips by enumerating the types of every perturbation
 within it; the per-cell walks against the lower envelope of the moved
 apexes, with the cone test against the walks; the integer lift against
@@ -15,9 +18,9 @@ each matching pair's worst step; the replaced cell traversals, a flood
 fill for components, a dict-forest search for tied minors, a potential
 search for cones and a side scan for fundamental cycles, against the
 union-find forest and its root-path masks; the Fraction moves of the
-perturbations against the scaled int moves; every generated entry of
-the type enumeration imposed; the vertex walk, which reads the
-0-dimensional types off the type enumeration's walk, for the dual
+perturbations against the scaled int moves; every entry the search
+generates imposed; the vertex walk, which reads the 0-dimensional types
+off the search's prefixes, for the dual
 subdivision, with its closed-form last two hyperplanes against imposing
 every entry of the last three; the SVG picture as ``xml.etree.ElementTree``
 writes it, for the CLI's text writer) used to cross-check the main code paths, the set of all types as
@@ -65,9 +68,8 @@ from troparr import (
     regular_subdivision,
     type_of_point,
 )
-from troparr.core import _bits, _integer_rows
-from troparr.envelope import _cycle_masks, _forest, _pivot_walk, _sides, _tied_minor
-from troparr.geometry import _Feasibility
+from troparr.core import Meter, _bits, _integer_rows
+from troparr.envelope import _cell_walk, _cycle_masks, _forest, _full_walk, _pivot_walk, _sides, _tied_minor
 from troparr.duality import is_spanning_connected
 from troparr.linalg import rank
 from troparr.secondary import _cone, _in_cone, _moved, _scaled_rows
@@ -108,6 +110,26 @@ WALK_MUTANTS = {
 
 #: What the certificate raises on a tree that fails it.
 UNCERTIFIED = r"pivot walk: edge \(\d+,\d+\) (of|off) tree \[(\(\d+,\d+\),?)+\] has slack -?\d+"
+
+
+#: Mutants of ``envelope._cell_walk`` that its certificate must catch: a
+#: start potential one unit above the start cell's on every coordinate
+#: node a tree edge reaches from a hyperplane, which leaves that edge
+#: below 0; a neighbour raised by the second-least entering slack where
+#: two slacks or more enter, which leaves the least one below 0; and a
+#: neighbour reached by raising the low side instead, which leaves the
+#: edges of the cell from high rows to low labels below 0.
+CELL_START = "p[v] = p[parent[v]] + h if v >= n else p[parent[v]] - h"
+CELL_LEAST = "t = min(slack[k] for k in entering)"
+CELL_SIDE = "raised = high | q << n"
+CELL_WALK_MUTANTS = {
+    "start one above": (CELL_START, "p[v] = p[parent[v]] + h + 1 if v >= n else p[parent[v]] - h"),
+    "second-least neighbour": (CELL_LEAST, "t = sorted({slack[k] for k in entering})[:2][-1]"),
+    "neighbour on the wrong side": (CELL_SIDE, "raised = ~(high | q << n)"),
+}
+
+#: What the cell walk's certificate raises on a cell that fails it.
+UNCERTIFIED_CELL = r"cell walk: edge \(\d+,\d+\) (of|off) cell \[(\(\d+,\d+\),?)+\] has slack -?\d+"
 
 
 def pytest_addoption(parser):
@@ -907,6 +929,401 @@ class _FractionFeasibility:
         return ProjectivePoint(tuple(coords)).normalized()
 
 
+class _Feasibility:
+    """Incrementally built feasibility state for one arrangement.
+
+    Coordinates are counted in units of 1/scale, ``scale`` and ``rows``
+    the arrangement's integer form, so every bound is an int.
+    Labels 1..d tie into groups, kept in two flat arrays: ``root[v]`` is
+    the root of label v's group and ``offset[v]`` the fixed difference
+    x_v - x_root.  A merge relabels every label of one group in O(d), so
+    each lookup is two index reads.  ``lower[a * (d + 1) + b]`` is the
+    tightest known strict bound x_a - x_b > c between group roots
+    a != b, or None.  It is kept transitively closed: each entry is the
+    longest path over the bounds imposed so far, which depends on those
+    bounds alone and not on the order they came in.  So inconsistency
+    surfaces as soon as it exists and witnesses can be read off greedily.
+    """
+
+    __slots__ = ("d", "scale", "rows", "root", "offset", "lower")
+
+    def __init__(self, arr: Arrangement):
+        """The empty prefix of ``arr``."""
+        self.scale, self.rows = arr._integer_form
+        self.d = d = len(self.rows[0])
+        self.root = list(range(d + 1))
+        self.offset = [0] * (d + 1)
+        self.lower: list[int | None] = [None] * (d + 1) ** 2
+
+    def copy(self) -> "_Feasibility":
+        st = _Feasibility.__new__(_Feasibility)
+        st.d, st.scale, st.rows = self.d, self.scale, self.rows
+        st.root, st.offset = self.root[:], self.offset[:]
+        st.lower = self.lower[:]
+        return st
+
+    def add_hyperplane(self, i: int, mask: int) -> bool:
+        """Impose the entry with label mask ``mask`` for hyperplane i;
+        False iff infeasible.
+
+        The labels tie into one group, whose root then strictly beats
+        every other group by the hyperplane's apex differences.  Each
+        merge, and the new strict bounds together, are relaxed through
+        the closed bounds in O(roots^2) instead of a full re-closure: a
+        longest path uses a new bound at most once, since a second use
+        would close a cycle, and cycles are negative in a consistent
+        system.
+        """
+        row = self.rows[i - 1]
+        low = mask & -mask
+        base = low.bit_length() - 1
+        root, offset = self.root, self.offset
+        # every merge keeps the base's root, so its root and offset stay put
+        r, o = root[base], offset[base]
+        rest = mask ^ low
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
+            # the root difference x_rj - x_r that gives x_j - x_base = v_ij - v_ib
+            s = row[j - 1] - row[base - 1] - offset[j] + o
+            if root[j] == r:
+                if s != 0:
+                    return False
+            elif not self._merge(root[j], r, s):
+                return False
+        new: dict[int, int] = {}
+        for k in range(1, self.d + 1):
+            if mask >> k & 1:
+                continue
+            rk = root[k]
+            # x_base - x_k > v_ib - v_ik, the same bound for every member
+            c = row[base - 1] - row[k - 1] - o + offset[k]
+            if rk == r:
+                if c >= 0:
+                    return False
+                continue
+            old = new.get(rk)
+            if old is None or c > old:
+                new[rk] = c
+        return not new or self._relax(r, new)
+
+    def _merge(self, a: int, b: int, s: int) -> bool:
+        """Tie root a into root b's group at x_a - x_b = s; False iff
+        the closed bounds between a and b leave no room for s."""
+        lower, w = self.lower, self.d + 1
+        c = lower[a * w + b]
+        if c is not None and c >= s:
+            return False
+        c = lower[b * w + a]
+        if c is not None and c >= -s:
+            return False
+        ins, outs = [], []
+        for x in self.roots():
+            if x == a or x == b:
+                continue
+            c, via = lower[x * w + b], lower[x * w + a]
+            if via is not None and (c is None or via + s > c):
+                c = via + s
+            if c is not None:
+                ins.append((x, c))
+            c, via = lower[b * w + x], lower[a * w + x]
+            if via is not None and (c is None or via - s > c):
+                c = via - s
+            if c is not None:
+                outs.append((x, c))
+        for v in range(w):
+            lower[a * w + v] = lower[v * w + a] = None
+        for v in range(1, w):
+            if self.root[v] == a:
+                self.root[v] = b
+                self.offset[v] += s
+        self._join(b, ins, outs)
+        return True
+
+    def _relax(self, r: int, new: dict[int, int]) -> bool:
+        """Add the strict bounds x_r - x_z > new[z] between roots."""
+        lower, w = self.lower, self.d + 1
+        for z, c in new.items():
+            back = lower[z * w + r]
+            if back is not None and back + c >= 0:
+                return False
+        roots = self.roots()
+        outs = []
+        for y in roots:
+            if y == r:
+                continue
+            best = lower[r * w + y]
+            for z, c in new.items():
+                tail = 0 if z == y else lower[z * w + y]
+                if tail is not None and (best is None or c + tail > best):
+                    best = c + tail
+            if best is not None:
+                outs.append((y, best))
+        ins = [(x, lower[x * w + r]) for x in roots if x != r and lower[x * w + r] is not None]
+        self._join(r, ins, outs)
+        return True
+
+    def _join(self, r: int, ins: list[tuple[int, int]], outs: list[tuple[int, int]]) -> None:
+        """Store the closed bounds x_x - x_r > c into root r and
+        x_r - x_y > c out of it, and every bound through r."""
+        lower, w = self.lower, self.d + 1
+        for x, cx in ins:
+            lower[x * w + r] = cx
+            for y, cy in outs:
+                if y != x:
+                    c = cx + cy
+                    old = lower[x * w + y]
+                    if old is None or c > old:
+                        lower[x * w + y] = c
+        for y, cy in outs:
+            lower[r * w + y] = cy
+
+    def entries(self, i: int) -> list[int]:
+        """The entries for hyperplane i that pass every pairwise test, as
+        label masks.
+
+        With y_j = x_j - v_ij, an entry S is feasible only if, for each
+        j in S, every other label of S can still tie y_j (``tie[j]``) and
+        every label outside S can still lose to it; the labels that
+        cannot are ``force[j]``, which S must contain.  The tests read
+        the closed bounds between the labels' groups, which give the
+        exact range of each root difference.
+        """
+        d, w, lower, row = self.d, self.d + 1, self.lower, self.rows[i - 1]
+        anchor: list[tuple[int, int]] = [(0, 0)]
+        for j in range(1, d + 1):
+            anchor.append((self.root[j], self.offset[j] - row[j - 1]))  # y_j = x_r + o - v_ij
+        tie = [1 << j for j in range(w)]
+        force = [0] * w
+        for j in range(1, d + 1):
+            rj, aj = anchor[j]
+            for k in range(j + 1, d + 1):
+                rk, ak = anchor[k]
+                t = ak - aj  # y_j - y_k = x_rj - x_rk - t
+                if rj == rk:
+                    j_wins, k_wins, ties = t < 0, t > 0, t == 0
+                else:
+                    up, down = lower[rj * w + rk], lower[rk * w + rj]
+                    j_wins = down is None or down + t < 0
+                    k_wins = up is None or up < t
+                    ties = j_wins and k_wins
+                if ties:
+                    tie[j] |= 1 << k
+                    tie[k] |= 1 << j
+                if not j_wins:
+                    force[j] |= 1 << k
+                if not k_wins:
+                    force[k] |= 1 << j
+        return _cliques(tie, force, (1 << w) - 2)
+
+    def roots(self) -> list[int]:
+        return [v for v in range(1, self.d + 1) if self.root[v] == v]
+
+    def dimension(self) -> int:
+        return len(self.roots()) - 1
+
+    def witness(self) -> ProjectivePoint:
+        """A rational point satisfying every recorded constraint strictly.
+
+        Roots get 0, lo + 1, hi - 1 or (lo + hi) / 2 in the arrangement's
+        units, in sorted order.  The k-th value halves at most k times, so
+        counting in units of 1/(scale * 2^roots) keeps every value an int;
+        the last coordinate is subtracted before dividing, so each
+        coordinate is one Fraction and the point comes out normalized.
+        A closed, consistent system leaves each root an open interval, so
+        one that is shut is a fault of the kernel and raises
+        :class:`RuntimeError`.
+        """
+        stage = "realization witness"
+        lower, w = self.lower, self.d + 1
+        roots = self.roots()
+        m = 1 << len(roots)
+        one = self.scale * m
+        values: dict[int, int] = {}
+        for r in roots:
+            lo = hi = None
+            for a, val in values.items():
+                c = lower[r * w + a]
+                if c is not None and (lo is None or val + c * m > lo):
+                    lo = val + c * m
+                c = lower[a * w + r]
+                if c is not None and (hi is None or val - c * m < hi):
+                    hi = val - c * m
+            if lo is None and hi is None:
+                values[r] = 0
+            elif hi is None:
+                values[r] = lo + one
+            elif lo is None:
+                values[r] = hi - one
+            elif lo < hi:
+                values[r] = (lo + hi) // 2
+            else:
+                raise RuntimeError(f"{stage}: the closed bounds leave label {r}'s group no open interval")
+        shifted = [values[self.root[j]] + self.offset[j] * m for j in range(1, self.d + 1)]
+        last = shifted[-1]
+        return ProjectivePoint(tuple(Fraction(v - last, one) for v in shifted))
+
+
+def _cliques(tie: list[int], force: list[int], full: int) -> list[int]:
+    """Every nonempty label mask S inside ``full`` with S inside tie[j]
+    and force[j] inside S for each j in S.
+
+    Depth first over growing sets: each node is such a set, and each
+    child adds the smallest allowed label that no earlier sibling added,
+    then every label the members force, so each set is reached once and
+    costs at most d closures of O(d) bit operations.
+    """
+    out: list[int] = []
+
+    def grow(S: int, allowed: int, banned: int) -> None:
+        options = allowed & ~S & ~banned
+        while options:
+            e = options & -options
+            options ^= e
+            T, room, todo = S | e, allowed, e
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                j = bit.bit_length() - 1
+                room &= tie[j]
+                extra = force[j] & ~T
+                T |= extra
+                todo |= extra
+            if not T & ~room and not T & banned:
+                out.append(T)
+                grow(T, room, banned)
+            banned |= e
+
+    grow(0, full, 0)
+    return out
+
+
+def search_realizations(arr: Arrangement, budget: int | None = None) -> dict[TypeVector, int]:
+    """Every realizable type, mapped to its dimension, by the depth-first
+    search over difference constraints that the library ran on every
+    input that is not generic: the oracle the faces of the walked cells
+    are checked against, sharing no code with the walks or the faces.
+
+    A candidate type imposes, hyperplane by hyperplane, that the listed
+    coordinates tie (after subtracting the apex row) and strictly beat
+    the rest.  The ties merge coordinates into rigid groups carrying
+    exact offsets, kept in two flat arrays: each label's group root and
+    its offset to that root; the strict part becomes a system of strict
+    difference constraints between group representatives, kept closed
+    under max-plus composition (longest paths).  Each hyperplane is added
+    incrementally: a merge and the new strict bounds are relaxed through
+    the closed bounds in O(roots^2), with no all-pairs re-closure.  The
+    kernel runs on the arrangement's integer form, so every offset and
+    bound is an integer multiple of 1/D.
+
+    The search walks hyperplanes 1..n-1 depth first from the empty
+    prefix, on an explicit stack of one frame per hyperplane of the
+    current prefix, so its depth is not bounded by Python's recursion
+    limit.  On a feasible prefix only the entries passing the pairwise
+    tests of :meth:`_Feasibility.entries` are generated (every two
+    members can still tie, every member can still beat every
+    non-member, as cliques of a tie relation closed under the labels each
+    member forces in, :func:`_cliques`), and each is imposed by
+    :meth:`_Feasibility.add_hyperplane` on a copy of the prefix's state,
+    which the next hyperplane extends.  The argument below shows every
+    such entry feasible, so one that ``add_hyperplane`` refuses is a
+    fault of the kernel and raises :class:`RuntimeError`.
+
+    On each prefix of n - 1 entries every entry the pairwise tests pass
+    for hyperplane n is a type, and it is recorded without a copy or a
+    closure: merging its k groups removes k - 1 roots, and strict bounds
+    leave the dimension as it is.  That is exact because the pairwise
+    tests are.  The entry adds two kinds of bounds to the closed prefix
+    system.  Its groups tie at fixed differences, and each pair of them
+    ties inside the open interval its closed bounds leave; around any
+    cycle those differences sum to 0.  The merged group then strictly
+    beats every other group, and every new strict bound leaves it.  An
+    infeasible system has a simple cycle whose bounds sum to 0 or more,
+    with one strict bound at least.  Its runs of old bounds close to
+    single old bounds.  Old bounds alone are feasible, so it meets the
+    merged group, and being simple, once: it enters at one member and
+    leaves at another.  If it leaves by an old bound, it is a cycle
+    between two members' groups, which the pairwise tie test rules
+    out.  If it leaves by a new strict bound to a label k, it returns at
+    its first entry into the group, so it pits one member against k,
+    which the pairwise win test rules out.  (A path-consistent system of
+    difference constraints is decomposable: Dechter, Meiri and Pearl,
+    "Temporal constraint networks", 1991.)
+
+    The :class:`~troparr.core.Meter` of ``budget`` counts feasibility
+    steps, one per entry the search generates, the last hyperplane's
+    included, once each list is recorded, after the floor of 2m steps (m
+    if n = 1, m = 2^d - 1) is checked up front: :func:`search_steps` of
+    the types, in all.
+    """
+    stage, n, d = "type enumeration", arr.n, arr.d
+    meter = Meter(budget)
+    meter.count(stage, (2**d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
+    out: dict[TypeVector, int] = {}
+    # frames (hyperplane i, state after the prefix, prefix, i's entries left)
+    stack: list[tuple[int, _Feasibility, tuple[int, ...], Iterator[int]]] = []
+    state: _Feasibility | None = _Feasibility(arr)
+    prefix: tuple[int, ...] = ()
+    while state is not None:
+        i = len(prefix) + 1
+        entries = state.entries(i)
+        if i < n:
+            stack.append((i, state, prefix, iter(entries)))
+        else:
+            root, roots = state.root, state.dimension() + 1
+            for mask in entries:
+                out[TypeVector._trusted(prefix + (mask,))] = roots - len({root[j] for j in _bits(mask)})
+        meter.count(stage, len(entries), "feasibility steps")
+        state = None
+        while stack and state is None:
+            i, parent, head, left = stack[-1]
+            entry = next(left, 0)
+            if not entry:
+                stack.pop()
+                continue
+            state, prefix = parent.copy(), head + (entry,)
+            if not state.add_hyperplane(i, entry):
+                labels = ",".join(map(str, _bits(entry)))
+                raise RuntimeError(f"{stage}: hyperplane {i} refuses entry {{{labels}}}, which its pairwise tests pass")
+    return out
+
+
+def search_steps(types: Iterable[TypeVector]) -> int:
+    """The steps :func:`search_realizations` takes on the way to
+    ``types``, all of an arrangement's: on hyperplane i one per distinct
+    i-prefix of the types, as each feasible prefix of i - 1 entries
+    generates one entry per feasible i-prefix that extends it."""
+    masks = [T.masks for T in types]
+    return sum(len({m[:i] for m in masks}) for i in range(1, len(masks[0]) + 1))
+
+
+def assert_faces_match_the_search(arr: Arrangement) -> dict[TypeVector, int]:
+    """``enumerate_realizations`` equals :func:`search_realizations`, and
+    the walk over cells, started from each distinct cell of the pivot
+    walk over the full support, yields each of those cells once and no
+    other; returns the enumeration."""
+    dimensions = enumerate_realizations(arr)
+    assert dimensions == search_realizations(arr), arr.rows()
+    n, d, rows = arr.n, arr.d, arr._integer_form[1]
+    cells = set(_full_walk(n, d, rows))
+    for start in cells:
+        walked = list(_cell_walk(n, d, rows, start))
+        assert len(walked) == len(cells) and set(walked) == cells, (arr.rows(), start)
+    return dimensions
+
+
+def assert_realizable_matches(arr: Arrangement, T: TypeVector, expected: RealizationResult) -> None:
+    """``realizable`` agrees with the Fraction DFS's ``expected`` result on
+    realizability and dimension, its witness has type T, and on a vertex,
+    a single point, it is the DFS's witness."""
+    result = realizable(arr, T)
+    assert (result.realizable, result.dimension) == (expected.realizable, expected.dimension), (arr.rows(), T.text())
+    if result.realizable:
+        assert type_of_point(arr, result.witness) == T, (arr.rows(), T.text())
+        assert result.dimension or result.witness == expected.witness, (arr.rows(), T.text())
+
+
 def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]:
     """Every realizable type with witness and dimension, by the feasibility
     DFS on Fraction coordinates (no scaling, no budget)."""
@@ -928,7 +1345,7 @@ def realizations_oracle(arr: Arrangement) -> dict[TypeVector, RealizationResult]
 
 
 def assert_every_entry_is_feasible(arr: Arrangement) -> None:
-    """On every prefix state the enumeration reaches, ``add_hyperplane``
+    """On every prefix state the search reaches, ``add_hyperplane``
     accepts each entry (a label mask) that ``entries(i)`` yields, so the
     last hyperplane's entries are types without a closure."""
     stack = [(1, _Feasibility(arr))]
@@ -1093,9 +1510,9 @@ def vertex_walk(arr: Arrangement) -> list[tuple[int, ...]]:
     pairwise tests pass for hyperplane n-2 with hyperplanes n-1 and n,
     with no copy and no closure.  For n = 2 the staircase runs on the
     empty prefix; for n = 1 the one vertex is the apex, where every label
-    ties.  It shares the feasibility kernel with the enumeration and
-    nothing with the enumeration's loop, the pivot walk or the planar
-    read-off."""
+    ties.  It shares the feasibility kernel with the search and nothing
+    with the search's loop, the pivot walk, the walk over cells or the
+    planar read-off."""
     start, n, d = _Feasibility(arr), arr.n, arr.d
     if n <= 2:
         return [((1 << (d + 1)) - 2,)] if n == 1 else Staircases(start, 1).pairs()

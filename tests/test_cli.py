@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -25,7 +26,9 @@ from troparr import Arrangement, CellGraph, Subdivision
 from troparr.cli import _digest, main, parse_arrangement_json, parse_arrangement_text, render_svg
 
 from conftest import (
+    CELL_WALK_MUTANTS,
     UNCERTIFIED,
+    UNCERTIFIED_CELL,
     WALK_MUTANTS,
     _tied_step,
     mutant,
@@ -35,6 +38,8 @@ from conftest import (
     random_generic_arrangement,
     random_integer_arrangement,
     render_svg_oracle,
+    search_realizations,
+    search_steps,
     serialize_arrangement,
 )
 
@@ -505,39 +510,31 @@ def test_a_walk_that_loses_a_piece_exits_4(monkeypatch, capsys, e2_file):
     assert re.fullmatch(f"error: internal consistency violation: {UNCERTIFIED}\n", captured.err), captured.err
 
 
-def test_a_refused_entry_exits_4(monkeypatch, capsys, e2_file):
-    # every entry the pairwise tests pass is feasible, so an entry that
-    # add_hyperplane refuses is a fault of the kernel, never a type skipped
-    feasibility, imposed = troparr.geometry._Feasibility, []
-    add = feasibility.add_hyperplane
-
-    def refusing(state, i, mask):
-        imposed.append((i, mask))
-        return len(imposed) == 1 and add(state, i, mask)
-
-    monkeypatch.setattr(feasibility, "add_hyperplane", refusing)
+@pytest.mark.parametrize("name", sorted(CELL_WALK_MUTANTS))
+def test_a_cell_walk_that_fails_its_certificate_exits_4(monkeypatch, capsys, tied_minor_file, name):
+    # the tied-minor input is not generic, so check reads its types off
+    # the walk over cells, which stops at the first cell its certificate
+    # refuses, names it and its edge at fault, and prints nothing on stdout
+    walk = mutant(troparr.envelope._cell_walk, *CELL_WALK_MUTANTS[name])
+    monkeypatch.setattr(troparr.geometry, "_cell_walk", walk)
     for argv in (["check"], ["check", "--json"]):
-        imposed.clear()
-        assert main(argv + ["--input", e2_file]) == 4
+        assert main(argv + ["--format", "text", "--input", tied_minor_file]) == 4
         captured = capsys.readouterr()
-        assert captured.out == "" and imposed == [(1, 0b10), (1, 0b110)]
-        assert captured.err == (
-            "error: internal consistency violation: "
-            "type enumeration: hyperplane 1 refuses entry {1,2}, which its pairwise tests pass\n"
-        )
+        assert captured.out == ""
+        assert re.fullmatch(f"error: internal consistency violation: {UNCERTIFIED_CELL}\n", captured.err), captured.err
 
 
 def test_a_generic_route_short_of_a_type_exits_4(monkeypatch, capsys, e1_file):
     # a generic input's types are the faces of its trees that meet every
-    # row, T(n, d) of them; a route that drops one fails that count
-    tree_types = troparr.geometry._tree_types
+    # row, T(n, d) of them; faces short of one fail that count
+    faces = troparr.geometry._faces
 
-    def dropping(n, d, trees):
-        types = tree_types(n, d, trees)
+    def dropping(n, d, cells, *args):
+        types = faces(n, d, cells, *args)
         del types[min(types, key=lambda T: T.key())]
         return types
 
-    monkeypatch.setattr(troparr.geometry, "_tree_types", dropping)
+    monkeypatch.setattr(troparr.geometry, "_faces", dropping)
     for argv in (["check"], ["check", "--json"]):
         assert main(argv + ["--format", "text", "--input", e1_file]) == 4
         captured = capsys.readouterr()
@@ -618,10 +615,11 @@ def test_cli_pipelines_never_build_a_witness(monkeypatch, capsys, e1_file, e2_fi
     runs = [argv + source for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]) for source in inputs]
     expected = [run(capsys, argv) for argv in runs]
 
-    def refuse(state):
+    def refuse(coords):
         raise AssertionError("a witness was built")
 
-    monkeypatch.setattr(troparr.geometry._Feasibility, "witness", refuse)
+    # the one point geometry builds is realizable's witness
+    monkeypatch.setattr(troparr.geometry, "ProjectivePoint", refuse)
     for argv, (code, out) in zip(runs, expected):
         assert code == 0, argv
         assert run(capsys, argv) == (0, out), argv
@@ -790,8 +788,8 @@ def test_the_seed_takes_ascii_digits_only(capsys, e2_file):
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     # check on 2 x 30 takes 2(2^30-1) feasibility steps at least, and
     # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
-    # refused before any candidate entry is generated or any tree walked
-    monkeypatch.setattr(troparr.geometry, "_cliques", None)
+    # refused before any face is built or any tree walked
+    monkeypatch.setattr(troparr.geometry, "_faces", None)
     monkeypatch.setattr(troparr.envelope, "_pivot_walk", None)
     monkeypatch.setattr(troparr.envelope, "_planar_cells", None)
     rows = [" ".join(str(j % k) for j in range(30)) for k in (3, 5, 7)]
@@ -816,6 +814,68 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
         code, out = run(capsys, ["subdivision", "--format", "text", "--input", str(path)])
         assert code == 0
         assert sum(int(v) for v in re.findall(r" vol (\d+)$", out, re.M)) == math.comb(28 + n, n - 1)
+
+
+class _Unwritable:
+    """A stdout on which ``method``, write or flush, raises ``error``."""
+
+    def __init__(self, method, error):
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize(
+    "method, error",
+    [("write", BrokenPipeError(errno.EPIPE, "Broken pipe")), ("flush", OSError(errno.ENOSPC, "No space left on device"))],
+)
+def test_a_report_that_cannot_be_written_exits_7(monkeypatch, capsys, e2_file, method, error):
+    # a closed pipe fails the first write, a full device the flush: either
+    # way one line on stderr names the failure, and the exit code is 7
+    for argv in (["check"], ["check", "--json"], ["subdivision", "--flips"]):
+        monkeypatch.setattr(sys, "stdout", _Unwritable(method, error))
+        assert main(argv + ["--input", e2_file]) == 7
+        assert capsys.readouterr().err == f"error: cannot write the report: {error}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="this system has no /dev/full")
+def test_a_report_to_a_full_device_exits_7_without_a_traceback(e2_file):
+    # the report fails at the flush, and the interpreter's own flush at
+    # exit finds the null device under stdout, so stderr holds one line
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); from troparr.cli import main; sys.exit(main())"
+    with open("/dev/full", "w") as full:
+        for argv in (["check"], ["subdivision", "--json"]):
+            run = subprocess.run(
+                [sys.executable, "-I", "-S", "-c", code] + argv + ["--input", e2_file],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+            assert run.returncode == 7, run.stderr
+            assert run.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
+
+
+def test_every_budget_from_the_floor_to_the_steps_exits_as_the_search_does(capsys, tied_minor_file):
+    # the tied-minor input is not generic: below the search's S steps
+    # check exits 5 with the search's message for that budget, and at S
+    # it reports
+    arr = Arrangement.from_rows([row.split() for row in TIED_MINOR.splitlines()[1:]])
+    steps = search_steps(search_realizations(arr))
+    expected = run(capsys, ["check", "--format", "text", "--input", tied_minor_file])
+    assert expected[0] == 0
+    for budget in range(2 * (2 ** 3 - 1) - 1, steps):
+        assert main(["check", "--format", "text", "--budget", str(budget), "--input", tied_minor_file]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: type enumeration: {budget + 1} feasibility steps exceed budget {budget}\n"
+    argv = ["check", "--format", "text", "--budget", str(steps), "--input", tied_minor_file]
+    assert run(capsys, argv)[1] == expected[1].replace("command: check --format text", f"command: check --format text --budget {steps}")
 
 
 def test_check_on_six_labels(tmp_path, capsys):

@@ -35,6 +35,7 @@ from troparr.duality import is_spanning_connected
 from troparr.envelope import _certified_cells, _cycle_masks, _forest, _planar_cells, _tied_minor
 
 from conftest import (
+    _Feasibility,
     UNCERTIFIED,
     WALK_MUTANTS,
     arrangement_cell_dim,
@@ -465,7 +466,7 @@ def test_vertex_walk_imposes_nothing_past_hyperplane_n_minus_3(monkeypatch, e2):
     # the vertex-walk oracle makes one copy and one add_hyperplane per
     # entry generated on hyperplanes 1..n-3; hyperplane n-2's entries are
     # settled with the last two hyperplanes without either
-    feasibility = troparr.geometry._Feasibility
+    feasibility = _Feasibility
     calls = {"copy": 0, "add_hyperplane": 0}
     generated = []
 

@@ -24,9 +24,12 @@ from troparr import (
 )
 
 from conftest import (
+    _Feasibility,
     _FractionTieGroups,
     apex_type,
     assert_every_entry_is_feasible,
+    assert_faces_match_the_search,
+    assert_realizable_matches,
     enumerate_types,
     minor_ties,
     move_apex,
@@ -41,6 +44,8 @@ from conftest import (
     refine,
     safe_radius,
     sampled_types,
+    search_realizations,
+    search_steps,
     subdivision_of,
     type_counts,
     type_total_size,
@@ -209,20 +214,32 @@ def test_enumerate_types_budget():
         enumerate_types(arr, budget=-1)
 
 
-def _counted_steps(monkeypatch) -> list[int]:
-    # every entry the walk generates, a label mask, is one step of the
-    # budget, the last hyperplane's included, though only the earlier
-    # ones are imposed
-    steps = []
-    entries = geometry._Feasibility.entries
+def _recorded(monkeypatch, module, name) -> list:
+    # the arguments of every call of module.name, recorded when it is
+    # called, before it does any work
+    calls = []
+    function = getattr(module, name)
 
-    def counted(state, i):
-        generated = entries(state, i)
-        steps.extend(generated)
-        return generated
+    def recorded(*args):
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(geometry._Feasibility, "entries", counted)
-    return steps
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _yielded(monkeypatch, module, name) -> list:
+    # every cell the walk module.name yields, recorded as it is yielded
+    cells = []
+    walk = getattr(module, name)
+
+    def recorded(*args):
+        for cell in walk(*args):
+            cells.append(cell)
+            yield cell
+
+    monkeypatch.setattr(module, name, recorded)
+    return cells
 
 
 def _started_walks(monkeypatch) -> list[tuple[int, int]]:
@@ -239,25 +256,54 @@ def _started_walks(monkeypatch) -> list[tuple[int, int]]:
     return started
 
 
-def test_budget_counts_the_feasibility_steps_taken(monkeypatch):
-    # the budget is the number of entries the search takes, not the
+def test_budget_counts_the_feasibility_steps_taken():
+    # the budget is the number of steps the search over prefixes takes,
+    # the sum S over i of the distinct i-prefixes of the types, not the
     # (2^d-1)^n = 759375 candidate types of a (5,4) input: a generic draw
-    # is read off its trees and charged the steps the search would take,
-    # the sum S of T(i, 4) over i = 1..5, and a non-generic draw of the
-    # same shape is searched, each generated entry a step
+    # is charged S, the sum of T(i, 4) over i = 1..5, in one count, and a
+    # non-generic draw of the same shape as the faces of its walked cells
+    # come; each is refused one step short with the search's message
     rng = random.Random(54)
     generic, nongeneric = random_arrangement(rng, 5, 4), nongeneric_on_apex(rng, 5, 4)[0]
     assert is_generic(generic) and not is_generic(nongeneric)
-    calls = _counted_steps(monkeypatch)
-    for arr, generated in ((generic, False), (nongeneric, True)):
-        calls.clear()
+    for arr in (generic, nongeneric):
         types = enumerate_types(arr, budget=10**9)
-        steps = len(calls) if generated else sum(type_counts(5, 4)[1:])
-        assert generated == bool(calls)
+        steps = search_steps(types)
+        assert types == set(search_realizations(arr))
+        assert (steps == sum(type_counts(5, 4)[1:])) == bool(is_generic(arr))
         assert steps < 20_000 < (2 ** 4 - 1) ** 5
         assert enumerate_types(arr, budget=steps) == types
-        with pytest.raises(ResourceLimitError, match=f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"):
+        message = f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"
+        with pytest.raises(ResourceLimitError, match=message):
             enumerate_types(arr, budget=steps - 1)
+        with pytest.raises(ResourceLimitError, match=message):
+            search_realizations(arr, budget=steps - 1)
+
+
+def test_every_budget_from_the_floor_to_the_steps_gets_the_search_verdict():
+    # from one below the floor of 2(2^d - 1) steps to S, the enumeration
+    # refuses exactly where the search does, with the same message, and
+    # at S both return the same types
+    rng = random.Random(5454)
+    sample = [
+        Arrangement.from_rows([[0, 0, 0], [1, 1, 0]]),
+        random_arrangement(rng, 3, 3),
+        random_integer_arrangement(rng, 3, 3),
+        random_integer_arrangement(rng, 2, 4),
+        nongeneric_on_apex(rng, 3, 3)[0],
+        nongeneric_on_ray(rng, 3, 4)[0],
+        Arrangement.from_rows([[0] * 4] * 3),
+    ]
+    for arr in sample:
+        types = search_realizations(arr)
+        steps, floor = search_steps(types), 2 * (2 ** arr.d - 1)
+        for budget in range(floor - 1, steps):
+            message = f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"
+            with pytest.raises(ResourceLimitError, match=message):
+                enumerate_realizations(arr, budget)
+            with pytest.raises(ResourceLimitError, match=message):
+                search_realizations(arr, budget)
+        assert enumerate_realizations(arr, steps) == types, arr.rows()
 
 
 def test_every_generated_entry_is_feasible():
@@ -275,26 +321,28 @@ def test_every_generated_entry_is_feasible():
             assert_every_entry_is_feasible(arr)
 
 
-def test_identical_rows_take_one_step_per_entry(monkeypatch):
+def test_identical_rows_take_one_step_per_entry():
     # the second of two equal hyperplanes can only repeat the first
-    # entry, so 4095 types take 2 * 4095 steps; a scan of every entry
-    # per prefix would test 4095^2 of them
-    steps = _counted_steps(monkeypatch)
-    types = enumerate_types(Arrangement.from_rows([[0] * 12] * 2))
+    # entry, so 4095 types take 2 * 4095 steps, which the budget charges;
+    # a scan of every entry per prefix would test 4095^2 of them
+    arr = Arrangement.from_rows([[0] * 12] * 2)
+    types = enumerate_types(arr)
     assert len(types) == 4095
     assert all(A == B for A, B in (t.entries for t in types))
-    assert len(steps) == 2 * 4095
+    assert search_steps(types) == 2 * 4095
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 8190 feasibility steps exceed budget 8189$"):
+        enumerate_types(arr, budget=8189)
 
 
 def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):
     # every one of the m = 2^d - 1 first entries is feasible and each has
     # a feasible second entry, so the search takes at least 2m steps (m if
     # n = 1); below that the refusal comes before any step, with the
-    # search's message, and before the walk over the envelope starts.  A
-    # generic draw is charged S, the sum of T(i, d), in place of the
-    # search; a non-generic draw of the same shape (every n = 1 input is
-    # generic) is searched and its steps counted
-    calls = _counted_steps(monkeypatch)
+    # search's message, and before the walk over the envelope starts or
+    # any face is built.  A generic draw is charged S, the sum of T(i, d),
+    # in one count; a non-generic draw of the same shape (every n = 1
+    # input is generic) is charged as the faces of its walked cells come
+    calls = _recorded(monkeypatch, geometry, "_faces")
     walks = _started_walks(monkeypatch)
     rng = random.Random(2026)
     for n, d in [(1, 2), (1, 4), (2, 3), (3, 3), (2, 4), (4, 3)]:
@@ -309,16 +357,15 @@ def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypat
                 with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
                     enumerate_types(arr, budget=budget)
             assert calls == [] and walks == []
-            enumerate_types(arr, budget=10**9)
-            steps = len(calls) if calls else sum(type_counts(n, d)[1:])
-            assert bool(calls) != bool(is_generic(arr))
+            steps = search_steps(enumerate_types(arr, budget=10**9))
+            assert calls
+            assert (steps == sum(type_counts(n, d)[1:])) == bool(is_generic(arr))
             assert steps >= floor
             if n == 1:
                 assert steps == floor
                 assert enumerate_types(arr, budget=floor)
-    # a large d is refused before any candidate entry is generated, and
-    # before any walk
-    monkeypatch.setattr(geometry, "_cliques", None)
+    # a large d is refused before any face is built, and before any walk
+    monkeypatch.setattr(geometry, "_faces", None)
     walks.clear()
     for n, d in [(1, 40), (2, 40), (2, 17)]:
         with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
@@ -340,9 +387,10 @@ def test_generic_types_from_the_trees_match_the_fraction_oracle():
 
 
 def test_a_generic_input_never_reaches_the_search(monkeypatch):
-    # the pairwise tests of the search are never read on a generic input,
-    # and its walk over the envelope is the one is_generic reads
-    calls = _counted_steps(monkeypatch)
+    # a generic input's types are the faces of its trees: the walk over
+    # cells, with the cuts of the faces of the cells that are not trees,
+    # is never started, and its pivot walk is the one is_generic reads
+    calls = _recorded(monkeypatch, geometry, "_cell_walk")
     walks = _started_walks(monkeypatch)
     rng = random.Random(4748)
     draws = [random_generic_arrangement(rng, n, d) for n, d in [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4)]]
@@ -358,8 +406,8 @@ def test_a_generic_input_never_reaches_the_search(monkeypatch):
 def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypatch):
     # each tree is a distinct vertex, a step of the search: under a budget
     # below the C(n+d-2, n-1) trees, past the floor, the walk stops at
-    # tree limit + 1 with the search's message, and no step is taken
-    calls = _counted_steps(monkeypatch)
+    # tree limit + 1 with the search's message, and no cell is walked
+    calls = _recorded(monkeypatch, geometry, "_cell_walk")
     yielded = []
     walk = troparr.envelope._pivot_walk
 
@@ -387,10 +435,23 @@ def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypat
     assert calls == []
 
 
+def test_a_degenerate_input_walks_cells_not_trees(monkeypatch):
+    # all-zero 9 x 9 has one cell, the whole product, of C(16, 8) = 12,870
+    # trees: the pivot walk stops at its first tree, whose cell is not a
+    # tree, and the walk over cells yields that one cell, whose 511 faces
+    # that meet every row are the types
+    trees, cells = _yielded(monkeypatch, troparr.envelope, "_pivot_walk"), _yielded(monkeypatch, geometry, "_cell_walk")
+    arr = Arrangement.from_rows([[0] * 9] * 9)
+    dimensions = enumerate_realizations(arr)
+    assert len(dimensions) == 511 and not is_generic(arr)
+    assert trees == cells == [(1 << 81) - 1]
+    assert sorted(dimensions.values()) == sorted(9 - len(T.entries[0]) for T in dimensions)
+
+
 def test_a_shut_witness_interval_raises_naming_its_stage():
     # a closed, consistent system leaves every root an open interval;
     # bounds x_2 - x_1 > 0 and x_1 - x_2 > 0 together shut label 2's
-    state = geometry._Feasibility(Arrangement.from_rows([[0, 0, 0]]))
+    state = _Feasibility(Arrangement.from_rows([[0, 0, 0]]))
     w = state.d + 1
     state.lower[2 * w + 1] = state.lower[1 * w + 2] = 0
     with pytest.raises(RuntimeError, match="^realization witness: the closed bounds leave label 2's group no open interval$"):
@@ -409,18 +470,21 @@ def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
 
 def _assert_matches_oracle(arr, rng):
     expected = realizations_oracle(arr)
-    assert enumerate_realizations(arr) == {T_: r.dimension for T_, r in expected.items()}
+    assert assert_faces_match_the_search(arr) == {T_: r.dimension for T_, r in expected.items()}
     for T_, result in expected.items():
-        assert realizable(arr, T_) == result
+        assert_realizable_matches(arr, T_, result)
     labels = range(1, arr.d + 1)
     for _ in range(20):
         T_ = TypeVector(tuple(frozenset(rng.sample(labels, rng.randint(1, arr.d))) for _ in range(arr.n)))
-        assert realizable(arr, T_) == expected.get(T_, RealizationResult(False))
+        assert_realizable_matches(arr, T_, expected.get(T_, RealizationResult(False)))
 
 
 def test_integer_kernel_matches_fraction_oracle():
-    # types, witnesses and dimensions of the scaled int kernel equal the
-    # Fraction DFS on every slice kind, degenerate ones included
+    # the types and dimensions of the walked cells' faces equal the
+    # search's and the Fraction DFS's on every slice kind, degenerate ones
+    # included, each cell walk finds the pivot walk's cells, and
+    # realizable agrees with the Fraction DFS, with a witness of the type
+    # and, on a vertex, the DFS's own
     rng = random.Random(5150)
     shapes = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
     for n, d in shapes:
@@ -459,7 +523,7 @@ def test_tie_groups_match_the_fraction_union_find():
         vertices = sorted(T_.key() for T_, dim in enumerate_realizations(arr).items() if dim == 0)
         cases += [(arr, key) for key in vertices[:8]]
     for arr, chain in cases:
-        state, groups = geometry._Feasibility(arr), _FractionTieGroups(arr.d)
+        state, groups = _Feasibility(arr), _FractionTieGroups(arr.d)
         for i, entry in enumerate(chain, 1):
             assert state.add_hyperplane(i, sum(1 << j for j in entry))
             base, *rest = sorted(entry)
@@ -490,7 +554,7 @@ def test_integer_kernel_with_large_coprime_denominators():
     for n, d in [(2, 3), (3, 3), (4, 3), (3, 4)]:
         rows = [[entry() for _ in range(d - 1)] + [0] for _ in range(n)]
         arr = Arrangement.from_rows(rows)
-        assert geometry._Feasibility(arr).scale == prod(x.denominator for row in rows for x in row)
+        assert _Feasibility(arr).scale == prod(x.denominator for row in rows for x in row)
         _assert_matches_oracle(arr, rng)
         # (2, 3) is walked; the others are read off the plane
         assert min(n, d) == 2 or troparr.envelope._planar_cells(arr) is not None, rows

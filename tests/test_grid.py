@@ -10,8 +10,10 @@ the pivot walk's order of cells against the walk it replaced, on every
 (3,3) and (2,4) input and on each of their cells that is not a tree,
 and the order of each of those inputs' sorted cells against their
 sorted edges.
-``--grid`` adds the larger ones: (3,3) and (2,4) against the Fraction
-oracle, with every entry the enumeration generates imposed on its prefix
+``--grid`` adds the larger ones: (3,3) and (2,4) against the search
+over prefixes and the Fraction oracle, with the walk over cells from
+each cell against the pivot walk's cells, ``realizable`` against the
+Fraction oracle, every entry the search generates imposed on its prefix
 and the dual subdivision and the vertex-walk oracle against the
 0-dimensional types, each of the oracle's closed-form
 staircase over the last two hyperplanes against imposing every entry of
@@ -60,7 +62,6 @@ from troparr import (
     enumerate_realizations,
     is_generic,
     is_triangulation,
-    realizable,
     refining_triangulations,
     regular_subdivision,
     secondary_face_check,
@@ -75,6 +76,8 @@ from conftest import (
     assert_the_lift_outlasts_the_worst_step,
     assert_check_cells_match_the_oracle,
     assert_every_entry_is_feasible,
+    assert_faces_match_the_search,
+    assert_realizable_matches,
     dual_subdivision_both_ways,
     enumerate_types,
     face_check_passes,
@@ -119,16 +122,18 @@ def generic_grid(n: int, d: int):
     [(2, 3), pytest.param(3, 3, marks=pytest.mark.large_grid), pytest.param(2, 4, marks=pytest.mark.large_grid)],
 )
 def test_realizations_match_oracle_on_grid(n, d):
-    # the dual subdivision and the vertex walk give exactly the
-    # 0-dimensional types of the full enumeration, and each staircase the
+    # the faces of the walked cells equal the search's types and the
+    # Fraction DFS's, each walk over cells finds the pivot walk's cells,
+    # realizable agrees with the DFS, the dual subdivision and the vertex
+    # walk give exactly the 0-dimensional types, and each staircase the
     # pairs found by imposing every entry of hyperplanes n-2 (at n = 3),
     # n-1 and n
     for arr in grid(n, d):
         expected = realizations_oracle(arr)
-        dimensions = enumerate_realizations(arr)
+        dimensions = assert_faces_match_the_search(arr)
         assert dimensions == {T: r.dimension for T, r in expected.items()}, arr.rows()
         for T, result in expected.items():
-            assert realizable(arr, T) == result
+            assert_realizable_matches(arr, T, result)
         assert_every_entry_is_feasible(arr)
         assert dual_subdivision_both_ways(arr) == subdivision_of(arr, dimensions), arr.rows()
         assert_staircases_match_the_imposed_path(arr)

@@ -11,9 +11,11 @@ sets through the attribute ``entries``, its pivot walk holds each
 tree as an edge mask and keys each side by an edge's bit, with no
 frozenset of node pairs, and its budget policy lives in ``core``'s
 meter alone: no other module names ``DEFAULT_BUDGET``, bar the package's
-re-export, or words a budget refusal, and its type enumeration is one
-loop: ``enumerate_realizations`` alone calls a method named ``entries``,
-and no ``geometry`` function takes a callable parameter, and the axiom
+re-export, or words a budget refusal, and its types come from one
+computation: no module defines the feasibility search's ``_Feasibility``,
+``_cliques`` or ``_tree_types``, ``geometry._faces`` alone builds a
+collection of types, called by ``enumerate_realizations`` alone, and no
+``geometry`` function takes a callable parameter, and the axiom
 checks decide whether a collection fits (n, d) in one place: only
 ``axioms._Table`` raises the refusals of mixed lengths, of a length other
 than n and of a label beyond d, and every internal fault, a
@@ -133,7 +135,7 @@ def test_edges_are_read_only_in_core():
 
 def test_type_entries_are_read_only_in_core():
     # one label encoding: every module but core reads a type's masks; a
-    # call of a method named entries, as _Feasibility.entries(i), is no read
+    # call of a method named entries is no read
     for path, tree in _parsed():
         if path.stem == "core":
             continue
@@ -168,16 +170,32 @@ def test_the_budget_policy_lives_in_core():
             assert _name(node) != "DEFAULT_BUDGET", f"{path.name}:{node.lineno} names DEFAULT_BUDGET"
 
 
+#: The search over prefixes, which the tests keep as their oracle, and
+#: the tree route it ran beside.
+SEARCH = {"_Feasibility", "_cliques", "_tree_types"}
+
+
 def test_the_type_enumeration_is_one_loop():
-    # one search over feasibility prefixes, with no callback helper: the
-    # pairwise tests are read by enumerate_realizations alone, and no
-    # geometry function calls what it is handed
-    callers = set()
+    # one computation of the types, with no callback helper: no module
+    # defines the search, types are built one at a time (a point's type,
+    # a copy with one entry replaced) everywhere but in geometry._faces,
+    # which enumerate_realizations alone calls, and no geometry function
+    # calls what it is handed
+    builders, callers = set(), set()
     for path, tree in _parsed():
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "entries":
-                    callers.add((path.stem, getattr(top, "name", None)))
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert node.name not in SEARCH, f"{path.name}:{node.lineno} defines {node.name}"
+                if not isinstance(node, ast.Call):
+                    continue
+                func = ast.unparse(node.func)
+                where = (path.stem, getattr(top, "name", None))
+                if func == "TypeVector._trusted":
+                    builders.add(where)
+                elif func == "_faces":
+                    callers.add(where)
+    assert builders == {("core", "TypeVector"), ("geometry", "type_of_point"), ("geometry", "_faces")}
     assert callers == {("geometry", "enumerate_realizations")}
     (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "geometry"]
     for function in ast.walk(tree):
@@ -222,9 +240,8 @@ def _opening(message: ast.expr) -> str:
 
 
 #: The stages an internal fault may name first, besides the type
-#: enumeration's and the realization witness's, which their messages read
-#: from the variable ``stage``.
-STAGES = ("pivot walk", "surrounding", "flips step ")
+#: enumeration's, which its message reads from the variable ``stage``.
+STAGES = ("pivot walk", "cell walk", "surrounding", "flips step ")
 
 
 def test_every_internal_fault_opens_with_its_stage():
