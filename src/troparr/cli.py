@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def budget(sp, text="cap on the type enumeration's feasibility steps"):
+    def budget(sp, text="cap on the types the type enumeration builds"):
         sp.add_argument("--budget", type=_budget, default=None, help=text)
 
     sp = sub.add_parser("type-of", help="type of a point")

@@ -35,12 +35,12 @@ class Meter:
 
     A public function makes one meter from its ``budget``, None meaning
     ``DEFAULT_BUDGET``, and passes it down, so every walk of one run draws
-    on it.  The type enumeration counts its feasibility steps, one per
-    new prefix of the types it finds, as it goes; a pivot walk
-    over the full n x d support is charged its C(n+d-2, n-1) trees before
-    it starts.  Past the limit a :class:`ResourceLimitError` names the
-    stage and, for work charged whole, the running total, or for work
-    counted as it goes, the first unit past the limit.
+    on it.  The type enumeration counts the types it builds as it goes;
+    a pivot walk over the full n x d support is charged its
+    C(n+d-2, n-1) trees before it starts.  Past the limit a
+    :class:`ResourceLimitError` names the stage and, for work charged
+    whole, the running total, or for work counted as it goes, the first
+    unit past the limit.
     """
 
     __slots__ = ("limit", "spent")

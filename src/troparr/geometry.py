@@ -32,7 +32,7 @@ and every subset of a simplex's vertices spans a face of it, so its
 types are the products over rows of a nonempty subset of each row's
 tree edges, each of dimension n + d - 1 less its edges.  A generic
 arrangement has T(n, d) types, T(0, d) = T(k, 1) = 1 and T(k, d) =
-T(k - 1, d) + 2 T(k, d - 1) (:func:`_type_counts`), and the route finds
+T(k - 1, d) + 2 T(k, d - 1) (:func:`_type_count`), and the route finds
 exactly that many distinct faces or raises :class:`RuntimeError`: the
 count is the certificate, since the tree verdict :func:`is_generic`
 gives is read off the same walk.  On any other arrangement the cells
@@ -56,8 +56,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .core import Arrangement, Meter, ProjectivePoint, TypeVector, _as_point
+from .core import Arrangement, Meter, ProjectivePoint, ResourceLimitError, TypeVector, _as_point
 from .envelope import TiedMinor, _cell_walk, _full_walk, _tied_minor
+
+#: Cap on the work of closing the cells' faces under cuts, in entries
+#: built: each face cut tries 2^|U| - 2 label masks, an n-entry type each.
+MAX_CUT_WORK = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,9 @@ def _walk_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") ->
     and kept on ``arr``, outside its fields, so one run walks the
     envelope once for its types and its genericity.
 
-    Under a ``meter`` the walk stops, refused in ``stage``'s feasibility
-    steps, once its trees outnumber the steps left.  Each tree is a cell,
-    and so a distinct 0-dimensional type, one step of
-    :func:`enumerate_realizations`: a refused walk is an enumeration the
+    Under a ``meter`` the walk stops, refused in ``stage``'s types, once
+    its trees outnumber the types left.  Each tree is a cell, and so a
+    distinct 0-dimensional type: a refused walk is an enumeration the
     budget refuses, with the same message, and keeps no head."""
     if "_walk_head" not in vars(arr):
         n, d = arr.n, arr.d
@@ -153,20 +156,20 @@ def _walk_head(arr: Arrangement, meter: Meter | None = None, stage: str = "") ->
             if cell.bit_count() != n + d - 1:
                 break
             if meter is not None:
-                meter.count(stage, len(head), "feasibility steps", ahead=True)
+                meter.count(stage, len(head), "types", ahead=True)
         object.__setattr__(arr, "_walk_head", tuple(head))
     return arr._walk_head
 
 
-def _type_counts(n: int, d: int) -> list[int]:
-    """T(0, d), ..., T(n, d): T(k, d) types has every generic arrangement
-    of k hyperplanes with d coordinates, T(0, d) = T(k, 1) = 1 and
-    T(k, d) = T(k - 1, d) + 2 T(k, d - 1), one d at a time."""
+def _type_count(n: int, d: int) -> int:
+    """T(n, d), the types of every generic arrangement of n hyperplanes
+    with d coordinates: T(0, d) = T(k, 1) = 1 and T(k, d) = T(k - 1, d)
+    + 2 T(k, d - 1), one d at a time."""
     counts = [1] * (n + 1)
     for _ in range(d - 1):
         for k in range(1, n + 1):
             counts[k] = counts[k - 1] + 2 * counts[k]
-    return counts
+    return counts[n]
 
 
 def _groups(face: tuple[int, ...], d: int) -> int:
@@ -181,9 +184,7 @@ def _groups(face: tuple[int, ...], d: int) -> int:
     return len(groups) + d - sum(groups).bit_count()
 
 
-def _faces(
-    n: int, d: int, cells: Iterable[int], meter: Meter | None = None, stage: str = ""
-) -> dict[TypeVector, int]:
+def _faces(n: int, d: int, cells: Iterable[int], meter: Meter, stage: str) -> dict[TypeVector, int]:
     """The faces of the n x d maximal ``cells``, edge masks, that meet
     every row, as types mapped to their dimensions, the label groups less
     one; row i's label mask is the cell's row of d bits shifted up by one
@@ -205,28 +206,16 @@ def _faces(
     every face; a face first met as a tree's is not cut again, as its
     faces are that tree's.
 
-    Under a ``meter`` each newly seen prefix of a new face is a step,
-    charged once per cell and once per cut face: on hyperplane i the
-    search over prefixes generates one entry per i-prefix of the types,
-    so the steps sum to the search's S and each verdict of the budget is
-    the search's, with its message."""
-    full, top = (1 << d) - 1, n + d - 1
+    The ``meter`` counts each new face as one type of ``stage``, once per
+    cell and once per cut face, so it refuses exactly when the faces
+    outnumber its budget.  The cuts are not types: a face cut tries
+    2^|U| - 2 masks however few new faces they find, about 3^d tries for
+    the 2^d - 1 faces of d tied labels, and each try builds an n-entry
+    type.  So the run is refused before a face whose tries, times n,
+    would take it past ``MAX_CUT_WORK`` entries."""
+    full, top, tries = (1 << d) - 1, n + d - 1, 0
     faces: dict[tuple[int, ...], int] = {}
-    prefixes: dict = {}  # a trie: each prefix's entries, one dict per entry
     uncut: list[tuple[int, ...]] = []
-
-    def steps(new: list[tuple[int, ...]]) -> int:
-        count = len(new)
-        for face in new:
-            node = prefixes
-            for mask in face[:-1]:
-                child = node.get(mask)
-                if child is None:
-                    child = node[mask] = {}
-                    count += 1
-                node = child
-        return count
-
     for cell in cells:
         entries = tuple((cell >> i * d & full) << 1 for i in range(n))
         if cell.bit_count() == top:
@@ -245,14 +234,19 @@ def _faces(
             for face in new:
                 faces[face] = _groups(face, d) - 1
             uncut += new
-        if meter is not None:
-            meter.count(stage, steps(new), "feasibility steps")
+        meter.count(stage, len(new), "types")
         while uncut:
             face = uncut.pop()
             union = 0
             for mask in face:
                 if mask & mask - 1:
                     union |= mask
+            if union:
+                tries += (1 << union.bit_count()) - 2
+                if tries * n > MAX_CUT_WORK:
+                    raise ResourceLimitError(
+                        f"type enumeration: {tries} cuts x {n} entries = {tries * n} entries exceed the cap of {MAX_CUT_WORK}"
+                    )
             new, q = [], union - 1 & union
             while q:
                 cut = tuple([mask & q or mask for mask in face])
@@ -260,8 +254,7 @@ def _faces(
                     faces[cut] = _groups(cut, d) - 1
                     new.append(cut)
                 q = q - 1 & union
-            if meter is not None:
-                meter.count(stage, steps(new), "feasibility steps")
+            meter.count(stage, len(new), "types")
             uncut += new
     return {TypeVector._trusted(face): dim for face, dim in faces.items()}
 
@@ -331,33 +324,27 @@ def enumerate_realizations(arr: Arrangement, budget: int | None = None) -> dict[
     :func:`~troparr.envelope._cell_walk`, started at the first cell that
     is not a tree.
 
-    The :class:`~troparr.core.Meter` of ``budget`` counts feasibility
-    steps, the steps of a search over prefixes of types: on hyperplane i
-    one step per i-prefix of the types, S in all.  All m = 2^d - 1
-    entries of hyperplane 1 are feasible, each with a feasible entry for
-    hyperplane 2 after it, so S >= 2m (m if n = 1), and the meter refuses
-    up front when that floor does not fit.  The pivot walk then refuses
-    once its trees outnumber the steps left, each a distinct
-    0-dimensional type; a head walked before with no meter, by
-    :func:`is_generic`, is refused by the count below, with the same
-    message.  A generic arrangement has T(i, d) types on its first i
-    hyperplanes, so it is charged S, the sum of T(i, d) over i = 1..n,
-    in one count before any type is built; any other is charged as its
-    faces come (:func:`_faces`).  Every refusal says that the limit plus
-    one steps exceed the limit, and each comes exactly when S exceeds
-    it, so every verdict and message is the search's.
+    The :class:`~troparr.core.Meter` of ``budget`` counts the types, so
+    a run is refused exactly when the arrangement has more types than
+    its budget, always with the one message that the limit plus one types
+    exceed the limit.  Every nonempty label mask is hyperplane 1's entry
+    in some type, so there are 2^d - 1 types at least, and the meter
+    refuses up front when that floor does not fit.  The pivot walk then
+    refuses once its trees, each a distinct 0-dimensional type, outnumber
+    the budget, and :func:`_faces` counts the types as it builds them; a
+    head walked before with no meter, by :func:`is_generic`, is refused
+    there, with the same message.  The cuts that close a cell's faces
+    have a fixed cap of their own, ``MAX_CUT_WORK`` entries built,
+    whatever the budget.
     """
     stage, n, d = "type enumeration", arr.n, arr.d
     meter = Meter(budget)
-    meter.count(stage, (2**d - 1) * (1 + (n >= 2)), "feasibility steps", ahead=True)
+    meter.count(stage, 2**d - 1, "types", ahead=True)
     walked = _walk_head(arr, meter, stage)
-    if walked[-1].bit_count() != n + d - 1:
-        return _faces(n, d, _cell_walk(n, d, arr._integer_form[1], walked[-1]), meter, stage)
-    counts = _type_counts(n, d)
-    meter.count(stage, sum(counts[1:]), "feasibility steps")
-    types = _faces(n, d, walked)
-    if len(types) != counts[n]:
+    generic = walked[-1].bit_count() == n + d - 1
+    types = _faces(n, d, walked if generic else _cell_walk(n, d, arr._integer_form[1], walked[-1]), meter, stage)
+    if generic and len(types) != (count := _type_count(n, d)):
         raise RuntimeError(
-            f"{stage}: the {len(walked)} trees of a generic {n}x{d} triangulation give {len(types)} types, not T({n},{d}) = {counts[n]}"
+            f"{stage}: the {len(walked)} trees of a generic {n}x{d} triangulation give {len(types)} types, not T({n},{d}) = {count}"
         )
     return types

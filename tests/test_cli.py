@@ -648,8 +648,13 @@ def test_envelope_disagreement_exits_4(monkeypatch, capsys, e2_file):
 
 
 def test_budget_exit(capsys, e2_file, monkeypatch):
+    # E2 has 13 types: a budget of 13 holds them, and one of 12 exits 5
+    code, out = run(capsys, ["check", "--input", e2_file, "--budget", "13"])
+    assert code == 0 and "types: 13\n" in out
+    assert main(["check", "--input", e2_file, "--budget", "12"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 13 types exceed budget 12\n"
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"
+    assert capsys.readouterr().err == "error: type enumeration: 4 types exceed budget 3\n"
     # E2's 13 types take 13 x 6 two-block lookups, one more than the cap
     monkeypatch.setattr(troparr.axioms, "MAX_SURROUNDING_WORK", 77)
     assert main(["check", "--input", e2_file]) == 5
@@ -692,14 +697,18 @@ def test_one_parser_serves_every_call(capsys, e2_file, tied_minor_file, monkeypa
 
 def test_subdivision_budget_counts_the_pivot_walk_trees(capsys, e2_file, tmp_path):
     # E2 has n = 2, so its pivot walk has C(3, 1) = 3 trees, and its full
-    # enumeration takes 20 feasibility steps: a budget of 3 is enough for
+    # enumeration builds 13 types: a budget of 3 is enough for
     # subdivision, not for check, which refuses it at once
     assert main(["subdivision", "--input", e2_file, "--budget", "3"]) == 0
     capsys.readouterr()
     assert main(["subdivision", "--input", e2_file, "--budget", "2"]) == 5
     assert capsys.readouterr().err == "error: pivot walk: 3 trees exceed budget 2\n"
     assert main(["check", "--input", e2_file, "--budget", "3"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 4 feasibility steps exceed budget 3\n"
+    assert capsys.readouterr().err == "error: type enumeration: 4 types exceed budget 3\n"
+    assert main(["check", "--input", e2_file, "--budget", "13"]) == 0
+    capsys.readouterr()
+    assert main(["check", "--input", e2_file, "--budget", "12"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 13 types exceed budget 12\n"
     # n = 3 at d = 3 is charged C(4, 2) = 6 trees
     path = tmp_path / "three.txt"
     path.write_text("3 3\n0 1 2\n2 0 1\n1 2 0\n")
@@ -734,23 +743,26 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
 
 def test_a_thousand_hyperplanes_are_no_internal_error(tmp_path, capsys):
     # the type enumeration once recursed per hyperplane, so 1,100 rows
-    # hit Python's recursion limit and exited 4
+    # hit Python's recursion limit and exited 4; the input's 3 types are
+    # the floor 2^2 - 1, so a budget of 3 holds them and one of 2 exits 5
     path = tmp_path / "tall.txt"
     path.write_text("1100 2\n" + "0 0\n" * 1100)
     code, out = run(capsys, ["check", "--format", "text", "--input", str(path)])
     assert code == 0
     assert "types: 3" in out and "consistent: true" in out
-    assert main(["check", "--format", "text", "--input", str(path), "--budget", "2000"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 2001 feasibility steps exceed budget 2000\n"
+    budgeted = run(capsys, ["check", "--format", "text", "--budget", "3", "--input", str(path)])
+    assert budgeted == (0, out.replace("command: check --format text", "command: check --format text --budget 3"))
+    assert main(["check", "--format", "text", "--input", str(path), "--budget", "2"]) == 5
+    assert capsys.readouterr().err == "error: type enumeration: 3 types exceed budget 2\n"
 
 
 def test_negative_budget_is_a_parse_error(capsys, e2_file):
     for argv in (["check"], ["subdivision"], ["subdivision", "--flips"]):
         assert main(argv + ["--input", e2_file, "--budget", "-5"]) == 2
         err = capsys.readouterr().err
-        assert "argument --budget: must be non-negative, got -5" in err and "feasibility" not in err
+        assert "argument --budget: must be non-negative, got -5" in err and "type enumeration" not in err
     assert main(["check", "--input", e2_file, "--budget", "0"]) == 5
-    assert capsys.readouterr().err == "error: type enumeration: 1 feasibility steps exceed budget 0\n"
+    assert capsys.readouterr().err == "error: type enumeration: 1 types exceed budget 0\n"
 
 
 def test_the_header_takes_ascii_digits_only(tmp_path, capsys):
@@ -785,8 +797,26 @@ def test_the_seed_takes_ascii_digits_only(capsys, e2_file):
     assert main(["subdivision", "--flips", "--input", e2_file, "--seed", "-3"]) == 0
 
 
+def test_a_degenerate_cell_is_refused_at_the_cut_cap(tmp_path, capsys):
+    # all-zero 2 x 17 and 40 x 16 have 2^d - 1 types, inside the default
+    # budget, but closing their one cell tries about 3^d cuts of n entries
+    # each: the run stops at the fixed cap, within one face's cuts of it.
+    # On 1,100 x 16 the cell's own 2^16 - 2 cuts pass the cap at once
+    cap = troparr.geometry.MAX_CUT_WORK
+    for n, d in [(2, 17), (40, 16), (1100, 16)]:
+        path = tmp_path / f"zero{n}x{d}.txt"
+        path.write_text(f"{n} {d}\n" + f"{' '.join(['0'] * d)}\n" * n)
+        assert main(["check", "--format", "text", "--input", str(path)]) == 5
+        err = capsys.readouterr().err
+        found = re.fullmatch(rf"error: type enumeration: (\d+) cuts x {n} entries = (\d+) entries exceed the cap of {cap}\n", err)
+        assert found, err
+        tries, work = map(int, found.groups())
+        assert work == tries * n and cap < work <= cap + (2**d - 2) * n
+    assert err == f"error: type enumeration: {2**16 - 2} cuts x 1100 entries = {(2**16 - 2) * 1100} entries exceed the cap of {cap}\n"
+
+
 def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
-    # check on 2 x 30 takes 2(2^30-1) feasibility steps at least, and
+    # check on 2 x 30 has 2^30 - 1 types at least, and
     # subdivision on 30 x 30 has C(58, 29) trees to walk: both are
     # refused before any face is built or any tree walked
     monkeypatch.setattr(troparr.geometry, "_faces", None)
@@ -799,7 +829,7 @@ def test_large_d_exits_5_before_enumerating(tmp_path, capsys, monkeypatch):
     tall.write_text("3 30\n" + "\n".join(rows) + "\n")
     big.write_text("30 30\n" + "\n".join(square) + "\n")
     runs = [
-        (["check", "--input", str(wide)], "type enumeration: 200001 feasibility steps"),
+        (["check", "--input", str(wide)], "type enumeration: 200001 types"),
         (["subdivision", "--input", str(big)], f"pivot walk: {math.comb(58, 29)} trees"),
         (["subdivision", "--flips", "--input", str(big)], f"pivot walk: {math.comb(58, 29)} trees"),
     ]
@@ -861,21 +891,25 @@ def test_a_report_to_a_full_device_exits_7_without_a_traceback(e2_file):
             assert run.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
 
 
-def test_every_budget_from_the_floor_to_the_steps_exits_as_the_search_does(capsys, tied_minor_file):
-    # the tied-minor input is not generic: below the search's S steps
-    # check exits 5 with the search's message for that budget, and at S
-    # it reports
+def test_every_budget_from_the_floor_to_the_types_exits_as_the_count_says(capsys, tied_minor_file):
+    # the tied-minor input is not generic and has T = 43 types: from one
+    # below the floor of 2^3 - 1 types to T - 1 check exits 5 with the
+    # enumeration's message for that budget, and at T it reports, as at
+    # the S = 98 steps the search over prefixes takes
     arr = Arrangement.from_rows([row.split() for row in TIED_MINOR.splitlines()[1:]])
-    steps = search_steps(search_realizations(arr))
+    types = search_realizations(arr)
+    count, steps = len(types), search_steps(types)
+    assert (count, steps) == (43, 98)
     expected = run(capsys, ["check", "--format", "text", "--input", tied_minor_file])
     assert expected[0] == 0
-    for budget in range(2 * (2 ** 3 - 1) - 1, steps):
+    for budget in range(2 ** 3 - 2, count):
         assert main(["check", "--format", "text", "--budget", str(budget), "--input", tied_minor_file]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: type enumeration: {budget + 1} feasibility steps exceed budget {budget}\n"
-    argv = ["check", "--format", "text", "--budget", str(steps), "--input", tied_minor_file]
-    assert run(capsys, argv)[1] == expected[1].replace("command: check --format text", f"command: check --format text --budget {steps}")
+        assert captured.err == f"error: type enumeration: {budget + 1} types exceed budget {budget}\n"
+    for budget in (count, steps):
+        argv = ["check", "--format", "text", "--budget", str(budget), "--input", tied_minor_file]
+        assert run(capsys, argv)[1] == expected[1].replace("command: check --format text", f"command: check --format text --budget {budget}")
 
 
 def test_check_on_six_labels(tmp_path, capsys):
@@ -890,7 +924,7 @@ def test_check_on_six_labels(tmp_path, capsys):
 
 def test_check_on_a_generic_five_by_four(tmp_path, capsys):
     # (2^4-1)^5 = 759375 candidate types used to exceed the default
-    # budget; the enumeration takes 735 feasibility steps
+    # budget; the enumeration builds 351 types
     arr = random_generic_arrangement(random.Random(54), 5, 4)
     path = tmp_path / "five_by_four.json"
     path.write_text(serialize_arrangement(arr, "json"))

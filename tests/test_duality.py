@@ -440,14 +440,13 @@ def test_planar_read_off_keeps_the_walks_budget(monkeypatch):
 
 def test_pivot_walk_budget_counts_its_trees(e2):
     # E2 has n = 2: its walk has C(3, 1) = 3 trees, where the full
-    # enumeration, which takes each of the 13 types' last entry, takes 20
-    # feasibility steps
+    # enumeration builds 13 types
     assert dual_subdivision(e2, budget=3) == dual_subdivision(e2)
     with pytest.raises(ResourceLimitError, match="^pivot walk: 3 trees exceed budget 2$"):
         dual_subdivision(e2, budget=2)
-    assert len(enumerate_realizations(e2, budget=20)) == 13
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 20 feasibility steps exceed budget 19$"):
-        enumerate_realizations(e2, budget=19)
+    assert len(enumerate_realizations(e2, budget=13)) == 13
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 13 types exceed budget 12$"):
+        enumerate_realizations(e2, budget=12)
     # a single hyperplane's walk has one tree, its apex the one vertex, at any d
     for d in (2, 40):
         assert dual_subdivision(Arrangement.from_rows([[0] * d]), budget=1).maximal_cells == {

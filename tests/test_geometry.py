@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -207,9 +208,11 @@ def test_enumerate_types_single_hyperplane():
 
 
 def test_enumerate_types_budget():
+    # 13 types: a budget of 13 holds them, and one of 12 is refused
     arr = Arrangement.from_rows([[0, 0, 0], [1, 1, 0]])
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 11 feasibility steps exceed budget 10$"):
-        enumerate_types(arr, budget=10)
+    assert len(enumerate_types(arr, budget=13)) == 13
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 13 types exceed budget 12$"):
+        enumerate_types(arr, budget=12)
     with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
         enumerate_types(arr, budget=-1)
 
@@ -256,54 +259,66 @@ def _started_walks(monkeypatch) -> list[tuple[int, int]]:
     return started
 
 
-def test_budget_counts_the_feasibility_steps_taken():
-    # the budget is the number of steps the search over prefixes takes,
-    # the sum S over i of the distinct i-prefixes of the types, not the
-    # (2^d-1)^n = 759375 candidate types of a (5,4) input: a generic draw
-    # is charged S, the sum of T(i, 4) over i = 1..5, in one count, and a
-    # non-generic draw of the same shape as the faces of its walked cells
-    # come; each is refused one step short with the search's message
+def test_budget_counts_the_types_built():
+    # the budget is the number of types the enumeration builds, not the
+    # (2^d-1)^n = 759375 candidate types of a (5,4) input nor the S
+    # steps the search over prefixes takes: a generic draw's T(5, 4) types
+    # and a non-generic draw's are each refused one type short, where the
+    # search, which takes more steps than there are types, refuses too
     rng = random.Random(54)
     generic, nongeneric = random_arrangement(rng, 5, 4), nongeneric_on_apex(rng, 5, 4)[0]
     assert is_generic(generic) and not is_generic(nongeneric)
     for arr in (generic, nongeneric):
         types = enumerate_types(arr, budget=10**9)
-        steps = search_steps(types)
+        count = len(types)
         assert types == set(search_realizations(arr))
-        assert (steps == sum(type_counts(5, 4)[1:])) == bool(is_generic(arr))
-        assert steps < 20_000 < (2 ** 4 - 1) ** 5
-        assert enumerate_types(arr, budget=steps) == types
-        message = f"^type enumeration: {steps} feasibility steps exceed budget {steps - 1}$"
-        with pytest.raises(ResourceLimitError, match=message):
-            enumerate_types(arr, budget=steps - 1)
-        with pytest.raises(ResourceLimitError, match=message):
-            search_realizations(arr, budget=steps - 1)
+        assert (count == type_counts(5, 4)[5]) == bool(is_generic(arr))
+        assert count < search_steps(types) < 20_000 < (2 ** 4 - 1) ** 5
+        assert enumerate_types(arr, budget=count) == types
+        with pytest.raises(ResourceLimitError, match=f"^type enumeration: {count} types exceed budget {count - 1}$"):
+            enumerate_types(arr, budget=count - 1)
+        with pytest.raises(ResourceLimitError, match=f"^type enumeration: {count} feasibility steps exceed budget {count - 1}$"):
+            search_realizations(arr, budget=count - 1)
 
 
-def test_every_budget_from_the_floor_to_the_steps_gets_the_search_verdict():
-    # from one below the floor of 2(2^d - 1) steps to S, the enumeration
-    # refuses exactly where the search does, with the same message, and
-    # at S both return the same types
+def _budget_verdict(arr: Arrangement, budget: int, walked_first: bool = False):
+    # the types of a fresh copy of arr under budget, or the refusal's
+    # message; walked_first has is_generic walk its head, with no meter
+    fresh = Arrangement.from_rows(arr.rows())
+    if walked_first:
+        is_generic(fresh)
+    try:
+        return enumerate_realizations(fresh, budget)
+    except ResourceLimitError as error:
+        return str(error)
+
+
+def test_every_budget_is_refused_exactly_below_the_types():
+    # enumerate_realizations refuses exactly the budgets below its T
+    # types, always with the one message, and so accepts every budget
+    # the search over prefixes accepts, from its S >= T steps up; a head
+    # is_generic walked first, unmetered, gets the same verdict.  On the
+    # 81 inputs of the (2,3) grid, entries in {-1, 0, 1} and last column
+    # 0, every budget from 0 to S; on 240 small-integer draws, generic
+    # and not, 0, the floor 2^d - 1 and one below, T - 3 to T + 1, and S
+    rows = [[a, b, 0] for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    samples = [(Arrangement.from_rows(pair), True) for pair in product(rows, repeat=2)]
     rng = random.Random(5454)
-    sample = [
-        Arrangement.from_rows([[0, 0, 0], [1, 1, 0]]),
-        random_arrangement(rng, 3, 3),
-        random_integer_arrangement(rng, 3, 3),
-        random_integer_arrangement(rng, 2, 4),
-        nongeneric_on_apex(rng, 3, 3)[0],
-        nongeneric_on_ray(rng, 3, 4)[0],
-        Arrangement.from_rows([[0] * 4] * 3),
-    ]
-    for arr in sample:
+    for k in range(240):
+        n, d = rng.choice([(1, 2), (2, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4)])
+        samples.append((random_integer_arrangement(rng, n, d, span=1 + k % 4), False))
+    generic = 0
+    for arr, every in samples:
         types = search_realizations(arr)
-        steps, floor = search_steps(types), 2 * (2 ** arr.d - 1)
-        for budget in range(floor - 1, steps):
-            message = f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"
-            with pytest.raises(ResourceLimitError, match=message):
-                enumerate_realizations(arr, budget)
-            with pytest.raises(ResourceLimitError, match=message):
-                search_realizations(arr, budget)
-        assert enumerate_realizations(arr, steps) == types, arr.rows()
+        count, steps, floor = len(types), search_steps(types), 2**arr.d - 1
+        assert floor <= count <= steps
+        budgets = range(steps + 1) if every else {0, floor - 1, floor, steps} | set(range(max(count - 3, 0), count + 2))
+        generic += bool(is_generic(arr))
+        for budget in budgets:
+            expected = types if budget >= count else f"type enumeration: {budget + 1} types exceed budget {budget}"
+            assert _budget_verdict(arr, budget) == expected, (arr.rows(), budget)
+            assert _budget_verdict(arr, budget, walked_first=True) == expected, (arr.rows(), budget)
+    assert 50 <= generic <= len(samples) - 50, generic
 
 
 def test_every_generated_entry_is_feasible():
@@ -323,52 +338,65 @@ def test_every_generated_entry_is_feasible():
 
 def test_identical_rows_take_one_step_per_entry():
     # the second of two equal hyperplanes can only repeat the first
-    # entry, so 4095 types take 2 * 4095 steps, which the budget charges;
-    # a scan of every entry per prefix would test 4095^2 of them
+    # entry, so there are 4095 types, one per first entry: the floor of
+    # 2^12 - 1 is exact, a budget of 4095 holds them and one of 4094 is
+    # refused before any face is built; the search takes 2 * 4095 steps
     arr = Arrangement.from_rows([[0] * 12] * 2)
-    types = enumerate_types(arr)
+    types = enumerate_types(arr, budget=4095)
     assert len(types) == 4095
     assert all(A == B for A, B in (t.entries for t in types))
     assert search_steps(types) == 2 * 4095
-    with pytest.raises(ResourceLimitError, match="^type enumeration: 8190 feasibility steps exceed budget 8189$"):
-        enumerate_types(arr, budget=8189)
+    with pytest.raises(ResourceLimitError, match="^type enumeration: 4095 types exceed budget 4094$"):
+        enumerate_types(arr, budget=4094)
 
 
-def test_budget_refuses_past_the_first_two_hyperplanes_before_any_step(monkeypatch):
-    # every one of the m = 2^d - 1 first entries is feasible and each has
-    # a feasible second entry, so the search takes at least 2m steps (m if
-    # n = 1); below that the refusal comes before any step, with the
-    # search's message, and before the walk over the envelope starts or
-    # any face is built.  A generic draw is charged S, the sum of T(i, d),
-    # in one count; a non-generic draw of the same shape (every n = 1
-    # input is generic) is charged as the faces of its walked cells come
+def test_the_cuts_are_capped_in_entries_built(monkeypatch):
+    # all-zero n x d is one cell whose faces are (B, ..., B) for every
+    # nonempty label set B; the closure cuts each with |B| >= 2 by its
+    # 2^|B| - 2 proper submasks, n entries a try.  A cap of exactly that
+    # work holds every face, and one entry less refuses the last cut
+    for n, d in [(2, 3), (3, 4), (2, 6), (5, 5)]:
+        arr = Arrangement.from_rows([[0] * d] * n)
+        tries = sum(comb(d, k) * (2**k - 2) for k in range(2, d + 1))
+        monkeypatch.setattr(geometry, "MAX_CUT_WORK", tries * n)
+        assert len(enumerate_realizations(arr, budget=2**d - 1)) == 2**d - 1
+        monkeypatch.setattr(geometry, "MAX_CUT_WORK", tries * n - 1)
+        message = f"type enumeration: {tries} cuts x {n} entries = {tries * n} entries exceed the cap of {tries * n - 1}"
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            enumerate_realizations(arr, budget=10**9)
+
+
+def test_budget_refuses_below_the_floor_before_any_face(monkeypatch):
+    # every one of the 2^d - 1 nonempty label masks is the first entry of
+    # some type, so there are at least that many types; below that floor
+    # the refusal comes before the walk over the envelope starts or any
+    # face is built.  A single hyperplane has exactly the floor's types
     calls = _recorded(monkeypatch, geometry, "_faces")
     walks = _started_walks(monkeypatch)
     rng = random.Random(2026)
     for n, d in [(1, 2), (1, 4), (2, 3), (3, 3), (2, 4), (4, 3)]:
-        m = 2 ** d - 1
-        floor = m * (1 + (n >= 2))
+        floor = 2 ** d - 1
         draws = [random_arrangement(rng, n, d)] + ([nongeneric_on_apex(rng, n, d)[0]] if n >= 2 else [])
         assert is_generic(draws[0])
         for arr in draws:
             calls.clear()
             walks.clear()
             for budget in (0, floor // 2, floor - 1):
-                with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} feasibility steps exceed budget {budget}$"):
+                with pytest.raises(ResourceLimitError, match=f"^type enumeration: {budget + 1} types exceed budget {budget}$"):
                     enumerate_types(arr, budget=budget)
             assert calls == [] and walks == []
-            steps = search_steps(enumerate_types(arr, budget=10**9))
-            assert calls
-            assert (steps == sum(type_counts(n, d)[1:])) == bool(is_generic(arr))
-            assert steps >= floor
+            count = len(enumerate_types(arr, budget=10**9))
+            assert len(calls) == 1
+            assert (count == type_counts(n, d)[n]) == bool(is_generic(arr))
+            assert count >= floor
             if n == 1:
-                assert steps == floor
+                assert count == floor
                 assert enumerate_types(arr, budget=floor)
     # a large d is refused before any face is built, and before any walk
     monkeypatch.setattr(geometry, "_faces", None)
     walks.clear()
-    for n, d in [(1, 40), (2, 40), (2, 17)]:
-        with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 feasibility steps exceed budget 200000$"):
+    for n, d in [(1, 40), (2, 40), (2, 18)]:
+        with pytest.raises(ResourceLimitError, match="^type enumeration: 200001 types exceed budget 200000$"):
             enumerate_types(Arrangement.from_rows([[0] * d] * n))
     assert walks == []
 
@@ -404,9 +432,9 @@ def test_a_generic_input_never_reaches_the_search(monkeypatch):
 
 
 def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypatch):
-    # each tree is a distinct vertex, a step of the search: under a budget
-    # below the C(n+d-2, n-1) trees, past the floor, the walk stops at
-    # tree limit + 1 with the search's message, and no cell is walked
+    # each tree is a distinct vertex type: under a budget below the
+    # C(n+d-2, n-1) trees, past the floor, the walk stops at tree
+    # limit + 1 with the enumeration's message, and no cell is walked
     calls = _recorded(monkeypatch, geometry, "_cell_walk")
     yielded = []
     walk = troparr.envelope._pivot_walk
@@ -418,18 +446,18 @@ def test_budget_stops_a_generic_walk_after_one_tree_more_than_it_holds(monkeypat
 
     monkeypatch.setattr(troparr.envelope, "_pivot_walk", counted)
     for n, d in [(5, 4), (6, 3), (7, 3)]:
-        floor, trees = 2 * (2 ** d - 1), comb(n + d - 2, n - 1)
+        floor, trees = 2 ** d - 1, comb(n + d - 2, n - 1)
         for limit in range(floor, trees):
             yielded.clear()
             arr = Arrangement.from_rows([[3 ** (d * i + j) for j in range(d)] for i in range(n)])
-            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} feasibility steps exceed budget {limit}$"):
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} types exceed budget {limit}$"):
                 enumerate_realizations(arr, limit)
             assert len(yielded) == limit + 1, (n, d, limit)
             assert all(cell.bit_count() == n + d - 1 for cell in yielded)
             # a head is_generic walked first, unmetered, is refused the same
             assert is_generic(arr)
             yielded.clear()
-            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} feasibility steps exceed budget {limit}$"):
+            with pytest.raises(ResourceLimitError, match=f"^type enumeration: {limit + 1} types exceed budget {limit}$"):
                 enumerate_realizations(arr, limit)
             assert yielded == []
     assert calls == []

@@ -13,8 +13,9 @@ frozenset of node pairs, and its budget policy lives in ``core``'s
 meter alone: no other module names ``DEFAULT_BUDGET``, bar the package's
 re-export, or words a budget refusal, and its types come from one
 computation: no module defines the feasibility search's ``_Feasibility``,
-``_cliques`` or ``_tree_types``, ``geometry._faces`` alone builds a
-collection of types, called by ``enumerate_realizations`` alone, and no
+``_cliques`` or ``_tree_types`` or words its feasibility steps,
+``geometry._faces`` alone builds a collection of types, called once, by
+``enumerate_realizations``, and no
 ``geometry`` function takes a callable parameter, and the axiom
 checks decide whether a collection fits (n, d) in one place: only
 ``axioms._Table`` raises the refusals of mixed lengths, of a length other
@@ -177,11 +178,13 @@ SEARCH = {"_Feasibility", "_cliques", "_tree_types"}
 
 def test_the_type_enumeration_is_one_loop():
     # one computation of the types, with no callback helper: no module
-    # defines the search, types are built one at a time (a point's type,
-    # a copy with one entry replaced) everywhere but in geometry._faces,
-    # which enumerate_realizations alone calls, and no geometry function
-    # calls what it is handed
-    builders, callers = set(), set()
+    # defines the search or words its feasibility steps, types are built
+    # one at a time (a point's type, a copy with one entry replaced)
+    # everywhere but in geometry._faces, which enumerate_realizations
+    # calls once, and no geometry function calls what it is handed
+    for path in SOURCES:
+        assert "feasibility step" not in path.read_text(encoding="utf-8"), f"{path.name} words the search's steps"
+    builders, callers = set(), []
     for path, tree in _parsed():
         for top in tree.body:
             for node in ast.walk(top):
@@ -194,9 +197,9 @@ def test_the_type_enumeration_is_one_loop():
                 if func == "TypeVector._trusted":
                     builders.add(where)
                 elif func == "_faces":
-                    callers.add(where)
+                    callers.append(where)
     assert builders == {("core", "TypeVector"), ("geometry", "type_of_point"), ("geometry", "_faces")}
-    assert callers == {("geometry", "enumerate_realizations")}
+    assert callers == [("geometry", "enumerate_realizations")]
     (path, tree), = [(path, tree) for path, tree in _parsed() if path.stem == "geometry"]
     for function in ast.walk(tree):
         if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
@@ -262,7 +265,7 @@ def test_every_internal_fault_opens_with_its_stage():
 
 #: The stages a work cap's refusal names first; every budget's refusal is
 #: worded by ``core.Meter``, from the stage it is handed.
-LIMITS = ("surrounding", "normalized volume", "flip cone")
+LIMITS = ("surrounding", "normalized volume", "flip cone", "type enumeration")
 
 
 def test_every_budget_refusal_opens_with_its_stage():
@@ -277,7 +280,7 @@ def test_every_budget_refusal_opens_with_its_stage():
             opens = opening.startswith(LIMITS) or (path.stem == "core" and opening == "{stage}")
             assert opens, f"{path.name}:{node.lineno} builds a ResourceLimitError that names no stage first"
             built.add(path.stem)
-    assert built == {"axioms", "core", "duality", "secondary"}
+    assert built == {"axioms", "core", "duality", "geometry", "secondary"}
 
 
 #: Modules that map OpenSSL or an XML parser into the process.
